@@ -15,7 +15,17 @@ arrays of power-of-two length ("ComplexBuffer").
 
 The heavy lifting is delegated to numpy's pocketfft: the forward transform here
 is ``kmax * np.fft.ifft`` and the inverse is ``Re(np.fft.fft) / kmax``, which
-realize the two sums above exactly.
+realize the two sums above exactly.  Both act on the last axis, so a 2-D block
+of coefficient rows is transformed row by row in one call.
+
+Half form (``half=True``): a real coefficient vector has a Hermitian spectrum,
+fhat[kmax - k] = conj(fhat[k]), so entries 0..kmax/2 carry all of it.  The
+half forward transform returns exactly those entries of the same
+positive-exponent spectrum (``conj(np.fft.rfft)``), and the half inverse takes
+them back to real coefficients (``np.fft.irfft`` of the conjugate).  Products
+of half spectra are half spectra of the circular convolution, so pipelines
+that only ever multiply spectra can stay in the half form throughout, at about
+half the work and memory of the full one.
 """
 
 from __future__ import annotations
@@ -39,21 +49,37 @@ def roots_of_unity(kmax: int) -> ComplexBuffer:
     return np.exp(2j * np.pi * np.arange(kmax) / kmax)
 
 
-def dft(coeffs) -> ComplexBuffer:
-    """Forward transform (positive exponent) of a coefficient vector.
+def dft(coeffs, *, half: bool = False) -> ComplexBuffer:
+    """Forward transform (positive exponent) along the last axis.
 
     Entry k is the generating function of ``coeffs`` evaluated at the k-th
-    root of unity.
+    root of unity.  With ``half=True`` the coefficients must be real and only
+    entries 0..kmax/2 are returned.
     """
     arr = np.asarray(coeffs)
-    _require_pow2(len(arr))
-    return np.fft.ifft(arr) * len(arr)
+    n = arr.shape[-1]
+    _require_pow2(n)
+    if half:
+        out = np.fft.rfft(arr, axis=-1)
+        return np.conjugate(out, out=out)
+    return np.fft.ifft(arr, axis=-1) * n
 
 
-def idft(buf: ComplexBuffer) -> np.ndarray:
-    """Recover real coefficients from generating-function values on the roots."""
-    _require_pow2(len(buf))
-    return np.real(np.fft.fft(buf)) / len(buf)
+def idft(buf: ComplexBuffer, *, half: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Recover real coefficients from generating-function values on the roots.
+
+    Acts along the last axis.  With ``half=True``, ``buf`` holds entries
+    0..kmax/2 of the spectrum (the output of ``dft(..., half=True)``).  The
+    result is written into ``out`` when given.
+    """
+    buf = np.asarray(buf)
+    if half:
+        n = max(1, 2 * (buf.shape[-1] - 1))
+        _require_pow2(n)
+        return np.fft.irfft(np.conjugate(buf), n=n, axis=-1, out=out)
+    n = buf.shape[-1]
+    _require_pow2(n)
+    return np.divide(np.fft.fft(buf, axis=-1).real, n, out=out)
 
 
 def idft_complex(buf: ComplexBuffer) -> np.ndarray:

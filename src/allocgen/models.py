@@ -108,13 +108,34 @@ class KatzParams:
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
 
+# Masses of negbin_pmf are cumulated this many at a time.
+_NEGBIN_CHUNK = 512
+_TINY = np.finfo(float).tiny
+
+
 def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
-    """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion."""
-    f = np.empty(n)
+    """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion.
+
+    Masses below the smallest normal float are exact zeros.  The ratios
+    f(k)/f(k-1) = (1-q)(r+k-1)/k are monotone in k with limit 1 - q < 1, so
+    once one ratio is below 1 the masses only fall: the recursion stops when
+    they drop below that float, instead of grinding through thousands of
+    subnormal products.  The running product is carried from chunk to chunk,
+    so every kept mass is bit-identical to the full recursion's.
+    """
+    f = np.zeros(n)
     f[0] = q**r
-    if n > 1:
-        k = np.arange(1, n, dtype=float)
-        f[1:] = f[0] * np.cumprod((1.0 - q) * (r + k - 1.0) / k)
+    prod = 1.0
+    for start in range(1, n, _NEGBIN_CHUNK):
+        k = np.arange(start, min(start + _NEGBIN_CHUNK, n), dtype=float)
+        ratios = (1.0 - q) * (r + k - 1.0) / k
+        ratios[0] *= prod
+        np.cumprod(ratios, out=ratios)
+        f[start : start + len(k)] = f[0] * ratios
+        prod = ratios[-1]
+        if f[start + len(k) - 1] < _TINY and (1.0 - q) * (r + k[-1] - 1.0) < k[-1]:
+            break
+    f[f < _TINY] = 0.0
     return f
 
 

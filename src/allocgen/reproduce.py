@@ -214,7 +214,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
         )
         for lam, r, q in zip(lams, rs, qs)
     ]
-    table = allocate_compound_poisson_pool(risks, kmax, cache="auto")
+    table = allocate_compound_poisson_pool(risks, kmax)
     _identity_check(rep, table)
     # absolute transform noise sits near 1e-14 for a 10^4-factor product, so the
     # 1e-8 curve tolerance can only hold where the mass stays above ~1e-6; the

@@ -95,10 +95,9 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
     i1 = _quantile_index(fs, a1) if a1 > 0.0 else 0
     _require_valid_atom(table, i1, "lower")
     if a1 == a2:
-        return table.conditional_mean[:, i1].copy()
+        return table.conditional_mean_at(i1)
 
     mu = table.expected_allocation
-    cum = table.expected_cumulative
     cdf = fs.cdf()
     f1 = table.fs_raw[i1]
     lower = mu[:, i1] * ((cdf[i1] - a1) / f1)
@@ -106,13 +105,14 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
     if a2 == 1.0:
         # decumulative form: everything above the lower atom, within stored mass
         totals = mu.sum(axis=1)
-        return (lower + (totals - cum[:, i1])) / (1.0 - a1)
+        return (lower + (totals - table.cumulative_at(i1))) / (1.0 - a1)
 
     i2 = _quantile_index(fs, a2)
     _require_valid_atom(table, i2, "upper")
     f2 = table.fs_raw[i2]
     upper = mu[:, i2] * ((a2 - cdf[i2]) / f2)
-    interior = cum[:, i2] - cum[:, i1]
+    cum = table.cumulative_at([i1, i2])
+    interior = cum[:, 1] - cum[:, 0]
     return (lower + interior + upper) / (a2 - a1)
 
 

@@ -407,7 +407,7 @@ def conditional_mean_distribution(table: AllocationTable, risk: int) -> Conditio
     valid = table.valid_mask
     if not valid.any():
         raise EmptyDistribution("no valid lattice points to aggregate")
-    values = table.conditional_mean[risk, valid]
+    values = table.conditional_mean_rows(risk)[valid]
     masses = table.fs_raw[valid]
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -479,8 +479,10 @@ def write_allocations_csv(
     path: Path, table: AllocationTable, columns: Sequence[int], header_notes: Sequence[str] = ()
 ) -> None:
     cdf = np.cumsum(table.fs_raw)
-    with np.errstate(invalid="ignore"):
-        cond_total = table.conditional_mean.sum(axis=0)
+    cond_total = table.validation_curve
+    mu = table.expected_allocation[columns]
+    cum = table.cumulative_rows(columns)
+    cond = table.conditional_mean_rows(columns)
     with path.open("w") as fh:
         for note in header_notes:
             fh.write(f"# {note}\n")
@@ -491,12 +493,8 @@ def write_allocations_csv(
         fh.write(",".join(names) + "\n")
         for k in range(table.kmax):
             row = [str(k), _fmt(table.fs_raw[k]), _fmt(cdf[k])]
-            for c in columns:
-                row += [
-                    _fmt(table.expected_allocation[c, k]),
-                    _fmt(table.expected_cumulative[c, k]),
-                    _fmt(table.conditional_mean[c, k]),
-                ]
+            for j in range(len(columns)):
+                row += [_fmt(mu[j, k]), _fmt(cum[j, k]), _fmt(cond[j, k])]
             row += [_fmt(cond_total[k]), "1" if table.valid_mask[k] else "0"]
             fh.write(",".join(row) + "\n")
 

@@ -15,6 +15,7 @@ from allocgen.allocation import (
     oracle_enumerate,
     oracle_size_biased,
     allocate_compound_poisson_pool,
+    row_blocks,
 )
 from allocgen.errors import (
     AliasingRisk,
@@ -30,9 +31,11 @@ from allocgen.models import (
     ExplicitRisk,
     KatzParams,
     KatzRisk,
+    compound_pmf_panjer,
     compound_poisson_risk,
     explicit_risk,
     negative_binomial_risk,
+    negbin_pmf,
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
@@ -103,6 +106,21 @@ class TestAllocateIndependent:
                 assert np.max(np.abs(sb - t.expected_allocation[i])) <= 1e-10
 
 
+def multi_block_pool(rng, n):
+    """Poisson random sums whose severities range from 2 to about 3,000 points."""
+    pool = []
+    for i in range(n):
+        if i % 3 == 0:
+            w = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 12)))
+            sev = w / w.sum()
+        else:
+            sev = negbin_pmf(float(rng.integers(1, 7)), float(rng.uniform(0.2, 0.9)), 4096)
+            sev = sev[: int(np.flatnonzero(sev)[-1]) + 1]
+        pool.append(CompoundKatzRisk(KatzParams.poisson(float(rng.uniform(0.05, 0.5))),
+                                     pmf_from_values(sev)))
+    return pool
+
+
 class TestTableInvariants:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -118,10 +136,19 @@ class TestTableInvariants:
         # per-risk totals recover the means
         for i, r in enumerate(risks):
             assert t.expected_allocation[i].sum() == pytest.approx(r.mean(), abs=1e-9)
-        # cumulative rows are prefix sums
-        assert np.allclose(
-            t.expected_cumulative, np.cumsum(t.expected_allocation, axis=1), atol=1e-12
-        )
+        # the derived views equal the prefix sums and the masked ratio exactly
+        mu = t.expected_allocation
+        cum = np.cumsum(mu, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(t.fs_raw != 0.0, mu / t.fs_raw, np.nan)
+        assert np.array_equal(t.expected_cumulative, cum)
+        assert np.array_equal(t.conditional_mean, cond, equal_nan=True)
+        assert np.allclose(t.validation_curve, cond.sum(axis=0), rtol=1e-12, equal_nan=True)
+        assert np.array_equal(t.cumulative_rows(0), cum[0])
+        assert np.array_equal(t.cumulative_at([3, 40]), cum[:, [3, 40]])
+        assert np.array_equal(t.conditional_mean_rows([0]), cond[[0]], equal_nan=True)
+        for kk in (0, 5, 63):
+            assert np.array_equal(t.conditional_mean_at(kk), cond[:, kk], equal_nan=True)
         # conditional means live on [0, min(k, own support)]
         for i, r in enumerate(risks):
             vals = t.conditional_mean[i][t.valid_mask]
@@ -274,6 +301,36 @@ class TestAlgorithmOne:
         b = allocate_compound_poisson_pool(small_pool, 64, cache=False)
         assert np.array_equal(a.expected_allocation, b.expected_allocation)
         assert np.array_equal(a.fs_raw, b.fs_raw)
+
+    def test_pool_spanning_several_blocks(self):
+        kmax = 2**16
+        pool = multi_block_pool(np.random.default_rng(20260810), 70)
+        assert len(row_blocks(len(pool), kmax)) >= 3
+        t = allocate_compound_poisson_pool(pool, kmax)
+        valid = t.valid_mask
+        top = int(np.flatnonzero(valid)[-1]) + 1
+        assert valid.sum() >= 200 and top <= 4096
+        # f_S against the counting recursion for the aggregate random sum
+        lam = np.array([r.frequency.b for r in pool])
+        mix = np.zeros(4096)
+        for r in pool:
+            mix[: len(r.severity.masses)] += r.frequency.b * r.severity.masses
+        panjer = compound_pmf_panjer(KatzParams.poisson(lam.sum()), mix / lam.sum(), 4096)
+        assert np.max(np.abs(t.fs_raw[:4096] - panjer)) <= 1e-14
+        # every risk's row against lam_i sum_j j f_Bi(j) f_S(k - j) on the valid rows
+        fs = t.fs_raw[:top]
+        for i, r in enumerate(pool):
+            fb = r.severity.masses
+            ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, fs)[:top]
+            got = t.expected_allocation[i, :top]
+            np.testing.assert_allclose(
+                got[valid[:top]], ref[valid[:top]], rtol=1e-11, atol=1e-15 * np.abs(ref).max()
+            )
+            assert t.expected_allocation[i].sum() == pytest.approx(r.mean(), rel=1e-12)
+        # the blocked column reads agree with the full derived views
+        cols = [5, top, kmax - 1]
+        assert np.array_equal(t.cumulative_at(cols), t.expected_cumulative[:, cols])
+        assert np.array_equal(t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1])
 
     def test_rejects_non_poisson_counts(self):
         bad = CompoundKatzRisk(KatzParams.negative_binomial(2, 0.5), pmf_from_values([0, 1.0]))

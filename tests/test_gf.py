@@ -63,7 +63,9 @@ class TestTransformConvention:
     @given(real_vectors)
     @settings(max_examples=50)
     def test_round_trip(self, x):
-        assert np.max(np.abs(gf.idft(gf.dft(x)) - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+        scale = max(1.0, np.max(np.abs(x)))
+        assert np.max(np.abs(gf.idft(gf.dft(x)) - x)) <= 1e-12 * scale
+        assert np.max(np.abs(gf.idft(gf.dft(x, half=True), half=True) - x)) <= 1e-12 * scale
 
     def test_round_trip_large(self, rng):
         x = rng.uniform(size=2**16)
@@ -89,6 +91,56 @@ class TestTransformConvention:
         x[-1] = 0.0
         shifted = np.roll(x, 1)
         assert np.allclose(gf.dft(shifted), gf.roots_of_unity(16) * gf.dft(x), atol=1e-12)
+
+
+class TestHalfAndBlockForms:
+    def test_half_matches_direct_sum(self, rng):
+        x = rng.normal(size=32)
+        assert np.allclose(gf.dft(x, half=True), naive_dft(x)[:17], atol=1e-10)
+
+    def test_half_is_leading_part_of_full_spectrum(self, rng):
+        x = rng.normal(size=(3, 64))
+        half = gf.dft(x, half=True)
+        assert half.shape == (3, 33)
+        assert np.allclose(half, gf.dft(x)[..., :33], atol=1e-12)
+
+    def test_half_positive_exponent_sign(self):
+        assert gf.dft([0.0, 1.0, 0.0, 0.0], half=True)[1] == pytest.approx(1j, abs=1e-15)
+
+    def test_half_inverse_matches_direct_inverse(self, rng):
+        x = rng.normal(size=32)
+        full = naive_dft(x)
+        assert np.allclose(gf.idft(full[:17], half=True), naive_idft(full), atol=1e-10)
+
+    def test_block_rows_match_single_rows(self, rng):
+        x = rng.normal(size=(4, 16))
+        full = gf.dft(x)
+        half = gf.dft(x, half=True)
+        for row, f, h in zip(x, full, half):
+            assert np.allclose(f, naive_dft(row), atol=1e-10)
+            assert np.allclose(h, naive_dft(row)[:9], atol=1e-10)
+        assert np.allclose(gf.idft(full), [naive_idft(f) for f in full], atol=1e-10)
+        assert np.allclose(gf.idft(half, half=True), x, atol=1e-12)
+
+    def test_half_inverse_writes_into_out(self, rng):
+        x = rng.normal(size=(2, 16))
+        out = np.empty((2, 16))
+        got = gf.idft(gf.dft(x, half=True), half=True, out=out)
+        assert got is out
+        assert np.allclose(out, x, atol=1e-12)
+
+    def test_half_product_is_circular_convolution(self, rng):
+        a = rng.uniform(size=16)
+        b = rng.uniform(size=16)
+        got = gf.idft(gf.dft(a, half=True) * gf.dft(b, half=True), half=True)
+        want = gf.idft(gf.dft(a) * gf.dft(b))
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_non_power_of_two(self):
+        with pytest.raises(InvalidSize):
+            gf.dft(np.ones((2, 12)), half=True)
+        with pytest.raises(InvalidSize):
+            gf.idft(np.ones(6, dtype=complex), half=True)
 
 
 class TestPointwiseProduct:

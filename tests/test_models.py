@@ -94,9 +94,34 @@ class TestKatzFamilies:
         assert params.mean == pytest.approx(float(np.dot(np.arange(256.0), f)), abs=1e-9)
 
 
+def full_negbin_recursion(r, q, n):
+    """The recursion without a stop: it runs on into the subnormal range."""
+    f = np.empty(n)
+    f[0] = q**r
+    if n > 1:
+        k = np.arange(1, n, dtype=float)
+        f[1:] = f[0] * np.cumprod((1.0 - q) * (r + k - 1.0) / k)
+    return f
+
+
 class TestNegbinPmf:
     def test_matches_scipy(self):
         assert np.allclose(negbin_pmf(2.5, 0.45, 64), stats.nbinom.pmf(np.arange(64), 2.5, 0.45))
+
+    @pytest.mark.parametrize(
+        "r, q, n",
+        [(1, 0.45, 4096), (6, 0.4, 4096), (3, 0.5, 8192), (0.3, 0.9, 4096), (2.5, 0.45, 64),
+         (50, 0.01, 4096), (2, 0.3, 2), (1, 0.5, 1)],
+    )
+    def test_stops_at_smallest_normal(self, r, q, n):
+        # masses at or above the smallest normal float equal the full
+        # recursion bit for bit; the subnormal tail becomes exact zeros
+        tiny = np.finfo(float).tiny
+        full = full_negbin_recursion(r, q, n)
+        got = negbin_pmf(r, q, n)
+        kept = full >= tiny
+        assert np.array_equal(got[kept], full[kept])
+        assert np.all(got[~kept] == 0.0)
 
 
 class TestCompoundRisk:
