@@ -10,26 +10,7 @@ import time
 import numpy as np
 
 from allocgen.allocation import allocate_compound_poisson_pool
-from allocgen.models import CompoundKatzRisk, KatzParams, negbin_pmf
-from allocgen.pmf import pmf_from_values
-
-
-def build_pool(n, kmax, seed):
-    rng = np.random.default_rng(seed)
-    lams = rng.exponential(0.1, size=n)
-    rs = rng.choice([1, 2, 3, 4, 5, 6], size=n)
-    qs = rng.uniform(0.4, 0.5, size=n)
-    risks = []
-    for lam, r, q in zip(lams, rs, qs):
-        sev = negbin_pmf(float(r), float(q), kmax)
-        top = int(np.flatnonzero(sev > 0.0)[-1]) + 1
-        risks.append(
-            CompoundKatzRisk(
-                KatzParams.poisson(float(lam)),
-                pmf_from_values(sev[:top]),
-            )
-        )
-    return risks
+from allocgen.scenario import sample_risks
 
 
 def main():
@@ -40,7 +21,7 @@ def main():
     args = parser.parse_args()
 
     for n in (int(s) for s in args.sizes.split(",")):
-        risks = build_pool(n, args.kmax, args.seed)
+        risks = sample_risks({"kind": "compound_poisson_negbin", "count": n}, args.seed, args.kmax)
         start = time.perf_counter()
         table = allocate_compound_poisson_pool(risks, args.kmax)
         elapsed = time.perf_counter() - start

@@ -8,13 +8,11 @@ prints the pairwise crossing counts for the n=3 pool.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from allocgen.allocation import allocate_independent
 from allocgen.models import ExplicitRisk
 from allocgen.pmf import arithmetize
 from allocgen.reproduce import HEAVY_TAIL_RISKS
-from allocgen.scenario import conditional_mean_distribution, count_cdf_crossings
+from allocgen.scenario import conditional_mean_distribution, count_cdf_crossings, sample_risks
 from allocgen.tails import pareto_cdf, pareto_lev
 
 
@@ -35,13 +33,10 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     fixed = [arithmetized(a, l, args.xmax) for a, l, _ in HEAVY_TAIL_RISKS]
-    rng = np.random.default_rng(args.seed)
     sizes = [int(s) for s in args.sizes.split(",")]
-    extras = []
-    for a, l in zip(
-        rng.uniform(1.3, 1.9, size=max(sizes) - 3), rng.uniform(5.0, 15.0, size=max(sizes) - 3)
-    ):
-        extras.append(arithmetized(a, l, args.xmax))
+    extras = sample_risks(
+        {"kind": "pareto_extras", "count": max(sizes) - 3, "xmax": args.xmax}, args.seed, args.kmax
+    )
 
     for n in sizes:
         risks = fixed + extras[: n - 3]

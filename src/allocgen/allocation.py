@@ -38,7 +38,6 @@ from .pmf import DiscretePMF, TruncationReport, pmf_from_transform_output
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_UNDERFLOW_FLOOR = 1e-15
-DIVISION_FLOOR = 1e-12
 ALIAS_DEFICIT_TOL = 1e-9
 # Work arrays of the blocked passes over pool rows stay near this size.
 BLOCK_BYTES = 32 << 20
@@ -165,10 +164,16 @@ def _per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 
 def _common_step(risks: Sequence[RiskModel]) -> float:
-    steps = {r.pmf.step_h for r in risks if isinstance(r, ExplicitRisk)}
+    """The lattice step all risks share: a pmf's or severity's own, 1 for counts and indicators."""
+    steps = {
+        r.pmf.step_h if isinstance(r, ExplicitRisk)
+        else r.severity.step_h if isinstance(r, CompoundKatzRisk)
+        else 1.0
+        for r in risks
+    }
     if len(steps) > 1:
         raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
-    return steps.pop() if steps else 1.0
+    return steps.pop()
 
 
 def assemble_table(
@@ -227,14 +232,15 @@ def mask_validity(table: AllocationTable, tol: float) -> AllocationTable:
     return dataclasses.replace(table, valid_mask=valid, tolerance_used=tol)
 
 
-def _aliasing_report(risks: Sequence[RiskModel], pmfs: list[np.ndarray], kmax: int) -> TruncationReport:
+def _aliasing_report(risks: Sequence[RiskModel], totals: list[float], kmax: int) -> TruncationReport:
+    """Aliasing diagnostics from the support bounds and the stored mass ``totals`` of the risks."""
     tops = [r.support_top() for r in risks]
     notes: list[str] = []
     risky = False
     if all(t is not None for t in tops) and sum(tops) > kmax - 1:
         risky = True
         notes.append(f"exact support bound {sum(tops)} exceeds buffer {kmax}")
-    deficit = float(sum(max(0.0, 1.0 - f.sum()) for f in pmfs))
+    deficit = float(sum(max(0.0, 1.0 - t) for t in totals))
     if deficit > ALIAS_DEFICIT_TOL:
         risky = True
         notes.append(f"per-risk truncated mass totals {deficit:.3e}")
@@ -249,14 +255,14 @@ def allocate_independent(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-    division_floor: float = DIVISION_FLOOR,
 ) -> AllocationTable:
     """Allocation table for independent risks via the transform route.
 
-    The pgf of everything-but-risk-i is obtained by pointwise division of the
-    full product only when ``min |pgf_i|`` on the roots stays above
-    ``division_floor``; otherwise it is recomputed as the product over the other
-    risks, since marginal pgfs can have near-zeros on the unit circle.
+    The pgf of everything-but-risk-i comes from ``gf.leave_one_out``: prefix
+    times suffix products of the marginal pgfs on the roots, with no division,
+    so marginal pgfs that vanish on the unit circle need no special case.  The
+    pgfs are freed once that product is formed; the mass vectors are then built,
+    transformed and inverted one block of risks at a time.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
@@ -264,25 +270,23 @@ def allocate_independent(
     step_h = _common_step(risks)
     n = len(risks)
 
-    pmfs = [np.asarray(r.pmf_vector(kmax), dtype=float) for r in risks]
-    pgfs = [np.asarray(r.pgf_on_roots(z), dtype=complex) for r in risks]
-    fs_hat = np.ones(kmax, dtype=complex)
-    for g in pgfs:
-        fs_hat = fs_hat * g
+    pgfs = np.empty((n, kmax), dtype=complex)
+    for i, r in enumerate(risks):
+        pgfs[i] = r.pgf_on_roots(z)
+    fs_hat, others = gf.leave_one_out(pgfs)
+    del pgfs
     fs_raw = gf.idft(fs_hat)
-    truncation = _aliasing_report(risks, pmfs, kmax)
 
     mu = np.empty((n, kmax))
-    for i in range(n):
-        phi_hat = gf.dft(gf.weighted_index_coeffs(pmfs[i]))
-        if np.min(np.abs(pgfs[i])) > division_floor:
-            fs_minus = fs_hat / pgfs[i]
-        else:
-            fs_minus = np.ones(kmax, dtype=complex)
-            for j in range(n):
-                if j != i:
-                    fs_minus = fs_minus * pgfs[j]
-        mu[i] = gf.idft(phi_hat * fs_minus)
+    totals: list[float] = []
+    k = np.arange(kmax, dtype=float)
+    for rows in row_blocks(n, kmax):
+        pmfs = np.array([r.pmf_vector(kmax) for r in risks[rows]], dtype=float)
+        totals.extend(float(f.sum()) for f in pmfs)
+        spectra = gf.dft(pmfs * k)
+        spectra *= others[rows]
+        gf.idft(spectra, out=mu[rows])
+    truncation = _aliasing_report(risks, totals, kmax)
 
     means = np.array([r.mean() for r in risks])
     tops = [r.support_top() for r in risks]
@@ -353,10 +357,7 @@ def allocate_compound_poisson_pool(
     for r in risks:
         if not (isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()):
             raise KatzDomain("this pipeline handles independent Poisson random sums only")
-    steps = {r.severity.step_h for r in risks}
-    if len(steps) > 1:
-        raise AllocationError(f"severities use different lattice steps: {sorted(steps)}")
-    step_h = steps.pop()
+    step_h = _common_step(risks)
     n = len(risks)
     lam = np.array([r.frequency.b for r in risks])
     blocks = row_blocks(n, kmax)

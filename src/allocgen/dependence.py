@@ -320,37 +320,29 @@ class FrailtyBernoulliSpec:
 
 def frailty_bernoulli_pgfs(
     spec: FrailtyBernoulliSpec, kmax: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """pgf buffer of the total and the allocation spectra of every risk.
+) -> tuple[np.ndarray, np.ndarray]:
+    """pgf buffer of the total and the allocation spectra of every risk (one row each).
 
     Each mixing level contributes a product of indicator pgfs; per-risk spectra
     replace the own factor with b_i r_i**theta t**b_i.  Products over the other
-    risks are obtained from prefix/suffix partial products (no division, which
-    would be unstable at near-zeros of an indicator pgf on the circle).
+    risks come from ``gf.leave_one_out`` (no division, which would be unstable
+    at near-zeros of an indicator pgf on the circle).
     """
     if kmax < spec.min_kmax():
         raise InvalidMarginal(
             f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}"
         )
     z = gf.roots_of_unity(kmax)
-    n = spec.n_risks
-    zpow = [z ** int(bi) for bi in spec.b]
-    theta_w = spec.theta_pmf()
+    zpow = np.array([z ** int(bi) for bi in spec.b])
+    b = np.asarray(spec.b, dtype=float)
     r_pows = spec.conditional_claim_probs()
 
     fs_hat = np.zeros(kmax, dtype=complex)
-    alloc_hats = [np.zeros(kmax, dtype=complex) for _ in range(n)]
-    for t_idx, w in enumerate(theta_w):
-        factors = [1.0 - r_pows[t_idx, i] + r_pows[t_idx, i] * zpow[i] for i in range(n)]
-        prefix = [np.ones(kmax, dtype=complex)]
-        for i in range(n - 1):
-            prefix.append(prefix[-1] * factors[i])
-        suffix = np.ones(kmax, dtype=complex)
-        fs_hat += w * prefix[-1] * factors[-1]
-        for i in range(n - 1, -1, -1):
-            others = prefix[i] * suffix
-            alloc_hats[i] += w * spec.b[i] * r_pows[t_idx, i] * zpow[i] * others
-            suffix = suffix * factors[i]
+    alloc_hats = np.zeros((spec.n_risks, kmax), dtype=complex)
+    for w, r in zip(spec.theta_pmf(), r_pows):
+        total, others = gf.leave_one_out(1.0 - r[:, None] + r[:, None] * zpow)
+        fs_hat += w * total
+        alloc_hats += (w * b * r)[:, None] * zpow * others
     return fs_hat, alloc_hats
 
 
@@ -364,7 +356,7 @@ def frailty_allocation(
     """Allocation table for the frailty-coupled pool."""
     fs_hat, alloc_hats = frailty_bernoulli_pgfs(spec, kmax)
     fs_raw = gf.idft(fs_hat)
-    mu = np.vstack([gf.idft(a) for a in alloc_hats])
+    mu = gf.idft(alloc_hats)
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
     return assemble_table(

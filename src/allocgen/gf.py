@@ -95,6 +95,26 @@ def pointwise_product(a: ComplexBuffer, b: ComplexBuffer) -> ComplexBuffer:
     return a * b
 
 
+def leave_one_out(rows) -> tuple[ComplexBuffer, ComplexBuffer]:
+    """Product of all rows, and for each row the product of all the others.
+
+    Row i of ``others`` is a prefix product (rows before i) times a suffix
+    product (rows after i).  Nothing is divided, so rows that vanish somewhere
+    (pgfs with zeros on the roots of unity) need no special case.
+    """
+    rows = np.asarray(rows)
+    others = np.empty_like(rows)
+    others[0] = 1.0
+    for i in range(1, len(rows)):
+        others[i] = others[i - 1] * rows[i - 1]
+    total = others[-1] * rows[-1]
+    suffix = np.ones_like(rows[0])
+    for i in range(len(rows) - 1, 0, -1):
+        suffix = suffix * rows[i]
+        others[i - 1] *= suffix
+    return total, others
+
+
 def partial_sum_coeffs(coeffs) -> np.ndarray:
     """Running prefix sums of a coefficient vector.
 
@@ -113,14 +133,12 @@ def weighted_index_coeffs(masses: np.ndarray) -> np.ndarray:
 def compound_pgf_on_roots(frequency, severity_dft: ComplexBuffer) -> ComplexBuffer:
     """pgf of a random sum, evaluated on the roots: P_M(P_B(z)).
 
-    ``frequency`` is a :class:`~allocgen.models.KatzParams`; the Poisson case
-    (a = 0) evaluates exp(lam * (P_B(z) - 1)) directly.
+    ``frequency`` is a :class:`~allocgen.models.KatzParams`, whose own pgf is
+    evaluated at the severity pgf values once a * P_B(z) is known to stay away
+    from 1 (the Poisson case, a = 0, cannot diverge).
     """
-    a, b = frequency.a, frequency.b
+    a = frequency.a
     s = np.asarray(severity_dft, dtype=complex)
-    if a == 0.0:
-        return np.exp(b * (s - 1.0))
-    denom = 1.0 - a * s
-    if np.min(np.abs(denom)) <= 1e-12:
+    if a != 0.0 and np.min(np.abs(1.0 - a * s)) <= 1e-12:
         raise DivergentPGF("a * P_B(z) reaches 1 on the evaluation set")
-    return ((1.0 - a) / denom) ** (b / a + 1.0)
+    return frequency.pgf(s)

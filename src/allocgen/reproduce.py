@@ -32,16 +32,18 @@ from .dependence import (
 from .errors import UnknownCase
 from .models import (
     BernoulliRisk,
-    CompoundKatzRisk,
     ExplicitRisk,
-    KatzParams,
     compound_poisson_risk,
     negative_binomial_risk,
-    negbin_pmf,
     poisson_risk,
 )
-from .pmf import arithmetize, next_pow2, pmf_from_values
-from .scenario import conditional_mean_distribution, count_cdf_crossings
+from .pmf import arithmetize, next_pow2
+from .scenario import (
+    compound_poisson_negbin_risk,
+    conditional_mean_distribution,
+    count_cdf_crossings,
+    sample_risks,
+)
 from .tails import pareto_cdf, pareto_lev
 
 # four-participant pool: rates and severity masses on {1,2,3,4}
@@ -189,13 +191,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
     )
 
     kmax = 2**13
-    first8 = [
-        CompoundKatzRisk(
-            KatzParams.poisson(lam),
-            pmf_from_values(_trimmed_negbin(r, q, kmax)),
-        )
-        for lam, q, r, _ in LARGE_POOL_FIRST8
-    ]
+    first8 = [compound_poisson_negbin_risk(lam, r, q, kmax) for lam, q, r, _ in LARGE_POOL_FIRST8]
     table8 = allocate_compound_poisson_pool(first8, kmax)
     total_alloc_1 = float(table8.expected_allocation[0].sum())
     rep.add(
@@ -205,17 +201,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
         f"sum_k of allocations = {total_alloc_1:.6f} vs pinned mean {LARGE_POOL_FIRST8[0][3]}",
     )
 
-    rng = np.random.default_rng(seed)
-    lams = rng.exponential(0.1, size=n_sampled)
-    rs = rng.choice([1, 2, 3, 4, 5, 6], size=n_sampled)
-    qs = rng.uniform(0.4, 0.5, size=n_sampled)
-    risks = [
-        CompoundKatzRisk(
-            KatzParams.poisson(float(lam)),
-            pmf_from_values(_trimmed_negbin(int(r), float(q), kmax)),
-        )
-        for lam, r, q in zip(lams, rs, qs)
-    ]
+    risks = sample_risks({"kind": "compound_poisson_negbin", "count": n_sampled}, seed, kmax)
     table = allocate_compound_poisson_pool(risks, kmax)
     _identity_check(rep, table)
     # absolute transform noise sits near 1e-14 for a 10^4-factor product, so the
@@ -233,12 +219,6 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
         f"full valid range [{vidx[0] if vidx.size else '-'}, {vidx[-1] if vidx.size else '-'}]",
     )
     return rep
-
-
-def _trimmed_negbin(r, q, kmax):
-    f = negbin_pmf(float(r), float(q), kmax)
-    nz = np.flatnonzero(f > 0.0)
-    return f[: int(nz[-1]) + 1] if nz.size else f[:1]
 
 
 def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> ReproductionReport:
@@ -273,13 +253,7 @@ def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> Reproducti
     )
 
     # seeded wider pool: identity suite only
-    rng = np.random.default_rng(seed)
-    alphas = rng.uniform(1.3, 1.9, size=n_extra)
-    lams = rng.uniform(5.0, 15.0, size=n_extra)
-    extra = []
-    for a, l in zip(alphas, lams):
-        pmf, _ = arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", xmax)
-        extra.append(ExplicitRisk(pmf))
+    extra = sample_risks({"kind": "pareto_extras", "count": n_extra, "xmax": xmax}, seed, kmax)
     table100 = allocate_independent([ExplicitRisk(p) for p in risks] + extra, kmax)
     worst100 = _identity_check(rep, table100)
     rep.checks[-1].name = "full_allocation_identity_n100"
@@ -501,12 +475,10 @@ def _reproduce_frailty(seed: int = 20260810) -> ReproductionReport:
     )
 
     # widened pool with sampled extras
-    rng = np.random.default_rng(seed)
-    extra_b = rng.choice(np.arange(1, 11), size=69)
-    extra_q = np.clip(rng.uniform(0.0, 1.0, size=69), 1e-6, 1.0 - 1e-6)
+    extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, seed, kmax)
     wide = FrailtyBernoulliSpec(
-        tuple(BERNOULLI_POOL_B) + tuple(int(v) for v in extra_b),
-        tuple(BERNOULLI_POOL_Q) + tuple(float(v) for v in extra_q),
+        BERNOULLI_POOL_B + tuple(r.b for r in extra),
+        BERNOULLI_POOL_Q + tuple(r.q for r in extra),
         alpha=0.5,
     )
     wide_kmax = next_pow2(wide.min_kmax())

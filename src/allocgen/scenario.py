@@ -15,13 +15,14 @@ Scenario schema (YAML, keys and nesting)::
         - {type: bernoulli, b: 10, q: 0.3}
         - {type: pmf, masses: [0.5, 0.5], step_h: 1.0}
         - {type: compound_poisson, lam: 0.08, severity: [0, 0.1, 0.2, 0.4, 0.3]}
+        - {type: compound_poisson_negbin, lam: 0.1, r: 3, q: 0.45}  # NB(r, q) severity
         - {type: compound, frequency: {family: negative_binomial, r: 2, q: 0.5},
            severity: [0, 1.0]}
         - {type: pareto, alpha: 1.3, lam: 3.0, xmax: 32768}   # moment-matched grid
       sampled:                # optional sampled extras, appended after risks
         kind: compound_poisson_negbin   # | pareto_extras | bernoulli_extras
         count: 10000
-        ...                   # kind-specific fields, see _SAMPLED_BUILDERS
+        ...                   # kind-specific fields, see sample_risks
       alpha: 0.5              # frailty only
       epsilon: 1.0e-10        # frailty only
       gamma0: 1.0             # gamma_mixture only (plus r1, r2, lambda1, lambda2)
@@ -199,11 +200,7 @@ def _build_risk(spec: dict, path: str, kmax: int):
             return CompoundKatzRisk(KatzParams.poisson(float(spec["lam"])), sev)
         if kind == "compound_poisson_negbin":
             sev_len = int(spec.get("severity_length", min(kmax, 4096)))
-            sev = negbin_pmf(float(spec["r"]), float(spec["q"]), sev_len)
-            return CompoundKatzRisk(
-                KatzParams.poisson(float(spec["lam"])),
-                pmf_from_values(sev),
-            )
+            return compound_poisson_negbin_risk(spec["lam"], spec["r"], spec["q"], sev_len)
         if kind == "compound":
             freq = spec["frequency"]
             family = freq["family"]
@@ -231,6 +228,13 @@ def _build_risk(spec: dict, path: str, kmax: int):
     raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
 
 
+def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
+    """Poisson(lam) count over the first ``severity_length`` NB(r, q) masses, cut after the last positive one."""
+    sev = negbin_pmf(float(r), float(q), severity_length)
+    top = int(np.flatnonzero(sev > 0.0)[-1]) + 1
+    return CompoundKatzRisk(KatzParams.poisson(float(lam)), pmf_from_values(sev[:top]))
+
+
 def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
     count = int(sampled["count"])
     lam_mean = float(sampled.get("lam_exp_mean", 0.1))
@@ -240,17 +244,7 @@ def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
     lams = rng.exponential(lam_mean, size=count)
     rs = rng.choice(r_choices, size=count)
     qs = rng.uniform(q_lo, q_hi, size=count)
-    risks = []
-    for lam, r, q in zip(lams, rs, qs):
-        sev = negbin_pmf(float(r), float(q), sev_len)
-        top = int(np.flatnonzero(sev > 0.0)[-1]) + 1
-        risks.append(
-            CompoundKatzRisk(
-                KatzParams.poisson(float(lam)),
-                pmf_from_values(sev[:top]),
-            )
-        )
-    return risks
+    return [compound_poisson_negbin_risk(lam, r, q, sev_len) for lam, r, q in zip(lams, rs, qs)]
 
 
 def _sample_pareto_extras(sampled: dict, rng, kmax: int):
@@ -281,6 +275,20 @@ _SAMPLED_BUILDERS = {
     "pareto_extras": _sample_pareto_extras,
     "bernoulli_extras": _sample_bernoulli_extras,
 }
+
+
+def sample_risks(sampled: dict, seed: int, kmax: int) -> list:
+    """Draw ``sampled['count']`` risks of kind ``sampled['kind']`` from ``seed``.
+
+    The one seeded pool sampler: scenarios, reproduction cases, tests and
+    scripts all draw here, so a given (sampled, seed, kmax) always yields the
+    same risks.  Optional fields and their defaults are read by the function
+    for each kind in ``_SAMPLED_BUILDERS``.
+    """
+    kind = sampled["kind"]
+    if kind not in _SAMPLED_BUILDERS:
+        raise ConfigError(f"model.sampled.kind: unknown kind {kind!r}")
+    return _SAMPLED_BUILDERS[kind](sampled, np.random.default_rng(seed), kmax)
 
 
 @dataclass
@@ -321,13 +329,9 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
         else:
             risks.append(built)
     if config.sampled is not None:
-        kind = config.sampled["kind"]
-        if kind not in _SAMPLED_BUILDERS:
-            raise ConfigError(f"model.sampled.kind: unknown kind {kind!r}")
-        rng = np.random.default_rng(config.seed)
-        risks.extend(_SAMPLED_BUILDERS[kind](config.sampled, rng, kmax))
+        risks.extend(sample_risks(config.sampled, config.seed, kmax))
         notes.append(
-            f"sampled {config.sampled['count']} extra risks ({kind}) with "
+            f"sampled {config.sampled['count']} extra risks ({config.sampled['kind']}) with "
             f"{GENERATOR_NAME}, seed={config.seed}"
         )
 

@@ -22,14 +22,7 @@ from allocgen.allocation import (
     allocate_compound_poisson_pool,
 )
 from allocgen.dependence import FrailtyBernoulliSpec, frailty_allocation
-from allocgen.models import (
-    CompoundKatzRisk,
-    ExplicitRisk,
-    KatzParams,
-    KatzRisk,
-    explicit_risk,
-    negbin_pmf,
-)
+from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, explicit_risk
 from allocgen.pmf import arithmetize, next_pow2, pmf_from_values
 from allocgen.reproduce import (
     BERNOULLI_POOL_B,
@@ -51,6 +44,7 @@ from allocgen.scenario import (
     conditional_mean_distribution,
     count_cdf_crossings,
     load_scenario,
+    sample_risks,
 )
 from allocgen.tails import pareto_cdf, pareto_lev
 
@@ -59,21 +53,7 @@ PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
 
 @pytest.fixture(scope="module")
 def pool10k_risks():
-    rng = np.random.default_rng(1234321)
-    lams = rng.exponential(0.1, size=10_000)
-    rs = rng.choice([1, 2, 3, 4, 5, 6], size=10_000)
-    qs = rng.uniform(0.4, 0.5, size=10_000)
-    risks = []
-    for lam, r, q in zip(lams, rs, qs):
-        sev = negbin_pmf(float(r), float(q), 2**13)
-        top = int(np.flatnonzero(sev > 0.0)[-1]) + 1
-        risks.append(
-            CompoundKatzRisk(
-                KatzParams.poisson(float(lam)),
-                pmf_from_values(sev[:top]),
-            )
-        )
-    return risks
+    return sample_risks({"kind": "compound_poisson_negbin", "count": 10_000}, 1234321, 2**13)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -270,13 +250,11 @@ class TestCriterion6Frailty:
         gap = float(np.max(np.abs(tiny.expected_allocation - indep.expected_allocation)))
         elapsed6 = time.perf_counter() - start
 
-        rng = np.random.default_rng(20260810)
-        extra_b = tuple(int(v) for v in rng.choice(np.arange(1, 11), size=69))
-        extra_q = tuple(
-            float(v) for v in np.clip(rng.uniform(0.0, 1.0, size=69), 1e-6, 1 - 1e-6)
-        )
+        extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, 20260810, kmax)
         wide = FrailtyBernoulliSpec(
-            tuple(BERNOULLI_POOL_B) + extra_b, tuple(BERNOULLI_POOL_Q) + extra_q, alpha=0.5
+            BERNOULLI_POOL_B + tuple(r.b for r in extra),
+            BERNOULLI_POOL_Q + tuple(r.q for r in extra),
+            alpha=0.5,
         )
         wide_kmax = next_pow2(wide.min_kmax())
         start75 = time.perf_counter()
@@ -348,11 +326,7 @@ class TestCriterion8HeavyTail:
             count_cdf_crossings(dists[i], dists[j]) for i, j in ((0, 1), (0, 2), (1, 2))
         ]
 
-        rng = np.random.default_rng(20260810)
-        extra = []
-        for a, l in zip(rng.uniform(1.3, 1.9, size=97), rng.uniform(5.0, 15.0, size=97)):
-            pmf, _ = arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", xmax)
-            extra.append(ExplicitRisk(pmf))
+        extra = sample_risks({"kind": "pareto_extras", "count": 97, "xmax": xmax}, 20260810, kmax)
         table100 = allocate_independent([ExplicitRisk(p) for p in pmfs] + extra, kmax)
         dev100 = identity_dev(table100)
         elapsed = time.perf_counter() - start

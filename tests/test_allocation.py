@@ -19,6 +19,7 @@ from allocgen.allocation import (
 )
 from allocgen.errors import (
     AliasingRisk,
+    AllocationError,
     EmptyDistribution,
     InvalidLayer,
     KatzDomain,
@@ -74,12 +75,40 @@ class TestAllocateIndependent:
         o = oracle_enumerate(PortfolioModel(risks=bernoulli_pool), 64)
         assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-10
 
-    def test_unstable_division_falls_back_to_products(self):
+    def test_pgf_vanishing_on_the_roots_matches_enumeration(self):
         # b=1, q=0.5 has pgf 0.5 + 0.5 z, which vanishes at z = -1
         risks = [BernoulliRisk(1, 0.5), BernoulliRisk(2, 0.3), BernoulliRisk(3, 0.7)]
         t = allocate_independent(risks, 8)
         o = oracle_enumerate(PortfolioModel(risks=risks), 8)
         assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-12
+
+    def test_many_pgfs_vanishing_on_the_roots_match_size_biased_oracle(self):
+        # 0.25 (1 + z + z^2 + z^3) vanishes at z = -1, +i and -i, all roots of unity
+        n, kmax = 40, 256
+        risk = explicit_risk([0.25] * 4)
+        t = allocate_independent([risk] * n, kmax)
+        others = np.eye(1, kmax)[0]
+        for _ in range(n - 1):
+            others = np.convolve(others, risk.pmf_vector(kmax))[:kmax]
+        want = oracle_size_biased(risk, pmf_from_values(others))
+        assert np.max(np.abs(t.expected_allocation - want)) <= 1e-10
+
+    def test_compound_risk_keeps_its_severity_step(self):
+        risk = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5),
+                                pmf_from_values([0.0, 0.5, 0.5], step_h=0.5))
+        partner = compound_poisson_risk(0.4, pmf_from_values([0.0, 0.3, 0.7], step_h=0.5))
+        t = allocate_independent([risk, partner], 256)
+        assert t.fs.step_h == 0.5 and risk.mean() == pytest.approx(1.5)
+        assert t.expected_allocation.sum(axis=1) == pytest.approx([1.5, partner.mean()], abs=1e-9)
+
+    def test_mixed_lattice_steps_raise(self):
+        half = compound_poisson_risk(0.3, pmf_from_values([0.0, 1.0], step_h=0.5))
+        with pytest.raises(AllocationError, match="different lattice steps"):
+            allocate_independent([half, poisson_risk(0.3)], 16)
+        with pytest.raises(AllocationError, match="different lattice steps"):
+            allocate_independent([half, explicit_risk([0.5, 0.5])], 16)
+        with pytest.raises(AllocationError, match="different lattice steps"):
+            allocate_compound_poisson_pool([half, compound_poisson_risk(0.3, [0.0, 1.0])], 16)
 
     def test_empty_portfolio(self):
         with pytest.raises(EmptyDistribution):

@@ -175,6 +175,25 @@ class TestPointwiseProduct:
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, want.max())
 
 
+class TestLeaveOneOut:
+    def test_matches_explicit_products_with_a_zero_row(self, rng):
+        rows = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
+        total, _ = gf.leave_one_out(rows)
+        assert np.allclose(total, np.prod(rows, axis=0), rtol=1e-13, atol=0.0)
+        rows[2] = 0.0
+        total, others = gf.leave_one_out(rows)
+        assert np.all(total == 0.0)
+        for i in range(6):
+            want = np.prod(np.delete(rows, i, axis=0), axis=0)
+            assert np.allclose(others[i], want, rtol=1e-13, atol=0.0)
+        assert np.all(np.abs(others[2]) > 0.0)
+
+    def test_single_row(self, rng):
+        rows = rng.normal(size=(1, 8)) + 0j
+        total, others = gf.leave_one_out(rows)
+        assert np.array_equal(total, rows[0]) and np.array_equal(others, np.ones((1, 8)))
+
+
 class TestPartialSums:
     def test_delta(self):
         assert np.allclose(gf.partial_sum_coeffs([1, 0, 0]), [1, 1, 1])

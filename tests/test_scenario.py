@@ -15,6 +15,7 @@ from allocgen.scenario import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    sample_risks,
 )
 
 
@@ -110,6 +111,18 @@ class TestBuild:
         assert [(r.b, r.q) for r in a.portfolio.risks[1:]] == [
             (r.b, r.q) for r in b.portfolio.risks[1:]
         ]
+
+    def test_sampled_pool_draws_are_pinned(self):
+        # the shipped large pool: seed 20260810, 10,000 risks at kmax 2^13
+        risks = sample_risks({"kind": "compound_poisson_negbin", "count": 10_000}, 20260810, 2**13)
+        lams = [r.frequency.b for r in risks]
+        assert lams[:3] == [0.05430753021742545, 0.18228166963043577, 0.1399062849073813]
+        assert sum(lams) == pytest.approx(1019.0609342466404, rel=1e-13)
+        assert [len(r.severity.masses) for r in risks[:3]] == [1094, 1193, 1357]
+
+    def test_unknown_sampled_kind(self):
+        with pytest.raises(ConfigError, match="unknown kind"):
+            sample_risks({"kind": "lognormal", "count": 3}, 1, 16)
 
     def test_compound_poisson_negbin_type(self):
         raw = minimal_raw(kmax=512)
