@@ -26,15 +26,12 @@ from .dependence import (
     frailty_allocation,
     frailty_bernoulli_pgfs,
     gamma_mixture_allocation,
-    shock_allocation_ogf,
     shock_allocation_table,
 )
 from .gf import (
     compound_pgf_on_roots,
     dft,
     idft,
-    partial_sum_coeffs,
-    pointwise_product,
     roots_of_unity,
 )
 from .models import (

@@ -8,6 +8,11 @@ family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because their allocation generating function is an explicit
 multiple of the pgf of the full sum.
 
+Risks that are fixed linear combinations of independent pieces (the shock
+tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
+engines: the table of the pieces is mapped onto the risks by a loading matrix
+(``regroup``), since E[X_j 1{S=k}] is linear in the pieces.
+
 Two transform-free oracles live here as well: direct enumeration of the joint
 support, and the size-biased representation computed with direct convolution.
 """
@@ -232,6 +237,28 @@ def mask_validity(table: AllocationTable, tol: float) -> AllocationTable:
     return dataclasses.replace(table, valid_mask=valid, tolerance_used=tol)
 
 
+def regroup(
+    table: AllocationTable, loading: np.ndarray, risk_means: Sequence[float]
+) -> AllocationTable:
+    """Table of the risks X_j = sum_i loading[j, i] Y_i, where the Y_i are the risks of ``table``.
+
+    The total is the same sum whenever every column of ``loading`` sums to 1,
+    so f_S and the truncation report carry over, as do the tolerance and the
+    underflow floor; the allocation rows are ``loading @`` the inner ones, and
+    the validation curve and validity mask are derived afresh from them.
+    """
+    step_h = table.fs.step_h
+    return assemble_table(
+        table.fs_raw,
+        loading @ table.expected_allocation / step_h,
+        risk_means,
+        step_h=step_h,
+        tolerance=table.tolerance_used,
+        underflow_floor=table.underflow_floor,
+        truncation=table.truncation,
+    )
+
+
 def _aliasing_report(risks: Sequence[RiskModel], totals: list[float], kmax: int) -> TruncationReport:
     """Aliasing diagnostics from the support bounds and the stored mass ``totals`` of the risks."""
     tops = [r.support_top() for r in risks]
@@ -309,7 +336,6 @@ def allocate_compound_poisson_pool(
     risks: Sequence[CompoundKatzRisk],
     kmax: int,
     *,
-    cache: object = None,
     tolerance: float = DEFAULT_TOLERANCE,
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
@@ -348,9 +374,6 @@ def allocate_compound_poisson_pool(
     Either outcome is recorded in the table's truncation notes.  Pools whose
     f_S(0) underflows, as large pools do, or whose tail reaches the buffer
     top, as heavy tails do, run the plain passes alone.
-
-    ``cache`` is accepted for compatibility and ignored: there is one path,
-    and its memory beyond the table is a few blocks whatever the pool size.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")

@@ -1,7 +1,12 @@
 """Dependent portfolios: shock tree, gamma-mixed counts, frailty-coupled indicators.
 
-Each model supplies pgf and allocation-spectrum buffers on the roots of unity
-and feeds the same inversion/masking pipeline as the independent case.
+The shock tree and the gamma-mixed pair are sums of independent pieces (15
+Poisson shocks; three negative binomials).  Their tables are the tables of
+those pieces from the independent engines, regrouped onto the risks by a fixed
+loading matrix (``allocation.regroup``), so they inherit the engines'
+blocking, exponential tilt and truncation reports.  The frailty pool is a
+mixture over the mixing level rather than a sum, so it supplies its own
+allocation spectra on the roots of unity and inverts them itself.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ from .allocation import (
     DEFAULT_TOLERANCE,
     DEFAULT_UNDERFLOW_FLOOR,
     AllocationTable,
+    allocate_compound_poisson_pool,
+    allocate_independent,
     assemble_table,
+    regroup,
 )
 from .errors import (
     InvalidFrailty,
@@ -25,7 +33,7 @@ from .errors import (
     InvalidMixture,
     UnknownNode,
 )
-from .models import negbin_pmf
+from .models import compound_poisson_risk, negative_binomial_risk, negbin_pmf
 from .pmf import TruncationReport
 
 # ---------------------------------------------------------------------------
@@ -78,25 +86,6 @@ class HierarchicalShockSpec:
     def leaf_mean(self, leaf: str) -> float:
         return sum(rate for rate, _ in self.path(leaf))
 
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        """pgf of the total: a Poisson random sum over masses at 1, 2, 4 and 8."""
-        z = np.asarray(z, dtype=complex)
-        expo = np.zeros_like(z)
-        for node, rate in self.lambda_by_node.items():
-            expo += rate * (z ** _node_weight(node) - 1.0)
-        return np.exp(expo)
-
-
-def shock_allocation_ogf(
-    spec: HierarchicalShockSpec, leaf: str, fs_dft: np.ndarray
-) -> np.ndarray:
-    """Allocation vector of one leaf: (lam_leaf t + lam_ij t^2 + lam_i t^4 + lam_0 t^8) P_S(t)."""
-    z = gf.roots_of_unity(len(fs_dft))
-    numer = np.zeros_like(z)
-    for rate, weight in spec.path(leaf):
-        numer += rate * z**weight
-    return gf.idft(numer * np.asarray(fs_dft, dtype=complex))
-
 
 def shock_allocation_table(
     spec: HierarchicalShockSpec,
@@ -105,18 +94,26 @@ def shock_allocation_table(
     tolerance: float = DEFAULT_TOLERANCE,
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
-    """Full table over the eight leaves (ordered as SHOCK_LEAVES)."""
-    z = gf.roots_of_unity(kmax)
-    fs_hat = spec.pgf_on_roots(z)
-    fs_raw = gf.idft(fs_hat)
-    mu = np.empty((len(SHOCK_LEAVES), kmax))
-    for i, leaf in enumerate(SHOCK_LEAVES):
-        mu[i] = shock_allocation_ogf(spec, leaf, fs_hat)
-    means = np.array([spec.leaf_mean(leaf) for leaf in SHOCK_LEAVES])
-    return assemble_table(
-        fs_raw, mu, means, tolerance=tolerance, underflow_floor=underflow_floor,
-        truncation=TruncationReport(kmax=kmax),
+    """Full table over the eight leaves (ordered as SHOCK_LEAVES).
+
+    The total is a Poisson pool of the 15 shocks, node n adding a unit mass at
+    its weight w_n, so the pool's row n has generating function
+    w_n lam_n t^w_n P_S(t).  A leaf takes 1/w_n of the row of every node on
+    its path, which leaves it lam_n t^w_n P_S(t) from each.
+    """
+    shocks = [
+        compound_poisson_risk(spec.lambda_by_node[node], np.eye(_node_weight(node) + 1)[-1])
+        for node in SHOCK_NODES
+    ]
+    table = allocate_compound_poisson_pool(
+        shocks, kmax, tolerance=tolerance, underflow_floor=underflow_floor
     )
+    loading = np.array([
+        [1.0 / _node_weight(node) if node == SHOCK_ROOT or leaf.startswith(node) else 0.0
+         for node in SHOCK_NODES]
+        for leaf in SHOCK_LEAVES
+    ])
+    return regroup(table, loading, [spec.leaf_mean(leaf) for leaf in SHOCK_LEAVES])
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +166,6 @@ class GammaMixtureSpec:
             (self.gamma0, 1.0 / (1.0 + self.zeta12)),
         )
 
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        for rho, zeta in (
-            (self.r1 - self.gamma0, self.zeta1),
-            (self.r2 - self.gamma0, self.zeta2),
-            (self.gamma0, self.zeta12),
-        ):
-            if rho > 0.0:
-                out = out * (1.0 - zeta * (z - 1.0)) ** (-rho)
-        return out
-
 
 def gamma_mixture_allocation(
     spec: GammaMixtureSpec,
@@ -189,28 +174,24 @@ def gamma_mixture_allocation(
     tolerance: float = DEFAULT_TOLERANCE,
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
-    """Allocation table for the pair via the transform route.
+    """Allocation table for the pair from the three independent NB pieces of S.
 
-    The per-risk allocation spectrum is lam_i * t times a two-term geometric
-    mixture (own dampening and shared dampening) times the pgf of the total.
+    Risk i's count is its own piece plus the share zeta_i / zeta12 of the
+    shared piece; pieces of shape 0 are left out.
     """
-    z = gf.roots_of_unity(kmax)
-    fs_hat = spec.pgf_on_roots(z)
-    fs_raw = gf.idft(fs_hat)
-    mu = np.empty((2, kmax))
-    for i, (lam, r, zeta) in enumerate(
-        ((spec.lambda1, spec.r1, spec.zeta1), (spec.lambda2, spec.r2, spec.zeta2))
-    ):
-        w_shared = spec.gamma0 / r
-        mix = (1.0 - w_shared) / (1.0 - zeta * (z - 1.0)) + w_shared / (
-            1.0 - spec.zeta12 * (z - 1.0)
-        )
-        mu[i] = gf.idft(lam * z * mix * fs_hat)
-    means = np.array([spec.lambda1, spec.lambda2])
-    return assemble_table(
-        fs_raw, mu, means, tolerance=tolerance, underflow_floor=underflow_floor,
-        truncation=TruncationReport(kmax=kmax),
+    pieces = spec.nb_components()
+    keep = [j for j, (rho, _) in enumerate(pieces) if rho > 0.0]
+    table = allocate_independent(
+        [negative_binomial_risk(*pieces[j]) for j in keep],
+        kmax,
+        tolerance=tolerance,
+        underflow_floor=underflow_floor,
     )
+    loading = np.array([
+        [1.0, 0.0, spec.zeta1 / spec.zeta12],
+        [0.0, 1.0, spec.zeta2 / spec.zeta12],
+    ])[:, keep]
+    return regroup(table, loading, [spec.lambda1, spec.lambda2])
 
 
 def gamma_mixture_allocation_convolution(

@@ -17,10 +17,6 @@ class InvalidSize(AllocationError):
     """Buffer length is not a power of two."""
 
 
-class SizeMismatch(AllocationError):
-    """Two buffers that must share a length do not."""
-
-
 class DivergentPGF(AllocationError):
     """Closed-form count pgf diverges on the evaluation set."""
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergentPGF, InvalidSize, SizeMismatch
+from .errors import DivergentPGF, InvalidSize
 from .pmf import is_pow2
 
 ComplexBuffer = np.ndarray
@@ -82,19 +82,6 @@ def idft(buf: ComplexBuffer, *, half: bool = False, out: np.ndarray | None = Non
     return np.divide(np.fft.fft(buf, axis=-1).real, n, out=out)
 
 
-def idft_complex(buf: ComplexBuffer) -> np.ndarray:
-    """Inverse transform without the real-part projection (diagnostics only)."""
-    _require_pow2(len(buf))
-    return np.fft.fft(buf) / len(buf)
-
-
-def pointwise_product(a: ComplexBuffer, b: ComplexBuffer) -> ComplexBuffer:
-    """Entrywise product; inverting realizes the circular convolution."""
-    if len(a) != len(b):
-        raise SizeMismatch(f"buffer lengths differ: {len(a)} vs {len(b)}")
-    return a * b
-
-
 def leave_one_out(rows) -> tuple[ComplexBuffer, ComplexBuffer]:
     """Product of all rows, and for each row the product of all the others.
 
@@ -113,16 +100,6 @@ def leave_one_out(rows) -> tuple[ComplexBuffer, ComplexBuffer]:
         suffix = suffix * rows[i]
         others[i - 1] *= suffix
     return total, others
-
-
-def partial_sum_coeffs(coeffs) -> np.ndarray:
-    """Running prefix sums of a coefficient vector.
-
-    This is the coefficient-space realization of dividing the generating
-    function by (1 - t); pointwise division is unusable on the evaluation set
-    because |t| = 1 there.
-    """
-    return np.cumsum(np.asarray(coeffs, dtype=float))
 
 
 def weighted_index_coeffs(masses: np.ndarray) -> np.ndarray:

@@ -73,6 +73,9 @@ def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
         return tvar(fs, a1)
     i1 = _quantile_index(fs, a1)
     i2 = _quantile_index(fs, a2)
+    if i1 == i2:
+        # both levels cut one atom; the boundary terms below would cancel
+        return float(i1 * fs.step_h)
     cdf = fs.cdf()
     k = np.arange(len(fs), dtype=float)
     v1 = i1 * fs.step_h
@@ -87,8 +90,9 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
 
     Two boundary terms weight the expected allocations at the quantile atoms by
     the fractional mass the level cuts through each atom; the interior term is
-    the difference of cumulative allocations across the band.  At equal levels
-    the split degenerates to the conditional mean at the quantile atom.
+    the difference of cumulative allocations across the band.  At equal levels,
+    or levels inside one atom, the split degenerates to the conditional mean at
+    the quantile atom.
     """
     a1, a2 = levels.alpha1, levels.alpha2
     fs = table.fs
@@ -108,6 +112,8 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
         return (lower + (totals - table.cumulative_at(i1))) / (1.0 - a1)
 
     i2 = _quantile_index(fs, a2)
+    if i1 == i2:
+        return table.conditional_mean_at(i1)
     _require_valid_atom(table, i2, "upper")
     f2 = table.fs_raw[i2]
     upper = mu[:, i2] * ((a2 - cdf[i2]) / f2)

@@ -13,7 +13,6 @@ from allocgen.dependence import (
     gamma_mixture_allocation,
     gamma_mixture_allocation_convolution,
     gamma_mixture_fs_direct,
-    shock_allocation_ogf,
     shock_allocation_table,
 )
 from allocgen.errors import (
@@ -22,8 +21,15 @@ from allocgen.errors import (
     InvalidMixture,
     UnknownNode,
 )
-from allocgen.models import BernoulliRisk, negative_binomial_risk, poisson_risk
+from allocgen.models import (
+    BernoulliRisk,
+    KatzParams,
+    compound_pmf_panjer,
+    negative_binomial_risk,
+    poisson_risk,
+)
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS
+from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario
 
 
 def eq4_dev(table):
@@ -44,12 +50,37 @@ class TestShockTree:
             spec.path("11")
 
     def test_zero_at_origin_and_first_step(self):
-        spec = HierarchicalShockSpec(SHOCK_CASE_LAMBDAS)
-        fs_hat = spec.pgf_on_roots(gf.roots_of_unity(128))
-        fs = gf.idft(fs_hat)
-        mu = shock_allocation_ogf(spec, "111", fs_hat)
+        table = shock_allocation_table(HierarchicalShockSpec(SHOCK_CASE_LAMBDAS), 128)
+        mu = table.expected_allocation[SHOCK_LEAVES.index("111")]
         assert mu[0] == pytest.approx(0.0, abs=1e-15)
-        assert mu[1] == pytest.approx(SHOCK_CASE_LAMBDAS["111"] * fs[0], abs=1e-12)
+        assert mu[1] == pytest.approx(SHOCK_CASE_LAMBDAS["111"] * table.fs_raw[0], abs=1e-12)
+
+    def test_shipped_scenario_against_panjer_and_shifted_sums(self, scenario_dir):
+        cfg = load_scenario(scenario_dir / "shock.yaml")
+        built = build_portfolio(cfg)
+        spec, kmax = built.portfolio.dependence, built.kmax
+        table = allocate_portfolio(
+            built.portfolio, kmax, tolerance=cfg.tolerance, underflow_floor=cfg.underflow_floor
+        )
+        # S is one Poisson random sum: the shocks merged, node n adding a mass at 8 / 2^depth
+        rate = sum(spec.lambda_by_node.values())
+        severity = np.zeros(9)
+        for node, lam in spec.lambda_by_node.items():
+            severity[8 if node == "0" else 2 ** (3 - len(node))] += lam / rate
+        fs = compound_pmf_panjer(KatzParams.poisson(rate), severity, kmax)
+        valid = table.valid_mask
+        assert valid.sum() >= 49
+        assert np.max(np.abs(table.fs_raw - fs)[valid] / fs[valid]) <= 1e-10
+        # a leaf's row is lam_n f_S(k - w_n) summed down its path
+        inner = valid.copy()
+        inner[0] = False
+        for i, leaf in enumerate(SHOCK_LEAVES):
+            direct = np.zeros(kmax)
+            for lam, w in spec.path(leaf):
+                direct[w:] += lam * fs[:-w]
+            mu = table.expected_allocation[i]
+            assert abs(mu[0]) <= 1e-15
+            assert np.max(np.abs(mu - direct)[inner] / direct[inner]) <= 1e-10
 
     def test_piecewise_shifted_sums(self):
         spec = HierarchicalShockSpec(SHOCK_CASE_LAMBDAS)

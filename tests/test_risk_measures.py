@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocgen.allocation import allocate_independent, allocate_compound_poisson_pool
@@ -27,9 +27,23 @@ def brute_var(fs, kappa):
     raise AssertionError("level unreachable")
 
 
-mass_vectors = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12).map(
-    lambda w: pmf_from_values(np.asarray(w) / np.sum(w))
-)
+def normalized(weights):
+    return pmf_from_values(np.asarray(weights) / np.sum(weights))
+
+
+def quantile_integral(fs, a1, a2):
+    """RVaR as the mean of the quantile over (a1, a2], summed atom by atom.
+
+    Atom k holds the levels (F(k-1), F(k)]; its weight is the exact width of
+    their overlap with (a1, a2], so nearby levels cost no digits.
+    """
+    cdf = fs.cdf()
+    lo = np.maximum(np.concatenate([[0.0], cdf[:-1]]), a1)
+    width = np.maximum(np.minimum(cdf, a2) - lo, 0.0)
+    return float(np.dot(fs.step_h * np.arange(len(fs)), width)) / (a2 - a1)
+
+
+mass_vectors = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12).map(normalized)
 
 
 class TestVaR:
@@ -97,13 +111,19 @@ class TestRVaR:
         assert rvar(THREE_POINT, RVaRLevels(a1, a2)) == pytest.approx(want, abs=1e-12)
 
     @given(mass_vectors, st.floats(0.05, 0.9), st.floats(0.05, 0.9))
+    @example(normalized([0.125, 1.0, 1.0, 1.0, 1.0]), 0.05, np.nextafter(0.05, 1.0))
     @settings(max_examples=50)
     def test_identity_on_random_pmfs(self, fs, a, b):
         a1, a2 = min(a, b), max(a, b)
         if a1 == a2:
             return
-        want = ((1 - a1) * tvar(fs, a1) - (1 - a2) * tvar(fs, a2)) / (a2 - a1)
+        want = quantile_integral(fs, a1, a2)
         assert rvar(fs, RVaRLevels(a1, a2)) == pytest.approx(want, abs=1e-10)
+
+    def test_levels_one_ulp_apart_inside_one_atom(self):
+        # F(0) < 0.05 < F(1): both levels cut the atom at 1
+        fs = normalized([0.125, 1.0, 1.0, 1.0, 1.0])
+        assert rvar(fs, RVaRLevels(0.05, np.nextafter(0.05, 1.0))) == 1.0
 
     def test_monotone_in_lower_level(self):
         values = [rvar(THREE_POINT, RVaRLevels(a1, 0.95)) for a1 in (0.1, 0.3, 0.5, 0.7)]
@@ -140,6 +160,15 @@ class TestEulerContributions:
         v = var_level(table.fs, 0.95)
         contribs = euler_rvar_contributions(table, RVaRLevels(0.95, 0.95))
         assert np.allclose(contribs, table.conditional_mean[:, v])
+
+    def test_levels_inside_one_atom_return_conditional_means(self, small_pool):
+        table = allocate_compound_poisson_pool(small_pool, 64)
+        levels = RVaRLevels(0.95, np.nextafter(0.95, 1.0))
+        v = var_level(table.fs, 0.95)
+        contribs = euler_rvar_contributions(table, levels)
+        assert np.array_equal(contribs, table.conditional_mean_at(v))
+        assert rvar(table.fs, levels) == v
+        assert contribs.sum() == pytest.approx(v, abs=1e-9)
 
     def test_masked_boundary_atom_raises(self, small_pool):
         # VaR at 1 - 1e-13 is lattice point 36, whose exact mass 6.98e-14 lies
