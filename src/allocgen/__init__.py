@@ -9,7 +9,6 @@ forms for the (a, b) count family and transform-free oracles for verification.
 from .allocation import (
     AllocationTable,
     PortfolioModel,
-    allocate_compound_katz,
     allocate_independent,
     allocate_katz_closed_form,
     allocate_negbin_convolution,

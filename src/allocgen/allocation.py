@@ -347,11 +347,12 @@ def allocate_compound_poisson_pool(
     over blocks of risks (``row_blocks``, about BLOCK_BYTES each), all in the
     half form of :mod:`allocgen.gf`:
 
-    1. transform the block's rows f_Bi - delta_0 and add ``lam_block @
-       spectra`` to one log-spectrum; after the last block a single ``exp``
-       gives P_S on the roots, and its inverse gives f_S;
-    2. transform the block's rows {lam_i k f_Bi(k)}, multiply them by P_S and
-       invert them straight into the block's rows of the allocation table.
+    1. (``_pass1``) transform the block's rows f_Bi - delta_0 and add
+       ``lam_block @ spectra`` to one log-spectrum; after the last block a
+       single ``exp`` gives P_S on the roots, and its inverse gives f_S;
+    2. (``_pass2``) transform the block's rows {lam_i k f_Bi(k)}, multiply
+       them by P_S and invert them into the block's rows of the allocation
+       table.
 
     Each risk is transformed on its own.  Transforming the rate-weighted sum of
     the severities once would be cheaper but noisier: on the shipped
@@ -363,9 +364,9 @@ def allocate_compound_poisson_pool(
     below the peak (yet above ``underflow_floor``) come out with no correct
     digits.  When f_S(0) is resolved to ``tolerance`` and the tail of the
     pass-1 f_S falls below the resolved level inside the buffer while that
-    level is still above ``underflow_floor``, both passes are run again on the
-    tilted rows f_Bi(j) r^j with some r > 1, on a transform padded to a
-    multiple of kmax, and their output is untilted by r^(-k)
+    level is still above ``underflow_floor``, the same two passes run again
+    on the tilted rows f_Bi(j) r^j with some r > 1, on a transform padded to
+    a multiple of kmax, and their output is untilted by r^(-k)
     (``_choose_tilt`` picks r and the padding from the pass-1 f_S).  A second
     tilt r^TILT_CHECK must reproduce the tilted f_S to ``tolerance`` on the
     lattice points it resolves; if it does not, the untilted result is kept.
@@ -383,18 +384,12 @@ def allocate_compound_poisson_pool(
     step_h = _common_step(risks)
     n = len(risks)
     lam = np.array([r.frequency.b for r in risks])
-    blocks = row_blocks(n, kmax)
 
-    log_fs_hat = np.zeros(kmax // 2 + 1, dtype=complex)
+    log_fs_hat, totals = _pass1(risks, lam, kmax, kmax, 0.0)
     sev_deficit = 0.0
-    for rows in blocks:
-        fb = _severity_rows(risks[rows], kmax, kmax)
-        for total, r in zip(fb.sum(axis=1).tolist(), risks[rows]):
-            tm = r.severity.truncation_mass
-            sev_deficit += max(0.0, 1.0 - total - tm) + tm
-        fb[:, 0] -= 1.0
-        spectra = gf.dft(fb, half=True)
-        log_fs_hat += (lam[rows] @ spectra.view(float)).view(complex)
+    for total, r in zip(totals, risks):
+        tm = r.severity.truncation_mass
+        sev_deficit += max(0.0, 1.0 - total - tm) + tm
     fs_hat = np.exp(log_fs_hat)
     fs_raw = gf.idft(fs_hat, half=True)
 
@@ -419,14 +414,7 @@ def allocate_compound_poisson_pool(
         warnings.warn("; ".join(notes), AliasingRisk, stacklevel=2)
 
     mu = np.empty((n, kmax))
-    k = np.arange(kmax, dtype=float)
-    for rows in blocks:
-        weighted = _severity_rows(risks[rows], kmax, kmax)
-        weighted *= k
-        weighted *= lam[rows, None]
-        spectra = gf.dft(weighted, half=True)
-        spectra *= fs_hat
-        gf.idft(spectra, half=True, out=mu[rows])
+    _pass2(risks, lam, fs_hat, 0.0, mu)
     if not risky:
         _tilt_tail(risks, lam, fs_raw, mu, tolerance, underflow_floor, notes)
 
@@ -458,6 +446,43 @@ def _severity_rows(
         with np.errstate(divide="ignore"):
             out[:, :kmax] = np.exp(np.log(out[:, :kmax]) + tilt * np.arange(kmax))
     return out
+
+
+def _pass1(risks, lam, kmax, width, s) -> tuple[np.ndarray, list[float]]:
+    """Pass 1 on the rows f_Bi(j) e^(s j), ``width`` points long.
+
+    Returns the half spectrum of sum_i lam_i (P_Bi - 1) over those rows, which
+    is the log of the pool's pgf at e^s times the roots of unity, and the row
+    sums.
+    """
+    log_hat = np.zeros(width // 2 + 1, dtype=complex)
+    totals: list[float] = []
+    for rows in row_blocks(len(risks), width):
+        fb = _severity_rows(risks[rows], kmax, width, s)
+        totals.extend(fb.sum(axis=1).tolist())
+        fb[:, 0] -= 1.0
+        log_hat += (lam[rows] @ gf.dft(fb, half=True).view(float)).view(complex)
+    return log_hat, totals
+
+
+def _pass2(risks, lam, hat, s, mu, start=0, untilt=1.0) -> None:
+    """Pass 2: columns ``start:`` of every row of ``mu`` from the pgf half spectrum ``hat``.
+
+    Inverts lam_i k f_Bi(k) e^(s k) times ``hat`` on the transform length that
+    ``hat`` is the half of, and writes entries start..kmax-1 of the result,
+    times ``untilt``, into the risk's row of ``mu``.
+    """
+    kmax = mu.shape[1]
+    width = 2 * (len(hat) - 1)
+    j = np.arange(kmax, dtype=float)
+    for rows in row_blocks(len(risks), width):
+        weighted = _severity_rows(risks[rows], kmax, width, s)
+        weighted[:, :kmax] *= j
+        weighted *= lam[rows, None]
+        spectra = gf.dft(weighted, half=True)
+        del weighted  # free the block before the inverse allocates its own
+        spectra *= hat
+        np.multiply(gf.idft(spectra, half=True)[:, start:kmax], untilt, out=mu[rows, start:])
 
 
 def _choose_tilt(
@@ -517,25 +542,6 @@ def _choose_tilt(
     return float(s[pick, 0]), int(pads[np.argmax(fits[pick])])
 
 
-def _tilted_fs(
-    risks: Sequence[CompoundKatzRisk], lam: np.ndarray, kmax: int, width: int, s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 1 on the rows f_Bi(j) e^(s j), ``width`` points long.
-
-    Returns the tilted pmf g(k) = f_S(k) e^(s k) / P_S(e^s) on the whole
-    buffer, its half spectrum, and the factors P_S(e^s) e^(-s k), k < kmax,
-    that untilt the first kmax entries of g.
-    """
-    log_hat = np.zeros(width // 2 + 1, dtype=complex)
-    for rows in row_blocks(len(risks), width):
-        fb = _severity_rows(risks[rows], kmax, width, s)
-        fb[:, 0] -= 1.0
-        log_hat += (lam[rows] @ gf.dft(fb, half=True).view(float)).view(complex)
-    log_norm = log_hat[0].real  # log P_S(e^s), the tilted pgf at t = 1
-    hat = np.exp(log_hat - log_norm)
-    return gf.idft(hat, half=True), hat, np.exp(log_norm - s * np.arange(kmax))
-
-
 def _tilt_tail(risks, lam, fs, mu, tolerance, underflow_floor, notes) -> None:
     """Replace the deep tail of ``fs`` and ``mu`` in place by a checked exponential tilt.
 
@@ -553,9 +559,15 @@ def _tilt_tail(risks, lam, fs, mu, tolerance, underflow_floor, notes) -> None:
     kmax = len(fs)
     width = pad * kmax
     r, r_check = np.exp(s), np.exp(TILT_CHECK * s)
+    runs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        g, hat, untilt = _tilted_fs(risks, lam, kmax, width, s)
-        g_check, _, untilt_check = _tilted_fs(risks, lam, kmax, width, TILT_CHECK * s)
+        for tilt in (s, TILT_CHECK * s):
+            log_hat, _ = _pass1(risks, lam, kmax, width, tilt)
+            log_norm = log_hat[0].real  # log P_S(e^tilt), the tilted pgf at t = 1
+            hat = np.exp(log_hat - log_norm)
+            # g(k) = f_S(k) e^(tilt k) / P_S(e^tilt), its spectrum, the untilting factors
+            runs.append((gf.idft(hat, half=True), hat, np.exp(log_norm - tilt * np.arange(kmax))))
+    (g, hat, untilt), (g_check, _, untilt_check) = runs
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(g_check)) and np.all(np.isfinite(untilt))):
         notes.append(f"exponential tilt r={r:.6g} overflows; untilted result kept")
         return
@@ -580,14 +592,7 @@ def _tilt_tail(risks, lam, fs, mu, tolerance, underflow_floor, notes) -> None:
         return
     start = int(np.argmax(quieter))
     fs[start:] = fs_tilted[start:]
-    j = np.arange(kmax, dtype=float)
-    for rows in row_blocks(len(risks), width):
-        weighted = _severity_rows(risks[rows], kmax, width, s)
-        weighted[:, :kmax] *= j
-        weighted *= lam[rows, None]
-        spectra = gf.dft(weighted, half=True)
-        spectra *= hat
-        mu[rows, start:] = gf.idft(spectra, half=True)[:, start:kmax] * untilt[start:]
+    _pass2(risks, lam, hat, s, mu, start, untilt[start:])
     notes.append(
         f"exponential tilt r={r:.6g} on a {width}-point transform (padding {pad}x) "
         f"for k >= {start}, checked against r={r_check:.6g} to {dev:.1e}"
@@ -619,28 +624,6 @@ def allocate_katz_closed_form(katz: KatzParams, fs: DiscretePMF) -> tuple[np.nda
         alloc[k + 1] = a * alloc[k] + ab * f[k]
         cum[k + 1] = a * cum[k] + ab * FS[k]
     return fs.step_h * alloc, fs.step_h * cum
-
-
-def allocate_compound_katz(
-    risk: CompoundKatzRisk,
-    fs_others_dft: np.ndarray,
-    kmax: int,
-) -> np.ndarray:
-    """Allocation vector for one random-sum risk against the others' pgf buffer.
-
-    Uses the closed count-derivative form: the allocation spectrum is
-    t P'_B(t) * (a+b) / (1 - a P_B(t)) * P_S(t), which for a Poisson count
-    reduces to lam * t P'_B(t) * P_S(t).
-    """
-    z = gf.roots_of_unity(kmax)
-    a, b = risk.frequency.a, risk.frequency.b
-    fb = risk.severity.padded(kmax)
-    pb = gf.dft(fb)
-    fx_hat = gf.compound_pgf_on_roots(risk.frequency, pb)
-    fs_hat = fx_hat * np.asarray(fs_others_dft, dtype=complex)
-    tpb_prime = gf.dft(gf.weighted_index_coeffs(fb))  # t * P_B'(t) on the roots
-    mu_hat = tpb_prime * ((a + b) / (1.0 - a * pb)) * fs_hat
-    return risk.severity.step_h * gf.idft(mu_hat)
 
 
 def _as_negbin_pairs(risks) -> tuple[np.ndarray, np.ndarray]:

@@ -48,19 +48,36 @@ def var_level(fs: DiscretePMF, kappa: float):
     return idx * fs.step_h if fs.step_h != 1.0 else idx
 
 
+def _band(fs: DiscretePMF, levels: RVaRLevels) -> tuple[int, float, int, float]:
+    """Boundary atoms and level widths of the band (alpha1, alpha2].
+
+    The band covers width w1 = F(i1) - alpha1 of atom i1, width
+    w2 = alpha2 - F(i2 - 1) of atom i2 and all of every atom in between.  Each
+    width is taken against the cdf on its own side of the band, so nearby
+    levels on either side of an atom boundary cost no digits.  With alpha2 = 1
+    the band runs to the top of the grid (i2 one past it, w2 = 0); when both
+    levels fall in one atom, i1 == i2 and w1 is the whole band.
+    """
+    a1, a2 = levels.alpha1, levels.alpha2
+    cdf = fs.cdf()
+    i1 = _quantile_index(fs, a1)
+    if a2 == 1.0:
+        return i1, cdf[i1] - a1, len(fs), 0.0
+    i2 = _quantile_index(fs, a2)
+    if i1 == i2:
+        return i1, a2 - a1, i2, 0.0
+    return i1, cdf[i1] - a1, i2, a2 - cdf[i2 - 1]
+
+
 def tvar(fs: DiscretePMF, kappa: float) -> float:
     """Tail expectation beyond the quantile, with the boundary-atom correction.
 
-    (E[S 1{S > v}] + v (F_S(v) - kappa)) / (1 - kappa) at v = the quantile.
+    (E[S 1{S > v}] + v (F_S(v) - kappa)) / (1 - kappa) at v = the quantile:
+    the two-level measure with upper level 1.
     """
     if not 0.0 < kappa < 1.0:
         raise TruncatedQuantile(f"level must lie in (0,1), got {kappa}")
-    idx = _quantile_index(fs, kappa)
-    cdf = fs.cdf()
-    k = np.arange(len(fs), dtype=float)
-    tail = float(fs.step_h * np.dot(k[idx + 1 :], fs.masses[idx + 1 :]))
-    v = idx * fs.step_h
-    return (tail + v * (cdf[idx] - kappa)) / (1.0 - kappa)
+    return rvar(fs, RVaRLevels(kappa, 1.0))
 
 
 def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
@@ -69,20 +86,12 @@ def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
     a1, a2 = levels.alpha1, levels.alpha2
     if a1 == a2:
         return float(var_level(fs, a1))
-    if a2 == 1.0:
-        return tvar(fs, a1)
-    i1 = _quantile_index(fs, a1)
-    i2 = _quantile_index(fs, a2)
+    i1, w1, i2, w2 = _band(fs, levels)
     if i1 == i2:
-        # both levels cut one atom; the boundary terms below would cancel
         return float(i1 * fs.step_h)
-    cdf = fs.cdf()
     k = np.arange(len(fs), dtype=float)
-    v1 = i1 * fs.step_h
-    v2 = i2 * fs.step_h
-    interior = float(fs.step_h * np.dot(k[i1 + 1 : i2 + 1], fs.masses[i1 + 1 : i2 + 1]))
-    total = v1 * (cdf[i1] - a1) + interior + v2 * (a2 - cdf[i2])
-    return total / (a2 - a1)
+    interior = float(fs.step_h * np.dot(k[i1 + 1 : i2], fs.masses[i1 + 1 : i2]))
+    return (i1 * fs.step_h * w1 + interior + i2 * fs.step_h * w2) / (a2 - a1)
 
 
 def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.ndarray:
@@ -95,29 +104,21 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
     the quantile atom.
     """
     a1, a2 = levels.alpha1, levels.alpha2
-    fs = table.fs
-    i1 = _quantile_index(fs, a1) if a1 > 0.0 else 0
+    i1, w1, i2, w2 = _band(table.fs, levels)
     _require_valid_atom(table, i1, "lower")
-    if a1 == a2:
+    if a1 == a2 or i1 == i2:
         return table.conditional_mean_at(i1)
 
     mu = table.expected_allocation
-    cdf = fs.cdf()
-    f1 = table.fs_raw[i1]
-    lower = mu[:, i1] * ((cdf[i1] - a1) / f1)
-
+    lower = mu[:, i1] * (w1 / table.fs_raw[i1])
     if a2 == 1.0:
         # decumulative form: everything above the lower atom, within stored mass
         totals = mu.sum(axis=1)
         return (lower + (totals - table.cumulative_at(i1))) / (1.0 - a1)
 
-    i2 = _quantile_index(fs, a2)
-    if i1 == i2:
-        return table.conditional_mean_at(i1)
     _require_valid_atom(table, i2, "upper")
-    f2 = table.fs_raw[i2]
-    upper = mu[:, i2] * ((a2 - cdf[i2]) / f2)
-    cum = table.cumulative_at([i1, i2])
+    upper = mu[:, i2] * (w2 / table.fs_raw[i2])
+    cum = table.cumulative_at([i1, i2 - 1])
     interior = cum[:, 1] - cum[:, 0]
     return (lower + interior + upper) / (a2 - a1)
 

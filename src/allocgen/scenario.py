@@ -50,6 +50,8 @@ import yaml
 
 from . import risk_measures
 from .allocation import (
+    DEFAULT_TOLERANCE,
+    DEFAULT_UNDERFLOW_FLOOR,
     AllocationTable,
     PortfolioModel,
     allocate_independent,
@@ -87,8 +89,8 @@ GENERATOR_NAME = "numpy PCG64 (default_rng)"
 @dataclass
 class ScenarioConfig:
     kmax: int
-    tolerance: float = 1e-8
-    underflow_floor: float = 1e-15
+    tolerance: float = DEFAULT_TOLERANCE
+    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR
     seed: Optional[int] = None
     dependence: str = "independent"
     risk_specs: list = field(default_factory=list)
@@ -128,8 +130,8 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
     cfg = ScenarioConfig(
         kmax=next_pow2(kmax),
-        tolerance=float(raw.get("tolerance", 1e-8)),
-        underflow_floor=float(raw.get("underflow_floor", 1e-15)),
+        tolerance=float(raw.get("tolerance", DEFAULT_TOLERANCE)),
+        underflow_floor=float(raw.get("underflow_floor", DEFAULT_UNDERFLOW_FLOOR)),
         seed=(int(raw["seed"]) if raw.get("seed") is not None else None),
         dependence=dependence,
         risk_specs=list(model.get("risks", []) or []),
@@ -353,8 +355,8 @@ def allocate_portfolio(
     portfolio: PortfolioModel,
     kmax: int,
     *,
-    tolerance: float = 1e-8,
-    underflow_floor: float = 1e-15,
+    tolerance: float = DEFAULT_TOLERANCE,
+    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
     """Dispatch to the right allocation pipeline for the dependence regime."""
     dep = portfolio.dependence

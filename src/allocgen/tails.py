@@ -29,12 +29,6 @@ def pareto_lev(alpha: float, lam: float):
     return lev
 
 
-def pareto_mean(alpha: float, lam: float) -> float:
-    if alpha <= 1.0:
-        return float("inf")
-    return lam / (alpha - 1.0)
-
-
 def exponential_cdf(rate: float):
     def cdf(x):
         return 1.0 - np.exp(-rate * np.asarray(x, dtype=float))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from allocgen import gf
 from allocgen.allocation import (
     PortfolioModel,
-    allocate_compound_katz,
     allocate_independent,
     allocate_katz_closed_form,
     allocate_negbin_convolution,
@@ -277,40 +276,18 @@ class TestNegbinSeries:
             allocate_negbin_convolution([(2.0, 0.5)], 10**6, ell_max=10)
 
 
-class TestCompoundKatz:
-    def test_unit_severity_reduces_to_poisson_row(self):
-        lam = 0.9
-        unit = pmf_from_values([0.0, 1.0])
-        risk = CompoundKatzRisk(KatzParams.poisson(lam), unit)
-        partner = explicit_risk(PARTNER)
-        z = gf.roots_of_unity(64)
-        mu = allocate_compound_katz(risk, partner.pgf_on_roots(z), 64)
-        t = allocate_independent([KatzRisk(KatzParams.poisson(lam)), partner], 64)
-        assert np.max(np.abs(mu - t.expected_allocation[0])) <= 1e-12
-
-    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
-    def test_matches_explicit_pmf_route(self):
-        sev = pmf_from_values(KatzParams.negative_binomial(2, 0.45).pmf(64))
-        risk = CompoundKatzRisk(KatzParams.poisson(0.1), sev)
-        partner = explicit_risk(PARTNER)
-        z = gf.roots_of_unity(128)
-        mu = allocate_compound_katz(risk, partner.pgf_on_roots(z), 128)
-        explicit = ExplicitRisk(
-            pmf_from_values(risk.pmf_vector(128))
-        )
-        t = allocate_independent([explicit, partner], 128)
-        assert np.max(np.abs(mu - t.expected_allocation[0])) <= 1e-11
-
-    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
-    def test_negative_binomial_count(self):
-        sev = pmf_from_values([0.0, 0.6, 0.4])
-        risk = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.55), sev)
-        partner = explicit_risk(PARTNER)
-        z = gf.roots_of_unity(128)
-        mu = allocate_compound_katz(risk, partner.pgf_on_roots(z), 128)
-        explicit = ExplicitRisk(pmf_from_values(risk.pmf_vector(128)))
-        t = allocate_independent([explicit, partner], 128)
-        assert np.max(np.abs(mu - t.expected_allocation[0])) <= 1e-11
+@pytest.mark.parametrize(
+    "count",
+    [KatzParams.poisson(0.9), KatzParams.negative_binomial(2.0, 0.55), KatzParams.binomial(3, 0.3)],
+    ids=["poisson", "negative_binomial", "binomial"],
+)
+def test_random_sum_risk_matches_size_biased_oracle(count):
+    risk = CompoundKatzRisk(count, pmf_from_values([0.0, 0.6, 0.4]))
+    partner = explicit_risk(PARTNER)
+    t = allocate_independent([risk, partner], 128)
+    for row, (own, other) in enumerate([(risk, partner), (partner, risk)]):
+        want = oracle_size_biased(own, pmf_from_values(other.pmf_vector(128)))
+        assert np.max(np.abs(t.expected_allocation[row] - want)) <= 1e-12
 
 
 class TestAlgorithmOne:

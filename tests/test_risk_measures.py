@@ -16,6 +16,7 @@ from allocgen.risk_measures import (
 )
 
 THREE_POINT = pmf_from_values([0.5, 0.3, 0.2])
+STRADDLED = pmf_from_values([0.1, 0.4, 0.5])
 
 
 def brute_var(fs, kappa):
@@ -112,6 +113,9 @@ class TestRVaR:
 
     @given(mass_vectors, st.floats(0.05, 0.9), st.floats(0.05, 0.9))
     @example(normalized([0.125, 1.0, 1.0, 1.0, 1.0]), 0.05, np.nextafter(0.05, 1.0))
+    # levels one ulp either side of an atom boundary (F = 0.1 and F = 0.5)
+    @example(STRADDLED, 0.1, np.nextafter(0.1, 1.0))
+    @example(STRADDLED, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0))
     @settings(max_examples=50)
     def test_identity_on_random_pmfs(self, fs, a, b):
         a1, a2 = min(a, b), max(a, b)
@@ -169,6 +173,13 @@ class TestEulerContributions:
         assert np.array_equal(contribs, table.conditional_mean_at(v))
         assert rvar(table.fs, levels) == v
         assert contribs.sum() == pytest.approx(v, abs=1e-9)
+
+    def test_levels_straddling_an_atom_boundary(self):
+        # F(0) = 0.1 exactly: the band (0.1, 0.1 + 1 ulp] lies wholly on atom 1
+        table = allocate_independent([explicit_risk(STRADDLED.masses), explicit_risk([1.0])], 8)
+        levels = RVaRLevels(0.1, np.nextafter(0.1, 1.0))
+        assert rvar(table.fs, levels) == 1.0
+        assert np.allclose(euler_rvar_contributions(table, levels), [1.0, 0.0], rtol=0, atol=1e-12)
 
     def test_masked_boundary_atom_raises(self, small_pool):
         # VaR at 1 - 1e-13 is lattice point 36, whose exact mass 6.98e-14 lies
