@@ -13,6 +13,12 @@ tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
 engines: the table of the pieces is mapped onto the risks by a loading matrix
 (``regroup``), since E[X_j 1{S=k}] is linear in the pieces.
 
+Every engine builds its table at the fixed accuracy targets DEFAULT_TOLERANCE
+and DEFAULT_UNDERFLOW_FLOOR.  Which lattice points a caller trusts is a
+separate reporting decision: ``mask_validity`` re-derives the validity mask at
+any other tolerance and floor from the stored validation curve, without
+recomputing the table.
+
 Two transform-free oracles live here as well: direct enumeration of the joint
 support, and the size-biased representation computed with direct convolution.
 """
@@ -145,12 +151,17 @@ class AllocationTable:
         """Column ``k`` of ``conditional_mean``, every risk."""
         return _per_mass(self.expected_allocation[:, k], self.fs_raw[k])
 
-    def total_conditional_mean(self) -> np.ndarray:
-        """Validation curve: sums to k*h wherever results are trustworthy."""
-        return self.validation_curve
+    def identity_deviation(self) -> float:
+        """Largest deviation in the full-allocation identity over the valid points.
 
-    def lattice_values(self) -> np.ndarray:
-        return self.fs.step_h * np.arange(self.kmax, dtype=float)
+        The maximum over valid k of |sum_i mu_i(k) - k h f_S(k)| / (1 + |k h f_S(k)|),
+        or NaN when no point is valid.
+        """
+        if not self.valid_mask.any():
+            return float("nan")
+        target = self.fs.step_h * np.arange(self.kmax, dtype=float) * self.fs_raw
+        rel = np.abs(self.expected_allocation.sum(axis=0) - target) / (1.0 + np.abs(target))
+        return float(rel[self.valid_mask].max())
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -187,8 +198,6 @@ def assemble_table(
     risk_means: np.ndarray,
     *,
     step_h: float = 1.0,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
     truncation: TruncationReport | None = None,
     support_bound: int | None = None,
 ) -> AllocationTable:
@@ -198,7 +207,8 @@ def assemble_table(
     here via ``step_h``.  With ``step_h == 1`` the table takes ``mu`` over
     without a copy.  When the sum has a provable support bound below the
     buffer (all margins bounded, no wrap), entries beyond it are exact zeros and
-    the inverse-transform noise there is dropped rather than reported.
+    the inverse-transform noise there is dropped rather than reported.  The
+    validity mask is ``mask_validity``'s at its defaults.
     """
     kmax = len(fs_raw)
     if not np.any(fs_raw > 0.0):
@@ -211,30 +221,39 @@ def assemble_table(
         fs_raw = fs_raw.copy()
         fs_raw[support_bound + 1 :] = 0.0
         mu[:, support_bound + 1 :] = 0.0
-    curve = _per_mass(mu.sum(axis=0), fs_raw)
-    return AllocationTable(
+    table = AllocationTable(
         fs=pmf_from_transform_output(fs_raw, step_h),
         expected_allocation=mu,
-        validation_curve=curve,
-        valid_mask=_valid(fs_raw, curve, step_h, tolerance, underflow_floor),
-        tolerance_used=tolerance,
-        underflow_floor=underflow_floor,
+        validation_curve=_per_mass(mu.sum(axis=0), fs_raw),
+        valid_mask=None,  # mask_validity sets the mask and the two settings
+        tolerance_used=None,
+        underflow_floor=None,
         risk_means=np.asarray(risk_means, dtype=float),
         truncation=truncation or TruncationReport(kmax=kmax),
         fs_raw=fs_raw,
     )
+    return mask_validity(table)
 
 
-def _valid(fs_raw, curve, step_h, tolerance, underflow_floor) -> np.ndarray:
-    values = step_h * np.arange(len(fs_raw), dtype=float)
+def mask_validity(
+    table: AllocationTable,
+    tolerance: float = DEFAULT_TOLERANCE,
+    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
+) -> AllocationTable:
+    """The table with its validity mask re-derived at ``tolerance`` and ``underflow_floor``.
+
+    A point is valid where f_S(k) > ``underflow_floor`` and the validation
+    curve is within ``tolerance`` of k h.  Only the mask and the two recorded
+    settings change; every array, the allocation rows included, is shared
+    with ``table``.
+    """
+    values = table.fs.step_h * np.arange(table.kmax, dtype=float)
     with np.errstate(invalid="ignore"):
-        return (fs_raw > underflow_floor) & (np.abs(curve - values) <= tolerance)
-
-
-def mask_validity(table: AllocationTable, tol: float) -> AllocationTable:
-    """Re-derive the validity mask at a different tolerance."""
-    valid = _valid(table.fs_raw, table.validation_curve, table.fs.step_h, tol, table.underflow_floor)
-    return dataclasses.replace(table, valid_mask=valid, tolerance_used=tol)
+        close = np.abs(table.validation_curve - values) <= tolerance
+    valid = (table.fs_raw > underflow_floor) & close
+    return dataclasses.replace(
+        table, valid_mask=valid, tolerance_used=tolerance, underflow_floor=underflow_floor
+    )
 
 
 def regroup(
@@ -243,9 +262,9 @@ def regroup(
     """Table of the risks X_j = sum_i loading[j, i] Y_i, where the Y_i are the risks of ``table``.
 
     The total is the same sum whenever every column of ``loading`` sums to 1,
-    so f_S and the truncation report carry over, as do the tolerance and the
-    underflow floor; the allocation rows are ``loading @`` the inner ones, and
-    the validation curve and validity mask are derived afresh from them.
+    so f_S and the truncation report carry over; the allocation rows are
+    ``loading @`` the inner ones, and the validation curve and the default
+    validity mask are derived afresh from them.
     """
     step_h = table.fs.step_h
     return assemble_table(
@@ -253,8 +272,6 @@ def regroup(
         loading @ table.expected_allocation / step_h,
         risk_means,
         step_h=step_h,
-        tolerance=table.tolerance_used,
-        underflow_floor=table.underflow_floor,
         truncation=table.truncation,
     )
 
@@ -276,13 +293,7 @@ def _aliasing_report(risks: Sequence[RiskModel], totals: list[float], kmax: int)
     return TruncationReport(kmax=kmax, lost_mass=deficit, aliasing_risk=risky, notes=tuple(notes))
 
 
-def allocate_independent(
-    risks: Sequence[RiskModel],
-    kmax: int,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-) -> AllocationTable:
+def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
     """Allocation table for independent risks via the transform route.
 
     The pgf of everything-but-risk-i comes from ``gf.leave_one_out``: prefix
@@ -321,24 +332,11 @@ def allocate_independent(
     if bound is not None and bound >= kmax:
         bound = None  # wrapped: nothing beyond the buffer is provably zero
     return assemble_table(
-        fs_raw,
-        mu,
-        means,
-        step_h=step_h,
-        tolerance=tolerance,
-        underflow_floor=underflow_floor,
-        truncation=truncation,
-        support_bound=bound,
+        fs_raw, mu, means, step_h=step_h, truncation=truncation, support_bound=bound
     )
 
 
-def allocate_compound_poisson_pool(
-    risks: Sequence[CompoundKatzRisk],
-    kmax: int,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-) -> AllocationTable:
+def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int) -> AllocationTable:
     """Allocation table for independent Poisson random sums, single shared product.
 
     For risk i with rate lam_i and severity pmf f_Bi, the pgf of the sum is
@@ -361,14 +359,16 @@ def allocate_compound_poisson_pool(
 
     Deep tail by exponential tilting.  The plain transform leaves absolute
     noise near machine epsilon times the peak of f_S, so masses many decades
-    below the peak (yet above ``underflow_floor``) come out with no correct
-    digits.  When f_S(0) is resolved to ``tolerance`` and the tail of the
-    pass-1 f_S falls below the resolved level inside the buffer while that
-    level is still above ``underflow_floor``, the same two passes run again
+    below the peak (yet above the underflow floor) come out with no correct
+    digits.  The tilt works to the fixed targets DEFAULT_TOLERANCE and
+    DEFAULT_UNDERFLOW_FLOOR, whatever mask a caller applies afterwards.  When
+    f_S(0) is resolved to that tolerance and the tail of the pass-1 f_S falls
+    below the resolved level inside the buffer while that level is still above
+    the floor, the same two passes run again
     on the tilted rows f_Bi(j) r^j with some r > 1, on a transform padded to
     a multiple of kmax, and their output is untilted by r^(-k)
     (``_choose_tilt`` picks r and the padding from the pass-1 f_S).  A second
-    tilt r^TILT_CHECK must reproduce the tilted f_S to ``tolerance`` on the
+    tilt r^TILT_CHECK must reproduce the tilted f_S to DEFAULT_TOLERANCE on the
     lattice points it resolves; if it does not, the untilted result is kept.
     Otherwise f_S and every allocation row take the tilted values from the
     first lattice point at which those are the less noisy ones (``_tilt_tail``).
@@ -414,20 +414,13 @@ def allocate_compound_poisson_pool(
         warnings.warn("; ".join(notes), AliasingRisk, stacklevel=2)
 
     mu = np.empty((n, kmax))
-    _pass2(risks, lam, fs_hat, 0.0, mu)
+    for rows, spectra in _pass2(risks, lam, fs_hat, 0.0, kmax):
+        gf.idft(spectra, half=True, out=mu[rows])
     if not risky:
-        _tilt_tail(risks, lam, fs_raw, mu, tolerance, underflow_floor, notes)
+        _tilt_tail(risks, lam, fs_raw, mu, notes)
 
     trunc = TruncationReport(kmax=kmax, lost_mass=sev_deficit, aliasing_risk=risky, notes=tuple(notes))
-    return assemble_table(
-        fs_raw,
-        mu,
-        means,
-        step_h=step_h,
-        tolerance=tolerance,
-        underflow_floor=underflow_floor,
-        truncation=trunc,
-    )
+    return assemble_table(fs_raw, mu, means, step_h=step_h, truncation=trunc)
 
 
 def _severity_rows(
@@ -465,14 +458,13 @@ def _pass1(risks, lam, kmax, width, s) -> tuple[np.ndarray, list[float]]:
     return log_hat, totals
 
 
-def _pass2(risks, lam, hat, s, mu, start=0, untilt=1.0) -> None:
-    """Pass 2: columns ``start:`` of every row of ``mu`` from the pgf half spectrum ``hat``.
+def _pass2(risks, lam, hat, s, kmax):
+    """Pass 2: the allocation spectra from the pgf half spectrum ``hat``, block by block.
 
-    Inverts lam_i k f_Bi(k) e^(s k) times ``hat`` on the transform length that
-    ``hat`` is the half of, and writes entries start..kmax-1 of the result,
-    times ``untilt``, into the risk's row of ``mu``.
+    Yields ``(rows, spectra)``: the half spectra of lam_i k f_Bi(k) e^(s k)
+    (k < kmax) times ``hat``, on the transform length that ``hat`` is the half
+    of.  The caller inverts each block into its rows of the table.
     """
-    kmax = mu.shape[1]
     width = 2 * (len(hat) - 1)
     j = np.arange(kmax, dtype=float)
     for rows in row_blocks(len(risks), width):
@@ -482,7 +474,7 @@ def _pass2(risks, lam, hat, s, mu, start=0, untilt=1.0) -> None:
         spectra = gf.dft(weighted, half=True)
         del weighted  # free the block before the inverse allocates its own
         spectra *= hat
-        np.multiply(gf.idft(spectra, half=True)[:, start:kmax], untilt, out=mu[rows, start:])
+        yield rows, spectra
 
 
 def _choose_tilt(
@@ -542,16 +534,19 @@ def _choose_tilt(
     return float(s[pick, 0]), int(pads[np.argmax(fits[pick])])
 
 
-def _tilt_tail(risks, lam, fs, mu, tolerance, underflow_floor, notes) -> None:
+def _tilt_tail(risks, lam, fs, mu, notes) -> None:
     """Replace the deep tail of ``fs`` and ``mu`` in place by a checked exponential tilt.
 
-    The tilted values at k carry noise near eps * max g * P_S(r) r^(-k), the
-    plain ones near eps * max f_S; every lattice point from the first at which
-    the tilted noise is the smaller one onward takes the tilted f_S and
-    allocations, the points before it keep the plain ones.  What was done is
+    The tilt is chosen, and checked, against DEFAULT_TOLERANCE and
+    DEFAULT_UNDERFLOW_FLOOR.  The tilted values at k carry noise near
+    eps * max g * P_S(r) r^(-k), the plain ones near eps * max f_S; every
+    lattice point from the first at which the tilted noise is the smaller one
+    onward takes the tilted f_S and allocations, the points before it keep the
+    plain ones.  What was done is
     appended to ``notes``.  Nothing changes where tilting would not pay,
     overflows, or is not confirmed by the second tilt.
     """
+    tolerance, underflow_floor = DEFAULT_TOLERANCE, DEFAULT_UNDERFLOW_FLOOR
     choice = _choose_tilt(fs, tolerance, underflow_floor)
     if choice is None:
         return
@@ -592,7 +587,8 @@ def _tilt_tail(risks, lam, fs, mu, tolerance, underflow_floor, notes) -> None:
         return
     start = int(np.argmax(quieter))
     fs[start:] = fs_tilted[start:]
-    _pass2(risks, lam, hat, s, mu, start, untilt[start:])
+    for rows, spectra in _pass2(risks, lam, hat, s, kmax):
+        mu[rows, start:] = gf.idft(spectra, half=True)[:, start:kmax] * untilt[start:]
     notes.append(
         f"exponential tilt r={r:.6g} on a {width}-point transform (padding {pad}x) "
         f"for k >= {start}, checked against r={r_check:.6g} to {dev:.1e}"
@@ -732,8 +728,6 @@ def oracle_enumerate(
     kmax: int,
     *,
     budget: int = 10_000_000,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
     """Exact allocations by direct summation over the joint support.
 
@@ -744,15 +738,15 @@ def oracle_enumerate(
     """
     dep = portfolio.dependence
     if dep is None:
-        return _enumerate_independent(portfolio.risks, kmax, budget, tolerance, underflow_floor)
+        return _enumerate_independent(portfolio.risks, kmax, budget)
     from .dependence import FrailtyBernoulliSpec  # runtime import avoids a module cycle
 
     if isinstance(dep, FrailtyBernoulliSpec):
-        return _enumerate_frailty(dep, kmax, budget, tolerance, underflow_floor)
+        return _enumerate_frailty(dep, kmax, budget)
     raise OracleBudget(f"no finite joint enumeration for dependence {type(dep).__name__}")
 
 
-def _enumerate_independent(risks, kmax, budget, tolerance, underflow_floor) -> AllocationTable:
+def _enumerate_independent(risks, kmax, budget) -> AllocationTable:
     if not risks:
         raise EmptyDistribution("empty portfolio")
     step_h = _common_step(risks)
@@ -780,12 +774,10 @@ def _enumerate_independent(risks, kmax, budget, tolerance, underflow_floor) -> A
         for i, (x, _) in enumerate(combo):
             mu[i, s] += x * p
     means = np.array([r.mean() for r in risks])
-    return assemble_table(
-        fs, mu, means, step_h=step_h, tolerance=tolerance, underflow_floor=underflow_floor,
-    )
+    return assemble_table(fs, mu, means, step_h=step_h)
 
 
-def _enumerate_frailty(spec, kmax, budget, tolerance, underflow_floor) -> AllocationTable:
+def _enumerate_frailty(spec, kmax, budget) -> AllocationTable:
     n = len(spec.b)
     theta_w = spec.theta_pmf()
     if (2**n) * len(theta_w) > budget:
@@ -804,6 +796,4 @@ def _enumerate_frailty(spec, kmax, budget, tolerance, underflow_floor) -> Alloca
             if c:
                 mu[i, s] += spec.b[i] * p
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
-    return assemble_table(
-        fs, mu, means, tolerance=tolerance, underflow_floor=underflow_floor,
-    )
+    return assemble_table(fs, mu, means)

@@ -6,7 +6,9 @@ those pieces from the independent engines, regrouped onto the risks by a fixed
 loading matrix (``allocation.regroup``), so they inherit the engines'
 blocking, exponential tilt and truncation reports.  The frailty pool is a
 mixture over the mixing level rather than a sum, so it supplies its own
-allocation spectra on the roots of unity and inverts them itself.
+allocation spectra on the roots of unity and inverts them itself.  Like the
+independent engines, every table here carries the default validity mask;
+``allocation.mask_validity`` re-derives it at another tolerance or floor.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import numpy as np
 
 from . import gf
 from .allocation import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_UNDERFLOW_FLOOR,
     AllocationTable,
     allocate_compound_poisson_pool,
     allocate_independent,
@@ -87,13 +87,7 @@ class HierarchicalShockSpec:
         return sum(rate for rate, _ in self.path(leaf))
 
 
-def shock_allocation_table(
-    spec: HierarchicalShockSpec,
-    kmax: int,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-) -> AllocationTable:
+def shock_allocation_table(spec: HierarchicalShockSpec, kmax: int) -> AllocationTable:
     """Full table over the eight leaves (ordered as SHOCK_LEAVES).
 
     The total is a Poisson pool of the 15 shocks, node n adding a unit mass at
@@ -105,9 +99,7 @@ def shock_allocation_table(
         compound_poisson_risk(spec.lambda_by_node[node], np.eye(_node_weight(node) + 1)[-1])
         for node in SHOCK_NODES
     ]
-    table = allocate_compound_poisson_pool(
-        shocks, kmax, tolerance=tolerance, underflow_floor=underflow_floor
-    )
+    table = allocate_compound_poisson_pool(shocks, kmax)
     loading = np.array([
         [1.0 / _node_weight(node) if node == SHOCK_ROOT or leaf.startswith(node) else 0.0
          for node in SHOCK_NODES]
@@ -167,13 +159,7 @@ class GammaMixtureSpec:
         )
 
 
-def gamma_mixture_allocation(
-    spec: GammaMixtureSpec,
-    kmax: int,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-) -> AllocationTable:
+def gamma_mixture_allocation(spec: GammaMixtureSpec, kmax: int) -> AllocationTable:
     """Allocation table for the pair from the three independent NB pieces of S.
 
     Risk i's count is its own piece plus the share zeta_i / zeta12 of the
@@ -181,12 +167,7 @@ def gamma_mixture_allocation(
     """
     pieces = spec.nb_components()
     keep = [j for j, (rho, _) in enumerate(pieces) if rho > 0.0]
-    table = allocate_independent(
-        [negative_binomial_risk(*pieces[j]) for j in keep],
-        kmax,
-        tolerance=tolerance,
-        underflow_floor=underflow_floor,
-    )
+    table = allocate_independent([negative_binomial_risk(*pieces[j]) for j in keep], kmax)
     loading = np.array([
         [1.0, 0.0, spec.zeta1 / spec.zeta12],
         [0.0, 1.0, spec.zeta2 / spec.zeta12],
@@ -327,21 +308,12 @@ def frailty_bernoulli_pgfs(
     return fs_hat, alloc_hats
 
 
-def frailty_allocation(
-    spec: FrailtyBernoulliSpec,
-    kmax: int,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
-) -> AllocationTable:
+def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable:
     """Allocation table for the frailty-coupled pool."""
     fs_hat, alloc_hats = frailty_bernoulli_pgfs(spec, kmax)
     fs_raw = gf.idft(fs_hat)
     mu = gf.idft(alloc_hats)
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
-    return assemble_table(
-        fs_raw, mu, means, tolerance=tolerance, underflow_floor=underflow_floor,
-        truncation=TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,)),
-        support_bound=sum(spec.b),
-    )
+    truncation = TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,))
+    return assemble_table(fs_raw, mu, means, truncation=truncation, support_bound=sum(spec.b))

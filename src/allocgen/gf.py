@@ -112,10 +112,11 @@ def compound_pgf_on_roots(frequency, severity_dft: ComplexBuffer) -> ComplexBuff
 
     ``frequency`` is a :class:`~allocgen.models.KatzParams`, whose own pgf is
     evaluated at the severity pgf values once a * P_B(z) is known to stay away
-    from 1 (the Poisson case, a = 0, cannot diverge).
+    from 1.  Only a > 0 (negative binomial) can diverge: the Poisson pgf is
+    entire and the binomial one (a < 0) a polynomial.
     """
     a = frequency.a
     s = np.asarray(severity_dft, dtype=complex)
-    if a != 0.0 and np.min(np.abs(1.0 - a * s)) <= 1e-12:
+    if a > 0.0 and np.min(np.abs(1.0 - a * s)) <= 1e-12:
         raise DivergentPGF("a * P_B(z) reaches 1 on the evaluation set")
     return frequency.pgf(s)

@@ -2,9 +2,12 @@
 
 The count family is the (a, b) recursion class ``f(k) = (a + b/k) f(k-1)``,
 which contains Poisson (a = 0), negative binomial (a = 1 - q) and binomial
-(a = -q/(1-q)).  Every risk model exposes the same small surface: a truncated
-mass vector, a pgf evaluated on a complex buffer, its mean, and a support bound
-when one exists.
+(a = -q/(1-q), any q in (0, 1)).  Every risk model exposes the same small
+surface: a truncated mass vector, a pgf evaluated on a complex buffer, its
+mean, and a support bound when one exists.  Random sums take their mass
+vector from the counting recursion, except over binomial counts, whose
+recursion is unstable for q > 1/2 and which are expanded by repeated
+squaring instead.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .pmf import DiscretePMF, pmf_from_values
 
 @dataclass(frozen=True)
 class KatzParams:
-    """Parameters of the (a, b) count recursion; requires |a| < 1.
+    """Parameters of the (a, b) count recursion; requires a < 1.
 
     The mean is (a + b)/(1 - a), which specializes to lam, r(1-q)/q and m q for
     the three members.
@@ -31,8 +34,8 @@ class KatzParams:
     b: float
 
     def __post_init__(self):
-        if not abs(self.a) < 1.0:
-            raise KatzDomain(f"|a| must be < 1, got a={self.a}")
+        if not self.a < 1.0:
+            raise KatzDomain(f"a must be < 1, got a={self.a}")
         if self.a + self.b < 0.0:
             raise KatzDomain(f"a + b = {self.a + self.b} < 0 gives a negative mass at 1")
         if self.a < 0.0:
@@ -58,9 +61,8 @@ class KatzParams:
 
     @classmethod
     def binomial(cls, m: int, q: float) -> "KatzParams":
-        # q >= 1/2 pushes |a| past 1; restate the model in failure probability
-        if not (0.0 < q < 0.5):
-            raise KatzDomain(f"binomial success probability must lie in (0, 1/2), got {q}")
+        if not (0.0 < q < 1.0):
+            raise KatzDomain(f"binomial success probability must lie in (0, 1), got {q}")
         if m < 1 or m != int(m):
             raise KatzDomain(f"binomial count must be a positive integer, got {m}")
         return cls(-q / (1.0 - q), (m + 1) * q / (1.0 - q))
@@ -99,12 +101,16 @@ class KatzParams:
     def pgf(self, s) -> np.ndarray:
         """pgf evaluated at complex arguments with |s| <= 1.
 
-        The base (1-a)/(1-a s) stays in the right half-plane for |a| < 1, so the
-        principal power is branch-safe.
+        For 0 < a < 1 the base (1-a)/(1-a s) stays in the right half-plane, so
+        the principal power is branch-safe.  For a < 0 (binomial, exponent -m)
+        it is the polynomial ((1 - a s)/(1 - a))^m = (1 - q + q s)^m, which has
+        no pole where 1 - a s vanishes (q = 1/2 at s = -1).
         """
         s = np.asarray(s, dtype=complex)
         if self.a == 0.0:
             return np.exp(self.b * (s - 1.0))
+        if self.a < 0.0:
+            return ((1.0 - self.a * s) / (1.0 - self.a)) ** self.support_top()
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
 
@@ -173,6 +179,30 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
     return g
 
 
+def compound_pmf_binomial(frequency: KatzParams, severity: np.ndarray, kmax: int) -> np.ndarray:
+    """pmf of a binomial random sum, (1 - q + q P_B)^m, by repeated squaring (no transforms).
+
+    Every mass is a sum of products of non-negative masses, so each keeps its
+    relative accuracy.  The counting recursion does not once q > 1/2, where
+    |a| > 1 amplifies its round-off: against exact convolution, severity
+    [0, 0.6, 0.4] at m = 20, q = 0.7 loses 8 digits, and m = 100, q = 0.99
+    overflows.
+    """
+    a, m = frequency.a, frequency.support_top()
+    q = -a / (1.0 - a)
+    h = q * np.asarray(severity[:kmax], dtype=float)
+    h[0] += 1.0 - q
+    out = np.ones(1)
+    while True:
+        if m & 1:
+            out = np.convolve(out, h)[:kmax]
+        m >>= 1
+        if not m:
+            break
+        h = np.convolve(h, h)[:kmax]
+    return np.pad(out, (0, kmax - len(out)))
+
+
 @dataclass(frozen=True)
 class ExplicitRisk:
     """A risk given directly by its lattice pmf."""
@@ -219,6 +249,8 @@ class CompoundKatzRisk:
     severity: DiscretePMF
 
     def pmf_vector(self, kmax: int) -> np.ndarray:
+        if self.frequency.a < 0.0:
+            return compound_pmf_binomial(self.frequency, self.severity.masses, kmax)
         return compound_pmf_panjer(self.frequency, self.severity.masses, kmax)
 
     def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:

@@ -129,10 +129,7 @@ def bernoulli_pool_risks():
 
 
 def _identity_check(report, table, bound=1e-10):
-    k = table.lattice_values()
-    target = k * table.fs_raw
-    rel = np.abs(table.expected_allocation.sum(axis=0) - target) / (1.0 + np.abs(target))
-    worst = float(rel[table.valid_mask].max()) if table.valid_mask.any() else float("nan")
+    worst = table.identity_deviation()
     report.add(
         "full_allocation_identity",
         "structural",
@@ -147,7 +144,7 @@ def _reproduce_small_pool() -> ReproductionReport:
     table = allocate_compound_poisson_pool(small_pool_risks(), 64)
     _identity_check(rep, table)
 
-    total = table.total_conditional_mean()
+    total = table.validation_curve
     for k in (43, 63):
         rep.add(
             f"underflow_flag_k{k}",

@@ -57,6 +57,7 @@ from .allocation import (
     allocate_independent,
     cumulative_and_layers,
     allocate_compound_poisson_pool,
+    mask_validity,
 )
 from .dependence import (
     FrailtyBernoulliSpec,
@@ -358,24 +359,31 @@ def allocate_portfolio(
     tolerance: float = DEFAULT_TOLERANCE,
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR,
 ) -> AllocationTable:
-    """Dispatch to the right allocation pipeline for the dependence regime."""
+    """Dispatch to the right allocation pipeline for the dependence regime.
+
+    The engines compute at fixed accuracy targets; this is the one place that
+    applies the caller's ``tolerance`` and ``underflow_floor``, through
+    ``mask_validity``.
+    """
     dep = portfolio.dependence
-    kwargs = dict(tolerance=tolerance, underflow_floor=underflow_floor)
     if dep is None:
         all_cpois = portfolio.risks and all(
             isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()
             for r in portfolio.risks
         )
         if all_cpois:
-            return allocate_compound_poisson_pool(portfolio.risks, kmax, **kwargs)
-        return allocate_independent(portfolio.risks, kmax, **kwargs)
-    if isinstance(dep, HierarchicalShockSpec):
-        return shock_allocation_table(dep, kmax, **kwargs)
-    if isinstance(dep, GammaMixtureSpec):
-        return gamma_mixture_allocation(dep, kmax, **kwargs)
-    if isinstance(dep, FrailtyBernoulliSpec):
-        return frailty_allocation(dep, kmax, **kwargs)
-    raise ConfigError(f"unknown dependence spec {type(dep).__name__}")
+            table = allocate_compound_poisson_pool(portfolio.risks, kmax)
+        else:
+            table = allocate_independent(portfolio.risks, kmax)
+    elif isinstance(dep, HierarchicalShockSpec):
+        table = shock_allocation_table(dep, kmax)
+    elif isinstance(dep, GammaMixtureSpec):
+        table = gamma_mixture_allocation(dep, kmax)
+    elif isinstance(dep, FrailtyBernoulliSpec):
+        table = frailty_allocation(dep, kmax)
+    else:
+        raise ConfigError(f"unknown dependence spec {type(dep).__name__}")
+    return mask_validity(table, tolerance, underflow_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +568,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         )
 
     # identity diagnostics on the valid range
-    k = table.lattice_values()
-    tot_mu = table.expected_allocation.sum(axis=0)
-    target = k * table.fs_raw
-    rel = np.abs(tot_mu - target) / (1.0 + np.abs(target))
     valid = table.valid_mask
     lines.append(f"valid_points: {int(valid.sum())} of {table.kmax}")
     if valid.any():
         vidx = np.flatnonzero(valid)
         lines.append(f"valid_range: [{vidx[0]}, {vidx[-1]}]")
-        lines.append(f"full_allocation_max_rel_dev_on_valid: {_fmt(rel[valid].max())}")
+        lines.append(f"full_allocation_max_rel_dev_on_valid: {_fmt(table.identity_deviation())}")
     trunc = table.truncation
     lines.append(
         f"truncation: lost_mass={_fmt(trunc.lost_mass)} lost_mean={_fmt(trunc.lost_mean)} "

@@ -60,14 +60,6 @@ def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def identity_dev(table) -> float:
-    k = table.lattice_values()
-    target = k * table.fs_raw
-    dev = np.abs(table.expected_allocation.sum(axis=0) - target)
-    rel = dev / (1.0 + np.abs(target))
-    return float(rel[table.valid_mask].max())
-
-
 class TestCriterion1FullAllocationIdentity:
     """Every shipped scenario satisfies the full-allocation identity on valid points.
 
@@ -90,7 +82,7 @@ class TestCriterion1FullAllocationIdentity:
                 built.portfolio, built.kmax,
                 tolerance=cfg.tolerance, underflow_floor=cfg.underflow_floor,
             )
-            dev = identity_dev(table)
+            dev = table.identity_deviation()
             elapsed = time.perf_counter() - start
             worst[name] = (dev, elapsed)
             ok = ok and dev <= 1e-10 and elapsed <= 5.0
@@ -110,7 +102,7 @@ class TestCriterion2SmallPoolReproduction:
         start = time.perf_counter()
         table = allocate_compound_poisson_pool(small_pool_risks(), 64)
         elapsed = time.perf_counter() - start
-        total = table.total_conditional_mean()
+        total = table.validation_curve
         k = np.arange(64.0)
         dev_low = float(np.max(np.abs(total[:38] - k[:38])))
         at38 = float(total[38])
@@ -287,7 +279,7 @@ class TestCriterion7Performance:
         start = time.perf_counter()
         table = allocate_compound_poisson_pool(risks, kmax)
         first = time.perf_counter() - start
-        dev = identity_dev(table)
+        dev = table.identity_deviation()
 
         # determinism: a repeat run reproduces the table bit for bit
         start = time.perf_counter()
@@ -321,7 +313,7 @@ class TestCriterion8HeavyTail:
             mean_err = max(mean_err, abs(pmf.mean() - ref))
             pmfs.append(pmf)
         table = allocate_independent([ExplicitRisk(p) for p in pmfs], kmax)
-        dev = identity_dev(table)
+        dev = table.identity_deviation()
         dists = [conditional_mean_distribution(table, i) for i in range(3)]
         crossings = [
             count_cdf_crossings(dists[i], dists[j]) for i, j in ((0, 1), (0, 2), (1, 2))
@@ -329,7 +321,7 @@ class TestCriterion8HeavyTail:
 
         extra = sample_risks({"kind": "pareto_extras", "count": 97, "xmax": xmax}, 20260810, kmax)
         table100 = allocate_independent([ExplicitRisk(p) for p in pmfs] + extra, kmax)
-        dev100 = identity_dev(table100)
+        dev100 = table100.identity_deviation()
         elapsed = time.perf_counter() - start
         ok = (
             mean_err <= 5e-3

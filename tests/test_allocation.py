@@ -74,6 +74,15 @@ class TestAllocateIndependent:
         o = oracle_enumerate(PortfolioModel(risks=bernoulli_pool), 64)
         assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-10
 
+    @pytest.mark.parametrize("m, q", [(4, 0.7), (3, 0.5), (6, 0.95)])
+    def test_binomial_count_matches_enumeration(self, m, q):
+        # q >= 1/2 gives a <= -1; at q = 1/2 the pgf (1 + z)^m / 2^m vanishes at z = -1
+        risks = [KatzRisk(KatzParams.binomial(m, q)), explicit_risk(PARTNER)]
+        t = allocate_independent(risks, 16)
+        o = oracle_enumerate(PortfolioModel(risks=risks), 16)
+        assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-12
+        assert t.expected_allocation[0].sum() == pytest.approx(m * q, rel=1e-12)
+
     def test_pgf_vanishing_on_the_roots_matches_enumeration(self):
         # b=1, q=0.5 has pgf 0.5 + 0.5 z, which vanishes at z = -1
         risks = [BernoulliRisk(1, 0.5), BernoulliRisk(2, 0.3), BernoulliRisk(3, 0.7)]
@@ -158,9 +167,7 @@ class TestTableInvariants:
         t = allocate_independent(risks, 64)
         k = np.arange(64.0)
         # every payment unit at S=k is attributed to someone
-        target = k * t.fs_raw
-        dev = np.abs(t.expected_allocation.sum(axis=0) - target)
-        assert np.max(dev[t.valid_mask] / (1.0 + target[t.valid_mask])) <= 1e-10
+        assert t.identity_deviation() <= 1e-10
         # per-risk totals recover the means
         for i, r in enumerate(risks):
             assert t.expected_allocation[i].sum() == pytest.approx(r.mean(), abs=1e-9)
@@ -190,6 +197,14 @@ class TestTableInvariants:
         strict = mask_validity(t, 1e-12)
         assert loose.valid_mask.sum() >= t.valid_mask.sum() >= strict.valid_mask.sum()
         assert loose.tolerance_used == 1e-2
+        # a higher floor masks the deep tail; the arrays are shared, not copied
+        floored = mask_validity(t, underflow_floor=1e-13)
+        assert floored.underflow_floor == 1e-13 and floored.tolerance_used == t.tolerance_used
+        assert np.array_equal(floored.valid_mask, t.valid_mask & (t.fs_raw > 1e-13))
+        assert floored.valid_mask.sum() < t.valid_mask.sum()
+        assert floored.expected_allocation is t.expected_allocation
+        # the defaults give back the engine's own mask
+        assert np.array_equal(mask_validity(floored).valid_mask, t.valid_mask)
 
     def test_degenerate_total_has_single_valid_point(self):
         t = allocate_independent([explicit_risk([0, 0, 1.0])], 8)
@@ -278,8 +293,15 @@ class TestNegbinSeries:
 
 @pytest.mark.parametrize(
     "count",
-    [KatzParams.poisson(0.9), KatzParams.negative_binomial(2.0, 0.55), KatzParams.binomial(3, 0.3)],
-    ids=["poisson", "negative_binomial", "binomial"],
+    [
+        KatzParams.poisson(0.9),
+        KatzParams.negative_binomial(2.0, 0.55),
+        KatzParams.binomial(3, 0.3),
+        KatzParams.binomial(4, 0.7),
+        KatzParams.binomial(3, 0.5),
+        KatzParams.binomial(6, 0.95),
+    ],
+    ids=["poisson", "negative_binomial", "binomial", "binomial_q0.7", "binomial_q0.5", "binomial_q0.95"],
 )
 def test_random_sum_risk_matches_size_biased_oracle(count):
     risk = CompoundKatzRisk(count, pmf_from_values([0.0, 0.6, 0.4]))

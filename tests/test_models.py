@@ -74,13 +74,20 @@ class TestKatzFamilies:
         with pytest.raises(KatzDomain):
             KatzParams(1.0, 0.5)
         with pytest.raises(KatzDomain):
-            KatzParams.binomial(4, 0.6)  # must restate in failure probability
+            KatzParams.binomial(4, 1.0)
         with pytest.raises(KatzDomain):
             KatzParams.negative_binomial(0.0, 0.5)
 
     @pytest.mark.parametrize(
         "params",
-        [KatzParams.poisson(0.9), KatzParams.negative_binomial(2.5, 0.55), KatzParams.binomial(6, 0.25)],
+        [
+            KatzParams.poisson(0.9),
+            KatzParams.negative_binomial(2.5, 0.55),
+            KatzParams.binomial(6, 0.25),
+            KatzParams.binomial(4, 0.7),
+            KatzParams.binomial(3, 0.5),
+            KatzParams.binomial(6, 0.95),
+        ],
     )
     def test_pgf_consistent_with_pmf(self, params):
         z = gf.roots_of_unity(64)
@@ -143,6 +150,19 @@ class TestCompoundRisk:
     def test_mean(self):
         risk = CompoundKatzRisk(KatzParams.poisson(0.08), pmf_from_values([0, 0.1, 0.2, 0.4, 0.3]))
         assert risk.mean() == pytest.approx(0.08 * 2.9)
+
+    @pytest.mark.parametrize("m, q", [(3, 0.3), (4, 0.7), (20, 0.7), (40, 0.9), (100, 0.99)])
+    def test_binomial_count_matches_direct_convolution(self, m, q):
+        # m-fold convolution of (1 - q) delta_0 + q f_B; the counting recursion
+        # loses digits here once q > 1/2
+        sev = np.array([0.0, 0.6, 0.4])
+        want = np.ones(1)
+        for _ in range(m):
+            want = np.convolve(want, (1.0 - q) * np.eye(1, 3)[0] + q * sev)
+        got = CompoundKatzRisk(KatzParams.binomial(m, q), pmf_from_values(sev)).pmf_vector(512)
+        assert np.all(got[len(want):] == 0.0)
+        kept = want > 1e-300
+        np.testing.assert_allclose(got[: len(want)][kept], want[kept], rtol=1e-12, atol=0.0)
 
     def test_binomial_count_support_bound(self):
         risk = CompoundKatzRisk(KatzParams.binomial(3, 0.2), pmf_from_values([0.0, 0.5, 0.5]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allocgen.allocation import allocate_independent, allocate_compound_poisson_pool
+from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent, mask_validity
 from allocgen.errors import BoundaryUnderflow, TruncatedQuantile
 from allocgen.models import explicit_risk, poisson_risk
 from allocgen.pmf import degenerate_pmf, pmf_from_values
@@ -184,6 +184,6 @@ class TestEulerContributions:
     def test_masked_boundary_atom_raises(self, small_pool):
         # VaR at 1 - 1e-13 is lattice point 36, whose exact mass 6.98e-14 lies
         # below this floor, so its atom is masked
-        table = allocate_compound_poisson_pool(small_pool, 64, underflow_floor=1e-13)
+        table = mask_validity(allocate_compound_poisson_pool(small_pool, 64), underflow_floor=1e-13)
         with pytest.raises(BoundaryUnderflow):
             euler_rvar_contributions(table, RVaRLevels(1.0 - 1e-13, 1.0 - 1e-13))

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from allocgen.allocation import PortfolioModel, oracle_enumerate
-from allocgen.dependence import FrailtyBernoulliSpec
+from allocgen.allocation import (
+    PortfolioModel,
+    allocate_compound_poisson_pool,
+    allocate_independent,
+    mask_validity,
+    oracle_enumerate,
+)
+from allocgen.dependence import (
+    FrailtyBernoulliSpec,
+    frailty_allocation,
+    gamma_mixture_allocation,
+    shock_allocation_table,
+)
 from allocgen.errors import ConfigError, EmptyDistribution
 from allocgen.models import explicit_risk
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q
@@ -35,6 +46,13 @@ class TestParsing:
     def test_minimal(self):
         cfg = parse_scenario(minimal_raw())
         assert cfg.kmax == 16 and cfg.dependence == "independent"
+
+    def test_binomial_with_success_probability_above_half(self):
+        raw = minimal_raw()
+        raw["model"]["risks"] = [{"type": "binomial", "m": 4, "q": 0.7}, {"type": "poisson", "lam": 0.5}]
+        built = build_portfolio(parse_scenario(raw))
+        table = allocate_portfolio(built.portfolio, built.kmax)
+        assert table.expected_allocation[0].sum() == pytest.approx(2.8, rel=1e-12)
 
     def test_kmax_rounded_to_power_of_two(self):
         cfg = parse_scenario(minimal_raw(kmax=33))
@@ -206,6 +224,29 @@ class TestCrossings:
         a = ConditionalMeanDistribution(np.array([-1e-16, 10.0]), np.array([0.5, 0.5]))
         b = ConditionalMeanDistribution(np.array([1e-16, 9.0]), np.array([0.6, 0.4]))
         assert count_cdf_crossings(a, b) == 0
+
+
+class TestAllocatePortfolioMasksOnce:
+    # the bare engine behind each small shipped scenario
+    ENGINES = {
+        "small_pool": lambda p, kmax: allocate_compound_poisson_pool(p.risks, kmax),
+        "bernoulli_pool": lambda p, kmax: allocate_independent(p.risks, kmax),
+        "shock": lambda p, kmax: shock_allocation_table(p.dependence, kmax),
+        "gamma_mixture": lambda p, kmax: gamma_mixture_allocation(p.dependence, kmax),
+        "frailty": lambda p, kmax: frailty_allocation(p.dependence, kmax),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_equals_mask_validity_of_the_engine_table(self, scenario_dir, name):
+        built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
+        bare = self.ENGINES[name](built.portfolio, built.kmax)
+        got = allocate_portfolio(built.portfolio, built.kmax, tolerance=1e-12, underflow_floor=1e-13)
+        want = mask_validity(bare, 1e-12, 1e-13)
+        assert np.array_equal(got.valid_mask, want.valid_mask)
+        assert (got.tolerance_used, got.underflow_floor) == (1e-12, 1e-13)
+        assert np.array_equal(got.expected_allocation, bare.expected_allocation)
+        # the stricter settings only ever drop points from the engine's default mask
+        assert not np.any(got.valid_mask & ~bare.valid_mask)
 
 
 class TestRunScenario:
