@@ -12,6 +12,7 @@ squaring instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -114,34 +115,119 @@ class KatzParams:
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
 
-# Masses of negbin_pmf are cumulated this many at a time.
+# negbin_rows runs its recursion down blocks of this many rows, and cumulates
+# their masses this many columns at a time.
+_NEGBIN_BLOCK = 128
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny
+# compound_pmf_panjer rescales its carried masses by 2^-_PANJER_SHIFT once
+# one passes 2^_PANJER_SHIFT.
+_PANJER_SHIFT = 600
+_PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
+
+
+def negbin_rows(r, q, n: int) -> list[np.ndarray]:
+    """First n masses of NB(r_i, q_i) for each pair, each row cut after its last positive mass.
+
+    A row with no positive mass among its first n comes back empty.
+
+    Row i is the recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the
+    running product, taken in order, of the ratios f(j)/f(j-1) =
+    (1-q)(r+j-1)/j.  Masses below the smallest normal float are exact zeros.
+    The ratios are monotone in k with limit 1 - q < 1, so once one ratio is
+    below 1 the masses only fall: a row stops after the first chunk of
+    _NEGBIN_CHUNK columns that ends below that float with a ratio below 1, and
+    a block stops when all of its rows have.
+
+    Scaled recursion.  With q^r = m 2^x (m in [1/2, 1)), the running product
+    is carried as 2^e P_k with e = x + 1021, and each mass is the product of
+    the exact factors m 2^-1021 and 2^e P_k.  Both scalings are exact powers
+    of two, so every kept mass is the one rounding of the same real number
+    f(0) P_k: bit-identical to the unscaled recursion.  The carried product
+    stays below 2^1022 and, wherever the masses are kept, above 2^-1, which
+    leaves about a thousand binary orders of normal range below each row's
+    last kept mass; without it a finished row runs on in slow subnormal
+    arithmetic to the end of its chunk.  A q^r below the smallest normal
+    float takes m and x from r log2(q) instead of rounding to zero, which
+    puts a relative error of about |r log2(q)| times the float epsilon on
+    that row's masses; below q^r = 2^-2044 the scale itself would underflow,
+    and KatzDomain is raised.
+    """
+    r = np.asarray(r, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if not (np.all(r > 0.0) and np.all((q > 0.0) & (q < 1.0))):
+        raise KatzDomain("negative binomial severities need r > 0 and q in (0, 1)")
+    if n < 1:
+        raise KatzDomain(f"need at least one negative binomial mass, got n={n}")
+    # q^r by Python's float power, row by row: numpy's vectorised power
+    # differs from it in the last bit for some arguments
+    f0 = np.array([qi**ri for qi, ri in zip(q.tolist(), r.tolist())])
+    mant, expo = np.frexp(f0)
+    low = f0 < _TINY
+    if low.any():
+        t = r[low] * np.log2(q[low])
+        expo[low] = np.floor(t) + 1
+        mant[low] = np.exp2(t - expo[low])
+    if expo.min(initial=0) < -2043:
+        i = int(np.argmin(expo))
+        raise KatzDomain(f"NB(r={r[i]}, q={q[i]}): q^r is below 2^-2044, out of the scaled range")
+    head = np.ldexp(1.0, expo + 1021)
+    f0_scaled = np.ldexp(mant, -1021)
+    # one mass buffer and one ratio buffer serve every block
+    f = np.empty((min(len(r), _NEGBIN_BLOCK), n))
+    ratios = np.empty((len(f), min(_NEGBIN_CHUNK, n)))
+    rows: list[np.ndarray] = []
+    for lo in range(0, len(r), _NEGBIN_BLOCK):
+        block = slice(lo, lo + _NEGBIN_BLOCK)
+        rows.extend(_negbin_block(r[block], q[block], head[block], f0_scaled[block], f, ratios))
+    return rows
+
+
+def _negbin_block(r, q, head, f0_scaled, f, ratios) -> list[np.ndarray]:
+    """negbin_rows on one block, in the buffers ``f`` and ``ratios``; ``head`` is 2^e, ``f0_scaled`` q^r 2^-e."""
+    h, n = len(r), f.shape[1]
+    f = f[:h]
+    f[:, 0] = f0_scaled * head
+    carry = head
+    p = 1.0 - q
+    r_col, p_col = r[:, None], p[:, None]
+    end = 1
+    for start in range(1, n, _NEGBIN_CHUNK):
+        end = min(start + _NEGBIN_CHUNK, n)
+        k = np.arange(start, end, dtype=float)
+        # (1 - q) (r + k - 1) / k, one rounding per operation as written
+        chunk = ratios[:h, : end - start]
+        np.add(r_col, k, out=chunk)
+        chunk -= 1.0
+        chunk *= p_col
+        chunk /= k
+        chunk[:, 0] *= carry
+        np.cumprod(chunk, axis=1, out=chunk)
+        np.multiply(f0_scaled[:, None], chunk, out=f[:, start:end])
+        # a finished row carries zero, so it costs no subnormal products
+        finished = (f[:, end - 1] < _TINY) & (p * (r + k[-1] - 1.0) < k[-1])
+        carry = np.where(finished, 0.0, chunk[:, -1])
+        if finished.all():
+            break
+    f = f[:, :end]
+    f[f < _TINY] = 0.0
+    positive = f > 0.0
+    tops = np.where(positive.any(axis=1), end - np.argmax(positive[:, ::-1], axis=1), 0)
+    return [f[i, :top].copy() for i, top in enumerate(tops.tolist())]
 
 
 def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
     """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion.
 
-    Masses below the smallest normal float are exact zeros.  The ratios
-    f(k)/f(k-1) = (1-q)(r+k-1)/k are monotone in k with limit 1 - q < 1, so
-    once one ratio is below 1 the masses only fall: the recursion stops when
-    they drop below that float, instead of grinding through thousands of
-    subnormal products.  The running product is carried from chunk to chunk,
-    so every kept mass is bit-identical to the full recursion's.
+    The one-row case of ``negbin_rows``, zero-padded to n.  Its scaled
+    recursion carries the running product times an exact power of two taken
+    from q^r, so the masses are bit-identical to the unscaled recursion's, a
+    q^r that underflows still gives the right masses, and masses below the
+    smallest normal float are exact zeros.
     """
+    row = negbin_rows([r], [q], n)[0]
     f = np.zeros(n)
-    f[0] = q**r
-    prod = 1.0
-    for start in range(1, n, _NEGBIN_CHUNK):
-        k = np.arange(start, min(start + _NEGBIN_CHUNK, n), dtype=float)
-        ratios = (1.0 - q) * (r + k - 1.0) / k
-        ratios[0] *= prod
-        np.cumprod(ratios, out=ratios)
-        f[start : start + len(k)] = f[0] * ratios
-        prod = ratios[-1]
-        if f[start + len(k) - 1] < _TINY and (1.0 - q) * (r + k[-1] - 1.0) < k[-1]:
-            break
-    f[f < _TINY] = 0.0
+    f[: len(row)] = row
     return f
 
 
@@ -150,6 +236,14 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
 
     Severity mass at zero is allowed.  Used both as a production conversion and
     as the transform-free cross-check of the pgf composition path.
+
+    When the first mass g(0) underflows, as it does for a large pool's total,
+    the recursion (which is linear in g) runs on masses carried as g 2^-e:
+    it starts from the mantissa of g(0), taken from log g(0), and whenever a
+    carried mass passes 2^_PANJER_SHIFT it multiplies the masses so far by
+    2^-_PANJER_SHIFT and adds _PANJER_SHIFT to e.  The masses are scaled back
+    once at the end.  Where g(0) is a normal float, e stays 0 and nothing is
+    rescaled.
     """
     a, b = frequency.a, frequency.b
     fb = np.zeros(kmax)
@@ -159,6 +253,16 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
         g0 = np.exp(b * (fb[0] - 1.0))
     else:
         g0 = ((1.0 - a) / (1.0 - a * fb[0])) ** (b / a + 1.0)
+    e = 0
+    scaled = not g0 >= _TINY
+    if scaled:
+        # g(0) = m 2^e with m in [1, 2), from log g(0)
+        if a == 0.0:
+            log_g0 = b * (fb[0] - 1.0)
+        else:
+            log_g0 = (b / a + 1.0) * math.log((1.0 - a) / (1.0 - a * fb[0]))
+        e = math.floor(log_g0 / math.log(2.0))
+        g0 = math.exp(log_g0 - e * math.log(2.0))
     denom = 1.0 - a * fb[0]
     g = np.zeros(kmax)
     g[0] = g0
@@ -173,6 +277,11 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
             continue
         window = g[k - mm : k][::-1]
         g[k] = ((afb[:mm] + bjfb[:mm] / k) @ window) / denom
+        if scaled and g[k] > _PANJER_RESCALE_AT:
+            g[: k + 1] *= 2.0**-_PANJER_SHIFT
+            e += _PANJER_SHIFT
+    if scaled:
+        g = np.ldexp(g, e)
     ftop = frequency.support_top()
     if ftop is not None and ftop * top + 1 < kmax:
         g[ftop * top + 1 :] = 0.0  # terminating counts leave recursion noise past the bound

@@ -110,13 +110,22 @@ def pmf_from_values(values, step_h: float = 1.0) -> DiscretePMF:
     low = arr.min()
     if low < -CLAMP_TOL:
         raise InvalidPMF(f"mass entry {low:.3e} below the -{CLAMP_TOL:g} round-off tolerance")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    total = arr.sum()
+    return truncated_pmf(np.where(arr < 0.0, 0.0, arr), step_h)
+
+
+def truncated_pmf(masses: np.ndarray, step_h: float = 1.0) -> DiscretePMF:
+    """Wrap finite, non-negative masses, recording a deficit from 1 as ``truncation_mass``.
+
+    The caller vouches for the entries (``pmf_from_values`` checks them); the
+    total is checked here, and over-unit mass raises :class:`InvalidPMF`.
+    The array is taken over without a copy.
+    """
+    total = masses.sum()
     if total > 1.0 + EXACT_MASS_TOL:
         raise InvalidPMF(f"total mass {total!r} exceeds 1")
     deficit = max(0.0, 1.0 - total)
     # deliberate truncation is recorded, never renormalized
-    return DiscretePMF(arr, step_h, truncation_mass=deficit if deficit > EXACT_MASS_TOL else 0.0)
+    return DiscretePMF(masses, step_h, truncation_mass=deficit if deficit > EXACT_MASS_TOL else 0.0)
 
 
 def pmf_from_transform_output(values, step_h: float = 1.0) -> DiscretePMF:

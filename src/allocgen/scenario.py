@@ -67,16 +67,16 @@ from .dependence import (
     gamma_mixture_allocation,
     shock_allocation_table,
 )
-from .errors import ConfigError, EmptyDistribution
+from .errors import ConfigError, EmptyDistribution, KatzDomain
 from .models import (
     BernoulliRisk,
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
     KatzRisk,
-    negbin_pmf,
+    negbin_rows,
 )
-from .pmf import arithmetize, next_pow2, pmf_from_values
+from .pmf import arithmetize, next_pow2, pmf_from_values, truncated_pmf
 from .tails import pareto_cdf, pareto_lev
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
@@ -233,9 +233,20 @@ def _build_risk(spec: dict, path: str, kmax: int):
 
 def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
     """Poisson(lam) count over the first ``severity_length`` NB(r, q) masses, cut after the last positive one."""
-    sev = negbin_pmf(float(r), float(q), severity_length)
-    top = int(np.flatnonzero(sev > 0.0)[-1]) + 1
-    return CompoundKatzRisk(KatzParams.poisson(float(lam)), pmf_from_values(sev[:top]))
+    return _compound_poisson_negbin_risks([lam], [r], [q], severity_length)[0]
+
+
+def _compound_poisson_negbin_risks(lams, rs, qs, severity_length: int) -> list[CompoundKatzRisk]:
+    """``compound_poisson_negbin_risk`` for each (lam, r, q), from one row-wise recursion (``negbin_rows``)."""
+    risks = []
+    for lam, r, q, row in zip(lams, rs, qs, negbin_rows(rs, qs, severity_length)):
+        if not len(row):
+            raise KatzDomain(
+                f"NB(r={r}, q={q}) has no mass above the smallest normal float "
+                f"in its first {severity_length} points"
+            )
+        risks.append(CompoundKatzRisk(KatzParams.poisson(float(lam)), truncated_pmf(row)))
+    return risks
 
 
 def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
@@ -247,7 +258,7 @@ def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
     lams = rng.exponential(lam_mean, size=count)
     rs = rng.choice(r_choices, size=count)
     qs = rng.uniform(q_lo, q_hi, size=count)
-    return [compound_poisson_negbin_risk(lam, r, q, sev_len) for lam, r, q in zip(lams, rs, qs)]
+    return _compound_poisson_negbin_risks(lams, rs, qs, sev_len)
 
 
 def _sample_pareto_extras(sampled: dict, rng, kmax: int):
@@ -286,7 +297,10 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> list:
     The one seeded pool sampler: scenarios, reproduction cases, tests and
     scripts all draw here, so a given (sampled, seed, kmax) always yields the
     same risks.  Optional fields and their defaults are read by the function
-    for each kind in ``_SAMPLED_BUILDERS``.
+    for each kind in ``_SAMPLED_BUILDERS``.  A ``compound_poisson_negbin`` pool
+    takes all of its severities from one row-wise run of the scaled NB
+    recursion (``models.negbin_rows``), block by block; each risk is
+    bit-identical to ``compound_poisson_negbin_risk`` on its own draw.
     """
     kind = sampled["kind"]
     if kind not in _SAMPLED_BUILDERS:

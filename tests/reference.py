@@ -86,3 +86,29 @@ def poisson_pmf_direct(lam, n):
         out = np.zeros(n)
         out[0] = 1.0
     return out
+
+
+def negbin_pmf_per_risk(r, q, n):
+    """NB(r, q) masses by the one-row recursion, stopped below the smallest normal float.
+
+    The running product of the ratios (1-q)(r+k-1)/k is cumulated 512 at a
+    time and carried from chunk to chunk; the row stops after the first
+    chunk that ends below the smallest normal float with a ratio below 1, and
+    masses below that float are zeros.  The row-wise recursion must match it
+    bit for bit wherever q^r is a normal float.
+    """
+    tiny = np.finfo(float).tiny
+    f = np.zeros(n)
+    f[0] = q**r
+    prod = 1.0
+    for start in range(1, n, 512):
+        k = np.arange(start, min(start + 512, n), dtype=float)
+        ratios = (1.0 - q) * (r + k - 1.0) / k
+        ratios[0] *= prod
+        np.cumprod(ratios, out=ratios)
+        f[start : start + len(k)] = f[0] * ratios
+        prod = ratios[-1]
+        if f[start + len(k) - 1] < tiny and (1.0 - q) * (r + k[-1] - 1.0) < k[-1]:
+            break
+    f[f < tiny] = 0.0
+    return f

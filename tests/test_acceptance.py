@@ -22,7 +22,7 @@ from allocgen.allocation import (
     allocate_compound_poisson_pool,
 )
 from allocgen.dependence import FrailtyBernoulliSpec, frailty_allocation
-from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, explicit_risk
+from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, compound_pmf_panjer, explicit_risk
 from allocgen.pmf import arithmetize, next_pow2, pmf_from_values
 from allocgen.reproduce import (
     BERNOULLI_POOL_B,
@@ -286,17 +286,29 @@ class TestCriterion7Performance:
         table2 = allocate_compound_poisson_pool(risks, kmax)
         repeat = time.perf_counter() - start
         same = bool(np.array_equal(table.expected_allocation, table2.expected_allocation))
-        ok = first <= 60.0 and repeat <= 300.0 and same and dev <= 1e-10
+
+        # transform-free f_S: Panjer on the merged pool, Poisson(sum lam_i)
+        # over sum lam_i f_Bi / sum lam_i; its f(0) underflows
+        lam = np.array([r.frequency.b for r in risks])
+        merged = np.zeros(max(len(r.severity.masses) for r in risks))
+        for rate, r in zip(lam, risks):
+            merged[: len(r.severity.masses)] += rate * r.severity.masses
+        fs = compound_pmf_panjer(KatzParams.poisson(lam.sum()), merged / lam.sum(), kmax)
+        valid = table.valid_mask
+        panjer_gap = float(np.max(np.abs(fs[valid] - table.fs_raw[valid]) / table.fs_raw[valid]))
+        ok = first <= 60.0 and repeat <= 300.0 and same and dev <= 1e-10 and panjer_gap <= 1e-10
         report(
             7,
             ok,
             f"10,000 risks at kmax=2^13: first run {first:.1f}s (<=60), "
-            f"repeat run {repeat:.1f}s (<=300, bit-identical: {same}), identity dev {dev:.2e}",
+            f"repeat run {repeat:.1f}s (<=300, bit-identical: {same}), identity dev {dev:.2e}, "
+            f"f_S against merged-pool Panjer {panjer_gap:.2e} relative (<=1e-10)",
         )
         assert first <= 60.0
         assert repeat <= 300.0
         assert same
         assert dev <= 1e-10
+        assert panjer_gap <= 1e-10
 
 
 class TestCriterion8HeavyTail:

@@ -312,6 +312,19 @@ def test_random_sum_risk_matches_size_biased_oracle(count):
         assert np.max(np.abs(t.expected_allocation[row] - want)) <= 1e-12
 
 
+def test_underflowing_random_sum_next_to_a_count():
+    # Poisson(800) over [0, 0.5, 0.5] has f(0) = exp(-800); an unscaled Panjer
+    # start gives all-zero masses, a zero allocation row and no valid point
+    risk = compound_poisson_risk(800.0, [0.0, 0.5, 0.5])
+    partner = negative_binomial_risk(2.0, 0.5)
+    table = allocate_independent([risk, partner], 4096)
+    valid = table.valid_mask
+    assert valid.sum() > 300
+    want = oracle_size_biased(risk, pmf_from_values(partner.pmf_vector(4096)))
+    np.testing.assert_allclose(table.expected_allocation[0][valid], want[valid], rtol=1e-10, atol=0.0)
+    assert table.expected_allocation[0].sum() == pytest.approx(1200.0, rel=1e-12)
+
+
 class TestAlgorithmOne:
     def test_single_risk_conditional_mean_is_identity(self):
         risk = compound_poisson_risk(0.4, [0.0, 0.5, 0.5])

@@ -1,3 +1,5 @@
+import pytest
+
 from allocgen.cli import main
 
 
@@ -32,6 +34,38 @@ class TestRun:
         code = main(["run", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_severity_whose_first_mass_underflows(self, tmp_path, capsys):
+        # q^r = 1e-400: the severity is still computed, around its mean 3600
+        scenario = tmp_path / "nb400.yaml"
+        scenario.write_text(
+            "kmax: 32768\n"
+            "model:\n"
+            "  risks:\n"
+            "    - {type: compound_poisson_negbin, lam: 0.5, r: 400, q: 0.1, severity_length: 8192}\n"
+        )
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        valid = int(out.split("valid_points: ")[1].split()[0])
+        assert valid > 1000
+
+    @pytest.mark.parametrize(
+        "r, q, length, message",
+        [(400, 0.1, 8, "no mass"), (2000, 0.01, 4096, "scaled range"), (2, 0.45, 0, "at least one")],
+    )
+    def test_severity_out_of_range_is_numerical_failure(self, tmp_path, capsys, r, q, length, message):
+        scenario = tmp_path / "nb.yaml"
+        scenario.write_text(
+            "kmax: 64\n"
+            "model:\n"
+            "  risks:\n"
+            f"    - {{type: compound_poisson_negbin, lam: 0.5, r: {r}, q: {q}, severity_length: {length}}}\n"
+        )
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and message in err
 
 
 class TestReproduce:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from allocgen import gf
+from allocgen.allocation import allocate_compound_poisson_pool
 from allocgen.errors import KatzDomain
 from allocgen.models import (
     BernoulliRisk,
@@ -12,11 +13,13 @@ from allocgen.models import (
     KatzParams,
     binomial_risk,
     compound_pmf_panjer,
+    compound_poisson_risk,
     negbin_pmf,
+    negbin_rows,
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
-from reference import poisson_pmf_direct
+from reference import negbin_pmf_per_risk, poisson_pmf_direct
 
 
 class TestKatzFamilies:
@@ -129,6 +132,66 @@ class TestNegbinPmf:
         kept = full >= tiny
         assert np.array_equal(got[kept], full[kept])
         assert np.all(got[~kept] == 0.0)
+
+
+GRID_R = (0.3, 1.0, 2.5, 6.0, 40.0)
+GRID_Q = (0.05, 0.45, 0.95)
+
+
+class TestNegbinRows:
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 4096])
+    def test_grid_in_one_block_matches_per_risk_recursion(self, n):
+        # rows of very different lengths share a block: q = 0.95 rows stop in
+        # the first chunk, r = 40, q = 0.05 rows run past 4096
+        pairs = [(r, q) for r in GRID_R for q in GRID_Q]
+        rows = negbin_rows([r for r, _ in pairs], [q for _, q in pairs], n)
+        for (r, q), row in zip(pairs, rows):
+            want = negbin_pmf_per_risk(r, q, n)
+            assert len(row) >= 1 and row[-1] > 0.0
+            assert np.array_equal(row, want[: len(row)]), (r, q)
+            assert not want[len(row):].any(), (r, q)
+            assert np.array_equal(negbin_pmf(r, q, n), want), (r, q)
+
+    def test_underflowing_first_mass(self):
+        # q^r = 1e-400 is below the float range; the masses around the mean 3600 are not
+        f = negbin_pmf(400.0, 0.1, 8192)
+        assert f.sum() == pytest.approx(1.0, abs=1e-12)
+        want = stats.nbinom.pmf(np.arange(8192), 400.0, 0.1)
+        kept = want > 1e-280
+        np.testing.assert_allclose(f[kept], want[kept], rtol=1e-10, atol=0.0)
+        assert np.all(f[want < 1e-310] == 0.0)
+
+    def test_first_mass_beyond_the_scaled_range(self):
+        with pytest.raises(KatzDomain, match="q\\^r"):
+            negbin_pmf(2000.0, 0.01, 16)
+
+    @pytest.mark.parametrize("r, q", [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0)])
+    def test_domain(self, r, q):
+        with pytest.raises(KatzDomain):
+            negbin_rows([1.0, r], [0.5, q], 8)
+
+
+class TestPanjerUnderflow:
+    # g(0) = exp(-800) underflows; the recursion starts from its mantissa
+    RISK = compound_poisson_risk(800.0, [0.0, 0.5, 0.5])
+
+    def test_masses_sum_to_one(self):
+        g = self.RISK.pmf_vector(4096)
+        assert g.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_transform_route_on_its_valid_band(self):
+        g = self.RISK.pmf_vector(4096)
+        table = allocate_compound_poisson_pool([self.RISK], 4096)
+        valid = table.valid_mask
+        assert valid.sum() > 300
+        np.testing.assert_allclose(g[valid], table.fs_raw[valid], rtol=1e-10, atol=0.0)
+
+    def test_binomial_count(self):
+        # (1/2)^1200 underflows too; the terminating count still cuts the support
+        sev = np.array([0.0, 0.5, 0.5])
+        g = compound_pmf_panjer(KatzParams.binomial(1200, 0.5), sev, 4096)
+        assert np.all(g[2401:] == 0.0)
+        assert g.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCompoundRisk:

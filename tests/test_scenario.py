@@ -14,13 +14,15 @@ from allocgen.dependence import (
     gamma_mixture_allocation,
     shock_allocation_table,
 )
-from allocgen.errors import ConfigError, EmptyDistribution
+from allocgen.errors import ConfigError, EmptyDistribution, KatzDomain
 from allocgen.models import explicit_risk
+from allocgen.pmf import pmf_from_values
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q
 from allocgen.scenario import (
     ConditionalMeanDistribution,
     allocate_portfolio,
     build_portfolio,
+    compound_poisson_negbin_risk,
     conditional_mean_distribution,
     count_cdf_crossings,
     load_scenario,
@@ -28,6 +30,7 @@ from allocgen.scenario import (
     run_scenario,
     sample_risks,
 )
+from reference import negbin_pmf_per_risk
 
 
 def minimal_raw(**overrides):
@@ -137,6 +140,35 @@ class TestBuild:
         assert lams[:3] == [0.05430753021742545, 0.18228166963043577, 0.1399062849073813]
         assert sum(lams) == pytest.approx(1019.0609342466404, rel=1e-13)
         assert [len(r.severity.masses) for r in risks[:3]] == [1094, 1193, 1357]
+
+    def test_sampled_pool_matches_per_risk_build(self):
+        # 1100 risks span three blocks of the row-wise recursion; each must be
+        # what the one-risk recursion and pmf_from_values give, bit for bit
+        sampled = {"kind": "compound_poisson_negbin", "count": 1100, "r_choices": [1, 3, 6],
+                   "q_range": [0.2, 0.9]}
+        risks = sample_risks(sampled, 42, 2**12)
+        rng = np.random.default_rng(42)
+        lams = rng.exponential(0.1, size=1100)
+        rs = rng.choice([1, 3, 6], size=1100)
+        qs = rng.uniform(0.2, 0.9, size=1100)
+        for risk, lam, r, q in zip(risks, lams, rs, qs):
+            sev = negbin_pmf_per_risk(float(r), float(q), 2**12)
+            want = pmf_from_values(sev[: int(np.flatnonzero(sev > 0.0)[-1]) + 1])
+            assert risk.frequency.b == float(lam)
+            assert np.array_equal(risk.severity.masses, want.masses)
+            assert risk.severity.truncation_mass == want.truncation_mass
+
+    def test_severity_cut_below_its_support(self):
+        # eight points hold about 0.96 of NB(2, 0.45): the rest is recorded, not renormalized
+        risk = compound_poisson_negbin_risk(0.2, 2, 0.45, 8)
+        want = pmf_from_values(negbin_pmf_per_risk(2.0, 0.45, 8))
+        assert np.array_equal(risk.severity.masses, want.masses)
+        assert risk.severity.truncation_mass == want.truncation_mass > 0.03
+
+    def test_severity_with_no_mass_in_range(self):
+        # NB(400, 0.1) has no mass above the smallest normal float below 8
+        with pytest.raises(KatzDomain, match="no mass"):
+            compound_poisson_negbin_risk(0.5, 400, 0.1, 8)
 
     def test_unknown_sampled_kind(self):
         with pytest.raises(ConfigError, match="unknown kind"):
