@@ -87,9 +87,9 @@ class AllocationTable:
       mass is exactly zero.
 
     Each property builds a fresh n x kmax array, so code that needs only some
-    risks or lattice points uses ``cumulative_rows``, ``cumulative_at``,
-    ``conditional_mean_rows`` or ``conditional_mean_at``, which return the same
-    values for just those rows or columns.  ``validation_curve`` is
+    risks or lattice points uses ``cumulative_rows``, ``conditional_mean_rows``
+    or ``conditional_mean_at``, which return the same values for just those
+    rows or columns.  ``validation_curve`` is
     sum_i E[X_i 1{S = k h}] / Pr(S = k h), the column sum of
     ``conditional_mean`` up to round-off (NaN where the mass is zero).  It
     equals k h wherever results are trustworthy, and the validity mask is
@@ -128,20 +128,6 @@ class AllocationTable:
     def cumulative_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``expected_cumulative``."""
         return np.cumsum(self.expected_allocation[rows], axis=-1)
-
-    def cumulative_at(self, k) -> np.ndarray:
-        """Columns ``k`` (an index or a sequence) of ``expected_cumulative``, every risk.
-
-        Accumulates one block of rows at a time, so the extra memory stays at
-        one block whatever the pool size.
-        """
-        cols = np.asarray(k)
-        width = int(cols.max()) + 1
-        mu = self.expected_allocation
-        out = np.empty((self.n_risks,) + cols.shape)
-        for rows in row_blocks(self.n_risks, width):
-            out[rows] = np.cumsum(mu[rows, :width], axis=1)[:, cols]
-        return out
 
     def conditional_mean_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``conditional_mean``."""

@@ -84,7 +84,12 @@ class KatzParams:
         return None
 
     def pmf(self, kmax: int) -> np.ndarray:
-        """First ``kmax`` masses via the defining recursion."""
+        """First ``kmax`` masses via the defining recursion f(k) = f(0) prod_{j<=k} (a + b/j).
+
+        When f(0) underflows (a large mean), f(0) = m 2^x is taken from its log
+        and the product runs on mantissas, _NEGBIN_CHUNK at a time with the
+        carry brought back to [1/2, 1), while the powers of two add up exactly.
+        """
         if self.a == 0.0:
             f0 = np.exp(-self.b)
         else:
@@ -92,7 +97,22 @@ class KatzParams:
         k = np.arange(1, kmax, dtype=float)
         f = np.empty(kmax)
         f[0] = f0
-        if kmax > 1:
+        if f0 < _TINY:
+            log_f0 = -self.b if self.a == 0.0 else (self.b / self.a + 1.0) * math.log(1.0 - self.a)
+            x = math.floor(log_f0 / math.log(2.0))
+            f[0] = math.exp(log_f0 - x * math.log(2.0))
+            f[1:] = self.a + self.b / k
+            mant, expo = np.frexp(f)
+            expo[0] += x
+            carry = 1.0
+            for lo in range(0, kmax, _NEGBIN_CHUNK):
+                chunk = mant[lo : lo + _NEGBIN_CHUNK]
+                chunk[0] *= carry
+                np.cumprod(chunk, out=chunk)
+                carry, shift = np.frexp(chunk[-1])
+                expo[lo + _NEGBIN_CHUNK : lo + _NEGBIN_CHUNK + 1] += shift
+            f = np.ldexp(mant, np.cumsum(expo))
+        elif kmax > 1:
             f[1:] = f0 * np.cumprod(self.a + self.b / k)
         top = self.support_top()
         if top is not None and top + 1 < kmax:
@@ -116,7 +136,7 @@ class KatzParams:
 
 
 # negbin_rows runs its recursion down blocks of this many rows, and cumulates
-# their masses this many columns at a time.
+# their masses this many columns at a time; so does KatzParams.pmf's scaled run.
 _NEGBIN_BLOCK = 128
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny

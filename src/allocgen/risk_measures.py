@@ -48,25 +48,26 @@ def var_level(fs: DiscretePMF, kappa: float):
     return idx * fs.step_h if fs.step_h != 1.0 else idx
 
 
-def _band(fs: DiscretePMF, levels: RVaRLevels) -> tuple[int, float, int, float]:
-    """Boundary atoms and level widths of the band (alpha1, alpha2].
+def _band(fs: DiscretePMF, levels: RVaRLevels) -> tuple[int, int | None, np.ndarray]:
+    """Quantile atoms of the band (alpha1, alpha2] and the mass it takes from each.
 
-    The band covers width w1 = F(i1) - alpha1 of atom i1, width
-    w2 = alpha2 - F(i2 - 1) of atom i2 and all of every atom in between.  Each
-    width is taken against the cdf on its own side of the band, so nearby
-    levels on either side of an atom boundary cost no digits.  With alpha2 = 1
-    the band runs to the top of the grid (i2 one past it, w2 = 0); when both
-    levels fall in one atom, i1 == i2 and w1 is the whole band.
+    ``m[j]`` is the probability the band takes from atom i1 + j: F(i1) - alpha1
+    at the lower quantile atom i1, alpha2 - F(i2 - 1) at the upper one i2, and
+    the whole mass f_S(k) of every atom in between.  Each boundary mass is
+    taken against the cdf on its own side of the band, so nearby levels on
+    either side of an atom boundary cost no digits.  With alpha2 = 1 the band
+    runs to the top of the grid and has no upper atom (i2 is None); when both
+    levels fall in one atom, i1 == i2 and m is the one width alpha2 - alpha1.
     """
     a1, a2 = levels.alpha1, levels.alpha2
     cdf = fs.cdf()
     i1 = _quantile_index(fs, a1)
     if a2 == 1.0:
-        return i1, cdf[i1] - a1, len(fs), 0.0
+        return i1, None, np.concatenate([[cdf[i1] - a1], fs.masses[i1 + 1 :]])
     i2 = _quantile_index(fs, a2)
     if i1 == i2:
-        return i1, a2 - a1, i2, 0.0
-    return i1, cdf[i1] - a1, i2, a2 - cdf[i2 - 1]
+        return i1, i2, np.array([a2 - a1])
+    return i1, i2, np.concatenate([[cdf[i1] - a1], fs.masses[i1 + 1 : i2], [a2 - cdf[i2 - 1]]])
 
 
 def tvar(fs: DiscretePMF, kappa: float) -> float:
@@ -81,46 +82,39 @@ def tvar(fs: DiscretePMF, kappa: float) -> float:
 
 
 def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
-    """Two-level measure; collapses to the quantile at equal levels and to the
-    tail expectation when the upper level is 1."""
+    """Two-level measure h sum_k k m(k) / (alpha2 - alpha1) over the masses m of ``_band``; the
+    quantile at equal levels or levels in one atom, the tail expectation at alpha2 = 1."""
     a1, a2 = levels.alpha1, levels.alpha2
     if a1 == a2:
         return float(var_level(fs, a1))
-    i1, w1, i2, w2 = _band(fs, levels)
+    i1, i2, m = _band(fs, levels)
     if i1 == i2:
         return float(i1 * fs.step_h)
-    k = np.arange(len(fs), dtype=float)
-    interior = float(fs.step_h * np.dot(k[i1 + 1 : i2], fs.masses[i1 + 1 : i2]))
-    return (i1 * fs.step_h * w1 + interior + i2 * fs.step_h * w2) / (a2 - a1)
+    k = np.arange(i1, i1 + len(m), dtype=float)
+    return float(fs.step_h * np.dot(k, m)) / (a2 - a1)
 
 
 def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.ndarray:
     """Per-risk contributions that sum to the two-level measure of the total.
 
-    Two boundary terms weight the expected allocations at the quantile atoms by
-    the fractional mass the level cuts through each atom; the interior term is
-    the difference of cumulative allocations across the band.  At equal levels,
-    or levels inside one atom, the split degenerates to the conditional mean at
-    the quantile atom.
+    Risk i gets sum_k mu_i(k) w(k) / (alpha2 - alpha1) over the band of
+    ``_band``: the weight w is m / f_S at each quantile atom, the fraction of
+    its mass the band takes, and exactly 1 at every atom in between, which
+    thus contributes its whole mu_i(k).  At equal levels, or levels inside one
+    atom, the split degenerates to the conditional mean at the quantile atom.
     """
     a1, a2 = levels.alpha1, levels.alpha2
-    i1, w1, i2, w2 = _band(table.fs, levels)
+    i1, i2, m = _band(table.fs, levels)
     _require_valid_atom(table, i1, "lower")
     if a1 == a2 or i1 == i2:
         return table.conditional_mean_at(i1)
 
-    mu = table.expected_allocation
-    lower = mu[:, i1] * (w1 / table.fs_raw[i1])
-    if a2 == 1.0:
-        # decumulative form: everything above the lower atom, within stored mass
-        totals = mu.sum(axis=1)
-        return (lower + (totals - table.cumulative_at(i1))) / (1.0 - a1)
-
-    _require_valid_atom(table, i2, "upper")
-    upper = mu[:, i2] * (w2 / table.fs_raw[i2])
-    cum = table.cumulative_at([i1, i2 - 1])
-    interior = cum[:, 1] - cum[:, 0]
-    return (lower + interior + upper) / (a2 - a1)
+    weights = np.ones(len(m))
+    weights[0] = m[0] / table.fs_raw[i1]
+    if i2 is not None:
+        _require_valid_atom(table, i2, "upper")
+        weights[-1] = m[-1] / table.fs_raw[i2]
+    return table.expected_allocation[:, i1 : i1 + len(m)] @ weights / (a2 - a1)
 
 
 def _require_valid_atom(table: AllocationTable, idx: int, which: str) -> None:

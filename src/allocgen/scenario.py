@@ -42,6 +42,7 @@ written with shortest round-trip formatting so reruns diff exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,7 +68,7 @@ from .dependence import (
     gamma_mixture_allocation,
     shock_allocation_table,
 )
-from .errors import ConfigError, EmptyDistribution, KatzDomain
+from .errors import ConfigError, EmptyDistribution, KatzDomain, TruncatedQuantile
 from .models import (
     BernoulliRisk,
     CompoundKatzRisk,
@@ -107,52 +108,49 @@ class ScenarioConfig:
 _DEPENDENCE_KINDS = ("independent", "hierarchical_shock", "gamma_mixture", "frailty_bernoulli")
 
 
-def _need(mapping: dict, key: str, path: str):
-    if key not in mapping:
+def _field(mapping: dict, path: str, key, conv=float, default=...):
+    """``conv(mapping[key])``, or ``conv(default)`` when absent; ConfigError names ``path.key``."""
+    if key not in mapping and default is ...:
         raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
+    try:
+        return conv(mapping.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario root must be a mapping")
-    try:
-        kmax = int(_need(raw, "kmax", "(root)"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"kmax: {exc}") from None
+    kmax = _field(raw, "(root)", "kmax", int)
     if kmax < 2:
         raise ConfigError(f"kmax: must be >= 2, got {kmax}")
-    model = _need(raw, "model", "(root)")
-    if not isinstance(model, dict):
-        raise ConfigError("model: must be a mapping")
+    model = _field(raw, "(root)", "model", dict)
     dependence = model.get("dependence", "independent")
     if dependence not in _DEPENDENCE_KINDS:
         raise ConfigError(f"model.dependence: unknown kind {dependence!r}")
 
     cfg = ScenarioConfig(
         kmax=next_pow2(kmax),
-        tolerance=float(raw.get("tolerance", DEFAULT_TOLERANCE)),
-        underflow_floor=float(raw.get("underflow_floor", DEFAULT_UNDERFLOW_FLOOR)),
-        seed=(int(raw["seed"]) if raw.get("seed") is not None else None),
+        tolerance=_field(raw, "(root)", "tolerance", float, DEFAULT_TOLERANCE),
+        underflow_floor=_field(raw, "(root)", "underflow_floor", float, DEFAULT_UNDERFLOW_FLOOR),
+        seed=(_field(raw, "(root)", "seed", int) if raw.get("seed") is not None else None),
         dependence=dependence,
         risk_specs=list(model.get("risks", []) or []),
         sampled=model.get("sampled"),
-        alpha=float(model.get("alpha", 0.0)),
-        epsilon=float(model.get("epsilon", 1e-10)),
+        alpha=_field(model, "model", "alpha", float, 0.0),
+        epsilon=_field(model, "model", "epsilon", float, 1e-10),
         outputs=dict(raw.get("outputs", {}) or {}),
         name=name,
     )
 
     if dependence == "gamma_mixture":
         cfg.gamma_params = {
-            key: float(_need(model, key, "model"))
+            key: _field(model, "model", key)
             for key in ("gamma0", "r1", "r2", "lambda1", "lambda2")
         }
     elif dependence == "hierarchical_shock":
-        lams = _need(model, "shock_lambdas", "model")
-        if not isinstance(lams, dict):
-            raise ConfigError("model.shock_lambdas: must be a mapping of node -> rate")
-        cfg.shock_lambdas = {str(k): float(v) for k, v in lams.items()}
+        lams = _field(model, "model", "shock_lambdas", dict)
+        cfg.shock_lambdas = {str(k): _field(lams, "model.shock_lambdas", k) for k in lams}
     else:
         if not cfg.risk_specs and not cfg.sampled:
             raise ConfigError("model.risks: empty portfolio")
@@ -164,6 +162,13 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     for i, spec in enumerate(cfg.risk_specs):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError(f"model.risks[{i}]: must be a mapping with a 'type' field")
+    levels = []  # parsed here so that a bad pair stops the run before the allocation
+    for i, pair in enumerate(cfg.outputs.get("rvar_levels") or []):
+        try:
+            levels.append(risk_measures.RVaRLevels(*map(float, pair)))
+        except (TypeError, ValueError, TruncatedQuantile) as exc:
+            raise ConfigError(f"outputs.rvar_levels[{i}]: {exc}") from None
+    cfg.outputs["rvar_levels"] = levels
     return cfg
 
 
@@ -187,47 +192,40 @@ def load_scenario(path) -> ScenarioConfig:
 
 def _build_risk(spec: dict, path: str, kmax: int):
     kind = spec["type"]
-    try:
-        if kind == "poisson":
-            return KatzRisk(KatzParams.poisson(float(spec["lam"])))
-        if kind == "negative_binomial":
-            return KatzRisk(KatzParams.negative_binomial(float(spec["r"]), float(spec["q"])))
-        if kind == "binomial":
-            return KatzRisk(KatzParams.binomial(int(spec["m"]), float(spec["q"])))
-        if kind == "bernoulli":
-            return BernoulliRisk(int(spec["b"]), float(spec["q"]))
-        if kind == "pmf":
-            return ExplicitRisk(pmf_from_values(spec["masses"], float(spec.get("step_h", 1.0))))
-        if kind == "compound_poisson":
-            sev = pmf_from_values(spec["severity"])
-            return CompoundKatzRisk(KatzParams.poisson(float(spec["lam"])), sev)
-        if kind == "compound_poisson_negbin":
-            sev_len = int(spec.get("severity_length", min(kmax, 4096)))
-            return compound_poisson_negbin_risk(spec["lam"], spec["r"], spec["q"], sev_len)
-        if kind == "compound":
-            freq = spec["frequency"]
-            family = freq["family"]
-            if family == "poisson":
-                params = KatzParams.poisson(float(freq["lam"]))
-            elif family == "negative_binomial":
-                params = KatzParams.negative_binomial(float(freq["r"]), float(freq["q"]))
-            elif family == "binomial":
-                params = KatzParams.binomial(int(freq["m"]), float(freq["q"]))
-            else:
-                raise ConfigError(f"{path}.frequency.family: unknown family {family!r}")
-            return CompoundKatzRisk(params, pmf_from_values(spec["severity"]))
-        if kind == "pareto":
-            xmax = int(spec.get("xmax", kmax))
-            pmf, report = arithmetize(
-                pareto_cdf(float(spec["alpha"]), float(spec["lam"])),
-                pareto_lev(float(spec["alpha"]), float(spec["lam"])),
-                "moment_matching",
-                xmax,
-            )
-            risk = ExplicitRisk(pmf)
-            return risk, report
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc.args[0]!r} for type {kind!r}") from None
+    get = partial(_field, spec, path)
+    if kind == "poisson":
+        return KatzRisk(KatzParams.poisson(get("lam")))
+    if kind == "negative_binomial":
+        return KatzRisk(KatzParams.negative_binomial(get("r"), get("q")))
+    if kind == "binomial":
+        return KatzRisk(KatzParams.binomial(get("m", int), get("q")))
+    if kind == "bernoulli":
+        return BernoulliRisk(get("b", int), get("q"))
+    if kind == "pmf":
+        return ExplicitRisk(get("masses", partial(pmf_from_values, step_h=get("step_h", float, 1.0))))
+    if kind == "compound_poisson":
+        return CompoundKatzRisk(KatzParams.poisson(get("lam")), get("severity", pmf_from_values))
+    if kind == "compound_poisson_negbin":
+        sev_len = get("severity_length", int, min(kmax, 4096))
+        return compound_poisson_negbin_risk(get("lam"), get("r"), get("q"), sev_len)
+    if kind == "compound":
+        freq = partial(_field, get("frequency", dict), f"{path}.frequency")
+        family = freq("family", str)
+        if family == "poisson":
+            params = KatzParams.poisson(freq("lam"))
+        elif family == "negative_binomial":
+            params = KatzParams.negative_binomial(freq("r"), freq("q"))
+        elif family == "binomial":
+            params = KatzParams.binomial(freq("m", int), freq("q"))
+        else:
+            raise ConfigError(f"{path}.frequency.family: unknown family {family!r}")
+        return CompoundKatzRisk(params, get("severity", pmf_from_values))
+    if kind == "pareto":
+        alpha, lam = get("alpha"), get("lam")
+        pmf, report = arithmetize(
+            pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", get("xmax", int, kmax)
+        )
+        return ExplicitRisk(pmf), report
     raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
 
 
@@ -616,8 +614,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
             f"mass {_fmt(float(dist.masses.sum()))}"
         )
 
-    for pair in outputs.get("rvar_levels", []) or []:
-        levels = risk_measures.RVaRLevels(float(pair[0]), float(pair[1]))
+    for levels in outputs.get("rvar_levels", []):
         value = risk_measures.rvar(table.fs, levels)
         contribs = risk_measures.euler_rvar_contributions(table, levels)
         lines.append(

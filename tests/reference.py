@@ -112,3 +112,26 @@ def negbin_pmf_per_risk(r, q, n):
             break
     f[f < tiny] = 0.0
     return f
+
+
+def euler_rvar_cumulative(table, a1, a2):
+    """Euler split of RVaR from boundary terms and a difference of cumulative allocations.
+
+    Each quantile atom i1 < i2 of the band (a1, a2] contributes mu_i(k) times
+    the fraction of its mass the band takes; the atoms in between contribute
+    cum_i(i2 - 1) - cum_i(i1), or the decumulative total_i - cum_i(i1) when
+    a2 = 1, where the band runs to the top of the buffer.  Equal levels, or
+    levels inside one atom, give the conditional mean at i1.
+    """
+    cdf = table.fs.cdf()
+    mu = table.expected_allocation
+    cum = np.cumsum(mu, axis=1)
+    i1 = int(np.searchsorted(cdf, a1, side="left"))
+    i2 = len(cdf) if a2 == 1.0 else int(np.searchsorted(cdf, a2, side="left"))
+    if a1 == a2 or i1 == i2:
+        return mu[:, i1] / table.fs_raw[i1]
+    lower = mu[:, i1] * ((cdf[i1] - a1) / table.fs_raw[i1])
+    if a2 == 1.0:
+        return (lower + (mu.sum(axis=1) - cum[:, i1])) / (1.0 - a1)
+    upper = mu[:, i2] * ((a2 - cdf[i2 - 1]) / table.fs_raw[i2])
+    return (lower + (cum[:, i2 - 1] - cum[:, i1]) + upper) / (a2 - a1)

@@ -68,6 +68,38 @@ class TestRun:
         assert "numerical failure" in err and message in err
 
 
+    POISSON = "model:\n  risks:\n    - {type: poisson, lam: 0.5}\n"
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("model:\n  risks:\n    - {type: poisson, lam: abc}\n", "model.risks[0].lam"),
+            ("tolerance: abc\n" + POISSON, "tolerance"),
+            (
+                "model:\n  risks:\n"
+                "    - {type: compound, frequency: {family: poisson, lam: [1]}, severity: [0, 1.0]}\n",
+                "model.risks[0].frequency.lam",
+            ),
+            (
+                'model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"0": abc}\n',
+                "model.shock_lambdas.0",
+            ),
+            (POISSON + "outputs:\n  rvar_levels: [[0.99, x]]\n", "outputs.rvar_levels[0]"),
+            (POISSON + "outputs:\n  rvar_levels: [[0.99, 0.9]]\n", "outputs.rvar_levels[0]"),
+        ],
+        ids=["risk_value", "tolerance", "frequency_value", "shock_lambda", "rvar_value", "rvar_order"],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text("kmax: 16\n" + text)
+        out = tmp_path / "out"
+        code = main(["run", str(scenario), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and field in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestReproduce:
     def test_bernoulli_pool_case_passes(self, capsys):
         code = main(["reproduce", "bernoulli_pool"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from allocgen import gf
-from allocgen.allocation import allocate_compound_poisson_pool
+from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent
 from allocgen.errors import KatzDomain
 from allocgen.models import (
     BernoulliRisk,
@@ -14,6 +16,7 @@ from allocgen.models import (
     binomial_risk,
     compound_pmf_panjer,
     compound_poisson_risk,
+    negative_binomial_risk,
     negbin_pmf,
     negbin_rows,
     poisson_risk,
@@ -192,6 +195,32 @@ class TestPanjerUnderflow:
         g = compound_pmf_panjer(KatzParams.binomial(1200, 0.5), sev, 4096)
         assert np.all(g[2401:] == 0.0)
         assert g.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestKatzUnderflow:
+    # f(0) = exp(-800), 0.1^400 and 0.5^2000 all underflow to zero
+    CASES = [
+        (poisson_risk(800), 2048, stats.poisson(800)),
+        (negative_binomial_risk(400, 0.1), 8192, stats.nbinom(400, 0.1)),
+        (binomial_risk(2000, 0.5), 4096, stats.binom(2000, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("risk, n, dist", CASES, ids=["poisson", "negative_binomial", "binomial"])
+    def test_matches_scipy_without_warnings(self, risk, n, dist):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = risk.pmf_vector(n)
+        want = dist.pmf(np.arange(n))
+        big = want > 1e-300
+        np.testing.assert_allclose(f[big], want[big], rtol=1e-10, atol=0.0)
+        assert np.all(np.abs(f[~big]) <= 1e-299)
+        assert f.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_table_has_valid_points_around_the_mean(self):
+        table = allocate_independent([poisson_risk(800), poisson_risk(1)], 2048)
+        valid = np.flatnonzero(table.valid_mask)
+        assert valid.size > 100 and valid[0] < 801 < valid[-1]
+        assert table.identity_deviation() <= 1e-10
 
 
 class TestCompoundRisk:

@@ -7,6 +7,7 @@ from allocgen.allocation import allocate_compound_poisson_pool, allocate_indepen
 from allocgen.errors import BoundaryUnderflow, TruncatedQuantile
 from allocgen.models import explicit_risk, poisson_risk
 from allocgen.pmf import degenerate_pmf, pmf_from_values
+from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario
 from allocgen.risk_measures import (
     RVaRLevels,
     euler_rvar_contributions,
@@ -14,6 +15,7 @@ from allocgen.risk_measures import (
     tvar,
     var_level,
 )
+from reference import euler_rvar_cumulative
 
 THREE_POINT = pmf_from_values([0.5, 0.3, 0.2])
 STRADDLED = pmf_from_values([0.1, 0.4, 0.5])
@@ -187,3 +189,33 @@ class TestEulerContributions:
         table = mask_validity(allocate_compound_poisson_pool(small_pool, 64), underflow_floor=1e-13)
         with pytest.raises(BoundaryUnderflow):
             euler_rvar_contributions(table, RVaRLevels(1.0 - 1e-13, 1.0 - 1e-13))
+
+    def test_masked_upper_boundary_atom_raises(self, small_pool):
+        # the lower atom (VaR at 0.9) is valid; the upper one is lattice point 36, masked as above
+        table = mask_validity(allocate_compound_poisson_pool(small_pool, 64), underflow_floor=1e-13)
+        with pytest.raises(BoundaryUnderflow, match="upper quantile atom at lattice point 36"):
+            euler_rvar_contributions(table, RVaRLevels(0.9, 1.0 - 1e-13))
+
+    @pytest.mark.parametrize("name", ["small_pool", "bernoulli_pool", "shock", "gamma_mixture", "frailty"])
+    def test_matches_cumulative_difference_on_shipped_scenarios(self, scenario_dir, name):
+        config = load_scenario(scenario_dir / f"{name}.yaml")
+        built = build_portfolio(config)
+        table = allocate_portfolio(
+            built.portfolio, built.kmax,
+            tolerance=config.tolerance, underflow_floor=config.underflow_floor,
+        )
+        assert len(config.outputs["rvar_levels"]) == 3
+        for levels in config.outputs["rvar_levels"]:
+            got = euler_rvar_contributions(table, levels)
+            want = euler_rvar_cumulative(table, levels.alpha1, levels.alpha2)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(got).max())
+
+    def test_tail_band_through_the_top_of_the_buffer(self):
+        # S = X1 + X2 takes every value 0..3 of the 4-point buffer; F_S(0) = 0.1 < 0.3 < F_S(1)
+        table = allocate_independent([explicit_risk([0.5, 0.5]), explicit_risk([0.2, 0.5, 0.3])], 4)
+        assert table.fs_raw[-1] > 0.1 and table.valid_mask.all()
+        levels = RVaRLevels(0.3, 1.0)
+        got = euler_rvar_contributions(table, levels)
+        want = euler_rvar_cumulative(table, 0.3, 1.0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(got).max())
+        assert got.sum() == pytest.approx(tvar(table.fs, 0.3), abs=1e-12)
