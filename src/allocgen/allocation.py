@@ -6,7 +6,8 @@ the others.  Evaluating both factors on the roots of unity and inverting the
 product recovers every allocation at once.  Closed forms for the (a, b) count
 family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because their allocation generating function is an explicit
-multiple of the pgf of the full sum.
+multiple of the pgf of the full sum; for a Poisson pool that multiple is a
+short polynomial, so its rows are direct products with the Panjer f_S.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -44,22 +45,21 @@ from .errors import (
     OracleBudget,
     SeriesTruncation,
 )
-from .models import CompoundKatzRisk, ExplicitRisk, KatzParams, KatzRisk, RiskModel
+from .models import (
+    CompoundKatzRisk,
+    ExplicitRisk,
+    KatzParams,
+    KatzRisk,
+    RiskModel,
+    compound_pmf_panjer,
+)
 from .pmf import DiscretePMF, TruncationReport, pmf_from_transform_output
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_UNDERFLOW_FLOOR = 1e-15
 ALIAS_DEFICIT_TOL = 1e-9
-# Work arrays of the blocked passes over pool rows stay near this size.
+# Work arrays of the blocked passes over rows or columns stay near this size.
 BLOCK_BYTES = 32 << 20
-# Exponential tilting of the Poisson pool: candidate tilts per decision, the
-# largest padded transform in multiples of kmax, the exponent of the second,
-# checking tilt (r ** TILT_CHECK), and how far inside the tolerance the
-# checking tilt must resolve a point for the comparison to use it.
-TILT_CANDIDATES = 32
-TILT_MAX_PAD = 8
-TILT_CHECK = 0.75
-TILT_CHECK_MARGIN = 8.0
 
 
 @dataclass
@@ -94,9 +94,10 @@ class AllocationTable:
     ``conditional_mean`` up to round-off (NaN where the mass is zero).  It
     equals k h wherever results are trustworthy, and the validity mask is
     derived from it.
-    ``fs_raw`` keeps the unclamped inverse-transform output (it can carry
-    negative round-off noise in the deep tail, which is exactly what the
-    validity mask is for).
+    ``fs_raw`` keeps the engine's f_S unclamped: from an inverse transform it
+    can carry negative round-off noise in the deep tail, which is exactly what
+    the validity mask is for; a Poisson pool's comes from the Panjer recursion
+    and is non-negative.
     """
 
     fs: DiscretePMF
@@ -323,44 +324,29 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
 
 
 def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int) -> AllocationTable:
-    """Allocation table for independent Poisson random sums, single shared product.
+    """Allocation table for independent Poisson random sums, from f_S and one banded product.
 
-    For risk i with rate lam_i and severity pmf f_Bi, the pgf of the sum is
-    P_S(t) = exp(sum_i lam_i (P_Bi(t) - 1)), and the allocation generating
-    function of risk i is lam_i t P_Bi'(t) P_S(t).  Dataflow, in two passes
-    over blocks of risks (``row_blocks``, about BLOCK_BYTES each), all in the
-    half form of :mod:`allocgen.gf`:
+    For risk i with rate lam_i and severity pmf f_Bi, the allocation
+    generating function is lam_i t P_Bi'(t) P_S(t), a multiple of the pool's
+    own pgf, so
 
-    1. (``_pass1``) transform the block's rows f_Bi - delta_0 and add
-       ``lam_block @ spectra`` to one log-spectrum; after the last block a
-       single ``exp`` gives P_S on the roots, and its inverse gives f_S;
-    2. (``_pass2``) transform the block's rows {lam_i k f_Bi(k)}, multiply
-       them by P_S and invert them into the block's rows of the allocation
-       table.
+        mu_i(k) = sum_j w_i(j) f_S(k - j),   w_i(j) = lam_i j f_Bi(j),
 
-    Each risk is transformed on its own.  Transforming the rate-weighted sum of
-    the severities once would be cheaper but noisier: on the shipped
-    10,000-risk pool it shrinks the valid band and doubles the deviation in
-    the full-allocation identity.
+    a sum of non-negative terms.  The table is built in four steps:
 
-    Deep tail by exponential tilting.  The plain transform leaves absolute
-    noise near machine epsilon times the peak of f_S, so masses many decades
-    below the peak (yet above the underflow floor) come out with no correct
-    digits.  The tilt works to the fixed targets DEFAULT_TOLERANCE and
-    DEFAULT_UNDERFLOW_FLOOR, whatever mask a caller applies afterwards.  When
-    f_S(0) is resolved to that tolerance and the tail of the pass-1 f_S falls
-    below the resolved level inside the buffer while that level is still above
-    the floor, the same two passes run again
-    on the tilted rows f_Bi(j) r^j with some r > 1, on a transform padded to
-    a multiple of kmax, and their output is untilted by r^(-k)
-    (``_choose_tilt`` picks r and the padding from the pass-1 f_S).  A second
-    tilt r^TILT_CHECK must reproduce the tilted f_S to DEFAULT_TOLERANCE on the
-    lattice points it resolves; if it does not, the untilted result is kept.
-    Otherwise f_S and every allocation row take the tilted values from the
-    first lattice point at which those are the less noisy ones (``_tilt_tail``).
-    Either outcome is recorded in the table's truncation notes.  Pools whose
-    f_S(0) underflows, as large pools do, or whose tail reaches the buffer
-    top, as heavy tails do, run the plain passes alone.
+    1. f_S by the Panjer recursion of the merged pool, Poisson(Lambda) over
+       sum_i lam_i f_Bi / Lambda with Lambda = sum_i lam_i;
+    2. one transform of the same merged severity, as an independent check of
+       f_S: the largest gap, relative to the peak of f_S, goes into the
+       truncation notes;
+    3. a band width J, certified from the weights and f_S (``_band_width``),
+       so that the terms j >= J left out of mu_i(k) sum to at most machine
+       epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
+    4. every row at once as W[:, :J] T with T[j, k] = f_S(k - j), formed one
+       block of columns at a time.
+
+    Severity masses at or beyond kmax are left out and reported as aliasing
+    risk, as is a buffer that ends within 10 standard deviations of the mean.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
@@ -370,215 +356,103 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     step_h = _common_step(risks)
     n = len(risks)
     lam = np.array([r.frequency.b for r in risks])
+    length = int(min(kmax, max(len(r.severity.masses) for r in risks)))
+    # candidate band widths 2, 4, 8, ... below the longest severity, then all of it
+    cuts = [1 << p for p in range(1, length.bit_length()) if 1 << p < length] + [length]
 
-    log_fs_hat, totals = _pass1(risks, lam, kmax, kmax, 0.0)
-    sev_deficit = 0.0
-    for total, r in zip(totals, risks):
-        tm = r.severity.truncation_mass
-        sev_deficit += max(0.0, 1.0 - total - tm) + tm
-    fs_hat = np.exp(log_fs_hat)
-    fs_raw = gf.idft(fs_hat, half=True)
+    # one pass over the severities: the merged severity, the row sums and, for
+    # each cut J below the last, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``)
+    j = np.arange(length, dtype=float)
+    merged = np.zeros(length)
+    totals = np.empty(n)
+    ratios = np.zeros(len(cuts) - 1)
+    for rows in row_blocks(n, length):
+        w = np.zeros((rows.stop - rows.start, length))
+        for row, r in zip(w, risks[rows]):
+            row[: len(r.severity.masses)] = r.severity.masses[:length]
+        totals[rows] = w.sum(axis=1)
+        merged += lam[rows] @ w
+        w *= lam[rows, None] * j
+        pieces = np.add.reduceat(w, [0, *cuts[:-1]], axis=1)
+        head = np.cumsum(pieces, axis=1)[:, :-1]
+        tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
+        ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
+        np.maximum(ratios, ratio.max(axis=0), out=ratios)
 
-    means = np.array([r.mean() for r in risks])
-    mean_s = sum(means.tolist())
-    # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
-    var_s = 0.0
-    for r in risks:
-        fb = r.severity.masses
-        k2 = np.arange(len(fb), dtype=float) ** 2
-        var_s += r.frequency.b * float(np.dot(k2, fb)) * step_h**2
-    notes: list[str] = []
-    risky = sev_deficit > ALIAS_DEFICIT_TOL
-    if risky:
-        notes.append(f"severity truncated mass totals {sev_deficit:.3e}")
-    if mean_s + 10.0 * np.sqrt(var_s) >= (kmax - 1) * step_h:
-        risky = True
-        notes.append(
-            f"sum mean {mean_s:.1f} + 10 sd {10.0 * np.sqrt(var_s):.1f} reaches the buffer top {kmax}"
-        )
-    if risky:
-        warnings.warn("; ".join(notes), AliasingRisk, stacklevel=2)
+    count = KatzParams.poisson(float(lam.sum()))
+    mix = merged / (count.b or 1.0)
+    fs = compound_pmf_panjer(count, mix, kmax)
+    fs_hat = gf.compound_pgf_on_roots(count, gf.dft(np.pad(mix, (0, kmax - length)), half=True))
+    check = float(np.abs(gf.idft(fs_hat, half=True) - fs).max() / fs.max())
+    band = _band_width(fs, cuts, ratios)
 
+    weights = np.zeros((n, band))
+    for row, r in zip(weights, risks):
+        row[: len(r.severity.masses)] = r.severity.masses[:band]
+    weights *= lam[:, None] * j[:band]
+    # row k of the windows, reversed, is column k of T: f_S(k - j), zero for j > k
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(fs, (band - 1, 0)), band)
     mu = np.empty((n, kmax))
-    for rows, spectra in _pass2(risks, lam, fs_hat, 0.0, kmax):
-        gf.idft(spectra, half=True, out=mu[rows])
-    if not risky:
-        _tilt_tail(risks, lam, fs_raw, mu, notes)
+    # column blocks: a block of T and its block of the table take about BLOCK_BYTES
+    for cols in row_blocks(kmax, max(n, band)):
+        np.matmul(weights, windows[cols, ::-1].T, out=mu[:, cols])
 
-    trunc = TruncationReport(kmax=kmax, lost_mass=sev_deficit, aliasing_risk=risky, notes=tuple(notes))
-    return assemble_table(fs_raw, mu, means, step_h=step_h, truncation=trunc)
-
-
-def _severity_rows(
-    risks: Sequence[CompoundKatzRisk], kmax: int, width: int, tilt: float = 0.0
-) -> np.ndarray:
-    """Severity masses below kmax of each risk, zero-padded to ``width`` columns.
-
-    A nonzero ``tilt`` s multiplies mass j by e^(s j), in logs so that no
-    factor overflows where the mass is tiny.
-    """
-    out = np.zeros((len(risks), width))
-    for row, r in zip(out, risks):
-        m = min(kmax, len(r.severity.masses))
-        row[:m] = r.severity.masses[:m]
-    if tilt:
-        with np.errstate(divide="ignore"):
-            out[:, :kmax] = np.exp(np.log(out[:, :kmax]) + tilt * np.arange(kmax))
-    return out
+    tm = np.array([r.severity.truncation_mass for r in risks])
+    lost = float((np.maximum(0.0, 1.0 - totals - tm) + tm).sum())
+    means = np.array([r.mean() for r in risks])
+    # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
+    mean_s, sd_s = float(means.sum()), step_h * np.sqrt(float(j**2 @ merged))
+    alias = []
+    if lost > ALIAS_DEFICIT_TOL:
+        alias.append(f"severity truncated mass totals {lost:.3e}")
+    if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
+        alias.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
+    if alias:
+        warnings.warn("; ".join(alias), AliasingRisk, stacklevel=2)
+    band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
+    trunc = TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(band_note, *alias))
+    return assemble_table(fs, mu, means, step_h=step_h, truncation=trunc)
 
 
-def _pass1(risks, lam, kmax, width, s) -> tuple[np.ndarray, list[float]]:
-    """Pass 1 on the rows f_Bi(j) e^(s j), ``width`` points long.
+def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:
+    """The narrowest band width in ``cuts`` that certifies every row of the pool.
 
-    Returns the half spectrum of sum_i lam_i (P_Bi - 1) over those rows, which
-    is the log of the pool's pgf at e^s times the roots of unity, and the row
-    sums.
-    """
-    log_hat = np.zeros(width // 2 + 1, dtype=complex)
-    totals: list[float] = []
-    for rows in row_blocks(len(risks), width):
-        fb = _severity_rows(risks[rows], kmax, width, s)
-        totals.extend(fb.sum(axis=1).tolist())
-        fb[:, 0] -= 1.0
-        log_hat += (lam[rows] @ gf.dft(fb, half=True).view(float)).view(complex)
-    return log_hat, totals
+    ``ratios[c]`` is c(J) = max_i tail_i(J) / head_i(J) at J = cuts[c], where
+    head_i sums the weights w_i(j) over j < J and tail_i over j >= J.  The
+    kept terms of mu_i(k) sum to at least head_i(J) min_{k-J < m <= k} f_S(m).
+    Of the terms left out, those with j < 2J sum to at most
+    tail_i(J) max_{k-2J < m <= k-J} f_S(m), and the rest to at most
+    tail_i(2J) max_{m <= k-2J} f_S(m), where tail_i(2J) <= c(2J) (1 + c(J))
+    head_i(J).  So at every lattice point k >= J where
 
+        c(J) max_{k-2J < m <= k-J} f_S(m) + c(2J) (1 + c(J)) max_{m <= k-2J} f_S(m)
+            <= eps min_{k-J < m <= k} f_S(m),
 
-def _pass2(risks, lam, hat, s, kmax):
-    """Pass 2: the allocation spectra from the pgf half spectrum ``hat``, block by block.
-
-    Yields ``(rows, spectra)``: the half spectra of lam_i k f_Bi(k) e^(s k)
-    (k < kmax) times ``hat``, on the transform length that ``hat`` is the half
-    of.  The caller inverts each block into its rows of the table.
-    """
-    width = 2 * (len(hat) - 1)
-    j = np.arange(kmax, dtype=float)
-    for rows in row_blocks(len(risks), width):
-        weighted = _severity_rows(risks[rows], kmax, width, s)
-        weighted[:, :kmax] *= j
-        weighted *= lam[rows, None]
-        spectra = gf.dft(weighted, half=True)
-        del weighted  # free the block before the inverse allocates its own
-        spectra *= hat
-        yield rows, spectra
-
-
-def _choose_tilt(
-    fs: np.ndarray, tolerance: float, underflow_floor: float
-) -> tuple[float, int] | None:
-    """Log tilt s = log r and padding factor for the pool, or None where tilting cannot pay.
-
-    Noise model: the plain transform leaves absolute noise near eps * max f,
-    and the validation curve at k reads that noise times k / f(k), so k is
-    resolved where f(k) * tolerance >= eps * max f * k.  A tilt by r = e^s
-    turns f(k) into g(k) = f(k) r^k with the same rule on g.  Beyond the last
-    resolved point the tail is extrapolated at the mean decay rate of the
-    resolved stretch before it.  Each candidate s between 0 and that rate is
-    scored by the number of lattice points above ``underflow_floor`` it would
-    resolve; the padding is the least power of two (up to TILT_MAX_PAD) at which
-    the extrapolated tilted tail has fallen to eps * max g.  The middle of the
-    best-scoring run of candidates is returned, so that the tilt keeps a margin
-    on both sides.
+    what is left out is at most eps times mu_i(k), for every row at once;
+    points k < J are exact.  The first J at which this holds for every k with
+    f_S(k) above DEFAULT_UNDERFLOW_FLOOR is returned.  The cuts are the powers
+    of two below the longest severity and then the longest severity itself,
+    which leaves nothing out, so some J always qualifies (c is 0 there).
     """
     eps = np.finfo(float).eps
-    if not fs[0] * tolerance >= eps * fs.max():
-        return None  # f_S(0) itself is unresolved: lifting the tail would bury it
     n = len(fs)
-    k = np.arange(n, dtype=float)
-    log_kk = np.log(np.maximum(k, 1.0))
-    log_tol = np.log(tolerance)
-    log_noise = np.log(eps * fs.max())
-    with np.errstate(divide="ignore"):
-        log_f = np.log(np.maximum(fs, 0.0))  # -inf on round-off below zero
-    resolved = log_f + log_tol >= log_noise + log_kk
-    top = int(np.flatnonzero(resolved)[-1])
-    mode = int(np.argmax(fs))
-    if top <= mode or top + 1 >= n or log_noise + log_kk[top + 1] - log_tol <= np.log(underflow_floor):
-        return None  # nothing left between the resolved level and the floor inside the buffer
-    start = (mode + top) // 2
-    log_rho = (log_f[top] - np.log(fs[start:].max())) / (top - start)
-    if not log_rho < 0.0:
-        return None
-    log_f[top + 1 :] = log_f[top] + (k[top + 1 :] - top) * log_rho
-    target = log_f > np.log(underflow_floor)
-    target[: top + 1] &= resolved[: top + 1]
-
-    s = -log_rho * np.arange(TILT_CANDIDATES + 1)[:, None] / TILT_CANDIDATES
-    log_g = log_f + s * k
-    log_gmax = log_g.max(axis=1, keepdims=True)
-    score = ((log_g + log_tol >= np.log(eps) + log_gmax + log_kk) & target).sum(axis=1)
-    untilted = score[0]
-    # tilted tail at L = p n: log g(top) + (L - top)(log_rho + s) <= log(eps max g)
-    pads = 2 ** np.arange(int(np.log2(TILT_MAX_PAD)) + 1)
-    tail = log_g[:, top, None] + (pads * n - top) * (log_rho + s) - np.log(eps) - log_gmax
-    fits = tail <= 0.0
-    score[~fits.any(axis=1)] = 0
-    if score.max() <= untilted:
-        return None
-    best = np.flatnonzero(score == score.max())
-    pick = int(best[len(best) // 2])
-    return float(s[pick, 0]), int(pads[np.argmax(fits[pick])])
-
-
-def _tilt_tail(risks, lam, fs, mu, notes) -> None:
-    """Replace the deep tail of ``fs`` and ``mu`` in place by a checked exponential tilt.
-
-    The tilt is chosen, and checked, against DEFAULT_TOLERANCE and
-    DEFAULT_UNDERFLOW_FLOOR.  The tilted values at k carry noise near
-    eps * max g * P_S(r) r^(-k), the plain ones near eps * max f_S; every
-    lattice point from the first at which the tilted noise is the smaller one
-    onward takes the tilted f_S and allocations, the points before it keep the
-    plain ones.  What was done is
-    appended to ``notes``.  Nothing changes where tilting would not pay,
-    overflows, or is not confirmed by the second tilt.
-    """
-    tolerance, underflow_floor = DEFAULT_TOLERANCE, DEFAULT_UNDERFLOW_FLOOR
-    choice = _choose_tilt(fs, tolerance, underflow_floor)
-    if choice is None:
-        return
-    s, pad = choice
-    kmax = len(fs)
-    width = pad * kmax
-    r, r_check = np.exp(s), np.exp(TILT_CHECK * s)
-    runs = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tilt in (s, TILT_CHECK * s):
-            log_hat, _ = _pass1(risks, lam, kmax, width, tilt)
-            log_norm = log_hat[0].real  # log P_S(e^tilt), the tilted pgf at t = 1
-            hat = np.exp(log_hat - log_norm)
-            # g(k) = f_S(k) e^(tilt k) / P_S(e^tilt), its spectrum, the untilting factors
-            runs.append((gf.idft(hat, half=True), hat, np.exp(log_norm - tilt * np.arange(kmax))))
-    (g, hat, untilt), (g_check, _, untilt_check) = runs
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(g_check)) and np.all(np.isfinite(untilt))):
-        notes.append(f"exponential tilt r={r:.6g} overflows; untilted result kept")
-        return
-    fs_tilted = g[:kmax] * untilt
-    fs_check = g_check[:kmax] * untilt_check
-    # compare where the weaker tilt resolves f_S with TILT_CHECK_MARGIN to
-    # spare, so that its own noise stays well inside the tolerance
-    eps = np.finfo(float).eps
-    kk = np.maximum(np.arange(kmax), 1)
-    seen = g_check[:kmax] * tolerance >= TILT_CHECK_MARGIN * eps * g_check.max() * kk
-    seen &= fs_tilted > underflow_floor
-    dev = float(np.max(np.abs(fs_tilted - fs_check)[seen] * kk[seen] / fs_tilted[seen], initial=0.0))
-    if not (seen.any() and dev <= tolerance):
-        notes.append(
-            f"exponential tilt r={r:.6g} (padding {pad}x) not confirmed by r={r_check:.6g}: "
-            f"deviation {dev:.3e} on {int(seen.sum())} points, tolerance {tolerance:g}; "
-            "untilted result kept"
-        )
-        return
-    quieter = np.abs(g).max() * untilt < fs.max()
-    if not quieter.any():
-        return
-    start = int(np.argmax(quieter))
-    fs[start:] = fs_tilted[start:]
-    for rows, spectra in _pass2(risks, lam, hat, s, kmax):
-        mu[rows, start:] = gf.idft(spectra, half=True)[:, start:kmax] * untilt[start:]
-    notes.append(
-        f"exponential tilt r={r:.6g} on a {width}-point transform (padding {pad}x) "
-        f"for k >= {start}, checked against r={r_check:.6g} to {dev:.1e}"
-    )
+    above = fs > DEFAULT_UNDERFLOW_FLOOR
+    peak = np.maximum.accumulate(fs)
+    low, high, width = fs.copy(), fs.copy(), 1  # min and max of f_S over (k - width, k]
+    for cut, ratio, after in zip(cuts, ratios, [*ratios[1:], 0.0]):
+        if ratio == 0.0:
+            return cut
+        while width < cut:
+            low[width:] = np.minimum(low[width:], low[:-width])
+            high[width:] = np.maximum(high[width:], high[:-width])
+            width *= 2
+        with np.errstate(over="ignore", invalid="ignore"):  # inf is uncertified
+            left_out = ratio * high[: n - cut]  # at k = cut, cut + 1, ...
+            left_out[cut:] += after * (1.0 + ratio) * peak[: max(n - 2 * cut, 0)]
+            certified = left_out <= eps * low[cut:]
+        if certified[above[cut:]].all():
+            return cut
+    return cuts[-1]
 
 
 def allocate_katz_closed_form(katz: KatzParams, fs: DiscretePMF) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ The shock tree and the gamma-mixed pair are sums of independent pieces (15
 Poisson shocks; three negative binomials).  Their tables are the tables of
 those pieces from the independent engines, regrouped onto the risks by a fixed
 loading matrix (``allocation.regroup``), so they inherit the engines'
-blocking, exponential tilt and truncation reports.  The frailty pool is a
+accuracy, blocking and truncation reports: the shock tree's pieces form a
+Poisson pool, whose f_S is a Panjer recursion and whose rows are a certified
+banded product of non-negative terms.  The frailty pool is a
 mixture over the mixing level rather than a sum, so it supplies its own
 allocation spectra on the roots of unity and inverts them itself.  Like the
 independent engines, every table here carries the default validity mask;

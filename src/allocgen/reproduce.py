@@ -201,9 +201,10 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
     risks = sample_risks({"kind": "compound_poisson_negbin", "count": n_sampled}, seed, kmax)
     table = allocate_compound_poisson_pool(risks, kmax)
     _identity_check(rep, table)
-    # absolute transform noise sits near 1e-14 for a 10^4-factor product, so the
-    # 1e-8 curve tolerance can only hold where the mass stays above ~1e-6; the
-    # structural claim is a wide contiguous valid band around the mean
+    # f_S is the merged pool's Panjer recursion and every row a sum of
+    # non-negative terms, so the band is valid wherever the mass is above the
+    # underflow floor; the structural claim is a wide contiguous valid band
+    # around the mean
     band = np.flatnonzero(table.fs_raw >= 1e-5)
     band_valid = bool(band.size) and bool(table.valid_mask[band].all())
     vidx = np.flatnonzero(table.valid_mask)

@@ -118,6 +118,17 @@ def _field(mapping: dict, path: str, key, conv=float, default=...):
         raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
+def _ints(values) -> list[int]:
+    """Each of ``values`` as an integer; None (a YAML key with no value) gives []."""
+    return [int(v) for v in values or []]
+
+
+def _range(values) -> list[float]:
+    """A pair of floats [lo, hi]."""
+    lo, hi = map(float, values)
+    return [lo, hi]
+
+
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario root must be a mapping")
@@ -159,6 +170,15 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
             raise ConfigError("model.sampled: must be a mapping with a 'kind' field")
         if cfg.seed is None:
             raise ConfigError("seed: required when model.sampled is present")
+        # the fields that the samplers of sample_risks read
+        convert = dict(
+            count=int, lam_exp_mean=float, severity_length=int, xmax=int, r_choices=_ints,
+            b_choices=_ints, q_range=_range, alpha_range=_range, lam_range=_range,
+        )
+        cfg.sampled = {
+            key: _field(cfg.sampled, "model.sampled", key, convert[key]) if key in convert else value
+            for key, value in cfg.sampled.items()
+        }
     for i, spec in enumerate(cfg.risk_specs):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError(f"model.risks[{i}]: must be a mapping with a 'type' field")
@@ -169,6 +189,10 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         except (TypeError, ValueError, TruncatedQuantile) as exc:
             raise ConfigError(f"outputs.rvar_levels[{i}]: {exc}") from None
     cfg.outputs["rvar_levels"] = levels
+    for key in ("pmf_of_conditional_means", "risk_columns", "layers"):
+        cfg.outputs[key] = _field(cfg.outputs, "outputs", key, _ints, [])
+    if cfg.outputs["layers"] and len(cfg.outputs["layers"]) != 2:
+        raise ConfigError("outputs.layers: need two lattice points [l1, l2]")
     return cfg
 
 
@@ -248,24 +272,19 @@ def _compound_poisson_negbin_risks(lams, rs, qs, severity_length: int) -> list[C
 
 
 def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
-    count = int(sampled["count"])
-    lam_mean = float(sampled.get("lam_exp_mean", 0.1))
-    r_choices = [int(v) for v in sampled.get("r_choices", [1, 2, 3, 4, 5, 6])]
-    q_lo, q_hi = [float(v) for v in sampled.get("q_range", [0.4, 0.5])]
-    sev_len = int(sampled.get("severity_length", min(kmax, 4096)))
-    lams = rng.exponential(lam_mean, size=count)
-    rs = rng.choice(r_choices, size=count)
-    qs = rng.uniform(q_lo, q_hi, size=count)
+    count = sampled["count"]
+    lams = rng.exponential(sampled.get("lam_exp_mean", 0.1), size=count)
+    rs = rng.choice(sampled.get("r_choices", [1, 2, 3, 4, 5, 6]), size=count)
+    qs = rng.uniform(*sampled.get("q_range", [0.4, 0.5]), size=count)
+    sev_len = sampled.get("severity_length", min(kmax, 4096))
     return _compound_poisson_negbin_risks(lams, rs, qs, sev_len)
 
 
 def _sample_pareto_extras(sampled: dict, rng, kmax: int):
-    count = int(sampled["count"])
-    a_lo, a_hi = [float(v) for v in sampled.get("alpha_range", [1.3, 1.9])]
-    l_lo, l_hi = [float(v) for v in sampled.get("lam_range", [5.0, 15.0])]
-    xmax = int(sampled.get("xmax", min(kmax, 2**15)))
-    alphas = rng.uniform(a_lo, a_hi, size=count)
-    lams = rng.uniform(l_lo, l_hi, size=count)
+    count = sampled["count"]
+    alphas = rng.uniform(*sampled.get("alpha_range", [1.3, 1.9]), size=count)
+    lams = rng.uniform(*sampled.get("lam_range", [5.0, 15.0]), size=count)
+    xmax = sampled.get("xmax", min(kmax, 2**15))
     risks = []
     for a, l in zip(alphas, lams):
         pmf, _ = arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", xmax)
@@ -274,11 +293,9 @@ def _sample_pareto_extras(sampled: dict, rng, kmax: int):
 
 
 def _sample_bernoulli_extras(sampled: dict, rng, kmax: int):
-    count = int(sampled["count"])
-    b_choices = [int(v) for v in sampled.get("b_choices", list(range(1, 11)))]
-    q_lo, q_hi = [float(v) for v in sampled.get("q_range", [0.0, 1.0])]
-    bs = rng.choice(b_choices, size=count)
-    qs = np.clip(rng.uniform(q_lo, q_hi, size=count), 1e-6, 1.0 - 1e-6)
+    count = sampled["count"]
+    bs = rng.choice(sampled.get("b_choices", list(range(1, 11))), size=count)
+    qs = np.clip(rng.uniform(*sampled.get("q_range", [0.0, 1.0]), size=count), 1e-6, 1.0 - 1e-6)
     return [BernoulliRisk(int(b), float(q)) for b, q in zip(bs, qs)]
 
 
@@ -295,7 +312,8 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> list:
     The one seeded pool sampler: scenarios, reproduction cases, tests and
     scripts all draw here, so a given (sampled, seed, kmax) always yields the
     same risks.  Optional fields and their defaults are read by the function
-    for each kind in ``_SAMPLED_BUILDERS``.  A ``compound_poisson_negbin`` pool
+    for each kind in ``_SAMPLED_BUILDERS``; the fields must already have
+    their types, which ``parse_scenario`` gives those of a scenario file.  A ``compound_poisson_negbin`` pool
     takes all of its severities from one row-wise run of the scaled NB
     recursion (``models.negbin_rows``), block by block; each risk is
     bit-identical to ``compound_poisson_negbin_risk`` on its own draw.
@@ -491,7 +509,7 @@ def _fmt(x: float) -> str:
 def _select_risk_columns(config: ScenarioConfig, n_risks: int) -> list[int]:
     chosen = config.outputs.get("risk_columns")
     if chosen:
-        cols = [int(c) - 1 for c in chosen]
+        cols = [c - 1 for c in chosen]
         bad = [c + 1 for c in cols if not 0 <= c < n_risks]
         if bad:
             raise ConfigError(f"outputs.risk_columns: indices {bad} outside 1..{n_risks}")
@@ -601,8 +619,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         write_allocations_csv(p, table, columns, header_notes)
         result.paths.append(p)
 
-    for idx in outputs.get("pmf_of_conditional_means", []) or []:
-        i = int(idx) - 1
+    for idx in outputs.get("pmf_of_conditional_means", []):
+        i = idx - 1
         if not 0 <= i < table.n_risks:
             raise ConfigError(f"outputs.pmf_of_conditional_means: index {idx} outside 1..{table.n_risks}")
         dist = conditional_mean_distribution(table, i)
@@ -624,9 +642,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         shown = ", ".join(f"{c + 1}:{_fmt(contribs[c])}" for c in columns[:16])
         lines.append(f"  contributions: {shown}")
 
-    layers = outputs.get("layers")
-    if layers:
-        l1, l2 = int(layers[0]), int(layers[1])
+    if outputs.get("layers"):
+        l1, l2 = outputs["layers"]
         for c in columns[:16]:
             retained, layer, excess = cumulative_and_layers(table, l1, l2, c)
             lines.append(

@@ -1,9 +1,11 @@
-"""Transform-free reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-These deliberately avoid numpy's FFT and the package's own fast paths: the
-direct O(n^2) transform pins the sign/scale convention, the radix-2 butterfly
-pins it again through a different algorithm, and the quadratic convolution
-checks the product rule.
+These deliberately avoid the package's own fast paths: the direct O(n^2)
+transform pins the sign/scale convention, the radix-2 butterfly pins it again
+through a different algorithm, and the quadratic convolution checks the
+product rule.  All but one avoid numpy's FFT as well; the exception is the f_S
+of a Poisson pool by per-risk transforms, which checks the package's
+transform-free route (the Panjer recursion) from the other side.
 """
 
 import cmath
@@ -112,6 +114,25 @@ def negbin_pmf_per_risk(r, q, n):
             break
     f[f < tiny] = 0.0
     return f
+
+
+def compound_poisson_pool_fs(risks, kmax, block=256):
+    """f_S of independent Poisson random sums, exp(sum_i lam_i (P_Bi - 1)) on the roots of unity.
+
+    Each severity (cut at kmax) is transformed on its own with numpy's real
+    FFT, ``block`` risks at a time; the rate-weighted log-spectra are summed
+    and exponentiated once, and one inverse transform gives f_S.
+    """
+    log_hat = np.zeros(kmax // 2 + 1, dtype=complex)
+    for start in range(0, len(risks), block):
+        part = risks[start : start + block]
+        rows = np.zeros((len(part), kmax))
+        for row, r in zip(rows, part):
+            m = min(kmax, len(r.severity.masses))
+            row[:m] = r.severity.masses[:m]
+        rows[:, 0] -= 1.0
+        log_hat += np.array([r.frequency.b for r in part]) @ np.fft.rfft(rows, axis=1)
+    return np.fft.irfft(np.exp(log_hat), n=kmax)
 
 
 def euler_rvar_cumulative(table, a1, a2):

@@ -4,8 +4,8 @@ Each test prints a single ``criterion N: PASS/FAIL`` line (visible with
 ``pytest -s`` or on failure) and then asserts.  Criterion 2 pins the
 validation curve of the small pool to k up to lattice point 38, where the
 exact masses are still above the underflow floor; the exact value there is k,
-since sum_i E[X_i | S = k] = E[S | S = k] = k, and the tilted Poisson-pool
-route reaches it.
+since sum_i E[X_i | S = k] = E[S | S = k] = k, and the Poisson pool's Panjer
+recursion and banded product reach it.
 """
 
 import time
@@ -22,7 +22,7 @@ from allocgen.allocation import (
     allocate_compound_poisson_pool,
 )
 from allocgen.dependence import FrailtyBernoulliSpec, frailty_allocation
-from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, compound_pmf_panjer, explicit_risk
+from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, explicit_risk
 from allocgen.pmf import arithmetize, next_pow2, pmf_from_values
 from allocgen.reproduce import (
     BERNOULLI_POOL_B,
@@ -47,6 +47,7 @@ from allocgen.scenario import (
     sample_risks,
 )
 from allocgen.tails import pareto_cdf, pareto_lev
+from reference import compound_poisson_pool_fs
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
 
@@ -287,28 +288,23 @@ class TestCriterion7Performance:
         repeat = time.perf_counter() - start
         same = bool(np.array_equal(table.expected_allocation, table2.expected_allocation))
 
-        # transform-free f_S: Panjer on the merged pool, Poisson(sum lam_i)
-        # over sum lam_i f_Bi / sum lam_i; its f(0) underflows
-        lam = np.array([r.frequency.b for r in risks])
-        merged = np.zeros(max(len(r.severity.masses) for r in risks))
-        for rate, r in zip(lam, risks):
-            merged[: len(r.severity.masses)] += rate * r.severity.masses
-        fs = compound_pmf_panjer(KatzParams.poisson(lam.sum()), merged / lam.sum(), kmax)
-        valid = table.valid_mask
-        panjer_gap = float(np.max(np.abs(fs[valid] - table.fs_raw[valid]) / table.fs_raw[valid]))
-        ok = first <= 60.0 and repeat <= 300.0 and same and dev <= 1e-10 and panjer_gap <= 1e-10
+        # the engine's f_S is the merged pool's Panjer recursion (its f(0)
+        # underflows); check it against per-risk transforms, exp(sum lam_i (P_Bi - 1))
+        fs = compound_poisson_pool_fs(risks, kmax)
+        transform_gap = float(np.max(np.abs(table.fs_raw - fs)) / table.fs_raw.max())
+        ok = first <= 60.0 and repeat <= 300.0 and same and dev <= 1e-10 and transform_gap <= 1e-12
         report(
             7,
             ok,
             f"10,000 risks at kmax=2^13: first run {first:.1f}s (<=60), "
             f"repeat run {repeat:.1f}s (<=300, bit-identical: {same}), identity dev {dev:.2e}, "
-            f"f_S against merged-pool Panjer {panjer_gap:.2e} relative (<=1e-10)",
+            f"f_S against per-risk transforms {transform_gap:.2e} of its peak (<=1e-12)",
         )
         assert first <= 60.0
         assert repeat <= 300.0
         assert same
         assert dev <= 1e-10
-        assert panjer_gap <= 1e-10
+        assert transform_gap <= 1e-12
 
 
 class TestCriterion8HeavyTail:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from allocgen.models import (
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
+from allocgen.scenario import sample_risks
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
 
@@ -156,6 +159,11 @@ def multi_block_pool(rng, n):
         pool.append(CompoundKatzRisk(KatzParams.poisson(float(rng.uniform(0.05, 0.5))),
                                      pmf_from_values(sev)))
     return pool
+
+
+def band_width(table):
+    """The band width J that a Poisson-pool table records in its first truncation note."""
+    return int(re.search(r"band J=(\d+)", table.truncation.notes[0])[1])
 
 
 class TestTableInvariants:
@@ -336,8 +344,7 @@ class TestAlgorithmOne:
         t2 = allocate_independent(small_pool, 64)
         assert np.max(np.abs(t1.expected_allocation - t2.expected_allocation)) <= 1e-12
 
-    def test_cached_and_streamed_agree_exactly(self, small_pool):
-        # one path: a repeat run must reproduce the table bit for bit
+    def test_repeat_runs_agree_exactly(self, small_pool):
         a = allocate_compound_poisson_pool(small_pool, 64)
         b = allocate_compound_poisson_pool(small_pool, 64)
         assert np.array_equal(a.expected_allocation, b.expected_allocation)
@@ -346,8 +353,8 @@ class TestAlgorithmOne:
     def test_pool_spanning_several_blocks(self):
         kmax = 2**16
         pool = multi_block_pool(np.random.default_rng(20260810), 70)
-        assert len(row_blocks(len(pool), kmax)) >= 3
         t = allocate_compound_poisson_pool(pool, kmax)
+        assert len(row_blocks(kmax, max(len(pool), band_width(t)))) >= 3  # column blocks
         valid = t.valid_mask
         top = int(np.flatnonzero(valid)[-1]) + 1
         assert valid.sum() >= 200 and top <= 4096
@@ -371,9 +378,10 @@ class TestAlgorithmOne:
         # the column read agrees with the full derived view
         assert np.array_equal(t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1])
 
-    def test_tilted_small_pool_against_transform_free_references(self, small_pool):
+    def test_small_pool_against_transform_free_references(self, small_pool):
         t = allocate_compound_poisson_pool(small_pool, 64)
-        assert any(note.startswith("exponential tilt r=") for note in t.truncation.notes)
+        # the longest severity has 5 masses, so the band is all of it
+        assert band_width(t) == 5
         top = 41
         # f_S against the counting recursion for the merged random sum
         lam = np.array([r.frequency.b for r in small_pool])
@@ -394,21 +402,64 @@ class TestAlgorithmOne:
         assert not t.valid_mask[top:].any()
         assert np.all(t.fs_raw[top:] <= t.underflow_floor)
 
-    def test_tilt_that_disagrees_with_its_check_is_dropped(self, small_pool, monkeypatch):
-        monkeypatch.setattr("allocgen.allocation._choose_tilt", lambda *args: None)
-        plain = allocate_compound_poisson_pool(small_pool, 64)
-        assert plain.truncation.notes == ()
-        # r = 3 on a transform only twice kmax long wraps the tilted tail around
-        monkeypatch.setattr("allocgen.allocation._choose_tilt", lambda *args: (np.log(3.0), 2))
-        t = allocate_compound_poisson_pool(small_pool, 64)
-        assert len(t.truncation.notes) == 1 and "not confirmed" in t.truncation.notes[0]
-        assert np.array_equal(t.fs_raw, plain.fs_raw)
-        assert np.array_equal(t.expected_allocation, plain.expected_allocation)
+    @pytest.mark.parametrize(
+        "pool, kmax, band",
+        [
+            # f_S(0) = e^-40 sits far below eps times the peak of f_S
+            ([compound_poisson_risk(40.0, [0.0, 1.0])], 128, 2),
+            # a 300-risk pool drawn like the shipped large pool: the plain
+            # transform left the lattice points below 10 and above 335 masked
+            (
+                sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11),
+                2**11,
+                256,
+            ),
+            # severities that decay as slowly as the right tail of f_S need a
+            # wide band: its far end is the single-claim path j = k
+            (
+                sample_risks(
+                    {"kind": "compound_poisson_negbin", "count": 40, "q_range": [0.15, 0.2]},
+                    20260810,
+                    2**11,
+                ),
+                2**11,
+                1024,
+            ),
+        ],
+        ids=["unit", "pool300", "slow_decay"],
+    )
+    def test_all_points_above_floor_match_convolution(self, pool, kmax, band):
+        # every point above the floor is valid and matches the direct convolution
+        t = allocate_compound_poisson_pool(pool, kmax)
+        assert band_width(t) == band
+        above = t.fs_raw > t.underflow_floor
+        assert np.array_equal(t.valid_mask, above)
+        # against the uncut sum lam_i sum_j j f_Bi(j) f_S(k - j) on the table's own f_S
+        for i, r in enumerate(pool):
+            fb = r.severity.masses
+            ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, t.fs_raw)[:kmax]
+            np.testing.assert_allclose(t.expected_allocation[i, above], ref[above], rtol=1e-14, atol=0.0)
 
-    def test_no_tilt_where_the_mass_at_zero_is_unresolved(self):
-        # f_S(0) = e^-40 sits far below eps times the peak of f_S
-        t = allocate_compound_poisson_pool([compound_poisson_risk(40.0, [0.0, 1.0])], 128)
-        assert t.truncation.notes == ()
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_certified_band_leaves_out_at_most_eps_of_every_row(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = []
+        for _ in range(int(rng.integers(1, 6))):
+            sev = rng.uniform(0.3, 0.99) ** np.arange(int(rng.integers(2, 200)))
+            sev[0] *= rng.uniform()
+            pool.append(compound_poisson_risk(float(rng.uniform(0.01, 5.0)), sev / sev.sum()))
+        kmax = 256
+        t = allocate_compound_poisson_pool(pool, kmax)
+        band = band_width(t)
+        above = t.fs_raw > t.underflow_floor
+        for r in pool:
+            fb = r.severity.masses
+            w = r.frequency.b * np.arange(len(fb)) * fb
+            full = np.convolve(w, t.fs_raw)[:kmax]
+            left_out = np.convolve(np.where(np.arange(len(w)) >= band, w, 0.0), t.fs_raw)[:kmax]
+            assert np.all(left_out[above] <= np.finfo(float).eps * full[above])
 
     def test_rejects_non_poisson_counts(self):
         bad = CompoundKatzRisk(KatzParams.negative_binomial(2, 0.5), pmf_from_values([0, 1.0]))

@@ -86,8 +86,31 @@ class TestRun:
             ),
             (POISSON + "outputs:\n  rvar_levels: [[0.99, x]]\n", "outputs.rvar_levels[0]"),
             (POISSON + "outputs:\n  rvar_levels: [[0.99, 0.9]]\n", "outputs.rvar_levels[0]"),
+            (POISSON + "outputs:\n  layers: [a, 20]\n", "outputs.layers"),
+            (POISSON + "outputs:\n  pmf_of_conditional_means: [x]\n", "outputs.pmf_of_conditional_means"),
+            (POISSON + "outputs:\n  risk_columns: [y]\n", "outputs.risk_columns"),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: abc}\n",
+                "model.sampled.count",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, lam_exp_mean: zz}\n",
+                "model.sampled.lam_exp_mean",
+            ),
         ],
-        ids=["risk_value", "tolerance", "frequency_value", "shock_lambda", "rvar_value", "rvar_order"],
+        ids=[
+            "risk_value",
+            "tolerance",
+            "frequency_value",
+            "shock_lambda",
+            "rvar_value",
+            "rvar_order",
+            "layers",
+            "cond_mean_index",
+            "risk_column",
+            "sampled_count",
+            "sampled_lam_mean",
+        ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):
         scenario = tmp_path / "bad.yaml"

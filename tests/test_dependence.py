@@ -52,8 +52,8 @@ class TestShockTree:
         "tolerance, min_valid", [(1e-8, 49), (1e-12, 47)], ids=["tol1e-8", "tol1e-12"]
     )
     def test_shipped_scenario_against_panjer_and_shifted_sums(self, scenario_dir, tolerance, min_valid):
-        # the tilt works to the default tolerance whatever the mask asks for,
-        # so a stricter mask keeps every point that meets it
+        # the pool's rows are exact up to round-off whatever the mask asks
+        # for, so a stricter mask keeps every point that meets it
         cfg = load_scenario(scenario_dir / "shock.yaml")
         built = build_portfolio(cfg)
         spec, kmax = built.portfolio.dependence, built.kmax
