@@ -41,6 +41,7 @@ from .errors import (
     AllocationError,
     EmptyDistribution,
     InvalidLayer,
+    InvalidPMF,
     KatzDomain,
     OracleBudget,
     SeriesTruncation,
@@ -53,7 +54,7 @@ from .models import (
     RiskModel,
     compound_pmf_panjer,
 )
-from .pmf import DiscretePMF, TruncationReport, pmf_from_transform_output
+from .pmf import DiscretePMF, TruncationReport
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_UNDERFLOW_FLOOR = 1e-15
@@ -79,36 +80,35 @@ class AllocationTable:
     """Per-risk allocation vectors over the lattice, with a validity mask.
 
     ``expected_allocation[i][k]`` is E[X_i 1{S = k h}] in payment units, and
-    it is the only n x kmax array the table stores.  Two views of it are
-    derived on access rather than stored:
+    it is the only n x kmax array the table stores.  Each side of the
+    full-allocation identity sum_i E[X_i 1{S = k h}] = k h f_S(k) is kept
+    once, and every output reads it: ``column_sum``, formed at assembly, and
+    ``fs``, the engine's own f_S.  That is never clamped: from an inverse
+    transform it can carry negative round-off in the deep tail, which is what
+    the validity mask is for; a Poisson pool's comes from the Panjer recursion
+    and is non-negative.  Derived on access rather than stored:
 
     - ``expected_cumulative``: prefix sums of each row along k;
-    - ``conditional_mean``: each row divided by Pr(S = k h), NaN where that
-      mass is exactly zero.
+    - ``conditional_mean``: each row divided by f_S, NaN where that mass is
+      exactly zero;
+    - ``validation_curve``: ``column_sum`` divided by f_S in the same way.  It
+      equals k h wherever results are trustworthy, and the validity mask is
+      derived from it.
 
-    Each property builds a fresh n x kmax array, so code that needs only some
+    Each n x kmax view builds a fresh array, so code that needs only some
     risks or lattice points uses ``cumulative_rows``, ``conditional_mean_rows``
     or ``conditional_mean_at``, which return the same values for just those
-    rows or columns.  ``validation_curve`` is
-    sum_i E[X_i 1{S = k h}] / Pr(S = k h), the column sum of
-    ``conditional_mean`` up to round-off (NaN where the mass is zero).  It
-    equals k h wherever results are trustworthy, and the validity mask is
-    derived from it.
-    ``fs_raw`` keeps the engine's f_S unclamped: from an inverse transform it
-    can carry negative round-off noise in the deep tail, which is exactly what
-    the validity mask is for; a Poisson pool's comes from the Panjer recursion
-    and is non-negative.
+    rows or columns.
     """
 
     fs: DiscretePMF
     expected_allocation: np.ndarray
-    validation_curve: np.ndarray
+    column_sum: np.ndarray
     valid_mask: np.ndarray
     tolerance_used: float
     underflow_floor: float
     risk_means: np.ndarray
     truncation: TruncationReport
-    fs_raw: np.ndarray
 
     @property
     def n_risks(self) -> int:
@@ -126,17 +126,21 @@ class AllocationTable:
     def conditional_mean(self) -> np.ndarray:
         return self.conditional_mean_rows(slice(None))
 
+    @property
+    def validation_curve(self) -> np.ndarray:
+        return _per_mass(self.column_sum, self.fs.masses)
+
     def cumulative_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``expected_cumulative``."""
         return np.cumsum(self.expected_allocation[rows], axis=-1)
 
     def conditional_mean_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``conditional_mean``."""
-        return _per_mass(self.expected_allocation[rows], self.fs_raw)
+        return _per_mass(self.expected_allocation[rows], self.fs.masses)
 
     def conditional_mean_at(self, k: int) -> np.ndarray:
         """Column ``k`` of ``conditional_mean``, every risk."""
-        return _per_mass(self.expected_allocation[:, k], self.fs_raw[k])
+        return _per_mass(self.expected_allocation[:, k], self.fs.masses[k])
 
     def identity_deviation(self) -> float:
         """Largest deviation in the full-allocation identity over the valid points.
@@ -146,8 +150,8 @@ class AllocationTable:
         """
         if not self.valid_mask.any():
             return float("nan")
-        target = self.fs.step_h * np.arange(self.kmax, dtype=float) * self.fs_raw
-        rel = np.abs(self.expected_allocation.sum(axis=0) - target) / (1.0 + np.abs(target))
+        target = self.fs.step_h * np.arange(self.kmax, dtype=float) * self.fs.masses
+        rel = np.abs(self.column_sum - target) / (1.0 + np.abs(target))
         return float(rel[self.valid_mask].max())
 
 
@@ -180,7 +184,7 @@ def _common_step(risks: Sequence[RiskModel]) -> float:
 
 
 def assemble_table(
-    fs_raw: np.ndarray,
+    fs: np.ndarray,
     mu: np.ndarray,
     risk_means: np.ndarray,
     *,
@@ -190,34 +194,37 @@ def assemble_table(
 ) -> AllocationTable:
     """Build the table from a mass vector and per-risk allocation rows.
 
-    ``fs_raw`` and ``mu`` are on the index lattice; payment units are restored
+    ``fs`` and ``mu`` are on the index lattice; payment units are restored
     here via ``step_h``.  With ``step_h == 1`` the table takes ``mu`` over
-    without a copy.  When the sum has a provable support bound below the
-    buffer (all margins bounded, no wrap), entries beyond it are exact zeros and
-    the inverse-transform noise there is dropped rather than reported.  The
-    validity mask is ``mask_validity``'s at its defaults.
+    without a copy.  ``fs`` keeps its negative round-off; a mass below -1e-9
+    is not round-off and raises :class:`InvalidPMF`.  When the sum has a
+    provable support bound below the buffer (all margins bounded, no wrap),
+    entries beyond it are exact zeros and the inverse-transform noise there is
+    dropped rather than reported.  The validity mask is ``mask_validity``'s at
+    its defaults.
     """
-    kmax = len(fs_raw)
-    if not np.any(fs_raw > 0.0):
+    fs = np.asarray(fs, dtype=float)
+    kmax = len(fs)
+    if not np.any(fs > 0.0):
         raise EmptyDistribution("total-loss pmf carries no positive mass")
+    if fs.min() < -1e-9:
+        raise InvalidPMF(f"f_S has entry {fs.min():.3e}; not round-off noise")
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     if step_h != 1.0:
         mu = mu * step_h
-    fs_raw = np.asarray(fs_raw, dtype=float)
     if support_bound is not None and support_bound + 1 < kmax:
-        fs_raw = fs_raw.copy()
-        fs_raw[support_bound + 1 :] = 0.0
+        fs = fs.copy()
+        fs[support_bound + 1 :] = 0.0
         mu[:, support_bound + 1 :] = 0.0
     table = AllocationTable(
-        fs=pmf_from_transform_output(fs_raw, step_h),
+        fs=DiscretePMF(fs, step_h),
         expected_allocation=mu,
-        validation_curve=_per_mass(mu.sum(axis=0), fs_raw),
+        column_sum=mu.sum(axis=0),
         valid_mask=None,  # mask_validity sets the mask and the two settings
         tolerance_used=None,
         underflow_floor=None,
         risk_means=np.asarray(risk_means, dtype=float),
         truncation=truncation or TruncationReport(kmax=kmax),
-        fs_raw=fs_raw,
     )
     return mask_validity(table)
 
@@ -237,7 +244,7 @@ def mask_validity(
     values = table.fs.step_h * np.arange(table.kmax, dtype=float)
     with np.errstate(invalid="ignore"):
         close = np.abs(table.validation_curve - values) <= tolerance
-    valid = (table.fs_raw > underflow_floor) & close
+    valid = (table.fs.masses > underflow_floor) & close
     return dataclasses.replace(
         table, valid_mask=valid, tolerance_used=tolerance, underflow_floor=underflow_floor
     )
@@ -255,7 +262,7 @@ def regroup(
     """
     step_h = table.fs.step_h
     return assemble_table(
-        table.fs_raw,
+        table.fs.masses,
         loading @ table.expected_allocation / step_h,
         risk_means,
         step_h=step_h,
@@ -300,7 +307,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
         pgfs[i] = r.pgf_on_roots(z)
     fs_hat, others = gf.leave_one_out(pgfs)
     del pgfs
-    fs_raw = gf.idft(fs_hat)
+    fs = gf.idft(fs_hat)
 
     mu = np.empty((n, kmax))
     totals: list[float] = []
@@ -318,9 +325,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     bound = sum(tops) if all(t is not None for t in tops) else None
     if bound is not None and bound >= kmax:
         bound = None  # wrapped: nothing beyond the buffer is provably zero
-    return assemble_table(
-        fs_raw, mu, means, step_h=step_h, truncation=truncation, support_bound=bound
-    )
+    return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
 
 def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int) -> AllocationTable:

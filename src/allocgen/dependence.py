@@ -1,12 +1,12 @@
 """Dependent portfolios: shock tree, gamma-mixed counts, frailty-coupled indicators.
 
 The shock tree and the gamma-mixed pair are sums of independent pieces (15
-Poisson shocks; three negative binomials).  Their tables are the tables of
-those pieces from the independent engines, regrouped onto the risks by a fixed
-loading matrix (``allocation.regroup``), so they inherit the engines'
-accuracy, blocking and truncation reports: the shock tree's pieces form a
-Poisson pool, whose f_S is a Panjer recursion and whose rows are a certified
-banded product of non-negative terms.  The frailty pool is a
+Poisson shocks; three negative binomials, each a Poisson number of log-series
+claims).  Both sets of pieces form a Poisson pool, whose f_S is a Panjer
+recursion and whose rows are a certified banded product of non-negative
+terms; the pool's table is regrouped onto the risks by a fixed loading matrix
+(``allocation.regroup``), so they inherit its accuracy, blocking and
+truncation reports.  The frailty pool is a
 mixture over the mixing level rather than a sum, so it supplies its own
 allocation spectra on the roots of unity and inverts them itself.  Like the
 independent engines, every table here carries the default validity mask;
@@ -25,7 +25,6 @@ from . import gf
 from .allocation import (
     AllocationTable,
     allocate_compound_poisson_pool,
-    allocate_independent,
     assemble_table,
     regroup,
 )
@@ -35,7 +34,7 @@ from .errors import (
     InvalidMixture,
     UnknownNode,
 )
-from .models import compound_poisson_risk, negative_binomial_risk, negbin_pmf
+from .models import compound_poisson_risk, negbin_pmf
 from .pmf import TruncationReport
 
 # ---------------------------------------------------------------------------
@@ -132,9 +131,11 @@ class GammaMixtureSpec:
 
     def __post_init__(self):
         if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise InvalidMixture(f"need positive shape parameters, got {self.r1}, {self.r2}")
+            raise InvalidMixture(f"r1 and r2 must be positive, got {self.r1}, {self.r2}")
         if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
-            raise InvalidMixture("need positive rates")
+            raise InvalidMixture(
+                f"lambda1 and lambda2 must be positive, got {self.lambda1}, {self.lambda2}"
+            )
         if not 0.0 <= self.gamma0 <= min(self.r1, self.r2):
             raise InvalidMixture(
                 f"gamma0={self.gamma0} outside [0, min(r1, r2)={min(self.r1, self.r2)}]"
@@ -164,12 +165,22 @@ class GammaMixtureSpec:
 def gamma_mixture_allocation(spec: GammaMixtureSpec, kmax: int) -> AllocationTable:
     """Allocation table for the pair from the three independent NB pieces of S.
 
-    Risk i's count is its own piece plus the share zeta_i / zeta12 of the
-    shared piece; pieces of shape 0 are left out.
+    NB(rho, q) is a Poisson(-rho ln q) number of claims with the log-series
+    severity (1 - q)^j / (-j ln q), j >= 1, so the pieces form a Poisson pool
+    (``allocate_compound_poisson_pool``), as the shock tree's do.  Risk i's
+    count is its own piece plus the share zeta_i / zeta12 of the shared
+    piece; pieces of shape 0 are left out.
     """
-    pieces = spec.nb_components()
-    keep = [j for j, (rho, _) in enumerate(pieces) if rho > 0.0]
-    table = allocate_independent([negative_binomial_risk(*pieces[j]) for j in keep], kmax)
+    components = spec.nb_components()
+    keep = [i for i, (rho, _) in enumerate(components) if rho > 0.0]
+    j = np.arange(1, kmax, dtype=float)
+    pieces = [
+        compound_poisson_risk(
+            -rho * math.log(q), np.append(0.0, (1.0 - q) ** j / (-j * math.log(q)))
+        )
+        for rho, q in (components[i] for i in keep)
+    ]
+    table = allocate_compound_poisson_pool(pieces, kmax)
     loading = np.array([
         [1.0, 0.0, spec.zeta1 / spec.zeta12],
         [0.0, 1.0, spec.zeta2 / spec.zeta12],
@@ -241,9 +252,9 @@ class FrailtyBernoulliSpec:
         if any(not 0.0 < v < 1.0 for v in q):
             raise InvalidMarginal(f"claim probabilities must lie in (0,1), got {q}")
         if not 0.0 <= self.alpha < 1.0:
-            raise InvalidFrailty(f"mixing parameter must lie in [0,1), got {self.alpha}")
+            raise InvalidFrailty(f"alpha (the mixing parameter) must lie in [0,1), got {self.alpha}")
         if not 0.0 < self.epsilon < 1.0:
-            raise InvalidFrailty(f"tail cutoff must lie in (0,1), got {self.epsilon}")
+            raise InvalidFrailty(f"epsilon (the tail cutoff) must lie in (0,1), got {self.epsilon}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
 
@@ -313,9 +324,9 @@ def frailty_bernoulli_pgfs(
 def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable:
     """Allocation table for the frailty-coupled pool."""
     fs_hat, alloc_hats = frailty_bernoulli_pgfs(spec, kmax)
-    fs_raw = gf.idft(fs_hat)
+    fs = gf.idft(fs_hat)
     mu = gf.idft(alloc_hats)
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
     truncation = TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,))
-    return assemble_table(fs_raw, mu, means, truncation=truncation, support_bound=sum(spec.b))
+    return assemble_table(fs, mu, means, truncation=truncation, support_bound=sum(spec.b))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidPMF, MissingLEV
 
-# Entries in [-CLAMP_TOL, 0) are inverse-transform round-off and are clamped to 0;
-# anything below raises.
+# Entries in [-CLAMP_TOL, 0) of a given mass vector are round-off and are clamped
+# to 0; anything below raises.
 CLAMP_TOL = 1e-12
 EXACT_MASS_TOL = 1e-9
 
@@ -48,10 +48,14 @@ class TruncationReport:
 class DiscretePMF:
     """Probability masses on the lattice ``h * {0, 1, ..., len(masses)-1}``.
 
-    Instances are treated as immutable; the mass array is marked read-only.
-    ``truncation_mass`` holds the (non-negative) deficit of a deliberately
-    truncated distribution.  Exact distributions carry total mass 1 within
-    ``EXACT_MASS_TOL``.
+    Instances are treated as immutable; the mass array is taken over without
+    a copy and marked read-only.  ``truncation_mass`` holds the
+    (non-negative) deficit of a deliberately truncated distribution.  Exact
+    distributions carry total mass 1 within ``EXACT_MASS_TOL``.  Masses built
+    by ``pmf_from_values`` or ``arithmetize`` are non-negative; an allocation
+    table's f_S keeps the engine's own masses, which can carry negative
+    round-off (at most 1e-9 in size) where an inverse transform left it, so
+    its ``cdf`` need not be monotone there.
     """
 
     masses: np.ndarray
@@ -126,20 +130,6 @@ def truncated_pmf(masses: np.ndarray, step_h: float = 1.0) -> DiscretePMF:
     deficit = max(0.0, 1.0 - total)
     # deliberate truncation is recorded, never renormalized
     return DiscretePMF(masses, step_h, truncation_mass=deficit if deficit > EXACT_MASS_TOL else 0.0)
-
-
-def pmf_from_transform_output(values, step_h: float = 1.0) -> DiscretePMF:
-    """Wrap an inverse-transform output as a pmf, clamping all negative noise.
-
-    Long product chains (thousands of pgf factors) accumulate round-off past the
-    strict ``CLAMP_TOL``, so the clamp here is unconditional; the most negative
-    clipped entry is still size-checked against 1e-9 to catch genuine errors.
-    """
-    arr = np.asarray(values, dtype=float)
-    low = arr.min() if arr.size else 0.0
-    if low < -1e-9:
-        raise InvalidPMF(f"transform output has entry {low:.3e}; not round-off noise")
-    return DiscretePMF(np.where(arr < 0.0, 0.0, arr), step_h)
 
 
 def degenerate_pmf(index: int, kmax: int, step_h: float = 1.0) -> DiscretePMF:

@@ -149,8 +149,8 @@ def _reproduce_small_pool() -> ReproductionReport:
         rep.add(
             f"underflow_flag_k{k}",
             "structural",
-            not table.valid_mask[k] and abs(table.fs_raw[k]) < table.underflow_floor,
-            f"f_S({k})={table.fs_raw[k]:.3e} below floor, masked invalid",
+            not table.valid_mask[k] and abs(table.fs.masses[k]) < table.underflow_floor,
+            f"f_S({k})={table.fs.masses[k]:.3e} below floor, masked invalid",
         )
 
     vidx = np.flatnonzero(table.valid_mask)
@@ -205,7 +205,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
     # non-negative terms, so the band is valid wherever the mass is above the
     # underflow floor; the structural claim is a wide contiguous valid band
     # around the mean
-    band = np.flatnonzero(table.fs_raw >= 1e-5)
+    band = np.flatnonzero(table.fs.masses >= 1e-5)
     band_valid = bool(band.size) and bool(table.valid_mask[band].all())
     vidx = np.flatnonzero(table.valid_mask)
     rep.add(
@@ -331,7 +331,7 @@ def _reproduce_shock() -> ReproductionReport:
     _identity_check(rep, table)
 
     # shifted-sum route: lam_leaf f_S(m-1) + lam_ij f_S(m-2) + lam_i f_S(m-4) + lam_0 f_S(m-8)
-    fs = table.fs_raw
+    fs = table.fs.masses
     worst = 0.0
     for i, leaf in enumerate(SHOCK_LEAVES):
         direct = np.zeros(kmax)
@@ -371,7 +371,7 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
 
     worst = 0.0
     for i in range(2):
-        conv = gamma_mixture_allocation_convolution(spec, table.fs_raw, i)
+        conv = gamma_mixture_allocation_convolution(spec, table.fs.masses, i)
         worst = max(worst, float(np.max(np.abs(conv - table.expected_allocation[i]))))
     rep.add(
         "transform_vs_geometric_convolution",
@@ -381,12 +381,12 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
     )
 
     direct = gamma_mixture_fs_direct(spec, kmax)
-    gap = float(np.max(np.abs(direct - table.fs_raw)))
+    gap = float(np.max(np.abs(direct - table.fs.masses)))
     rep.add(
         "three_factor_pmf",
         "cross",
         gap <= 1e-11,
-        f"transform pmf vs direct triple convolution, max gap {gap:.2e}",
+        f"Panjer pmf vs direct triple convolution, max gap {gap:.2e}",
     )
 
     total1 = float(table.expected_allocation[0].sum())

@@ -32,12 +32,11 @@ class RVaRLevels:
 
 
 def _quantile_index(fs: DiscretePMF, kappa: float) -> int:
+    # the first crossing, not a bisection: negative round-off in f_S can leave the cdf non-monotone
     cdf = fs.cdf()
-    if kappa > cdf[-1]:
-        raise TruncatedQuantile(
-            f"level {kappa} above reachable mass {cdf[-1]!r} on the stored grid"
-        )
-    return int(np.searchsorted(cdf, kappa, side="left"))
+    if not kappa <= cdf.max():
+        raise TruncatedQuantile(f"level {kappa} above reachable mass {cdf.max()!r} on the stored grid")
+    return int(np.argmax(cdf >= kappa))
 
 
 def var_level(fs: DiscretePMF, kappa: float):
@@ -110,10 +109,10 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
         return table.conditional_mean_at(i1)
 
     weights = np.ones(len(m))
-    weights[0] = m[0] / table.fs_raw[i1]
+    weights[0] = m[0] / table.fs.masses[i1]
     if i2 is not None:
         _require_valid_atom(table, i2, "upper")
-        weights[-1] = m[-1] / table.fs_raw[i2]
+        weights[-1] = m[-1] / table.fs.masses[i2]
     return table.expected_allocation[:, i1 : i1 + len(m)] @ weights / (a2 - a1)
 
 
@@ -121,5 +120,5 @@ def _require_valid_atom(table: AllocationTable, idx: int, which: str) -> None:
     if not table.valid_mask[idx]:
         raise BoundaryUnderflow(
             f"{which} quantile atom at lattice point {idx} is masked invalid "
-            f"(f_S={table.fs_raw[idx]:.3e}, floor={table.underflow_floor:g})"
+            f"(f_S={table.fs.masses[idx]:.3e}, floor={table.underflow_floor:g})"
         )

@@ -41,6 +41,7 @@ written with shortest round-trip formatting so reruns diff exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -68,7 +69,17 @@ from .dependence import (
     gamma_mixture_allocation,
     shock_allocation_table,
 )
-from .errors import ConfigError, EmptyDistribution, KatzDomain, TruncatedQuantile
+from .errors import (
+    ConfigError,
+    EmptyDistribution,
+    InvalidFrailty,
+    InvalidMarginal,
+    InvalidMixture,
+    InvalidPMF,
+    KatzDomain,
+    TruncatedQuantile,
+    UnknownNode,
+)
 from .models import (
     BernoulliRisk,
     CompoundKatzRisk,
@@ -214,42 +225,54 @@ def load_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _in_range(path: str):
+    """Turn a model value outside its range into a ConfigError naming ``path``."""
+    try:
+        yield
+    except (KatzDomain, InvalidPMF, InvalidMixture, InvalidFrailty, InvalidMarginal, UnknownNode) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _build_risk(spec: dict, path: str, kmax: int):
     kind = spec["type"]
     get = partial(_field, spec, path)
-    if kind == "poisson":
-        return KatzRisk(KatzParams.poisson(get("lam")))
-    if kind == "negative_binomial":
-        return KatzRisk(KatzParams.negative_binomial(get("r"), get("q")))
-    if kind == "binomial":
-        return KatzRisk(KatzParams.binomial(get("m", int), get("q")))
-    if kind == "bernoulli":
-        return BernoulliRisk(get("b", int), get("q"))
-    if kind == "pmf":
-        return ExplicitRisk(get("masses", partial(pmf_from_values, step_h=get("step_h", float, 1.0))))
-    if kind == "compound_poisson":
-        return CompoundKatzRisk(KatzParams.poisson(get("lam")), get("severity", pmf_from_values))
     if kind == "compound_poisson_negbin":
+        # a severity the NB recursion cannot represent is a numerical failure, not a config error
         sev_len = get("severity_length", int, min(kmax, 4096))
         return compound_poisson_negbin_risk(get("lam"), get("r"), get("q"), sev_len)
-    if kind == "compound":
-        freq = partial(_field, get("frequency", dict), f"{path}.frequency")
-        family = freq("family", str)
-        if family == "poisson":
-            params = KatzParams.poisson(freq("lam"))
-        elif family == "negative_binomial":
-            params = KatzParams.negative_binomial(freq("r"), freq("q"))
-        elif family == "binomial":
-            params = KatzParams.binomial(freq("m", int), freq("q"))
-        else:
-            raise ConfigError(f"{path}.frequency.family: unknown family {family!r}")
-        return CompoundKatzRisk(params, get("severity", pmf_from_values))
-    if kind == "pareto":
-        alpha, lam = get("alpha"), get("lam")
-        pmf, report = arithmetize(
-            pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", get("xmax", int, kmax)
-        )
-        return ExplicitRisk(pmf), report
+    with _in_range(path):
+        if kind == "poisson":
+            return KatzRisk(KatzParams.poisson(get("lam")))
+        if kind == "negative_binomial":
+            return KatzRisk(KatzParams.negative_binomial(get("r"), get("q")))
+        if kind == "binomial":
+            return KatzRisk(KatzParams.binomial(get("m", int), get("q")))
+        if kind == "bernoulli":
+            return BernoulliRisk(get("b", int), get("q"))
+        if kind == "pmf":
+            step_h = get("step_h", float, 1.0)
+            return ExplicitRisk(get("masses", partial(pmf_from_values, step_h=step_h)))
+        if kind == "compound_poisson":
+            return CompoundKatzRisk(KatzParams.poisson(get("lam")), get("severity", pmf_from_values))
+        if kind == "compound":
+            freq = partial(_field, get("frequency", dict), f"{path}.frequency")
+            family = freq("family", str)
+            if family == "poisson":
+                params = KatzParams.poisson(freq("lam"))
+            elif family == "negative_binomial":
+                params = KatzParams.negative_binomial(freq("r"), freq("q"))
+            elif family == "binomial":
+                params = KatzParams.binomial(freq("m", int), freq("q"))
+            else:
+                raise ConfigError(f"{path}.frequency.family: unknown family {family!r}")
+            return CompoundKatzRisk(params, get("severity", pmf_from_values))
+        if kind == "pareto":
+            alpha, lam, xmax = get("alpha"), get("lam"), get("xmax", int, kmax)
+            pmf, report = arithmetize(
+                pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax
+            )
+            return ExplicitRisk(pmf), report
     raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
 
 
@@ -337,16 +360,12 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
     notes: list[str] = []
     kmax = config.kmax
     if config.dependence == "gamma_mixture":
-        spec = GammaMixtureSpec(
-            gamma0=config.gamma_params["gamma0"],
-            r1=config.gamma_params["r1"],
-            r2=config.gamma_params["r2"],
-            lambda1=config.gamma_params["lambda1"],
-            lambda2=config.gamma_params["lambda2"],
-        )
+        with _in_range("model"):
+            spec = GammaMixtureSpec(**config.gamma_params)
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
     if config.dependence == "hierarchical_shock":
-        spec = HierarchicalShockSpec(config.shock_lambdas or {})
+        with _in_range("model.shock_lambdas"):
+            spec = HierarchicalShockSpec(config.shock_lambdas or {})
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
 
     risks = []
@@ -371,12 +390,13 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
     if config.dependence == "frailty_bernoulli":
         if not all(isinstance(r, BernoulliRisk) for r in risks):
             raise ConfigError("model.risks: frailty coupling needs bernoulli risks only")
-        spec = FrailtyBernoulliSpec(
-            b=tuple(r.b for r in risks),
-            q=tuple(r.q for r in risks),
-            alpha=config.alpha,
-            epsilon=config.epsilon,
-        )
+        with _in_range("model"):
+            spec = FrailtyBernoulliSpec(
+                b=tuple(r.b for r in risks),
+                q=tuple(r.q for r in risks),
+                alpha=config.alpha,
+                epsilon=config.epsilon,
+            )
         kmax = max(kmax, next_pow2(spec.min_kmax()))
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
     return BuiltScenario(config, PortfolioModel(risks=risks), kmax, notes)
@@ -452,7 +472,7 @@ def conditional_mean_distribution(table: AllocationTable, risk: int) -> Conditio
     if not valid.any():
         raise EmptyDistribution("no valid lattice points to aggregate")
     values = table.conditional_mean_rows(risk)[valid]
-    masses = table.fs_raw[valid]
+    masses = table.fs.masses[valid]
     order = np.argsort(values, kind="stable")
     values = values[order]
     masses = masses[order]
@@ -522,7 +542,7 @@ def _select_risk_columns(config: ScenarioConfig, n_risks: int) -> list[int]:
 def write_allocations_csv(
     path: Path, table: AllocationTable, columns: Sequence[int], header_notes: Sequence[str] = ()
 ) -> None:
-    cdf = np.cumsum(table.fs_raw)
+    cdf = table.fs.cdf()
     cond_total = table.validation_curve
     mu = table.expected_allocation[columns]
     cum = table.cumulative_rows(columns)
@@ -536,7 +556,7 @@ def write_allocations_csv(
         names += ["cond_total", "valid"]
         fh.write(",".join(names) + "\n")
         for k in range(table.kmax):
-            row = [str(k), _fmt(table.fs_raw[k]), _fmt(cdf[k])]
+            row = [str(k), _fmt(table.fs.masses[k]), _fmt(cdf[k])]
             for j in range(len(columns)):
                 row += [_fmt(mu[j, k]), _fmt(cum[j, k]), _fmt(cond[j, k])]
             row += [_fmt(cond_total[k]), "1" if table.valid_mask[k] else "0"]

@@ -150,9 +150,9 @@ def euler_rvar_cumulative(table, a1, a2):
     i1 = int(np.searchsorted(cdf, a1, side="left"))
     i2 = len(cdf) if a2 == 1.0 else int(np.searchsorted(cdf, a2, side="left"))
     if a1 == a2 or i1 == i2:
-        return mu[:, i1] / table.fs_raw[i1]
-    lower = mu[:, i1] * ((cdf[i1] - a1) / table.fs_raw[i1])
+        return mu[:, i1] / table.fs.masses[i1]
+    lower = mu[:, i1] * ((cdf[i1] - a1) / table.fs.masses[i1])
     if a2 == 1.0:
         return (lower + (mu.sum(axis=1) - cum[:, i1])) / (1.0 - a1)
-    upper = mu[:, i2] * ((a2 - cdf[i2 - 1]) / table.fs_raw[i2])
+    upper = mu[:, i2] * ((a2 - cdf[i2 - 1]) / table.fs.masses[i2])
     return (lower + (cum[:, i2 - 1] - cum[:, i1]) + upper) / (a2 - a1)

@@ -16,6 +16,7 @@ from allocgen.allocation import (
     oracle_enumerate,
     oracle_size_biased,
     allocate_compound_poisson_pool,
+    assemble_table,
     row_blocks,
 )
 from allocgen.errors import (
@@ -23,6 +24,7 @@ from allocgen.errors import (
     AllocationError,
     EmptyDistribution,
     InvalidLayer,
+    InvalidPMF,
     KatzDomain,
     OracleBudget,
     SeriesTruncation,
@@ -183,7 +185,7 @@ class TestTableInvariants:
         mu = t.expected_allocation
         cum = np.cumsum(mu, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(t.fs_raw != 0.0, mu / t.fs_raw, np.nan)
+            cond = np.where(t.fs.masses != 0.0, mu / t.fs.masses, np.nan)
         assert np.array_equal(t.expected_cumulative, cum)
         assert np.array_equal(t.conditional_mean, cond, equal_nan=True)
         assert np.allclose(t.validation_curve, cond.sum(axis=0), rtol=1e-12, equal_nan=True)
@@ -207,11 +209,26 @@ class TestTableInvariants:
         # a higher floor masks the deep tail; the arrays are shared, not copied
         floored = mask_validity(t, underflow_floor=1e-13)
         assert floored.underflow_floor == 1e-13 and floored.tolerance_used == t.tolerance_used
-        assert np.array_equal(floored.valid_mask, t.valid_mask & (t.fs_raw > 1e-13))
+        assert np.array_equal(floored.valid_mask, t.valid_mask & (t.fs.masses > 1e-13))
         assert floored.valid_mask.sum() < t.valid_mask.sum()
         assert floored.expected_allocation is t.expected_allocation
         # the defaults give back the engine's own mask
         assert np.array_equal(mask_validity(floored).valid_mask, t.valid_mask)
+
+    def test_mass_below_roundoff_raises(self):
+        mu = np.zeros((1, 4))
+        with pytest.raises(InvalidPMF, match="not round-off"):
+            assemble_table(np.array([0.5, 0.5, 2e-9, -2e-9]), mu, [0.0])
+        # round-off within 1e-9 is kept as it is
+        t = assemble_table(np.array([0.5, 0.5, 1e-10, -1e-10]), mu, [0.0])
+        assert t.fs.masses[3] == -1e-10 and not t.valid_mask[3]
+
+    def test_identity_deviation_reads_the_stored_column_sum(self, small_pool):
+        t = allocate_compound_poisson_pool(small_pool, 64)
+        assert np.array_equal(t.column_sum, t.expected_allocation.sum(axis=0))
+        target = np.arange(64.0) * t.fs.masses
+        rel = np.abs(t.column_sum - target) / (1.0 + np.abs(target))
+        assert t.identity_deviation() == rel[t.valid_mask].max()
 
     def test_degenerate_total_has_single_valid_point(self):
         t = allocate_independent([explicit_risk([0, 0, 1.0])], 8)
@@ -225,7 +242,7 @@ class TestKatzClosedForm:
         risks = [poisson_risk(lam), explicit_risk(PARTNER)]
         t = allocate_independent(risks, 64)
         alloc, cum = allocate_katz_closed_form(KatzParams.poisson(lam), t.fs)
-        want = np.concatenate([[0.0], lam * t.fs_raw[:-1]])
+        want = np.concatenate([[0.0], lam * t.fs.masses[:-1]])
         assert np.max(np.abs(alloc - want)) <= 1e-12
         assert np.max(np.abs(cum - np.cumsum(alloc))) <= 1e-12
 
@@ -250,7 +267,7 @@ class TestKatzClosedForm:
         assert np.max(np.abs(alloc - t.expected_allocation[0])) <= 1e-11
         # linear relation tying allocation, cumulative allocation and the cdf
         a, b = params.a, params.b
-        FS = np.concatenate([[0.0], np.cumsum(t.fs_raw)[:-1]])
+        FS = np.concatenate([[0.0], np.cumsum(t.fs.masses)[:-1]])
         resid = (a - 1.0) * cum - a * alloc + (a + b) * FS
         assert np.max(np.abs(resid)) <= 1e-10
 
@@ -348,7 +365,7 @@ class TestAlgorithmOne:
         a = allocate_compound_poisson_pool(small_pool, 64)
         b = allocate_compound_poisson_pool(small_pool, 64)
         assert np.array_equal(a.expected_allocation, b.expected_allocation)
-        assert np.array_equal(a.fs_raw, b.fs_raw)
+        assert np.array_equal(a.fs.masses, b.fs.masses)
 
     def test_pool_spanning_several_blocks(self):
         kmax = 2**16
@@ -364,9 +381,9 @@ class TestAlgorithmOne:
         for r in pool:
             mix[: len(r.severity.masses)] += r.frequency.b * r.severity.masses
         panjer = compound_pmf_panjer(KatzParams.poisson(lam.sum()), mix / lam.sum(), 4096)
-        assert np.max(np.abs(t.fs_raw[:4096] - panjer)) <= 1e-14
+        assert np.max(np.abs(t.fs.masses[:4096] - panjer)) <= 1e-14
         # every risk's row against lam_i sum_j j f_Bi(j) f_S(k - j) on the valid rows
-        fs = t.fs_raw[:top]
+        fs = t.fs.masses[:top]
         for i, r in enumerate(pool):
             fb = r.severity.masses
             ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, fs)[:top]
@@ -389,7 +406,7 @@ class TestAlgorithmOne:
         for r in small_pool:
             mix[: len(r.severity.masses)] += r.frequency.b * r.severity.masses
         panjer = compound_pmf_panjer(KatzParams.poisson(lam.sum()), mix / lam.sum(), 64)
-        np.testing.assert_allclose(t.fs_raw[:top], panjer[:top], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(t.fs.masses[:top], panjer[:top], rtol=1e-10, atol=0.0)
         # each row against lam_i sum_j j f_Bi(j) f_S(k - j) on the Panjer masses
         for i, r in enumerate(small_pool):
             fb = r.severity.masses
@@ -400,7 +417,7 @@ class TestAlgorithmOne:
         # the exact masses from k = 41 on are below the 1e-15 floor
         assert panjer[top] < t.underflow_floor
         assert not t.valid_mask[top:].any()
-        assert np.all(t.fs_raw[top:] <= t.underflow_floor)
+        assert np.all(t.fs.masses[top:] <= t.underflow_floor)
 
     @pytest.mark.parametrize(
         "pool, kmax, band",
@@ -432,12 +449,12 @@ class TestAlgorithmOne:
         # every point above the floor is valid and matches the direct convolution
         t = allocate_compound_poisson_pool(pool, kmax)
         assert band_width(t) == band
-        above = t.fs_raw > t.underflow_floor
+        above = t.fs.masses > t.underflow_floor
         assert np.array_equal(t.valid_mask, above)
         # against the uncut sum lam_i sum_j j f_Bi(j) f_S(k - j) on the table's own f_S
         for i, r in enumerate(pool):
             fb = r.severity.masses
-            ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, t.fs_raw)[:kmax]
+            ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, t.fs.masses)[:kmax]
             np.testing.assert_allclose(t.expected_allocation[i, above], ref[above], rtol=1e-14, atol=0.0)
 
     @given(st.integers(0, 2**32 - 1))
@@ -453,12 +470,12 @@ class TestAlgorithmOne:
         kmax = 256
         t = allocate_compound_poisson_pool(pool, kmax)
         band = band_width(t)
-        above = t.fs_raw > t.underflow_floor
+        above = t.fs.masses > t.underflow_floor
         for r in pool:
             fb = r.severity.masses
             w = r.frequency.b * np.arange(len(fb)) * fb
-            full = np.convolve(w, t.fs_raw)[:kmax]
-            left_out = np.convolve(np.where(np.arange(len(w)) >= band, w, 0.0), t.fs_raw)[:kmax]
+            full = np.convolve(w, t.fs.masses)[:kmax]
+            left_out = np.convolve(np.where(np.arange(len(w)) >= band, w, 0.0), t.fs.masses)[:kmax]
             assert np.all(left_out[above] <= np.finfo(float).eps * full[above])
 
     def test_rejects_non_poisson_counts(self):
@@ -488,7 +505,7 @@ class TestLayers:
         t = allocate_independent([poisson_risk(lam), explicit_risk(PARTNER)], 64)
         l1, l2 = 3, 7
         retained, _, _ = cumulative_and_layers(t, l1, l2, 0)
-        FS = np.cumsum(t.fs_raw)
+        FS = np.cumsum(t.fs.masses)
         assert retained == pytest.approx(lam * FS[l1 - 1], abs=1e-12)
 
     def test_excess_vanishes_when_top_layer_covers_the_grid(self):
@@ -522,7 +539,7 @@ class TestOracles:
         ]
         o = oracle_enumerate(PortfolioModel(risks=risks), 64)
         k = np.arange(64.0)
-        want = 0.5 * k * o.fs_raw
+        want = 0.5 * k * o.fs.masses
         assert np.max(np.abs(o.expected_allocation[0] - want)) <= 1e-12
 
     def test_budget_guard(self):

@@ -97,6 +97,21 @@ class TestRun:
                 "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, lam_exp_mean: zz}\n",
                 "model.sampled.lam_exp_mean",
             ),
+            ("model:\n  risks:\n    - {type: poisson, lam: -1}\n", "model.risks[0]: poisson rate"),
+            (
+                "model:\n  dependence: gamma_mixture\n  gamma0: 3.0\n  r1: 2.0\n  r2: 2.5\n"
+                "  lambda1: 1.0\n  lambda2: 1.0\n",
+                "model: gamma0=3.0",
+            ),
+            (
+                "model:\n  dependence: frailty_bernoulli\n  alpha: 1.5\n"
+                "  risks:\n    - {type: bernoulli, b: 2, q: 0.3}\n",
+                "model: alpha",
+            ),
+            (
+                'model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"333": 0.1}\n',
+                "model.shock_lambdas: unknown shock node '333'",
+            ),
         ],
         ids=[
             "risk_value",
@@ -110,6 +125,10 @@ class TestRun:
             "risk_column",
             "sampled_count",
             "sampled_lam_mean",
+            "poisson_rate_range",
+            "gamma0_range",
+            "frailty_alpha_range",
+            "shock_node",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):

@@ -46,7 +46,7 @@ class TestShockTree:
         table = shock_allocation_table(HierarchicalShockSpec(SHOCK_CASE_LAMBDAS), 128)
         mu = table.expected_allocation[SHOCK_LEAVES.index("111")]
         assert mu[0] == pytest.approx(0.0, abs=1e-15)
-        assert mu[1] == pytest.approx(SHOCK_CASE_LAMBDAS["111"] * table.fs_raw[0], abs=1e-12)
+        assert mu[1] == pytest.approx(SHOCK_CASE_LAMBDAS["111"] * table.fs.masses[0], abs=1e-12)
 
     @pytest.mark.parametrize(
         "tolerance, min_valid", [(1e-8, 49), (1e-12, 47)], ids=["tol1e-8", "tol1e-12"]
@@ -68,7 +68,7 @@ class TestShockTree:
         fs = compound_pmf_panjer(KatzParams.poisson(rate), severity, kmax)
         valid = table.valid_mask
         assert valid.sum() >= min_valid
-        assert np.max(np.abs(table.fs_raw - fs)[valid] / fs[valid]) <= 1e-10
+        assert np.max(np.abs(table.fs.masses - fs)[valid] / fs[valid]) <= 1e-10
         # a leaf's row is lam_n f_S(k - w_n) summed down its path
         inner = valid.copy()
         inner[0] = False
@@ -83,7 +83,7 @@ class TestShockTree:
     def test_piecewise_shifted_sums(self):
         spec = HierarchicalShockSpec(SHOCK_CASE_LAMBDAS)
         table = shock_allocation_table(spec, 128)
-        fs = table.fs_raw
+        fs = table.fs.masses
         for i, leaf in enumerate(SHOCK_LEAVES):
             direct = np.zeros(128)
             for rate, w in spec.path(leaf):
@@ -124,7 +124,7 @@ class TestGammaMixture:
     def test_transform_matches_convolution(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)
         for i in range(2):
-            conv = gamma_mixture_allocation_convolution(self.SPEC, table.fs_raw, i)
+            conv = gamma_mixture_allocation_convolution(self.SPEC, table.fs.masses, i)
             assert np.max(np.abs(conv - table.expected_allocation[i])) <= 1e-11
 
     def test_total_allocation_is_rate(self):
@@ -134,7 +134,7 @@ class TestGammaMixture:
     def test_pmf_matches_three_factor_convolution(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)
         direct = gamma_mixture_fs_direct(self.SPEC, 1024)
-        assert np.max(np.abs(direct - table.fs_raw)) <= 1e-11
+        assert np.max(np.abs(direct - table.fs.masses)) <= 1e-11
 
     def test_no_shared_component_is_independent(self):
         spec0 = GammaMixtureSpec(gamma0=0.0, r1=2.0, r2=3.0, lambda1=1.0, lambda2=0.5)
@@ -151,6 +151,16 @@ class TestGammaMixture:
 
     def test_full_allocation_identity(self):
         assert gamma_mixture_allocation(self.SPEC, 512).identity_deviation() <= 1e-9
+
+    def test_shipped_spec_is_valid_wherever_exact_fs_is_above_the_floor(self, scenario_dir):
+        config = load_scenario(scenario_dir / "gamma_mixture.yaml")
+        built = build_portfolio(config)
+        table = allocate_portfolio(
+            built.portfolio, built.kmax,
+            tolerance=config.tolerance, underflow_floor=config.underflow_floor,
+        )
+        exact = gamma_mixture_fs_direct(built.portfolio.dependence, built.kmax)
+        assert np.array_equal(table.valid_mask, exact > config.underflow_floor)
 
 
 class TestFrailty:
@@ -217,4 +227,4 @@ class TestFrailty:
         spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
         assert spec.residual_mass == pytest.approx(0.5**34)
         table = frailty_allocation(spec, 64)
-        assert table.fs_raw.sum() == pytest.approx(1.0 - spec.residual_mass, abs=1e-12)
+        assert table.fs.masses.sum() == pytest.approx(1.0 - spec.residual_mass, abs=1e-12)

@@ -187,7 +187,7 @@ class TestPanjerUnderflow:
         table = allocate_compound_poisson_pool([self.RISK], 4096)
         valid = table.valid_mask
         assert valid.sum() > 300
-        np.testing.assert_allclose(g[valid], table.fs_raw[valid], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(g[valid], table.fs.masses[valid], rtol=1e-10, atol=0.0)
 
     def test_binomial_count(self):
         # (1/2)^1200 underflows too; the terminating count still cuts the support

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent, mask_validity
+from allocgen.allocation import (
+    allocate_compound_poisson_pool,
+    allocate_independent,
+    assemble_table,
+    mask_validity,
+)
 from allocgen.errors import BoundaryUnderflow, TruncatedQuantile
 from allocgen.models import explicit_risk, poisson_risk
 from allocgen.pmf import degenerate_pmf, pmf_from_values
@@ -213,9 +218,31 @@ class TestEulerContributions:
     def test_tail_band_through_the_top_of_the_buffer(self):
         # S = X1 + X2 takes every value 0..3 of the 4-point buffer; F_S(0) = 0.1 < 0.3 < F_S(1)
         table = allocate_independent([explicit_risk([0.5, 0.5]), explicit_risk([0.2, 0.5, 0.3])], 4)
-        assert table.fs_raw[-1] > 0.1 and table.valid_mask.all()
+        assert table.fs.masses[-1] > 0.1 and table.valid_mask.all()
         levels = RVaRLevels(0.3, 1.0)
         got = euler_rvar_contributions(table, levels)
         want = euler_rvar_cumulative(table, 0.3, 1.0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(got).max())
         assert got.sum() == pytest.approx(tvar(table.fs, 0.3), abs=1e-12)
+
+
+class TestNegativeRoundoffInFS:
+    # an inverse transform can leave f_S slightly negative in its tail: here a
+    # dip of -2^-40 at 4, so the cdf reaches 1 at 3 and falls below it at 4 and 5
+    FS = np.array([0.5, 0.25, 0.125, 0.125, -(2.0**-40), 2.0**-41, 2.0**-41, 0.0])
+
+    def table(self):
+        k = np.arange(len(self.FS), dtype=float)
+        return assemble_table(self.FS, np.outer([0.25, 0.75], k * self.FS), [0.25, 0.75])
+
+    def test_split_adds_up_to_the_total_through_the_dip(self):
+        table = self.table()
+        assert table.fs.masses[4] == -(2.0**-40)  # kept, not clamped
+        for levels in (RVaRLevels(0.8, 1.0), RVaRLevels(0.8, 1.0 - 2.0**-42)):
+            total = rvar(table.fs, levels)
+            got = euler_rvar_contributions(table, levels).sum()
+            assert got == pytest.approx(total, rel=1e-15, abs=0.0)
+
+    def test_quantile_is_the_first_crossing(self):
+        # 1 - 2^-42 is reached at 3, lost at 4 and 5 and reached again at 6
+        assert var_level(self.table().fs, 1.0 - 2.0**-42) == 3

@@ -200,7 +200,7 @@ class TestConditionalMeanDistribution:
         table = allocate_portfolio(PortfolioModel(risks=bernoulli_pool), 64)
         dist = conditional_mean_distribution(table, 2)
         assert dist.masses.sum() == pytest.approx(
-            table.fs_raw[table.valid_mask].sum(), abs=1e-12
+            table.fs.masses[table.valid_mask].sum(), abs=1e-12
         )
 
     def test_matches_enumeration_masses(self, bernoulli_pool):
@@ -209,7 +209,7 @@ class TestConditionalMeanDistribution:
         dist = conditional_mean_distribution(table, 2)
         # pull the oracle's conditional means onto the engine's valid points
         vals = oracle.conditional_mean[2][table.valid_mask]
-        masses = oracle.fs_raw[table.valid_mask]
+        masses = oracle.fs.masses[table.valid_mask]
         want = {}
         for v, m in zip(vals, masses):
             key = round(v, 9)
