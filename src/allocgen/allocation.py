@@ -7,7 +7,8 @@ product recovers every allocation at once.  Closed forms for the (a, b) count
 family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because their allocation generating function is an explicit
 multiple of the pgf of the full sum; for a Poisson pool that multiple is a
-short polynomial, so its rows are direct products with the Panjer f_S.
+short polynomial, so its table is kept as two factors, the polynomials' n x J
+coefficients and the Panjer f_S, and every output is a query on them.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -59,7 +60,7 @@ from .pmf import DiscretePMF, TruncationReport
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_UNDERFLOW_FLOOR = 1e-15
 ALIAS_DEFICIT_TOL = 1e-9
-# Work arrays of the blocked passes over rows or columns stay near this size.
+# Work arrays of the blocked passes over rows stay near this size.
 BLOCK_BYTES = 32 << 20
 
 
@@ -79,15 +80,31 @@ class PortfolioModel:
 class AllocationTable:
     """Per-risk allocation vectors over the lattice, with a validity mask.
 
-    ``expected_allocation[i][k]`` is E[X_i 1{S = k h}] in payment units, and
-    it is the only n x kmax array the table stores.  Each side of the
-    full-allocation identity sum_i E[X_i 1{S = k h}] = k h f_S(k) is kept
-    once, and every output reads it: ``column_sum``, formed at assembly, and
-    ``fs``, the engine's own f_S.  That is never clamped: from an inverse
-    transform it can carry negative round-off in the deep tail, which is what
-    the validity mask is for; a Poisson pool's comes from the Panjer recursion
-    and is non-negative.  Derived on access rather than stored:
+    The allocation rows, mu_i(k) = E[X_i 1{S = k h}] in payment units, are
+    stored as a product W T.  A dense table (independent margins, frailty)
+    keeps the n x kmax rows themselves as ``weights`` (T is the identity).  A
+    factored table (``factored``; a Poisson pool and its regroupings) keeps
+    the n x J weights w_i(j) = lam_i j h f_Bi(j) of its pool, and T[j, k] =
+    f_S(k - j) is the Toeplitz matrix of its own f_S, so no n x kmax array is
+    ever formed.  Every output reads the rows through a small interface that
+    both kinds implement:
 
+    - ``rows(idx)``: the allocation rows of the given risks;
+    - ``band(i1, w)``: the n-vector sum_k mu_i(i1 + k) w(k);
+    - ``column_sum``: sum_i mu_i(k), formed once at assembly;
+    - ``conditional_mean_at(k)``, ``cumulative_rows`` and
+      ``conditional_mean_rows``, derived from the two reads above.
+
+    Each side of the full-allocation identity sum_i mu_i(k) = k h f_S(k) is
+    kept once: ``column_sum`` and ``fs``, the engine's own f_S.  That is never
+    clamped: from an inverse transform it can carry negative round-off in the
+    deep tail, which is what the validity mask is for; a Poisson pool's comes
+    from the Panjer recursion and is non-negative.  For a factored table the
+    identity is Panjer's recursion for f_S, sum_j (1^T W)(j) f_S(k - j) = k h
+    f_S(k).  Derived on access rather than stored:
+
+    - ``expected_allocation``: every row, the stored array of a dense table
+      and a fresh product W T of a factored one;
     - ``expected_cumulative``: prefix sums of each row along k;
     - ``conditional_mean``: each row divided by f_S, NaN where that mass is
       exactly zero;
@@ -95,28 +112,31 @@ class AllocationTable:
       equals k h wherever results are trustworthy, and the validity mask is
       derived from it.
 
-    Each n x kmax view builds a fresh array, so code that needs only some
-    risks or lattice points uses ``cumulative_rows``, ``conditional_mean_rows``
-    or ``conditional_mean_at``, which return the same values for just those
-    rows or columns.
+    The first three are n x kmax arrays for the callers that want every row
+    (tests, reproductions, oracles); ``allocgen run`` reads none of them.
     """
 
     fs: DiscretePMF
-    expected_allocation: np.ndarray
+    weights: np.ndarray
     column_sum: np.ndarray
     valid_mask: np.ndarray
     tolerance_used: float
     underflow_floor: float
     risk_means: np.ndarray
     truncation: TruncationReport
+    factored: bool = False
 
     @property
     def n_risks(self) -> int:
-        return self.expected_allocation.shape[0]
+        return self.weights.shape[0]
 
     @property
     def kmax(self) -> int:
-        return self.expected_allocation.shape[1]
+        return len(self.fs.masses)
+
+    @property
+    def expected_allocation(self) -> np.ndarray:
+        return self.rows(slice(None))
 
     @property
     def expected_cumulative(self) -> np.ndarray:
@@ -130,17 +150,43 @@ class AllocationTable:
     def validation_curve(self) -> np.ndarray:
         return _per_mass(self.column_sum, self.fs.masses)
 
+    def rows(self, idx) -> np.ndarray:
+        """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
+
+        A factored table convolves each chosen row of W with f_S, which costs
+        O(J kmax) per row and builds nothing larger than the answer.
+        """
+        w = self.weights[idx]
+        if not self.factored:
+            return w
+        return _toeplitz_rows(w, self.fs.masses)
+
+    def band(self, i1: int, w: np.ndarray) -> np.ndarray:
+        """sum_k mu_i(i1 + k) w(k) for every risk i, over the lattice points i1, i1 + 1, ...
+
+        A factored table sums T's columns first, W (T[:, i1 : i1 + len(w)] w),
+        at a cost of O(J len(w) + n J).  Each row's J terms are summed
+        pairwise, which keeps that sum within about eps of its value.
+        """
+        w = np.asarray(w, dtype=float)
+        if not self.factored:
+            return self.weights[:, i1 : i1 + len(w)] @ w
+        width = self.weights.shape[1]
+        # (T w)(j) = sum_k f_S(i1 + k - j) w(k), f_S zero below 0
+        fs = np.pad(self.fs.masses, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
+        return (self.weights * np.correlate(fs, w)[::-1]).sum(axis=1)
+
     def cumulative_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``expected_cumulative``."""
-        return np.cumsum(self.expected_allocation[rows], axis=-1)
+        return np.cumsum(self.rows(rows), axis=-1)
 
     def conditional_mean_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``conditional_mean``."""
-        return _per_mass(self.expected_allocation[rows], self.fs.masses)
+        return _per_mass(self.rows(rows), self.fs.masses)
 
     def conditional_mean_at(self, k: int) -> np.ndarray:
         """Column ``k`` of ``conditional_mean``, every risk."""
-        return _per_mass(self.expected_allocation[:, k], self.fs.masses[k])
+        return _per_mass(self.band(k, np.ones(1)), self.fs.masses[k])
 
     def identity_deviation(self) -> float:
         """Largest deviation in the full-allocation identity over the valid points.
@@ -153,6 +199,15 @@ class AllocationTable:
         target = self.fs.step_h * np.arange(self.kmax, dtype=float) * self.fs.masses
         rel = np.abs(self.column_sum - target) / (1.0 + np.abs(target))
         return float(rel[self.valid_mask].max())
+
+
+def _toeplitz_rows(w: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Each row of ``w`` (one row or a stack) convolved with ``fs``, cut to len(fs) points."""
+    kmax = len(fs)
+    out = np.empty((*w.shape[:-1], kmax))
+    for row, dst in zip(np.reshape(w, (-1, w.shape[-1])), np.reshape(out, (-1, kmax))):
+        dst[:] = np.convolve(row, fs)[:kmax]
+    return out
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -191,17 +246,21 @@ def assemble_table(
     step_h: float = 1.0,
     truncation: TruncationReport | None = None,
     support_bound: int | None = None,
+    factored: bool = False,
 ) -> AllocationTable:
     """Build the table from a mass vector and per-risk allocation rows.
 
     ``fs`` and ``mu`` are on the index lattice; payment units are restored
-    here via ``step_h``.  With ``step_h == 1`` the table takes ``mu`` over
-    without a copy.  ``fs`` keeps its negative round-off; a mass below -1e-9
-    is not round-off and raises :class:`InvalidPMF`.  When the sum has a
-    provable support bound below the buffer (all margins bounded, no wrap),
-    entries beyond it are exact zeros and the inverse-transform noise there is
-    dropped rather than reported.  The validity mask is ``mask_validity``'s at
-    its defaults.
+    here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with
+    ``factored``, a pool's n x J weights W whose product with the Toeplitz
+    matrix of ``fs`` gives the rows; the column sum is then the one
+    convolution (1^T W) * f_S.  With ``step_h == 1`` the table takes ``mu``
+    over without a copy.  ``fs`` keeps its negative round-off; a mass below
+    -1e-9 is not round-off and raises :class:`InvalidPMF`.  When the sum of a
+    dense table has a provable support bound below the buffer (all margins
+    bounded, no wrap), entries beyond it are exact zeros and the
+    inverse-transform noise there is dropped rather than reported.  The
+    validity mask is ``mask_validity``'s at its defaults.
     """
     fs = np.asarray(fs, dtype=float)
     kmax = len(fs)
@@ -218,13 +277,14 @@ def assemble_table(
         mu[:, support_bound + 1 :] = 0.0
     table = AllocationTable(
         fs=DiscretePMF(fs, step_h),
-        expected_allocation=mu,
-        column_sum=mu.sum(axis=0),
+        weights=mu,
+        column_sum=_toeplitz_rows(mu.sum(axis=0), fs) if factored else mu.sum(axis=0),
         valid_mask=None,  # mask_validity sets the mask and the two settings
         tolerance_used=None,
         underflow_floor=None,
         risk_means=np.asarray(risk_means, dtype=float),
         truncation=truncation or TruncationReport(kmax=kmax),
+        factored=factored,
     )
     return mask_validity(table)
 
@@ -238,7 +298,7 @@ def mask_validity(
 
     A point is valid where f_S(k) > ``underflow_floor`` and the validation
     curve is within ``tolerance`` of k h.  Only the mask and the two recorded
-    settings change; every array, the allocation rows included, is shared
+    settings change; every array, the stored ``weights`` included, is shared
     with ``table``.
     """
     values = table.fs.step_h * np.arange(table.kmax, dtype=float)
@@ -258,15 +318,17 @@ def regroup(
     The total is the same sum whenever every column of ``loading`` sums to 1,
     so f_S and the truncation report carry over; the allocation rows are
     ``loading @`` the inner ones, and the validation curve and the default
-    validity mask are derived afresh from them.
+    validity mask are derived afresh from them.  A factored table stays
+    factored, since loading @ (W T) = (loading @ W) T.
     """
     step_h = table.fs.step_h
     return assemble_table(
         table.fs.masses,
-        loading @ table.expected_allocation / step_h,
+        loading @ table.weights / step_h,
         risk_means,
         step_h=step_h,
         truncation=table.truncation,
+        factored=table.factored,
     )
 
 
@@ -329,7 +391,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
 
 
 def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int) -> AllocationTable:
-    """Allocation table for independent Poisson random sums, from f_S and one banded product.
+    """Allocation table for independent Poisson random sums, kept as f_S and a banded product's weights.
 
     For risk i with rate lam_i and severity pmf f_Bi, the allocation
     generating function is lam_i t P_Bi'(t) P_S(t), a multiple of the pool's
@@ -347,8 +409,9 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     3. a band width J, certified from the weights and f_S (``_band_width``),
        so that the terms j >= J left out of mu_i(k) sum to at most machine
        epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
-    4. every row at once as W[:, :J] T with T[j, k] = f_S(k - j), formed one
-       block of columns at a time.
+    4. the factored table (W, f_S) with W[i, j] = w_i(j) for j < J: neither
+       T[j, k] = f_S(k - j) nor the n x kmax product W T is formed, and every
+       output is a query on the two factors (``AllocationTable``).
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the mean.
@@ -395,12 +458,6 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     for row, r in zip(weights, risks):
         row[: len(r.severity.masses)] = r.severity.masses[:band]
     weights *= lam[:, None] * j[:band]
-    # row k of the windows, reversed, is column k of T: f_S(k - j), zero for j > k
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(fs, (band - 1, 0)), band)
-    mu = np.empty((n, kmax))
-    # column blocks: a block of T and its block of the table take about BLOCK_BYTES
-    for cols in row_blocks(kmax, max(n, band)):
-        np.matmul(weights, windows[cols, ::-1].T, out=mu[:, cols])
 
     tm = np.array([r.severity.truncation_mass for r in risks])
     lost = float((np.maximum(0.0, 1.0 - totals - tm) + tm).sum())
@@ -416,7 +473,7 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
         warnings.warn("; ".join(alias), AliasingRisk, stacklevel=2)
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
     trunc = TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(band_note, *alias))
-    return assemble_table(fs, mu, means, step_h=step_h, truncation=trunc)
+    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
 
 
 def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:

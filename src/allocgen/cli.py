@@ -73,7 +73,7 @@ def _cmd_oracle(args) -> int:
                 if j != i:
                     others = np.convolve(others, other.pmf_vector(built.kmax))[: built.kmax]
             sb = oracle_size_biased(risk, pmf_from_values(others))
-            worst_sb = max(worst_sb, float(np.max(np.abs(sb - table.expected_allocation[i]))))
+            worst_sb = max(worst_sb, float(np.max(np.abs(sb - table.rows(i)))))
         print(f"size-biased cross-check: max |mu difference| = {worst_sb:.3e}")
     ok = gap <= 1e-10 and (worst_sb is None or worst_sb <= 1e-10)
     print(f"oracle agreement at 1e-10: {'PASS' if ok else 'FAIL'}")

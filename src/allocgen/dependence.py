@@ -5,8 +5,8 @@ Poisson shocks; three negative binomials, each a Poisson number of log-series
 claims).  Both sets of pieces form a Poisson pool, whose f_S is a Panjer
 recursion and whose rows are a certified banded product of non-negative
 terms; the pool's table is regrouped onto the risks by a fixed loading matrix
-(``allocation.regroup``), so they inherit its accuracy, blocking and
-truncation reports.  The frailty pool is a
+(``allocation.regroup``), so they inherit its accuracy, its factored
+storage and its truncation reports.  The frailty pool is a
 mixture over the mixing level rather than a sum, so it supplies its own
 allocation spectra on the roots of unity and inverts them itself.  Like the
 independent engines, every table here carries the default validity mask;

@@ -287,16 +287,19 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
     g = np.zeros(kmax)
     g[0] = g0
     top = int(np.flatnonzero(fb)[-1]) if fb.any() else 0
-    j = np.arange(1, kmax, dtype=float)
-    afb = a * fb[1:]
-    bjfb = b * j * fb[1:]
+    # g(k) = sum_{j <= top} (a + b j / k) fb(j) g(k - j) / denom; the coefficients
+    # are stored reversed, so each sum is a dot with the contiguous g[k - mm : k]
+    j = np.arange(top, 0, -1, dtype=float)
+    arev = a * fb[top:0:-1] / denom
+    bjrev = b * j * fb[top:0:-1] / denom
     for k in range(1, kmax):
         mm = min(k, top)
         if mm == 0:
-            g[k] = 0.0
             continue
-        window = g[k - mm : k][::-1]
-        g[k] = ((afb[:mm] + bjfb[:mm] / k) @ window) / denom
+        window = g[k - mm : k]
+        g[k] = bjrev[top - mm :] @ window / k
+        if a != 0.0:
+            g[k] += arev[top - mm :] @ window
         if scaled and g[k] > _PANJER_RESCALE_AT:
             g[: k + 1] *= 2.0**-_PANJER_SHIFT
             e += _PANJER_SHIFT

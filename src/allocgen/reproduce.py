@@ -190,7 +190,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
     kmax = 2**13
     first8 = [compound_poisson_negbin_risk(lam, r, q, kmax) for lam, q, r, _ in LARGE_POOL_FIRST8]
     table8 = allocate_compound_poisson_pool(first8, kmax)
-    total_alloc_1 = float(table8.expected_allocation[0].sum())
+    total_alloc_1 = float(table8.rows(0).sum())
     rep.add(
         "first_contract_total_allocation",
         "reference",
@@ -337,7 +337,7 @@ def _reproduce_shock() -> ReproductionReport:
         direct = np.zeros(kmax)
         for rate, w in spec.path(leaf):
             direct[w:] += rate * fs[:-w]
-        worst = max(worst, float(np.max(np.abs(direct - table.expected_allocation[i]))))
+        worst = max(worst, float(np.max(np.abs(direct - table.rows(i)))))
     rep.add(
         "spectrum_vs_shifted_sums",
         "cross",
@@ -372,7 +372,7 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
     worst = 0.0
     for i in range(2):
         conv = gamma_mixture_allocation_convolution(spec, table.fs.masses, i)
-        worst = max(worst, float(np.max(np.abs(conv - table.expected_allocation[i]))))
+        worst = max(worst, float(np.max(np.abs(conv - table.rows(i)))))
     rep.add(
         "transform_vs_geometric_convolution",
         "cross",
@@ -389,7 +389,7 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
         f"Panjer pmf vs direct triple convolution, max gap {gap:.2e}",
     )
 
-    total1 = float(table.expected_allocation[0].sum())
+    total1 = float(table.rows(0).sum())
     rep.add(
         "total_allocation_equals_rate",
         "structural",

@@ -113,7 +113,7 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
     if i2 is not None:
         _require_valid_atom(table, i2, "upper")
         weights[-1] = m[-1] / table.fs.masses[i2]
-    return table.expected_allocation[:, i1 : i1 + len(m)] @ weights / (a2 - a1)
+    return table.band(i1, weights) / (a2 - a1)
 
 
 def _require_valid_atom(table: AllocationTable, idx: int, which: str) -> None:

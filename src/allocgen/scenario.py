@@ -238,9 +238,11 @@ def _build_risk(spec: dict, path: str, kmax: int):
     kind = spec["type"]
     get = partial(_field, spec, path)
     if kind == "compound_poisson_negbin":
+        lam, r, q = get("lam"), get("r"), get("q")
+        _require_negbin_domain(path, ("lam", "r", "q"), [lam], [r], [q])
         # a severity the NB recursion cannot represent is a numerical failure, not a config error
         sev_len = get("severity_length", int, min(kmax, 4096))
-        return compound_poisson_negbin_risk(get("lam"), get("r"), get("q"), sev_len)
+        return compound_poisson_negbin_risk(lam, r, q, sev_len)
     with _in_range(path):
         if kind == "poisson":
             return KatzRisk(KatzParams.poisson(get("lam")))
@@ -276,6 +278,22 @@ def _build_risk(spec: dict, path: str, kmax: int):
     raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
 
 
+def _require_negbin_domain(path: str, fields, lam, r, q) -> None:
+    """ConfigError naming ``path.field`` unless every lam >= 0, every r > 0 and every q is in (0, 1).
+
+    ``fields`` names the three lists of values, in that order.
+    """
+    checks = (
+        (lam, ">= 0", lambda v: v >= 0.0),
+        (r, "> 0", lambda v: v > 0.0),
+        (q, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    )
+    for field, (values, need, ok) in zip(fields, checks):
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            raise ConfigError(f"{path}.{field}: need {need}, got {bad[0]}")
+
+
 def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
     """Poisson(lam) count over the first ``severity_length`` NB(r, q) masses, cut after the last positive one."""
     return _compound_poisson_negbin_risks([lam], [r], [q], severity_length)[0]
@@ -296,9 +314,15 @@ def _compound_poisson_negbin_risks(lams, rs, qs, severity_length: int) -> list[C
 
 def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
     count = sampled["count"]
-    lams = rng.exponential(sampled.get("lam_exp_mean", 0.1), size=count)
-    rs = rng.choice(sampled.get("r_choices", [1, 2, 3, 4, 5, 6]), size=count)
-    qs = rng.uniform(*sampled.get("q_range", [0.4, 0.5]), size=count)
+    lam_mean = sampled.get("lam_exp_mean", 0.1)
+    r_choices = sampled.get("r_choices", [1, 2, 3, 4, 5, 6])
+    q_range = sampled.get("q_range", [0.4, 0.5])
+    # every draw lies in range when the fields it is drawn from do
+    fields = ("lam_exp_mean", "r_choices", "q_range")
+    _require_negbin_domain("model.sampled", fields, [lam_mean], r_choices, q_range)
+    lams = rng.exponential(lam_mean, size=count)
+    rs = rng.choice(r_choices, size=count)
+    qs = rng.uniform(*q_range, size=count)
     sev_len = sampled.get("severity_length", min(kmax, 4096))
     return _compound_poisson_negbin_risks(lams, rs, qs, sev_len)
 
@@ -544,7 +568,7 @@ def write_allocations_csv(
 ) -> None:
     cdf = table.fs.cdf()
     cond_total = table.validation_curve
-    mu = table.expected_allocation[columns]
+    mu = table.rows(columns)
     cum = table.cumulative_rows(columns)
     cond = table.conditional_mean_rows(columns)
     with path.open("w") as fh:

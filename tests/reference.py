@@ -156,3 +156,74 @@ def euler_rvar_cumulative(table, a1, a2):
         return (lower + (mu.sum(axis=1) - cum[:, i1])) / (1.0 - a1)
     upper = mu[:, i2] * ((a2 - cdf[i2 - 1]) / table.fs.masses[i2])
     return (lower + (cum[:, i2 - 1] - cum[:, i1]) + upper) / (a2 - a1)
+
+
+def compound_pmf_panjer_loop(frequency, severity, kmax):
+    """pmf of a random sum by the counting recursion, one coefficient vector per lattice point.
+
+    The loop ``models.compound_pmf_panjer`` ran before it stored its
+    coefficients reversed: each step forms a + b j / k over the window and
+    dots it with a reversed view of the masses so far.  The scaled start, the
+    rescaling and the support cut are the same.
+    """
+    from allocgen.models import _PANJER_RESCALE_AT, _PANJER_SHIFT, _TINY
+
+    a, b = frequency.a, frequency.b
+    fb = np.zeros(kmax)
+    m = min(kmax, len(severity))
+    fb[:m] = severity[:m]
+    if a == 0.0:
+        g0 = np.exp(b * (fb[0] - 1.0))
+    else:
+        g0 = ((1.0 - a) / (1.0 - a * fb[0])) ** (b / a + 1.0)
+    e = 0
+    scaled = not g0 >= _TINY
+    if scaled:
+        if a == 0.0:
+            log_g0 = b * (fb[0] - 1.0)
+        else:
+            log_g0 = (b / a + 1.0) * math.log((1.0 - a) / (1.0 - a * fb[0]))
+        e = math.floor(log_g0 / math.log(2.0))
+        g0 = math.exp(log_g0 - e * math.log(2.0))
+    denom = 1.0 - a * fb[0]
+    g = np.zeros(kmax)
+    g[0] = g0
+    top = int(np.flatnonzero(fb)[-1]) if fb.any() else 0
+    j = np.arange(1, kmax, dtype=float)
+    afb = a * fb[1:]
+    bjfb = b * j * fb[1:]
+    for k in range(1, kmax):
+        mm = min(k, top)
+        if mm == 0:
+            g[k] = 0.0
+            continue
+        window = g[k - mm : k][::-1]
+        g[k] = ((afb[:mm] + bjfb[:mm] / k) @ window) / denom
+        if scaled and g[k] > _PANJER_RESCALE_AT:
+            g[: k + 1] *= 2.0**-_PANJER_SHIFT
+            e += _PANJER_SHIFT
+    if scaled:
+        g = np.ldexp(g, e)
+    ftop = frequency.support_top()
+    if ftop is not None and ftop * top + 1 < kmax:
+        g[ftop * top + 1 :] = 0.0
+    return g
+
+
+def banded_product_blocked(weights, fs):
+    """W T with T[j, k] = fs(k - j), zero for j > k, as one matrix product per block of columns.
+
+    The dense route a Poisson pool's whole table was once formed by: row k of
+    the sliding windows of the padded f_S, reversed, is column k of T, and each
+    block of columns of T and of the product takes about ``BLOCK_BYTES``.
+    The product keeps the precision of its factors.
+    """
+    from allocgen.allocation import row_blocks
+
+    n, band = weights.shape
+    kmax = len(fs)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(fs, (band - 1, 0)), band)
+    mu = np.empty((n, kmax), dtype=np.result_type(weights, fs))
+    for cols in row_blocks(kmax, max(n, band)):
+        np.matmul(weights, windows[cols, ::-1].T, out=mu[:, cols])
+    return mu

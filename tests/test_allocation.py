@@ -17,6 +17,7 @@ from allocgen.allocation import (
     oracle_size_biased,
     allocate_compound_poisson_pool,
     assemble_table,
+    regroup,
     row_blocks,
 )
 from allocgen.errors import (
@@ -43,9 +44,11 @@ from allocgen.models import (
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
-from allocgen.scenario import sample_risks
+from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, sample_risks
+from reference import banded_product_blocked
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
+EPS = np.finfo(float).eps
 
 
 def small_explicit_portfolio(rng, n=None, max_support=8):
@@ -211,7 +214,7 @@ class TestTableInvariants:
         assert floored.underflow_floor == 1e-13 and floored.tolerance_used == t.tolerance_used
         assert np.array_equal(floored.valid_mask, t.valid_mask & (t.fs.masses > 1e-13))
         assert floored.valid_mask.sum() < t.valid_mask.sum()
-        assert floored.expected_allocation is t.expected_allocation
+        assert floored.weights is t.weights and floored.column_sum is t.column_sum
         # the defaults give back the engine's own mask
         assert np.array_equal(mask_validity(floored).valid_mask, t.valid_mask)
 
@@ -224,11 +227,16 @@ class TestTableInvariants:
         assert t.fs.masses[3] == -1e-10 and not t.valid_mask[3]
 
     def test_identity_deviation_reads_the_stored_column_sum(self, small_pool):
+        dense = allocate_independent(small_pool, 64)
+        assert np.array_equal(dense.column_sum, dense.expected_allocation.sum(axis=0))
+        # a pool's column sum is the one convolution (1^T W) * f_S, not a sum of its rows
         t = allocate_compound_poisson_pool(small_pool, 64)
-        assert np.array_equal(t.column_sum, t.expected_allocation.sum(axis=0))
-        target = np.arange(64.0) * t.fs.masses
-        rel = np.abs(t.column_sum - target) / (1.0 + np.abs(target))
-        assert t.identity_deviation() == rel[t.valid_mask].max()
+        rows_sum = t.expected_allocation.sum(axis=0)
+        assert np.all(np.abs(t.column_sum - rows_sum) <= 4 * EPS * rows_sum)
+        for table in (dense, t):
+            target = np.arange(64.0) * table.fs.masses
+            rel = np.abs(table.column_sum - target) / (1.0 + np.abs(target))
+            assert table.identity_deviation() == rel[table.valid_mask].max()
 
     def test_degenerate_total_has_single_valid_point(self):
         t = allocate_independent([explicit_risk([0, 0, 1.0])], 8)
@@ -387,13 +395,15 @@ class TestAlgorithmOne:
         for i, r in enumerate(pool):
             fb = r.severity.masses
             ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, fs)[:top]
-            got = t.expected_allocation[i, :top]
+            row = t.rows(i)
+            got = row[:top]
             np.testing.assert_allclose(
                 got[valid[:top]], ref[valid[:top]], rtol=1e-11, atol=1e-15 * np.abs(ref).max()
             )
-            assert t.expected_allocation[i].sum() == pytest.approx(r.mean(), rel=1e-12)
-        # the column read agrees with the full derived view
-        assert np.array_equal(t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1])
+            assert row.sum() == pytest.approx(r.mean(), rel=1e-12)
+        # the column read, W T[:, k] / f_S(k), agrees with the full derived view
+        got, want = t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1]
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
     def test_small_pool_against_transform_free_references(self, small_pool):
         t = allocate_compound_poisson_pool(small_pool, 64)
@@ -411,8 +421,9 @@ class TestAlgorithmOne:
         for i, r in enumerate(small_pool):
             fb = r.severity.masses
             ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, panjer)[:top]
-            np.testing.assert_allclose(t.expected_allocation[i, 1:top], ref[1:], rtol=1e-10, atol=0.0)
-            assert abs(t.expected_allocation[i, 0]) <= 1e-15
+            row = t.rows(i)
+            np.testing.assert_allclose(row[1:top], ref[1:], rtol=1e-10, atol=0.0)
+            assert abs(row[0]) <= 1e-15
         assert t.valid_mask[:top].all()
         # the exact masses from k = 41 on are below the 1e-15 floor
         assert panjer[top] < t.underflow_floor
@@ -455,7 +466,7 @@ class TestAlgorithmOne:
         for i, r in enumerate(pool):
             fb = r.severity.masses
             ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, t.fs.masses)[:kmax]
-            np.testing.assert_allclose(t.expected_allocation[i, above], ref[above], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(t.rows(i)[above], ref[above], rtol=1e-14, atol=0.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -578,3 +589,94 @@ class TestOracles:
     def test_zero_mean_risk(self):
         sb = oracle_size_biased(explicit_risk([1.0]), pmf_from_values([0.5, 0.5]))
         assert np.all(sb == 0.0)
+
+
+def factored_table(name, scenario_dir):
+    """A Poisson-pool table: a shipped pool scenario's, or a 300-risk sampled pool's."""
+    if name == "pool300":
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11)
+        return allocate_compound_poisson_pool(pool, 2**11)
+    built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
+    return allocate_portfolio(built.portfolio, built.kmax)
+
+
+class TestFactoredTable:
+    """Every query of a factored table against the dense product W T, formed by blocks of columns.
+
+    The product is taken in long double (extended precision on x86-64): in
+    doubles, its running sums over the band are themselves up to 7 eps of the
+    row's scale off on the 300-risk pool.  Each answer is held to 4 eps of its
+    row's scale: the largest entry of the row, times the total weight for a
+    band, or the row's total for the layer split, whose prefix sums are
+    compared with the same prefix sums of the product rounded to doubles.
+    """
+
+    @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300"))
+    def test_queries_match_the_dense_product(self, name, scenario_dir):
+        t = factored_table(name, scenario_dir)
+        assert t.factored and t.weights.shape[1] < t.kmax
+        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.fs.masses.astype(np.longdouble))
+        scale = np.abs(mu).max(axis=1)
+        n = t.n_risks
+
+        def close(got, want, tol):
+            return np.all(np.abs(got - want) <= 4 * EPS * tol)
+
+        assert close(t.expected_allocation, mu, scale[:, None])
+        some = [0, n // 2, n - 1]
+        assert close(t.rows(some), mu[some], scale[some, None])
+        assert close(t.rows(n - 1), mu[n - 1], scale[n - 1])
+        assert close(t.column_sum, mu.sum(axis=0), mu.sum(axis=0).max())
+
+        valid = np.flatnonzero(t.valid_mask)
+        for k in (valid[0], valid[len(valid) // 2], valid[-1]):
+            assert close(t.conditional_mean_at(k), mu[:, k] / t.fs.masses[k], scale / t.fs.masses[k])
+        i1 = valid[len(valid) // 4]
+        w = np.random.default_rng(5).uniform(0.0, 1.0, size=min(40, t.kmax - i1))
+        assert close(t.band(i1, w), mu[:, i1 : i1 + len(w)] @ w, scale * w.sum())
+
+        # the same prefix sums, in doubles, of the product rounded once
+        cum = np.cumsum(mu.astype(float), axis=1)
+        l1, l2 = valid[len(valid) // 3], valid[2 * len(valid) // 3]
+        for risk in some:
+            retained, layer, excess = cumulative_and_layers(t, l1, l2, risk)
+            want = (cum[risk, l1], cum[risk, l2] - cum[risk, l1], t.risk_means[risk] - cum[risk, l2])
+            tol = max(cum[risk, -1], t.risk_means[risk])
+            assert close(np.array([retained, layer, excess]), np.array(want), tol)
+
+    @pytest.mark.parametrize("name", ("small_pool", "pool300"))
+    def test_regroup_keeps_the_table_factored(self, name, scenario_dir):
+        t = factored_table(name, scenario_dir)
+        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.fs.masses.astype(np.longdouble))
+        dense = assemble_table(t.fs.masses, mu.astype(float), t.risk_means)
+        assert not dense.factored
+        # two risks: the first half of the pool and the rest, with one piece shared
+        n = t.n_risks
+        loading = np.zeros((2, n))
+        loading[0, : n // 2] = 1.0
+        loading[1, n // 2 :] = 1.0
+        loading[:, 0] = 0.5
+        means = loading @ t.risk_means
+        a, b = regroup(t, loading, means), regroup(dense, loading, means)
+        assert a.factored and a.weights.shape == (2, t.weights.shape[1])
+        # both within 4 eps of each row's scale of the regrouped product in extended precision
+        want = loading @ mu
+        scale = want.max(axis=1, keepdims=True)
+        for table in (a, b):
+            assert np.all(np.abs(table.expected_allocation - want) <= 4 * EPS * scale)
+            assert np.all(np.abs(table.column_sum - want.sum(axis=0)) <= 4 * EPS * want.sum(axis=0).max())
+        assert np.array_equal(a.valid_mask, b.valid_mask)
+
+    def test_lattice_step_carries_into_the_weights(self):
+        # on a half-unit lattice every read is in payment units, as the transform route's are
+        pool = [
+            compound_poisson_risk(0.7, pmf_from_values([0.0, 0.5, 0.5], step_h=0.5)),
+            compound_poisson_risk(0.4, pmf_from_values([0.0, 0.3, 0.7], step_h=0.5)),
+        ]
+        t, dense = allocate_compound_poisson_pool(pool, 64), allocate_independent(pool, 64)
+        assert t.factored and t.fs.step_h == 0.5
+        assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)) <= 1e-15
+        assert t.rows(1).sum() == pytest.approx(pool[1].mean(), rel=1e-14)
+        assert t.identity_deviation() <= 1e-15
+        w = np.linspace(0.5, 1.0, 6)
+        assert np.max(np.abs(t.band(3, w) - dense.band(3, w))) <= 1e-15

@@ -99,6 +99,14 @@ class TestRun:
             ),
             ("model:\n  risks:\n    - {type: poisson, lam: -1}\n", "model.risks[0]: poisson rate"),
             (
+                "model:\n  risks:\n    - {type: compound_poisson_negbin, lam: -1, r: 2, q: 0.5}\n",
+                "model.risks[0].lam",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, q_range: [0.5, 1.5]}\n",
+                "model.sampled.q_range",
+            ),
+            (
                 "model:\n  dependence: gamma_mixture\n  gamma0: 3.0\n  r1: 2.0\n  r2: 2.5\n"
                 "  lambda1: 1.0\n  lambda2: 1.0\n",
                 "model: gamma0=3.0",
@@ -126,6 +134,8 @@ class TestRun:
             "sampled_count",
             "sampled_lam_mean",
             "poisson_rate_range",
+            "negbin_pool_rate_range",
+            "sampled_q_range",
             "gamma0_range",
             "frailty_alpha_range",
             "shock_node",

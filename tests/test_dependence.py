@@ -44,7 +44,7 @@ class TestShockTree:
 
     def test_zero_at_origin_and_first_step(self):
         table = shock_allocation_table(HierarchicalShockSpec(SHOCK_CASE_LAMBDAS), 128)
-        mu = table.expected_allocation[SHOCK_LEAVES.index("111")]
+        mu = table.rows(SHOCK_LEAVES.index("111"))
         assert mu[0] == pytest.approx(0.0, abs=1e-15)
         assert mu[1] == pytest.approx(SHOCK_CASE_LAMBDAS["111"] * table.fs.masses[0], abs=1e-12)
 
@@ -76,7 +76,7 @@ class TestShockTree:
             direct = np.zeros(kmax)
             for lam, w in spec.path(leaf):
                 direct[w:] += lam * fs[:-w]
-            mu = table.expected_allocation[i]
+            mu = table.rows(i)
             assert abs(mu[0]) <= 1e-15
             assert np.max(np.abs(mu - direct)[inner] / direct[inner]) <= 1e-10
 
@@ -88,7 +88,7 @@ class TestShockTree:
             direct = np.zeros(128)
             for rate, w in spec.path(leaf):
                 direct[w:] += rate * fs[:-w]
-            assert np.max(np.abs(direct - table.expected_allocation[i])) <= 1e-12
+            assert np.max(np.abs(direct - table.rows(i))) <= 1e-12
 
     def test_leaf_only_reduces_to_independent(self):
         leaves_only = {leaf: 0.02 + 0.01 * i for i, leaf in enumerate(SHOCK_LEAVES)}
@@ -119,17 +119,17 @@ class TestGammaMixture:
 
     def test_zero_at_origin(self):
         table = gamma_mixture_allocation(self.SPEC, 256)
-        assert abs(table.expected_allocation[0][0]) <= 1e-15
+        assert abs(table.rows(0)[0]) <= 1e-15
 
     def test_transform_matches_convolution(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)
         for i in range(2):
             conv = gamma_mixture_allocation_convolution(self.SPEC, table.fs.masses, i)
-            assert np.max(np.abs(conv - table.expected_allocation[i])) <= 1e-11
+            assert np.max(np.abs(conv - table.rows(i))) <= 1e-11
 
     def test_total_allocation_is_rate(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)
-        assert table.expected_allocation[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert table.rows(0).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_pmf_matches_three_factor_convolution(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)

@@ -22,7 +22,7 @@ from allocgen.models import (
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
-from reference import negbin_pmf_per_risk, poisson_pmf_direct
+from reference import compound_pmf_panjer_loop, negbin_pmf_per_risk, poisson_pmf_direct
 
 
 class TestKatzFamilies:
@@ -195,6 +195,34 @@ class TestPanjerUnderflow:
         g = compound_pmf_panjer(KatzParams.binomial(1200, 0.5), sev, 4096)
         assert np.all(g[2401:] == 0.0)
         assert g.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPanjerAgainstLoop:
+    """The reversed-coefficient recursion against the loop that formed a + b j / k at every step."""
+
+    @pytest.mark.parametrize(
+        "count, severity, kmax",
+        [
+            (KatzParams.poisson(2.5), [0.1, 0.3, 0.4, 0.2], 256),
+            (KatzParams.negative_binomial(3.0, 0.4), [0.2, 0.5, 0.3], 256),
+            (KatzParams.binomial(12, 0.3), [0.0, 0.6, 0.4], 64),
+            # g(0) = exp(-800), (1/2)^1200 and 0.3^900 underflow: the scaled start
+            (KatzParams.poisson(800.0), [0.0, 0.5, 0.5], 4096),
+            (KatzParams.binomial(1200, 0.5), [0.0, 0.5, 0.5], 4096),
+            (KatzParams.negative_binomial(900.0, 0.3), [0.0, 0.7, 0.3], 8192),
+        ],
+        ids=["poisson", "negbin", "binomial", "poisson_underflow", "binomial_underflow", "negbin_underflow"],
+    )
+    def test_matches_the_loop(self, count, severity, kmax):
+        severity = np.asarray(severity)
+        got = compound_pmf_panjer(count, severity, kmax)
+        want = compound_pmf_panjer_loop(count, severity, kmax)
+        above = want > 1e-15
+        assert above.sum() > 20
+        np.testing.assert_allclose(got[above], want[above], rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+        # the support cut of a terminating count leaves the same exact zeros
+        assert np.array_equal(got == 0.0, want == 0.0)
 
 
 class TestKatzUnderflow:

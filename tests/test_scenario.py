@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,32 @@ class TestRunScenario:
         assert "rvar(0.9,0.99)" in text
         assert "layers risk 1" in text
         assert result.table.n_risks == 6
+
+    def test_pool_run_never_forms_the_dense_table(self, tmp_path):
+        # 2000 risks at 2^13: the n x kmax table would take 131 MB
+        raw = {
+            "kmax": 2**13,
+            "seed": 11,
+            "model": {
+                "sampled": {"kind": "compound_poisson_negbin", "count": 2000, "severity_length": 128}
+            },
+            "outputs": {
+                "rvar_levels": [[0.9, 0.99], [0.9, 1.0]],
+                "layers": [100, 200],
+                "pmf_of_conditional_means": [1, 2],
+            },
+        }
+        cfg = parse_scenario(raw, name="pool2000")
+        dense_bytes = 2000 * 2**13 * 8
+        tracemalloc.start()
+        try:
+            result = run_scenario(cfg, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.table.factored and result.table.valid_mask.sum() > 500
+        assert peak < dense_bytes / 10
+        assert "allocations.csv" in {p.name for p in result.paths}
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
         cfg = load_scenario(scenario_dir / "small_pool.yaml")
