@@ -31,6 +31,7 @@ import dataclasses
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from math import exp, lgamma, log
 from typing import Sequence
 
@@ -48,10 +49,12 @@ from .errors import (
     SeriesTruncation,
 )
 from .models import (
+    ROW_BLOCK,
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
     KatzRisk,
+    PoissonNegbinPool,
     RiskModel,
     compound_pmf_panjer,
 )
@@ -69,7 +72,9 @@ class PortfolioModel:
     """A list of margins plus an optional dependence regime.
 
     ``dependence is None`` means independent margins; otherwise it holds one of
-    the dependence spec objects from :mod:`allocgen.dependence`.
+    the dependence spec objects from :mod:`allocgen.dependence`.  The margins
+    are any sequence of risks: a sampled Poisson-NB pool stays a
+    ``models.PoissonNegbinPool``, which the Poisson pool engine streams.
     """
 
     risks: list = field(default_factory=list)
@@ -413,55 +418,74 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
        T[j, k] = f_S(k - j) nor the n x kmax product W T is formed, and every
        output is a query on the two factors (``AllocationTable``).
 
+    The severities are read twice, ROW_BLOCK rows at a time, and never as a
+    whole.  The first pass collects the merged severity, each row's total,
+    length and first moment (the risk means), and the head and tail sums of
+    the weights at every power-of-two cut that ``_band_width`` needs; the
+    second reads only the first J columns, into W.  ``risks`` is a list of
+    risks, whose stored severities are copied block by block, or a
+    ``models.PoissonNegbinPool``, whose severities come from the NB block
+    recursion in each pass and are never stored per risk; a severity of such
+    a pool with no mass raises KatzDomain here.
+
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the mean.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
-    for r in risks:
-        if not (isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()):
-            raise KatzDomain("this pipeline handles independent Poisson random sums only")
-    step_h = _common_step(risks)
-    n = len(risks)
-    lam = np.array([r.frequency.b for r in risks])
-    length = int(min(kmax, max(len(r.severity.masses) for r in risks)))
-    # candidate band widths 2, 4, 8, ... below the longest severity, then all of it
-    cuts = [1 << p for p in range(1, length.bit_length()) if 1 << p < length] + [length]
+    if isinstance(risks, PoissonNegbinPool):
+        lam, step_h, blocks = risks.lam, 1.0, risks.severity_blocks
+    else:
+        for r in risks:
+            if not (isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()):
+                raise KatzDomain("this pipeline handles independent Poisson random sums only")
+        step_h = _common_step(risks)
+        lam = np.array([r.frequency.b for r in risks])
+        blocks = partial(_stored_severity_blocks, risks)
+    n = len(lam)
+    # the candidate band widths below kmax; those below the longest severity are used
+    powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
 
-    # one pass over the severities: the merged severity, the row sums and, for
-    # each cut J below the last, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``)
-    j = np.arange(length, dtype=float)
-    merged = np.zeros(length)
-    totals = np.empty(n)
-    ratios = np.zeros(len(cuts) - 1)
-    for rows in row_blocks(n, length):
-        w = np.zeros((rows.stop - rows.start, length))
-        for row, r in zip(w, risks[rows]):
-            row[: len(r.severity.masses)] = r.severity.masses[:length]
-        totals[rows] = w.sum(axis=1)
-        merged += lam[rows] @ w
-        w *= lam[rows, None] * j
-        pieces = np.add.reduceat(w, [0, *cuts[:-1]], axis=1)
+    # pass 1: the merged severity, the row totals, lengths and first moments,
+    # and, for each power of two J, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``)
+    j = np.arange(kmax, dtype=float)
+    merged = np.zeros(kmax)
+    totals, moments = np.empty(n), np.empty(n)
+    lengths = np.empty(n, dtype=int)
+    ratios = np.zeros(len(powers))
+    for rows, masses, tops in blocks():
+        lengths[rows] = tops
+        moments[rows] = masses @ np.arange(masses.shape[1], dtype=float)
+        f = masses[:, :kmax]
+        width = f.shape[1]
+        totals[rows] = f.sum(axis=1)
+        merged[:width] += lam[rows] @ f
+        w = f * (lam[rows, None] * j[:width])
+        cuts = [c for c in powers if c < width]
+        pieces = np.add.reduceat(w, [0, *cuts], axis=1)
         head = np.cumsum(pieces, axis=1)[:, :-1]
         tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
         ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
-        np.maximum(ratios, ratio.max(axis=0), out=ratios)
+        np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
 
+    length = int(min(kmax, lengths.max()))
+    cuts = [c for c in powers if c < length] + [length]
+    merged, j = merged[:length], j[:length]
     count = KatzParams.poisson(float(lam.sum()))
     mix = merged / (count.b or 1.0)
     fs = compound_pmf_panjer(count, mix, kmax)
     fs_hat = gf.compound_pgf_on_roots(count, gf.dft(np.pad(mix, (0, kmax - length)), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - fs).max() / fs.max())
-    band = _band_width(fs, cuts, ratios)
+    band = _band_width(fs, cuts, ratios[: len(cuts) - 1])
 
+    # pass 2: the first J columns, as the weights
     weights = np.zeros((n, band))
-    for row, r in zip(weights, risks):
-        row[: len(r.severity.masses)] = r.severity.masses[:band]
-    weights *= lam[:, None] * j[:band]
+    for rows, masses, _ in blocks(band):
+        width = min(masses.shape[1], band)
+        weights[rows, :width] = masses[:, :width] * (lam[rows, None] * j[:width])
 
-    tm = np.array([r.severity.truncation_mass for r in risks])
-    lost = float((np.maximum(0.0, 1.0 - totals - tm) + tm).sum())
-    means = np.array([r.mean() for r in risks])
+    lost = float(np.maximum(0.0, 1.0 - totals).sum())
+    means = lam * (step_h * moments)
     # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(float(j**2 @ merged))
     alias = []
@@ -474,6 +498,23 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
     trunc = TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(band_note, *alias))
     return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
+
+
+def _stored_severity_blocks(risks: Sequence[CompoundKatzRisk], columns: int | None = None):
+    """The stored severities of ``risks`` as ``PoissonNegbinPool.severity_blocks`` gives a pool's.
+
+    Each block of up to ROW_BLOCK rows is a fresh zero-padded copy of the
+    first ``columns`` masses (default: all of the longest), with the stored
+    lengths.
+    """
+    lengths = np.array([len(r.severity.masses) for r in risks])
+    width = int(lengths.max()) if columns is None else columns
+    for lo in range(0, len(risks), ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, len(risks)))
+        masses = np.zeros((rows.stop - lo, width))
+        for row, r in zip(masses, risks[rows]):
+            row[: len(r.severity.masses)] = r.severity.masses[:width]
+        yield rows, masses, lengths[rows]
 
 
 def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:

@@ -7,12 +7,15 @@ surface: a truncated mass vector, a pgf evaluated on a complex buffer, its
 mean, and a support bound when one exists.  Random sums take their mass
 vector from the counting recursion, except over binomial counts, whose
 recursion is unstable for q > 1/2 and which are expanded by repeated
-squaring instead.
+squaring instead.  A sampled pool of Poisson random sums with
+negative-binomial severities is held as its draws (``PoissonNegbinPool``)
+and builds its risks only when asked.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import gf
 from .errors import KatzDomain
-from .pmf import DiscretePMF, pmf_from_values
+from .pmf import DiscretePMF, pmf_from_values, truncated_pmf
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,10 @@ class KatzParams:
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
 
-# negbin_rows runs its recursion down blocks of this many rows, and cumulates
+# negbin_blocks runs its recursion down blocks of this many rows, and cumulates
 # their masses this many columns at a time; so does KatzParams.pmf's scaled run.
-_NEGBIN_BLOCK = 128
+# The Poisson pool engine reads severities in blocks of ROW_BLOCK rows too.
+ROW_BLOCK = 128
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny
 # compound_pmf_panjer rescales its carried masses by 2^-_PANJER_SHIFT once
@@ -146,10 +150,13 @@ _PANJER_SHIFT = 600
 _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
 
 
-def negbin_rows(r, q, n: int) -> list[np.ndarray]:
-    """First n masses of NB(r_i, q_i) for each pair, each row cut after its last positive mass.
+def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """First n masses of NB(r_i, q_i), ROW_BLOCK rows at a time, as ``(rows, masses, lengths)``.
 
-    A row with no positive mass among its first n comes back empty.
+    ``masses`` is the dense block of the pairs ``rows``; row i is zero from
+    ``lengths[i]`` on, just after its last positive mass (a row with no
+    positive mass has length 0).  It is a view into one buffer that the next
+    block overwrites, so a caller keeps a copy of what it needs.
 
     Row i is the recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the
     running product, taken in order, of the ratios f(j)/f(j-1) =
@@ -157,7 +164,10 @@ def negbin_rows(r, q, n: int) -> list[np.ndarray]:
     The ratios are monotone in k with limit 1 - q < 1, so once one ratio is
     below 1 the masses only fall: a row stops after the first chunk of
     _NEGBIN_CHUNK columns that ends below that float with a ratio below 1, and
-    a block stops when all of its rows have.
+    a block stops when all of its rows have; its width is where it stopped.
+    Each row depends on its own (r, q) only, and each mass on those before
+    it, so a row is the same in any block and its first m masses are the
+    same for every n >= m.
 
     Scaled recursion.  With q^r = m 2^x (m in [1/2, 1)), the running product
     is carried as 2^e P_k with e = x + 1021, and each mass is the product of
@@ -194,17 +204,15 @@ def negbin_rows(r, q, n: int) -> list[np.ndarray]:
     head = np.ldexp(1.0, expo + 1021)
     f0_scaled = np.ldexp(mant, -1021)
     # one mass buffer and one ratio buffer serve every block
-    f = np.empty((min(len(r), _NEGBIN_BLOCK), n))
+    f = np.empty((min(len(r), ROW_BLOCK), n))
     ratios = np.empty((len(f), min(_NEGBIN_CHUNK, n)))
-    rows: list[np.ndarray] = []
-    for lo in range(0, len(r), _NEGBIN_BLOCK):
-        block = slice(lo, lo + _NEGBIN_BLOCK)
-        rows.extend(_negbin_block(r[block], q[block], head[block], f0_scaled[block], f, ratios))
-    return rows
+    for lo in range(0, len(r), ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, len(r)))
+        yield (rows, *_negbin_block(r[rows], q[rows], head[rows], f0_scaled[rows], f, ratios))
 
 
-def _negbin_block(r, q, head, f0_scaled, f, ratios) -> list[np.ndarray]:
-    """negbin_rows on one block, in the buffers ``f`` and ``ratios``; ``head`` is 2^e, ``f0_scaled`` q^r 2^-e."""
+def _negbin_block(r, q, head, f0_scaled, f, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """negbin_blocks on one block, in the buffers ``f`` and ``ratios``; ``head`` is 2^e, ``f0_scaled`` q^r 2^-e."""
     h, n = len(r), f.shape[1]
     f = f[:h]
     f[:, 0] = f0_scaled * head
@@ -232,8 +240,21 @@ def _negbin_block(r, q, head, f0_scaled, f, ratios) -> list[np.ndarray]:
     f = f[:, :end]
     f[f < _TINY] = 0.0
     positive = f > 0.0
-    tops = np.where(positive.any(axis=1), end - np.argmax(positive[:, ::-1], axis=1), 0)
-    return [f[i, :top].copy() for i, top in enumerate(tops.tolist())]
+    lengths = np.where(positive.any(axis=1), end - np.argmax(positive[:, ::-1], axis=1), 0)
+    return f, lengths
+
+
+def negbin_rows(r, q, n: int) -> list[np.ndarray]:
+    """First n masses of NB(r_i, q_i) for each pair, each row cut after its last positive mass.
+
+    The rows of ``negbin_blocks``, each copied out of its block; a row with
+    no positive mass among its first n comes back empty.
+    """
+    return [
+        row[:top].copy()
+        for _, masses, lengths in negbin_blocks(r, q, n)
+        for row, top in zip(masses, lengths.tolist())
+    ]
 
 
 def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
@@ -429,6 +450,60 @@ class BernoulliRisk:
 
 
 RiskModel = Union[ExplicitRisk, KatzRisk, CompoundKatzRisk, BernoulliRisk]
+
+
+class PoissonNegbinPool(Sequence):
+    """Independent Poisson(lam_i) random sums of NB(r_i, q_i) severities, held as their draws.
+
+    Risk i is the ``CompoundKatzRisk`` whose severity is the first
+    ``severity_length`` NB(r_i, q_i) masses, cut after the last positive one
+    and wrapped by ``pmf.truncated_pmf``.  No severity is stored: indexing,
+    slicing and iteration build the risks from the block recursion
+    (``negbin_blocks``) when asked, so ``pool[i]`` and ``list(pool)`` are
+    bit-identical to building each risk alone, and iterating costs one run of
+    the recursion.  A slice is a pool of the same kind.  The Poisson pool
+    engine reads the severities block by block (``severity_blocks``) and
+    never builds the risks.
+    """
+
+    def __init__(self, lam, r, q, severity_length: int):
+        self.lam = np.asarray(lam, dtype=float)
+        self.r = np.asarray(r)
+        self.q = np.asarray(q, dtype=float)
+        self.severity_length = int(severity_length)
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def __repr__(self) -> str:
+        return f"PoissonNegbinPool({len(self)} risks, severity_length={self.severity_length})"
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return PoissonNegbinPool(self.lam[idx], self.r[idx], self.q[idx], self.severity_length)
+        i = range(len(self))[idx]
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[CompoundKatzRisk]:
+        for rows, masses, lengths in self.severity_blocks():
+            for lam, row, top in zip(self.lam[rows].tolist(), masses, lengths.tolist()):
+                yield CompoundKatzRisk(KatzParams.poisson(lam), truncated_pmf(row[:top].copy()))
+
+    def severity_blocks(self, columns: Optional[int] = None):
+        """``negbin_blocks`` of the pool over its first ``columns`` severity points (default: all).
+
+        Over all ``severity_length`` points, a severity with no positive
+        mass raises KatzDomain.
+        """
+        n = self.severity_length if columns is None else min(columns, self.severity_length)
+        for rows, masses, lengths in negbin_blocks(self.r, self.q, n):
+            if columns is None and not lengths.all():
+                i = rows.start + int(np.argmin(lengths))
+                raise KatzDomain(
+                    f"NB(r={self.r[i]}, q={self.q[i]}) has no mass above the smallest normal float "
+                    f"in its first {n} points"
+                )
+            yield rows, masses, lengths
 
 
 def poisson_risk(lam: float) -> KatzRisk:

@@ -86,9 +86,9 @@ from .models import (
     ExplicitRisk,
     KatzParams,
     KatzRisk,
-    negbin_rows,
+    PoissonNegbinPool,
 )
-from .pmf import arithmetize, next_pow2, pmf_from_values, truncated_pmf
+from .pmf import arithmetize, next_pow2, pmf_from_values
 from .tails import pareto_cdf, pareto_lev
 
 GENERATOR_NAME = "numpy PCG64 (default_rng)"
@@ -240,8 +240,10 @@ def _build_risk(spec: dict, path: str, kmax: int):
     if kind == "compound_poisson_negbin":
         lam, r, q = get("lam"), get("r"), get("q")
         _require_negbin_domain(path, ("lam", "r", "q"), [lam], [r], [q])
-        # a severity the NB recursion cannot represent is a numerical failure, not a config error
         sev_len = get("severity_length", int, min(kmax, 4096))
+        if sev_len < 1:
+            raise ConfigError(f"{path}.severity_length: need >= 1, got {sev_len}")
+        # a severity the NB recursion cannot represent is a numerical failure, not a config error
         return compound_poisson_negbin_risk(lam, r, q, sev_len)
     with _in_range(path):
         if kind == "poisson":
@@ -296,23 +298,10 @@ def _require_negbin_domain(path: str, fields, lam, r, q) -> None:
 
 def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
     """Poisson(lam) count over the first ``severity_length`` NB(r, q) masses, cut after the last positive one."""
-    return _compound_poisson_negbin_risks([lam], [r], [q], severity_length)[0]
+    return PoissonNegbinPool([lam], [r], [q], severity_length)[0]
 
 
-def _compound_poisson_negbin_risks(lams, rs, qs, severity_length: int) -> list[CompoundKatzRisk]:
-    """``compound_poisson_negbin_risk`` for each (lam, r, q), from one row-wise recursion (``negbin_rows``)."""
-    risks = []
-    for lam, r, q, row in zip(lams, rs, qs, negbin_rows(rs, qs, severity_length)):
-        if not len(row):
-            raise KatzDomain(
-                f"NB(r={r}, q={q}) has no mass above the smallest normal float "
-                f"in its first {severity_length} points"
-            )
-        risks.append(CompoundKatzRisk(KatzParams.poisson(float(lam)), truncated_pmf(row)))
-    return risks
-
-
-def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
+def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int) -> PoissonNegbinPool:
     count = sampled["count"]
     lam_mean = sampled.get("lam_exp_mean", 0.1)
     r_choices = sampled.get("r_choices", [1, 2, 3, 4, 5, 6])
@@ -323,8 +312,7 @@ def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int):
     lams = rng.exponential(lam_mean, size=count)
     rs = rng.choice(r_choices, size=count)
     qs = rng.uniform(*q_range, size=count)
-    sev_len = sampled.get("severity_length", min(kmax, 4096))
-    return _compound_poisson_negbin_risks(lams, rs, qs, sev_len)
+    return PoissonNegbinPool(lams, rs, qs, sampled.get("severity_length", min(kmax, 4096)))
 
 
 def _sample_pareto_extras(sampled: dict, rng, kmax: int):
@@ -353,21 +341,37 @@ _SAMPLED_BUILDERS = {
 }
 
 
-def sample_risks(sampled: dict, seed: int, kmax: int) -> list:
+def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     """Draw ``sampled['count']`` risks of kind ``sampled['kind']`` from ``seed``.
 
     The one seeded pool sampler: scenarios, reproduction cases, tests and
     scripts all draw here, so a given (sampled, seed, kmax) always yields the
     same risks.  Optional fields and their defaults are read by the function
     for each kind in ``_SAMPLED_BUILDERS``; the fields must already have
-    their types, which ``parse_scenario`` gives those of a scenario file.  A ``compound_poisson_negbin`` pool
-    takes all of its severities from one row-wise run of the scaled NB
-    recursion (``models.negbin_rows``), block by block; each risk is
-    bit-identical to ``compound_poisson_negbin_risk`` on its own draw.
+    their types, which ``parse_scenario`` gives those of a scenario file.
+    Counts, choice lists and the severity length are checked before any
+    draw, and a bad one raises ConfigError naming its field.
+
+    A ``compound_poisson_negbin`` pool comes back as a
+    ``models.PoissonNegbinPool``: it holds only the draws (rates, NB shapes
+    and probabilities, severity length), builds its risks from the block
+    recursion of ``models.negbin_blocks`` when indexed or iterated, each
+    bit-identical to ``compound_poisson_negbin_risk`` on its own draw, and is
+    streamed block by block through ``allocate_compound_poisson_pool``
+    without them.  The other kinds come back as lists of risks.
     """
     kind = sampled["kind"]
     if kind not in _SAMPLED_BUILDERS:
         raise ConfigError(f"model.sampled.kind: unknown kind {kind!r}")
+    if "count" not in sampled:
+        raise ConfigError("model.sampled.count: missing required field")
+    if sampled["count"] < 0:
+        raise ConfigError(f"model.sampled.count: need >= 0, got {sampled['count']}")
+    for key in ("r_choices", "b_choices"):
+        if key in sampled and not len(sampled[key]):
+            raise ConfigError(f"model.sampled.{key}: need at least one choice")
+    if sampled.get("severity_length", 1) < 1:
+        raise ConfigError(f"model.sampled.severity_length: need >= 1, got {sampled['severity_length']}")
     return _SAMPLED_BUILDERS[kind](sampled, np.random.default_rng(seed), kmax)
 
 
@@ -405,7 +409,9 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
         else:
             risks.append(built)
     if config.sampled is not None:
-        risks.extend(sample_risks(config.sampled, config.seed, kmax))
+        sampled = sample_risks(config.sampled, config.seed, kmax)
+        # a portfolio that is only a sampled pool keeps the pool as it came
+        risks = [*risks, *sampled] if risks else sampled
         notes.append(
             f"sampled {config.sampled['count']} extra risks ({config.sampled['kind']}) with "
             f"{GENERATOR_NAME}, seed={config.seed}"
@@ -441,7 +447,8 @@ def allocate_portfolio(
     """
     dep = portfolio.dependence
     if dep is None:
-        all_cpois = portfolio.risks and all(
+        # a sampled pool is recognised before anything iterates its risks
+        all_cpois = isinstance(portfolio.risks, PoissonNegbinPool) or portfolio.risks and all(
             isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()
             for r in portfolio.risks
         )
@@ -566,36 +573,36 @@ def _select_risk_columns(config: ScenarioConfig, n_risks: int) -> list[int]:
 def write_allocations_csv(
     path: Path, table: AllocationTable, columns: Sequence[int], header_notes: Sequence[str] = ()
 ) -> None:
-    cdf = table.fs.cdf()
-    cond_total = table.validation_curve
-    mu = table.rows(columns)
-    cum = table.cumulative_rows(columns)
-    cond = table.conditional_mean_rows(columns)
+    # one row of floats per lattice point: f_S, F_S, (mu, cum, cond) per column, cond_total
+    per_risk = np.stack(
+        [table.rows(columns), table.cumulative_rows(columns), table.conditional_mean_rows(columns)],
+        axis=1,
+    ).reshape(3 * len(columns), table.kmax)
+    values = np.vstack([table.fs.masses, table.fs.cdf(), per_risk, table.validation_curve])
+    names = ["k", "f_S", "F_S"]
+    for c in columns:
+        names += [f"mu_{c + 1}", f"cum_{c + 1}", f"cond_{c + 1}"]
+    names += ["cond_total", "valid"]
     with path.open("w") as fh:
         for note in header_notes:
             fh.write(f"# {note}\n")
-        names = ["k", "f_S", "F_S"]
-        for c in columns:
-            names += [f"mu_{c + 1}", f"cum_{c + 1}", f"cond_{c + 1}"]
-        names += ["cond_total", "valid"]
         fh.write(",".join(names) + "\n")
-        for k in range(table.kmax):
-            row = [str(k), _fmt(table.fs.masses[k]), _fmt(cdf[k])]
-            for j in range(len(columns)):
-                row += [_fmt(mu[j, k]), _fmt(cum[j, k]), _fmt(cond[j, k])]
-            row += [_fmt(cond_total[k]), "1" if table.valid_mask[k] else "0"]
-            fh.write(",".join(row) + "\n")
+        # repr of a Python float is the shortest round-trip decimal, as _fmt writes it;
+        # one row at a time, so no Python float outlives its line
+        fh.writelines(
+            f"{k},{','.join(map(repr, row.tolist()))},{'1' if valid else '0'}\n"
+            for k, (row, valid) in enumerate(zip(values.T, table.valid_mask.tolist()))
+        )
 
 
 def write_cond_mean_dist_csv(path: Path, dist: ConditionalMeanDistribution,
                              header_notes: Sequence[str] = ()) -> None:
-    cum = dist.cum_masses()
+    values = np.vstack([dist.support, dist.masses, dist.cum_masses()])
     with path.open("w") as fh:
         for note in header_notes:
             fh.write(f"# {note}\n")
         fh.write("value,mass,cum_mass\n")
-        for v, m, c in zip(dist.support, dist.masses, cum):
-            fh.write(f"{_fmt(v)},{_fmt(m)},{_fmt(c)}\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in values.T.tolist())
 
 
 @dataclass

@@ -405,6 +405,20 @@ class TestAlgorithmOne:
         got, want = t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1]
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
+    def test_streamed_pool_matches_its_risk_list(self):
+        # the sampled pool's severities come from the NB block recursion in
+        # each pass; the same risks as a list are copied from their arrays
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 1100}, 20260810, 2**12)
+        a = allocate_compound_poisson_pool(pool, 2**12)
+        b = allocate_compound_poisson_pool(list(pool), 2**12)
+        assert band_width(a) == band_width(b) < 1438
+        assert np.array_equal(a.weights, b.weights)
+        above = b.fs.masses > b.underflow_floor
+        for got, want in ((a.fs.masses, b.fs.masses), (a.column_sum, b.column_sum)):
+            assert np.all(np.abs(got[above] - want[above]) <= 1e-14 * want[above])
+        assert np.all(np.abs(a.risk_means - b.risk_means) <= 1e-14 * b.risk_means)
+        assert b.risk_means == pytest.approx([r.mean() for r in pool], rel=1e-14)
+
     def test_small_pool_against_transform_free_references(self, small_pool):
         t = allocate_compound_poisson_pool(small_pool, 64)
         # the longest severity has 5 masses, so the band is all of it

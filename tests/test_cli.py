@@ -52,7 +52,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "r, q, length, message",
-        [(400, 0.1, 8, "no mass"), (2000, 0.01, 4096, "scaled range"), (2, 0.45, 0, "at least one")],
+        [(400, 0.1, 8, "no mass"), (2000, 0.01, 4096, "scaled range")],
     )
     def test_severity_out_of_range_is_numerical_failure(self, tmp_path, capsys, r, q, length, message):
         scenario = tmp_path / "nb.yaml"
@@ -67,6 +67,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical failure" in err and message in err
 
+    def test_sampled_pool_without_mass_is_numerical_failure(self, tmp_path, capsys):
+        # NB(400, q ~ 0.1) has no mass above the smallest normal float below 8:
+        # the pool's severities are only formed during the allocation
+        scenario = tmp_path / "nb_pool.yaml"
+        scenario.write_text(
+            "kmax: 64\nseed: 3\nmodel:\n"
+            "  sampled: {kind: compound_poisson_negbin, count: 5, r_choices: [400],"
+            " q_range: [0.1, 0.11], severity_length: 8}\n"
+        )
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "NB(r=400, q=0.1" in err and "no mass" in err
 
     POISSON = "model:\n  risks:\n    - {type: poisson, lam: 0.5}\n"
 
@@ -96,6 +109,25 @@ class TestRun:
             (
                 "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, lam_exp_mean: zz}\n",
                 "model.sampled.lam_exp_mean",
+            ),
+            ("seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: -5}\n", "model.sampled.count"),
+            ("seed: 1\nmodel:\n  sampled: {kind: pareto_extras}\n", "model.sampled.count"),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, r_choices: []}\n",
+                "model.sampled.r_choices",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 3, b_choices: []}\n",
+                "model.sampled.b_choices",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, severity_length: 0}\n",
+                "model.sampled.severity_length",
+            ),
+            (
+                "model:\n  risks:\n"
+                "    - {type: compound_poisson_negbin, lam: 0.5, r: 2, q: 0.45, severity_length: 0}\n",
+                "model.risks[0].severity_length",
             ),
             ("model:\n  risks:\n    - {type: poisson, lam: -1}\n", "model.risks[0]: poisson rate"),
             (
@@ -133,6 +165,12 @@ class TestRun:
             "risk_column",
             "sampled_count",
             "sampled_lam_mean",
+            "sampled_count_range",
+            "sampled_count_missing",
+            "sampled_empty_r_choices",
+            "sampled_empty_b_choices",
+            "sampled_severity_length",
+            "risk_severity_length",
             "poisson_rate_range",
             "negbin_pool_rate_range",
             "sampled_q_range",

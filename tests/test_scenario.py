@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from allocgen.dependence import (
     shock_allocation_table,
 )
 from allocgen.errors import ConfigError, EmptyDistribution, KatzDomain
-from allocgen.models import explicit_risk
+from allocgen.models import PoissonNegbinPool, explicit_risk
 from allocgen.pmf import pmf_from_values
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q
 from allocgen.scenario import (
@@ -159,6 +160,35 @@ class TestBuild:
             assert risk.frequency.b == float(lam)
             assert np.array_equal(risk.severity.masses, want.masses)
             assert risk.severity.truncation_mass == want.truncation_mass
+
+    def test_sampled_pool_value_builds_each_risk_alone(self):
+        # 1100 risks span nine blocks of the recursion; indexing, slicing and
+        # iteration each give, bit for bit, the risk built from its own draw
+        sampled = {"kind": "compound_poisson_negbin", "count": 1100, "r_choices": [1, 3, 6],
+                   "q_range": [0.2, 0.9]}
+        pool = sample_risks(sampled, 42, 2**12)
+        assert isinstance(pool, PoissonNegbinPool) and len(pool) == 1100
+        rng = np.random.default_rng(42)
+        draws = zip(rng.exponential(0.1, size=1100), rng.choice([1, 3, 6], size=1100),
+                    rng.uniform(0.2, 0.9, size=1100))
+        want = [compound_poisson_negbin_risk(lam, r, q, 2**12) for lam, r, q in draws]
+
+        def same(got, ref):
+            return (
+                got.frequency == ref.frequency
+                and np.array_equal(got.severity.masses, ref.severity.masses)
+                and got.severity.truncation_mass == ref.severity.truncation_mass
+                and got.severity.step_h == ref.severity.step_h
+            )
+
+        assert all(same(got, ref) for got, ref in zip(pool, want))
+        for i in (0, 127, 128, 555, 1099, -1, -1100):
+            assert same(pool[i], want[i])
+        part = pool[300:700]
+        assert isinstance(part, PoissonNegbinPool) and len(part) == 400
+        assert all(same(got, ref) for got, ref in zip(list(part), want[300:700]))
+        with pytest.raises(IndexError):
+            pool[1100]
 
     def test_severity_cut_below_its_support(self):
         # eight points hold about 0.96 of NB(2, 0.45): the rest is recorded, not renormalized
@@ -362,6 +392,48 @@ class TestRunScenario:
         assert result.table.factored and result.table.valid_mask.sum() > 500
         assert peak < dense_bytes / 10
         assert "allocations.csv" in {p.name for p in result.paths}
+
+    def test_sampled_pool_streams_through_the_engine(self):
+        # 20,000 risks at 2^12: the per-risk severities would take about 194 MB
+        raw = {
+            "kmax": 2**12,
+            "seed": 5,
+            "model": {
+                "sampled": {"kind": "compound_poisson_negbin", "count": 20_000, "lam_exp_mean": 0.03}
+            },
+        }
+        cfg = parse_scenario(raw, name="pool20k")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            built = build_portfolio(cfg)
+            table = allocate_portfolio(built.portfolio, built.kmax)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(built.portfolio.risks, PoissonNegbinPool)
+        assert table.n_risks == 20_000 and table.valid_mask.sum() > 1000
+        assert elapsed <= 5.0
+        severity_bytes = sum(r.severity.masses.nbytes for r in built.portfolio.risks)
+        assert peak < severity_bytes / 5
+
+    def test_sampled_pool_run_builds_no_risk(self, tmp_path, monkeypatch):
+        # every output of an all-sampled pool comes from the engine's blocks
+        def refuse(self):
+            raise AssertionError("the pool's risks were built")
+
+        monkeypatch.setattr(PoissonNegbinPool, "__iter__", refuse)
+        monkeypatch.setattr(PoissonNegbinPool, "__getitem__", refuse)
+        raw = {
+            "kmax": 2**11,
+            "seed": 11,
+            "model": {"sampled": {"kind": "compound_poisson_negbin", "count": 300}},
+            "outputs": {"rvar_levels": [[0.9, 0.99]], "layers": [100, 200],
+                        "pmf_of_conditional_means": [1]},
+        }
+        result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path)
+        assert result.table.factored and result.table.valid_mask.sum() > 200
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
         cfg = load_scenario(scenario_dir / "small_pool.yaml")
