@@ -171,7 +171,9 @@ class AllocationTable:
 
         A factored table sums T's columns first, W (T[:, i1 : i1 + len(w)] w),
         at a cost of O(J len(w) + n J).  Each row's J terms are summed
-        pairwise, which keeps that sum within about eps of its value.
+        pairwise, which keeps that sum within about eps of its value.  The
+        products are formed ROW_BLOCK rows at a time, so the query holds W,
+        f_S and one row block of W, never a second n x J array.
         """
         w = np.asarray(w, dtype=float)
         if not self.factored:
@@ -179,7 +181,11 @@ class AllocationTable:
         width = self.weights.shape[1]
         # (T w)(j) = sum_k f_S(i1 + k - j) w(k), f_S zero below 0
         fs = np.pad(self.fs.masses, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
-        return (self.weights * np.correlate(fs, w)[::-1]).sum(axis=1)
+        tw = np.correlate(fs, w)[::-1]
+        out = np.empty(self.n_risks)
+        for lo in range(0, self.n_risks, ROW_BLOCK):
+            out[lo : lo + ROW_BLOCK] = (self.weights[lo : lo + ROW_BLOCK] * tw).sum(axis=1)
+        return out
 
     def cumulative_rows(self, rows) -> np.ndarray:
         """Rows ``rows`` (an index, slice or index array) of ``expected_cumulative``."""
@@ -259,11 +265,11 @@ def assemble_table(
     here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with
     ``factored``, a pool's n x J weights W whose product with the Toeplitz
     matrix of ``fs`` gives the rows; the column sum is then the one
-    convolution (1^T W) * f_S.  With ``step_h == 1`` the table takes ``mu``
-    over without a copy.  ``fs`` keeps its negative round-off; a mass below
-    -1e-9 is not round-off and raises :class:`InvalidPMF`.  When the sum of a
-    dense table has a provable support bound below the buffer (all margins
-    bounded, no wrap), entries beyond it are exact zeros and the
+    convolution (1^T W) * f_S.  The table takes ``mu`` over without a copy,
+    scaled to payment units in place.  ``fs`` keeps its negative round-off;
+    a mass below -1e-9 is not round-off and raises :class:`InvalidPMF`.  When
+    the sum of a dense table has a provable support bound below the buffer
+    (all margins bounded, no wrap), entries beyond it are exact zeros and the
     inverse-transform noise there is dropped rather than reported.  The
     validity mask is ``mask_validity``'s at its defaults.
     """
@@ -275,7 +281,7 @@ def assemble_table(
         raise InvalidPMF(f"f_S has entry {fs.min():.3e}; not round-off noise")
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     if step_h != 1.0:
-        mu = mu * step_h
+        mu *= step_h
     if support_bound is not None and support_bound + 1 < kmax:
         fs = fs.copy()
         fs[support_bound + 1 :] = 0.0
@@ -327,9 +333,11 @@ def regroup(
     factored, since loading @ (W T) = (loading @ W) T.
     """
     step_h = table.fs.step_h
+    mu = loading @ table.weights
+    mu /= step_h
     return assemble_table(
         table.fs.masses,
-        loading @ table.weights / step_h,
+        mu,
         risk_means,
         step_h=step_h,
         truncation=table.truncation,
@@ -422,11 +430,13 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     whole.  The first pass collects the merged severity, each row's total,
     length and first moment (the risk means), and the head and tail sums of
     the weights at every power-of-two cut that ``_band_width`` needs; the
-    second reads only the first J columns, into W.  ``risks`` is a list of
-    risks, whose stored severities are copied block by block, or a
-    ``models.PoissonNegbinPool``, whose severities come from the NB block
-    recursion in each pass and are never stored per risk; a severity of such
-    a pool with no mass raises KatzDomain here.
+    second reads only the first J columns, into W.  The first pass runs in
+    its own function (``_pool_pass1``), so its block buffers are freed before
+    W is allocated; past that point the run holds W, f_S and one block of
+    rows.  ``risks`` is a list of risks, whose stored severities are copied
+    block by block, or a ``models.PoissonNegbinPool``, whose severities come
+    from the NB block recursion in each pass and are never stored per risk;
+    a severity of such a pool with no mass raises KatzDomain here.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the mean.
@@ -446,31 +456,12 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     # the candidate band widths below kmax; those below the longest severity are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
 
-    # pass 1: the merged severity, the row totals, lengths and first moments,
-    # and, for each power of two J, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``)
-    j = np.arange(kmax, dtype=float)
-    merged = np.zeros(kmax)
-    totals, moments = np.empty(n), np.empty(n)
-    lengths = np.empty(n, dtype=int)
-    ratios = np.zeros(len(powers))
-    for rows, masses, tops in blocks():
-        lengths[rows] = tops
-        moments[rows] = masses @ np.arange(masses.shape[1], dtype=float)
-        f = masses[:, :kmax]
-        width = f.shape[1]
-        totals[rows] = f.sum(axis=1)
-        merged[:width] += lam[rows] @ f
-        w = f * (lam[rows, None] * j[:width])
-        cuts = [c for c in powers if c < width]
-        pieces = np.add.reduceat(w, [0, *cuts], axis=1)
-        head = np.cumsum(pieces, axis=1)[:, :-1]
-        tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
-        ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
-        np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
+    # pass 1, in its own scope: its block buffers are gone before W is allocated
+    merged, totals, moments, lengths, ratios = _pool_pass1(blocks(), lam, kmax, powers)
 
     length = int(min(kmax, lengths.max()))
     cuts = [c for c in powers if c < length] + [length]
-    merged, j = merged[:length], j[:length]
+    merged, j = merged[:length], np.arange(length, dtype=float)
     count = KatzParams.poisson(float(lam.sum()))
     mix = merged / (count.b or 1.0)
     fs = compound_pmf_panjer(count, mix, kmax)
@@ -498,6 +489,37 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
     trunc = TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(band_note, *alias))
     return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
+
+
+def _pool_pass1(blocks, lam: np.ndarray, kmax: int, powers: Sequence[int]):
+    """Pass 1 of ``allocate_compound_poisson_pool``, over the severity ``blocks`` in full.
+
+    Returns the merged severity sum_i lam_i f_Bi on kmax points, each row's
+    total, first moment and length, and, for each power of two J in
+    ``powers``, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``).  The
+    block buffers are released on return, before the caller allocates W.
+    """
+    n = len(lam)
+    j = np.arange(kmax, dtype=float)
+    merged = np.zeros(kmax)
+    totals, moments = np.empty(n), np.empty(n)
+    lengths = np.empty(n, dtype=int)
+    ratios = np.zeros(len(powers))
+    for rows, masses, tops in blocks:
+        lengths[rows] = tops
+        moments[rows] = masses @ np.arange(masses.shape[1], dtype=float)
+        f = masses[:, :kmax]
+        width = f.shape[1]
+        totals[rows] = f.sum(axis=1)
+        merged[:width] += lam[rows] @ f
+        w = f * (lam[rows, None] * j[:width])
+        cuts = [c for c in powers if c < width]
+        pieces = np.add.reduceat(w, [0, *cuts], axis=1)
+        head = np.cumsum(pieces, axis=1)[:, :-1]
+        tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
+        ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
+        np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
+    return merged, totals, moments, lengths, ratios
 
 
 def _stored_severity_blocks(risks: Sequence[CompoundKatzRisk], columns: int | None = None):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .allocation import oracle_enumerate, oracle_size_biased
 from .errors import AllocationError, ConfigError, OracleBudget, UnknownCase
-from .pmf import next_pow2, pmf_from_values
+from .pmf import pmf_from_values
 from .reproduce import CASES, reproduce
-from .scenario import allocate_portfolio, build_portfolio, load_scenario, run_scenario
+from .scenario import allocate_portfolio, build_portfolio, check_settings, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,12 +27,21 @@ EXIT_NUMERICAL = 3
 EXIT_REPRODUCTION = 4
 
 
-def _cmd_run(args) -> int:
+def _load_with_overrides(args):
+    """The scenario file's config with ``--kmax`` and ``--tol`` applied, checked as the file's values are."""
     config = load_scenario(args.scenario)
     if args.kmax is not None:
-        config.kmax = next_pow2(int(args.kmax))
-    if args.tol is not None:
-        config.tolerance = float(args.tol)
+        config.kmax = args.kmax
+    if getattr(args, "tol", None) is not None:
+        config.tolerance = args.tol
+    config.kmax = check_settings(
+        config.kmax, config.tolerance, config.underflow_floor, ("--kmax", "--tol", "underflow_floor")
+    )
+    return config
+
+
+def _cmd_run(args) -> int:
+    config = _load_with_overrides(args)
     if args.seed is not None:
         config.seed = int(args.seed)
     result = run_scenario(config, args.out)
@@ -51,9 +60,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = load_scenario(args.scenario)
-    if args.kmax is not None:
-        config.kmax = next_pow2(int(args.kmax))
+    config = _load_with_overrides(args)
     built = build_portfolio(config)
     table = allocate_portfolio(
         built.portfolio, built.kmax,

@@ -189,6 +189,16 @@ def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]
         raise KatzDomain("negative binomial severities need r > 0 and q in (0, 1)")
     if n < 1:
         raise KatzDomain(f"need at least one negative binomial mass, got n={n}")
+    # one mass buffer and one ratio buffer serve every block
+    f = np.empty((min(len(r), ROW_BLOCK), n))
+    ratios = np.empty((len(f), min(_NEGBIN_CHUNK, n)))
+    for lo in range(0, len(r), ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, len(r)))
+        yield (rows, *_negbin_block(r[rows], q[rows], f, ratios))
+
+
+def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """negbin_blocks on one block of pairs, in the buffers ``f`` and ``ratios``."""
     # q^r by Python's float power, row by row: numpy's vectorised power
     # differs from it in the last bit for some arguments
     f0 = np.array([qi**ri for qi, ri in zip(q.tolist(), r.tolist())])
@@ -201,18 +211,8 @@ def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]
     if expo.min(initial=0) < -2043:
         i = int(np.argmin(expo))
         raise KatzDomain(f"NB(r={r[i]}, q={q[i]}): q^r is below 2^-2044, out of the scaled range")
-    head = np.ldexp(1.0, expo + 1021)
-    f0_scaled = np.ldexp(mant, -1021)
-    # one mass buffer and one ratio buffer serve every block
-    f = np.empty((min(len(r), ROW_BLOCK), n))
-    ratios = np.empty((len(f), min(_NEGBIN_CHUNK, n)))
-    for lo in range(0, len(r), ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, len(r)))
-        yield (rows, *_negbin_block(r[rows], q[rows], head[rows], f0_scaled[rows], f, ratios))
-
-
-def _negbin_block(r, q, head, f0_scaled, f, ratios) -> tuple[np.ndarray, np.ndarray]:
-    """negbin_blocks on one block, in the buffers ``f`` and ``ratios``; ``head`` is 2^e, ``f0_scaled`` q^r 2^-e."""
+    head = np.ldexp(1.0, expo + 1021)  # 2^e
+    f0_scaled = np.ldexp(mant, -1021)  # q^r 2^-e
     h, n = len(r), f.shape[1]
     f = f[:h]
     f[:, 0] = f0_scaled * head

@@ -35,7 +35,7 @@ def _quantile_index(fs: DiscretePMF, kappa: float) -> int:
     # the first crossing, not a bisection: negative round-off in f_S can leave the cdf non-monotone
     cdf = fs.cdf()
     if not kappa <= cdf.max():
-        raise TruncatedQuantile(f"level {kappa} above reachable mass {cdf.max()!r} on the stored grid")
+        raise TruncatedQuantile(f"level {kappa} above reachable mass {float(cdf.max())!r} on the stored grid")
     return int(np.argmax(cdf >= kappa))
 
 

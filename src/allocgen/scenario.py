@@ -41,6 +41,7 @@ written with shortest round-trip formatting so reruns diff exactly.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -140,21 +141,44 @@ def _range(values) -> list[float]:
     return [lo, hi]
 
 
+def check_settings(
+    kmax: int,
+    tolerance: float,
+    underflow_floor: float,
+    names: tuple[str, str, str] = ("kmax", "tolerance", "underflow_floor"),
+) -> int:
+    """The transform length next_pow2(kmax), once the three run settings are in range.
+
+    kmax must be at least 2, the validity tolerance finite and above 0, and
+    the underflow floor finite and at least 0.  A value out of range raises
+    ConfigError naming it by its entry in ``names``: the scenario fields, or
+    the command-line flags that override them.
+    """
+    if not kmax >= 2:
+        raise ConfigError(f"{names[0]}: must be >= 2, got {kmax}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"{names[1]}: must be finite and > 0, got {tolerance}")
+    if not (math.isfinite(underflow_floor) and underflow_floor >= 0.0):
+        raise ConfigError(f"{names[2]}: must be finite and >= 0, got {underflow_floor}")
+    return next_pow2(kmax)
+
+
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario root must be a mapping")
     kmax = _field(raw, "(root)", "kmax", int)
-    if kmax < 2:
-        raise ConfigError(f"kmax: must be >= 2, got {kmax}")
+    tolerance = _field(raw, "(root)", "tolerance", float, DEFAULT_TOLERANCE)
+    underflow_floor = _field(raw, "(root)", "underflow_floor", float, DEFAULT_UNDERFLOW_FLOOR)
+    kmax = check_settings(kmax, tolerance, underflow_floor)
     model = _field(raw, "(root)", "model", dict)
     dependence = model.get("dependence", "independent")
     if dependence not in _DEPENDENCE_KINDS:
         raise ConfigError(f"model.dependence: unknown kind {dependence!r}")
 
     cfg = ScenarioConfig(
-        kmax=next_pow2(kmax),
-        tolerance=_field(raw, "(root)", "tolerance", float, DEFAULT_TOLERANCE),
-        underflow_floor=_field(raw, "(root)", "underflow_floor", float, DEFAULT_UNDERFLOW_FLOOR),
+        kmax=kmax,
+        tolerance=tolerance,
+        underflow_floor=underflow_floor,
         seed=(_field(raw, "(root)", "seed", int) if raw.get("seed") is not None else None),
         dependence=dependence,
         risk_specs=list(model.get("risks", []) or []),

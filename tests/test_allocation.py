@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from allocgen.errors import (
     SeriesTruncation,
 )
 from allocgen.models import (
+    ROW_BLOCK,
     BernoulliRisk,
     CompoundKatzRisk,
     ExplicitRisk,
@@ -44,6 +46,7 @@ from allocgen.models import (
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
+from allocgen.risk_measures import RVaRLevels, euler_rvar_contributions, rvar
 from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, sample_risks
 from reference import banded_product_blocked
 
@@ -614,6 +617,17 @@ def factored_table(name, scenario_dir):
     return allocate_portfolio(built.portfolio, built.kmax)
 
 
+def traced_peak(call):
+    """``call()`` and the most memory tracemalloc saw allocated during it, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestFactoredTable:
     """Every query of a factored table against the dense product W T, formed by blocks of columns.
 
@@ -694,3 +708,34 @@ class TestFactoredTable:
         assert t.identity_deviation() <= 1e-15
         w = np.linspace(0.5, 1.0, 6)
         assert np.max(np.abs(t.band(3, w) - dense.band(3, w))) <= 1e-15
+
+    def test_band_matches_the_unblocked_row_sums(self, scenario_dir):
+        # 300 rows: two full row blocks and a short one
+        t = factored_table("pool300", scenario_dir)
+        assert t.n_risks % ROW_BLOCK != 0
+        width = t.weights.shape[1]
+        padded = np.pad(t.fs.masses, (width - 1, 0))
+        rng = np.random.default_rng(7)
+        for i1 in (0, t.kmax // 2, t.kmax - 5):
+            for size in (1, 5, 40):
+                w = rng.uniform(0.0, 1.0, size=min(size, t.kmax - i1))
+                tw = np.correlate(padded[i1 : i1 + width - 1 + len(w)], w)[::-1]
+                assert np.array_equal(t.band(i1, w), (t.weights * tw).sum(axis=1))
+
+    def test_euler_split_holds_no_copy_of_the_weights(self):
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 2000}, 20260810, 2**11)
+        t = allocate_compound_poisson_pool(pool, 2**11)
+        levels = RVaRLevels(0.9, 0.99)
+        split, peak = traced_peak(lambda: euler_rvar_contributions(t, levels))
+        assert peak < t.weights.nbytes / 4
+        assert split.sum() == pytest.approx(rvar(t.fs, levels), rel=1e-12)
+
+    def test_pool_run_holds_the_weights_and_one_block_buffer(self):
+        # at 4000 risks W outweighs pass 1's block buffers, which are freed before W is allocated
+        kmax = 2**11
+        sampled = {"kind": "compound_poisson_negbin", "count": 4000, "lam_exp_mean": 0.05}
+        pool = sample_risks(sampled, 20260810, kmax)
+        t, peak = traced_peak(lambda: allocate_compound_poisson_pool(pool, kmax))
+        block = ROW_BLOCK * pool.severity_length * 8  # one NB mass buffer
+        assert t.weights.nbytes > 3 * block
+        assert peak <= t.weights.nbytes + block

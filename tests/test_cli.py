@@ -88,6 +88,10 @@ class TestRun:
         [
             ("model:\n  risks:\n    - {type: poisson, lam: abc}\n", "model.risks[0].lam"),
             ("tolerance: abc\n" + POISSON, "tolerance"),
+            ("tolerance: -1.0e-8\n" + POISSON, "tolerance: must be finite and > 0, got -1e-08"),
+            ("tolerance: .nan\n" + POISSON, "tolerance: must be finite and > 0, got nan"),
+            ("underflow_floor: -1.0\n" + POISSON, "underflow_floor: must be finite and >= 0, got -1.0"),
+            ("underflow_floor: .inf\n" + POISSON, "underflow_floor: must be finite and >= 0, got inf"),
             (
                 "model:\n  risks:\n"
                 "    - {type: compound, frequency: {family: poisson, lam: [1]}, severity: [0, 1.0]}\n",
@@ -156,6 +160,10 @@ class TestRun:
         ids=[
             "risk_value",
             "tolerance",
+            "tolerance_negative",
+            "tolerance_nan",
+            "floor_negative",
+            "floor_inf",
             "frequency_value",
             "shock_lambda",
             "rvar_value",
@@ -189,6 +197,34 @@ class TestRun:
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kmax", "0"], "--kmax: must be >= 2, got 0"),
+            (["--kmax", "-5"], "--kmax: must be >= 2, got -5"),
+            (["--tol", "-1"], "--tol: must be finite and > 0, got -1.0"),
+            (["--tol", "nan"], "--tol: must be finite and > 0, got nan"),
+            (["--tol", "0"], "--tol: must be finite and > 0, got 0.0"),
+        ],
+        ids=["kmax_zero", "kmax_negative", "tol_negative", "tol_nan", "tol_zero"],
+    )
+    def test_bad_override_is_config_error(self, scenario_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = main(["run", str(scenario_dir / "small_pool.yaml"), "--out", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_kmax_override_is_rounded_up_as_the_file_value_is(self, scenario_dir, tmp_path, capsys):
+        # --kmax 3 is a legal length, 4 points, as kmax: 3 in the file is; the
+        # scenario's 0.9 level is then beyond the grid, a numerical failure
+        code = main(["run", str(scenario_dir / "small_pool.yaml"), "--out", str(tmp_path), "--kmax", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: level 0.9 above reachable mass 0.8697740204280986 on the stored grid\n"
+        )
+
 
 class TestReproduce:
     def test_bernoulli_pool_case_passes(self, capsys):
@@ -219,6 +255,11 @@ class TestOracleCommand:
     def test_frailty_scenario_agrees(self, scenario_dir, capsys):
         code = main(["oracle", str(scenario_dir / "frailty.yaml")])
         assert code == 0
+
+    def test_bad_kmax_override_is_config_error(self, scenario_dir, capsys):
+        code = main(["oracle", str(scenario_dir / "bernoulli_pool.yaml"), "--kmax", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --kmax: must be >= 2, got 0\n"
 
     def test_gamma_scenario_has_no_enumeration(self, scenario_dir, capsys):
         code = main(["oracle", str(scenario_dir / "gamma_mixture.yaml")])

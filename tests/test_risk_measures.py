@@ -69,8 +69,10 @@ class TestVaR:
 
     def test_truncated_mass_unreachable(self):
         sub = pmf_from_values([0.5, 0.25])  # quarter of the mass is off-grid
-        with pytest.raises(TruncatedQuantile):
+        with pytest.raises(TruncatedQuantile) as info:
             var_level(sub, 0.9)
+        # a plain float, not numpy's np.float64(...) repr
+        assert str(info.value) == "level 0.9 above reachable mass 0.75 on the stored grid"
 
     @given(mass_vectors, st.floats(0.01, 0.99))
     @settings(max_examples=50)
