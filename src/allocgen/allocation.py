@@ -97,8 +97,13 @@ class AllocationTable:
     - ``rows(idx)``: the allocation rows of the given risks;
     - ``band(i1, w)``: the n-vector sum_k mu_i(i1 + k) w(k);
     - ``column_sum``: sum_i mu_i(k), formed once at assembly;
-    - ``conditional_mean_at(k)``, ``cumulative_rows`` and
-      ``conditional_mean_rows``, derived from the two reads above.
+    - ``conditional_mean_at(k)``: E[X_i | S = k h], column k over f_S(k);
+    - ``expected_allocation``: every row, the stored array of a dense table
+      and a fresh product W T of a factored one, for tests, reproductions
+      and oracles; ``allocgen run`` never reads it.
+
+    Callers derive the rest from rows they hold: the cumulative allocation is
+    their prefix sum, the conditional mean ``per_mass(rows, fs.masses)``.
 
     Each side of the full-allocation identity sum_i mu_i(k) = k h f_S(k) is
     kept once: ``column_sum`` and ``fs``, the engine's own f_S.  That is never
@@ -106,19 +111,9 @@ class AllocationTable:
     deep tail, which is what the validity mask is for; a Poisson pool's comes
     from the Panjer recursion and is non-negative.  For a factored table the
     identity is Panjer's recursion for f_S, sum_j (1^T W)(j) f_S(k - j) = k h
-    f_S(k).  Derived on access rather than stored:
-
-    - ``expected_allocation``: every row, the stored array of a dense table
-      and a fresh product W T of a factored one;
-    - ``expected_cumulative``: prefix sums of each row along k;
-    - ``conditional_mean``: each row divided by f_S, NaN where that mass is
-      exactly zero;
-    - ``validation_curve``: ``column_sum`` divided by f_S in the same way.  It
-      equals k h wherever results are trustworthy, and the validity mask is
-      derived from it.
-
-    The first three are n x kmax arrays for the callers that want every row
-    (tests, reproductions, oracles); ``allocgen run`` reads none of them.
+    f_S(k).  The ``validation_curve``, ``per_mass(column_sum, fs.masses)``,
+    equals k h wherever results are trustworthy, and the validity mask is
+    derived from it.
     """
 
     fs: DiscretePMF
@@ -144,16 +139,8 @@ class AllocationTable:
         return self.rows(slice(None))
 
     @property
-    def expected_cumulative(self) -> np.ndarray:
-        return self.cumulative_rows(slice(None))
-
-    @property
-    def conditional_mean(self) -> np.ndarray:
-        return self.conditional_mean_rows(slice(None))
-
-    @property
     def validation_curve(self) -> np.ndarray:
-        return _per_mass(self.column_sum, self.fs.masses)
+        return per_mass(self.column_sum, self.fs.masses)
 
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
@@ -187,17 +174,9 @@ class AllocationTable:
             out[lo : lo + ROW_BLOCK] = (self.weights[lo : lo + ROW_BLOCK] * tw).sum(axis=1)
         return out
 
-    def cumulative_rows(self, rows) -> np.ndarray:
-        """Rows ``rows`` (an index, slice or index array) of ``expected_cumulative``."""
-        return np.cumsum(self.rows(rows), axis=-1)
-
-    def conditional_mean_rows(self, rows) -> np.ndarray:
-        """Rows ``rows`` (an index, slice or index array) of ``conditional_mean``."""
-        return _per_mass(self.rows(rows), self.fs.masses)
-
     def conditional_mean_at(self, k: int) -> np.ndarray:
-        """Column ``k`` of ``conditional_mean``, every risk."""
-        return _per_mass(self.band(k, np.ones(1)), self.fs.masses[k])
+        """E[X_i | S = k h] for every risk i: column ``k`` of the rows over f_S(k)."""
+        return per_mass(self.band(k, np.ones(1)), self.fs.masses[k])
 
     def identity_deviation(self) -> float:
         """Largest deviation in the full-allocation identity over the valid points.
@@ -230,8 +209,11 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """``mu / fs`` with NaN where the mass ``fs`` is exactly zero."""
+def per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """``mu / fs`` with NaN where the mass ``fs`` is exactly zero.
+
+    Rows over f_S are conditional means; the column sum over f_S is the validation curve.
+    """
     fs = np.broadcast_to(fs, np.shape(mu))
     return np.divide(mu, fs, out=np.full(np.shape(mu), np.nan), where=fs != 0.0)
 
@@ -685,7 +667,7 @@ def cumulative_and_layers(
     """
     if not (0 < l1 < l2 < table.kmax):
         raise InvalidLayer(f"need 0 < l1 < l2 < {table.kmax}, got ({l1}, {l2})")
-    cum = table.cumulative_rows(risk)
+    cum = np.cumsum(table.rows(risk))
     retained = float(cum[l1])
     layer = float(cum[l2] - cum[l1])
     excess = float(table.risk_means[risk] - cum[l2])

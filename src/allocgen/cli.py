@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .allocation import oracle_enumerate, oracle_size_biased
-from .errors import AllocationError, ConfigError, OracleBudget, UnknownCase
+from .errors import AllocationError, ConfigError, UnknownCase
 from .pmf import pmf_from_values
 from .reproduce import CASES, reproduce
 from .scenario import allocate_portfolio, build_portfolio, check_settings, load_scenario, run_scenario
@@ -121,15 +121,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnknownCase) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnknownCase as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OracleBudget as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except AllocationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

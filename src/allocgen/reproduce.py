@@ -284,8 +284,7 @@ def _reproduce_bernoulli_pool() -> ReproductionReport:
     singles = [k for k, c in enumerate(outcome_sums) if c == 1]
     ok = True
     for k in singles:
-        for i, b in enumerate(BERNOULLI_POOL_B):
-            v = oracle.conditional_mean[i, k]
+        for v, b in zip(oracle.conditional_mean_at(k), BERNOULLI_POOL_B):
             ok = ok and (abs(v) <= 1e-12 or abs(v - b) <= 1e-12)
     rep.add(
         "singleton_totals_pay_all_or_nothing",

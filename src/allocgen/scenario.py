@@ -61,6 +61,7 @@ from .allocation import (
     cumulative_and_layers,
     allocate_compound_poisson_pool,
     mask_validity,
+    per_mass,
 )
 from .dependence import (
     FrailtyBernoulliSpec,
@@ -263,7 +264,7 @@ def _build_risk(spec: dict, path: str, kmax: int):
     get = partial(_field, spec, path)
     if kind == "compound_poisson_negbin":
         lam, r, q = get("lam"), get("r"), get("q")
-        _require_negbin_domain(path, ("lam", "r", "q"), [lam], [r], [q])
+        _require_domain(path, ("lam", "r", "q"), ([lam], [r], [q]), _NEGBIN_DOMAIN)
         sev_len = get("severity_length", int, min(kmax, 4096))
         if sev_len < 1:
             raise ConfigError(f"{path}.severity_length: need >= 1, got {sev_len}")
@@ -297,6 +298,7 @@ def _build_risk(spec: dict, path: str, kmax: int):
             return CompoundKatzRisk(params, get("severity", pmf_from_values))
         if kind == "pareto":
             alpha, lam, xmax = get("alpha"), get("lam"), get("xmax", int, kmax)
+            _require_domain(path, ("alpha", "lam", "xmax"), ([alpha], [lam], [xmax]), _PARETO_DOMAIN)
             pmf, report = arithmetize(
                 pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax
             )
@@ -304,18 +306,21 @@ def _build_risk(spec: dict, path: str, kmax: int):
     raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
 
 
-def _require_negbin_domain(path: str, fields, lam, r, q) -> None:
-    """ConfigError naming ``path.field`` unless every lam >= 0, every r > 0 and every q is in (0, 1).
+# (what a value needs, its test) for each parameter list of a family, in order
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_NEGBIN_DOMAIN = ((">= 0", lambda v: v >= 0.0), _POSITIVE, ("in (0, 1)", lambda v: 0.0 < v < 1.0))
+_PARETO_DOMAIN = (_POSITIVE, _POSITIVE, (">= 2", lambda v: v >= 2))
+_BERNOULLI_DOMAIN = ((">= 1", lambda v: v >= 1), ("in [0, 1]", lambda v: 0.0 <= v <= 1.0))
 
-    ``fields`` names the three lists of values, in that order.
+
+def _require_domain(path: str, fields, values, domain) -> None:
+    """ConfigError naming ``path.field`` unless every value passes its family's test in ``domain``.
+
+    ``fields`` names the lists in ``values``, one per entry of ``domain``,
+    and the error gives the first value out of range.
     """
-    checks = (
-        (lam, ">= 0", lambda v: v >= 0.0),
-        (r, "> 0", lambda v: v > 0.0),
-        (q, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-    )
-    for field, (values, need, ok) in zip(fields, checks):
-        bad = [v for v in values if not ok(v)]
+    for field, vals, (need, ok) in zip(fields, values, domain):
+        bad = [v for v in vals if not ok(v)]
         if bad:
             raise ConfigError(f"{path}.{field}: need {need}, got {bad[0]}")
 
@@ -332,7 +337,7 @@ def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int) -> PoissonNeg
     q_range = sampled.get("q_range", [0.4, 0.5])
     # every draw lies in range when the fields it is drawn from do
     fields = ("lam_exp_mean", "r_choices", "q_range")
-    _require_negbin_domain("model.sampled", fields, [lam_mean], r_choices, q_range)
+    _require_domain("model.sampled", fields, ([lam_mean], r_choices, q_range), _NEGBIN_DOMAIN)
     lams = rng.exponential(lam_mean, size=count)
     rs = rng.choice(r_choices, size=count)
     qs = rng.uniform(*q_range, size=count)
@@ -341,9 +346,13 @@ def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int) -> PoissonNeg
 
 def _sample_pareto_extras(sampled: dict, rng, kmax: int):
     count = sampled["count"]
-    alphas = rng.uniform(*sampled.get("alpha_range", [1.3, 1.9]), size=count)
-    lams = rng.uniform(*sampled.get("lam_range", [5.0, 15.0]), size=count)
+    alpha_range = sampled.get("alpha_range", [1.3, 1.9])
+    lam_range = sampled.get("lam_range", [5.0, 15.0])
     xmax = sampled.get("xmax", min(kmax, 2**15))
+    fields = ("alpha_range", "lam_range", "xmax")
+    _require_domain("model.sampled", fields, (alpha_range, lam_range, [xmax]), _PARETO_DOMAIN)
+    alphas = rng.uniform(*alpha_range, size=count)
+    lams = rng.uniform(*lam_range, size=count)
     risks = []
     for a, l in zip(alphas, lams):
         pmf, _ = arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", xmax)
@@ -353,8 +362,11 @@ def _sample_pareto_extras(sampled: dict, rng, kmax: int):
 
 def _sample_bernoulli_extras(sampled: dict, rng, kmax: int):
     count = sampled["count"]
-    bs = rng.choice(sampled.get("b_choices", list(range(1, 11))), size=count)
-    qs = np.clip(rng.uniform(*sampled.get("q_range", [0.0, 1.0]), size=count), 1e-6, 1.0 - 1e-6)
+    b_choices = sampled.get("b_choices", list(range(1, 11)))
+    q_range = sampled.get("q_range", [0.0, 1.0])
+    _require_domain("model.sampled", ("b_choices", "q_range"), (b_choices, q_range), _BERNOULLI_DOMAIN)
+    bs = rng.choice(b_choices, size=count)
+    qs = np.clip(rng.uniform(*q_range, size=count), 1e-6, 1.0 - 1e-6)
     return [BernoulliRisk(int(b), float(q)) for b, q in zip(bs, qs)]
 
 
@@ -394,6 +406,9 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     for key in ("r_choices", "b_choices"):
         if key in sampled and not len(sampled[key]):
             raise ConfigError(f"model.sampled.{key}: need at least one choice")
+    for key in ("q_range", "alpha_range", "lam_range"):
+        if key in sampled and not sampled[key][0] < sampled[key][1]:
+            raise ConfigError(f"model.sampled.{key}: need lo < hi, got {sampled[key]}")
     if sampled.get("severity_length", 1) < 1:
         raise ConfigError(f"model.sampled.severity_length: need >= 1, got {sampled['severity_length']}")
     return _SAMPLED_BUILDERS[kind](sampled, np.random.default_rng(seed), kmax)
@@ -526,7 +541,7 @@ def conditional_mean_distribution(table: AllocationTable, risk: int) -> Conditio
     valid = table.valid_mask
     if not valid.any():
         raise EmptyDistribution("no valid lattice points to aggregate")
-    values = table.conditional_mean_rows(risk)[valid]
+    values = per_mass(table.rows(risk), table.fs.masses)[valid]
     masses = table.fs.masses[valid]
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -581,28 +596,41 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _select_risk_columns(config: ScenarioConfig, n_risks: int) -> list[int]:
-    chosen = config.outputs.get("risk_columns")
-    if chosen:
-        cols = [c - 1 for c in chosen]
-        bad = [c + 1 for c in cols if not 0 <= c < n_risks]
+def _resolve_outputs(outputs: dict, n_risks: int, kmax: int) -> tuple[list[int], list[int], list[int]]:
+    """The shown risk columns and conditional-mean risks (0-based) and the layer pair, checked.
+
+    Every request is checked against the table's ``n_risks`` and ``kmax``
+    before any writer runs, so a bad one stops the run with nothing written.
+    Without ``risk_columns``, all risks are shown up to 64 and the first 8
+    beyond that.
+    """
+
+    def risks(key: str) -> list[int]:
+        chosen = outputs.get(key) or []
+        bad = [i for i in chosen if not 1 <= i <= n_risks]
         if bad:
-            raise ConfigError(f"outputs.risk_columns: indices {bad} outside 1..{n_risks}")
-        return cols
-    if n_risks <= 64:
-        return list(range(n_risks))
-    return list(range(8))  # keep wide pools manageable; override via risk_columns
+            raise ConfigError(f"outputs.{key}: indices {bad} outside 1..{n_risks}")
+        return [i - 1 for i in chosen]
+
+    layers = outputs.get("layers") or []
+    if layers and not 0 < layers[0] < layers[1] < kmax:
+        raise ConfigError(f"outputs.layers: need 0 < l1 < l2 < {kmax}, got {layers}")
+    columns = risks("risk_columns") or list(range(n_risks if n_risks <= 64 else 8))
+    return columns, risks("pmf_of_conditional_means"), layers
 
 
 def write_allocations_csv(
     path: Path, table: AllocationTable, columns: Sequence[int], header_notes: Sequence[str] = ()
 ) -> None:
-    # one row of floats per lattice point: f_S, F_S, (mu, cum, cond) per column, cond_total
-    per_risk = np.stack(
-        [table.rows(columns), table.cumulative_rows(columns), table.conditional_mean_rows(columns)],
-        axis=1,
-    ).reshape(3 * len(columns), table.kmax)
-    values = np.vstack([table.fs.masses, table.fs.cdf(), per_risk, table.validation_curve])
+    # one row of floats per lattice point: f_S, F_S, (mu, cum, cond) per column, cond_total;
+    # the shown rows are read once, and the rest is derived in place from them
+    fs = table.fs.masses
+    values = np.empty((3 + 3 * len(columns), table.kmax))
+    values[0], values[1], values[-1] = fs, table.fs.cdf(), table.validation_curve
+    mu = values[2:-1:3]
+    mu[:] = table.rows(columns)
+    np.cumsum(mu, axis=-1, out=values[3:-1:3])
+    values[4:-1:3] = per_mass(mu, fs)
     names = ["k", "f_S", "F_S"]
     for c in columns:
         names += [f"mu_{c + 1}", f"cum_{c + 1}", f"cond_{c + 1}"]
@@ -648,6 +676,13 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         tolerance=config.tolerance,
         underflow_floor=config.underflow_floor,
     )
+    # the RVaR figures, which can fail, and every output request are settled before any file is written
+    outputs = config.outputs
+    rvars = [
+        (levels, risk_measures.rvar(table.fs, levels), risk_measures.euler_rvar_contributions(table, levels))
+        for levels in outputs.get("rvar_levels", [])
+    ]
+    columns, cond_means, layers = _resolve_outputs(outputs, table.n_risks, table.kmax)
     result = ScenarioResult(table=table, built=built)
     lines = result.report_lines
     lines.append(f"scenario: {config.name}")
@@ -687,29 +722,22 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
     for note in trunc.notes:
         lines.append(f"truncation_note: {note}")
 
-    outputs = config.outputs
-    columns = _select_risk_columns(config, table.n_risks)
     if outputs.get("allocations", True):
         p = out / "allocations.csv"
         write_allocations_csv(p, table, columns, header_notes)
         result.paths.append(p)
 
-    for idx in outputs.get("pmf_of_conditional_means", []):
-        i = idx - 1
-        if not 0 <= i < table.n_risks:
-            raise ConfigError(f"outputs.pmf_of_conditional_means: index {idx} outside 1..{table.n_risks}")
+    for i in cond_means:
         dist = conditional_mean_distribution(table, i)
-        p = out / f"cond_mean_dist_{idx}.csv"
+        p = out / f"cond_mean_dist_{i + 1}.csv"
         write_cond_mean_dist_csv(p, dist, header_notes)
         result.paths.append(p)
         lines.append(
-            f"cond_mean_dist_{idx}: {len(dist.support)} support points, "
+            f"cond_mean_dist_{i + 1}: {len(dist.support)} support points, "
             f"mass {_fmt(float(dist.masses.sum()))}"
         )
 
-    for levels in outputs.get("rvar_levels", []):
-        value = risk_measures.rvar(table.fs, levels)
-        contribs = risk_measures.euler_rvar_contributions(table, levels)
+    for levels, value, contribs in rvars:
         lines.append(
             f"rvar({_fmt(levels.alpha1)},{_fmt(levels.alpha2)}): total={_fmt(value)} "
             f"sum_contributions={_fmt(float(contribs.sum()))}"
@@ -717,8 +745,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         shown = ", ".join(f"{c + 1}:{_fmt(contribs[c])}" for c in columns[:16])
         lines.append(f"  contributions: {shown}")
 
-    if outputs.get("layers"):
-        l1, l2 = outputs["layers"]
+    if layers:
+        l1, l2 = layers
         for c in columns[:16]:
             retained, layer, excess = cumulative_and_layers(table, l1, l2, c)
             lines.append(

@@ -20,10 +20,12 @@ def pareto_cdf(alpha: float, lam: float):
 
 
 def pareto_lev(alpha: float, lam: float):
-    """E[min(X, d)] for the shifted power law, alpha != 1."""
+    """E[min(X, d)] for the shifted power law; at alpha = 1, its limit lam ln(1 + d/lam)."""
 
     def lev(d):
         d = np.asarray(d, dtype=float)
+        if alpha == 1.0:
+            return lam * np.log1p(d / lam)
         return (lam / (alpha - 1.0)) * (1.0 - (lam / (lam + d)) ** (alpha - 1.0))
 
     return lev

@@ -142,7 +142,7 @@ class TestCriterion3KatzClosedFormEquivalence:
             )
             worst_alloc = max(
                 worst_alloc,
-                float(np.max(np.abs(cum - table.expected_cumulative[0]))),
+                float(np.max(np.abs(cum - np.cumsum(table.rows(0))))),
             )
             FS = np.concatenate([[0.0], np.cumsum(table.fs.masses)[:-1]])
             resid = (params.a - 1.0) * cum - params.a * alloc + (params.a + params.b) * FS
@@ -210,8 +210,7 @@ class TestCriterion5BernoulliPool:
             counts[int(np.dot(combo, BERNOULLI_POOL_B))] += 1
         singleton_ok = True
         for k in np.flatnonzero(counts == 1):
-            for i, b in enumerate(BERNOULLI_POOL_B):
-                v = enum.conditional_mean[i, k]
+            for v, b in zip(enum.conditional_mean_at(k), BERNOULLI_POOL_B):
                 singleton_ok &= bool(abs(v) <= 1e-12 or abs(v - b) <= 1e-12)
         elapsed = time.perf_counter() - start
         ok = gap <= 1e-10 and singleton_ok and elapsed < 1.0

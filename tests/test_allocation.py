@@ -15,6 +15,7 @@ from allocgen.allocation import (
     cumulative_and_layers,
     mask_validity,
     oracle_enumerate,
+    per_mass,
     oracle_size_biased,
     allocate_compound_poisson_pool,
     assemble_table,
@@ -70,7 +71,7 @@ class TestAllocateIndependent:
         t = allocate_independent([poisson_risk(lam1), poisson_risk(lam2)], 64)
         k = np.arange(64.0)
         want = lam1 / (lam1 + lam2) * k
-        got = t.conditional_mean[0]
+        got = per_mass(t.rows(0), t.fs.masses)
         assert np.allclose(got[t.valid_mask], want[t.valid_mask], atol=1e-9)
 
     def test_single_risk_conditional_mean_is_identity(self):
@@ -78,7 +79,7 @@ class TestAllocateIndependent:
         k = np.arange(16.0)
         valid = t.valid_mask
         assert valid[:5].all()
-        assert np.allclose(t.conditional_mean[0][valid], k[valid], atol=1e-10)
+        assert np.allclose(per_mass(t.rows(0), t.fs.masses)[valid], k[valid], atol=1e-10)
 
     def test_bernoulli_pool_matches_enumeration(self, bernoulli_pool):
         t = allocate_independent(bernoulli_pool, 64)
@@ -187,21 +188,17 @@ class TestTableInvariants:
         # per-risk totals recover the means
         for i, r in enumerate(risks):
             assert t.expected_allocation[i].sum() == pytest.approx(r.mean(), abs=1e-9)
-        # the derived views equal the prefix sums and the masked ratio exactly
+        # the conditional means are the rows over f_S, NaN where that mass is exactly 0
         mu = t.expected_allocation
-        cum = np.cumsum(mu, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(t.fs.masses != 0.0, mu / t.fs.masses, np.nan)
-        assert np.array_equal(t.expected_cumulative, cum)
-        assert np.array_equal(t.conditional_mean, cond, equal_nan=True)
+        assert np.array_equal(per_mass(mu, t.fs.masses), cond, equal_nan=True)
         assert np.allclose(t.validation_curve, cond.sum(axis=0), rtol=1e-12, equal_nan=True)
-        assert np.array_equal(t.cumulative_rows(0), cum[0])
-        assert np.array_equal(t.conditional_mean_rows([0]), cond[[0]], equal_nan=True)
         for kk in (0, 5, 63):
             assert np.array_equal(t.conditional_mean_at(kk), cond[:, kk], equal_nan=True)
         # conditional means live on [0, min(k, own support)]
         for i, r in enumerate(risks):
-            vals = t.conditional_mean[i][t.valid_mask]
+            vals = cond[i][t.valid_mask]
             bound = np.minimum(k[t.valid_mask], r.support_top())
             assert np.all(vals >= -1e-8)
             assert np.all(vals <= bound + 1e-8)
@@ -365,7 +362,7 @@ class TestAlgorithmOne:
         risk = compound_poisson_risk(0.4, [0.0, 0.5, 0.5])
         t = allocate_compound_poisson_pool([risk], 64)
         k = np.arange(64.0)
-        assert np.allclose(t.conditional_mean[0][t.valid_mask], k[t.valid_mask], atol=1e-8)
+        assert np.allclose(per_mass(t.rows(0), t.fs.masses)[t.valid_mask], k[t.valid_mask], atol=1e-8)
 
     def test_matches_generic_independent_path(self, small_pool):
         t1 = allocate_compound_poisson_pool(small_pool, 64)
@@ -404,8 +401,8 @@ class TestAlgorithmOne:
                 got[valid[:top]], ref[valid[:top]], rtol=1e-11, atol=1e-15 * np.abs(ref).max()
             )
             assert row.sum() == pytest.approx(r.mean(), rel=1e-12)
-        # the column read, W T[:, k] / f_S(k), agrees with the full derived view
-        got, want = t.conditional_mean_at(top - 1), t.conditional_mean[:, top - 1]
+        # the column read, W T[:, k] / f_S(k), agrees with the dense rows over f_S(k)
+        got, want = t.conditional_mean_at(top - 1), t.expected_allocation[:, top - 1] / fs[top - 1]
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
     def test_streamed_pool_matches_its_risk_list(self):

@@ -156,6 +156,44 @@ class TestRun:
                 'model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"333": 0.1}\n',
                 "model.shock_lambdas: unknown shock node '333'",
             ),
+            # requests checked against the built table, after allocation but before any file
+            (POISSON + "outputs:\n  layers: [15, 5]\n", "outputs.layers: need 0 < l1 < l2 < 16"),
+            (POISSON + "outputs:\n  layers: [5, 500]\n", "outputs.layers: need 0 < l1 < l2 < 16"),
+            (
+                POISSON + "outputs:\n  pmf_of_conditional_means: [1, 9]\n",
+                "outputs.pmf_of_conditional_means: indices [9] outside 1..1",
+            ),
+            (
+                POISSON + "outputs:\n  risk_columns: [1, 0]\n",
+                "outputs.risk_columns: indices [0] outside 1..1",
+            ),
+            ("model:\n  risks:\n    - {type: pareto, alpha: 0.0, lam: 3.0}\n", "model.risks[0].alpha: need > 0"),
+            ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 0}\n", "model.risks[0].lam: need > 0"),
+            ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: -2}\n", "model.risks[0].lam: need > 0"),
+            (
+                "model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 3.0, xmax: 1}\n",
+                "model.risks[0].xmax: need >= 2",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 3, b_choices: [0]}\n",
+                "model.sampled.b_choices: need >= 1, got 0",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 3, q_range: [1.5, 2.0]}\n",
+                "model.sampled.q_range: need in [0, 1], got 1.5",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, alpha_range: [1.0, 1.0]}\n",
+                "model.sampled.alpha_range: need lo < hi",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, lam_range: [-1, -0.5]}\n",
+                "model.sampled.lam_range: need > 0, got -1.0",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, xmax: 1}\n",
+                "model.sampled.xmax: need >= 2, got 1",
+            ),
         ],
         ids=[
             "risk_value",
@@ -185,6 +223,19 @@ class TestRun:
             "gamma0_range",
             "frailty_alpha_range",
             "shock_node",
+            "layers_reversed",
+            "layers_beyond_grid",
+            "cond_mean_index_range",
+            "risk_column_range",
+            "pareto_alpha_zero",
+            "pareto_lam_zero",
+            "pareto_lam_negative",
+            "pareto_xmax",
+            "sampled_b_choice_range",
+            "sampled_bernoulli_q_range",
+            "sampled_alpha_range_empty",
+            "sampled_lam_range",
+            "sampled_pareto_xmax",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):
@@ -196,6 +247,14 @@ class TestRun:
         assert code == 2
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_pareto_at_alpha_one_runs(self, tmp_path, capsys):
+        # the limited mean at alpha = 1 is its limit lam ln(1 + d / lam)
+        scenario = tmp_path / "pareto.yaml"
+        scenario.write_text("kmax: 64\nmodel:\n  risks:\n    - {type: pareto, alpha: 1.0, lam: 3.0}\n")
+        code = main(["run", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "allocations.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocgen import gf
 from allocgen.allocation import PortfolioModel, allocate_independent, oracle_enumerate
@@ -28,6 +30,7 @@ from allocgen.models import (
     negative_binomial_risk,
     poisson_risk,
 )
+from allocgen.pmf import next_pow2
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS
 from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario
 
@@ -213,6 +216,31 @@ class TestFrailty:
         table = frailty_allocation(spec, 64)
         oracle = oracle_enumerate(PortfolioModel(dependence=spec), 64)
         assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-10
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.floats(0.0, 0.9, exclude_max=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_enumeration_on_random_pools(self, risks, alpha):
+        b, q = zip(*risks)
+        spec = FrailtyBernoulliSpec(b, q, alpha=alpha)
+        kmax = next_pow2(spec.min_kmax())
+        table = frailty_allocation(spec, kmax)
+        oracle = oracle_enumerate(PortfolioModel(dependence=spec), kmax)
+        assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-10
+
+    def test_matches_enumeration_where_claim_probabilities_underflow(self):
+        # r_1 is about 2e-6, so r_1 ** theta is exactly 0 over most of the 665 mixing levels
+        spec = FrailtyBernoulliSpec((1, 3, 10), (1e-6, 0.2, 0.3), alpha=0.5, epsilon=1e-200)
+        assert spec.theta_star == 665 and (spec.conditional_claim_probs()[:, 0] == 0.0).any()
+        table = frailty_allocation(spec, 16)
+        oracle = oracle_enumerate(PortfolioModel(dependence=spec), 16)
+        assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-13
 
     def test_kmax_below_exact_support_rejected(self):
         spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)

@@ -106,6 +106,13 @@ class TestArithmetize:
         assert report.lost_mass > 0.0
         assert report.lost_mean > 0.0
 
+    def test_power_law_limited_mean_at_alpha_one_is_the_limit(self):
+        d = np.array([0.0, 1.0, 10.0, 1000.0])
+        at_one = pareto_lev(1.0, 3.0)(d)
+        assert np.array_equal(at_one, 3.0 * np.log1p(d / 3.0))
+        for alpha in (1.0 - 1e-7, 1.0 + 1e-7):
+            assert np.allclose(pareto_lev(alpha, 3.0)(d), at_one, rtol=1e-5, atol=0.0)
+
     def test_moment_matching_error_shrinks_with_step(self):
         # exponential mean 1; the limited-mean target on a span [0, 16] grid
         rate = 1.0

@@ -172,7 +172,7 @@ class TestEulerContributions:
         table = allocate_compound_poisson_pool(small_pool, 64)
         v = var_level(table.fs, 0.95)
         contribs = euler_rvar_contributions(table, RVaRLevels(0.95, 0.95))
-        assert np.allclose(contribs, table.conditional_mean[:, v])
+        assert np.allclose(contribs, table.expected_allocation[:, v] / table.fs.masses[v])
 
     def test_levels_inside_one_atom_return_conditional_means(self, small_pool):
         table = allocate_compound_poisson_pool(small_pool, 64)

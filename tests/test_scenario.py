@@ -10,6 +10,7 @@ from allocgen.allocation import (
     allocate_independent,
     mask_validity,
     oracle_enumerate,
+    per_mass,
 )
 from allocgen.dependence import (
     FrailtyBernoulliSpec,
@@ -32,6 +33,7 @@ from allocgen.scenario import (
     parse_scenario,
     run_scenario,
     sample_risks,
+    write_allocations_csv,
 )
 from reference import negbin_pmf_per_risk
 
@@ -240,7 +242,7 @@ class TestConditionalMeanDistribution:
         oracle = oracle_enumerate(PortfolioModel(risks=bernoulli_pool), 64)
         dist = conditional_mean_distribution(table, 2)
         # pull the oracle's conditional means onto the engine's valid points
-        vals = oracle.conditional_mean[2][table.valid_mask]
+        vals = per_mass(oracle.rows(2), oracle.fs.masses)[table.valid_mask]
         masses = oracle.fs.masses[table.valid_mask]
         want = {}
         for v, m in zip(vals, masses):
@@ -358,6 +360,30 @@ class TestRunScenario:
         first = lines[lines.index(",".join(header)) + 1].split(",")
         # nothing owed at S=0 (up to inverse-transform noise)
         assert abs(float(first[header.index("cond_total")])) < 1e-12
+
+    @pytest.mark.parametrize("name, factored", [("shock", True), ("bernoulli_pool", False)])
+    def test_allocations_csv_reads_each_row_once(self, scenario_dir, tmp_path, name, factored):
+        built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
+        table = allocate_portfolio(built.portfolio, built.kmax)
+        assert table.factored == factored
+        columns = [table.n_risks - 1, 0, 2]
+        rows, reads = table.rows, []
+
+        def counted(idx):
+            reads.append(idx)
+            return rows(idx)
+
+        table.rows = counted
+        write_allocations_csv(tmp_path / "allocations.csv", table, columns)
+        assert len(reads) == 1
+        del table.rows
+        # shortest round-trip floats read back bit for bit
+        data = np.loadtxt(tmp_path / "allocations.csv", delimiter=",", skiprows=1).T
+        mu = table.rows(columns)
+        assert np.array_equal(data[3:-2:3], mu)
+        assert np.array_equal(data[4:-2:3], np.cumsum(mu, axis=1))
+        assert np.array_equal(data[5:-2:3], per_mass(mu, table.fs.masses), equal_nan=True)
+        assert np.array_equal(data[-2], table.validation_curve, equal_nan=True)
 
     def test_rvar_sections_written(self, scenario_dir, tmp_path):
         cfg = load_scenario(scenario_dir / "bernoulli_pool.yaml")
