@@ -327,21 +327,23 @@ def regroup(
     )
 
 
-def _aliasing_report(risks: Sequence[RiskModel], totals: list[float], kmax: int) -> TruncationReport:
-    """Aliasing diagnostics from the support bounds and the stored mass ``totals`` of the risks."""
-    tops = [r.support_top() for r in risks]
-    notes: list[str] = []
-    risky = False
-    if all(t is not None for t in tops) and sum(tops) > kmax - 1:
-        risky = True
-        notes.append(f"exact support bound {sum(tops)} exceeds buffer {kmax}")
-    deficit = float(sum(max(0.0, 1.0 - t) for t in totals))
-    if deficit > ALIAS_DEFICIT_TOL:
-        risky = True
-        notes.append(f"per-risk truncated mass totals {deficit:.3e}")
-    if risky:
-        warnings.warn("; ".join(notes), AliasingRisk, stacklevel=3)
-    return TruncationReport(kmax=kmax, lost_mass=deficit, aliasing_risk=risky, notes=tuple(notes))
+def _aliasing_report(
+    kmax: int, totals: np.ndarray, label: str, reasons: Sequence[str] = (), notes: Sequence[str] = ()
+) -> TruncationReport:
+    """An engine's truncation report from the mass ``totals`` it kept of each row.
+
+    A summed deficit 1 - total above ALIAS_DEFICIT_TOL joins the engine's own
+    ``reasons`` as "``label`` truncated mass totals"; any reason flags the
+    report and issues one AliasingRisk, attributed to the engine's caller.
+    ``notes`` lead the report's notes.
+    """
+    lost = float(np.maximum(0.0, 1.0 - totals).sum())
+    alias = list(reasons)
+    if lost > ALIAS_DEFICIT_TOL:
+        alias.append(f"{label} truncated mass totals {lost:.3e}")
+    if alias:
+        warnings.warn("; ".join(alias), AliasingRisk, stacklevel=3)
+    return TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(*notes, *alias))
 
 
 def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
@@ -366,22 +368,23 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     del pgfs
     fs = gf.idft(fs_hat)
 
-    mu = np.empty((n, kmax))
-    totals: list[float] = []
+    mu, totals = np.empty((n, kmax)), np.empty(n)
     k = np.arange(kmax, dtype=float)
     for rows in row_blocks(n, kmax):
         pmfs = np.array([r.pmf_vector(kmax) for r in risks[rows]], dtype=float)
-        totals.extend(float(f.sum()) for f in pmfs)
+        totals[rows] = pmfs.sum(axis=1)
         spectra = gf.dft(pmfs * k)
         spectra *= others[rows]
         gf.idft(spectra, out=mu[rows])
-    truncation = _aliasing_report(risks, totals, kmax)
 
-    means = np.array([r.mean() for r in risks])
     tops = [r.support_top() for r in risks]
-    bound = sum(tops) if all(t is not None for t in tops) else None
+    bound = sum(tops) if None not in tops else None
+    reasons = []
     if bound is not None and bound >= kmax:
+        reasons.append(f"exact support bound {bound} exceeds buffer {kmax}")
         bound = None  # wrapped: nothing beyond the buffer is provably zero
+    truncation = _aliasing_report(kmax, totals, "per-risk", reasons)
+    means = np.array([r.mean() for r in risks])
     return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
 
@@ -457,19 +460,14 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
         width = min(masses.shape[1], band)
         weights[rows, :width] = masses[:, :width] * (lam[rows, None] * j[:width])
 
-    lost = float(np.maximum(0.0, 1.0 - totals).sum())
     means = lam * (step_h * moments)
     # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(float(j**2 @ merged))
-    alias = []
-    if lost > ALIAS_DEFICIT_TOL:
-        alias.append(f"severity truncated mass totals {lost:.3e}")
+    reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
-        alias.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
-    if alias:
-        warnings.warn("; ".join(alias), AliasingRisk, stacklevel=2)
+        reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
-    trunc = TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(band_note, *alias))
+    trunc = _aliasing_report(kmax, totals, "severity", reasons, [band_note])
     return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
 
 

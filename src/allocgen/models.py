@@ -244,31 +244,18 @@ def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
     return f, lengths
 
 
-def negbin_rows(r, q, n: int) -> list[np.ndarray]:
-    """First n masses of NB(r_i, q_i) for each pair, each row cut after its last positive mass.
-
-    The rows of ``negbin_blocks``, each copied out of its block; a row with
-    no positive mass among its first n comes back empty.
-    """
-    return [
-        row[:top].copy()
-        for _, masses, lengths in negbin_blocks(r, q, n)
-        for row, top in zip(masses, lengths.tolist())
-    ]
-
-
 def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
     """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion.
 
-    The one-row case of ``negbin_rows``, zero-padded to n.  Its scaled
+    The one-row case of ``negbin_blocks``, zero-padded to n.  Its scaled
     recursion carries the running product times an exact power of two taken
     from q^r, so the masses are bit-identical to the unscaled recursion's, a
     q^r that underflows still gives the right masses, and masses below the
     smallest normal float are exact zeros.
     """
-    row = negbin_rows([r], [q], n)[0]
+    _, masses, _ = next(negbin_blocks([r], [q], n))
     f = np.zeros(n)
-    f[: len(row)] = row
+    f[: masses.shape[1]] = masses[0]
     return f
 
 

@@ -77,7 +77,8 @@ class DiscretePMF:
     def mean(self) -> float:
         """First moment on the lattice: sum of k*h*f(k)."""
         k = np.arange(len(self.masses), dtype=float)
-        return float(self.step_h * np.dot(k, self.masses))
+        # np.sum, not np.dot: a threaded BLAS splits long dot products by thread count
+        return float(self.step_h * np.sum(k * self.masses))
 
     def cdf(self) -> np.ndarray:
         """Running sum of masses; last entry equals the total stored mass."""

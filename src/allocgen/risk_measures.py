@@ -90,7 +90,7 @@ def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
     if i1 == i2:
         return float(i1 * fs.step_h)
     k = np.arange(i1, i1 + len(m), dtype=float)
-    return float(fs.step_h * np.dot(k, m)) / (a2 - a1)
+    return float(fs.step_h * np.sum(k * m)) / (a2 - a1)  # not np.dot, as in DiscretePMF.mean
 
 
 def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.ndarray:

@@ -530,6 +530,9 @@ class ConditionalMeanDistribution:
 
 
 MERGE_TOL = 1e-12
+# count_cdf_crossings' value and mass tolerances
+CROSSING_VALUE_TOL = 1e-9
+CROSSING_MASS_TOL = 1e-12
 
 
 def conditional_mean_distribution(table: AllocationTable, risk: int) -> ConditionalMeanDistribution:
@@ -557,29 +560,23 @@ def conditional_mean_distribution(table: AllocationTable, risk: int) -> Conditio
     return ConditionalMeanDistribution(support=support, masses=agg)
 
 
-def count_cdf_crossings(
-    a: ConditionalMeanDistribution,
-    b: ConditionalMeanDistribution,
-    *,
-    value_tol: float = 1e-9,
-    mass_tol: float = 1e-12,
-) -> int:
+def count_cdf_crossings(a: ConditionalMeanDistribution, b: ConditionalMeanDistribution) -> int:
     """Sign changes of (cdf_a - cdf_b) across the union of the two supports.
 
-    Support values within ``value_tol * (1 + |x|)`` of each other are treated
-    as the same evaluation point (transform noise makes 'equal' conditional
-    means differ in the last digits); differences below ``mass_tol`` are
-    treated as ties and skipped.
+    Support values within ``CROSSING_VALUE_TOL * (1 + |x|)`` of each other
+    are treated as the same evaluation point (transform noise makes 'equal'
+    conditional means differ in the last digits); differences below
+    ``CROSSING_MASS_TOL`` are treated as ties and skipped.
     """
     grid = np.sort(np.concatenate([a.support, b.support]))
     if grid.size == 0:
         return 0
     keep = np.empty(len(grid), dtype=bool)
     keep[-1] = True
-    keep[:-1] = np.diff(grid) > value_tol * (1.0 + np.abs(grid[:-1]))
+    keep[:-1] = np.diff(grid) > CROSSING_VALUE_TOL * (1.0 + np.abs(grid[:-1]))
     reps = grid[keep]  # cluster representative = the largest member
     d = a.cdf_at(reps) - b.cdf_at(reps)
-    d = d[np.abs(d) > mass_tol]
+    d = d[np.abs(d) > CROSSING_MASS_TOL]
     if d.size < 2:
         return 0
     signs = np.sign(d)
@@ -667,8 +664,6 @@ class ScenarioResult:
 
 def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
     """Run the full pipeline and write the configured outputs under ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     built = build_portfolio(config)
     table = allocate_portfolio(
         built.portfolio,
@@ -676,13 +671,17 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         tolerance=config.tolerance,
         underflow_floor=config.underflow_floor,
     )
-    # the RVaR figures, which can fail, and every output request are settled before any file is written
+    # every output request, the RVaR figures and the conditional-mean distributions, which can
+    # fail, are settled before any file is written
     outputs = config.outputs
     rvars = [
         (levels, risk_measures.rvar(table.fs, levels), risk_measures.euler_rvar_contributions(table, levels))
         for levels in outputs.get("rvar_levels", [])
     ]
     columns, cond_means, layers = _resolve_outputs(outputs, table.n_risks, table.kmax)
+    dists = [(i, conditional_mean_distribution(table, i)) for i in cond_means]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = ScenarioResult(table=table, built=built)
     lines = result.report_lines
     lines.append(f"scenario: {config.name}")
@@ -727,8 +726,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
         write_allocations_csv(p, table, columns, header_notes)
         result.paths.append(p)
 
-    for i in cond_means:
-        dist = conditional_mean_distribution(table, i)
+    for i, dist in dists:
         p = out / f"cond_mean_dist_{i + 1}.csv"
         write_cond_mean_dist_csv(p, dist, header_notes)
         result.paths.append(p)

@@ -81,6 +81,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "NB(r=400, q=0.1" in err and "no mass" in err
 
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_no_valid_point_writes_nothing(self, tmp_path, capsys):
+        # at tolerance 1e-300 no lattice point is valid, so the conditional-mean
+        # distribution fails; it is formed before the first file is written
+        scenario = tmp_path / "strict.yaml"
+        scenario.write_text(
+            "kmax: 16\ntolerance: 1.0e-300\nmodel:\n  risks:\n"
+            "    - {type: poisson, lam: 0.5}\n    - {type: negative_binomial, r: 2, q: 0.5}\n"
+            "outputs:\n  pmf_of_conditional_means: [1]\n"
+        )
+        out = tmp_path / "out"
+        code = main(["run", str(scenario), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: no valid lattice points to aggregate\n"
+        assert not out.exists()
+
     POISSON = "model:\n  risks:\n    - {type: poisson, lam: 0.5}\n"
 
     @pytest.mark.parametrize(

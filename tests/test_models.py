@@ -17,8 +17,8 @@ from allocgen.models import (
     compound_pmf_panjer,
     compound_poisson_risk,
     negative_binomial_risk,
+    negbin_blocks,
     negbin_pmf,
-    negbin_rows,
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
@@ -147,12 +147,12 @@ class TestNegbinRows:
         # rows of very different lengths share a block: q = 0.95 rows stop in
         # the first chunk, r = 40, q = 0.05 rows run past 4096
         pairs = [(r, q) for r in GRID_R for q in GRID_Q]
-        rows = negbin_rows([r for r, _ in pairs], [q for _, q in pairs], n)
-        for (r, q), row in zip(pairs, rows):
+        [(_, masses, lengths)] = negbin_blocks([r for r, _ in pairs], [q for _, q in pairs], n)
+        for (r, q), row, top in zip(pairs, masses, lengths):
             want = negbin_pmf_per_risk(r, q, n)
-            assert len(row) >= 1 and row[-1] > 0.0
-            assert np.array_equal(row, want[: len(row)]), (r, q)
-            assert not want[len(row):].any(), (r, q)
+            assert top >= 1 and row[top - 1] > 0.0
+            assert np.array_equal(row[:top], want[:top]), (r, q)
+            assert not row[top:].any() and not want[top:].any(), (r, q)
             assert np.array_equal(negbin_pmf(r, q, n), want), (r, q)
 
     def test_underflowing_first_mass(self):
@@ -171,7 +171,7 @@ class TestNegbinRows:
     @pytest.mark.parametrize("r, q", [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0)])
     def test_domain(self, r, q):
         with pytest.raises(KatzDomain):
-            negbin_rows([1.0, r], [0.5, q], 8)
+            next(negbin_blocks([1.0, r], [0.5, q], 8))
 
 
 class TestPanjerUnderflow:
@@ -226,14 +226,21 @@ class TestPanjerAgainstLoop:
 
 
 class TestKatzUnderflow:
-    # f(0) = exp(-800), 0.1^400 and 0.5^2000 all underflow to zero
+    # f(0) underflows to zero in every case (exp(-800), 0.1^400, 0.5^2000, ...);
+    # at 8192 points the scaled product carries over 16 chunks
     CASES = [
         (poisson_risk(800), 2048, stats.poisson(800)),
         (negative_binomial_risk(400, 0.1), 8192, stats.nbinom(400, 0.1)),
         (binomial_risk(2000, 0.5), 4096, stats.binom(2000, 0.5)),
+        (poisson_risk(1000), 8192, stats.poisson(1000)),
+        (poisson_risk(3000), 8192, stats.poisson(3000)),
+        (negative_binomial_risk(900, 0.3), 8192, stats.nbinom(900, 0.3)),
+        (binomial_risk(5000, 0.2), 8192, stats.binom(5000, 0.2)),
     ]
+    IDS = ["poisson", "negative_binomial", "binomial", "poisson_1000", "poisson_3000",
+           "negative_binomial_900", "binomial_5000"]
 
-    @pytest.mark.parametrize("risk, n, dist", CASES, ids=["poisson", "negative_binomial", "binomial"])
+    @pytest.mark.parametrize("risk, n, dist", CASES, ids=IDS)
     def test_matches_scipy_without_warnings(self, risk, n, dist):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -242,7 +249,7 @@ class TestKatzUnderflow:
         big = want > 1e-300
         np.testing.assert_allclose(f[big], want[big], rtol=1e-10, atol=0.0)
         assert np.all(np.abs(f[~big]) <= 1e-299)
-        assert f.sum() == pytest.approx(1.0, abs=1e-10)
+        assert f.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_table_has_valid_points_around_the_mean(self):
         table = allocate_independent([poisson_risk(800), poisson_risk(1)], 2048)

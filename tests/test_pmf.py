@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allocgen
 from allocgen.errors import InvalidPMF, MissingLEV
 from allocgen.pmf import arithmetize, degenerate_pmf, next_pow2, pmf_from_values
 from allocgen.tails import exponential_cdf, exponential_lev, pareto_cdf, pareto_lev
@@ -73,6 +79,29 @@ class TestMoments:
         assert np.all(np.diff(cdf) >= -1e-15)
         # same summation order as construction
         assert cdf[-1] == pytest.approx(p.total_mass, abs=1e-12)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a host with at least 2 CPUs")
+    def test_mean_and_rvar_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded BLAS splits a dot product over 10^4 entries across threads;
+        # the mean and the RVaR of a 2^15-point pmf must not move with that split
+        script = (
+            "import numpy as np\n"
+            "from allocgen.pmf import DiscretePMF\n"
+            "from allocgen.risk_measures import RVaRLevels, rvar\n"
+            "m = np.random.default_rng(1).pareto(1.5, 2**15 + 1)\n"
+            "fs = DiscretePMF(m / m.sum(), 0.5)\n"
+            "print(repr(fs.mean()), repr(rvar(fs, RVaRLevels(0.0, 1.0))))\n"
+        )
+        src = str(Path(allocgen.__file__).resolve().parent.parent)
+        printed = {
+            threads: subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert printed["1"] == printed["2"]
 
 
 class TestArithmetize:
