@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -41,6 +42,7 @@ from . import gf
 from .errors import (
     AliasingRisk,
     AllocationError,
+    ConfigError,
     EmptyDistribution,
     InvalidLayer,
     InvalidPMF,
@@ -346,6 +348,26 @@ def _aliasing_report(
     return TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(*notes, *alias))
 
 
+def host_memory_bytes() -> int:
+    """Physical memory of this host: the ceiling that ``require_memory`` holds estimates to."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
+    """ConfigError when n risks on kmax points, at ``bytes_per_point`` each, exceed the host's memory.
+
+    The dense engines call it before they allocate anything of size
+    n x kmax, so a portfolio too large for the host stops with a clean error
+    instead of being killed for want of memory.
+    """
+    need, host = n * kmax * bytes_per_point, host_memory_bytes()
+    if need > host:
+        raise ConfigError(
+            f"{n} risks at kmax {kmax} need about {need:,} bytes at once, "
+            f"more than the {host:,} bytes of memory on this host"
+        )
+
+
 def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
     """Allocation table for independent risks via the transform route.
 
@@ -357,9 +379,10 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
+    n = len(risks)
+    require_memory(n, kmax, 16 + 16 + 8)  # the pgfs and their leave-one-out products, then the rows
     z = gf.roots_of_unity(kmax)
     step_h = _common_step(risks)
-    n = len(risks)
 
     pgfs = np.empty((n, kmax), dtype=complex)
     for i, r in enumerate(risks):

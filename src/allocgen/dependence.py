@@ -27,6 +27,7 @@ from .allocation import (
     allocate_compound_poisson_pool,
     assemble_table,
     regroup,
+    require_memory,
 )
 from .errors import (
     InvalidFrailty,
@@ -307,6 +308,9 @@ def frailty_bernoulli_pgfs(
         raise InvalidMarginal(
             f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}"
         )
+    # the accumulated spectra, and one mixing level's powers z^b_i, pgf rows,
+    # leave-one-out products and weighted product, all complex
+    require_memory(spec.n_risks, kmax, 5 * 16)
     z = gf.roots_of_unity(kmax)
     zpow = np.array([z ** int(bi) for bi in spec.b])
     b = np.asarray(spec.b, dtype=float)

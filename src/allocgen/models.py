@@ -148,6 +148,9 @@ _TINY = np.finfo(float).tiny
 # one passes 2^_PANJER_SHIFT.
 _PANJER_SHIFT = 600
 _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
+# OpenBLAS splits a dot product over 10^4 entries across threads, which changes
+# its summation order; compound_pmf_panjer sums longer windows in pieces this long
+_DOT_CHUNK = 4096
 
 
 def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -259,6 +262,16 @@ def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
     return f
 
 
+def _chunked_dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u @ v, summed as consecutive dots of at most _DOT_CHUNK entries, so at any BLAS thread count alike."""
+    if len(u) <= _DOT_CHUNK:
+        return u @ v
+    total = u[:_DOT_CHUNK] @ v[:_DOT_CHUNK]
+    for i in range(_DOT_CHUNK, len(u), _DOT_CHUNK):
+        total += u[i : i + _DOT_CHUNK] @ v[i : i + _DOT_CHUNK]
+    return total
+
+
 def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) -> np.ndarray:
     """pmf of the random sum by the counting recursion (no transforms).
 
@@ -305,9 +318,9 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
         if mm == 0:
             continue
         window = g[k - mm : k]
-        g[k] = bjrev[top - mm :] @ window / k
+        g[k] = _chunked_dot(bjrev[top - mm :], window) / k
         if a != 0.0:
-            g[k] += arev[top - mm :] @ window
+            g[k] += _chunked_dot(arev[top - mm :], window)
         if scaled and g[k] > _PANJER_RESCALE_AT:
             g[: k + 1] *= 2.0**-_PANJER_SHIFT
             e += _PANJER_SHIFT

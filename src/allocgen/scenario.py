@@ -22,7 +22,7 @@ Scenario schema (YAML, keys and nesting)::
       sampled:                # optional sampled extras, appended after risks
         kind: compound_poisson_negbin   # | pareto_extras | bernoulli_extras
         count: 10000
-        ...                   # kind-specific fields, see sample_risks
+        ...                   # kind-specific fields, see _SAMPLED_FIELDS
       alpha: 0.5              # frailty only
       epsilon: 1.0e-10        # frailty only
       gamma0: 1.0             # gamma_mixture only (plus r1, r2, lambda1, lambda2)
@@ -137,8 +137,10 @@ def _ints(values) -> list[int]:
 
 
 def _range(values) -> list[float]:
-    """A pair of floats [lo, hi]."""
+    """A pair of floats [lo, hi] with lo < hi."""
     lo, hi = map(float, values)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {[lo, hi]}")
     return [lo, hi]
 
 
@@ -206,15 +208,6 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
             raise ConfigError("model.sampled: must be a mapping with a 'kind' field")
         if cfg.seed is None:
             raise ConfigError("seed: required when model.sampled is present")
-        # the fields that the samplers of sample_risks read
-        convert = dict(
-            count=int, lam_exp_mean=float, severity_length=int, xmax=int, r_choices=_ints,
-            b_choices=_ints, q_range=_range, alpha_range=_range, lam_range=_range,
-        )
-        cfg.sampled = {
-            key: _field(cfg.sampled, "model.sampled", key, convert[key]) if key in convert else value
-            for key, value in cfg.sampled.items()
-        }
     for i, spec in enumerate(cfg.risk_specs):
         if not isinstance(spec, dict) or "type" not in spec:
             raise ConfigError(f"model.risks[{i}]: must be a mapping with a 'type' field")
@@ -265,9 +258,7 @@ def _build_risk(spec: dict, path: str, kmax: int):
     if kind == "compound_poisson_negbin":
         lam, r, q = get("lam"), get("r"), get("q")
         _require_domain(path, ("lam", "r", "q"), ([lam], [r], [q]), _NEGBIN_DOMAIN)
-        sev_len = get("severity_length", int, min(kmax, 4096))
-        if sev_len < 1:
-            raise ConfigError(f"{path}.severity_length: need >= 1, got {sev_len}")
+        sev_len = _table_field(spec, path, "severity_length", kmax, _SAMPLED_FIELDS[kind])  # the pool's entry
         # a severity the NB recursion cannot represent is a numerical failure, not a config error
         return compound_poisson_negbin_risk(lam, r, q, sev_len)
     with _in_range(path):
@@ -307,10 +298,35 @@ def _build_risk(spec: dict, path: str, kmax: int):
 
 
 # (what a value needs, its test) for each parameter list of a family, in order
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0.0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _POSITIVE = ("> 0", lambda v: v > 0.0)
-_NEGBIN_DOMAIN = ((">= 0", lambda v: v >= 0.0), _POSITIVE, ("in (0, 1)", lambda v: 0.0 < v < 1.0))
+_NEGBIN_DOMAIN = (_AT_LEAST_0, _POSITIVE, ("in (0, 1)", lambda v: 0.0 < v < 1.0))
 _PARETO_DOMAIN = (_POSITIVE, _POSITIVE, (">= 2", lambda v: v >= 2))
-_BERNOULLI_DOMAIN = ((">= 1", lambda v: v >= 1), ("in [0, 1]", lambda v: 0.0 <= v <= 1.0))
+
+# every field of each sampled kind: (conversion, default, range that each value must pass);
+# a callable default is a function of kmax, and ... marks a required field
+_COUNT = (int, ..., _AT_LEAST_0)
+_SAMPLED_FIELDS = {
+    "compound_poisson_negbin": {
+        "count": _COUNT,
+        "lam_exp_mean": (float, 0.1, _NEGBIN_DOMAIN[0]),
+        "r_choices": (_ints, [1, 2, 3, 4, 5, 6], _NEGBIN_DOMAIN[1]),
+        "q_range": (_range, [0.4, 0.5], _NEGBIN_DOMAIN[2]),
+        "severity_length": (int, lambda kmax: min(kmax, 4096), _AT_LEAST_1),
+    },
+    "pareto_extras": {
+        "count": _COUNT,
+        "alpha_range": (_range, [1.3, 1.9], _PARETO_DOMAIN[0]),
+        "lam_range": (_range, [5.0, 15.0], _PARETO_DOMAIN[1]),
+        "xmax": (int, lambda kmax: min(kmax, 2**15), _PARETO_DOMAIN[2]),
+    },
+    "bernoulli_extras": {
+        "count": _COUNT,
+        "b_choices": (_ints, list(range(1, 11)), _AT_LEAST_1),
+        "q_range": (_range, [0.0, 1.0], ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)),
+    },
+}
 
 
 def _require_domain(path: str, fields, values, domain) -> None:
@@ -325,56 +341,20 @@ def _require_domain(path: str, fields, values, domain) -> None:
             raise ConfigError(f"{path}.{field}: need {need}, got {bad[0]}")
 
 
+def _table_field(mapping: dict, path: str, key: str, kmax: int, fields: dict):
+    """``mapping[key]`` converted, defaulted and range-checked by its entry in ``fields``."""
+    conv, default, need = fields[key]
+    value = _field(mapping, path, key, conv, default(kmax) if callable(default) else default)
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{path}.{key}: need at least one choice")
+    _require_domain(path, (key,), (values,), (need,))
+    return value
+
+
 def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
     """Poisson(lam) count over the first ``severity_length`` NB(r, q) masses, cut after the last positive one."""
     return PoissonNegbinPool([lam], [r], [q], severity_length)[0]
-
-
-def _sample_compound_poisson_negbin(sampled: dict, rng, kmax: int) -> PoissonNegbinPool:
-    count = sampled["count"]
-    lam_mean = sampled.get("lam_exp_mean", 0.1)
-    r_choices = sampled.get("r_choices", [1, 2, 3, 4, 5, 6])
-    q_range = sampled.get("q_range", [0.4, 0.5])
-    # every draw lies in range when the fields it is drawn from do
-    fields = ("lam_exp_mean", "r_choices", "q_range")
-    _require_domain("model.sampled", fields, ([lam_mean], r_choices, q_range), _NEGBIN_DOMAIN)
-    lams = rng.exponential(lam_mean, size=count)
-    rs = rng.choice(r_choices, size=count)
-    qs = rng.uniform(*q_range, size=count)
-    return PoissonNegbinPool(lams, rs, qs, sampled.get("severity_length", min(kmax, 4096)))
-
-
-def _sample_pareto_extras(sampled: dict, rng, kmax: int):
-    count = sampled["count"]
-    alpha_range = sampled.get("alpha_range", [1.3, 1.9])
-    lam_range = sampled.get("lam_range", [5.0, 15.0])
-    xmax = sampled.get("xmax", min(kmax, 2**15))
-    fields = ("alpha_range", "lam_range", "xmax")
-    _require_domain("model.sampled", fields, (alpha_range, lam_range, [xmax]), _PARETO_DOMAIN)
-    alphas = rng.uniform(*alpha_range, size=count)
-    lams = rng.uniform(*lam_range, size=count)
-    risks = []
-    for a, l in zip(alphas, lams):
-        pmf, _ = arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", xmax)
-        risks.append(ExplicitRisk(pmf))
-    return risks
-
-
-def _sample_bernoulli_extras(sampled: dict, rng, kmax: int):
-    count = sampled["count"]
-    b_choices = sampled.get("b_choices", list(range(1, 11)))
-    q_range = sampled.get("q_range", [0.0, 1.0])
-    _require_domain("model.sampled", ("b_choices", "q_range"), (b_choices, q_range), _BERNOULLI_DOMAIN)
-    bs = rng.choice(b_choices, size=count)
-    qs = np.clip(rng.uniform(*q_range, size=count), 1e-6, 1.0 - 1e-6)
-    return [BernoulliRisk(int(b), float(q)) for b, q in zip(bs, qs)]
-
-
-_SAMPLED_BUILDERS = {
-    "compound_poisson_negbin": _sample_compound_poisson_negbin,
-    "pareto_extras": _sample_pareto_extras,
-    "bernoulli_extras": _sample_bernoulli_extras,
-}
 
 
 def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
@@ -382,11 +362,12 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
 
     The one seeded pool sampler: scenarios, reproduction cases, tests and
     scripts all draw here, so a given (sampled, seed, kmax) always yields the
-    same risks.  Optional fields and their defaults are read by the function
-    for each kind in ``_SAMPLED_BUILDERS``; the fields must already have
-    their types, which ``parse_scenario`` gives those of a scenario file.
-    Counts, choice lists and the severity length are checked before any
-    draw, and a bad one raises ConfigError naming its field.
+    same risks.  Every field is read through ``_SAMPLED_FIELDS``, which
+    gives its conversion, its default and its range, so values may come as
+    strings as well as numbers.  A value that does not convert, an empty
+    choice list, a range that is not lo < hi, a value out of range and a
+    field its kind does not read each raise ConfigError naming the field,
+    before any draw.
 
     A ``compound_poisson_negbin`` pool comes back as a
     ``models.PoissonNegbinPool``: it holds only the draws (rates, NB shapes
@@ -396,22 +377,30 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     streamed block by block through ``allocate_compound_poisson_pool``
     without them.  The other kinds come back as lists of risks.
     """
-    kind = sampled["kind"]
-    if kind not in _SAMPLED_BUILDERS:
-        raise ConfigError(f"model.sampled.kind: unknown kind {kind!r}")
-    if "count" not in sampled:
-        raise ConfigError("model.sampled.count: missing required field")
-    if sampled["count"] < 0:
-        raise ConfigError(f"model.sampled.count: need >= 0, got {sampled['count']}")
-    for key in ("r_choices", "b_choices"):
-        if key in sampled and not len(sampled[key]):
-            raise ConfigError(f"model.sampled.{key}: need at least one choice")
-    for key in ("q_range", "alpha_range", "lam_range"):
-        if key in sampled and not sampled[key][0] < sampled[key][1]:
-            raise ConfigError(f"model.sampled.{key}: need lo < hi, got {sampled[key]}")
-    if sampled.get("severity_length", 1) < 1:
-        raise ConfigError(f"model.sampled.severity_length: need >= 1, got {sampled['severity_length']}")
-    return _SAMPLED_BUILDERS[kind](sampled, np.random.default_rng(seed), kmax)
+    path, kind = "model.sampled", sampled["kind"]
+    fields = _SAMPLED_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    unread = [key for key in sampled if key != "kind" and key not in fields]
+    if unread:
+        raise ConfigError(f"{path}.{unread[0]}: not a field of kind {kind!r}")
+    f = {key: _table_field(sampled, path, key, kmax, fields) for key in fields}
+    count, rng = f["count"], np.random.default_rng(seed)
+    if kind == "compound_poisson_negbin":
+        lams = rng.exponential(f["lam_exp_mean"], size=count)
+        rs = rng.choice(f["r_choices"], size=count)
+        qs = rng.uniform(*f["q_range"], size=count)
+        return PoissonNegbinPool(lams, rs, qs, f["severity_length"])
+    if kind == "pareto_extras":
+        alphas = rng.uniform(*f["alpha_range"], size=count)
+        lams = rng.uniform(*f["lam_range"], size=count)
+        return [
+            ExplicitRisk(arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", f["xmax"])[0])
+            for a, l in zip(alphas, lams)
+        ]
+    bs = rng.choice(f["b_choices"], size=count)
+    qs = np.clip(rng.uniform(*f["q_range"], size=count), 1e-6, 1.0 - 1e-6)
+    return [BernoulliRisk(int(b), float(q)) for b, q in zip(bs, qs)]
 
 
 @dataclass
@@ -452,7 +441,7 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
         # a portfolio that is only a sampled pool keeps the pool as it came
         risks = [*risks, *sampled] if risks else sampled
         notes.append(
-            f"sampled {config.sampled['count']} extra risks ({config.sampled['kind']}) with "
+            f"sampled {len(sampled)} extra risks ({config.sampled['kind']}) with "
             f"{GENERATOR_NAME}, seed={config.seed}"
         )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from allocgen import allocation
 from allocgen.cli import main
 
 
@@ -210,6 +211,15 @@ class TestRun:
                 "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, xmax: 1}\n",
                 "model.sampled.xmax: need >= 2, got 1",
             ),
+            # a key its kind does not read is named, not dropped
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 4, q_rnage: [0.1, 0.2]}\n",
+                "model.sampled.q_rnage: not a field of kind 'bernoulli_extras'",
+            ),
+            (
+                "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 4, xmax: 5}\n",
+                "model.sampled.xmax: not a field of kind 'bernoulli_extras'",
+            ),
         ],
         ids=[
             "risk_value",
@@ -252,6 +262,8 @@ class TestRun:
             "sampled_alpha_range_empty",
             "sampled_lam_range",
             "sampled_pareto_xmax",
+            "sampled_misspelt_key",
+            "sampled_key_of_another_kind",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):
@@ -263,6 +275,21 @@ class TestRun:
         assert code == 2
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
+
+    # 40 bytes per risk and lattice point for the independent engine, 80 for the frailty pgfs
+    @pytest.mark.parametrize("name, need", [("bernoulli_pool", "15,360"), ("frailty", "30,720")])
+    def test_portfolio_beyond_host_memory_is_config_error(self, scenario_dir, tmp_path, capsys, monkeypatch,
+                                                          name, need):
+        # on a host of 1 KB the dense engine stops before it allocates anything n x kmax
+        monkeypatch.setattr(allocation, "host_memory_bytes", lambda: 1024)
+        out = tmp_path / "out"
+        code = main(["run", str(scenario_dir / f"{name}.yaml"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: 6 risks at kmax 64 need about {need} bytes at once, "
+            "more than the 1,024 bytes of memory on this host\n"
+        )
+        assert not out.exists()
 
     def test_pareto_at_alpha_one_runs(self, tmp_path, capsys):
         # the limited mean at alpha = 1 is its limit lam ln(1 + d / lam)

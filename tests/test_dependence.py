@@ -7,6 +7,7 @@ from allocgen import gf
 from allocgen.allocation import PortfolioModel, allocate_independent, oracle_enumerate
 from allocgen.dependence import (
     SHOCK_LEAVES,
+    SHOCK_NODES,
     FrailtyBernoulliSpec,
     GammaMixtureSpec,
     HierarchicalShockSpec,
@@ -93,6 +94,19 @@ class TestShockTree:
                 direct[w:] += rate * fs[:-w]
             assert np.max(np.abs(direct - table.rows(i))) <= 1e-12
 
+    @given(st.fixed_dictionaries({node: st.just(0.0) | st.floats(0.0, 0.1) for node in SHOCK_NODES}))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_shifted_sums_on_random_trees(self, rates):
+        # each leaf's row is sum over its path of rate * f_S(m - w), the bound of reproduce's check
+        spec = HierarchicalShockSpec(rates)
+        table = shock_allocation_table(spec, 256)
+        fs = table.fs.masses
+        for i, leaf in enumerate(SHOCK_LEAVES):
+            direct = np.zeros(256)
+            for rate, w in spec.path(leaf):
+                direct[w:] += rate * fs[:-w]
+            assert np.max(np.abs(direct - table.rows(i))) <= 1e-12
+
     def test_leaf_only_reduces_to_independent(self):
         leaves_only = {leaf: 0.02 + 0.01 * i for i, leaf in enumerate(SHOCK_LEAVES)}
         table = shock_allocation_table(HierarchicalShockSpec(leaves_only), 128)
@@ -129,6 +143,23 @@ class TestGammaMixture:
         for i in range(2):
             conv = gamma_mixture_allocation_convolution(self.SPEC, table.fs.masses, i)
             assert np.max(np.abs(conv - table.rows(i))) <= 1e-11
+
+    @given(
+        st.floats(0.5, 4.0),
+        st.floats(0.5, 4.0),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.floats(0.2, 3.0),
+        st.floats(0.2, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_convolution_and_direct_fs_on_random_pairs(self, r1, r2, share, lambda1, lambda2):
+        # gamma0 runs over [0, min(r1, r2)], both ends included
+        spec = GammaMixtureSpec(share * min(r1, r2), r1, r2, lambda1, lambda2)
+        table = gamma_mixture_allocation(spec, 1024)
+        for i in range(2):
+            conv = gamma_mixture_allocation_convolution(spec, table.fs.masses, i)
+            assert np.max(np.abs(conv - table.rows(i))) <= 1e-11
+        assert np.max(np.abs(gamma_mixture_fs_direct(spec, 1024) - table.fs.masses)) <= 1e-11
 
     def test_total_allocation_is_rate(self):
         table = gamma_mixture_allocation(self.SPEC, 1024)

@@ -103,6 +103,29 @@ class TestMoments:
         }
         assert printed["1"] == printed["2"]
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a host with at least 2 CPUs")
+    def test_panjer_recursion_does_not_depend_on_the_blas_thread_count(self):
+        # each step of the recursion sums a window as long as the severity; a
+        # window over 10^4 entries must be summed the same way at any thread count
+        script = (
+            "import hashlib\n"
+            "from allocgen.models import KatzParams, compound_pmf_panjer, negbin_pmf\n"
+            "sev = negbin_pmf(2.0, 0.0005, 16384)\n"
+            "for freq in (KatzParams.poisson(3.0), KatzParams.negative_binomial(2.0, 0.4)):\n"
+            "    g = compound_pmf_panjer(freq, sev, 20000)\n"
+            "    print(hashlib.sha256(g.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(allocgen.__file__).resolve().parent.parent)
+        printed = {
+            threads: subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert printed["1"] == printed["2"]
+
 
 class TestArithmetize:
     def test_upper_lower_bracket_exponential(self):

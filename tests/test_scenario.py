@@ -146,6 +146,33 @@ class TestBuild:
         assert sum(lams) == pytest.approx(1019.0609342466404, rel=1e-13)
         assert [len(r.severity.masses) for r in risks[:3]] == [1094, 1193, 1357]
 
+    def test_sampled_pareto_extras_are_pinned(self):
+        # the heavy-tail reproduction's 97 extras at their default ranges, xmax 2^15 on 2^17 points
+        risks = sample_risks({"kind": "pareto_extras", "count": 97, "xmax": 2**15}, 20260810, 2**17)
+        assert [r.mean() for r in risks[:3]] == [17.100863067247367, 15.669826856716472, 15.537141175936208]
+        assert sum(r.mean() for r in risks) == pytest.approx(1640.1822816039007, rel=1e-13)
+        assert {len(r.pmf.masses) for r in risks} == {2**15}
+
+    def test_sampled_bernoulli_extras_are_pinned(self):
+        # the frailty reproduction's 69 extras at their default choices and range
+        risks = sample_risks({"kind": "bernoulli_extras", "count": 69}, 20260810, 64)
+        assert [(r.b, r.q) for r in risks[:3]] == [
+            (9, 0.660841490666194), (4, 0.44504982278762484), (2, 0.03285564734681823)
+        ]
+        assert sum(r.b for r in risks) == 417
+        assert sum(r.q for r in risks) == pytest.approx(31.403575249444508, rel=1e-13)
+
+    def test_sampled_fields_may_be_strings(self):
+        # every field is converted through its table entry, so no caller types it first
+        typed = {"kind": "compound_poisson_negbin", "count": 300, "r_choices": [1, 3],
+                 "q_range": [0.2, 0.9], "lam_exp_mean": 0.2, "severity_length": 512}
+        text = {"kind": "compound_poisson_negbin", "count": "300", "r_choices": ["1", "3"],
+                "q_range": ["0.2", "0.9"], "lam_exp_mean": "0.2", "severity_length": "512"}
+        a, b = sample_risks(typed, 42, 2**10), sample_risks(text, 42, 2**10)
+        assert len(a) == len(b) == 300 and a.severity_length == b.severity_length == 512
+        for got, want in ((b.lam, a.lam), (b.r, a.r), (b.q, a.q)):
+            assert np.array_equal(got, want)
+
     def test_sampled_pool_matches_per_risk_build(self):
         # 1100 risks span three blocks of the row-wise recursion; each must be
         # what the one-risk recursion and pmf_from_values give, bit for bit
