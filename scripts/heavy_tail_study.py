@@ -17,7 +17,7 @@ from allocgen.tails import pareto_cdf, pareto_lev
 
 
 def arithmetized(alpha, lam, xmax):
-    pmf, _ = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax)
+    pmf, _ = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), xmax)
     return ExplicitRisk(pmf)
 
 

@@ -51,6 +51,7 @@ from .errors import (
     SeriesTruncation,
 )
 from .models import (
+    _DOT_CHUNK,
     ROW_BLOCK,
     CompoundKatzRisk,
     ExplicitRisk,
@@ -194,11 +195,18 @@ class AllocationTable:
 
 
 def _toeplitz_rows(w: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Each row of ``w`` (one row or a stack) convolved with ``fs``, cut to len(fs) points."""
+    """Each row of ``w`` (one row or a stack) convolved with ``fs``, cut to len(fs) points.
+
+    A row is convolved in column pieces of at most _DOT_CHUNK entries, added
+    in column order, so no dot product inside ``np.convolve`` is long enough
+    for a threaded BLAS to split it; a row that short is one convolution.
+    """
     kmax = len(fs)
     out = np.empty((*w.shape[:-1], kmax))
     for row, dst in zip(np.reshape(w, (-1, w.shape[-1])), np.reshape(out, (-1, kmax))):
-        dst[:] = np.convolve(row, fs)[:kmax]
+        dst[:] = np.convolve(row[:_DOT_CHUNK], fs)[:kmax]
+        for c in range(_DOT_CHUNK, min(len(row), kmax), _DOT_CHUNK):
+            dst[c:] += np.convolve(row[c : c + _DOT_CHUNK], fs[: kmax - c])[: kmax - c]
     return out
 
 

@@ -9,10 +9,6 @@ class InvalidPMF(AllocationError):
     """Mass vector is empty, has a significantly negative entry, or exceeds unit mass."""
 
 
-class MissingLEV(AllocationError):
-    """Moment-matching arithmetization requested without a limited-expected-value callable."""
-
-
 class InvalidSize(AllocationError):
     """Buffer length is not a power of two."""
 

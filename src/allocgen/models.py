@@ -149,7 +149,8 @@ _TINY = np.finfo(float).tiny
 _PANJER_SHIFT = 600
 _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
 # OpenBLAS splits a dot product over 10^4 entries across threads, which changes
-# its summation order; compound_pmf_panjer sums longer windows in pieces this long
+# its summation order; compound_pmf_panjer sums longer windows, and a factored
+# table's rows (allocation._toeplitz_rows) convolve longer rows, in pieces this long
 _DOT_CHUNK = 4096
 
 

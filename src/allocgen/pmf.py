@@ -1,9 +1,10 @@
 """Lattice probability mass functions and arithmetization of continuous severities.
 
 All distributions live on the grid ``{0, h, 2h, ...}``.  Mass vectors are plain
-float64 arrays indexed by the lattice step; a separate ``truncation_mass`` field
-records mass known to lie beyond the stored grid (it is never renormalized away,
-because heavy-tail runs need to know what was lost).
+float64 arrays indexed by the lattice step.  Mass known to lie beyond the stored
+grid is never renormalized away, because heavy-tail runs need to know what was
+lost: a truncated pmf simply sums short of one, and ``arithmetize`` reports the
+lost mass and mean in its :class:`TruncationReport`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidPMF, MissingLEV
+from .errors import InvalidPMF
 
 # Entries in [-CLAMP_TOL, 0) of a given mass vector are round-off and are clamped
 # to 0; anything below raises.
@@ -49,9 +50,9 @@ class DiscretePMF:
     """Probability masses on the lattice ``h * {0, 1, ..., len(masses)-1}``.
 
     Instances are treated as immutable; the mass array is taken over without
-    a copy and marked read-only.  ``truncation_mass`` holds the
-    (non-negative) deficit of a deliberately truncated distribution.  Exact
-    distributions carry total mass 1 within ``EXACT_MASS_TOL``.  Masses built
+    a copy and marked read-only.  A deliberately truncated distribution
+    keeps its deficit: its ``total_mass`` is below 1 by the mass it lost.
+    Exact distributions carry total mass 1 within ``EXACT_MASS_TOL``.  Masses built
     by ``pmf_from_values`` or ``arithmetize`` are non-negative; an allocation
     table's f_S keeps the engine's own masses, which can carry negative
     round-off (at most 1e-9 in size) where an inverse transform left it, so
@@ -60,7 +61,6 @@ class DiscretePMF:
 
     masses: np.ndarray
     step_h: float = 1.0
-    truncation_mass: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.masses, dtype=float)
@@ -101,9 +101,9 @@ def pmf_from_values(values, step_h: float = 1.0) -> DiscretePMF:
     """Build a :class:`DiscretePMF` from raw masses with round-off policing.
 
     Negative entries within ``-CLAMP_TOL`` are clamped to zero; anything more
-    negative raises :class:`InvalidPMF`.  When the vector sums short of one
-    (a deliberately truncated tail), the deficit is recorded as
-    ``truncation_mass`` instead of renormalizing; over-unit mass raises.
+    negative raises :class:`InvalidPMF`.  A vector that sums short of one
+    (a deliberately truncated tail) keeps its deficit, read as
+    ``1 - total_mass``, and is not renormalized; over-unit mass raises.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -119,18 +119,17 @@ def pmf_from_values(values, step_h: float = 1.0) -> DiscretePMF:
 
 
 def truncated_pmf(masses: np.ndarray, step_h: float = 1.0) -> DiscretePMF:
-    """Wrap finite, non-negative masses, recording a deficit from 1 as ``truncation_mass``.
+    """Wrap finite, non-negative masses whose total may fall short of 1.
 
     The caller vouches for the entries (``pmf_from_values`` checks them); the
-    total is checked here, and over-unit mass raises :class:`InvalidPMF`.
-    The array is taken over without a copy.
+    total is checked here, and over-unit mass raises :class:`InvalidPMF`.  A
+    deficit is deliberate truncation and is never renormalized.  The array is
+    taken over without a copy.
     """
     total = masses.sum()
     if total > 1.0 + EXACT_MASS_TOL:
         raise InvalidPMF(f"total mass {total!r} exceeds 1")
-    deficit = max(0.0, 1.0 - total)
-    # deliberate truncation is recorded, never renormalized
-    return DiscretePMF(masses, step_h, truncation_mass=deficit if deficit > EXACT_MASS_TOL else 0.0)
+    return DiscretePMF(masses, step_h)
 
 
 def degenerate_pmf(index: int, kmax: int, step_h: float = 1.0) -> DiscretePMF:
@@ -141,62 +140,31 @@ def degenerate_pmf(index: int, kmax: int, step_h: float = 1.0) -> DiscretePMF:
 
 def arithmetize(
     cdf_fn: Callable[[np.ndarray], np.ndarray],
-    lev_fn: Callable[[np.ndarray], np.ndarray] | None,
-    method: str,
+    lev_fn: Callable[[np.ndarray], np.ndarray],
     kmax: int,
-    step_h: float = 1.0,
 ) -> tuple[DiscretePMF, TruncationReport]:
-    """Discretize a continuous severity onto ``{0, h, ..., (kmax-1) h}``.
+    """Discretize a continuous severity onto ``{0, 1, ..., kmax-1}`` by local moment matching.
 
-    method
-        ``"upper"``   -- lattice cdf dominates the continuous cdf pointwise
-        (mass ``F((k+1)h) - F(kh)`` at ``kh``);
-        ``"lower"``   -- lattice cdf is dominated (mass ``F(kh) - F((k-1)h)``);
-        ``"moment_matching"`` -- local first-moment matching, which preserves
-        the limited expected value on the grid interior.
-
-    Tail mass beyond the grid is *not* lumped onto the top point; it is reported
-    in the :class:`TruncationReport` (``lost_mass``) together with the mean that
-    went with it (``lost_mean``, measured against the limited mean at the grid
-    top).
+    Each grid point gets the mass that matches the first moment locally
+    (Gerber 1982), so the grid keeps the limited expected value ``lev_fn``
+    on its interior.  Tail mass beyond the grid is *not* lumped onto the top
+    point and not renormalized away: the pmf sums short of one, and the
+    :class:`TruncationReport` gives that mass (``lost_mass``) together with
+    the mean that went with it (``lost_mean``, measured against the limited
+    mean at the grid top).
     """
     if kmax < 2:
         raise InvalidPMF("arithmetization needs at least two grid points")
-    h = float(step_h)
-    if h <= 0.0:
-        raise InvalidPMF(f"step_h must be positive, got {step_h}")
     m = kmax - 1
-    pts = h * np.arange(kmax, dtype=float)
-
-    if method == "moment_matching":
-        if lev_fn is None:
-            raise MissingLEV("moment_matching requires a limited-expected-value callable")
-        lv = np.asarray(lev_fn(pts), dtype=float)
-        f = np.empty(kmax)
-        f[0] = 1.0 - lv[1] / h
-        f[1:m] = (2.0 * lv[1:m] - lv[0 : m - 1] - lv[2 : m + 1]) / h
-        f[m] = (lv[m] - lv[m - 1]) / h - (1.0 - float(cdf_fn(pts[m])))
-        lost_mass = max(0.0, 1.0 - float(cdf_fn(pts[m])))
-    elif method == "upper":
-        big = np.asarray(cdf_fn(np.append(pts, pts[-1] + h)), dtype=float)
-        f = np.diff(big)
-        lost_mass = max(0.0, 1.0 - float(big[-1]))
-    elif method == "lower":
-        big = np.asarray(cdf_fn(pts), dtype=float)
-        f = np.empty(kmax)
-        f[0] = big[0]
-        f[1:] = np.diff(big)
-        lost_mass = max(0.0, 1.0 - float(big[-1]))
-    else:
-        raise InvalidPMF(f"unknown arithmetization method {method!r}")
-
+    pts = np.arange(kmax, dtype=float)
+    lv = np.asarray(lev_fn(pts), dtype=float)
+    tail = 1.0 - float(cdf_fn(pts[m]))
+    f = np.empty(kmax)
+    f[0] = 1.0 - lv[1]
+    f[1:m] = 2.0 * lv[1:m] - lv[0 : m - 1] - lv[2 : m + 1]
+    f[m] = lv[m] - lv[m - 1] - tail
     if f.min() < -CLAMP_TOL:
         raise InvalidPMF("discretization produced a significantly negative mass; cdf nondecreasing?")
-    pmf = DiscretePMF(np.clip(f, 0.0, None), h, truncation_mass=lost_mass)
-    if lev_fn is not None:
-        top_lev = float(np.asarray(lev_fn(pts[m])).reshape(()))
-        lost_mean = max(0.0, top_lev - pmf.mean())
-    else:
-        lost_mean = 0.0
-    report = TruncationReport(kmax=kmax, lost_mass=lost_mass, lost_mean=lost_mean)
-    return pmf, report
+    pmf = DiscretePMF(np.clip(f, 0.0, None))
+    lost_mean = max(0.0, float(np.asarray(lev_fn(pts[m])).reshape(())) - pmf.mean())
+    return pmf, TruncationReport(kmax=kmax, lost_mass=max(0.0, tail), lost_mean=lost_mean)

@@ -225,9 +225,7 @@ def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> Reproducti
     risks = []
     worst = 0.0
     for alpha, lam, ref_mean in HEAVY_TAIL_RISKS:
-        pmf, _ = arithmetize(
-            pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax
-        )
+        pmf, _ = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), xmax)
         worst = max(worst, abs(pmf.mean() - ref_mean))
         risks.append(pmf)
     rep.add(

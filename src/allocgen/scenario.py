@@ -252,8 +252,43 @@ def _in_range(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# the fields of each count family, keyed by the name of its KatzParams constructor and in
+# the order it takes them; the count risk types and a compound frequency read these
+_COUNT_FIELDS = {
+    "poisson": {"lam": float},
+    "negative_binomial": {"r": float, "q": float},
+    "binomial": {"m": int, "q": float},
+}
+# every field each risk type reads besides 'type'
+_RISK_FIELDS = {
+    **_COUNT_FIELDS,
+    "compound_poisson_negbin": ("lam", "r", "q", "severity_length"),
+    "bernoulli": ("b", "q"),
+    "pmf": ("masses", "step_h"),
+    "compound_poisson": ("lam", "severity"),
+    "compound": ("frequency", "severity"),
+    "pareto": ("alpha", "lam", "xmax"),
+}
+
+
+def _require_read(mapping: dict, path: str, fields, owner: str) -> None:
+    """ConfigError naming ``path.key`` for the first key of ``mapping`` not in ``fields``."""
+    unread = [key for key in mapping if key not in fields]
+    if unread:
+        raise ConfigError(f"{path}.{unread[0]}: not a field of {owner}")
+
+
+def _count_params(spec: dict, path: str, family: str) -> KatzParams:
+    """The count family ``family``'s parameters, read from its fields in ``spec``."""
+    fields = _COUNT_FIELDS[family]
+    return getattr(KatzParams, family)(*(_field(spec, path, key, conv) for key, conv in fields.items()))
+
+
 def _build_risk(spec: dict, path: str, kmax: int):
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _RISK_FIELDS:
+        raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
+    _require_read(spec, path, ("type", *_RISK_FIELDS[kind]), f"type {kind!r}")
     get = partial(_field, spec, path)
     if kind == "compound_poisson_negbin":
         lam, r, q = get("lam"), get("r"), get("q")
@@ -262,12 +297,8 @@ def _build_risk(spec: dict, path: str, kmax: int):
         # a severity the NB recursion cannot represent is a numerical failure, not a config error
         return compound_poisson_negbin_risk(lam, r, q, sev_len)
     with _in_range(path):
-        if kind == "poisson":
-            return KatzRisk(KatzParams.poisson(get("lam")))
-        if kind == "negative_binomial":
-            return KatzRisk(KatzParams.negative_binomial(get("r"), get("q")))
-        if kind == "binomial":
-            return KatzRisk(KatzParams.binomial(get("m", int), get("q")))
+        if kind in _COUNT_FIELDS:
+            return KatzRisk(_count_params(spec, path, kind))
         if kind == "bernoulli":
             return BernoulliRisk(get("b", int), get("q"))
         if kind == "pmf":
@@ -276,25 +307,17 @@ def _build_risk(spec: dict, path: str, kmax: int):
         if kind == "compound_poisson":
             return CompoundKatzRisk(KatzParams.poisson(get("lam")), get("severity", pmf_from_values))
         if kind == "compound":
-            freq = partial(_field, get("frequency", dict), f"{path}.frequency")
-            family = freq("family", str)
-            if family == "poisson":
-                params = KatzParams.poisson(freq("lam"))
-            elif family == "negative_binomial":
-                params = KatzParams.negative_binomial(freq("r"), freq("q"))
-            elif family == "binomial":
-                params = KatzParams.binomial(freq("m", int), freq("q"))
-            else:
-                raise ConfigError(f"{path}.frequency.family: unknown family {family!r}")
-            return CompoundKatzRisk(params, get("severity", pmf_from_values))
-        if kind == "pareto":
-            alpha, lam, xmax = get("alpha"), get("lam"), get("xmax", int, kmax)
-            _require_domain(path, ("alpha", "lam", "xmax"), ([alpha], [lam], [xmax]), _PARETO_DOMAIN)
-            pmf, report = arithmetize(
-                pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax
-            )
-            return ExplicitRisk(pmf), report
-    raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
+            freq, freq_path = get("frequency", dict), f"{path}.frequency"
+            family = _field(freq, freq_path, "family", str)
+            if family not in _COUNT_FIELDS:
+                raise ConfigError(f"{freq_path}.family: unknown family {family!r}")
+            _require_read(freq, freq_path, ("family", *_COUNT_FIELDS[family]), f"family {family!r}")
+            return CompoundKatzRisk(_count_params(freq, freq_path, family), get("severity", pmf_from_values))
+        # the one type left is pareto
+        alpha, lam, xmax = get("alpha"), get("lam"), get("xmax", int, kmax)
+        _require_domain(path, ("alpha", "lam", "xmax"), ([alpha], [lam], [xmax]), _PARETO_DOMAIN)
+        pmf, report = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), xmax)
+        return ExplicitRisk(pmf), report
 
 
 # (what a value needs, its test) for each parameter list of a family, in order
@@ -381,9 +404,7 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     fields = _SAMPLED_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    unread = [key for key in sampled if key != "kind" and key not in fields]
-    if unread:
-        raise ConfigError(f"{path}.{unread[0]}: not a field of kind {kind!r}")
+    _require_read(sampled, path, ("kind", *fields), f"kind {kind!r}")
     f = {key: _table_field(sampled, path, key, kmax, fields) for key in fields}
     count, rng = f["count"], np.random.default_rng(seed)
     if kind == "compound_poisson_negbin":
@@ -395,7 +416,7 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
         alphas = rng.uniform(*f["alpha_range"], size=count)
         lams = rng.uniform(*f["lam_range"], size=count)
         return [
-            ExplicitRisk(arithmetize(pareto_cdf(a, l), pareto_lev(a, l), "moment_matching", f["xmax"])[0])
+            ExplicitRisk(arithmetize(pareto_cdf(a, l), pareto_lev(a, l), f["xmax"])[0])
             for a, l in zip(alphas, lams)
         ]
     bs = rng.choice(f["b_choices"], size=count)

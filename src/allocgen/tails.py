@@ -29,17 +29,3 @@ def pareto_lev(alpha: float, lam: float):
         return (lam / (alpha - 1.0)) * (1.0 - (lam / (lam + d)) ** (alpha - 1.0))
 
     return lev
-
-
-def exponential_cdf(rate: float):
-    def cdf(x):
-        return 1.0 - np.exp(-rate * np.asarray(x, dtype=float))
-
-    return cdf
-
-
-def exponential_lev(rate: float):
-    def lev(d):
-        return (1.0 - np.exp(-rate * np.asarray(d, dtype=float))) / rate
-
-    return lev

@@ -5,13 +5,33 @@ transform pins the sign/scale convention, the radix-2 butterfly pins it again
 through a different algorithm, and the quadratic convolution checks the
 product rule.  All but one avoid numpy's FFT as well; the exception is the f_S
 of a Poisson pool by per-risk transforms, which checks the package's
-transform-free route (the Panjer recursion) from the other side.
+transform-free route (the Panjer recursion) from the other side.  The
+exponential cdf and limited mean are closed-form severities for the
+arithmetization tests.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+
+def exponential_cdf(rate: float):
+    """cdf of the exponential severity with the given rate."""
+
+    def cdf(x):
+        return 1.0 - np.exp(-rate * np.asarray(x, dtype=float))
+
+    return cdf
+
+
+def exponential_lev(rate: float):
+    """E[min(X, d)] for the exponential severity: (1 - e^(-rate d)) / rate."""
+
+    def lev(d):
+        return (1.0 - np.exp(-rate * np.asarray(d, dtype=float))) / rate
+
+    return lev
 
 
 def naive_dft(x):

@@ -323,9 +323,7 @@ class TestCriterion8HeavyTail:
         pmfs = []
         mean_err = 0.0
         for alpha, lam, ref in HEAVY_TAIL_RISKS:
-            pmf, _ = arithmetize(
-                pareto_cdf(alpha, lam), pareto_lev(alpha, lam), "moment_matching", xmax
-            )
+            pmf, _ = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), xmax)
             mean_err = max(mean_err, abs(pmf.mean() - ref))
             pmfs.append(pmf)
         table = allocate_independent([ExplicitRisk(p) for p in pmfs], kmax)

@@ -220,6 +220,20 @@ class TestRun:
                 "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 4, xmax: 5}\n",
                 "model.sampled.xmax: not a field of kind 'bernoulli_extras'",
             ),
+            # so is a key its risk type or count family does not read
+            (
+                "model:\n  risks:\n    - {type: compound_poisson, lam: 0.5, severity: [0.0, 0.5, 0.5], step_h: 0.5}\n",
+                "model.risks[0].step_h: not a field of type 'compound_poisson'",
+            ),
+            (
+                "model:\n  risks:\n    - {type: poisson, lam: 0.5, q: 0.5}\n",
+                "model.risks[0].q: not a field of type 'poisson'",
+            ),
+            (
+                "model:\n  risks:\n    - type: compound\n      frequency: {family: poisson, lam: 0.5, r: 2}\n"
+                "      severity: [0.0, 1.0]\n",
+                "model.risks[0].frequency.r: not a field of family 'poisson'",
+            ),
         ],
         ids=[
             "risk_value",
@@ -264,6 +278,9 @@ class TestRun:
             "sampled_pareto_xmax",
             "sampled_misspelt_key",
             "sampled_key_of_another_kind",
+            "risk_key_of_another_type",
+            "poisson_extra_key",
+            "frequency_key_of_another_family",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):

@@ -188,7 +188,6 @@ class TestBuild:
             want = pmf_from_values(sev[: int(np.flatnonzero(sev > 0.0)[-1]) + 1])
             assert risk.frequency.b == float(lam)
             assert np.array_equal(risk.severity.masses, want.masses)
-            assert risk.severity.truncation_mass == want.truncation_mass
 
     def test_sampled_pool_value_builds_each_risk_alone(self):
         # 1100 risks span nine blocks of the recursion; indexing, slicing and
@@ -206,7 +205,6 @@ class TestBuild:
             return (
                 got.frequency == ref.frequency
                 and np.array_equal(got.severity.masses, ref.severity.masses)
-                and got.severity.truncation_mass == ref.severity.truncation_mass
                 and got.severity.step_h == ref.severity.step_h
             )
 
@@ -224,7 +222,7 @@ class TestBuild:
         risk = compound_poisson_negbin_risk(0.2, 2, 0.45, 8)
         want = pmf_from_values(negbin_pmf_per_risk(2.0, 0.45, 8))
         assert np.array_equal(risk.severity.masses, want.masses)
-        assert risk.severity.truncation_mass == want.truncation_mass > 0.03
+        assert 1.0 - risk.severity.total_mass > 0.03
 
     def test_severity_with_no_mass_in_range(self):
         # NB(400, 0.1) has no mass above the smallest normal float below 8
