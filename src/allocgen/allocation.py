@@ -32,7 +32,6 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from math import exp, lgamma, log
 from typing import Sequence
 
@@ -54,12 +53,12 @@ from .models import (
     _DOT_CHUNK,
     ROW_BLOCK,
     CompoundKatzRisk,
-    ExplicitRisk,
     KatzParams,
     KatzRisk,
-    PoissonNegbinPool,
     RiskModel,
+    common_step,
     compound_pmf_panjer,
+    poisson_pool,
 )
 from .pmf import DiscretePMF, TruncationReport
 
@@ -77,7 +76,8 @@ class PortfolioModel:
     ``dependence is None`` means independent margins; otherwise it holds one of
     the dependence spec objects from :mod:`allocgen.dependence`.  The margins
     are any sequence of risks: a sampled Poisson-NB pool stays a
-    ``models.PoissonNegbinPool``, which the Poisson pool engine streams.
+    ``models.PoissonNegbinPool``, alone or after explicit risks in a
+    ``models.RiskChain``, and the Poisson pool engine streams it.
     """
 
     risks: list = field(default_factory=list)
@@ -163,7 +163,10 @@ class AllocationTable:
         at a cost of O(J len(w) + n J).  Each row's J terms are summed
         pairwise, which keeps that sum within about eps of its value.  The
         products are formed ROW_BLOCK rows at a time, so the query holds W,
-        f_S and one row block of W, never a second n x J array.
+        f_S and one row block of W, never a second n x J array.  The sum over
+        k is taken in pieces of at most _DOT_CHUNK entries of ``w``, added in
+        order, as ``_toeplitz_rows`` does, so a wide band gives the same sums
+        at any BLAS thread count.
         """
         w = np.asarray(w, dtype=float)
         if not self.factored:
@@ -171,7 +174,10 @@ class AllocationTable:
         width = self.weights.shape[1]
         # (T w)(j) = sum_k f_S(i1 + k - j) w(k), f_S zero below 0
         fs = np.pad(self.fs.masses, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
-        tw = np.correlate(fs, w)[::-1]
+        tw = np.correlate(fs[: width - 1 + _DOT_CHUNK], w[:_DOT_CHUNK])
+        for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
+            tw += np.correlate(fs[c : c + width - 1 + _DOT_CHUNK], w[c : c + _DOT_CHUNK])
+        tw = tw[::-1]
         out = np.empty(self.n_risks)
         for lo in range(0, self.n_risks, ROW_BLOCK):
             out[lo : lo + ROW_BLOCK] = (self.weights[lo : lo + ROW_BLOCK] * tw).sum(axis=1)
@@ -226,19 +232,6 @@ def per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """
     fs = np.broadcast_to(fs, np.shape(mu))
     return np.divide(mu, fs, out=np.full(np.shape(mu), np.nan), where=fs != 0.0)
-
-
-def _common_step(risks: Sequence[RiskModel]) -> float:
-    """The lattice step all risks share: a pmf's or severity's own, 1 for counts and indicators."""
-    steps = {
-        r.pmf.step_h if isinstance(r, ExplicitRisk)
-        else r.severity.step_h if isinstance(r, CompoundKatzRisk)
-        else 1.0
-        for r in risks
-    }
-    if len(steps) > 1:
-        raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
-    return steps.pop()
 
 
 def assemble_table(
@@ -390,7 +383,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     n = len(risks)
     require_memory(n, kmax, 16 + 16 + 8)  # the pgfs and their leave-one-out products, then the rows
     z = gf.roots_of_unity(kmax)
-    step_h = _common_step(risks)
+    step_h = common_step(risks)
 
     pgfs = np.empty((n, kmax), dtype=complex)
     for i, r in enumerate(risks):
@@ -449,25 +442,21 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     second reads only the first J columns, into W.  The first pass runs in
     its own function (``_pool_pass1``), so its block buffers are freed before
     W is allocated; past that point the run holds W, f_S and one block of
-    rows.  ``risks`` is a list of risks, whose stored severities are copied
-    block by block, or a ``models.PoissonNegbinPool``, whose severities come
-    from the NB block recursion in each pass and are never stored per risk;
-    a severity of such a pool with no mass raises KatzDomain here.
+    rows.  ``models.poisson_pool`` reads the blocks, whether ``risks`` is a
+    list of risks, a sampled ``models.PoissonNegbinPool`` or a chain of the
+    two: a sampled pool's severities come from the NB block recursion in
+    each pass and are never stored per risk, and a severity of such a pool
+    with no mass raises KatzDomain here.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the mean.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
-    if isinstance(risks, PoissonNegbinPool):
-        lam, step_h, blocks = risks.lam, 1.0, risks.severity_blocks
-    else:
-        for r in risks:
-            if not (isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()):
-                raise KatzDomain("this pipeline handles independent Poisson random sums only")
-        step_h = _common_step(risks)
-        lam = np.array([r.frequency.b for r in risks])
-        blocks = partial(_stored_severity_blocks, risks)
+    pool = poisson_pool(risks)
+    if pool is None:
+        raise KatzDomain("this pipeline handles independent Poisson random sums only")
+    lam, step_h, blocks = pool
     n = len(lam)
     # the candidate band widths below kmax; those below the longest severity are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
@@ -531,23 +520,6 @@ def _pool_pass1(blocks, lam: np.ndarray, kmax: int, powers: Sequence[int]):
         ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
         np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
     return merged, totals, moments, lengths, ratios
-
-
-def _stored_severity_blocks(risks: Sequence[CompoundKatzRisk], columns: int | None = None):
-    """The stored severities of ``risks`` as ``PoissonNegbinPool.severity_blocks`` gives a pool's.
-
-    Each block of up to ROW_BLOCK rows is a fresh zero-padded copy of the
-    first ``columns`` masses (default: all of the longest), with the stored
-    lengths.
-    """
-    lengths = np.array([len(r.severity.masses) for r in risks])
-    width = int(lengths.max()) if columns is None else columns
-    for lo in range(0, len(risks), ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, len(risks)))
-        masses = np.zeros((rows.stop - lo, width))
-        for row, r in zip(masses, risks[rows]):
-            row[: len(r.severity.masses)] = r.severity.masses[:width]
-        yield rows, masses, lengths[rows]
 
 
 def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:
@@ -745,7 +717,7 @@ def oracle_enumerate(
 def _enumerate_independent(risks, kmax, budget) -> AllocationTable:
     if not risks:
         raise EmptyDistribution("empty portfolio")
-    step_h = _common_step(risks)
+    step_h = common_step(risks)
     n = len(risks)
     supports = []
     size = 1

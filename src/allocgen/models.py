@@ -9,20 +9,23 @@ vector from the counting recursion, except over binomial counts, whose
 recursion is unstable for q > 1/2 and which are expanded by repeated
 squaring instead.  A sampled pool of Poisson random sums with
 negative-binomial severities is held as its draws (``PoissonNegbinPool``)
-and builds its risks only when asked.
+and builds its risks only when asked; ``poisson_pool`` reads the severities
+of any pool of Poisson random sums, stored or sampled, block by block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
 from . import gf
-from .errors import KatzDomain
+from .errors import AllocationError, KatzDomain
 from .pmf import DiscretePMF, pmf_from_values, truncated_pmf
 
 
@@ -505,6 +508,134 @@ class PoissonNegbinPool(Sequence):
                     f"in its first {n} points"
                 )
             yield rows, masses, lengths
+
+
+class RiskChain(Sequence):
+    """Sequences of risks read as one, in order: a portfolio's explicit risks, then its sampled ones.
+
+    Indexing, slicing and iteration give each part's own risks, so a sampled
+    pool in a chain still builds its risks only when asked; a contiguous
+    slice is a chain of the parts' slices.  Empty parts are dropped.
+    """
+
+    def __init__(self, *parts: Sequence):
+        self.parts = tuple(part for part in parts if len(part))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain.from_iterable(self.parts)
+
+    def __getitem__(self, idx):
+        at = range(len(self))[idx]
+        if isinstance(at, int):
+            for part in self.parts:
+                if at < len(part):
+                    return part[at]
+                at -= len(part)
+        if at.step != 1:
+            return [self[i] for i in at]
+        starts = itertools.accumulate(map(len, self.parts), initial=0)
+        return RiskChain(*(part[max(at.start - lo, 0) : max(at.stop - lo, 0)] for part, lo in zip(self.parts, starts)))
+
+
+def poisson_pool(risks: Sequence):
+    """The rates, lattice step and severity blocks of ``risks``, or None unless each is a Poisson random sum.
+
+    This is how the Poisson pool engine reads a pool, whatever holds it: a
+    list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both.
+    ``blocks(columns=None)`` yields ``(rows, masses, lengths)`` as
+    ``negbin_blocks`` does, over the first ``columns`` severity points
+    (default: all of the longest).  A sampled pool's come from its block
+    recursion, with no risk built; stored severities are copied into fresh
+    zero-padded blocks.  The blocks are those of ROW_BLOCK rows that the
+    same risks in one list give (``_whole_blocks``), so a chain's sums
+    group its rows as its materialized list does.  Risks on different
+    lattice steps raise AllocationError.
+    """
+    parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
+    lam, reads = [], []
+    for part in parts:
+        if isinstance(part, PoissonNegbinPool):
+            lam.append(part.lam)
+            reads.append(part.severity_blocks)
+        elif all(isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson() for r in part):
+            lam.append(np.array([r.frequency.b for r in part], dtype=float))
+            reads.append(partial(_stored_severity_blocks, part))
+        else:
+            return None
+
+    def blocks(columns: Optional[int] = None):
+        starts = itertools.accumulate(map(len, parts), initial=0)
+        pieces = ((lo + rows.start, *block) for lo, read in zip(starts, reads) for rows, *block in read(columns))
+        return _whole_blocks(pieces, len(risks))
+
+    return np.concatenate(lam), common_step(risks), blocks
+
+
+def common_step(risks: Sequence) -> float:
+    """The lattice step all risks share: a pmf's or severity's own, 1 for counts, indicators and sampled pools.
+
+    A sampled pool in ``risks``, alone or in a ``RiskChain``, builds no risk
+    here.  Risks on different steps raise AllocationError.
+    """
+    steps = set()
+    for part in risks.parts if isinstance(risks, RiskChain) else (risks,):
+        if isinstance(part, PoissonNegbinPool):
+            steps.add(1.0)
+            continue
+        steps.update(
+            r.pmf.step_h if isinstance(r, ExplicitRisk)
+            else r.severity.step_h if isinstance(r, CompoundKatzRisk)
+            else 1.0
+            for r in part
+        )
+    if len(steps) > 1:
+        raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
+    return steps.pop()
+
+
+def _whole_blocks(pieces, n: int):
+    """Row pieces ``(start, masses, lengths)`` of n risks, in order, as the blocks of ROW_BLOCK rows one list gives.
+
+    A piece that is a whole block passes as it came; the rows of a block
+    spread over pieces are copied into one, zero-padded to the widest.  A
+    piece's masses may be a buffer that the next piece overwrites, so rows
+    held over to the next piece are copied first.
+    """
+    held = []
+    for start, masses, lengths in pieces:
+        end = start + len(lengths)
+        cuts = [start, *range(start - start % ROW_BLOCK + ROW_BLOCK, end, ROW_BLOCK), end]
+        for lo, hi in itertools.pairwise(cuts):
+            rows = slice(lo - start, hi - start)
+            if hi % ROW_BLOCK and hi < n:  # the block goes on in the next piece
+                held.append((masses[rows].copy(), lengths[rows]))
+            elif not held:
+                yield slice(lo, hi), masses[rows], lengths[rows]
+            else:
+                held.append((masses[rows], lengths[rows]))
+                tops = np.concatenate([t for _, t in held])
+                joined = np.zeros((len(tops), max(m.shape[1] for m, _ in held)))
+                row = 0
+                for m, _ in held:
+                    joined[row : row + len(m), : m.shape[1]] = m
+                    row += len(m)
+                yield slice(hi - row, hi), joined, tops
+                held = []
+
+
+def _stored_severity_blocks(risks: Sequence[CompoundKatzRisk], columns: Optional[int] = None):
+    """The stored severities of ``risks``, each block of up to ROW_BLOCK rows a fresh zero-padded copy."""
+    lengths = np.array([len(r.severity.masses) for r in risks])
+    width = int(lengths.max()) if columns is None else columns
+    for lo in range(0, len(risks), ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, len(risks)))
+        masses = np.zeros((rows.stop - lo, width))
+        for row, r in zip(masses, risks[rows]):
+            row[: len(r.severity.masses)] = r.severity.masses[:width]
+        yield rows, masses, lengths[rows]
 
 
 def poisson_risk(lam: float) -> KatzRisk:

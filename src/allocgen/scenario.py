@@ -89,6 +89,8 @@ from .models import (
     KatzParams,
     KatzRisk,
     PoissonNegbinPool,
+    RiskChain,
+    poisson_pool,
 )
 from .pmf import arithmetize, next_pow2, pmf_from_values
 from .tails import pareto_cdf, pareto_lev
@@ -398,7 +400,8 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     recursion of ``models.negbin_blocks`` when indexed or iterated, each
     bit-identical to ``compound_poisson_negbin_risk`` on its own draw, and is
     streamed block by block through ``allocate_compound_poisson_pool``
-    without them.  The other kinds come back as lists of risks.
+    without them, also after explicit risks.  The other kinds come back as
+    lists of risks.
     """
     path, kind = "model.sampled", sampled["kind"]
     fields = _SAMPLED_FIELDS.get(kind) if isinstance(kind, str) else None
@@ -433,7 +436,12 @@ class BuiltScenario:
 
 
 def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
-    """Materialize the portfolio (including sampled extras) from a config."""
+    """Build the portfolio from a config; ConfigError when it has no risk.
+
+    The explicit risks come first and the sampled extras after them, chained
+    in a ``models.RiskChain`` when there are both, so a sampled pool stays
+    its draws.
+    """
     notes: list[str] = []
     kmax = config.kmax
     if config.dependence == "gamma_mixture":
@@ -459,12 +467,14 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
             risks.append(built)
     if config.sampled is not None:
         sampled = sample_risks(config.sampled, config.seed, kmax)
-        # a portfolio that is only a sampled pool keeps the pool as it came
-        risks = [*risks, *sampled] if risks else sampled
+        # the sampled risks stay as they came, alone or after the explicit ones
+        risks = RiskChain(risks, sampled) if risks else sampled
         notes.append(
             f"sampled {len(sampled)} extra risks ({config.sampled['kind']}) with "
             f"{GENERATOR_NAME}, seed={config.seed}"
         )
+    if not risks:
+        raise ConfigError("model.sampled.count: empty portfolio")
 
     if config.dependence == "frailty_bernoulli":
         if not all(isinstance(r, BernoulliRisk) for r in risks):
@@ -496,12 +506,8 @@ def allocate_portfolio(
     """
     dep = portfolio.dependence
     if dep is None:
-        # a sampled pool is recognised before anything iterates its risks
-        all_cpois = isinstance(portfolio.risks, PoissonNegbinPool) or portfolio.risks and all(
-            isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson()
-            for r in portfolio.risks
-        )
-        if all_cpois:
+        # the pool reader recognises a sampled pool without building its risks
+        if portfolio.risks and poisson_pool(portfolio.risks) is not None:
             table = allocate_compound_poisson_pool(portfolio.risks, kmax)
         else:
             table = allocate_independent(portfolio.risks, kmax)

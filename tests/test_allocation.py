@@ -39,6 +39,7 @@ from allocgen.models import (
     ExplicitRisk,
     KatzParams,
     KatzRisk,
+    RiskChain,
     compound_pmf_panjer,
     compound_poisson_risk,
     explicit_risk,
@@ -418,6 +419,26 @@ class TestAlgorithmOne:
             assert np.all(np.abs(got[above] - want[above]) <= 1e-14 * want[above])
         assert np.all(np.abs(a.risk_means - b.risk_means) <= 1e-14 * b.risk_means)
         assert b.risk_means == pytest.approx([r.mean() for r in pool], rel=1e-14)
+
+    def test_mixed_pool_matches_its_risk_list(self):
+        # explicit risks ahead of a sampled pool: the chain streams the pool, the
+        # list holds every severity; both give the same table on the valid points
+        kmax = 2**11
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, kmax)
+        explicit = [compound_poisson_risk(0.5, [0.0, 1.0]), compound_poisson_risk(0.3, [0.0, 0.2, 0.0, 0.8])]
+        chain = RiskChain(explicit, pool)
+        a, b = allocate_compound_poisson_pool(chain, kmax), allocate_compound_poisson_pool(list(chain), kmax)
+        assert a.n_risks == b.n_risks == 302
+        assert band_width(a) == band_width(b)
+        valid = b.valid_mask
+        assert np.array_equal(a.valid_mask, valid) and valid.sum() > 200
+        levels = RVaRLevels(0.9, 0.99)
+        for got, want in (
+            (a.fs.masses[valid], b.fs.masses[valid]),
+            (a.rows(slice(None))[:, valid], b.rows(slice(None))[:, valid]),
+            (euler_rvar_contributions(a, levels), euler_rvar_contributions(b, levels)),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_small_pool_against_transform_free_references(self, small_pool):
         t = allocate_compound_poisson_pool(small_pool, 64)

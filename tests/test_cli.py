@@ -192,6 +192,10 @@ class TestRun:
                 "model.risks[0].xmax: need >= 2",
             ),
             (
+                "seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 0}\n",
+                "model.sampled.count: empty portfolio",
+            ),
+            (
                 "seed: 1\nmodel:\n  sampled: {kind: bernoulli_extras, count: 3, b_choices: [0]}\n",
                 "model.sampled.b_choices: need >= 1, got 0",
             ),
@@ -271,6 +275,7 @@ class TestRun:
             "pareto_lam_zero",
             "pareto_lam_negative",
             "pareto_xmax",
+            "sampled_empty_pool",
             "sampled_b_choice_range",
             "sampled_bernoulli_q_range",
             "sampled_alpha_range_empty",

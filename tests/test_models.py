@@ -8,17 +8,21 @@ from scipy import stats
 
 from allocgen import gf
 from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent
-from allocgen.errors import KatzDomain
+from allocgen.errors import AllocationError, KatzDomain
 from allocgen.models import (
+    ROW_BLOCK,
     BernoulliRisk,
     CompoundKatzRisk,
     KatzParams,
+    PoissonNegbinPool,
+    RiskChain,
     binomial_risk,
     compound_pmf_panjer,
     compound_poisson_risk,
     negative_binomial_risk,
     negbin_blocks,
     negbin_pmf,
+    poisson_pool,
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
@@ -297,6 +301,61 @@ class TestCompoundRisk:
         f = risk.pmf_vector(32)
         assert np.all(f[7:] == 0.0)
         assert f.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def mixed_pool():
+    """Two stored Poisson random sums, then a sampled pool of 300, of many lengths, over three row blocks."""
+    rng = np.random.default_rng(8)
+    pool = PoissonNegbinPool(rng.exponential(0.1, 300), rng.choice([1, 3, 6], 300), rng.uniform(0.3, 0.6, 300), 4096)
+    explicit = [compound_poisson_risk(0.5, [0.0, 1.0]), compound_poisson_risk(0.3, [0.0, 0.2, 0.0, 0.8])]
+    return explicit, pool
+
+
+class TestPoolReader:
+    def test_chain_indexes_slices_and_iterates_as_its_list(self):
+        explicit, pool = mixed_pool()
+        chain = RiskChain(explicit, [], pool)
+        want = list(chain)
+        assert len(chain) == len(want) == 302 and len(chain.parts) == 2
+
+        def same(got, ref):
+            return got.frequency == ref.frequency and np.array_equal(got.severity.masses, ref.severity.masses)
+
+        for i in (0, 1, 2, 129, 301, -1, -302):
+            assert same(chain[i], want[i])
+        for cut in (slice(1, 140), slice(None, 2), slice(200, None), slice(5, 3), slice(0, 302, 7), slice(None, None, -3)):
+            assert len(chain[cut]) == len(want[cut])
+            assert all(same(got, ref) for got, ref in zip(chain[cut], want[cut]))
+        # a contiguous slice keeps the pool's part a pool
+        assert isinstance(chain[1:140].parts[1], PoissonNegbinPool)
+        with pytest.raises(IndexError):
+            chain[302]
+
+    def test_chain_reads_the_blocks_of_its_list(self):
+        # the chain's blocks straddle its parts; row for row they are the list's, up to zero
+        # padding (over fewer columns than the severities, a sampled pool gives the lengths
+        # within them and a stored severity its own, as a lone pool and list do)
+        explicit, pool = mixed_pool()
+        chain = RiskChain(explicit, pool)
+        lam, step_h, blocks = poisson_pool(chain)
+        lam_list, step_list, blocks_list = poisson_pool(list(chain))
+        assert np.array_equal(lam, lam_list) and step_h == step_list == 1.0
+        for columns in (None, 64):
+            for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
+                blocks(columns), blocks_list(columns), strict=True
+            ):
+                assert rows == rows_list and rows.stop - rows.start == min(ROW_BLOCK, 302 - rows.start)
+                assert columns or np.array_equal(lengths, lengths_list)
+                width = max(masses.shape[1], masses_list.shape[1])
+                pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
+                assert np.array_equal(*pad)
+
+    def test_reader_refuses_what_is_not_a_poisson_pool(self):
+        explicit, pool = mixed_pool()
+        assert poisson_pool(RiskChain(explicit, [poisson_risk(0.5)], pool)) is None
+        half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
+        with pytest.raises(AllocationError, match="different lattice steps"):
+            poisson_pool(RiskChain([half], pool))
 
 
 class TestBernoulliRisk:

@@ -129,9 +129,11 @@ class TestMoments:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a host with at least 2 CPUs")
     def test_factored_rows_do_not_depend_on_the_blas_thread_count(self):
         # a pool whose band J is 16384 convolves rows over 10^4 entries long;
-        # its rows and column sum must be summed the same way at any thread count
+        # its rows, column sum and a band over every lattice point must be
+        # summed the same way at any thread count
         script = (
             "import hashlib\n"
+            "import numpy as np\n"
             "from allocgen.allocation import allocate_compound_poisson_pool\n"
             "from allocgen.models import compound_poisson_risk\n"
             "from allocgen.scenario import compound_poisson_negbin_risk\n"
@@ -139,7 +141,8 @@ class TestMoments:
             "         compound_poisson_risk(0.3, [0.0, 0.5, 0.5])]\n"
             "table = allocate_compound_poisson_pool(risks, 32768)\n"
             "assert table.factored and table.weights.shape[1] == 16384\n"
-            "for a in (table.rows(slice(None)), table.column_sum, table.fs.masses):\n"
+            "band = table.band(0, np.linspace(1.0, 2.0, table.kmax))\n"
+            "for a in (table.rows(slice(None)), table.column_sum, table.fs.masses, band):\n"
             "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
         )
         src = str(Path(allocgen.__file__).resolve().parent.parent)

@@ -19,7 +19,7 @@ from allocgen.dependence import (
     shock_allocation_table,
 )
 from allocgen.errors import ConfigError, EmptyDistribution, KatzDomain
-from allocgen.models import PoissonNegbinPool, explicit_risk
+from allocgen.models import PoissonNegbinPool, RiskChain, explicit_risk
 from allocgen.pmf import pmf_from_values
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q
 from allocgen.scenario import (
@@ -470,21 +470,37 @@ class TestRunScenario:
         assert peak < severity_bytes / 5
 
     def test_sampled_pool_run_builds_no_risk(self, tmp_path, monkeypatch):
-        # every output of an all-sampled pool comes from the engine's blocks
+        # every output of a sampled pool, alone or after an explicit risk, comes from the engine's blocks
         def refuse(self):
             raise AssertionError("the pool's risks were built")
 
         monkeypatch.setattr(PoissonNegbinPool, "__iter__", refuse)
         monkeypatch.setattr(PoissonNegbinPool, "__getitem__", refuse)
+        for explicit in ([], [{"type": "compound_poisson", "lam": 0.5, "severity": [0.0, 1.0]}]):
+            raw = {
+                "kmax": 2**11,
+                "seed": 11,
+                "model": {"risks": explicit, "sampled": {"kind": "compound_poisson_negbin", "count": 300}},
+                "outputs": {"rvar_levels": [[0.9, 0.99]], "layers": [100, 200],
+                            "pmf_of_conditional_means": [1]},
+            }
+            result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path / f"explicit{len(explicit)}")
+            assert result.table.n_risks == 300 + len(explicit)
+            assert result.table.factored and result.table.valid_mask.sum() > 200
+
+    def test_mix_that_is_not_all_poisson_runs_the_independent_engine(self):
         raw = {
-            "kmax": 2**11,
-            "seed": 11,
-            "model": {"sampled": {"kind": "compound_poisson_negbin", "count": 300}},
-            "outputs": {"rvar_levels": [[0.9, 0.99]], "layers": [100, 200],
-                        "pmf_of_conditional_means": [1]},
+            "kmax": 256,
+            "seed": 3,
+            "model": {"risks": [{"type": "poisson", "lam": 0.5}],
+                      "sampled": {"kind": "compound_poisson_negbin", "count": 5}},
         }
-        result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path)
-        assert result.table.factored and result.table.valid_mask.sum() > 200
+        built = build_portfolio(parse_scenario(raw))
+        risks = built.portfolio.risks
+        assert isinstance(risks, RiskChain) and len(risks) == 6
+        table = allocate_portfolio(built.portfolio, built.kmax)
+        want = allocate_independent(list(risks), built.kmax)
+        assert not table.factored and np.array_equal(table.weights, want.weights)
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
         cfg = load_scenario(scenario_dir / "small_pool.yaml")
