@@ -23,7 +23,6 @@ from .dependence import (
     GammaMixtureSpec,
     HierarchicalShockSpec,
     frailty_allocation,
-    frailty_bernoulli_pgfs,
     gamma_mixture_allocation,
     shock_allocation_table,
 )

@@ -89,8 +89,8 @@ class AllocationTable:
     """Per-risk allocation vectors over the lattice, with a validity mask.
 
     The allocation rows, mu_i(k) = E[X_i 1{S = k h}] in payment units, are
-    stored as a product W T.  A dense table (independent margins, frailty)
-    keeps the n x kmax rows themselves as ``weights`` (T is the identity).  A
+    stored as a product W T.  A dense table (``mixture_rows``: independent
+    margins, frailty levels) keeps the n x kmax rows as ``weights`` (T = I).  A
     factored table (``factored``; a Poisson pool and its regroupings) keeps
     the n x J weights w_i(j) = lam_i j h f_Bi(j) of its pool, and T[j, k] =
     f_S(k - j) is the Toeplitz matrix of its own f_S, so no n x kmax array is
@@ -331,16 +331,19 @@ def regroup(
 
 
 def _aliasing_report(
-    kmax: int, totals: np.ndarray, label: str, reasons: Sequence[str] = (), notes: Sequence[str] = ()
+    kmax: int, totals: np.ndarray, lengths, label: str, reasons: Sequence[str] = (), notes: Sequence[str] = ()
 ) -> TruncationReport:
     """An engine's truncation report from the mass ``totals`` it kept of each row.
 
-    A summed deficit 1 - total above ALIAS_DEFICIT_TOL joins the engine's own
-    ``reasons`` as "``label`` truncated mass totals"; any reason flags the
-    report and issues one AliasingRisk, attributed to the engine's caller.
-    ``notes`` lead the report's notes.
+    A row's deficit 1 - total is lost mass where it exceeds the round-off of
+    summing the row's ``lengths`` masses, length times eps.  Lost mass above
+    ALIAS_DEFICIT_TOL joins the engine's own ``reasons`` as "``label``
+    truncated mass totals"; any reason flags the report and issues one
+    AliasingRisk, attributed to the engine's caller.  ``notes`` lead the
+    report's notes.
     """
-    lost = float(np.maximum(0.0, 1.0 - totals).sum())
+    deficit = 1.0 - totals
+    lost = float(np.where(deficit > np.multiply(lengths, np.finfo(float).eps), deficit, 0.0).sum())
     alias = list(reasons)
     if lost > ALIAS_DEFICIT_TOL:
         alias.append(f"{label} truncated mass totals {lost:.3e}")
@@ -369,45 +372,60 @@ def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
         )
 
 
-def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
-    """Allocation table for independent risks via the transform route.
+def mixture_rows(weights: Sequence[float], pgfs, spectra, n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_S and the n allocation rows of a mixture of independent portfolios, inverted once.
 
-    The pgf of everything-but-risk-i comes from ``gf.leave_one_out``: prefix
-    times suffix products of the marginal pgfs on the roots, with no division,
-    so marginal pgfs that vanish on the unit circle need no special case.  The
-    pgfs are freed once that product is formed; the mass vectors are then built,
-    transformed and inverted one block of risks at a time.
+    Level l has weight ``weights[l]``, the n pgfs on the roots ``pgfs(l)`` and, for a
+    slice ``rows``, their weighted allocation spectra z P_i'(z) ``spectra(l, rows)``.
+    The allocation generating function t P_i'(t) prod_{j != i} P_j(t) is linear in
+    the mixture: the levels' totals, and each spectrum times the product of the other
+    pgfs (``gf.leave_one_out``, no division), are summed on the roots.
     """
+    # one level: pgfs and products, then products and rows; more: the sum, z^b, pgfs, products
+    require_memory(n, kmax, 16 + 16 + 8 if len(weights) == 1 else 4 * 16)
+    fs_hat = np.zeros(kmax, dtype=complex)
+    acc = None if len(weights) == 1 else np.zeros((n, kmax), dtype=complex)
+    for level, w in enumerate(weights):
+        total, others = gf.leave_one_out(pgfs(level))
+        fs_hat += w * total
+        for rows in row_blocks(n, kmax):
+            np.multiply(spectra(level, rows), others[rows], out=others[rows])
+        acc = others if acc is None else np.add(acc, others, out=acc)
+        del others  # before the next level's pgfs
+    mu = np.empty((n, kmax))
+    for rows in row_blocks(n, kmax):
+        gf.idft(acc[rows], out=mu[rows])
+    return gf.idft(fs_hat), mu
+
+
+def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
+    """Allocation table for independent risks: one level of ``mixture_rows``, with spectra dft(k f_i)."""
     if not risks:
         raise EmptyDistribution("empty portfolio")
     n = len(risks)
-    require_memory(n, kmax, 16 + 16 + 8)  # the pgfs and their leave-one-out products, then the rows
-    z = gf.roots_of_unity(kmax)
+    z, k = gf.roots_of_unity(kmax), np.arange(kmax, dtype=float)
     step_h = common_step(risks)
+    totals = np.empty(n)
 
-    pgfs = np.empty((n, kmax), dtype=complex)
-    for i, r in enumerate(risks):
-        pgfs[i] = r.pgf_on_roots(z)
-    fs_hat, others = gf.leave_one_out(pgfs)
-    del pgfs
-    fs = gf.idft(fs_hat)
+    def pgfs(level):
+        out = np.empty((n, kmax), dtype=complex)
+        for i, r in enumerate(risks):
+            out[i] = r.pgf_on_roots(z)
+        return out
 
-    mu, totals = np.empty((n, kmax)), np.empty(n)
-    k = np.arange(kmax, dtype=float)
-    for rows in row_blocks(n, kmax):
+    def spectra(level, rows):
         pmfs = np.array([r.pmf_vector(kmax) for r in risks[rows]], dtype=float)
         totals[rows] = pmfs.sum(axis=1)
-        spectra = gf.dft(pmfs * k)
-        spectra *= others[rows]
-        gf.idft(spectra, out=mu[rows])
+        return gf.dft(pmfs * k)
 
+    fs, mu = mixture_rows([1.0], pgfs, spectra, n, kmax)
     tops = [r.support_top() for r in risks]
     bound = sum(tops) if None not in tops else None
     reasons = []
     if bound is not None and bound >= kmax:
         reasons.append(f"exact support bound {bound} exceeds buffer {kmax}")
         bound = None  # wrapped: nothing beyond the buffer is provably zero
-    truncation = _aliasing_report(kmax, totals, "per-risk", reasons)
+    truncation = _aliasing_report(kmax, totals, kmax, "per-risk", reasons)
     means = np.array([r.mean() for r in risks])
     return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
@@ -487,7 +505,7 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
-    trunc = _aliasing_report(kmax, totals, "severity", reasons, [band_note])
+    trunc = _aliasing_report(kmax, totals, np.minimum(lengths, kmax), "severity", reasons, [band_note])
     return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
 
 

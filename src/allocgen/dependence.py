@@ -7,8 +7,8 @@ recursion and whose rows are a certified banded product of non-negative
 terms; the pool's table is regrouped onto the risks by a fixed loading matrix
 (``allocation.regroup``), so they inherit its accuracy, its factored
 storage and its truncation reports.  The frailty pool is a
-mixture over the mixing level rather than a sum, so it supplies its own
-allocation spectra on the roots of unity and inverts them itself.  Like the
+mixture over the mixing level rather than a sum: its levels are independent
+indicator portfolios, summed and inverted once by ``allocation.mixture_rows``.  Like the
 independent engines, every table here carries the default validity mask;
 ``allocation.mask_validity`` re-derives it at another tolerance or floor.
 """
@@ -26,8 +26,8 @@ from .allocation import (
     AllocationTable,
     allocate_compound_poisson_pool,
     assemble_table,
+    mixture_rows,
     regroup,
-    require_memory,
 )
 from .errors import (
     InvalidFrailty,
@@ -294,42 +294,27 @@ class FrailtyBernoulliSpec:
         return 1 + sum(self.b)
 
 
-def frailty_bernoulli_pgfs(
-    spec: FrailtyBernoulliSpec, kmax: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """pgf buffer of the total and the allocation spectra of every risk (one row each).
+def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable:
+    """Allocation table for the frailty-coupled pool: theta* levels of ``mixture_rows``.
 
-    Each mixing level contributes a product of indicator pgfs; per-risk spectra
-    replace the own factor with b_i r_i**theta t**b_i.  Products over the other
-    risks come from ``gf.leave_one_out`` (no division, which would be unstable
-    at near-zeros of an indicator pgf on the circle).
+    At level theta, of weight w, risk i claims with probability r = r_i**theta:
+    its pgf is 1 - r + r z^b_i and its weighted allocation spectrum w b_i r z^b_i.
     """
     if kmax < spec.min_kmax():
-        raise InvalidMarginal(
-            f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}"
-        )
-    # the accumulated spectra, and one mixing level's powers z^b_i, pgf rows,
-    # leave-one-out products and weighted product, all complex
-    require_memory(spec.n_risks, kmax, 5 * 16)
+        raise InvalidMarginal(f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}")
     z = gf.roots_of_unity(kmax)
     zpow = np.array([z ** int(bi) for bi in spec.b])
     b = np.asarray(spec.b, dtype=float)
-    r_pows = spec.conditional_claim_probs()
+    weights, r_pows = spec.theta_pmf(), spec.conditional_claim_probs()
 
-    fs_hat = np.zeros(kmax, dtype=complex)
-    alloc_hats = np.zeros((spec.n_risks, kmax), dtype=complex)
-    for w, r in zip(spec.theta_pmf(), r_pows):
-        total, others = gf.leave_one_out(1.0 - r[:, None] + r[:, None] * zpow)
-        fs_hat += w * total
-        alloc_hats += (w * b * r)[:, None] * zpow * others
-    return fs_hat, alloc_hats
+    def pgfs(level):
+        r = r_pows[level][:, None]
+        return 1.0 - r + r * zpow
 
+    def spectra(level, rows):
+        return (weights[level] * b * r_pows[level])[rows, None] * zpow[rows]
 
-def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable:
-    """Allocation table for the frailty-coupled pool."""
-    fs_hat, alloc_hats = frailty_bernoulli_pgfs(spec, kmax)
-    fs = gf.idft(fs_hat)
-    mu = gf.idft(alloc_hats)
+    fs, mu = mixture_rows(weights, pgfs, spectra, spec.n_risks, kmax)
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
     truncation = TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,))

@@ -539,6 +539,17 @@ class TestAlgorithmOne:
         t = allocate_compound_poisson_pool([risk], 2048)
         assert t.expected_allocation[0].sum() == pytest.approx(0.335788, abs=1e-5)
 
+    def test_lost_mass_is_cut_mass_not_round_off(self):
+        # no severity of this pool reaches 2^11: each total is 1 up to its summation round-off
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11)
+        assert allocate_compound_poisson_pool(pool, 2**11).truncation.lost_mass == 0.0
+        # a 40-point severity on a 32-point lattice loses its last 8 masses
+        risks = [compound_poisson_risk(0.5, np.full(40, 0.025)), compound_poisson_risk(0.3, [0.0, 0.5, 0.5])]
+        with pytest.warns(AliasingRisk, match="severity truncated mass totals"):
+            t = allocate_compound_poisson_pool(risks, 32)
+        assert t.truncation.aliasing_risk
+        assert t.truncation.lost_mass == pytest.approx(0.2, abs=1e-15)
+
 
 class TestLayers:
     def test_telescoping(self, small_pool):

@@ -298,8 +298,8 @@ class TestRun:
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
 
-    # 40 bytes per risk and lattice point for the independent engine, 80 for the frailty pgfs
-    @pytest.mark.parametrize("name, need", [("bernoulli_pool", "15,360"), ("frailty", "30,720")])
+    # 40 bytes per risk and lattice point for one mixture level (independent margins), 64 for several (frailty)
+    @pytest.mark.parametrize("name, need", [("bernoulli_pool", "15,360"), ("frailty", "24,576")])
     def test_portfolio_beyond_host_memory_is_config_error(self, scenario_dir, tmp_path, capsys, monkeypatch,
                                                           name, need):
         # on a host of 1 KB the dense engine stops before it allocates anything n x kmax

@@ -12,7 +12,6 @@ from allocgen.dependence import (
     GammaMixtureSpec,
     HierarchicalShockSpec,
     frailty_allocation,
-    frailty_bernoulli_pgfs,
     gamma_mixture_allocation,
     gamma_mixture_allocation_convolution,
     gamma_mixture_fs_direct,
@@ -34,6 +33,7 @@ from allocgen.models import (
 from allocgen.pmf import next_pow2
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS
 from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario
+from test_allocation import traced_peak
 
 
 class TestShockTree:
@@ -217,15 +217,14 @@ class TestFrailty:
 
     def test_degenerate_mixing_matches_independent_product(self):
         spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0)
-        fs_hat, alloc_hats = frailty_bernoulli_pgfs(spec, 64)
+        table = frailty_allocation(spec, 64)
         risks = [BernoulliRisk(b, q) for b, q in zip(BERNOULLI_POOL_B, BERNOULLI_POOL_Q)]
         z = gf.roots_of_unity(64)
         want = np.ones(64, dtype=complex)
         for r in risks:
             want *= r.pgf_on_roots(z)
-        assert np.max(np.abs(fs_hat - want)) <= 1e-12
+        assert np.max(np.abs(table.fs.masses - gf.idft(want))) <= 1e-12
         indep = allocate_independent(risks, 64)
-        table = frailty_allocation(spec, 64)
         assert np.max(np.abs(table.expected_allocation - indep.expected_allocation)) <= 1e-11
 
     def test_vanishing_mixing_converges_to_independent(self):
@@ -276,7 +275,7 @@ class TestFrailty:
     def test_kmax_below_exact_support_rejected(self):
         spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
         with pytest.raises(InvalidMarginal):
-            frailty_bernoulli_pgfs(spec, 32)
+            frailty_allocation(spec, 32)
 
     def test_full_allocation_identity(self):
         spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
@@ -287,3 +286,15 @@ class TestFrailty:
         assert spec.residual_mass == pytest.approx(0.5**34)
         table = frailty_allocation(spec, 64)
         assert table.fs.masses.sum() == pytest.approx(1.0 - spec.residual_mass, abs=1e-12)
+
+    def test_traced_peak_within_the_memory_estimate(self):
+        # the running sum, the powers z^b, and one level's pgfs and products: 64 bytes per
+        # risk and point, whatever the number of levels beyond one (theta* = 4 here)
+        rng = np.random.default_rng(3)
+        n, kmax = 1000, 2**13
+        spec = FrailtyBernoulliSpec(
+            tuple(rng.integers(1, 8, n)), tuple(rng.uniform(0.01, 0.3, n)), alpha=0.5, epsilon=0.1
+        )
+        assert spec.theta_star == 4
+        _, peak = traced_peak(lambda: frailty_allocation(spec, kmax))
+        assert peak < 72 * n * kmax
