@@ -381,8 +381,8 @@ def mixture_rows(weights: Sequence[float], pgfs, spectra, n: int, kmax: int) -> 
     the mixture: the levels' totals, and each spectrum times the product of the other
     pgfs (``gf.leave_one_out``, no division), are summed on the roots.
     """
-    # one level: pgfs and products, then products and rows; more: the sum, z^b, pgfs, products
-    require_memory(n, kmax, 16 + 16 + 8 if len(weights) == 1 else 4 * 16)
+    # one level: pgfs and products (the rows come after the pgfs are freed); more: the sum too
+    require_memory(n, kmax, 2 * 16 if len(weights) == 1 else 3 * 16)
     fs_hat = np.zeros(kmax, dtype=complex)
     acc = None if len(weights) == 1 else np.zeros((n, kmax), dtype=complex)
     for level, w in enumerate(weights):

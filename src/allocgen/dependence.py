@@ -303,16 +303,23 @@ def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable
     if kmax < spec.min_kmax():
         raise InvalidMarginal(f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}")
     z = gf.roots_of_unity(kmax)
-    zpow = np.array([z ** int(bi) for bi in spec.b])
+    payments, at = np.unique(spec.b, return_inverse=True)
+    zpow = np.array([z ** int(p) for p in payments])  # one row of z^b per distinct payment
     b = np.asarray(spec.b, dtype=float)
     weights, r_pows = spec.theta_pmf(), spec.conditional_claim_probs()
 
     def pgfs(level):
+        # in place, so a level's pgfs are the one n x kmax array that mixture_rows' estimate allows them
         r = r_pows[level][:, None]
-        return 1.0 - r + r * zpow
+        out = zpow[at]
+        out *= r
+        out += 1.0 - r
+        return out
 
     def spectra(level, rows):
-        return (weights[level] * b * r_pows[level])[rows, None] * zpow[rows]
+        out = zpow[at[rows]]
+        out *= (weights[level] * b * r_pows[level])[rows, None]
+        return out
 
     fs, mu = mixture_rows(weights, pgfs, spectra, spec.n_risks, kmax)
     means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)

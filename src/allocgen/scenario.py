@@ -34,6 +34,11 @@ Scenario schema (YAML, keys and nesting)::
       layers: [10, 20]
       risk_columns: [1, 2, 3]  # per-risk CSV columns; defaults to all when n <= 64
 
+Every mapping is read by ``_read`` through the field table of its kind (``_ROOT_FIELDS``,
+``_MODEL_FIELDS``, ``_OUTPUT_FIELDS``, ``_RISK_FIELDS``, ``_COUNT_FIELDS``, ``_SAMPLED_FIELDS``;
+the shock rates by node).  An undeclared key, a value that does not convert (integer fields
+take no fractions) and a value out of range raise ConfigError naming the field.
+
 Outputs: ``allocations.csv`` (k, f_S, F_S, per-risk mu_i/cum_i/cond_i, valid),
 ``cond_mean_dist_<i>.csv`` (value, mass, cum_mass), ``report.txt``.  Floats are
 written with shortest round-trip formatting so reruns diff exactly.
@@ -44,7 +49,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,37 +109,84 @@ GENERATOR_NAME = "numpy PCG64 (default_rng)"
 
 @dataclass
 class ScenarioConfig:
+    """A parsed scenario; ``model`` holds the fields that ``_MODEL_FIELDS[dependence]`` reads."""
+
     kmax: int
     tolerance: float = DEFAULT_TOLERANCE
     underflow_floor: float = DEFAULT_UNDERFLOW_FLOOR
     seed: Optional[int] = None
     dependence: str = "independent"
-    risk_specs: list = field(default_factory=list)
-    sampled: Optional[dict] = None
-    alpha: float = 0.0
-    epsilon: float = 1e-10
-    gamma_params: Optional[dict] = None
-    shock_lambdas: Optional[dict] = None
+    model: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     name: str = "scenario"
 
 
-_DEPENDENCE_KINDS = ("independent", "hierarchical_shock", "gamma_mixture", "frailty_bernoulli")
-
-
 def _field(mapping: dict, path: str, key, conv=float, default=...):
-    """``conv(mapping[key])``, or ``conv(default)`` when absent; ConfigError names ``path.key``."""
+    """``conv(mapping[key])``, or ``conv(default)`` when absent; ConfigError names ``path.key``.
+
+    An optional key (default None) that is absent or null reads as None, unconverted.
+    """
     if key not in mapping and default is ...:
         raise ConfigError(f"{path}.{key}: missing required field")
+    value = mapping.get(key, default)
+    if value is None and default is None:
+        return None
     try:
-        return conv(mapping.get(key, default))
+        return conv(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
+def _read(mapping: dict, path: str, fields: dict, owner: str, kmax: int = 0) -> dict:
+    """Every key of ``fields`` read from ``mapping``; a key ``fields`` does not declare is a ConfigError.
+
+    ``fields[key]`` is (conversion, default, range): ``...`` marks a required key, a callable
+    default is a function of ``kmax``, and a range (what a value needs, its test) applies to
+    each value of a list, which must not be empty; None leaves it to the model constructor.
+    """
+    unread = [key for key in mapping if key not in fields]
+    if unread:
+        raise ConfigError(f"{path}.{unread[0]}: not a field of {owner}")
+    values = {}
+    for key, (conv, default, need) in fields.items():
+        value = values[key] = _field(mapping, path, key, conv, default(kmax) if callable(default) else default)
+        if need is not None:
+            each = value if isinstance(value, list) else [value]
+            if not each:
+                raise ConfigError(f"{path}.{key}: need at least one choice")
+            bad = [v for v in each if not need[1](v)]
+            if bad:
+                raise ConfigError(f"{path}.{key}: need {need[0]}, got {bad[0]}")
+    return values
+
+
+def _read_kind(mapping: dict, path: str, tag: str, tables: dict, kmax: int = 0, default=...) -> tuple[str, dict]:
+    """The kind that ``mapping[tag]`` names, and the rest of ``mapping`` read by that kind's table."""
+    kind = _field(mapping, path, tag, str, default)
+    if kind not in tables:
+        raise ConfigError(f"{path}.{tag}: unknown {tag} {kind!r}")
+    rest = {key: value for key, value in mapping.items() if key != tag}
+    return kind, _read(rest, path, tables[kind], f"{tag} {kind!r}", kmax)
+
+
+def _int(value) -> int:
+    """``value`` as an int: an integer, an integral float or an integer string, never rounded."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"need an integer, got {value}")
+    return int(value)
+
+
 def _ints(values) -> list[int]:
     """Each of ``values`` as an integer; None (a YAML key with no value) gives []."""
-    return [int(v) for v in values or []]
+    return [_int(v) for v in values or []]
+
+
+def _pair(values) -> list[int]:
+    """Two lattice points [l1, l2], or [] for none."""
+    pair = _ints(values)
+    if pair and len(pair) != 2:
+        raise ValueError("need two lattice points [l1, l2]")
+    return pair
 
 
 def _range(values) -> list[float]:
@@ -144,6 +195,51 @@ def _range(values) -> list[float]:
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {[lo, hi]}")
     return [lo, hi]
+
+
+def _rvar_levels(pairs) -> list:
+    """Each [alpha1, alpha2] pair as RVaRLevels, so that a bad pair stops the run before the allocation."""
+    levels = []
+    for i, pair in enumerate(pairs or []):
+        try:
+            levels.append(risk_measures.RVaRLevels(*map(float, pair)))
+        except (TypeError, ValueError, TruncatedQuantile) as exc:
+            raise ConfigError(f"outputs.rvar_levels[{i}]: {exc}") from None
+    return levels
+
+
+# (what a value needs, its test)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0.0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_AT_LEAST_2 = (">= 2", lambda v: v >= 2)
+_POSITIVE = ("> 0", lambda v: v > 0.0)
+_OPEN_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+# the field tables: key -> (conversion, default, range), as _read takes them
+_REAL = (float, ..., None)
+_INT = (_int, ..., None)
+_ROOT_FIELDS = {
+    "kmax": _INT,
+    "tolerance": (float, DEFAULT_TOLERANCE, None),
+    "underflow_floor": (float, DEFAULT_UNDERFLOW_FLOOR, None),
+    "seed": (_int, None, None),
+    "model": (dict, ..., None),
+    "outputs": (lambda v: dict(v or {}), {}, None),  # None: a YAML key with no value
+}
+_PORTFOLIO = {"risks": (lambda v: list(v or []), [], None), "sampled": (dict, None, None)}
+_MODEL_FIELDS = {
+    "independent": _PORTFOLIO,
+    "hierarchical_shock": {"shock_lambdas": (dict, ..., None)},
+    "gamma_mixture": dict.fromkeys(("gamma0", "r1", "r2", "lambda1", "lambda2"), _REAL),
+    "frailty_bernoulli": {**_PORTFOLIO, "alpha": (float, 0.0, None), "epsilon": (float, 1e-10, None)},
+}
+_OUTPUT_FIELDS = {
+    "allocations": (bool, True, None),
+    "pmf_of_conditional_means": (_ints, [], None),
+    "rvar_levels": (_rvar_levels, [], None),
+    "layers": (_pair, [], None),
+    "risk_columns": (_ints, [], None),
+}
 
 
 def check_settings(
@@ -171,60 +267,25 @@ def check_settings(
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario root must be a mapping")
-    kmax = _field(raw, "(root)", "kmax", int)
-    tolerance = _field(raw, "(root)", "tolerance", float, DEFAULT_TOLERANCE)
-    underflow_floor = _field(raw, "(root)", "underflow_floor", float, DEFAULT_UNDERFLOW_FLOOR)
-    kmax = check_settings(kmax, tolerance, underflow_floor)
-    model = _field(raw, "(root)", "model", dict)
-    dependence = model.get("dependence", "independent")
-    if dependence not in _DEPENDENCE_KINDS:
-        raise ConfigError(f"model.dependence: unknown kind {dependence!r}")
-
-    cfg = ScenarioConfig(
-        kmax=kmax,
-        tolerance=tolerance,
-        underflow_floor=underflow_floor,
-        seed=(_field(raw, "(root)", "seed", int) if raw.get("seed") is not None else None),
-        dependence=dependence,
-        risk_specs=list(model.get("risks", []) or []),
-        sampled=model.get("sampled"),
-        alpha=_field(model, "model", "alpha", float, 0.0),
-        epsilon=_field(model, "model", "epsilon", float, 1e-10),
-        outputs=dict(raw.get("outputs", {}) or {}),
-        name=name,
-    )
-
-    if dependence == "gamma_mixture":
-        cfg.gamma_params = {
-            key: _field(model, "model", key)
-            for key in ("gamma0", "r1", "r2", "lambda1", "lambda2")
-        }
-    elif dependence == "hierarchical_shock":
-        lams = _field(model, "model", "shock_lambdas", dict)
-        cfg.shock_lambdas = {str(k): _field(lams, "model.shock_lambdas", k) for k in lams}
-    else:
-        if not cfg.risk_specs and not cfg.sampled:
+    root = _read(raw, "(root)", _ROOT_FIELDS, "the scenario")
+    kmax = check_settings(root["kmax"], root["tolerance"], root["underflow_floor"])
+    dependence, model = _read_kind(root["model"], "model", "dependence", _MODEL_FIELDS, default="independent")
+    if dependence == "hierarchical_shock":
+        lams = model["shock_lambdas"]
+        rates = _read(lams, "model.shock_lambdas", dict.fromkeys(lams, _REAL), "the shock tree")
+        model["shock_lambdas"] = {str(node): lam for node, lam in rates.items()}
+    elif "risks" in model:
+        # the risks are read when the portfolio is built, on the final kmax
+        if not model["risks"] and not model["sampled"]:
             raise ConfigError("model.risks: empty portfolio")
-    if cfg.sampled is not None:
-        if not isinstance(cfg.sampled, dict) or "kind" not in cfg.sampled:
-            raise ConfigError("model.sampled: must be a mapping with a 'kind' field")
-        if cfg.seed is None:
+        if model["sampled"] is not None and root["seed"] is None:
             raise ConfigError("seed: required when model.sampled is present")
-    for i, spec in enumerate(cfg.risk_specs):
-        if not isinstance(spec, dict) or "type" not in spec:
-            raise ConfigError(f"model.risks[{i}]: must be a mapping with a 'type' field")
-    levels = []  # parsed here so that a bad pair stops the run before the allocation
-    for i, pair in enumerate(cfg.outputs.get("rvar_levels") or []):
-        try:
-            levels.append(risk_measures.RVaRLevels(*map(float, pair)))
-        except (TypeError, ValueError, TruncatedQuantile) as exc:
-            raise ConfigError(f"outputs.rvar_levels[{i}]: {exc}") from None
-    cfg.outputs["rvar_levels"] = levels
-    for key in ("pmf_of_conditional_means", "risk_columns", "layers"):
-        cfg.outputs[key] = _field(cfg.outputs, "outputs", key, _ints, [])
-    if cfg.outputs["layers"] and len(cfg.outputs["layers"]) != 2:
-        raise ConfigError("outputs.layers: need two lattice points [l1, l2]")
-    return cfg
+        for i, spec in enumerate(model["risks"]):
+            if not isinstance(spec, dict) or "type" not in spec:
+                raise ConfigError(f"model.risks[{i}]: must be a mapping with a 'type' field")
+    outputs = _read(root["outputs"], "outputs", _OUTPUT_FIELDS, "the outputs")
+    return ScenarioConfig(kmax=kmax, tolerance=root["tolerance"], underflow_floor=root["underflow_floor"],
+                          seed=root["seed"], dependence=dependence, model=model, outputs=outputs, name=name)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -254,97 +315,39 @@ def _in_range(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-# the fields of each count family, keyed by the name of its KatzParams constructor and in
-# the order it takes them; the count risk types and a compound frequency read these
+# the fields of each count family, keyed by the name of its KatzParams constructor, whose
+# arguments they are; the count risk types and a compound frequency read these
 _COUNT_FIELDS = {
-    "poisson": {"lam": float},
-    "negative_binomial": {"r": float, "q": float},
-    "binomial": {"m": int, "q": float},
+    "poisson": {"lam": _REAL},
+    "negative_binomial": {"r": _REAL, "q": _REAL},
+    "binomial": {"m": _INT, "q": _REAL},
 }
-# every field each risk type reads besides 'type'
+_SEVERITY_LENGTH = (_int, lambda kmax: min(kmax, 4096), _AT_LEAST_1)
 _RISK_FIELDS = {
     **_COUNT_FIELDS,
-    "compound_poisson_negbin": ("lam", "r", "q", "severity_length"),
-    "bernoulli": ("b", "q"),
-    "pmf": ("masses", "step_h"),
-    "compound_poisson": ("lam", "severity"),
-    "compound": ("frequency", "severity"),
-    "pareto": ("alpha", "lam", "xmax"),
+    "compound_poisson_negbin": {"lam": (float, ..., _AT_LEAST_0), "r": (float, ..., _POSITIVE),
+                                "q": (float, ..., _OPEN_UNIT), "severity_length": _SEVERITY_LENGTH},
+    "bernoulli": {"b": _INT, "q": _REAL},
+    "pmf": {"masses": (lambda v: np.asarray(v, dtype=float), ..., None), "step_h": (float, 1.0, None)},
+    "compound_poisson": {"lam": _REAL, "severity": (pmf_from_values, ..., None)},
+    "compound": {"frequency": (dict, ..., None), "severity": (pmf_from_values, ..., None)},
+    "pareto": {"alpha": (float, ..., _POSITIVE), "lam": (float, ..., _POSITIVE),
+               "xmax": (_int, lambda kmax: kmax, _AT_LEAST_2)},
 }
-
-
-def _require_read(mapping: dict, path: str, fields, owner: str) -> None:
-    """ConfigError naming ``path.key`` for the first key of ``mapping`` not in ``fields``."""
-    unread = [key for key in mapping if key not in fields]
-    if unread:
-        raise ConfigError(f"{path}.{unread[0]}: not a field of {owner}")
-
-
-def _count_params(spec: dict, path: str, family: str) -> KatzParams:
-    """The count family ``family``'s parameters, read from its fields in ``spec``."""
-    fields = _COUNT_FIELDS[family]
-    return getattr(KatzParams, family)(*(_field(spec, path, key, conv) for key, conv in fields.items()))
-
-
-def _build_risk(spec: dict, path: str, kmax: int):
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in _RISK_FIELDS:
-        raise ConfigError(f"{path}.type: unknown risk type {kind!r}")
-    _require_read(spec, path, ("type", *_RISK_FIELDS[kind]), f"type {kind!r}")
-    get = partial(_field, spec, path)
-    if kind == "compound_poisson_negbin":
-        lam, r, q = get("lam"), get("r"), get("q")
-        _require_domain(path, ("lam", "r", "q"), ([lam], [r], [q]), _NEGBIN_DOMAIN)
-        sev_len = _table_field(spec, path, "severity_length", kmax, _SAMPLED_FIELDS[kind])  # the pool's entry
-        # a severity the NB recursion cannot represent is a numerical failure, not a config error
-        return compound_poisson_negbin_risk(lam, r, q, sev_len)
-    with _in_range(path):
-        if kind in _COUNT_FIELDS:
-            return KatzRisk(_count_params(spec, path, kind))
-        if kind == "bernoulli":
-            return BernoulliRisk(get("b", int), get("q"))
-        if kind == "pmf":
-            step_h = get("step_h", float, 1.0)
-            return ExplicitRisk(get("masses", partial(pmf_from_values, step_h=step_h)))
-        if kind == "compound_poisson":
-            return CompoundKatzRisk(KatzParams.poisson(get("lam")), get("severity", pmf_from_values))
-        if kind == "compound":
-            freq, freq_path = get("frequency", dict), f"{path}.frequency"
-            family = _field(freq, freq_path, "family", str)
-            if family not in _COUNT_FIELDS:
-                raise ConfigError(f"{freq_path}.family: unknown family {family!r}")
-            _require_read(freq, freq_path, ("family", *_COUNT_FIELDS[family]), f"family {family!r}")
-            return CompoundKatzRisk(_count_params(freq, freq_path, family), get("severity", pmf_from_values))
-        # the one type left is pareto
-        alpha, lam, xmax = get("alpha"), get("lam"), get("xmax", int, kmax)
-        _require_domain(path, ("alpha", "lam", "xmax"), ([alpha], [lam], [xmax]), _PARETO_DOMAIN)
-        pmf, report = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), xmax)
-        return ExplicitRisk(pmf), report
-
-
-# (what a value needs, its test) for each parameter list of a family, in order
-_AT_LEAST_0 = (">= 0", lambda v: v >= 0.0)
-_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_POSITIVE = ("> 0", lambda v: v > 0.0)
-_NEGBIN_DOMAIN = (_AT_LEAST_0, _POSITIVE, ("in (0, 1)", lambda v: 0.0 < v < 1.0))
-_PARETO_DOMAIN = (_POSITIVE, _POSITIVE, (">= 2", lambda v: v >= 2))
-
-# every field of each sampled kind: (conversion, default, range that each value must pass);
-# a callable default is a function of kmax, and ... marks a required field
-_COUNT = (int, ..., _AT_LEAST_0)
+_COUNT = (_int, ..., _AT_LEAST_0)
 _SAMPLED_FIELDS = {
     "compound_poisson_negbin": {
         "count": _COUNT,
-        "lam_exp_mean": (float, 0.1, _NEGBIN_DOMAIN[0]),
-        "r_choices": (_ints, [1, 2, 3, 4, 5, 6], _NEGBIN_DOMAIN[1]),
-        "q_range": (_range, [0.4, 0.5], _NEGBIN_DOMAIN[2]),
-        "severity_length": (int, lambda kmax: min(kmax, 4096), _AT_LEAST_1),
+        "lam_exp_mean": (float, 0.1, _AT_LEAST_0),
+        "r_choices": (_ints, [1, 2, 3, 4, 5, 6], _POSITIVE),
+        "q_range": (_range, [0.4, 0.5], _OPEN_UNIT),
+        "severity_length": _SEVERITY_LENGTH,
     },
     "pareto_extras": {
         "count": _COUNT,
-        "alpha_range": (_range, [1.3, 1.9], _PARETO_DOMAIN[0]),
-        "lam_range": (_range, [5.0, 15.0], _PARETO_DOMAIN[1]),
-        "xmax": (int, lambda kmax: min(kmax, 2**15), _PARETO_DOMAIN[2]),
+        "alpha_range": (_range, [1.3, 1.9], _POSITIVE),
+        "lam_range": (_range, [5.0, 15.0], _POSITIVE),
+        "xmax": (_int, lambda kmax: min(kmax, 2**15), _AT_LEAST_2),
     },
     "bernoulli_extras": {
         "count": _COUNT,
@@ -354,27 +357,27 @@ _SAMPLED_FIELDS = {
 }
 
 
-def _require_domain(path: str, fields, values, domain) -> None:
-    """ConfigError naming ``path.field`` unless every value passes its family's test in ``domain``.
-
-    ``fields`` names the lists in ``values``, one per entry of ``domain``,
-    and the error gives the first value out of range.
-    """
-    for field, vals, (need, ok) in zip(fields, values, domain):
-        bad = [v for v in vals if not ok(v)]
-        if bad:
-            raise ConfigError(f"{path}.{field}: need {need}, got {bad[0]}")
-
-
-def _table_field(mapping: dict, path: str, key: str, kmax: int, fields: dict):
-    """``mapping[key]`` converted, defaulted and range-checked by its entry in ``fields``."""
-    conv, default, need = fields[key]
-    value = _field(mapping, path, key, conv, default(kmax) if callable(default) else default)
-    values = value if isinstance(value, list) else [value]
-    if not values:
-        raise ConfigError(f"{path}.{key}: need at least one choice")
-    _require_domain(path, (key,), (values,), (need,))
-    return value
+def _build_risk(spec: dict, path: str, kmax: int):
+    with _in_range(path):
+        kind, f = _read_kind(spec, path, "type", _RISK_FIELDS, kmax)
+        if kind in _COUNT_FIELDS:
+            return KatzRisk(getattr(KatzParams, kind)(**f))
+        if kind == "bernoulli":
+            return BernoulliRisk(f["b"], f["q"])
+        if kind == "pmf":
+            return ExplicitRisk(pmf_from_values(f["masses"], f["step_h"]))
+        if kind == "compound_poisson":
+            return CompoundKatzRisk(KatzParams.poisson(f["lam"]), f["severity"])
+        if kind == "compound":
+            family, params = _read_kind(f["frequency"], f"{path}.frequency", "family", _COUNT_FIELDS)
+            return CompoundKatzRisk(getattr(KatzParams, family)(**params), f["severity"])
+        if kind == "pareto":
+            alpha, lam = f["alpha"], f["lam"]
+            pmf, report = arithmetize(pareto_cdf(alpha, lam), pareto_lev(alpha, lam), f["xmax"])
+            return ExplicitRisk(pmf), report
+    # the one type left; a severity the NB recursion cannot represent is a numerical
+    # failure, not a config error
+    return compound_poisson_negbin_risk(f["lam"], f["r"], f["q"], f["severity_length"])
 
 
 def compound_poisson_negbin_risk(lam, r, q, severity_length: int) -> CompoundKatzRisk:
@@ -387,12 +390,9 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
 
     The one seeded pool sampler: scenarios, reproduction cases, tests and
     scripts all draw here, so a given (sampled, seed, kmax) always yields the
-    same risks.  Every field is read through ``_SAMPLED_FIELDS``, which
-    gives its conversion, its default and its range, so values may come as
-    strings as well as numbers.  A value that does not convert, an empty
-    choice list, a range that is not lo < hi, a value out of range and a
-    field its kind does not read each raise ConfigError naming the field,
-    before any draw.
+    same risks.  Its fields are read through ``_SAMPLED_FIELDS``, so values
+    may come as strings as well as numbers, and a bad one raises ConfigError
+    naming it before any draw.
 
     A ``compound_poisson_negbin`` pool comes back as a
     ``models.PoissonNegbinPool``: it holds only the draws (rates, NB shapes
@@ -403,12 +403,7 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
     without them, also after explicit risks.  The other kinds come back as
     lists of risks.
     """
-    path, kind = "model.sampled", sampled["kind"]
-    fields = _SAMPLED_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-    _require_read(sampled, path, ("kind", *fields), f"kind {kind!r}")
-    f = {key: _table_field(sampled, path, key, kmax, fields) for key in fields}
+    kind, f = _read_kind(sampled, "model.sampled", "kind", _SAMPLED_FIELDS, kmax)
     count, rng = f["count"], np.random.default_rng(seed)
     if kind == "compound_poisson_negbin":
         lams = rng.exponential(f["lam_exp_mean"], size=count)
@@ -443,18 +438,18 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
     its draws.
     """
     notes: list[str] = []
-    kmax = config.kmax
+    kmax, model = config.kmax, config.model
     if config.dependence == "gamma_mixture":
         with _in_range("model"):
-            spec = GammaMixtureSpec(**config.gamma_params)
+            spec = GammaMixtureSpec(**model)
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
     if config.dependence == "hierarchical_shock":
         with _in_range("model.shock_lambdas"):
-            spec = HierarchicalShockSpec(config.shock_lambdas or {})
+            spec = HierarchicalShockSpec(model["shock_lambdas"])
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
 
     risks = []
-    for i, rspec in enumerate(config.risk_specs):
+    for i, rspec in enumerate(model["risks"]):
         built = _build_risk(rspec, f"model.risks[{i}]", kmax)
         if isinstance(built, tuple):
             risk, report = built
@@ -465,12 +460,12 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
             risks.append(risk)
         else:
             risks.append(built)
-    if config.sampled is not None:
-        sampled = sample_risks(config.sampled, config.seed, kmax)
+    if model["sampled"] is not None:
+        sampled = sample_risks(model["sampled"], config.seed, kmax)
         # the sampled risks stay as they came, alone or after the explicit ones
         risks = RiskChain(risks, sampled) if risks else sampled
         notes.append(
-            f"sampled {len(sampled)} extra risks ({config.sampled['kind']}) with "
+            f"sampled {len(sampled)} extra risks ({model['sampled']['kind']}) with "
             f"{GENERATOR_NAME}, seed={config.seed}"
         )
     if not risks:
@@ -483,8 +478,8 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
             spec = FrailtyBernoulliSpec(
                 b=tuple(r.b for r in risks),
                 q=tuple(r.q for r in risks),
-                alpha=config.alpha,
-                epsilon=config.epsilon,
+                alpha=model["alpha"],
+                epsilon=model["epsilon"],
             )
         kmax = max(kmax, next_pow2(spec.min_kmax()))
         return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)

@@ -238,6 +238,28 @@ class TestRun:
                 "      severity: [0.0, 1.0]\n",
                 "model.risks[0].frequency.r: not a field of family 'poisson'",
             ),
+            # and a key that the root, the outputs or the dependence kind does not read
+            ("tolerence: 1.0e-8\n" + POISSON, "(root).tolerence: not a field of the scenario"),
+            (POISSON + "outputs:\n  rvar_level: [[0.90, 0.99]]\n", "outputs.rvar_level: not a field of the outputs"),
+            (
+                "model:\n  alpha: 0.5\n  risks:\n    - {type: bernoulli, b: 2, q: 0.3}\n",
+                "model.alpha: not a field of dependence 'independent'",
+            ),
+            (
+                "model:\n  dependence: frailty_bernoulli\n  aplha: 0.5\n"
+                "  risks:\n    - {type: bernoulli, b: 2, q: 0.3}\n",
+                "model.aplha: not a field of dependence 'frailty_bernoulli'",
+            ),
+            (
+                "model:\n  dependence: gamma_mixture\n  gamma0: 1.0\n  r1: 2.0\n  r2: 2.0\n"
+                "  lambda1: 1.0\n  lambda2: 1.0\n  risks:\n    - {type: poisson, lam: 0.5}\n",
+                "model.risks: not a field of dependence 'gamma_mixture'",
+            ),
+            # an integer field takes no fraction
+            (
+                "model:\n  risks:\n    - {type: bernoulli, b: 2.5, q: 0.3}\n",
+                "model.risks[0].b: need an integer, got 2.5",
+            ),
         ],
         ids=[
             "risk_value",
@@ -286,6 +308,12 @@ class TestRun:
             "risk_key_of_another_type",
             "poisson_extra_key",
             "frequency_key_of_another_family",
+            "root_misspelt_key",
+            "outputs_misspelt_key",
+            "frailty_key_under_independent",
+            "frailty_misspelt_key",
+            "risks_under_gamma_mixture",
+            "fractional_payment",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, field):
@@ -298,8 +326,8 @@ class TestRun:
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
 
-    # 40 bytes per risk and lattice point for one mixture level (independent margins), 64 for several (frailty)
-    @pytest.mark.parametrize("name, need", [("bernoulli_pool", "15,360"), ("frailty", "24,576")])
+    # 32 bytes per risk and lattice point for one mixture level (independent margins), 48 for several (frailty)
+    @pytest.mark.parametrize("name, need", [("bernoulli_pool", "12,288"), ("frailty", "18,432")])
     def test_portfolio_beyond_host_memory_is_config_error(self, scenario_dir, tmp_path, capsys, monkeypatch,
                                                           name, need):
         # on a host of 1 KB the dense engine stops before it allocates anything n x kmax

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocgen import gf
+from allocgen import allocation, gf
 from allocgen.allocation import PortfolioModel, allocate_independent, oracle_enumerate
 from allocgen.dependence import (
     SHOCK_LEAVES,
@@ -288,8 +288,8 @@ class TestFrailty:
         assert table.fs.masses.sum() == pytest.approx(1.0 - spec.residual_mass, abs=1e-12)
 
     def test_traced_peak_within_the_memory_estimate(self):
-        # the running sum, the powers z^b, and one level's pgfs and products: 64 bytes per
-        # risk and point, whatever the number of levels beyond one (theta* = 4 here)
+        # the running sum and one level's pgfs and products: 48 bytes per risk and point,
+        # whatever the number of levels beyond one (theta* = 4 here)
         rng = np.random.default_rng(3)
         n, kmax = 1000, 2**13
         spec = FrailtyBernoulliSpec(
@@ -297,4 +297,19 @@ class TestFrailty:
         )
         assert spec.theta_star == 4
         _, peak = traced_peak(lambda: frailty_allocation(spec, kmax))
-        assert peak < 72 * n * kmax
+        assert peak < 56 * n * kmax
+
+    @pytest.mark.parametrize("levels, n", [("one", 1000), ("several", 500)])
+    def test_host_just_above_the_traced_peak_is_admitted(self, monkeypatch, levels, n):
+        # the dense estimate (32 bytes per risk and point for one level, 48 for several) is the
+        # traced peak once the portfolio dwarfs a row block, so a host 5% above that peak runs it
+        rng = np.random.default_rng(3)
+        kmax = 2**13
+        b, q = tuple(rng.integers(1, 8, n)), tuple(rng.uniform(0.01, 0.3, n))
+        if levels == "one":
+            run, portfolio = allocate_independent, [BernoulliRisk(int(bi), qi) for bi, qi in zip(b, q)]
+        else:
+            run, portfolio = frailty_allocation, FrailtyBernoulliSpec(b, q, alpha=0.5, epsilon=0.1)
+        _, peak = traced_peak(lambda: run(portfolio, kmax))
+        monkeypatch.setattr(allocation, "host_memory_bytes", lambda: int(1.05 * peak))
+        assert run(portfolio, kmax).n_risks == n
