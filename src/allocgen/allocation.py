@@ -416,7 +416,8 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     def spectra(level, rows):
         pmfs = np.array([r.pmf_vector(kmax) for r in risks[rows]], dtype=float)
         totals[rows] = pmfs.sum(axis=1)
-        return gf.dft(pmfs * k)
+        pmfs *= k
+        return gf.dft(pmfs)
 
     fs, mu = mixture_rows([1.0], pgfs, spectra, n, kmax)
     tops = [r.support_top() for r in risks]
@@ -462,7 +463,7 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     W is allocated; past that point the run holds W, f_S and one block of
     rows.  ``models.poisson_pool`` reads the blocks, whether ``risks`` is a
     list of risks, a sampled ``models.PoissonNegbinPool`` or a chain of the
-    two: a sampled pool's severities come from the NB block recursion in
+    two: a sampled pool's severities come from the NB row recursion in
     each pass and are never stored per risk, and a severity of such a pool
     with no mass raises KatzDomain here.
 

@@ -62,7 +62,9 @@ def dft(coeffs, *, half: bool = False) -> ComplexBuffer:
     if half:
         out = np.fft.rfft(arr, axis=-1)
         return np.conjugate(out, out=out)
-    return np.fft.ifft(arr, axis=-1) * n
+    out = np.fft.ifft(arr, axis=-1)
+    out *= n
+    return out
 
 
 def idft(buf: ComplexBuffer, *, half: bool = False, out: np.ndarray | None = None) -> np.ndarray:

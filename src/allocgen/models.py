@@ -141,9 +141,9 @@ class KatzParams:
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
 
-# negbin_blocks runs its recursion down blocks of this many rows, and cumulates
-# their masses this many columns at a time; so does KatzParams.pmf's scaled run.
-# The Poisson pool engine reads severities in blocks of ROW_BLOCK rows too.
+# The Poisson pool engine reads severities, and negbin_rows runs its recursion,
+# in blocks of this many rows; negbin_rows cumulates masses this many columns at
+# a time, and so does KatzParams.pmf's scaled run.
 ROW_BLOCK = 128
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny
@@ -157,13 +157,12 @@ _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
 _DOT_CHUNK = 4096
 
 
-def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """First n masses of NB(r_i, q_i), ROW_BLOCK rows at a time, as ``(rows, masses, lengths)``.
+def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First n masses of NB(r_i, q_i), one row per pair, as ``(masses, lengths)``.
 
-    ``masses`` is the dense block of the pairs ``rows``; row i is zero from
-    ``lengths[i]`` on, just after its last positive mass (a row with no
-    positive mass has length 0).  It is a view into one buffer that the next
-    block overwrites, so a caller keeps a copy of what it needs.
+    ``masses`` is a fresh dense block; row i is zero from ``lengths[i]`` on,
+    just after its last positive mass (a row with no positive mass has
+    length 0).  Its callers pass at most ROW_BLOCK pairs at a time.
 
     Row i is the recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the
     running product, taken in order, of the ratios f(j)/f(j-1) =
@@ -171,7 +170,7 @@ def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]
     The ratios are monotone in k with limit 1 - q < 1, so once one ratio is
     below 1 the masses only fall: a row stops after the first chunk of
     _NEGBIN_CHUNK columns that ends below that float with a ratio below 1, and
-    a block stops when all of its rows have; its width is where it stopped.
+    the block stops when all of its rows have; its width is where it stopped.
     Each row depends on its own (r, q) only, and each mass on those before
     it, so a row is the same in any block and its first m masses are the
     same for every n >= m.
@@ -196,16 +195,6 @@ def negbin_blocks(r, q, n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]
         raise KatzDomain("negative binomial severities need r > 0 and q in (0, 1)")
     if n < 1:
         raise KatzDomain(f"need at least one negative binomial mass, got n={n}")
-    # one mass buffer and one ratio buffer serve every block
-    f = np.empty((min(len(r), ROW_BLOCK), n))
-    ratios = np.empty((len(f), min(_NEGBIN_CHUNK, n)))
-    for lo in range(0, len(r), ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, len(r)))
-        yield (rows, *_negbin_block(r[rows], q[rows], f, ratios))
-
-
-def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
-    """negbin_blocks on one block of pairs, in the buffers ``f`` and ``ratios``."""
     # q^r by Python's float power, row by row: numpy's vectorised power
     # differs from it in the last bit for some arguments
     f0 = np.array([qi**ri for qi, ri in zip(q.tolist(), r.tolist())])
@@ -220,8 +209,8 @@ def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
         raise KatzDomain(f"NB(r={r[i]}, q={q[i]}): q^r is below 2^-2044, out of the scaled range")
     head = np.ldexp(1.0, expo + 1021)  # 2^e
     f0_scaled = np.ldexp(mant, -1021)  # q^r 2^-e
-    h, n = len(r), f.shape[1]
-    f = f[:h]
+    f = np.empty((len(r), n))
+    ratios = np.empty((len(r), min(_NEGBIN_CHUNK, n)))
     f[:, 0] = f0_scaled * head
     carry = head
     p = 1.0 - q
@@ -231,7 +220,7 @@ def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
         end = min(start + _NEGBIN_CHUNK, n)
         k = np.arange(start, end, dtype=float)
         # (1 - q) (r + k - 1) / k, one rounding per operation as written
-        chunk = ratios[:h, : end - start]
+        chunk = ratios[:, : end - start]
         np.add(r_col, k, out=chunk)
         chunk -= 1.0
         chunk *= p_col
@@ -254,13 +243,13 @@ def _negbin_block(r, q, f, ratios) -> tuple[np.ndarray, np.ndarray]:
 def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
     """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion.
 
-    The one-row case of ``negbin_blocks``, zero-padded to n.  Its scaled
+    The one-row case of ``negbin_rows``, zero-padded to n.  Its scaled
     recursion carries the running product times an exact power of two taken
     from q^r, so the masses are bit-identical to the unscaled recursion's, a
     q^r that underflows still gives the right masses, and masses below the
     smallest normal float are exact zeros.
     """
-    _, masses, _ = next(negbin_blocks([r], [q], n))
+    masses, _ = negbin_rows([r], [q], n)
     f = np.zeros(n)
     f[: masses.shape[1]] = masses[0]
     return f
@@ -462,12 +451,12 @@ class PoissonNegbinPool(Sequence):
     Risk i is the ``CompoundKatzRisk`` whose severity is the first
     ``severity_length`` NB(r_i, q_i) masses, cut after the last positive one
     and wrapped by ``pmf.truncated_pmf``.  No severity is stored: indexing,
-    slicing and iteration build the risks from the block recursion
-    (``negbin_blocks``) when asked, so ``pool[i]`` and ``list(pool)`` are
-    bit-identical to building each risk alone, and iterating costs one run of
-    the recursion.  A slice is a pool of the same kind.  The Poisson pool
-    engine reads the severities block by block (``severity_blocks``) and
-    never builds the risks.
+    slicing and iteration build the risks from the row recursion
+    (``negbin_rows``) when asked, ROW_BLOCK rows at a time, so ``pool[i]``
+    and ``list(pool)`` are bit-identical to building each risk alone, and
+    iterating costs one run of the recursion.  A slice is a pool of the
+    same kind.  The Poisson pool engine reads the severities a block of rows
+    at a time (``severity_rows``) and never builds the risks.
     """
 
     def __init__(self, lam, r, q, severity_length: int):
@@ -489,25 +478,29 @@ class PoissonNegbinPool(Sequence):
         return next(iter(self[i : i + 1]))
 
     def __iter__(self) -> Iterator[CompoundKatzRisk]:
-        for rows, masses, lengths in self.severity_blocks():
-            for lam, row, top in zip(self.lam[rows].tolist(), masses, lengths.tolist()):
-                yield CompoundKatzRisk(KatzParams.poisson(lam), truncated_pmf(row[:top].copy()))
+        for lo in range(0, len(self), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            # a block's risks copy their rows, so its masses are freed before the next block's
+            yield from [
+                CompoundKatzRisk(KatzParams.poisson(lam), truncated_pmf(row[:top].copy()))
+                for lam, row, top in zip(self.lam[rows].tolist(), *self.severity_rows(rows))
+            ]
 
-    def severity_blocks(self, columns: Optional[int] = None):
-        """``negbin_blocks`` of the pool over its first ``columns`` severity points (default: all).
+    def severity_rows(self, rows: slice, columns: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """``negbin_rows`` of the risks ``rows`` over their first ``columns`` severity points (default: all).
 
         Over all ``severity_length`` points, a severity with no positive
         mass raises KatzDomain.
         """
+        r, q = self.r[rows], self.q[rows]
         n = self.severity_length if columns is None else min(columns, self.severity_length)
-        for rows, masses, lengths in negbin_blocks(self.r, self.q, n):
-            if columns is None and not lengths.all():
-                i = rows.start + int(np.argmin(lengths))
-                raise KatzDomain(
-                    f"NB(r={self.r[i]}, q={self.q[i]}) has no mass above the smallest normal float "
-                    f"in its first {n} points"
-                )
-            yield rows, masses, lengths
+        masses, lengths = negbin_rows(r, q, n)
+        if columns is None and not lengths.all():
+            i = int(np.argmin(lengths))
+            raise KatzDomain(
+                f"NB(r={r[i]}, q={q[i]}) has no mass above the smallest normal float in its first {n} points"
+            )
+        return masses, lengths
 
 
 class RiskChain(Sequence):
@@ -545,31 +538,39 @@ def poisson_pool(risks: Sequence):
 
     This is how the Poisson pool engine reads a pool, whatever holds it: a
     list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both.
-    ``blocks(columns=None)`` yields ``(rows, masses, lengths)`` as
-    ``negbin_blocks`` does, over the first ``columns`` severity points
-    (default: all of the longest).  A sampled pool's come from its block
-    recursion, with no risk built; stored severities are copied into fresh
-    zero-padded blocks.  The blocks are those of ROW_BLOCK rows that the
-    same risks in one list give (``_whole_blocks``), so a chain's sums
-    group its rows as its materialized list does.  Risks on different
-    lattice steps raise AllocationError.
+    ``blocks(columns=None)`` walks the blocks of ROW_BLOCK rows that the same
+    risks in one list give, and yields each as ``(rows, masses, lengths)``
+    over the first ``columns`` severity points (default: all of the
+    longest), as ``negbin_rows`` gives rows.  Each part that overlaps a
+    block reads exactly its rows there: a sampled pool by its row recursion,
+    with no risk built, and stored severities as a fresh copy zero-padded
+    to the part's longest.  A block that spans parts joins their rows,
+    zero-padded to the widest.  Risks on different lattice steps raise
+    AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
     lam, reads = [], []
     for part in parts:
         if isinstance(part, PoissonNegbinPool):
             lam.append(part.lam)
-            reads.append(part.severity_blocks)
+            reads.append(part.severity_rows)
         elif all(isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson() for r in part):
             lam.append(np.array([r.frequency.b for r in part], dtype=float))
-            reads.append(partial(_stored_severity_blocks, part))
+            longest = max((len(r.severity.masses) for r in part), default=0)
+            reads.append(partial(_stored_severity_rows, part, longest))
         else:
             return None
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
 
     def blocks(columns: Optional[int] = None):
-        starts = itertools.accumulate(map(len, parts), initial=0)
-        pieces = ((lo + rows.start, *block) for lo, read in zip(starts, reads) for rows, *block in read(columns))
-        return _whole_blocks(pieces, len(risks))
+        for lo in range(0, starts[-1], ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, starts[-1])
+            # the pieces live only in this call, so no part's buffer outlives its block
+            yield slice(lo, hi), *_stacked([
+                read(slice(max(lo, start) - start, min(hi, stop) - start), columns)
+                for read, start, stop in zip(reads, starts, starts[1:])
+                if start < hi and lo < stop
+            ])
 
     return np.concatenate(lam), common_step(risks), blocks
 
@@ -596,46 +597,23 @@ def common_step(risks: Sequence) -> float:
     return steps.pop()
 
 
-def _whole_blocks(pieces, n: int):
-    """Row pieces ``(start, masses, lengths)`` of n risks, in order, as the blocks of ROW_BLOCK rows one list gives.
-
-    A piece that is a whole block passes as it came; the rows of a block
-    spread over pieces are copied into one, zero-padded to the widest.  A
-    piece's masses may be a buffer that the next piece overwrites, so rows
-    held over to the next piece are copied first.
-    """
-    held = []
-    for start, masses, lengths in pieces:
-        end = start + len(lengths)
-        cuts = [start, *range(start - start % ROW_BLOCK + ROW_BLOCK, end, ROW_BLOCK), end]
-        for lo, hi in itertools.pairwise(cuts):
-            rows = slice(lo - start, hi - start)
-            if hi % ROW_BLOCK and hi < n:  # the block goes on in the next piece
-                held.append((masses[rows].copy(), lengths[rows]))
-            elif not held:
-                yield slice(lo, hi), masses[rows], lengths[rows]
-            else:
-                held.append((masses[rows], lengths[rows]))
-                tops = np.concatenate([t for _, t in held])
-                joined = np.zeros((len(tops), max(m.shape[1] for m, _ in held)))
-                row = 0
-                for m, _ in held:
-                    joined[row : row + len(m), : m.shape[1]] = m
-                    row += len(m)
-                yield slice(hi - row, hi), joined, tops
-                held = []
+def _stacked(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row pieces ``(masses, lengths)`` as one block: a lone piece as it came, more zero-padded to the widest."""
+    if len(pieces) == 1:
+        return pieces[0]
+    width = max(m.shape[1] for m, _ in pieces)
+    masses = np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m, _ in pieces])
+    return masses, np.concatenate([t for _, t in pieces])
 
 
-def _stored_severity_blocks(risks: Sequence[CompoundKatzRisk], columns: Optional[int] = None):
-    """The stored severities of ``risks``, each block of up to ROW_BLOCK rows a fresh zero-padded copy."""
-    lengths = np.array([len(r.severity.masses) for r in risks])
-    width = int(lengths.max()) if columns is None else columns
-    for lo in range(0, len(risks), ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, len(risks)))
-        masses = np.zeros((rows.stop - lo, width))
-        for row, r in zip(masses, risks[rows]):
-            row[: len(r.severity.masses)] = r.severity.masses[:width]
-        yield rows, masses, lengths[rows]
+def _stored_severity_rows(risks: Sequence, longest: int, rows: slice, columns: Optional[int] = None):
+    """The stored severities of ``risks[rows]``, a fresh copy zero-padded to ``longest`` points (or ``columns``)."""
+    chosen = risks[rows]
+    width = longest if columns is None else columns
+    masses = np.zeros((len(chosen), width))
+    for row, r in zip(masses, chosen):
+        row[: len(r.severity.masses)] = r.severity.masses[:width]
+    return masses, np.array([len(r.severity.masses) for r in chosen])
 
 
 def poisson_risk(lam: float) -> KatzRisk:

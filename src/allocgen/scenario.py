@@ -181,6 +181,14 @@ def _ints(values) -> list[int]:
     return [_int(v) for v in values or []]
 
 
+def _indices(values) -> list[int]:
+    """Risk indices, each at most once."""
+    indices = _ints(values)
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"need distinct indices, got {indices}")
+    return indices
+
+
 def _pair(values) -> list[int]:
     """Two lattice points [l1, l2], or [] for none."""
     pair = _ints(values)
@@ -235,10 +243,10 @@ _MODEL_FIELDS = {
 }
 _OUTPUT_FIELDS = {
     "allocations": (bool, True, None),
-    "pmf_of_conditional_means": (_ints, [], None),
+    "pmf_of_conditional_means": (_indices, [], None),
     "rvar_levels": (_rvar_levels, [], None),
     "layers": (_pair, [], None),
-    "risk_columns": (_ints, [], None),
+    "risk_columns": (_indices, [], None),
 }
 
 
@@ -396,10 +404,10 @@ def sample_risks(sampled: dict, seed: int, kmax: int) -> Sequence:
 
     A ``compound_poisson_negbin`` pool comes back as a
     ``models.PoissonNegbinPool``: it holds only the draws (rates, NB shapes
-    and probabilities, severity length), builds its risks from the block
-    recursion of ``models.negbin_blocks`` when indexed or iterated, each
+    and probabilities, severity length), builds its risks from the row
+    recursion of ``models.negbin_rows`` when indexed or iterated, each
     bit-identical to ``compound_poisson_negbin_risk`` on its own draw, and is
-    streamed block by block through ``allocate_compound_poisson_pool``
+    read a block of rows at a time by ``allocate_compound_poisson_pool``
     without them, also after explicit risks.  The other kinds come back as
     lists of risks.
     """

@@ -139,6 +139,15 @@ class TestAllocateIndependent:
         with pytest.warns(AliasingRisk):
             allocate_independent([BernoulliRisk(40, 0.5), BernoulliRisk(40, 0.5)], 64)
 
+    def test_spectra_are_formed_in_place(self):
+        # a row block's pmfs are weighted by k and transformed with no copy beside them:
+        # 500 risks at 2^13 peak at 36.6 B per risk-point, 40.7 with the copies
+        rng = np.random.default_rng(3)
+        n, kmax = 500, 2**13
+        risks = [BernoulliRisk(int(b), float(q)) for b, q in zip(rng.integers(1, 12, n), rng.uniform(0.01, 0.3, n))]
+        _, peak = traced_peak(lambda: allocate_independent(risks, kmax))
+        assert peak <= 38 * n * kmax
+
     def test_oracle_triangle_on_random_portfolios(self, rng):
         for _ in range(5):
             risks = small_explicit_portfolio(rng)

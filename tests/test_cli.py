@@ -184,6 +184,15 @@ class TestRun:
                 POISSON + "outputs:\n  risk_columns: [1, 0]\n",
                 "outputs.risk_columns: indices [0] outside 1..1",
             ),
+            # a repeated index, which would write a column or a file twice, stops the run as it is read
+            (
+                POISSON + "outputs:\n  pmf_of_conditional_means: [2, 2]\n",
+                "outputs.pmf_of_conditional_means: need distinct indices, got [2, 2]",
+            ),
+            (
+                POISSON + "outputs:\n  risk_columns: [1, 1]\n",
+                "outputs.risk_columns: need distinct indices, got [1, 1]",
+            ),
             ("model:\n  risks:\n    - {type: pareto, alpha: 0.0, lam: 3.0}\n", "model.risks[0].alpha: need > 0"),
             ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 0}\n", "model.risks[0].lam: need > 0"),
             ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: -2}\n", "model.risks[0].lam: need > 0"),
@@ -293,6 +302,8 @@ class TestRun:
             "layers_beyond_grid",
             "cond_mean_index_range",
             "risk_column_range",
+            "cond_mean_index_repeat",
+            "risk_column_repeat",
             "pareto_alpha_zero",
             "pareto_lam_zero",
             "pareto_lam_negative",

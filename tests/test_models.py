@@ -20,8 +20,8 @@ from allocgen.models import (
     compound_pmf_panjer,
     compound_poisson_risk,
     negative_binomial_risk,
-    negbin_blocks,
     negbin_pmf,
+    negbin_rows,
     poisson_pool,
     poisson_risk,
 )
@@ -151,7 +151,7 @@ class TestNegbinRows:
         # rows of very different lengths share a block: q = 0.95 rows stop in
         # the first chunk, r = 40, q = 0.05 rows run past 4096
         pairs = [(r, q) for r in GRID_R for q in GRID_Q]
-        [(_, masses, lengths)] = negbin_blocks([r for r, _ in pairs], [q for _, q in pairs], n)
+        masses, lengths = negbin_rows([r for r, _ in pairs], [q for _, q in pairs], n)
         for (r, q), row, top in zip(pairs, masses, lengths):
             want = negbin_pmf_per_risk(r, q, n)
             assert top >= 1 and row[top - 1] > 0.0
@@ -175,7 +175,7 @@ class TestNegbinRows:
     @pytest.mark.parametrize("r, q", [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0)])
     def test_domain(self, r, q):
         with pytest.raises(KatzDomain):
-            next(negbin_blocks([1.0, r], [0.5, q], 8))
+            negbin_rows([1.0, r], [0.5, q], 8)
 
 
 class TestPanjerUnderflow:
@@ -311,6 +311,24 @@ def mixed_pool():
     return explicit, pool
 
 
+def chain_of_shape(shape):
+    """Poisson random sums chained in the order of ``shape``.
+
+    An integer part is that many stored risks, "e" is three of them and "p" a sampled pool of 200.
+    """
+    rng = np.random.default_rng(len(shape))
+    parts = []
+    for part in shape:
+        if part == "p":
+            parts.append(PoissonNegbinPool(rng.exponential(0.1, 200), rng.choice([1, 3, 6], 200),
+                                           rng.uniform(0.3, 0.6, 200), 4096))
+            continue
+        sizes = rng.integers(2, 30, 3 if part == "e" else part)
+        parts.append([compound_poisson_risk(float(rng.exponential(0.1)), [0.0, *rng.dirichlet(np.ones(m))])
+                      for m in sizes])
+    return RiskChain(*parts)
+
+
 class TestPoolReader:
     def test_chain_indexes_slices_and_iterates_as_its_list(self):
         explicit, pool = mixed_pool()
@@ -349,6 +367,38 @@ class TestPoolReader:
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, "p"), (127, "p"), (128, "p"), (129, "p"), (300, "p"), ("p", "p"), ("e", "p", "e", "p")],
+        ids=["1_stored", "127_stored", "128_stored", "129_stored", "300_stored", "two_pools", "stored_pool_twice"],
+    )
+    def test_every_chain_shape_reads_and_allocates_as_its_list(self, shape):
+        # each block asks every part it overlaps for exactly its rows there, so the
+        # blocks are the list's whatever the parts' lengths, and so are the weights
+        chain = chain_of_shape(shape)
+        _, _, blocks = poisson_pool(chain)
+        _, _, blocks_list = poisson_pool(list(chain))
+        for columns in (None, 64):
+            for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
+                blocks(columns), blocks_list(columns), strict=True
+            ):
+                assert rows == rows_list and len(masses) == len(lengths) == rows.stop - rows.start
+                assert columns or np.array_equal(lengths, lengths_list)
+                width = max(masses.shape[1], masses_list.shape[1])
+                pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
+                assert np.array_equal(*pad)
+        a, b = allocate_compound_poisson_pool(chain, 2**11), allocate_compound_poisson_pool(list(chain), 2**11)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.valid_mask, b.valid_mask)
+
+    def test_every_read_is_a_fresh_array(self):
+        # no read hands out a buffer that a later read overwrites
+        first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
+        second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
+        assert not np.shares_memory(first, second)
+        _, _, blocks = poisson_pool(chain_of_shape(("p",)))
+        (_, block1, _), (_, block2, _) = blocks()
+        assert not np.shares_memory(block1, block2)
 
     def test_reader_refuses_what_is_not_a_poisson_pool(self):
         explicit, pool = mixed_pool()
