@@ -75,9 +75,10 @@ class PortfolioModel:
 
     ``dependence is None`` means independent margins; otherwise it holds one of
     the dependence spec objects from :mod:`allocgen.dependence`.  The margins
-    are any sequence of risks: a sampled Poisson-NB pool stays a
+    are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
-    ``models.RiskChain``, and the Poisson pool engine streams it.
+    ``models.RiskChain``; the Poisson pool engine streams it, and the other
+    engines iterate it.
     """
 
     risks: list = field(default_factory=list)
@@ -377,6 +378,8 @@ def mixture_rows(weights: Sequence[float], pgfs, spectra, n: int, kmax: int) -> 
 
     Level l has weight ``weights[l]``, the n pgfs on the roots ``pgfs(l)`` and, for a
     slice ``rows``, their weighted allocation spectra z P_i'(z) ``spectra(l, rows)``.
+    Each level's spectra are asked for once per row block, in order of rows, after
+    its pgfs, so a caller may read its margins from one iterator.
     The allocation generating function t P_i'(t) prod_{j != i} P_j(t) is linear in
     the mixture: the levels' totals, and each spectrum times the product of the other
     pgfs (``gf.leave_one_out``, no division), are summed on the roots.
@@ -406,6 +409,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     z, k = gf.roots_of_unity(kmax), np.arange(kmax, dtype=float)
     step_h = common_step(risks)
     totals = np.empty(n)
+    margins = iter(risks)  # read block by block, in the order mixture_rows asks for them
 
     def pgfs(level):
         out = np.empty((n, kmax), dtype=complex)
@@ -414,7 +418,8 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
         return out
 
     def spectra(level, rows):
-        pmfs = np.array([r.pmf_vector(kmax) for r in risks[rows]], dtype=float)
+        block = itertools.islice(margins, rows.stop - rows.start)
+        pmfs = np.array([r.pmf_vector(kmax) for r in block], dtype=float)
         totals[rows] = pmfs.sum(axis=1)
         pmfs *= k
         return gf.dft(pmfs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
@@ -450,13 +450,13 @@ class PoissonNegbinPool(Sequence):
 
     Risk i is the ``CompoundKatzRisk`` whose severity is the first
     ``severity_length`` NB(r_i, q_i) masses, cut after the last positive one
-    and wrapped by ``pmf.truncated_pmf``.  No severity is stored: indexing,
-    slicing and iteration build the risks from the row recursion
-    (``negbin_rows``) when asked, ROW_BLOCK rows at a time, so ``pool[i]``
-    and ``list(pool)`` are bit-identical to building each risk alone, and
-    iterating costs one run of the recursion.  A slice is a pool of the
-    same kind.  The Poisson pool engine reads the severities a block of rows
-    at a time (``severity_rows``) and never builds the risks.
+    and wrapped by ``pmf.truncated_pmf``.  No severity is stored: ``pool[i]``
+    builds its risk from its own row of the recursion (``severity_rows``),
+    and iteration builds them ROW_BLOCK rows at a time, so both are
+    bit-identical to building each risk alone, and iterating costs one run
+    of the recursion.  A slice is a pool of the same kind.  The Poisson pool
+    engine reads the severities a block of rows at a time (through
+    ``poisson_pool``) and never builds the risks.
     """
 
     def __init__(self, lam, r, q, severity_length: int):
@@ -475,16 +475,18 @@ class PoissonNegbinPool(Sequence):
         if isinstance(idx, slice):
             return PoissonNegbinPool(self.lam[idx], self.r[idx], self.q[idx], self.severity_length)
         i = range(len(self))[idx]
-        return next(iter(self[i : i + 1]))
+        return self._risks(slice(i, i + 1))[0]
 
     def __iter__(self) -> Iterator[CompoundKatzRisk]:
         for lo in range(0, len(self), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            # a block's risks copy their rows, so its masses are freed before the next block's
-            yield from [
-                CompoundKatzRisk(KatzParams.poisson(lam), truncated_pmf(row[:top].copy()))
-                for lam, row, top in zip(self.lam[rows].tolist(), *self.severity_rows(rows))
-            ]
+            yield from self._risks(slice(lo, lo + ROW_BLOCK))
+
+    def _risks(self, rows: slice) -> list[CompoundKatzRisk]:
+        # the risks copy their rows, so a block's masses are freed before the next block's
+        return [
+            CompoundKatzRisk(KatzParams.poisson(lam), truncated_pmf(row[:top].copy()))
+            for lam, row, top in zip(self.lam[rows].tolist(), *self.severity_rows(rows))
+        ]
 
     def severity_rows(self, rows: slice, columns: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """``negbin_rows`` of the risks ``rows`` over their first ``columns`` severity points (default: all).
@@ -503,12 +505,13 @@ class PoissonNegbinPool(Sequence):
         return masses, lengths
 
 
-class RiskChain(Sequence):
-    """Sequences of risks read as one, in order: a portfolio's explicit risks, then its sampled ones.
+class RiskChain:
+    """Sequences of risks iterated as one, in order: a portfolio's explicit risks, then its sampled ones.
 
-    Indexing, slicing and iteration give each part's own risks, so a sampled
-    pool in a chain still builds its risks only when asked; a contiguous
-    slice is a chain of the parts' slices.  Empty parts are dropped.
+    Iteration gives each part's own risks, the risks of the parts' list, so
+    a sampled pool in a chain builds its risks only as they are reached.
+    Only ``poisson_pool`` reads the parts themselves.  Empty parts are
+    dropped.
     """
 
     def __init__(self, *parts: Sequence):
@@ -520,44 +523,35 @@ class RiskChain(Sequence):
     def __iter__(self) -> Iterator:
         return itertools.chain.from_iterable(self.parts)
 
-    def __getitem__(self, idx):
-        at = range(len(self))[idx]
-        if isinstance(at, int):
-            for part in self.parts:
-                if at < len(part):
-                    return part[at]
-                at -= len(part)
-        if at.step != 1:
-            return [self[i] for i in at]
-        starts = itertools.accumulate(map(len, self.parts), initial=0)
-        return RiskChain(*(part[max(at.start - lo, 0) : max(at.stop - lo, 0)] for part, lo in zip(self.parts, starts)))
 
-
-def poisson_pool(risks: Sequence):
+def poisson_pool(risks: Iterable):
     """The rates, lattice step and severity blocks of ``risks``, or None unless each is a Poisson random sum.
 
     This is how the Poisson pool engine reads a pool, whatever holds it: a
-    list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both.
-    ``blocks(columns=None)`` walks the blocks of ROW_BLOCK rows that the same
-    risks in one list give, and yields each as ``(rows, masses, lengths)``
-    over the first ``columns`` severity points (default: all of the
-    longest), as ``negbin_rows`` gives rows.  Each part that overlaps a
-    block reads exactly its rows there: a sampled pool by its row recursion,
-    with no risk built, and stored severities as a fresh copy zero-padded
-    to the part's longest.  A block that spans parts joins their rows,
-    zero-padded to the widest.  Risks on different lattice steps raise
-    AllocationError.
+    list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both, and
+    the one code that walks a chain's parts.  ``blocks(columns=None)`` walks
+    the blocks of ROW_BLOCK rows that the same risks in one list give, and
+    yields each as ``(rows, masses, lengths)`` over the first ``columns``
+    severity points (default: all of the longest), as ``negbin_rows`` gives
+    rows.  Each part that overlaps a block reads exactly its rows there: a
+    sampled pool by its row recursion, with no risk built, and stored
+    severities as a fresh copy zero-padded to the part's longest.  A block
+    that spans parts joins their rows, zero-padded to the widest.  The
+    lattice step is taken from the parts too (a sampled pool's is 1), and
+    risks on different steps raise AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
-    lam, reads = [], []
+    lam, reads, steps = [], [], set()
     for part in parts:
         if isinstance(part, PoissonNegbinPool):
             lam.append(part.lam)
             reads.append(part.severity_rows)
+            steps.add(1.0)
         elif all(isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson() for r in part):
             lam.append(np.array([r.frequency.b for r in part], dtype=float))
             longest = max((len(r.severity.masses) for r in part), default=0)
             reads.append(partial(_stored_severity_rows, part, longest))
+            steps.update(r.severity.step_h for r in part)
         else:
             return None
     starts = list(itertools.accumulate(map(len, parts), initial=0))
@@ -572,26 +566,22 @@ def poisson_pool(risks: Sequence):
                 if start < hi and lo < stop
             ])
 
-    return np.concatenate(lam), common_step(risks), blocks
+    if len(steps) > 1:
+        raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
+    return np.concatenate(lam), steps.pop(), blocks
 
 
-def common_step(risks: Sequence) -> float:
-    """The lattice step all risks share: a pmf's or severity's own, 1 for counts, indicators and sampled pools.
+def common_step(risks: Iterable) -> float:
+    """The lattice step all ``risks`` share: a pmf's or severity's own, 1 for counts and indicators.
 
-    A sampled pool in ``risks``, alone or in a ``RiskChain``, builds no risk
-    here.  Risks on different steps raise AllocationError.
+    Risks on different steps raise AllocationError.
     """
-    steps = set()
-    for part in risks.parts if isinstance(risks, RiskChain) else (risks,):
-        if isinstance(part, PoissonNegbinPool):
-            steps.add(1.0)
-            continue
-        steps.update(
-            r.pmf.step_h if isinstance(r, ExplicitRisk)
-            else r.severity.step_h if isinstance(r, CompoundKatzRisk)
-            else 1.0
-            for r in part
-        )
+    steps = {
+        r.pmf.step_h if isinstance(r, ExplicitRisk)
+        else r.severity.step_h if isinstance(r, CompoundKatzRisk)
+        else 1.0
+        for r in risks
+    }
     if len(steps) > 1:
         raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
     return steps.pop()

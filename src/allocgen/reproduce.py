@@ -128,10 +128,10 @@ def bernoulli_pool_risks():
     return [BernoulliRisk(b, q) for b, q in zip(BERNOULLI_POOL_B, BERNOULLI_POOL_Q)]
 
 
-def _identity_check(report, table, bound=1e-10):
+def _identity_check(report, table, bound=1e-10, name="full_allocation_identity"):
     worst = table.identity_deviation()
     report.add(
-        "full_allocation_identity",
+        name,
         "structural",
         table.valid_mask.any() and worst <= bound,
         f"max relative deviation on valid points {worst:.3e} (bound {bound:g})",
@@ -251,8 +251,7 @@ def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> Reproducti
     # seeded wider pool: identity suite only
     extra = sample_risks({"kind": "pareto_extras", "count": n_extra, "xmax": xmax}, seed, kmax)
     table100 = allocate_independent([ExplicitRisk(p) for p in risks] + extra, kmax)
-    worst100 = _identity_check(rep, table100)
-    rep.checks[-1].name = "full_allocation_identity_n100"
+    worst100 = _identity_check(rep, table100, name="full_allocation_identity_n100")
     rep.add(
         "n100_band_nonempty",
         "structural",
@@ -478,8 +477,7 @@ def _reproduce_frailty(seed: int = 20260810) -> ReproductionReport:
     )
     wide_kmax = next_pow2(wide.min_kmax())
     wide_table = frailty_allocation(wide, wide_kmax)
-    _identity_check(rep, wide_table, bound=1e-9)
-    rep.checks[-1].name = "full_allocation_identity_n75"
+    _identity_check(rep, wide_table, bound=1e-9, name="full_allocation_identity_n75")
     rep.add(
         "wide_pool_runs",
         "structural",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from allocgen import allocation
 from allocgen.allocation import (
     PortfolioModel,
     allocate_compound_poisson_pool,
@@ -134,8 +135,8 @@ class TestBuild:
         raw["model"]["sampled"] = {"kind": "bernoulli_extras", "count": 5}
         a = build_portfolio(parse_scenario(raw))
         b = build_portfolio(parse_scenario(raw))
-        assert [(r.b, r.q) for r in a.portfolio.risks[1:]] == [
-            (r.b, r.q) for r in b.portfolio.risks[1:]
+        assert [(r.b, r.q) for r in [*a.portfolio.risks][1:]] == [
+            (r.b, r.q) for r in [*b.portfolio.risks][1:]
         ]
 
     def test_sampled_pool_draws_are_pinned(self):
@@ -501,6 +502,23 @@ class TestRunScenario:
         table = allocate_portfolio(built.portfolio, built.kmax)
         want = allocate_independent(list(risks), built.kmax)
         assert not table.factored and np.array_equal(table.weights, want.weights)
+
+    def test_chain_through_the_independent_engine_over_several_row_blocks(self, monkeypatch):
+        # the list in one dense block, then the chain at two rows per block: its margins
+        # are read by three blocks in turn, and each must get its own rows
+        raw = {
+            "kmax": 256,
+            "seed": 3,
+            "model": {"risks": [{"type": "poisson", "lam": 0.5}],
+                      "sampled": {"kind": "compound_poisson_negbin", "count": 5}},
+        }
+        built = build_portfolio(parse_scenario(raw))
+        want = allocate_independent(list(built.portfolio.risks), built.kmax)
+        monkeypatch.setattr(allocation, "BLOCK_BYTES", 2 * 16 * 256)
+        assert len(allocation.row_blocks(len(built.portfolio.risks), built.kmax)) == 3
+        table = allocate_portfolio(built.portfolio, built.kmax)
+        assert not table.factored and np.array_equal(table.weights, want.weights)
+        assert np.array_equal(table.fs.masses, want.fs.masses)
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
         cfg = load_scenario(scenario_dir / "small_pool.yaml")
