@@ -33,11 +33,11 @@ from .gf import (
     roots_of_unity,
 )
 from .models import (
+    UNIT_CLAIM,
     BernoulliRisk,
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
-    KatzRisk,
     binomial_risk,
     compound_poisson_risk,
     explicit_risk,

@@ -54,8 +54,8 @@ from .models import (
     ROW_BLOCK,
     CompoundKatzRisk,
     KatzParams,
-    KatzRisk,
     RiskModel,
+    _chunked_convolve,
     common_step,
     compound_pmf_panjer,
     poisson_pool,
@@ -78,7 +78,8 @@ class PortfolioModel:
     are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
     ``models.RiskChain``; the Poisson pool engine streams it, and the other
-    engines iterate it.
+    engines iterate it.  A claim count is a random sum of ``models.UNIT_CLAIM``s,
+    so Poisson counts take the Poisson pool engine too.
     """
 
     risks: list = field(default_factory=list)
@@ -202,18 +203,11 @@ class AllocationTable:
 
 
 def _toeplitz_rows(w: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Each row of ``w`` (one row or a stack) convolved with ``fs``, cut to len(fs) points.
-
-    A row is convolved in column pieces of at most _DOT_CHUNK entries, added
-    in column order, so no dot product inside ``np.convolve`` is long enough
-    for a threaded BLAS to split it; a row that short is one convolution.
-    """
+    """Each row of ``w`` (one row or a stack) convolved with ``fs`` in column pieces, cut to len(fs) points."""
     kmax = len(fs)
     out = np.empty((*w.shape[:-1], kmax))
     for row, dst in zip(np.reshape(w, (-1, w.shape[-1])), np.reshape(out, (-1, kmax))):
-        dst[:] = np.convolve(row[:_DOT_CHUNK], fs)[:kmax]
-        for c in range(_DOT_CHUNK, min(len(row), kmax), _DOT_CHUNK):
-            dst[c:] += np.convolve(row[c : c + _DOT_CHUNK], fs[: kmax - c])[: kmax - c]
+        dst[:] = _chunked_convolve(row, fs, kmax)
     return out
 
 
@@ -617,8 +611,6 @@ def allocate_katz_closed_form(katz: KatzParams, fs: DiscretePMF) -> tuple[np.nda
 def _as_negbin_pairs(risks) -> tuple[np.ndarray, np.ndarray]:
     rs, qs = [], []
     for item in risks:
-        if isinstance(item, KatzRisk):
-            item = item.params
         if isinstance(item, KatzParams):
             if not 0.0 < item.a < 1.0:
                 raise KatzDomain("negative-binomial series needs 0 < a < 1")

@@ -4,13 +4,14 @@ The count family is the (a, b) recursion class ``f(k) = (a + b/k) f(k-1)``,
 which contains Poisson (a = 0), negative binomial (a = 1 - q) and binomial
 (a = -q/(1-q), any q in (0, 1)).  Every risk model exposes the same small
 surface: a truncated mass vector, a pgf evaluated on a complex buffer, its
-mean, and a support bound when one exists.  Random sums take their mass
-vector from the counting recursion, except over binomial counts, whose
-recursion is unstable for q > 1/2 and which are expanded by repeated
-squaring instead.  A sampled pool of Poisson random sums with
-negative-binomial severities is held as its draws (``PoissonNegbinPool``)
-and builds its risks only when asked; ``poisson_pool`` reads the severities
-of any pool of Poisson random sums, stored or sampled, block by block.
+mean, and a support bound when one exists.  A claim count is the random sum
+of unit claims (``UNIT_CLAIM``).  Other random sums take their mass vector
+from the counting recursion, except over binomial counts, whose recursion
+is unstable for q > 1/2 and which are expanded by repeated squaring
+instead.  A sampled pool of Poisson random sums with negative-binomial
+severities is held as its draws (``PoissonNegbinPool``) and builds its
+risks only when asked; ``poisson_pool`` reads the severities of any pool of
+Poisson random sums, stored or sampled, block by block.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ _TINY = np.finfo(float).tiny
 _PANJER_SHIFT = 600
 _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
 # OpenBLAS splits a dot product over 10^4 entries across threads, which changes
-# its summation order; compound_pmf_panjer sums longer windows, and a factored
-# table's rows (allocation._toeplitz_rows) convolve longer rows, in pieces this long
+# its summation order; compound_pmf_panjer sums longer windows, and
+# _chunked_convolve convolves longer factors, in pieces this long
 _DOT_CHUNK = 4096
 
 
@@ -265,6 +266,15 @@ def _chunked_dot(u: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
+def _chunked_convolve(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of u * v, ``u`` convolved in pieces of at most _DOT_CHUNK entries added in order."""
+    out = np.zeros(min(len(u) + len(v) - 1, n))
+    for c in range(0, min(len(u), n), _DOT_CHUNK):
+        piece = np.convolve(u[c : c + _DOT_CHUNK], v[: n - c])[: n - c]
+        out[c : c + len(piece)] += piece
+    return out
+
+
 def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) -> np.ndarray:
     """pmf of the random sum by the counting recursion (no transforms).
 
@@ -341,11 +351,11 @@ def compound_pmf_binomial(frequency: KatzParams, severity: np.ndarray, kmax: int
     out = np.ones(1)
     while True:
         if m & 1:
-            out = np.convolve(out, h)[:kmax]
+            out = _chunked_convolve(out, h, kmax)
         m >>= 1
         if not m:
             break
-        h = np.convolve(h, h)[:kmax]
+        h = _chunked_convolve(h, h, kmax)
     return np.pad(out, (0, kmax - len(out)))
 
 
@@ -368,38 +378,30 @@ class ExplicitRisk:
         return self.pmf.support_top()
 
 
-@dataclass(frozen=True)
-class KatzRisk:
-    """A risk whose loss count *is* the (a, b) family variable."""
-
-    params: KatzParams
-
-    def pmf_vector(self, kmax: int) -> np.ndarray:
-        return self.params.pmf(kmax)
-
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        return self.params.pgf(z)
-
-    def mean(self) -> float:
-        return self.params.mean
-
-    def support_top(self) -> Optional[int]:
-        return self.params.support_top()
+UNIT_CLAIM = DiscretePMF(np.array([0.0, 1.0]))
 
 
 @dataclass(frozen=True)
 class CompoundKatzRisk:
-    """Random sum of iid lattice severities over an (a, b) family count."""
+    """Random sum of iid lattice severities over an (a, b) family count.
+
+    A claim count is a sum of ``UNIT_CLAIM``s; over that severity itself (by identity, not by value)
+    the pmf and pgf are the count's own closed forms.
+    """
 
     frequency: KatzParams
     severity: DiscretePMF
 
     def pmf_vector(self, kmax: int) -> np.ndarray:
+        if self.severity is UNIT_CLAIM:
+            return self.frequency.pmf(kmax)
         if self.frequency.a < 0.0:
             return compound_pmf_binomial(self.frequency, self.severity.masses, kmax)
         return compound_pmf_panjer(self.frequency, self.severity.masses, kmax)
 
     def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
+        if self.severity is UNIT_CLAIM:
+            return self.frequency.pgf(z)
         return gf.compound_pgf_on_roots(self.frequency, gf.dft(self.severity.padded(len(z))))
 
     def mean(self) -> float:
@@ -442,7 +444,7 @@ class BernoulliRisk:
         return self.b
 
 
-RiskModel = Union[ExplicitRisk, KatzRisk, CompoundKatzRisk, BernoulliRisk]
+RiskModel = Union[ExplicitRisk, CompoundKatzRisk, BernoulliRisk]
 
 
 class PoissonNegbinPool(Sequence):
@@ -454,9 +456,10 @@ class PoissonNegbinPool(Sequence):
     builds its risk from its own row of the recursion (``severity_rows``),
     and iteration builds them ROW_BLOCK rows at a time, so both are
     bit-identical to building each risk alone, and iterating costs one run
-    of the recursion.  A slice is a pool of the same kind.  The Poisson pool
-    engine reads the severities a block of rows at a time (through
-    ``poisson_pool``) and never builds the risks.
+    of the recursion; it lets go of each risk once it has handed it out.  A
+    slice is a pool of the same kind.  The Poisson pool engine reads the
+    severities a block of rows at a time (through ``poisson_pool``) and
+    never builds the risks.
     """
 
     def __init__(self, lam, r, q, severity_length: int):
@@ -479,7 +482,9 @@ class PoissonNegbinPool(Sequence):
 
     def __iter__(self) -> Iterator[CompoundKatzRisk]:
         for lo in range(0, len(self), ROW_BLOCK):
-            yield from self._risks(slice(lo, lo + ROW_BLOCK))
+            block = self._risks(slice(lo, lo + ROW_BLOCK))[::-1]
+            while block:
+                yield block.pop()
 
     def _risks(self, rows: slice) -> list[CompoundKatzRisk]:
         # the risks copy their rows, so a block's masses are freed before the next block's
@@ -572,7 +577,7 @@ def poisson_pool(risks: Iterable):
 
 
 def common_step(risks: Iterable) -> float:
-    """The lattice step all ``risks`` share: a pmf's or severity's own, 1 for counts and indicators.
+    """The lattice step all ``risks`` share: a pmf's or severity's own, 1 for indicators.
 
     Risks on different steps raise AllocationError.
     """
@@ -606,16 +611,16 @@ def _stored_severity_rows(risks: Sequence, longest: int, rows: slice, columns: O
     return masses, np.array([len(r.severity.masses) for r in chosen])
 
 
-def poisson_risk(lam: float) -> KatzRisk:
-    return KatzRisk(KatzParams.poisson(lam))
+def poisson_risk(lam: float) -> CompoundKatzRisk:
+    return CompoundKatzRisk(KatzParams.poisson(lam), UNIT_CLAIM)
 
 
-def negative_binomial_risk(r: float, q: float) -> KatzRisk:
-    return KatzRisk(KatzParams.negative_binomial(r, q))
+def negative_binomial_risk(r: float, q: float) -> CompoundKatzRisk:
+    return CompoundKatzRisk(KatzParams.negative_binomial(r, q), UNIT_CLAIM)
 
 
-def binomial_risk(m: int, q: float) -> KatzRisk:
-    return KatzRisk(KatzParams.binomial(m, q))
+def binomial_risk(m: int, q: float) -> CompoundKatzRisk:
+    return CompoundKatzRisk(KatzParams.binomial(m, q), UNIT_CLAIM)
 
 
 def compound_poisson_risk(lam: float, severity) -> CompoundKatzRisk:

@@ -46,6 +46,8 @@ from .scenario import (
 )
 from .tails import pareto_cdf, pareto_lev
 
+SEED = 20260810  # of every sampled pool and extra, as in scenarios/large_pool.yaml
+
 # four-participant pool: rates and severity masses on {1,2,3,4}
 SMALL_POOL_LAMBDAS = (0.08, 0.08, 0.1, 0.1)
 SMALL_POOL_SEVERITIES = (
@@ -174,7 +176,7 @@ def _reproduce_small_pool() -> ReproductionReport:
     return rep
 
 
-def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> ReproductionReport:
+def _reproduce_large_pool() -> ReproductionReport:
     rep = ReproductionReport("large_pool")
     # pinned parameter rows: mean identity lam * r * (1-q)/q
     worst = 0.0
@@ -198,7 +200,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
         f"sum_k of allocations = {total_alloc_1:.6f} vs pinned mean {LARGE_POOL_FIRST8[0][3]}",
     )
 
-    risks = sample_risks({"kind": "compound_poisson_negbin", "count": n_sampled}, seed, kmax)
+    risks = sample_risks({"kind": "compound_poisson_negbin", "count": 10_000}, SEED, kmax)
     table = allocate_compound_poisson_pool(risks, kmax)
     _identity_check(rep, table)
     # f_S is the merged pool's Panjer recursion and every row a sum of
@@ -219,7 +221,7 @@ def _reproduce_large_pool(n_sampled: int = 10_000, seed: int = 20260810) -> Repr
     return rep
 
 
-def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> ReproductionReport:
+def _reproduce_heavy_tail() -> ReproductionReport:
     rep = ReproductionReport("heavy_tail")
     xmax, kmax = 2**15, 2**17
     risks = []
@@ -249,7 +251,7 @@ def _reproduce_heavy_tail(seed: int = 20260810, n_extra: int = 97) -> Reproducti
     )
 
     # seeded wider pool: identity suite only
-    extra = sample_risks({"kind": "pareto_extras", "count": n_extra, "xmax": xmax}, seed, kmax)
+    extra = sample_risks({"kind": "pareto_extras", "count": 97, "xmax": xmax}, SEED, kmax)
     table100 = allocate_independent([ExplicitRisk(p) for p in risks] + extra, kmax)
     worst100 = _identity_check(rep, table100, name="full_allocation_identity_n100")
     rep.add(
@@ -412,7 +414,7 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
     return rep
 
 
-def _reproduce_frailty(seed: int = 20260810) -> ReproductionReport:
+def _reproduce_frailty() -> ReproductionReport:
     rep = ReproductionReport("frailty")
     spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5, epsilon=1e-10)
     rep.add(
@@ -469,7 +471,7 @@ def _reproduce_frailty(seed: int = 20260810) -> ReproductionReport:
     )
 
     # widened pool with sampled extras
-    extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, seed, kmax)
+    extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, SEED, kmax)
     wide = FrailtyBernoulliSpec(
         BERNOULLI_POOL_B + tuple(r.b for r in extra),
         BERNOULLI_POOL_Q + tuple(r.q for r in extra),

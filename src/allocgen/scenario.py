@@ -87,11 +87,11 @@ from .errors import (
     UnknownNode,
 )
 from .models import (
+    UNIT_CLAIM,
     BernoulliRisk,
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
-    KatzRisk,
     PoissonNegbinPool,
     RiskChain,
     poisson_pool,
@@ -369,7 +369,7 @@ def _build_risk(spec: dict, path: str, kmax: int):
     with _in_range(path):
         kind, f = _read_kind(spec, path, "type", _RISK_FIELDS, kmax)
         if kind in _COUNT_FIELDS:
-            return KatzRisk(getattr(KatzParams, kind)(**f))
+            return CompoundKatzRisk(getattr(KatzParams, kind)(**f), UNIT_CLAIM)
         if kind == "bernoulli":
             return BernoulliRisk(f["b"], f["q"])
         if kind == "pmf":

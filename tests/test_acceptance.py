@@ -22,7 +22,7 @@ from allocgen.allocation import (
     allocate_compound_poisson_pool,
 )
 from allocgen.dependence import FrailtyBernoulliSpec, frailty_allocation
-from allocgen.models import ExplicitRisk, KatzParams, KatzRisk, explicit_risk
+from allocgen.models import UNIT_CLAIM, CompoundKatzRisk, ExplicitRisk, KatzParams, explicit_risk
 from allocgen.pmf import arithmetize, next_pow2, pmf_from_values
 from allocgen.reproduce import (
     BERNOULLI_POOL_B,
@@ -135,7 +135,7 @@ class TestCriterion3KatzClosedFormEquivalence:
         start = time.perf_counter()
         worst_alloc, worst_ident = 0.0, 0.0
         for params in self.FAMILIES:
-            table = allocate_independent([KatzRisk(params), explicit_risk(PARTNER)], 128)
+            table = allocate_independent([CompoundKatzRisk(params, UNIT_CLAIM), explicit_risk(PARTNER)], 128)
             alloc, cum = allocate_katz_closed_form(params, table.fs)
             worst_alloc = max(
                 worst_alloc, float(np.max(np.abs(alloc - table.expected_allocation[0])))

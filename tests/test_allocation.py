@@ -34,12 +34,13 @@ from allocgen.errors import (
 )
 from allocgen.models import (
     ROW_BLOCK,
+    UNIT_CLAIM,
     BernoulliRisk,
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
-    KatzRisk,
     RiskChain,
+    binomial_risk,
     compound_pmf_panjer,
     compound_poisson_risk,
     explicit_risk,
@@ -90,7 +91,7 @@ class TestAllocateIndependent:
     @pytest.mark.parametrize("m, q", [(4, 0.7), (3, 0.5), (6, 0.95)])
     def test_binomial_count_matches_enumeration(self, m, q):
         # q >= 1/2 gives a <= -1; at q = 1/2 the pgf (1 + z)^m / 2^m vanishes at z = -1
-        risks = [KatzRisk(KatzParams.binomial(m, q)), explicit_risk(PARTNER)]
+        risks = [binomial_risk(m, q), explicit_risk(PARTNER)]
         t = allocate_independent(risks, 16)
         o = oracle_enumerate(PortfolioModel(risks=risks), 16)
         assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-12
@@ -279,7 +280,7 @@ class TestKatzClosedForm:
         ],
     )
     def test_matches_transform_path(self, params):
-        risks = [KatzRisk(params), explicit_risk(PARTNER)]
+        risks = [CompoundKatzRisk(params, UNIT_CLAIM), explicit_risk(PARTNER)]
         t = allocate_independent(risks, 128)
         alloc, cum = allocate_katz_closed_form(params, t.fs)
         assert np.max(np.abs(alloc - t.expected_allocation[0])) <= 1e-11
@@ -288,6 +289,21 @@ class TestKatzClosedForm:
         FS = np.concatenate([[0.0], np.cumsum(t.fs.masses)[:-1]])
         resid = (a - 1.0) * cum - a * alloc + (a + b) * FS
         assert np.max(np.abs(resid)) <= 1e-10
+
+    def test_poisson_counts_take_the_pool_engine(self):
+        # a Poisson count is a Poisson random sum of unit claims, so the portfolio is factored
+        lams = (0.7, 1.3)
+        risks = [poisson_risk(lam) for lam in lams] + [compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
+        table = allocate_portfolio(PortfolioModel(risks=risks), 32)
+        assert table.factored
+        oracle = oracle_enumerate(PortfolioModel(risks=risks), 32)
+        valid = table.valid_mask
+        assert valid.sum() > 10
+        gap = np.abs(table.expected_allocation - oracle.expected_allocation)[:, valid]
+        assert gap.max() <= 1e-10
+        for i, lam in enumerate(lams):
+            alloc, _ = allocate_katz_closed_form(KatzParams.poisson(lam), table.fs)
+            assert np.max(np.abs(alloc - table.rows(i))) <= 1e-10
 
     def test_binomial_text_parameterization(self):
         # the b used for binomial counts is (m+1) q/(1-q); the transform path arbitrates
@@ -324,7 +340,7 @@ class TestNegbinSeries:
         assert allocate_negbin_convolution([(2.0, 0.5)], 0) == 0.0
 
     def test_accepts_katz_risks(self):
-        got = allocate_negbin_convolution([negative_binomial_risk(2.0, 0.5)], 3)
+        got = allocate_negbin_convolution([negative_binomial_risk(2.0, 0.5).frequency], 3)
         f = KatzParams.negative_binomial(2.0, 0.5).pmf(8)
         assert got == pytest.approx(3 * f[3], rel=1e-12)
 

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from allocgen import gf
 from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent
 from allocgen.errors import AllocationError, KatzDomain
 from allocgen.models import (
+    _DOT_CHUNK,
     ROW_BLOCK,
     BernoulliRisk,
     CompoundKatzRisk,
     KatzParams,
     PoissonNegbinPool,
     RiskChain,
+    _chunked_convolve,
     binomial_risk,
+    compound_pmf_binomial,
     compound_pmf_panjer,
     compound_poisson_risk,
     negative_binomial_risk,
@@ -295,6 +299,30 @@ class TestCompoundRisk:
         kept = want > 1e-300
         np.testing.assert_allclose(got[: len(want)][kept], want[kept], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("length", [5, 3, 20_000])
+    def test_binomial_long_severity_matches_repeated_convolution(self, length):
+        # a factor longer than _DOT_CHUNK is convolved in pieces, at any BLAS thread count alike
+        rng = np.random.default_rng(length)
+        sev = rng.uniform(size=length)
+        sev /= sev.sum()
+        count, kmax = KatzParams.binomial(2, 0.7), 32_768
+        h = 0.7 * sev
+        h[0] += 0.3
+        want = np.convolve(h, h)[:kmax]
+        got = compound_pmf_binomial(count, sev, kmax)
+        assert np.all(got[len(want):] == 0.0)
+        assert np.max(np.abs(got[: len(want)] - want)) <= 1e-15
+
+    def test_chunked_convolution_matches_one_convolution(self):
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(size=_DOT_CHUNK), rng.uniform(size=3 * _DOT_CHUNK)
+        assert np.array_equal(_chunked_convolve(u, v, 2 * _DOT_CHUNK), np.convolve(u, v)[: 2 * _DOT_CHUNK])
+        long = rng.uniform(size=3 * _DOT_CHUNK + 5)
+        for n in (10, 2 * _DOT_CHUNK + 1, 10 * _DOT_CHUNK):
+            want = np.convolve(long, v)[:n]
+            got = _chunked_convolve(long, v, n)
+            assert len(got) == len(want) and np.allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_binomial_count_support_bound(self):
         risk = CompoundKatzRisk(KatzParams.binomial(3, 0.2), pmf_from_values([0.0, 0.5, 0.5]))
         assert risk.support_top() == 6
@@ -391,9 +419,17 @@ class TestPoolReader:
         (_, block1, _), (_, block2, _) = blocks()
         assert not np.shares_memory(block1, block2)
 
+    def test_iteration_frees_each_risk_once_taken(self):
+        it = iter(PoissonNegbinPool([0.1, 0.2, 0.3], [2, 3, 4], [0.4, 0.45, 0.5], 64))
+        first = next(it)
+        ref = weakref.ref(first)
+        next(it)
+        del first
+        assert ref() is None
+
     def test_reader_refuses_what_is_not_a_poisson_pool(self):
         explicit, pool = mixed_pool()
-        assert poisson_pool(RiskChain(explicit, [poisson_risk(0.5)], pool)) is None
+        assert poisson_pool(RiskChain(explicit, [BernoulliRisk(3, 0.2)], pool)) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
         with pytest.raises(AllocationError, match="different lattice steps"):
             poisson_pool(RiskChain([half], pool))
@@ -415,6 +451,20 @@ class TestBernoulliRisk:
 
 
 class TestConvenienceConstructors:
+    @pytest.mark.parametrize(
+        "risk, kmax",
+        [(poisson_risk(0.7), 64), (poisson_risk(800), 2048),
+         (negative_binomial_risk(3.0, 0.6), 64), (binomial_risk(5, 0.3), 64)],
+        ids=["poisson", "poisson_800", "negative_binomial", "binomial"],
+    )
+    def test_a_count_is_its_own_closed_form(self, risk, kmax):
+        # a random sum of unit claims: bit for bit the count's own masses, pgf, mean and bound
+        params, z = risk.frequency, gf.roots_of_unity(kmax)
+        assert np.array_equal(risk.pmf_vector(kmax), params.pmf(kmax))
+        assert np.array_equal(risk.pgf_on_roots(z), params.pgf(z))
+        assert risk.mean() == params.mean
+        assert risk.support_top() == params.support_top()
+
     def test_poisson_risk(self):
         assert poisson_risk(0.7).mean() == pytest.approx(0.7)
 

@@ -493,7 +493,7 @@ class TestRunScenario:
         raw = {
             "kmax": 256,
             "seed": 3,
-            "model": {"risks": [{"type": "poisson", "lam": 0.5}],
+            "model": {"risks": [{"type": "bernoulli", "b": 3, "q": 0.2}],
                       "sampled": {"kind": "compound_poisson_negbin", "count": 5}},
         }
         built = build_portfolio(parse_scenario(raw))
@@ -509,7 +509,7 @@ class TestRunScenario:
         raw = {
             "kmax": 256,
             "seed": 3,
-            "model": {"risks": [{"type": "poisson", "lam": 0.5}],
+            "model": {"risks": [{"type": "bernoulli", "b": 3, "q": 0.2}],
                       "sampled": {"kind": "compound_poisson_negbin", "count": 5}},
         }
         built = build_portfolio(parse_scenario(raw))
