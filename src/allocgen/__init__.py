@@ -16,6 +16,7 @@ from .allocation import (
     mask_validity,
     oracle_enumerate,
     oracle_size_biased,
+    oracle_size_biased_rows,
     allocate_compound_poisson_pool,
 )
 from .dependence import (

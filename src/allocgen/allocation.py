@@ -56,11 +56,12 @@ from .models import (
     KatzParams,
     RiskModel,
     _chunked_convolve,
+    bernoulli_margins,
     common_step,
     compound_pmf_panjer,
     poisson_pool,
 )
-from .pmf import DiscretePMF, TruncationReport
+from .pmf import DiscretePMF, TruncationReport, pmf_from_values
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_UNDERFLOW_FLOOR = 1e-15
@@ -74,7 +75,9 @@ class PortfolioModel:
     """A list of margins plus an optional dependence regime.
 
     ``dependence is None`` means independent margins; otherwise it holds one of
-    the dependence spec objects from :mod:`allocgen.dependence`.  The margins
+    the dependence spec objects from :mod:`allocgen.dependence`.  Margins are always
+    ``risks``, a frailty pool's ``BernoulliRisk``s included (its spec is only their mixing
+    law; the shock tree and the gamma-mixed pair are their specs alone).  The margins
     are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
     ``models.RiskChain``; the Poisson pool engine streams it, and the other
@@ -707,6 +710,19 @@ def oracle_size_biased(risk: RiskModel, others_pmf: DiscretePMF) -> np.ndarray:
     return others_pmf.step_h * out
 
 
+def oracle_size_biased_rows(risks: Sequence[RiskModel], kmax: int) -> np.ndarray:
+    """The n x kmax rows of independent ``risks`` by ``oracle_size_biased``, the others convolved directly."""
+    rows = np.empty((len(risks), kmax))
+    for i, risk in enumerate(risks):
+        others = np.zeros(kmax)
+        others[0] = 1.0
+        for j, other in enumerate(risks):
+            if j != i:
+                others = np.convolve(others, other.pmf_vector(kmax))[:kmax]
+        rows[i] = oracle_size_biased(risk, pmf_from_values(others))
+    return rows
+
+
 def oracle_enumerate(
     portfolio: PortfolioModel,
     kmax: int,
@@ -726,7 +742,7 @@ def oracle_enumerate(
     from .dependence import FrailtyBernoulliSpec  # runtime import avoids a module cycle
 
     if isinstance(dep, FrailtyBernoulliSpec):
-        return _enumerate_frailty(dep, kmax, budget)
+        return _enumerate_frailty(dep, portfolio.risks, kmax, budget)
     raise OracleBudget(f"no finite joint enumeration for dependence {type(dep).__name__}")
 
 
@@ -761,16 +777,17 @@ def _enumerate_independent(risks, kmax, budget) -> AllocationTable:
     return assemble_table(fs, mu, means, step_h=step_h)
 
 
-def _enumerate_frailty(spec, kmax, budget) -> AllocationTable:
-    n = len(spec.b)
+def _enumerate_frailty(spec, risks, kmax, budget) -> AllocationTable:
+    b, q = bernoulli_margins(risks)
+    n = len(b)
     theta_w = spec.theta_pmf()
     if (2**n) * len(theta_w) > budget:
         raise OracleBudget(f"frailty enumeration needs {(2 ** n) * len(theta_w)} > {budget} outcomes")
-    r_pows = spec.conditional_claim_probs()  # shape (theta_star, n)
+    r_pows = spec.conditional_claim_probs(q)  # shape (theta_star, n)
     fs = np.zeros(kmax)
     mu = np.zeros((n, kmax))
     for combo in itertools.product((0, 1), repeat=n):
-        s = int(np.dot(combo, spec.b))
+        s = int(np.dot(combo, b))
         if s >= kmax:
             continue
         cond = np.where(np.asarray(combo, dtype=bool), r_pows, 1.0 - r_pows)
@@ -778,6 +795,5 @@ def _enumerate_frailty(spec, kmax, budget) -> AllocationTable:
         fs[s] += p
         for i, c in enumerate(combo):
             if c:
-                mu[i, s] += spec.b[i] * p
-    means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
-    return assemble_table(fs, mu, means)
+                mu[i, s] += b[i] * p
+    return assemble_table(fs, mu, b * q)

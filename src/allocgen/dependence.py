@@ -6,18 +6,19 @@ claims).  Both sets of pieces form a Poisson pool, whose f_S is a Panjer
 recursion and whose rows are a certified banded product of non-negative
 terms; the pool's table is regrouped onto the risks by a fixed loading matrix
 (``allocation.regroup``), so they inherit its accuracy, its factored
-storage and its truncation reports.  The frailty pool is a
-mixture over the mixing level rather than a sum: its levels are independent
-indicator portfolios, summed and inverted once by ``allocation.mixture_rows``.  Like the
-independent engines, every table here carries the default validity mask;
-``allocation.mask_validity`` re-derives it at another tolerance or floor.
+storage and its truncation reports.  The frailty pool is a mixture over the
+mixing level of independent portfolios of its own ``BernoulliRisk``s (its
+spec is the mixing law alone), summed and inverted once by
+``allocation.mixture_rows``.  Like the independent engines, every table here
+carries the default validity mask; ``allocation.mask_validity`` re-derives it
+at another tolerance or floor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     InvalidMixture,
     UnknownNode,
 )
-from .models import compound_poisson_risk, negbin_pmf
+from .models import bernoulli_margins, compound_poisson_risk, negbin_pmf
 from .pmf import TruncationReport
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def gamma_mixture_fs_direct(spec: GammaMixtureSpec, kmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrailtyBernoulliSpec:
-    """All-or-nothing payments b_i whose indicators share a mixing level Theta.
+    """The mixing level Theta shared by the indicators of ``BernoulliRisk``s (b_i, q_i).
 
     Conditionally on Theta = theta the claims are independent with probability
     r_i ** theta, where r_i is calibrated so the unconditional claim probability
@@ -238,30 +239,14 @@ class FrailtyBernoulliSpec:
     mixing mass, and the residual is reported rather than renormalized.
     """
 
-    b: tuple
-    q: tuple
     alpha: float
     epsilon: float = 1e-10
 
     def __post_init__(self):
-        b = tuple(int(v) for v in self.b)
-        q = tuple(float(v) for v in self.q)
-        if len(b) != len(q) or not b:
-            raise InvalidMarginal("need matching, non-empty payment and probability lists")
-        if any(v < 1 for v in b):
-            raise InvalidMarginal("payments must be positive integers")
-        if any(not 0.0 < v < 1.0 for v in q):
-            raise InvalidMarginal(f"claim probabilities must lie in (0,1), got {q}")
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidFrailty(f"alpha (the mixing parameter) must lie in [0,1), got {self.alpha}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidFrailty(f"epsilon (the tail cutoff) must lie in (0,1), got {self.epsilon}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def n_risks(self) -> int:
-        return len(self.b)
 
     @property
     def theta_star(self) -> int:
@@ -278,35 +263,32 @@ class FrailtyBernoulliSpec:
     def residual_mass(self) -> float:
         return self.alpha**self.theta_star
 
-    def claim_calibrations(self) -> np.ndarray:
+    def claim_calibrations(self, q: np.ndarray) -> np.ndarray:
         """r_i solving E[r_i**Theta] = q_i for the shifted-geometric mixer."""
-        q = np.asarray(self.q)
+        q = np.asarray(q, dtype=float)
         return q / (1.0 - self.alpha + self.alpha * q)
 
-    def conditional_claim_probs(self) -> np.ndarray:
+    def conditional_claim_probs(self, q: np.ndarray) -> np.ndarray:
         """r_i**theta, shape (theta_star, n)."""
-        r = self.claim_calibrations()
+        r = self.claim_calibrations(q)
         theta = np.arange(1, self.theta_star + 1, dtype=float)
         return r[None, :] ** theta[:, None]
 
-    def min_kmax(self) -> int:
-        """Exact support needs 1 + sum(b) points before rounding up to a power of two."""
-        return 1 + sum(self.b)
 
-
-def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable:
-    """Allocation table for the frailty-coupled pool: theta* levels of ``mixture_rows``.
+def frailty_allocation(spec: FrailtyBernoulliSpec, risks: Iterable, kmax: int) -> AllocationTable:
+    """Allocation table for Bernoulli ``risks`` coupled by ``spec``: theta* levels of ``mixture_rows``.
 
     At level theta, of weight w, risk i claims with probability r = r_i**theta:
     its pgf is 1 - r + r z^b_i and its weighted allocation spectrum w b_i r z^b_i.
     """
-    if kmax < spec.min_kmax():
-        raise InvalidMarginal(f"kmax={kmax} below the exact-support requirement {spec.min_kmax()}")
+    b, q = bernoulli_margins(risks)
+    top = int(b.sum())
+    if kmax < 1 + top:
+        raise InvalidMarginal(f"kmax={kmax} below the exact-support requirement {1 + top}")
     z = gf.roots_of_unity(kmax)
-    payments, at = np.unique(spec.b, return_inverse=True)
+    payments, at = np.unique(b, return_inverse=True)
     zpow = np.array([z ** int(p) for p in payments])  # one row of z^b per distinct payment
-    b = np.asarray(spec.b, dtype=float)
-    weights, r_pows = spec.theta_pmf(), spec.conditional_claim_probs()
+    weights, r_pows = spec.theta_pmf(), spec.conditional_claim_probs(q)
 
     def pgfs(level):
         # in place, so a level's pgfs are the one n x kmax array that mixture_rows' estimate allows them
@@ -321,8 +303,7 @@ def frailty_allocation(spec: FrailtyBernoulliSpec, kmax: int) -> AllocationTable
         out *= (weights[level] * b * r_pows[level])[rows, None]
         return out
 
-    fs, mu = mixture_rows(weights, pgfs, spectra, spec.n_risks, kmax)
-    means = np.asarray(spec.b, dtype=float) * np.asarray(spec.q, dtype=float)
+    fs, mu = mixture_rows(weights, pgfs, spectra, len(b), kmax)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
     truncation = TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,))
-    return assemble_table(fs, mu, means, truncation=truncation, support_bound=sum(spec.b))
+    return assemble_table(fs, mu, b * q, truncation=truncation, support_bound=top)

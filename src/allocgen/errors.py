@@ -50,7 +50,7 @@ class InvalidFrailty(AllocationError):
 
 
 class InvalidMarginal(AllocationError):
-    """Marginal claim probability outside (0, 1)."""
+    """Margins a frailty pool cannot take: not all Bernoulli risks, or more support than kmax."""
 
 
 class TruncatedQuantile(AllocationError):

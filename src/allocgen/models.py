@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import gf
-from .errors import AllocationError, KatzDomain
+from .errors import AllocationError, InvalidMarginal, KatzDomain
 from .pmf import DiscretePMF, pmf_from_values, truncated_pmf
 
 
@@ -442,6 +442,17 @@ class BernoulliRisk:
 
     def support_top(self) -> Optional[int]:
         return self.b
+
+
+def bernoulli_margins(risks: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """The int payments and float claim probabilities of ``risks``, any iterable (a ``RiskChain`` too).
+
+    InvalidMarginal unless it holds at least one risk and only ``BernoulliRisk``s.
+    """
+    risks = list(risks)
+    if not risks or not all(isinstance(r, BernoulliRisk) for r in risks):
+        raise InvalidMarginal("need a non-empty list of Bernoulli risks")
+    return np.array([r.b for r in risks], dtype=int), np.array([r.q for r in risks], dtype=float)
 
 
 RiskModel = Union[ExplicitRisk, CompoundKatzRisk, BernoulliRisk]

@@ -45,7 +45,7 @@ class TruncationReport:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePMF:
     """Probability masses on the lattice ``h * {0, 1, ..., len(masses)-1}``.
 
@@ -56,7 +56,8 @@ class DiscretePMF:
     by ``pmf_from_values`` or ``arithmetize`` are non-negative; an allocation
     table's f_S keeps the engine's own masses, which can carry negative
     round-off (at most 1e-9 in size) where an inverse transform left it, so
-    its ``cdf`` need not be monotone there.
+    its ``cdf`` need not be monotone there.  Two pmfs compare and hash by
+    identity, not by their arrays, so the risks that hold one are hashable.
     """
 
     masses: np.ndarray

@@ -416,18 +416,19 @@ def _reproduce_gamma_mixture() -> ReproductionReport:
 
 def _reproduce_frailty() -> ReproductionReport:
     rep = ReproductionReport("frailty")
-    spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5, epsilon=1e-10)
+    risks = bernoulli_pool_risks()
+    spec = FrailtyBernoulliSpec(alpha=0.5, epsilon=1e-10)
     rep.add(
         "mixing_truncation_level",
         "reference",
         spec.theta_star == 34,
         f"theta_star = {spec.theta_star} at alpha=0.5, epsilon=1e-10 (pinned 34)",
     )
-    kmax = next_pow2(spec.min_kmax())
-    table = frailty_allocation(spec, kmax)
+    kmax = next_pow2(1 + sum(BERNOULLI_POOL_B))
+    table = frailty_allocation(spec, risks, kmax)
     _identity_check(rep, table)
 
-    recon = spec.theta_pmf() @ spec.conditional_claim_probs()
+    recon = spec.theta_pmf() @ spec.conditional_claim_probs(BERNOULLI_POOL_Q)
     worst = float(np.max(np.abs(recon - np.asarray(BERNOULLI_POOL_Q))))
     rep.add(
         "marginal_reconstruction",
@@ -436,13 +437,13 @@ def _reproduce_frailty() -> ReproductionReport:
         f"max |sum_theta f(theta) r_i^theta - q_i| = {worst:.2e} (bound 1e-9)",
     )
 
-    tiny = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=1e-12, epsilon=1e-10)
-    indep = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0, epsilon=1e-10)
+    tiny = FrailtyBernoulliSpec(alpha=1e-12, epsilon=1e-10)
+    indep = FrailtyBernoulliSpec(alpha=0.0, epsilon=1e-10)
     gap = float(
         np.max(
             np.abs(
-                frailty_allocation(tiny, kmax).expected_allocation
-                - frailty_allocation(indep, kmax).expected_allocation
+                frailty_allocation(tiny, risks, kmax).expected_allocation
+                - frailty_allocation(indep, risks, kmax).expected_allocation
             )
         )
     )
@@ -456,8 +457,7 @@ def _reproduce_frailty() -> ReproductionReport:
     # mass of risk 3's conditional mean at 0 and at full payment grows with coupling
     mass0, massb = [], []
     for alpha in (0.0, 0.1, 0.5, 0.8, 0.95):
-        sp = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=alpha)
-        t = frailty_allocation(sp, kmax)
+        t = frailty_allocation(FrailtyBernoulliSpec(alpha=alpha), risks, kmax)
         dist = conditional_mean_distribution(t, 2)
         mass0.append(float(dist.masses[np.abs(dist.support - 0.0) <= 1e-6].sum()))
         massb.append(float(dist.masses[np.abs(dist.support - BERNOULLI_POOL_B[2]) <= 1e-6].sum()))
@@ -471,14 +471,9 @@ def _reproduce_frailty() -> ReproductionReport:
     )
 
     # widened pool with sampled extras
-    extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, SEED, kmax)
-    wide = FrailtyBernoulliSpec(
-        BERNOULLI_POOL_B + tuple(r.b for r in extra),
-        BERNOULLI_POOL_Q + tuple(r.q for r in extra),
-        alpha=0.5,
-    )
-    wide_kmax = next_pow2(wide.min_kmax())
-    wide_table = frailty_allocation(wide, wide_kmax)
+    wide = risks + sample_risks({"kind": "bernoulli_extras", "count": 69}, SEED, kmax)
+    wide_kmax = next_pow2(1 + sum(r.b for r in wide))
+    wide_table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), wide, wide_kmax)
     _identity_check(rep, wide_table, bound=1e-9, name="full_allocation_identity_n75")
     rep.add(
         "wide_pool_runs",

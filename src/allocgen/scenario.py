@@ -23,7 +23,7 @@ Scenario schema (YAML, keys and nesting)::
         kind: compound_poisson_negbin   # | pareto_extras | bernoulli_extras
         count: 10000
         ...                   # kind-specific fields, see _SAMPLED_FIELDS
-      alpha: 0.5              # frailty only
+      alpha: 0.5              # frailty only: the mixing law of the bernoulli risks
       epsilon: 1.0e-10        # frailty only
       gamma0: 1.0             # gamma_mixture only (plus r1, r2, lambda1, lambda2)
       shock_lambdas: {"0": 0.01, "1": 0.02, ..., "222": 0.05}
@@ -94,6 +94,7 @@ from .models import (
     KatzParams,
     PoissonNegbinPool,
     RiskChain,
+    bernoulli_margins,
     poisson_pool,
 )
 from .pmf import arithmetize, next_pow2, pmf_from_values
@@ -480,17 +481,11 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
         raise ConfigError("model.sampled.count: empty portfolio")
 
     if config.dependence == "frailty_bernoulli":
-        if not all(isinstance(r, BernoulliRisk) for r in risks):
-            raise ConfigError("model.risks: frailty coupling needs bernoulli risks only")
+        with _in_range("model.risks"):
+            b, _ = bernoulli_margins(risks)
         with _in_range("model"):
-            spec = FrailtyBernoulliSpec(
-                b=tuple(r.b for r in risks),
-                q=tuple(r.q for r in risks),
-                alpha=model["alpha"],
-                epsilon=model["epsilon"],
-            )
-        kmax = max(kmax, next_pow2(spec.min_kmax()))
-        return BuiltScenario(config, PortfolioModel(dependence=spec), kmax, notes)
+            spec = FrailtyBernoulliSpec(model["alpha"], model["epsilon"])
+        return BuiltScenario(config, PortfolioModel(risks, spec), max(kmax, next_pow2(1 + b.sum())), notes)
     return BuiltScenario(config, PortfolioModel(risks=risks), kmax, notes)
 
 
@@ -519,7 +514,7 @@ def allocate_portfolio(
     elif isinstance(dep, GammaMixtureSpec):
         table = gamma_mixture_allocation(dep, kmax)
     elif isinstance(dep, FrailtyBernoulliSpec):
-        table = frailty_allocation(dep, kmax)
+        table = frailty_allocation(dep, portfolio.risks, kmax)
     else:
         raise ConfigError(f"unknown dependence spec {type(dep).__name__}")
     return mask_validity(table, tolerance, underflow_floor)

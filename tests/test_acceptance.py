@@ -18,12 +18,12 @@ from allocgen.allocation import (
     allocate_independent,
     allocate_katz_closed_form,
     oracle_enumerate,
-    oracle_size_biased,
+    oracle_size_biased_rows,
     allocate_compound_poisson_pool,
 )
 from allocgen.dependence import FrailtyBernoulliSpec, frailty_allocation
 from allocgen.models import UNIT_CLAIM, CompoundKatzRisk, ExplicitRisk, KatzParams, explicit_risk
-from allocgen.pmf import arithmetize, next_pow2, pmf_from_values
+from allocgen.pmf import arithmetize, next_pow2
 from allocgen.reproduce import (
     BERNOULLI_POOL_B,
     BERNOULLI_POOL_Q,
@@ -179,14 +179,8 @@ class TestCriterion4OracleTriangle:
                 worst,
                 float(np.max(np.abs(table.expected_allocation - enum.expected_allocation))),
             )
-            for i, risk in enumerate(risks):
-                others = np.zeros(kmax)
-                others[0] = 1.0
-                for j, other in enumerate(risks):
-                    if j != i:
-                        others = np.convolve(others, other.pmf_vector(kmax))[:kmax]
-                sb = oracle_size_biased(risk, pmf_from_values(others))
-                worst = max(worst, float(np.max(np.abs(sb - table.expected_allocation[i]))))
+            sb = oracle_size_biased_rows(risks, kmax)
+            worst = max(worst, float(np.max(np.abs(sb - table.expected_allocation))))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-10 and elapsed < 30.0
         report(4, ok, f"25 portfolios, sup norm across the triangle {worst:.2e}; {elapsed:.1f}s")
@@ -228,29 +222,21 @@ class TestCriterion5BernoulliPool:
 class TestCriterion6Frailty:
     def test_six_risk_pool(self):
         start = time.perf_counter()
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5, epsilon=1e-10)
+        risks = bernoulli_pool_risks()
+        spec = FrailtyBernoulliSpec(alpha=0.5, epsilon=1e-10)
         assert spec.theta_star == 34
-        kmax = next_pow2(spec.min_kmax())
-        recon = spec.theta_pmf() @ spec.conditional_claim_probs()
+        kmax = next_pow2(1 + sum(BERNOULLI_POOL_B))
+        recon = spec.theta_pmf() @ spec.conditional_claim_probs(BERNOULLI_POOL_Q)
         marg = float(np.max(np.abs(recon - np.asarray(BERNOULLI_POOL_Q))))
-        tiny = frailty_allocation(
-            FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=1e-12), kmax
-        )
-        indep = frailty_allocation(
-            FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0), kmax
-        )
+        tiny = frailty_allocation(FrailtyBernoulliSpec(alpha=1e-12), risks, kmax)
+        indep = frailty_allocation(FrailtyBernoulliSpec(alpha=0.0), risks, kmax)
         gap = float(np.max(np.abs(tiny.expected_allocation - indep.expected_allocation)))
         elapsed6 = time.perf_counter() - start
 
-        extra = sample_risks({"kind": "bernoulli_extras", "count": 69}, 20260810, kmax)
-        wide = FrailtyBernoulliSpec(
-            BERNOULLI_POOL_B + tuple(r.b for r in extra),
-            BERNOULLI_POOL_Q + tuple(r.q for r in extra),
-            alpha=0.5,
-        )
-        wide_kmax = next_pow2(wide.min_kmax())
+        wide = risks + sample_risks({"kind": "bernoulli_extras", "count": 69}, 20260810, kmax)
+        wide_kmax = next_pow2(1 + sum(r.b for r in wide))
         start75 = time.perf_counter()
-        wide_table = frailty_allocation(wide, wide_kmax)
+        wide_table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), wide, wide_kmax)
         elapsed75 = time.perf_counter() - start75
         ok = (
             spec.theta_star == 34

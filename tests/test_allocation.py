@@ -17,6 +17,7 @@ from allocgen.allocation import (
     oracle_enumerate,
     per_mass,
     oracle_size_biased,
+    oracle_size_biased_rows,
     allocate_compound_poisson_pool,
     assemble_table,
     regroup,
@@ -156,14 +157,8 @@ class TestAllocateIndependent:
             t = allocate_independent(risks, kmax)
             o = oracle_enumerate(PortfolioModel(risks=risks), kmax)
             assert np.max(np.abs(t.expected_allocation - o.expected_allocation)) <= 1e-10
-            for i, risk in enumerate(risks):
-                others = np.zeros(kmax)
-                others[0] = 1.0
-                for j, other in enumerate(risks):
-                    if j != i:
-                        others = np.convolve(others, other.pmf_vector(kmax))[:kmax]
-                sb = oracle_size_biased(risk, pmf_from_values(others))
-                assert np.max(np.abs(sb - t.expected_allocation[i])) <= 1e-10
+            sb = oracle_size_biased_rows(risks, kmax)
+            assert np.max(np.abs(sb - t.expected_allocation)) <= 1e-10
 
 
 def multi_block_pool(rng, n):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,13 +28,14 @@ from allocgen.errors import (
 from allocgen.models import (
     BernoulliRisk,
     KatzParams,
+    RiskChain,
     compound_pmf_panjer,
     negative_binomial_risk,
     poisson_risk,
 )
 from allocgen.pmf import next_pow2
-from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS
-from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario
+from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS, bernoulli_pool_risks
+from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, parse_scenario
 from test_allocation import traced_peak
 
 
@@ -198,53 +201,50 @@ class TestGammaMixture:
 
 
 class TestFrailty:
+    RISKS = bernoulli_pool_risks()
+
     def test_validation(self):
         with pytest.raises(InvalidFrailty):
-            FrailtyBernoulliSpec((1, 2), (0.5, 0.5), alpha=1.0)
+            FrailtyBernoulliSpec(alpha=1.0)
+        spec = FrailtyBernoulliSpec(alpha=0.5)
         with pytest.raises(InvalidMarginal):
-            FrailtyBernoulliSpec((1, 2), (0.5, 1.5), alpha=0.5)
+            frailty_allocation(spec, [BernoulliRisk(1, 0.5), poisson_risk(0.5)], 64)
         with pytest.raises(InvalidMarginal):
-            FrailtyBernoulliSpec((0, 2), (0.5, 0.5), alpha=0.5)
+            oracle_enumerate(PortfolioModel([poisson_risk(0.5)], spec), 64)
 
     def test_truncation_level_reference_value(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5, epsilon=1e-10)
+        spec = FrailtyBernoulliSpec(alpha=0.5, epsilon=1e-10)
         assert spec.theta_star == 34
 
     def test_degenerate_mixing_is_single_level(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0)
+        spec = FrailtyBernoulliSpec(alpha=0.0)
         assert spec.theta_star == 1
-        assert np.allclose(spec.claim_calibrations(), BERNOULLI_POOL_Q)
+        assert np.allclose(spec.claim_calibrations(BERNOULLI_POOL_Q), BERNOULLI_POOL_Q)
 
     def test_degenerate_mixing_matches_independent_product(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0)
-        table = frailty_allocation(spec, 64)
-        risks = [BernoulliRisk(b, q) for b, q in zip(BERNOULLI_POOL_B, BERNOULLI_POOL_Q)]
+        table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.0), self.RISKS, 64)
         z = gf.roots_of_unity(64)
         want = np.ones(64, dtype=complex)
-        for r in risks:
+        for r in self.RISKS:
             want *= r.pgf_on_roots(z)
         assert np.max(np.abs(table.fs.masses - gf.idft(want))) <= 1e-12
-        indep = allocate_independent(risks, 64)
+        indep = allocate_independent(self.RISKS, 64)
         assert np.max(np.abs(table.expected_allocation - indep.expected_allocation)) <= 1e-11
 
     def test_vanishing_mixing_converges_to_independent(self):
-        tiny = frailty_allocation(
-            FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=1e-12), 64
-        )
-        indep = frailty_allocation(
-            FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.0), 64
-        )
+        tiny = frailty_allocation(FrailtyBernoulliSpec(alpha=1e-12), self.RISKS, 64)
+        indep = frailty_allocation(FrailtyBernoulliSpec(alpha=0.0), self.RISKS, 64)
         assert np.max(np.abs(tiny.expected_allocation - indep.expected_allocation)) <= 1e-9
 
     def test_marginal_reconstruction(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
-        recon = spec.theta_pmf() @ spec.conditional_claim_probs()
+        spec = FrailtyBernoulliSpec(alpha=0.5)
+        recon = spec.theta_pmf() @ spec.conditional_claim_probs(BERNOULLI_POOL_Q)
         assert np.max(np.abs(recon - np.asarray(BERNOULLI_POOL_Q))) <= 1e-9
 
     def test_matches_enumeration(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
-        table = frailty_allocation(spec, 64)
-        oracle = oracle_enumerate(PortfolioModel(dependence=spec), 64)
+        spec = FrailtyBernoulliSpec(alpha=0.5)
+        table = frailty_allocation(spec, self.RISKS, 64)
+        oracle = oracle_enumerate(PortfolioModel(self.RISKS, spec), 64)
         assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-10
 
     @given(
@@ -257,46 +257,68 @@ class TestFrailty:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_enumeration_on_random_pools(self, risks, alpha):
-        b, q = zip(*risks)
-        spec = FrailtyBernoulliSpec(b, q, alpha=alpha)
-        kmax = next_pow2(spec.min_kmax())
-        table = frailty_allocation(spec, kmax)
-        oracle = oracle_enumerate(PortfolioModel(dependence=spec), kmax)
+        risks = [BernoulliRisk(b, q) for b, q in risks]
+        spec = FrailtyBernoulliSpec(alpha=alpha)
+        kmax = next_pow2(1 + sum(r.b for r in risks))
+        table = frailty_allocation(spec, risks, kmax)
+        oracle = oracle_enumerate(PortfolioModel(risks, spec), kmax)
         assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-10
 
     def test_matches_enumeration_where_claim_probabilities_underflow(self):
         # r_1 is about 2e-6, so r_1 ** theta is exactly 0 over most of the 665 mixing levels
-        spec = FrailtyBernoulliSpec((1, 3, 10), (1e-6, 0.2, 0.3), alpha=0.5, epsilon=1e-200)
-        assert spec.theta_star == 665 and (spec.conditional_claim_probs()[:, 0] == 0.0).any()
-        table = frailty_allocation(spec, 16)
-        oracle = oracle_enumerate(PortfolioModel(dependence=spec), 16)
+        risks = [BernoulliRisk(1, 1e-6), BernoulliRisk(3, 0.2), BernoulliRisk(10, 0.3)]
+        spec = FrailtyBernoulliSpec(alpha=0.5, epsilon=1e-200)
+        assert spec.theta_star == 665
+        assert (spec.conditional_claim_probs([r.q for r in risks])[:, 0] == 0.0).any()
+        table = frailty_allocation(spec, risks, 16)
+        oracle = oracle_enumerate(PortfolioModel(risks, spec), 16)
         assert np.max(np.abs(table.expected_allocation - oracle.expected_allocation)) <= 1e-13
 
     def test_kmax_below_exact_support_rejected(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
         with pytest.raises(InvalidMarginal):
-            frailty_allocation(spec, 32)
+            frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), self.RISKS, 32)
 
     def test_full_allocation_identity(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
-        assert frailty_allocation(spec, 64).identity_deviation() <= 1e-9
+        table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), self.RISKS, 64)
+        assert table.identity_deviation() <= 1e-9
 
     def test_residual_mass_reported(self):
-        spec = FrailtyBernoulliSpec(BERNOULLI_POOL_B, BERNOULLI_POOL_Q, alpha=0.5)
+        spec = FrailtyBernoulliSpec(alpha=0.5)
         assert spec.residual_mass == pytest.approx(0.5**34)
-        table = frailty_allocation(spec, 64)
+        table = frailty_allocation(spec, self.RISKS, 64)
         assert table.fs.masses.sum() == pytest.approx(1.0 - spec.residual_mass, abs=1e-12)
+
+    def test_pool_read_from_a_chain_equals_its_list(self):
+        # 3 explicit risks and 5 sampled extras: the engine reads the RiskChain as it reads a list
+        risks = [{"type": "bernoulli", "b": r.b, "q": r.q} for r in self.RISKS[:3]]
+        model = {"dependence": "frailty_bernoulli", "alpha": 0.5, "risks": risks,
+                 "sampled": {"kind": "bernoulli_extras", "count": 5}}
+        chained = build_portfolio(parse_scenario({"kmax": 64, "seed": 20260810, "model": model}))
+        assert isinstance(chained.portfolio.risks, RiskChain)
+        listed = [*chained.portfolio.risks]
+        model = {"dependence": "frailty_bernoulli", "alpha": 0.5,
+                 "risks": [{"type": "bernoulli", "b": r.b, "q": r.q} for r in listed]}
+        flat = build_portfolio(parse_scenario({"kmax": 64, "model": model}))
+        assert [(r.b, r.q) for r in flat.portfolio.risks] == [(r.b, r.q) for r in listed]
+        assert chained.kmax == flat.kmax == 64
+        got = allocate_portfolio(chained.portfolio, 64)
+        want = allocate_portfolio(flat.portfolio, 64)
+        assert np.array_equal(got.fs.masses, want.fs.masses)
+        assert np.array_equal(got.expected_allocation, want.expected_allocation)
+        assert np.array_equal(got.column_sum, want.column_sum)
+        assert np.array_equal(got.valid_mask, want.valid_mask)
+        oracle = oracle_enumerate(chained.portfolio, 64)
+        assert np.max(np.abs(got.expected_allocation - oracle.expected_allocation)) <= 1e-10
 
     def test_traced_peak_within_the_memory_estimate(self):
         # the running sum and one level's pgfs and products: 48 bytes per risk and point,
         # whatever the number of levels beyond one (theta* = 4 here)
         rng = np.random.default_rng(3)
         n, kmax = 1000, 2**13
-        spec = FrailtyBernoulliSpec(
-            tuple(rng.integers(1, 8, n)), tuple(rng.uniform(0.01, 0.3, n)), alpha=0.5, epsilon=0.1
-        )
+        risks = [BernoulliRisk(int(b), q) for b, q in zip(rng.integers(1, 8, n), rng.uniform(0.01, 0.3, n))]
+        spec = FrailtyBernoulliSpec(alpha=0.5, epsilon=0.1)
         assert spec.theta_star == 4
-        _, peak = traced_peak(lambda: frailty_allocation(spec, kmax))
+        _, peak = traced_peak(lambda: frailty_allocation(spec, risks, kmax))
         assert peak < 56 * n * kmax
 
     @pytest.mark.parametrize("levels, n", [("one", 1000), ("several", 500)])
@@ -306,10 +328,11 @@ class TestFrailty:
         rng = np.random.default_rng(3)
         kmax = 2**13
         b, q = tuple(rng.integers(1, 8, n)), tuple(rng.uniform(0.01, 0.3, n))
+        risks = [BernoulliRisk(int(bi), qi) for bi, qi in zip(b, q)]
         if levels == "one":
-            run, portfolio = allocate_independent, [BernoulliRisk(int(bi), qi) for bi, qi in zip(b, q)]
+            run = allocate_independent
         else:
-            run, portfolio = frailty_allocation, FrailtyBernoulliSpec(b, q, alpha=0.5, epsilon=0.1)
-        _, peak = traced_peak(lambda: run(portfolio, kmax))
+            run = partial(frailty_allocation, FrailtyBernoulliSpec(alpha=0.5, epsilon=0.1))
+        _, peak = traced_peak(lambda: run(risks, kmax))
         monkeypatch.setattr(allocation, "host_memory_bytes", lambda: int(1.05 * peak))
-        assert run(portfolio, kmax).n_risks == n
+        assert run(risks, kmax).n_risks == n

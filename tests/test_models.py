@@ -9,7 +9,7 @@ from scipy import stats
 
 from allocgen import gf
 from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent
-from allocgen.errors import AllocationError, KatzDomain
+from allocgen.errors import AllocationError, InvalidMarginal, KatzDomain
 from allocgen.models import (
     _DOT_CHUNK,
     ROW_BLOCK,
@@ -19,10 +19,12 @@ from allocgen.models import (
     PoissonNegbinPool,
     RiskChain,
     _chunked_convolve,
+    bernoulli_margins,
     binomial_risk,
     compound_pmf_binomial,
     compound_pmf_panjer,
     compound_poisson_risk,
+    explicit_risk,
     negative_binomial_risk,
     negbin_pmf,
     negbin_rows,
@@ -448,6 +450,26 @@ class TestBernoulliRisk:
             BernoulliRisk(0, 0.5)
         with pytest.raises(KatzDomain):
             BernoulliRisk(2, 1.0)
+
+    def test_margins_of_any_iterable(self):
+        # int payments and float claim probabilities, in order, from a chain as from a list
+        chain = RiskChain([BernoulliRisk(3, 0.25)], [BernoulliRisk(1, 0.5), BernoulliRisk(7, 0.125)])
+        b, q = bernoulli_margins(chain)
+        assert b.dtype == int and b.tolist() == [3, 1, 7]
+        assert q.dtype == float and q.tolist() == [0.25, 0.5, 0.125]
+        for risks in ([], [BernoulliRisk(3, 0.25), poisson_risk(0.5)]):
+            with pytest.raises(InvalidMarginal, match="Bernoulli"):
+                bernoulli_margins(risks)
+
+
+def test_risks_hash_and_compare():
+    # a pmf compares and hashes by identity, so every risk is hashable and == never raises
+    count, compound = poisson_risk(0.5), compound_poisson_risk(0.5, [0.0, 0.5, 0.5])
+    explicit = explicit_risk([0.5, 0.5])
+    assert len({count, compound, explicit, BernoulliRisk(3, 0.25)}) == 4
+    assert count == poisson_risk(0.5)  # both sum the one shared UNIT_CLAIM
+    assert compound != compound_poisson_risk(0.5, [0.0, 0.5, 0.5])
+    assert compound == compound and explicit != explicit_risk([0.5, 0.5])
 
 
 class TestConvenienceConstructors:

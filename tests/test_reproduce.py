@@ -57,9 +57,9 @@ def test_bernoulli_payments_and_probabilities(scenario_dir, name):
 
 def test_frailty_coupling(scenario_dir, monkeypatch):
     spec = model(scenario_dir, "frailty")["model"]
-    args, kwargs = first_call(monkeypatch, "frailty", "FrailtyBernoulliSpec")
-    assert args == (BERNOULLI_POOL_B, BERNOULLI_POOL_Q)
-    assert kwargs == {"alpha": spec["alpha"], "epsilon": spec["epsilon"]}
+    (coupling, risks, _), _ = first_call(monkeypatch, "frailty", "frailty_allocation")
+    assert [(r.b, r.q) for r in risks] == list(zip(BERNOULLI_POOL_B, BERNOULLI_POOL_Q))
+    assert (coupling.alpha, coupling.epsilon) == (spec["alpha"], spec["epsilon"])
 
 
 def test_shock(scenario_dir):

@@ -20,7 +20,7 @@ from allocgen.dependence import (
     shock_allocation_table,
 )
 from allocgen.errors import ConfigError, EmptyDistribution, KatzDomain
-from allocgen.models import PoissonNegbinPool, RiskChain, explicit_risk
+from allocgen.models import BernoulliRisk, PoissonNegbinPool, RiskChain, explicit_risk
 from allocgen.pmf import pmf_from_values
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q
 from allocgen.scenario import (
@@ -129,6 +129,17 @@ class TestBuild:
         built = build_portfolio(parse_scenario(raw))
         assert built.kmax == 64
         assert isinstance(built.portfolio.dependence, FrailtyBernoulliSpec)
+
+    def test_frailty_margins_are_the_portfolio_risks(self):
+        raw = {"kmax": 64, "model": {"dependence": "frailty_bernoulli", "alpha": 0.5,
+                                     "risks": [{"type": "bernoulli", "b": 3, "q": 0.2}]}}
+        built = build_portfolio(parse_scenario(raw))
+        assert built.portfolio.risks == [BernoulliRisk(3, 0.2)]
+        assert built.portfolio.dependence == FrailtyBernoulliSpec(alpha=0.5, epsilon=1e-10)
+        # a margin that is not an indicator is a config error on model.risks
+        raw["model"]["risks"].append({"type": "poisson", "lam": 0.5})
+        with pytest.raises(ConfigError, match=r"model\.risks: .*Bernoulli"):
+            build_portfolio(parse_scenario(raw))
 
     def test_sampled_extras_deterministic(self):
         raw = minimal_raw(seed=7)
@@ -325,7 +336,7 @@ class TestAllocatePortfolioMasksOnce:
         "bernoulli_pool": lambda p, kmax: allocate_independent(p.risks, kmax),
         "shock": lambda p, kmax: shock_allocation_table(p.dependence, kmax),
         "gamma_mixture": lambda p, kmax: gamma_mixture_allocation(p.dependence, kmax),
-        "frailty": lambda p, kmax: frailty_allocation(p.dependence, kmax),
+        "frailty": lambda p, kmax: frailty_allocation(p.dependence, p.risks, kmax),
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
