@@ -81,8 +81,8 @@ class PortfolioModel:
     are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
     ``models.RiskChain``; the Poisson pool engine streams it, and the other
-    engines iterate it.  A claim count is a random sum of ``models.UNIT_CLAIM``s,
-    so Poisson counts take the Poisson pool engine too.
+    engines iterate it.  Poisson and NB counts take the Poisson pool engine
+    too, as Poisson numbers of claims (``models.poisson_claims``).
     """
 
     risks: list = field(default_factory=list)
@@ -465,8 +465,8 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     W is allocated; past that point the run holds W, f_S and one block of
     rows.  ``models.poisson_pool`` reads the blocks, whether ``risks`` is a
     list of risks, a sampled ``models.PoissonNegbinPool`` or a chain of the
-    two: a sampled pool's severities come from the NB row recursion in
-    each pass and are never stored per risk, and a severity of such a pool
+    two: a sampled pool's severities and NB counts' claims are formed in
+    each pass and never stored per risk, and a severity of a sampled pool
     with no mass raises KatzDomain here.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
@@ -474,9 +474,9 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
-    pool = poisson_pool(risks)
+    pool = poisson_pool(risks, kmax)
     if pool is None:
-        raise KatzDomain("this pipeline handles independent Poisson random sums only")
+        raise KatzDomain("this pipeline handles independent Poisson random sums and NB counts only")
     lam, step_h, blocks = pool
     n = len(lam)
     # the candidate band widths below kmax; those below the longest severity are used

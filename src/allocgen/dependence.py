@@ -1,15 +1,15 @@
 """Dependent portfolios: shock tree, gamma-mixed counts, frailty-coupled indicators.
 
 The shock tree and the gamma-mixed pair are sums of independent pieces (15
-Poisson shocks; three negative binomials, each a Poisson number of log-series
-claims).  Both sets of pieces form a Poisson pool, whose f_S is a Panjer
-recursion and whose rows are a certified banded product of non-negative
-terms; the pool's table is regrouped onto the risks by a fixed loading matrix
-(``allocation.regroup``), so they inherit its accuracy, its factored
-storage and its truncation reports.  The frailty pool is a mixture over the
-mixing level of independent portfolios of its own ``BernoulliRisk``s (its
-spec is the mixing law alone), summed and inverted once by
-``allocation.mixture_rows``.  Like the independent engines, every table here
+Poisson shocks; three NB counts, which the pool reader splits into Poisson
+numbers of log-series claims).  Both form a Poisson pool, whose f_S is a
+Panjer recursion and whose rows are a certified banded product of
+non-negative terms; its table is regrouped onto the risks by a fixed
+loading matrix (``allocation.regroup``), so they inherit its accuracy, its
+factored storage and its truncation reports.  The frailty pool is a mixture
+over the mixing level of independent portfolios of its own
+``BernoulliRisk``s (its spec is the mixing law alone), summed and inverted
+once by ``allocation.mixture_rows``.  Like the independent engines, every table here
 carries the default validity mask; ``allocation.mask_validity`` re-derives it
 at another tolerance or floor.
 """
@@ -36,7 +36,7 @@ from .errors import (
     InvalidMixture,
     UnknownNode,
 )
-from .models import bernoulli_margins, compound_poisson_risk, negbin_pmf
+from .models import KatzParams, bernoulli_margins, compound_poisson_risk, negative_binomial_risk
 from .pmf import TruncationReport
 
 # ---------------------------------------------------------------------------
@@ -167,22 +167,14 @@ class GammaMixtureSpec:
 def gamma_mixture_allocation(spec: GammaMixtureSpec, kmax: int) -> AllocationTable:
     """Allocation table for the pair from the three independent NB pieces of S.
 
-    NB(rho, q) is a Poisson(-rho ln q) number of claims with the log-series
-    severity (1 - q)^j / (-j ln q), j >= 1, so the pieces form a Poisson pool
-    (``allocate_compound_poisson_pool``), as the shock tree's do.  Risk i's
-    count is its own piece plus the share zeta_i / zeta12 of the shared
-    piece; pieces of shape 0 are left out.
+    The pieces are NB counts, so they form a Poisson pool of log-series
+    claims (``allocate_compound_poisson_pool``), as the shock tree's do.
+    Risk i's count is its own piece plus the share zeta_i / zeta12 of the
+    shared piece; pieces of shape 0 are left out.
     """
     components = spec.nb_components()
     keep = [i for i, (rho, _) in enumerate(components) if rho > 0.0]
-    j = np.arange(1, kmax, dtype=float)
-    pieces = [
-        compound_poisson_risk(
-            -rho * math.log(q), np.append(0.0, (1.0 - q) ** j / (-j * math.log(q)))
-        )
-        for rho, q in (components[i] for i in keep)
-    ]
-    table = allocate_compound_poisson_pool(pieces, kmax)
+    table = allocate_compound_poisson_pool([negative_binomial_risk(*components[i]) for i in keep], kmax)
     loading = np.array([
         [1.0, 0.0, spec.zeta1 / spec.zeta12],
         [0.0, 1.0, spec.zeta2 / spec.zeta12],
@@ -219,7 +211,7 @@ def gamma_mixture_fs_direct(spec: GammaMixtureSpec, kmax: int) -> np.ndarray:
     out[0] = 1.0
     for rho, q in spec.nb_components():
         if rho > 0.0:
-            out = np.convolve(out, negbin_pmf(rho, q, kmax))[:kmax]
+            out = np.convolve(out, KatzParams.negative_binomial(rho, q).pmf(kmax))[:kmax]
     return out
 
 

@@ -10,8 +10,8 @@ from the counting recursion, except over binomial counts, whose recursion
 is unstable for q > 1/2 and which are expanded by repeated squaring
 instead.  A sampled pool of Poisson random sums with negative-binomial
 severities is held as its draws (``PoissonNegbinPool``) and builds its
-risks only when asked; ``poisson_pool`` reads the severities of any pool of
-Poisson random sums, stored or sampled, block by block.
+risks only when asked; ``poisson_pool`` reads any pool of Poisson random
+sums and NB counts (``poisson_claims``), stored or sampled, block by block.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class KatzParams:
     @property
     def mean(self) -> float:
         return (self.a + self.b) / (1.0 - self.a)
-
-    def is_poisson(self) -> bool:
-        return self.a == 0.0
 
     def support_top(self) -> Optional[int]:
         """Largest support point, or None when the support is unbounded."""
@@ -161,9 +158,9 @@ _DOT_CHUNK = 4096
 def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
     """First n masses of NB(r_i, q_i), one row per pair, as ``(masses, lengths)``.
 
-    ``masses`` is a fresh dense block; row i is zero from ``lengths[i]`` on,
-    just after its last positive mass (a row with no positive mass has
-    length 0).  Its callers pass at most ROW_BLOCK pairs at a time.
+    ``masses`` is a fresh block, joined from its chunks once it stops; row i
+    is zero from ``lengths[i]`` on, just after its last positive mass (0 if
+    it has none).  Its callers pass at most ROW_BLOCK pairs at a time.
 
     Row i is the recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the
     running product, taken in order, of the ratios f(j)/f(j-1) =
@@ -210,13 +207,11 @@ def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise KatzDomain(f"NB(r={r[i]}, q={q[i]}): q^r is below 2^-2044, out of the scaled range")
     head = np.ldexp(1.0, expo + 1021)  # 2^e
     f0_scaled = np.ldexp(mant, -1021)  # q^r 2^-e
-    f = np.empty((len(r), n))
+    pieces = [(f0_scaled * head)[:, None]]
     ratios = np.empty((len(r), min(_NEGBIN_CHUNK, n)))
-    f[:, 0] = f0_scaled * head
     carry = head
     p = 1.0 - q
     r_col, p_col = r[:, None], p[:, None]
-    end = 1
     for start in range(1, n, _NEGBIN_CHUNK):
         end = min(start + _NEGBIN_CHUNK, n)
         k = np.arange(start, end, dtype=float)
@@ -228,32 +223,17 @@ def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
         chunk /= k
         chunk[:, 0] *= carry
         np.cumprod(chunk, axis=1, out=chunk)
-        np.multiply(f0_scaled[:, None], chunk, out=f[:, start:end])
+        pieces.append(f0_scaled[:, None] * chunk)
         # a finished row carries zero, so it costs no subnormal products
-        finished = (f[:, end - 1] < _TINY) & (p * (r + k[-1] - 1.0) < k[-1])
+        finished = (pieces[-1][:, -1] < _TINY) & (p * (r + k[-1] - 1.0) < k[-1])
         carry = np.where(finished, 0.0, chunk[:, -1])
         if finished.all():
             break
-    f = f[:, :end]
+    f = np.concatenate(pieces, axis=1)
     f[f < _TINY] = 0.0
     positive = f > 0.0
-    lengths = np.where(positive.any(axis=1), end - np.argmax(positive[:, ::-1], axis=1), 0)
+    lengths = np.where(positive.any(axis=1), f.shape[1] - np.argmax(positive[:, ::-1], axis=1), 0)
     return f, lengths
-
-
-def negbin_pmf(r: float, q: float, n: int) -> np.ndarray:
-    """First n masses of NB(r, q): C(r+k-1, k) q^r (1-q)^k, by stable recursion.
-
-    The one-row case of ``negbin_rows``, zero-padded to n.  Its scaled
-    recursion carries the running product times an exact power of two taken
-    from q^r, so the masses are bit-identical to the unscaled recursion's, a
-    q^r that underflows still gives the right masses, and masses below the
-    smallest normal float are exact zeros.
-    """
-    masses, _ = negbin_rows([r], [q], n)
-    f = np.zeros(n)
-    f[: masses.shape[1]] = masses[0]
-    return f
 
 
 def _chunked_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -540,21 +520,43 @@ class RiskChain:
         return itertools.chain.from_iterable(self.parts)
 
 
-def poisson_pool(risks: Iterable):
-    """The rates, lattice step and severity blocks of ``risks``, or None unless each is a Poisson random sum.
+def poisson_claims(risk, kmax: int) -> Optional[tuple[float, np.ndarray]]:
+    """``risk`` as a Poisson number of iid claims, ``(rate, claim masses)``, or None when it is not one.
+
+    A Poisson random sum keeps its rate and severity.  An NB count (a > 0
+    over ``UNIT_CLAIM``) is Poisson(-(b/a + 1) ln(1 - a)) claims with masses
+    a^j / (-j ln(1 - a)), j >= 1, on ``kmax`` points; the powers stop at
+    j = 1076 / -log2(a), past which a^j < 2^-1076 rounds to exactly 0.
+    """
+    if not isinstance(risk, CompoundKatzRisk):
+        return None
+    a, b = risk.frequency.a, risk.frequency.b
+    if a == 0.0:
+        return b, risk.severity.masses
+    if a < 0.0 or risk.severity is not UNIT_CLAIM:
+        return None
+    log_q = math.log(1.0 - a)
+    top = min(kmax, int(1076 / -math.log2(a)) + 1)
+    j = np.arange(1, top, dtype=float)
+    return -(b / a + 1.0) * log_q, np.pad(a**j / (-j * log_q), (1, kmax - top))
+
+
+def poisson_pool(risks: Iterable, kmax: int):
+    """The rates, lattice step and claim blocks of ``risks``, or None unless each is a Poisson number of claims.
 
     This is how the Poisson pool engine reads a pool, whatever holds it: a
     list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both, and
     the one code that walks a chain's parts.  ``blocks(columns=None)`` walks
     the blocks of ROW_BLOCK rows that the same risks in one list give, and
     yields each as ``(rows, masses, lengths)`` over the first ``columns``
-    severity points (default: all of the longest), as ``negbin_rows`` gives
+    claim sizes (default: all of the longest), as ``negbin_rows`` gives
     rows.  Each part that overlaps a block reads exactly its rows there: a
-    sampled pool by its row recursion, with no risk built, and stored
-    severities as a fresh copy zero-padded to the part's longest.  A block
-    that spans parts joins their rows, zero-padded to the widest.  The
-    lattice step is taken from the parts too (a sampled pool's is 1), and
-    risks on different steps raise AllocationError.
+    sampled pool by its row recursion, with no risk built, and listed risks
+    by ``poisson_claims`` on ``kmax`` points (the transform length), a fresh
+    copy zero-padded to the part's longest.  A block that spans parts joins
+    their rows, zero-padded to the widest.  The lattice step is taken from
+    the parts too (a sampled pool's is 1); different steps raise
+    AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
     lam, reads, steps = [], [], set()
@@ -563,13 +565,17 @@ def poisson_pool(risks: Iterable):
             lam.append(part.lam)
             reads.append(part.severity_rows)
             steps.add(1.0)
-        elif all(isinstance(r, CompoundKatzRisk) and r.frequency.is_poisson() for r in part):
-            lam.append(np.array([r.frequency.b for r in part], dtype=float))
-            longest = max((len(r.severity.masses) for r in part), default=0)
-            reads.append(partial(_stored_severity_rows, part, longest))
-            steps.update(r.severity.step_h for r in part)
-        else:
-            return None
+            continue
+        rates, longest = [], 0
+        for risk in part:
+            claims = poisson_claims(risk, kmax)
+            if claims is None:
+                return None
+            rates.append(claims[0])
+            longest = max(longest, len(claims[1]))
+        lam.append(np.array(rates, dtype=float))
+        reads.append(partial(_stored_severity_rows, part, kmax, longest))
+        steps.update(r.severity.step_h for r in part)
     starts = list(itertools.accumulate(map(len, parts), initial=0))
 
     def blocks(columns: Optional[int] = None):
@@ -612,14 +618,16 @@ def _stacked(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, n
     return masses, np.concatenate([t for _, t in pieces])
 
 
-def _stored_severity_rows(risks: Sequence, longest: int, rows: slice, columns: Optional[int] = None):
-    """The stored severities of ``risks[rows]``, a fresh copy zero-padded to ``longest`` points (or ``columns``)."""
+def _stored_severity_rows(risks: Sequence, kmax: int, longest: int, rows: slice, columns: Optional[int] = None):
+    """The claims (``poisson_claims``) of ``risks[rows]``, a fresh copy zero-padded to ``longest`` points (or ``columns``)."""
     chosen = risks[rows]
     width = longest if columns is None else columns
-    masses = np.zeros((len(chosen), width))
-    for row, r in zip(masses, chosen):
-        row[: len(r.severity.masses)] = r.severity.masses[:width]
-    return masses, np.array([len(r.severity.masses) for r in chosen])
+    masses, lengths = np.zeros((len(chosen), width)), np.empty(len(chosen), dtype=int)
+    for i, risk in enumerate(chosen):
+        claims = poisson_claims(risk, min(kmax, width))[1]
+        masses[i, : len(claims)] = claims[:width]
+        lengths[i] = len(claims)
+    return masses, lengths
 
 
 def poisson_risk(lam: float) -> CompoundKatzRisk:

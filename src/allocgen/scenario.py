@@ -505,7 +505,7 @@ def allocate_portfolio(
     dep = portfolio.dependence
     if dep is None:
         # the pool reader recognises a sampled pool without building its risks
-        if portfolio.risks and poisson_pool(portfolio.risks) is not None:
+        if portfolio.risks and poisson_pool(portfolio.risks, kmax) is not None:
             table = allocate_compound_poisson_pool(portfolio.risks, kmax)
         else:
             table = allocate_independent(portfolio.risks, kmax)

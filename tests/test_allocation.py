@@ -46,7 +46,7 @@ from allocgen.models import (
     compound_poisson_risk,
     explicit_risk,
     negative_binomial_risk,
-    negbin_pmf,
+    negbin_rows,
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
@@ -169,8 +169,8 @@ def multi_block_pool(rng, n):
             w = rng.uniform(0.05, 1.0, size=int(rng.integers(2, 12)))
             sev = w / w.sum()
         else:
-            sev = negbin_pmf(float(rng.integers(1, 7)), float(rng.uniform(0.2, 0.9)), 4096)
-            sev = sev[: int(np.flatnonzero(sev)[-1]) + 1]
+            masses, lengths = negbin_rows([float(rng.integers(1, 7))], [float(rng.uniform(0.2, 0.9))], 4096)
+            sev = masses[0, : lengths[0]]
         pool.append(CompoundKatzRisk(KatzParams.poisson(float(rng.uniform(0.05, 0.5))),
                                      pmf_from_values(sev)))
     return pool
@@ -299,6 +299,47 @@ class TestKatzClosedForm:
         for i, lam in enumerate(lams):
             alloc, _ = allocate_katz_closed_form(KatzParams.poisson(lam), table.fs)
             assert np.max(np.abs(alloc - table.rows(i))) <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_negative_binomial_counts_take_the_pool_engine(self, seed):
+        # an NB count is a Poisson number of log-series claims, so beside Poisson random sums
+        # the portfolio is factored, and it agrees with both transform-free oracles
+        rng = np.random.default_rng(seed)
+        risks = [negative_binomial_risk(float(rng.uniform(0.3, 6.0)), float(rng.uniform(0.2, 0.95)))
+                 for _ in range(rng.integers(1, 3))]
+        risks += [compound_poisson_risk(float(rng.uniform(0.1, 1.0)), [0.0, *rng.dirichlet(np.ones(3))])]
+        portfolio, kmax = PortfolioModel(risks=risks), 64
+        table = allocate_portfolio(portfolio, kmax)
+        assert table.factored
+        valid = table.valid_mask
+        assert valid.sum() > 20
+        for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
+            assert np.max(np.abs(table.expected_allocation - want)[:, valid]) <= 1e-10
+
+    def test_negative_binomial_count_row_is_its_closed_form(self):
+        count = negative_binomial_risk(2.5, 0.45)
+        table = allocate_compound_poisson_pool([count, compound_poisson_risk(0.4, [0.0, 0.5, 0.5])], 128)
+        alloc, _ = allocate_katz_closed_form(count.frequency, table.fs)
+        row = table.rows(0)
+        assert np.max(np.abs(alloc - row)) <= 1e-12 * row.max()
+
+    @pytest.mark.parametrize("partner", [BernoulliRisk(3, 0.2), binomial_risk(4, 0.3)], ids=["bernoulli", "binomial"])
+    def test_negative_binomial_count_beside_other_margins_stays_dense(self, partner):
+        table = allocate_portfolio(PortfolioModel(risks=[negative_binomial_risk(2.0, 0.5), partner]), 64)
+        assert not table.factored
+
+    def test_negative_binomial_counts_are_read_one_block_at_a_time(self):
+        # each count's log-series row (all kmax points at q < 0.2) is formed as its block is
+        # read: the run holds a few blocks of rows, not the 1000 rows (about eight blocks)
+        kmax, n = 2**12, 1000
+        rng = np.random.default_rng(3)
+        risks = [negative_binomial_risk(float(r), float(q))
+                 for r, q in zip(rng.uniform(0.01, 0.05, n), rng.uniform(0.05, 0.2, n))]
+        t, peak = traced_peak(lambda: allocate_compound_poisson_pool(risks, kmax))
+        assert t.valid_mask.sum() > 500
+        assert peak < 4 * ROW_BLOCK * kmax * 8
 
     def test_binomial_text_parameterization(self):
         # the b used for binomial counts is (m+1) q/(1-q); the transform path arbitrates

@@ -1,3 +1,4 @@
+import math
 import warnings
 import weakref
 
@@ -26,8 +27,8 @@ from allocgen.models import (
     compound_poisson_risk,
     explicit_risk,
     negative_binomial_risk,
-    negbin_pmf,
     negbin_rows,
+    poisson_claims,
     poisson_pool,
     poisson_risk,
 )
@@ -127,9 +128,15 @@ def full_negbin_recursion(r, q, n):
     return f
 
 
+def negbin_row(r, q, n):
+    """The one row of ``negbin_rows`` for NB(r, q), zero-padded to n points."""
+    masses, _ = negbin_rows([r], [q], n)
+    return np.pad(masses[0], (0, n - masses.shape[1]))
+
+
 class TestNegbinPmf:
     def test_matches_scipy(self):
-        assert np.allclose(negbin_pmf(2.5, 0.45, 64), stats.nbinom.pmf(np.arange(64), 2.5, 0.45))
+        assert np.allclose(negbin_row(2.5, 0.45, 64), stats.nbinom.pmf(np.arange(64), 2.5, 0.45))
 
     @pytest.mark.parametrize(
         "r, q, n",
@@ -141,7 +148,7 @@ class TestNegbinPmf:
         # recursion bit for bit; the subnormal tail becomes exact zeros
         tiny = np.finfo(float).tiny
         full = full_negbin_recursion(r, q, n)
-        got = negbin_pmf(r, q, n)
+        got = negbin_row(r, q, n)
         kept = full >= tiny
         assert np.array_equal(got[kept], full[kept])
         assert np.all(got[~kept] == 0.0)
@@ -163,11 +170,11 @@ class TestNegbinRows:
             assert top >= 1 and row[top - 1] > 0.0
             assert np.array_equal(row[:top], want[:top]), (r, q)
             assert not row[top:].any() and not want[top:].any(), (r, q)
-            assert np.array_equal(negbin_pmf(r, q, n), want), (r, q)
+            assert np.array_equal(negbin_row(r, q, n), want), (r, q)
 
     def test_underflowing_first_mass(self):
         # q^r = 1e-400 is below the float range; the masses around the mean 3600 are not
-        f = negbin_pmf(400.0, 0.1, 8192)
+        f = negbin_row(400.0, 0.1, 8192)
         assert f.sum() == pytest.approx(1.0, abs=1e-12)
         want = stats.nbinom.pmf(np.arange(8192), 400.0, 0.1)
         kept = want > 1e-280
@@ -176,12 +183,51 @@ class TestNegbinRows:
 
     def test_first_mass_beyond_the_scaled_range(self):
         with pytest.raises(KatzDomain, match="q\\^r"):
-            negbin_pmf(2000.0, 0.01, 16)
+            negbin_row(2000.0, 0.01, 16)
 
     @pytest.mark.parametrize("r, q", [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0)])
     def test_domain(self, r, q):
         with pytest.raises(KatzDomain):
             negbin_rows([1.0, r], [0.5, q], 8)
+
+    def test_block_that_stops_early_holds_no_wider_buffer(self):
+        # the block is joined from the chunks it ran, not cut from a buffer over all n columns
+        masses, lengths = negbin_rows([2.0, 3.0], [0.4, 0.5], 4096)
+        assert lengths.max() <= masses.shape[1] < 4096
+        assert masses.base is None
+
+
+class TestPoissonClaims:
+    def test_poisson_random_sum_is_its_own_claims(self):
+        risk = compound_poisson_risk(0.7, [0.0, 0.4, 0.6])
+        rate, masses = poisson_claims(risk, 64)
+        assert rate == 0.7 and masses is risk.severity.masses
+
+    @pytest.mark.parametrize(
+        "r, q, kmax",
+        [(2.0, 0.5, 4096), (1.0, 2.0 / 3.0, 1024), (0.3, 0.9, 64), (5.0, 0.02, 2**16), (3.0, 1e-5, 4096),
+         (1.5, 0.999999, 64), (2.0, 0.5, 1)],
+    )
+    def test_negative_binomial_count_is_poisson_log_series_claims(self, r, q, kmax):
+        # the powers stop where a^j is exactly 0, and the masses are the full-length series' bit for bit;
+        # the rate is -r ln q at the q = 1 - a that the count holds
+        count = negative_binomial_risk(r, q)
+        a = count.frequency.a
+        rate, masses = poisson_claims(count, kmax)
+        j = np.arange(1, kmax, dtype=float)
+        assert np.array_equal(masses, np.append(0.0, a**j / (-j * math.log(1.0 - a))))
+        assert rate == pytest.approx(-r * math.log(1.0 - a), rel=1e-14)
+        if kmax > 1000 and q >= 0.5:
+            assert rate * (j @ masses[1:]) == pytest.approx(count.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "risk",
+        [CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5])),
+         binomial_risk(4, 0.3), BernoulliRisk(3, 0.2), explicit_risk([0.5, 0.5])],
+        ids=["negative_binomial_random_sum", "binomial_count", "bernoulli", "explicit"],
+    )
+    def test_other_risks_are_not_poisson_claims(self, risk):
+        assert poisson_claims(risk, 64) is None
 
 
 class TestPanjerUnderflow:
@@ -344,7 +390,8 @@ def mixed_pool():
 def chain_of_shape(shape):
     """Poisson random sums chained in the order of ``shape``.
 
-    An integer part is that many stored risks, "e" is three of them and "p" a sampled pool of 200.
+    An integer part is that many stored risks, "e" is three of them, "n" three NB counts and "p" a
+    sampled pool of 200.
     """
     rng = np.random.default_rng(len(shape))
     parts = []
@@ -352,6 +399,10 @@ def chain_of_shape(shape):
         if part == "p":
             parts.append(PoissonNegbinPool(rng.exponential(0.1, 200), rng.choice([1, 3, 6], 200),
                                            rng.uniform(0.3, 0.6, 200), 4096))
+            continue
+        if part == "n":
+            parts.append([negative_binomial_risk(float(r), float(q))
+                          for r, q in zip(rng.uniform(0.5, 3.0, 3), rng.uniform(0.3, 0.9, 3))])
             continue
         sizes = rng.integers(2, 30, 3 if part == "e" else part)
         parts.append([compound_poisson_risk(float(rng.exponential(0.1)), [0.0, *rng.dirichlet(np.ones(m))])
@@ -376,8 +427,8 @@ class TestPoolReader:
         # within them and a stored severity its own, as a lone pool and list do)
         explicit, pool = mixed_pool()
         chain = RiskChain(explicit, pool)
-        lam, step_h, blocks = poisson_pool(chain)
-        lam_list, step_list, blocks_list = poisson_pool(list(chain))
+        lam, step_h, blocks = poisson_pool(chain, 4096)
+        lam_list, step_list, blocks_list = poisson_pool(list(chain), 4096)
         assert np.array_equal(lam, lam_list) and step_h == step_list == 1.0
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
@@ -390,15 +441,17 @@ class TestPoolReader:
                 assert np.array_equal(*pad)
 
     @pytest.mark.parametrize(
-        "shape", [(1, "p"), (127, "p"), (128, "p"), (129, "p"), (300, "p"), ("p", "p"), ("e", "p", "e", "p")],
-        ids=["1_stored", "127_stored", "128_stored", "129_stored", "300_stored", "two_pools", "stored_pool_twice"],
+        "shape",
+        [(1, "p"), (127, "p"), (128, "p"), (129, "p"), (300, "p"), ("p", "p"), ("e", "p", "e", "p"), ("n", "p", "e")],
+        ids=["1_stored", "127_stored", "128_stored", "129_stored", "300_stored", "two_pools", "stored_pool_twice",
+             "counts_pool_stored"],
     )
     def test_every_chain_shape_reads_and_allocates_as_its_list(self, shape):
         # each block asks every part it overlaps for exactly its rows there, so the
         # blocks are the list's whatever the parts' lengths, and so are the weights
         chain = chain_of_shape(shape)
-        _, _, blocks = poisson_pool(chain)
-        _, _, blocks_list = poisson_pool(list(chain))
+        _, _, blocks = poisson_pool(chain, 4096)
+        _, _, blocks_list = poisson_pool(list(chain), 4096)
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
                 blocks(columns), blocks_list(columns), strict=True
@@ -417,7 +470,7 @@ class TestPoolReader:
         first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         assert not np.shares_memory(first, second)
-        _, _, blocks = poisson_pool(chain_of_shape(("p",)))
+        _, _, blocks = poisson_pool(chain_of_shape(("p",)), 4096)
         (_, block1, _), (_, block2, _) = blocks()
         assert not np.shares_memory(block1, block2)
 
@@ -431,10 +484,16 @@ class TestPoolReader:
 
     def test_reader_refuses_what_is_not_a_poisson_pool(self):
         explicit, pool = mixed_pool()
-        assert poisson_pool(RiskChain(explicit, [BernoulliRisk(3, 0.2)], pool)) is None
+        assert poisson_pool(RiskChain(explicit, [BernoulliRisk(3, 0.2)], pool), 4096) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
         with pytest.raises(AllocationError, match="different lattice steps"):
-            poisson_pool(RiskChain([half], pool))
+            poisson_pool(RiskChain([half], pool), 4096)
+
+    def test_reader_refuses_negative_binomial_random_sums(self):
+        # an NB count is read as log-series claims; an NB count over another severity is not
+        nb_sum = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
+        assert poisson_pool([negative_binomial_risk(2.0, 0.5)], 64) is not None
+        assert poisson_pool([negative_binomial_risk(2.0, 0.5), nb_sum], 64) is None
 
 
 class TestBernoulliRisk:

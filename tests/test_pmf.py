@@ -109,8 +109,8 @@ class TestMoments:
         # window over 10^4 entries must be summed the same way at any thread count
         script = (
             "import hashlib\n"
-            "from allocgen.models import KatzParams, compound_pmf_panjer, negbin_pmf\n"
-            "sev = negbin_pmf(2.0, 0.0005, 16384)\n"
+            "from allocgen.models import KatzParams, compound_pmf_panjer, negbin_rows\n"
+            "sev = negbin_rows([2.0], [0.0005], 16384)[0][0]\n"
             "for freq in (KatzParams.poisson(3.0), KatzParams.negative_binomial(2.0, 0.4)):\n"
             "    g = compound_pmf_panjer(freq, sev, 20000)\n"
             "    print(hashlib.sha256(g.tobytes()).hexdigest())\n"

@@ -500,6 +500,21 @@ class TestRunScenario:
             assert result.table.n_risks == 300 + len(explicit)
             assert result.table.factored and result.table.valid_mask.sum() > 200
 
+    def test_counts_ahead_of_a_sampled_pool_take_the_pool_engine(self):
+        # an NB or a Poisson count is a Poisson number of claims, so the chain stays factored
+        raw = {
+            "kmax": 2**11,
+            "seed": 11,
+            "model": {"risks": [{"type": "negative_binomial", "r": 2, "q": 0.5}, {"type": "poisson", "lam": 0.7}],
+                      "sampled": {"kind": "compound_poisson_negbin", "count": 300}},
+        }
+        built = build_portfolio(parse_scenario(raw))
+        assert isinstance(built.portfolio.risks, RiskChain)
+        table = allocate_portfolio(built.portfolio, built.kmax)
+        want = allocate_compound_poisson_pool(list(built.portfolio.risks), built.kmax)
+        assert table.factored and table.valid_mask.sum() > 200
+        assert np.array_equal(table.weights, want.weights)
+
     def test_mix_that_is_not_all_poisson_runs_the_independent_engine(self):
         raw = {
             "kmax": 256,
