@@ -8,7 +8,7 @@ family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because their allocation generating function is an explicit
 multiple of the pgf of the full sum; for a Poisson pool that multiple is a
 short polynomial, so its table is kept as two factors, the polynomials' n x J
-coefficients and the Panjer f_S, and every output is a query on them.
+coefficients and one sequence, and every output is a query on them.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -52,7 +52,6 @@ from .errors import (
 from .models import (
     _DOT_CHUNK,
     ROW_BLOCK,
-    CompoundKatzRisk,
     KatzParams,
     RiskModel,
     _chunked_convolve,
@@ -81,8 +80,8 @@ class PortfolioModel:
     are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
     ``models.RiskChain``; the Poisson pool engine streams it, and the other
-    engines iterate it.  Poisson and NB counts take the Poisson pool engine
-    too, as Poisson numbers of claims (``models.poisson_claims``).
+    engines iterate it.  Each margin is routed on its own: Poisson numbers of claims
+    (``models.poisson_claims``) stay in the factored pool, other margins take dense rows.
     """
 
     risks: list = field(default_factory=list)
@@ -95,12 +94,13 @@ class AllocationTable:
 
     The allocation rows, mu_i(k) = E[X_i 1{S = k h}] in payment units, are
     stored as a product W T.  A dense table (``mixture_rows``: independent
-    margins, frailty levels) keeps the n x kmax rows as ``weights`` (T = I).  A
-    factored table (``factored``; a Poisson pool and its regroupings) keeps
-    the n x J weights w_i(j) = lam_i j h f_Bi(j) of its pool, and T[j, k] =
-    f_S(k - j) is the Toeplitz matrix of its own f_S, so no n x kmax array is
-    ever formed.  Every output reads the rows through a small interface that
-    both kinds implement:
+    margins, frailty levels) keeps the n x kmax rows as ``weights`` (T = I,
+    ``seq`` None).  A factored table (a Poisson pool and its regroupings)
+    keeps its pool's weights, and T[j, k] = seq(k - j) is the Toeplitz matrix
+    of ``seq``, the sequence they are convolved with: f_S for a pool alone,
+    f_pool for one beside other margins (``allocate_compound_poisson_pool``).
+    No n x kmax array is formed.  Every output reads the rows through a small
+    interface that both kinds implement:
 
     - ``rows(idx)``: the allocation rows of the given risks;
     - ``band(i1, w)``: the n-vector sum_k mu_i(i1 + k) w(k);
@@ -118,10 +118,9 @@ class AllocationTable:
     clamped: from an inverse transform it can carry negative round-off in the
     deep tail, which is what the validity mask is for; a Poisson pool's comes
     from the Panjer recursion and is non-negative.  For a factored table the
-    identity is Panjer's recursion for f_S, sum_j (1^T W)(j) f_S(k - j) = k h
-    f_S(k).  The ``validation_curve``, ``per_mass(column_sum, fs.masses)``,
-    equals k h wherever results are trustworthy, and the validity mask is
-    derived from it.
+    identity is sum_j (1^T W)(j) seq(k - j) = k h f_S(k).  The
+    ``validation_curve``, ``per_mass(column_sum, fs.masses)``, equals k h
+    wherever results are trustworthy, and the validity mask is derived from it.
     """
 
     fs: DiscretePMF
@@ -132,7 +131,7 @@ class AllocationTable:
     underflow_floor: float
     risk_means: np.ndarray
     truncation: TruncationReport
-    factored: bool = False
+    seq: np.ndarray | None = None
 
     @property
     def n_risks(self) -> int:
@@ -153,13 +152,13 @@ class AllocationTable:
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
 
-        A factored table convolves each chosen row of W with f_S, which costs
-        O(J kmax) per row and builds nothing larger than the answer.
+        A factored table convolves each chosen row of W with ``seq``, which
+        costs O(J kmax) per row and builds nothing larger than the answer.
         """
         w = self.weights[idx]
-        if not self.factored:
+        if self.seq is None:
             return w
-        return _toeplitz_rows(w, self.fs.masses)
+        return _toeplitz_rows(w, self.seq)
 
     def band(self, i1: int, w: np.ndarray) -> np.ndarray:
         """sum_k mu_i(i1 + k) w(k) for every risk i, over the lattice points i1, i1 + 1, ...
@@ -168,17 +167,17 @@ class AllocationTable:
         at a cost of O(J len(w) + n J).  Each row's J terms are summed
         pairwise, which keeps that sum within about eps of its value.  The
         products are formed ROW_BLOCK rows at a time, so the query holds W,
-        f_S and one row block of W, never a second n x J array.  The sum over
+        ``seq`` and one row block of W, never a second n x J array.  The sum over
         k is taken in pieces of at most _DOT_CHUNK entries of ``w``, added in
         order, as ``_toeplitz_rows`` does, so a wide band gives the same sums
         at any BLAS thread count.
         """
         w = np.asarray(w, dtype=float)
-        if not self.factored:
+        if self.seq is None:
             return self.weights[:, i1 : i1 + len(w)] @ w
         width = self.weights.shape[1]
-        # (T w)(j) = sum_k f_S(i1 + k - j) w(k), f_S zero below 0
-        fs = np.pad(self.fs.masses, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
+        # (T w)(j) = sum_k seq(i1 + k - j) w(k), seq zero below 0
+        fs = np.pad(self.seq, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
         tw = np.correlate(fs[: width - 1 + _DOT_CHUNK], w[:_DOT_CHUNK])
         for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
             tw += np.correlate(fs[c : c + width - 1 + _DOT_CHUNK], w[c : c + _DOT_CHUNK])
@@ -240,15 +239,15 @@ def assemble_table(
     step_h: float = 1.0,
     truncation: TruncationReport | None = None,
     support_bound: int | None = None,
-    factored: bool = False,
+    seq: np.ndarray | None = None,
 ) -> AllocationTable:
     """Build the table from a mass vector and per-risk allocation rows.
 
     ``fs`` and ``mu`` are on the index lattice; payment units are restored
-    here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with
-    ``factored``, a pool's n x J weights W whose product with the Toeplitz
-    matrix of ``fs`` gives the rows; the column sum is then the one
-    convolution (1^T W) * f_S.  The table takes ``mu`` over without a copy,
+    here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with a
+    sequence ``seq``, a pool's weights W whose product with the Toeplitz
+    matrix of ``seq`` gives the rows; the column sum is then the one
+    convolution (1^T W) * seq.  The table takes ``mu`` over without a copy,
     scaled to payment units in place.  ``fs`` keeps its negative round-off;
     a mass below -1e-9 is not round-off and raises :class:`InvalidPMF`.  When
     the sum of a dense table has a provable support bound below the buffer
@@ -272,13 +271,13 @@ def assemble_table(
     table = AllocationTable(
         fs=DiscretePMF(fs, step_h),
         weights=mu,
-        column_sum=_toeplitz_rows(mu.sum(axis=0), fs) if factored else mu.sum(axis=0),
+        column_sum=mu.sum(axis=0) if seq is None else _toeplitz_rows(mu.sum(axis=0), seq),
         valid_mask=None,  # mask_validity sets the mask and the two settings
         tolerance_used=None,
         underflow_floor=None,
         risk_means=np.asarray(risk_means, dtype=float),
         truncation=truncation or TruncationReport(kmax=kmax),
-        factored=factored,
+        seq=seq,
     )
     return mask_validity(table)
 
@@ -313,7 +312,7 @@ def regroup(
     so f_S and the truncation report carry over; the allocation rows are
     ``loading @`` the inner ones, and the validation curve and the default
     validity mask are derived afresh from them.  A factored table stays
-    factored, since loading @ (W T) = (loading @ W) T.
+    factored over the same ``seq``, since loading @ (W T) = (loading @ W) T.
     """
     step_h = table.fs.step_h
     mu = loading @ table.weights
@@ -324,7 +323,7 @@ def regroup(
         risk_means,
         step_h=step_h,
         truncation=table.truncation,
-        factored=table.factored,
+        seq=table.seq,
     )
 
 
@@ -358,9 +357,9 @@ def host_memory_bytes() -> int:
 def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
     """ConfigError when n risks on kmax points, at ``bytes_per_point`` each, exceed the host's memory.
 
-    The dense engines call it before they allocate anything of size
-    n x kmax, so a portfolio too large for the host stops with a clean error
-    instead of being killed for want of memory.
+    The engines call it before they allocate anything of size n x kmax, or
+    a pool's weights, so a portfolio too large for the host stops with a
+    clean error instead of being killed for want of memory.
     """
     need, host = n * kmax * bytes_per_point, host_memory_bytes()
     if need > host:
@@ -433,41 +432,40 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
 
-def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int) -> AllocationTable:
-    """Allocation table for independent Poisson random sums, kept as f_S and a banded product's weights.
+def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
+    """Allocation table for independent risks, their Poisson random sums and NB counts kept factored.
 
     For risk i with rate lam_i and severity pmf f_Bi, the allocation
-    generating function is lam_i t P_Bi'(t) P_S(t), a multiple of the pool's
-    own pgf, so
+    generating function is lam_i t P_Bi'(t) P_S(t), a multiple of the pgf of
+    the whole sum whatever the other margins are, so
 
         mu_i(k) = sum_j w_i(j) f_S(k - j),   w_i(j) = lam_i j f_Bi(j),
 
     a sum of non-negative terms.  The table is built in four steps:
 
-    1. f_S by the Panjer recursion of the merged pool, Poisson(Lambda) over
-       sum_i lam_i f_Bi / Lambda with Lambda = sum_i lam_i;
-    2. one transform of the same merged severity, as an independent check of
-       f_S: the largest gap, relative to the peak of f_S, goes into the
-       truncation notes;
+    1. f_pool by the Panjer recursion of the merged pool, Poisson(Lambda)
+       over sum_i lam_i f_Bi / Lambda with Lambda = sum_i lam_i, checked by
+       one transform of the same merged severity (the largest gap, relative
+       to its peak, goes into the truncation notes);
+    2. the other margins (``models.poisson_pool``'s others) by
+       ``allocate_independent``, whose f_S cut after its last non-zero mass
+       is f_rest (L points), and f_S = f_rest * f_pool;
     3. a band width J, certified from the weights and f_S (``_band_width``),
        so that the terms j >= J left out of mu_i(k) sum to at most machine
        epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
-    4. the factored table (W, f_S) with W[i, j] = w_i(j) for j < J: neither
-       T[j, k] = f_S(k - j) nor the n x kmax product W T is formed, and every
-       output is a query on the two factors (``AllocationTable``).
+    4. the factored table over seq = f_pool: W's rows are w_i * f_rest on
+       min(kmax, J + L - 1) points, since mu_i = (w_i * f_rest) * f_pool, and
+       each other margin's own row nu_r, since mu_r = nu_r * f_pool; W T is
+       never formed, and every output is a query on the factors.
 
-    The severities are read twice, ROW_BLOCK rows at a time, and never as a
-    whole.  The first pass collects the merged severity, each row's total,
-    length and first moment (the risk means), and the head and tail sums of
-    the weights at every power-of-two cut that ``_band_width`` needs; the
-    second reads only the first J columns, into W.  The first pass runs in
-    its own function (``_pool_pass1``), so its block buffers are freed before
-    W is allocated; past that point the run holds W, f_S and one block of
-    rows.  ``models.poisson_pool`` reads the blocks, whether ``risks`` is a
-    list of risks, a sampled ``models.PoissonNegbinPool`` or a chain of the
-    two: a sampled pool's severities and NB counts' claims are formed in
-    each pass and never stored per risk, and a severity of a sampled pool
-    with no mass raises KatzDomain here.
+    With no other margin, f_rest = 1 and seq = f_S; with no Poisson claims,
+    the table is ``allocate_independent``'s.  The others' means and
+    truncation report join the pool's.  ``models.poisson_pool`` reads the
+    claims twice, ROW_BLOCK rows at a time and never whole: pass 1
+    (``_pool_pass1``, whose buffers are freed before W is allocated) collects
+    the merged severity, each row's total, length and first moment, and the
+    weights' head and tail sums for ``_band_width``; pass 2 reads only the
+    first J columns, into W.  A sampled severity with no mass raises KatzDomain.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the mean.
@@ -476,9 +474,9 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
         raise EmptyDistribution("empty portfolio")
     pool = poisson_pool(risks, kmax)
     if pool is None:
-        raise KatzDomain("this pipeline handles independent Poisson random sums and NB counts only")
-    lam, step_h, blocks = pool
-    n = len(lam)
+        return allocate_independent(risks, kmax)
+    lam, step_h, blocks, others = pool
+    n, idx = len(lam), list(others)
     # the candidate band widths below kmax; those below the longest severity are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
 
@@ -490,26 +488,41 @@ def allocate_compound_poisson_pool(risks: Sequence[CompoundKatzRisk], kmax: int)
     merged, j = merged[:length], np.arange(length, dtype=float)
     count = KatzParams.poisson(float(lam.sum()))
     mix = merged / (count.b or 1.0)
-    fs = compound_pmf_panjer(count, mix, kmax)
+    fs = seq = compound_pmf_panjer(count, mix, kmax)
     fs_hat = gf.compound_pgf_on_roots(count, gf.dft(np.pad(mix, (0, kmax - length)), half=True))
-    check = float(np.abs(gf.idft(fs_hat, half=True) - fs).max() / fs.max())
+    check = float(np.abs(gf.idft(fs_hat, half=True) - seq).max() / seq.max())
+    means, rest, beside = lam * (step_h * moments), np.ones(1), ""
+    if others:
+        dense = allocate_independent(list(others.values()), kmax)
+        rest = np.trim_zeros(dense.fs.masses, "b")
+        fs = _chunked_convolve(rest, seq, kmax)
+        beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
+        means[idx], totals[idx] = dense.risk_means, 1.0  # the others' lost mass is in their own report
     band = _band_width(fs, cuts, ratios[: len(cuts) - 1])
+    width = min(kmax, band + len(rest) - 1)
+    require_memory(n, width, 8)
 
-    # pass 2: the first J columns, as the weights
-    weights = np.zeros((n, band))
+    # pass 2: the first J columns, as the weights; beside other margins, w_i * f_rest
+    weights = np.zeros((n, width))
     for rows, masses, _ in blocks(band):
-        width = min(masses.shape[1], band)
-        weights[rows, :width] = masses[:, :width] * (lam[rows, None] * j[:width])
+        cols = min(masses.shape[1], band)
+        weights[rows, :cols] = masses[:, :cols] * (lam[rows, None] * j[:cols])
+        if others:
+            weights[rows] = _toeplitz_rows(weights[rows, :band], np.pad(rest, (0, width - len(rest))))
 
-    means = lam * (step_h * moments)
     # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(float(j**2 @ merged))
     reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
-    band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S"
+    band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S{beside}"
     trunc = _aliasing_report(kmax, totals, np.minimum(lengths, kmax), "severity", reasons, [band_note])
-    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, factored=True)
+    if others:
+        weights[idx, : len(rest)] += dense.weights[:, : len(rest)] / step_h
+        own = dense.truncation
+        trunc = TruncationReport(kmax, trunc.lost_mass + own.lost_mass, aliasing_risk=trunc.aliasing_risk
+                                 or own.aliasing_risk, notes=trunc.notes + own.notes)
+    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, seq=seq)
 
 
 def _pool_pass1(blocks, lam: np.ndarray, kmax: int, powers: Sequence[int]):

@@ -10,8 +10,8 @@ from the counting recursion, except over binomial counts, whose recursion
 is unstable for q > 1/2 and which are expanded by repeated squaring
 instead.  A sampled pool of Poisson random sums with negative-binomial
 severities is held as its draws (``PoissonNegbinPool``) and builds its
-risks only when asked; ``poisson_pool`` reads any pool of Poisson random
-sums and NB counts (``poisson_claims``), stored or sampled, block by block.
+risks only when asked; ``poisson_pool`` reads the Poisson claims
+(``poisson_claims``) of any portfolio, stored or sampled, block by block.
 """
 
 from __future__ import annotations
@@ -542,11 +542,14 @@ def poisson_claims(risk, kmax: int) -> Optional[tuple[float, np.ndarray]]:
 
 
 def poisson_pool(risks: Iterable, kmax: int):
-    """The rates, lattice step and claim blocks of ``risks``, or None unless each is a Poisson number of claims.
+    """The rates, lattice step, claim blocks and other margins of ``risks``; None if none is Poisson claims.
 
-    This is how the Poisson pool engine reads a pool, whatever holds it: a
-    list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both, and
-    the one code that walks a chain's parts.  ``blocks(columns=None)`` walks
+    This is how the Poisson pool engine reads a portfolio, whatever holds
+    it: a list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both,
+    and the one code that walks a chain's parts.  A margin ``poisson_claims``
+    does not take is an other margin: rate 0 and a zero row (of length 0) in
+    every block, so rows keep their order; ``others`` maps its index to it.
+    The set-up forms no claim masses.  ``blocks(columns=None)`` walks
     the blocks of ROW_BLOCK rows that the same risks in one list give, and
     yields each as ``(rows, masses, lengths)`` over the first ``columns``
     claim sizes (default: all of the longest), as ``negbin_rows`` gives
@@ -554,29 +557,33 @@ def poisson_pool(risks: Iterable, kmax: int):
     sampled pool by its row recursion, with no risk built, and listed risks
     by ``poisson_claims`` on ``kmax`` points (the transform length), a fresh
     copy zero-padded to the part's longest.  A block that spans parts joins
-    their rows, zero-padded to the widest.  The lattice step is taken from
-    the parts too (a sampled pool's is 1); different steps raise
+    their rows, zero-padded to the widest.  A stored part's lattice step is
+    ``common_step``'s (a sampled pool's is 1); different steps raise
     AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
-    lam, reads, steps = [], [], set()
+    lam, reads, steps, others = [], [], set(), {}
     for part in parts:
         if isinstance(part, PoissonNegbinPool):
             lam.append(part.lam)
             reads.append(part.severity_rows)
             steps.add(1.0)
             continue
-        rates, longest = [], 0
-        for risk in part:
-            claims = poisson_claims(risk, kmax)
+        rates, longest = [], 1  # a block of other margins alone still has one column
+        for i, risk in enumerate(part, sum(map(len, lam))):
+            claims = poisson_claims(risk, 1)  # the rate; an NB count's claims run to kmax, unformed here
             if claims is None:
-                return None
+                others[i] = risk
+                rates.append(0.0)
+                continue
             rates.append(claims[0])
-            longest = max(longest, len(claims[1]))
+            longest = max(longest, kmax if risk.frequency.a else len(claims[1]))
         lam.append(np.array(rates, dtype=float))
         reads.append(partial(_stored_severity_rows, part, kmax, longest))
-        steps.update(r.severity.step_h for r in part)
+        steps.add(common_step(part))
     starts = list(itertools.accumulate(map(len, parts), initial=0))
+    if len(others) == starts[-1]:
+        return None
 
     def blocks(columns: Optional[int] = None):
         for lo in range(0, starts[-1], ROW_BLOCK):
@@ -590,7 +597,7 @@ def poisson_pool(risks: Iterable, kmax: int):
 
     if len(steps) > 1:
         raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
-    return np.concatenate(lam), steps.pop(), blocks
+    return np.concatenate(lam), steps.pop(), blocks, others
 
 
 def common_step(risks: Iterable) -> float:
@@ -622,11 +629,11 @@ def _stored_severity_rows(risks: Sequence, kmax: int, longest: int, rows: slice,
     """The claims (``poisson_claims``) of ``risks[rows]``, a fresh copy zero-padded to ``longest`` points (or ``columns``)."""
     chosen = risks[rows]
     width = longest if columns is None else columns
-    masses, lengths = np.zeros((len(chosen), width)), np.empty(len(chosen), dtype=int)
+    masses, lengths = np.zeros((len(chosen), width)), np.zeros(len(chosen), dtype=int)
     for i, risk in enumerate(chosen):
-        claims = poisson_claims(risk, min(kmax, width))[1]
-        masses[i, : len(claims)] = claims[:width]
-        lengths[i] = len(claims)
+        claims = poisson_claims(risk, min(kmax, width)) or (0.0, ())  # an other margin has none
+        masses[i, : len(claims[1])] = claims[1][:width]
+        lengths[i] = len(claims[1])
     return masses, lengths
 
 

@@ -61,7 +61,6 @@ from .allocation import (
     DEFAULT_UNDERFLOW_FLOOR,
     AllocationTable,
     PortfolioModel,
-    allocate_independent,
     cumulative_and_layers,
     allocate_compound_poisson_pool,
     mask_validity,
@@ -95,7 +94,6 @@ from .models import (
     PoissonNegbinPool,
     RiskChain,
     bernoulli_margins,
-    poisson_pool,
 )
 from .pmf import arithmetize, next_pow2, pmf_from_values
 from .tails import pareto_cdf, pareto_lev
@@ -498,17 +496,14 @@ def allocate_portfolio(
 ) -> AllocationTable:
     """Dispatch to the right allocation pipeline for the dependence regime.
 
-    The engines compute at fixed accuracy targets; this is the one place that
-    applies the caller's ``tolerance`` and ``underflow_floor``, through
-    ``mask_validity``.
+    Independent margins all go to ``allocate_compound_poisson_pool``, which
+    routes each margin itself.  The engines compute at fixed accuracy
+    targets; this is the one place that applies the caller's ``tolerance``
+    and ``underflow_floor``, through ``mask_validity``.
     """
     dep = portfolio.dependence
     if dep is None:
-        # the pool reader recognises a sampled pool without building its risks
-        if portfolio.risks and poisson_pool(portfolio.risks, kmax) is not None:
-            table = allocate_compound_poisson_pool(portfolio.risks, kmax)
-        else:
-            table = allocate_independent(portfolio.risks, kmax)
+        table = allocate_compound_poisson_pool(portfolio.risks, kmax)
     elif isinstance(dep, HierarchicalShockSpec):
         table = shock_allocation_table(dep, kmax)
     elif isinstance(dep, GammaMixtureSpec):

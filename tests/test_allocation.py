@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocgen import gf
+from allocgen import allocation, gf
 from allocgen.allocation import (
     PortfolioModel,
     allocate_independent,
@@ -26,6 +26,7 @@ from allocgen.allocation import (
 from allocgen.errors import (
     AliasingRisk,
     AllocationError,
+    ConfigError,
     EmptyDistribution,
     InvalidLayer,
     InvalidPMF,
@@ -49,9 +50,10 @@ from allocgen.models import (
     negbin_rows,
     poisson_risk,
 )
-from allocgen.pmf import pmf_from_values
+from allocgen.pmf import arithmetize, pmf_from_values
 from allocgen.risk_measures import RVaRLevels, euler_rvar_contributions, rvar
-from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, sample_risks
+from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, parse_scenario, run_scenario, sample_risks
+from allocgen.tails import pareto_cdf, pareto_lev
 from reference import banded_product_blocked
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
@@ -290,7 +292,7 @@ class TestKatzClosedForm:
         lams = (0.7, 1.3)
         risks = [poisson_risk(lam) for lam in lams] + [compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
         table = allocate_portfolio(PortfolioModel(risks=risks), 32)
-        assert table.factored
+        assert table.seq is not None
         oracle = oracle_enumerate(PortfolioModel(risks=risks), 32)
         valid = table.valid_mask
         assert valid.sum() > 10
@@ -312,7 +314,7 @@ class TestKatzClosedForm:
         risks += [compound_poisson_risk(float(rng.uniform(0.1, 1.0)), [0.0, *rng.dirichlet(np.ones(3))])]
         portfolio, kmax = PortfolioModel(risks=risks), 64
         table = allocate_portfolio(portfolio, kmax)
-        assert table.factored
+        assert table.seq is not None
         valid = table.valid_mask
         assert valid.sum() > 20
         for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
@@ -326,9 +328,14 @@ class TestKatzClosedForm:
         assert np.max(np.abs(alloc - row)) <= 1e-12 * row.max()
 
     @pytest.mark.parametrize("partner", [BernoulliRisk(3, 0.2), binomial_risk(4, 0.3)], ids=["bernoulli", "binomial"])
-    def test_negative_binomial_count_beside_other_margins_stays_dense(self, partner):
-        table = allocate_portfolio(PortfolioModel(risks=[negative_binomial_risk(2.0, 0.5), partner]), 64)
-        assert not table.factored
+    def test_negative_binomial_count_beside_other_margins_stays_factored(self, partner):
+        # the other margin takes its own dense row, and the table stays one product over f_pool
+        risks = [negative_binomial_risk(2.0, 0.5), partner]
+        table = allocate_portfolio(PortfolioModel(risks=risks), 64)
+        assert table.seq is not None
+        valid = table.valid_mask
+        assert valid.sum() > 20
+        assert np.max(np.abs(table.expected_allocation - oracle_size_biased_rows(risks, 64))[:, valid]) <= 1e-10
 
     def test_negative_binomial_counts_are_read_one_block_at_a_time(self):
         # each count's log-series row (all kmax points at q < 0.2) is formed as its block is
@@ -585,10 +592,13 @@ class TestAlgorithmOne:
             left_out = np.convolve(np.where(np.arange(len(w)) >= band, w, 0.0), t.fs.masses)[:kmax]
             assert np.all(left_out[above] <= np.finfo(float).eps * full[above])
 
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
     def test_rejects_non_poisson_counts(self):
+        # with no Poisson number of claims in the portfolio, the table is the independent engine's
         bad = CompoundKatzRisk(KatzParams.negative_binomial(2, 0.5), pmf_from_values([0, 1.0]))
-        with pytest.raises(KatzDomain):
-            allocate_compound_poisson_pool([bad], 16)
+        t, want = allocate_compound_poisson_pool([bad], 16), allocate_independent([bad], 16)
+        assert t.seq is None and np.array_equal(t.weights, want.weights)
+        assert np.array_equal(t.fs.masses, want.fs.masses)
 
     def test_total_allocation_recovers_mean(self):
         risk = CompoundKatzRisk(
@@ -699,9 +709,11 @@ class TestOracles:
 
 
 def factored_table(name, scenario_dir):
-    """A Poisson-pool table: a shipped pool scenario's, or a 300-risk sampled pool's."""
-    if name == "pool300":
+    """A Poisson-pool table: a shipped pool scenario's, a 300-risk sampled pool's, or that pool's after two other margins."""
+    if name.startswith("pool300"):
         pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11)
+        if name == "pool300_mixed":
+            pool = RiskChain([BernoulliRisk(3, 0.2), binomial_risk(4, 0.3)], pool)
         return allocate_compound_poisson_pool(pool, 2**11)
     built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
     return allocate_portfolio(built.portfolio, built.kmax)
@@ -729,11 +741,11 @@ class TestFactoredTable:
     compared with the same prefix sums of the product rounded to doubles.
     """
 
-    @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300"))
+    @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300", "pool300_mixed"))
     def test_queries_match_the_dense_product(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
-        assert t.factored and t.weights.shape[1] < t.kmax
-        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.fs.masses.astype(np.longdouble))
+        assert t.seq is not None and t.weights.shape[1] < t.kmax
+        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.seq.astype(np.longdouble))
         scale = np.abs(mu).max(axis=1)
         n = t.n_risks
 
@@ -765,9 +777,9 @@ class TestFactoredTable:
     @pytest.mark.parametrize("name", ("small_pool", "pool300"))
     def test_regroup_keeps_the_table_factored(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
-        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.fs.masses.astype(np.longdouble))
+        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.seq.astype(np.longdouble))
         dense = assemble_table(t.fs.masses, mu.astype(float), t.risk_means)
-        assert not dense.factored
+        assert dense.seq is None
         # two risks: the first half of the pool and the rest, with one piece shared
         n = t.n_risks
         loading = np.zeros((2, n))
@@ -776,7 +788,7 @@ class TestFactoredTable:
         loading[:, 0] = 0.5
         means = loading @ t.risk_means
         a, b = regroup(t, loading, means), regroup(dense, loading, means)
-        assert a.factored and a.weights.shape == (2, t.weights.shape[1])
+        assert a.seq is not None and a.weights.shape == (2, t.weights.shape[1])
         # both within 4 eps of each row's scale of the regrouped product in extended precision
         want = loading @ mu
         scale = want.max(axis=1, keepdims=True)
@@ -792,7 +804,7 @@ class TestFactoredTable:
             compound_poisson_risk(0.4, pmf_from_values([0.0, 0.3, 0.7], step_h=0.5)),
         ]
         t, dense = allocate_compound_poisson_pool(pool, 64), allocate_independent(pool, 64)
-        assert t.factored and t.fs.step_h == 0.5
+        assert t.seq is not None and t.fs.step_h == 0.5
         assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)) <= 1e-15
         assert t.rows(1).sum() == pytest.approx(pool[1].mean(), rel=1e-14)
         assert t.identity_deviation() <= 1e-15
@@ -829,3 +841,107 @@ class TestFactoredTable:
         block = ROW_BLOCK * pool.severity_length * 8  # one NB mass buffer
         assert t.weights.nbytes > 3 * block
         assert peak <= t.weights.nbytes + block
+
+
+class TestPoolBesideOtherMargins:
+    """A Poisson pool beside margins that are not Poisson numbers of claims stays one product over f_pool."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_matches_both_oracles(self, seed):
+        # one or two Poisson random sums, Poisson counts or NB counts beside one to three other
+        # margins, in random order; at most two margins are unbounded, so enumeration stays small
+        rng = np.random.default_rng(seed)
+        pool = (
+            lambda: compound_poisson_risk(float(rng.uniform(0.5, 1.5)), [0.0, *rng.dirichlet(np.ones(3))]),
+            lambda: poisson_risk(float(rng.uniform(0.5, 1.5))),
+            lambda: negative_binomial_risk(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.3, 0.8))),
+        )
+        others = (
+            lambda: BernoulliRisk(int(rng.integers(1, 6)), float(rng.uniform(0.05, 0.95))),
+            lambda: binomial_risk(int(rng.integers(1, 5)), float(rng.uniform(0.1, 0.9))),
+            lambda: explicit_risk(rng.dirichlet(np.ones(int(rng.integers(2, 5))))),
+            lambda: CompoundKatzRisk(KatzParams.negative_binomial(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.6, 0.9))),
+                                     pmf_from_values([0.0, *rng.dirichlet(np.ones(2))])),
+        )
+        n_pool = int(rng.integers(1, 3))
+        kinds = rng.integers(0, 3, rng.integers(1, 4))
+        if n_pool == 1 and rng.random() < 0.5:
+            kinds[0] = 3  # the NB random sum
+        margins = [pool[k]() for k in rng.integers(0, 3, n_pool)] + [others[k]() for k in kinds]
+        risks = [margins[i] for i in rng.permutation(len(margins))]
+        portfolio, kmax = PortfolioModel(risks=risks), 64
+        table = allocate_portfolio(portfolio, kmax)
+        assert table.seq is not None
+        valid = table.valid_mask
+        assert valid.sum() > 10
+        for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
+            assert np.max(np.abs(table.expected_allocation - want)[:, valid]) <= 1e-10
+
+    def test_bernoulli_beside_a_pool_is_its_exact_reference(self):
+        # f_S = 0.8 f_pool(k) + 0.2 f_pool(k - 3), and the Bernoulli row is 0.6 f_pool(k - 3)
+        kmax = 2**13
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 1000}, 20260810, kmax)
+        t = allocate_compound_poisson_pool(RiskChain([BernoulliRisk(3, 0.2)], pool), kmax)
+        f = allocate_compound_poisson_pool(pool, kmax).fs.masses
+        shifted = np.pad(f, (3, 0))[:kmax]
+        fs, mu = 0.8 * f + 0.2 * shifted, 0.6 * shifted
+        valid = t.valid_mask
+        assert valid.sum() >= 572 and t.identity_deviation() <= 1e-14
+        assert np.max(np.abs(t.fs.masses - fs)[valid] / fs[valid]) <= 1e-14
+        row = t.rows(0)
+        assert np.all(row[:3] == 0.0)
+        assert np.max(np.abs(row - mu)[valid & (mu > 0)] / mu[valid & (mu > 0)]) <= 1e-14
+        assert t.truncation.notes[0].endswith("; beside 1 other margin over 4 points")
+
+    def test_mixed_chain_writes_the_csvs_of_its_list(self, tmp_path):
+        # a Bernoulli risk, a compound Poisson risk and a binomial count ahead of a sampled pool,
+        # against the same risks as explicit entries
+        explicit = [{"type": "bernoulli", "b": 3, "q": 0.2},
+                    {"type": "compound_poisson", "lam": 0.5, "severity": [0.0, 1.0]},
+                    {"type": "binomial", "m": 4, "q": 0.4}]
+        sampled = {"kind": "compound_poisson_negbin", "count": 300}
+        pool = sample_risks(sampled, 11, 2**11)
+        listed = explicit + [{"type": "compound_poisson_negbin", "lam": lam, "r": r, "q": q}
+                             for lam, r, q in zip(pool.lam.tolist(), pool.r.tolist(), pool.q.tolist())]
+        outputs = {"risk_columns": [1, 2, 3, 4, 303], "pmf_of_conditional_means": [1, 3, 303]}
+        outs = []
+        for name, model in (("chain", {"risks": explicit, "sampled": sampled}), ("listed", {"risks": listed})):
+            raw = {"kmax": 2**11, "seed": 11, "model": model, "outputs": outputs}
+            result = run_scenario(parse_scenario(raw, name=name), tmp_path / name)
+            assert result.table.seq is not None
+            outs.append(tmp_path / name)
+        for path in sorted(p.name for p in outs[0].glob("*.csv")):
+            a, b = ([line for line in (d / path).read_text().splitlines() if not line.startswith("#")] for d in outs)
+            assert a == b, path
+
+    def test_a_row_block_of_other_margins_alone(self):
+        # 130 Bernoulli risks ahead of a sampled pool: the first row block holds no claims at all
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 50}, 3, 512)
+        risks = RiskChain([BernoulliRisk(1 + i % 3, 0.01) for i in range(130)], pool)
+        t, dense = allocate_compound_poisson_pool(risks, 512), allocate_independent(list(risks), 512)
+        valid = t.valid_mask & dense.valid_mask
+        assert t.seq is not None and valid.sum() > 100
+        assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-10
+
+    def test_others_truncation_reaches_the_report(self):
+        # a Pareto margin's lost mass and aliasing flag join the pool's report, its note once
+        kmax = 2**13
+        pareto = ExplicitRisk(arithmetize(pareto_cdf(1.6, 6.0), pareto_lev(1.6, 6.0), 4096)[0])
+        with pytest.warns(AliasingRisk):
+            own = allocate_independent([pareto], kmax).truncation
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 100}, 20260810, kmax)
+        with pytest.warns(AliasingRisk):
+            t = allocate_compound_poisson_pool(RiskChain(pool, [pareto]), kmax)
+        assert own.aliasing_risk and t.truncation.aliasing_risk
+        assert t.truncation.lost_mass == own.lost_mass == pytest.approx(2.914e-05, rel=1e-3)
+        assert t.truncation.notes[1:] == own.notes
+        assert t.risk_means[-1] == pareto.mean()
+
+    def test_oversized_weights_stop_with_a_config_error(self, monkeypatch):
+        # the others' dense table fits, the n x (J + L - 1) weights do not
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 64)
+        monkeypatch.setattr(allocation, "host_memory_bytes", lambda: 4000)
+        with pytest.raises(ConfigError, match="301 risks at kmax"):
+            allocate_compound_poisson_pool(RiskChain([BernoulliRisk(3, 0.2)], pool), 64)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from allocgen import gf
-from allocgen.allocation import allocate_compound_poisson_pool, allocate_independent
+from allocgen import gf, models
+from allocgen.allocation import PortfolioModel, allocate_compound_poisson_pool, allocate_independent
 from allocgen.errors import AllocationError, InvalidMarginal, KatzDomain
 from allocgen.models import (
     _DOT_CHUNK,
@@ -33,6 +33,7 @@ from allocgen.models import (
     poisson_risk,
 )
 from allocgen.pmf import pmf_from_values
+from allocgen.scenario import allocate_portfolio
 from reference import compound_pmf_panjer_loop, negbin_pmf_per_risk, poisson_pmf_direct
 
 
@@ -228,6 +229,24 @@ class TestPoissonClaims:
     )
     def test_other_risks_are_not_poisson_claims(self, risk):
         assert poisson_claims(risk, 64) is None
+
+    def test_negative_binomial_rows_are_formed_once_per_pass(self, monkeypatch):
+        # the reader's set-up takes rates and lengths only, and it runs once per allocation, so
+        # each NB count's log-series row is formed in pass 1 and again over the band in pass 2
+        formed, rule = [], models.poisson_claims
+
+        def counted(risk, kmax):
+            claims = rule(risk, kmax)
+            if claims is not None and risk.frequency.a > 0.0 and len(claims[1]) > 1:
+                formed.append(risk)
+            return claims
+
+        monkeypatch.setattr(models, "poisson_claims", counted)
+        counts = [negative_binomial_risk(2.0, 0.5), negative_binomial_risk(1.0, 0.6)]
+        risks = [*counts, compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
+        table = allocate_portfolio(PortfolioModel(risks=risks), 256)
+        assert table.seq is not None and table.valid_mask.sum() > 40
+        assert formed == counts * 2
 
 
 class TestPanjerUnderflow:
@@ -427,8 +446,8 @@ class TestPoolReader:
         # within them and a stored severity its own, as a lone pool and list do)
         explicit, pool = mixed_pool()
         chain = RiskChain(explicit, pool)
-        lam, step_h, blocks = poisson_pool(chain, 4096)
-        lam_list, step_list, blocks_list = poisson_pool(list(chain), 4096)
+        lam, step_h, blocks, _ = poisson_pool(chain, 4096)
+        lam_list, step_list, blocks_list, _ = poisson_pool(list(chain), 4096)
         assert np.array_equal(lam, lam_list) and step_h == step_list == 1.0
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
@@ -450,8 +469,8 @@ class TestPoolReader:
         # each block asks every part it overlaps for exactly its rows there, so the
         # blocks are the list's whatever the parts' lengths, and so are the weights
         chain = chain_of_shape(shape)
-        _, _, blocks = poisson_pool(chain, 4096)
-        _, _, blocks_list = poisson_pool(list(chain), 4096)
+        _, _, blocks, _ = poisson_pool(chain, 4096)
+        _, _, blocks_list, _ = poisson_pool(list(chain), 4096)
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
                 blocks(columns), blocks_list(columns), strict=True
@@ -470,7 +489,7 @@ class TestPoolReader:
         first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         assert not np.shares_memory(first, second)
-        _, _, blocks = poisson_pool(chain_of_shape(("p",)), 4096)
+        _, _, blocks, _ = poisson_pool(chain_of_shape(("p",)), 4096)
         (_, block1, _), (_, block2, _) = blocks()
         assert not np.shares_memory(block1, block2)
 
@@ -483,8 +502,17 @@ class TestPoolReader:
         assert ref() is None
 
     def test_reader_refuses_what_is_not_a_poisson_pool(self):
+        # a margin that is not Poisson claims comes back by index, with rate 0 and a zero row
+        # in every block; a portfolio with none that is, as None
         explicit, pool = mixed_pool()
-        assert poisson_pool(RiskChain(explicit, [BernoulliRisk(3, 0.2)], pool), 4096) is None
+        bernoulli = BernoulliRisk(3, 0.2)
+        lam, _, blocks, others = poisson_pool(RiskChain(explicit, [bernoulli], pool), 4096)
+        at = len(explicit)
+        assert others == {at: bernoulli} and len(lam) == 303 and lam[at] == 0.0
+        for columns in (None, 64):
+            _, masses, lengths = next(blocks(columns))
+            assert lengths[at] == 0 and not masses[at].any() and masses[at - 1].any()
+        assert poisson_pool([bernoulli, explicit_risk([0.5, 0.5]), binomial_risk(4, 0.3)], 64) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
         with pytest.raises(AllocationError, match="different lattice steps"):
             poisson_pool(RiskChain([half], pool), 4096)
@@ -493,7 +521,7 @@ class TestPoolReader:
         # an NB count is read as log-series claims; an NB count over another severity is not
         nb_sum = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
         assert poisson_pool([negative_binomial_risk(2.0, 0.5)], 64) is not None
-        assert poisson_pool([negative_binomial_risk(2.0, 0.5), nb_sum], 64) is None
+        assert poisson_pool([negative_binomial_risk(2.0, 0.5), nb_sum], 64)[3] == {1: nb_sum}
 
 
 class TestBernoulliRisk:

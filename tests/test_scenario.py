@@ -402,7 +402,7 @@ class TestRunScenario:
     def test_allocations_csv_reads_each_row_once(self, scenario_dir, tmp_path, name, factored):
         built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
         table = allocate_portfolio(built.portfolio, built.kmax)
-        assert table.factored == factored
+        assert (table.seq is not None) == factored
         columns = [table.n_risks - 1, 0, 2]
         rows, reads = table.rows, []
 
@@ -452,7 +452,7 @@ class TestRunScenario:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.table.factored and result.table.valid_mask.sum() > 500
+        assert result.table.seq is not None and result.table.valid_mask.sum() > 500
         assert peak < dense_bytes / 10
         assert "allocations.csv" in {p.name for p in result.paths}
 
@@ -482,13 +482,15 @@ class TestRunScenario:
         assert peak < severity_bytes / 5
 
     def test_sampled_pool_run_builds_no_risk(self, tmp_path, monkeypatch):
-        # every output of a sampled pool, alone or after an explicit risk, comes from the engine's blocks
+        # every output of a sampled pool, alone or after an explicit risk (a Poisson random sum or
+        # an other margin), comes from the engine's blocks
         def refuse(self):
             raise AssertionError("the pool's risks were built")
 
         monkeypatch.setattr(PoissonNegbinPool, "__iter__", refuse)
         monkeypatch.setattr(PoissonNegbinPool, "__getitem__", refuse)
-        for explicit in ([], [{"type": "compound_poisson", "lam": 0.5, "severity": [0.0, 1.0]}]):
+        for i, explicit in enumerate(([], [{"type": "compound_poisson", "lam": 0.5, "severity": [0.0, 1.0]}],
+                                      [{"type": "bernoulli", "b": 3, "q": 0.2}])):
             raw = {
                 "kmax": 2**11,
                 "seed": 11,
@@ -496,9 +498,9 @@ class TestRunScenario:
                 "outputs": {"rvar_levels": [[0.9, 0.99]], "layers": [100, 200],
                             "pmf_of_conditional_means": [1]},
             }
-            result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path / f"explicit{len(explicit)}")
+            result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path / f"run{i}")
             assert result.table.n_risks == 300 + len(explicit)
-            assert result.table.factored and result.table.valid_mask.sum() > 200
+            assert result.table.seq is not None and result.table.valid_mask.sum() > 200
 
     def test_counts_ahead_of_a_sampled_pool_take_the_pool_engine(self):
         # an NB or a Poisson count is a Poisson number of claims, so the chain stays factored
@@ -512,10 +514,12 @@ class TestRunScenario:
         assert isinstance(built.portfolio.risks, RiskChain)
         table = allocate_portfolio(built.portfolio, built.kmax)
         want = allocate_compound_poisson_pool(list(built.portfolio.risks), built.kmax)
-        assert table.factored and table.valid_mask.sum() > 200
+        assert table.seq is not None and table.valid_mask.sum() > 200
         assert np.array_equal(table.weights, want.weights)
 
-    def test_mix_that_is_not_all_poisson_runs_the_independent_engine(self):
+    def test_mix_that_is_not_all_poisson_stays_factored(self):
+        # the Bernoulli risk is the one other margin: the chain reads as its list, and the
+        # table stays one product over f_pool that agrees with the independent engine
         raw = {
             "kmax": 256,
             "seed": 3,
@@ -526,24 +530,29 @@ class TestRunScenario:
         risks = built.portfolio.risks
         assert isinstance(risks, RiskChain) and len(risks) == 6
         table = allocate_portfolio(built.portfolio, built.kmax)
-        want = allocate_independent(list(risks), built.kmax)
-        assert not table.factored and np.array_equal(table.weights, want.weights)
+        want = allocate_compound_poisson_pool(list(risks), built.kmax)
+        assert table.seq is not None and np.array_equal(table.weights, want.weights)
+        dense = allocate_independent(list(risks), built.kmax)
+        valid = table.valid_mask & dense.valid_mask
+        assert valid.sum() > 50
+        assert np.max(np.abs(table.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-10
 
     def test_chain_through_the_independent_engine_over_several_row_blocks(self, monkeypatch):
-        # the list in one dense block, then the chain at two rows per block: its margins
-        # are read by three blocks in turn, and each must get its own rows
+        # a chain with no Poisson claims runs the dense engine: the list in one dense block,
+        # then the chain at two rows per block, so its margins are read by three blocks in
+        # turn, and each must get its own rows
         raw = {
             "kmax": 256,
             "seed": 3,
             "model": {"risks": [{"type": "bernoulli", "b": 3, "q": 0.2}],
-                      "sampled": {"kind": "compound_poisson_negbin", "count": 5}},
+                      "sampled": {"kind": "bernoulli_extras", "count": 5}},
         }
         built = build_portfolio(parse_scenario(raw))
         want = allocate_independent(list(built.portfolio.risks), built.kmax)
         monkeypatch.setattr(allocation, "BLOCK_BYTES", 2 * 16 * 256)
         assert len(allocation.row_blocks(len(built.portfolio.risks), built.kmax)) == 3
         table = allocate_portfolio(built.portfolio, built.kmax)
-        assert not table.factored and np.array_equal(table.weights, want.weights)
+        assert table.seq is None and np.array_equal(table.weights, want.weights)
         assert np.array_equal(table.fs.masses, want.fs.masses)
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
