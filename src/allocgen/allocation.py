@@ -8,7 +8,9 @@ family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because their allocation generating function is an explicit
 multiple of the pgf of the full sum; for a Poisson pool that multiple is a
 short polynomial, so its table is kept as two factors, the polynomials' n x J
-coefficients and one sequence, and every output is a query on them.
+coefficients and one sequence, and every output is a query on them; the
+coefficients are formed from the pool's claims whenever a query reads them,
+a block of rows at a time, and never stored.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -95,20 +97,24 @@ class AllocationTable:
     The allocation rows, mu_i(k) = E[X_i 1{S = k h}] in payment units, are
     stored as a product W T.  A dense table (``mixture_rows``: independent
     margins, frailty levels) keeps the n x kmax rows as ``weights`` (T = I,
-    ``seq`` None).  A factored table (a Poisson pool and its regroupings)
-    keeps its pool's weights, and T[j, k] = seq(k - j) is the Toeplitz matrix
-    of ``seq``, the sequence they are convolved with: f_S for a pool alone,
-    f_pool for one beside other margins (``allocate_compound_poisson_pool``).
-    No n x kmax array is formed.  Every output reads the rows through a small
-    interface that both kinds implement:
+    ``seq`` None).  A factored table has n x J weights, and T[j, k] =
+    seq(k - j) is the Toeplitz matrix of ``seq`` = f_S.  A Poisson pool's
+    weights are its ``PoolWeights``, which forms any row block of W when
+    asked and stores none; a regrouped pool keeps its few rows as an array.
+    Both serve ``shape`` and row slices, and the queries read W ROW_BLOCK
+    rows at a time.  Margins beside a pool that are not Poisson claims have
+    zero weights; their own dense rows are ``dense_rows`` (their indices, in
+    order, and the rows), added to the product's.  Every output reads the
+    rows through a small interface:
 
-    - ``rows(idx)``: the allocation rows of the given risks;
-    - ``band(i1, w)``: the n-vector sum_k mu_i(i1 + k) w(k);
+    - ``rows(idx)``: the allocation rows of the given risks, read from the
+      blocks that hold them;
+    - ``bands(requests)``: for each (i1, w), the n-vector sum_k mu_i(i1 + k) w(k),
+      all from one pass over the blocks (``band`` for one);
     - ``column_sum``: sum_i mu_i(k), formed once at assembly;
     - ``conditional_mean_at(k)``: E[X_i | S = k h], column k over f_S(k);
-    - ``expected_allocation``: every row, the stored array of a dense table
-      and a fresh product W T of a factored one, for tests, reproductions
-      and oracles; ``allocgen run`` never reads it.
+    - ``expected_allocation``: every row, for tests, reproductions and
+      oracles; ``allocgen run`` never reads it.
 
     Callers derive the rest from rows they hold: the cumulative allocation is
     their prefix sum, the conditional mean ``per_mass(rows, fs.masses)``.
@@ -118,13 +124,13 @@ class AllocationTable:
     clamped: from an inverse transform it can carry negative round-off in the
     deep tail, which is what the validity mask is for; a Poisson pool's comes
     from the Panjer recursion and is non-negative.  For a factored table the
-    identity is sum_j (1^T W)(j) seq(k - j) = k h f_S(k).  The
+    column sum is (1^T W) * seq plus the dense rows' sum.  The
     ``validation_curve``, ``per_mass(column_sum, fs.masses)``, equals k h
     wherever results are trustworthy, and the validity mask is derived from it.
     """
 
     fs: DiscretePMF
-    weights: np.ndarray
+    weights: np.ndarray | PoolWeights
     column_sum: np.ndarray
     valid_mask: np.ndarray
     tolerance_used: float
@@ -132,6 +138,7 @@ class AllocationTable:
     risk_means: np.ndarray
     truncation: TruncationReport
     seq: np.ndarray | None = None
+    dense_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_risks(self) -> int:
@@ -152,40 +159,55 @@ class AllocationTable:
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
 
-        A factored table convolves each chosen row of W with ``seq``, which
-        costs O(J kmax) per row and builds nothing larger than the answer.
+        Only the row blocks that hold the chosen rows are read.  A factored
+        table convolves each chosen row of W with ``seq``, which costs
+        O(J kmax) per row and builds nothing larger than the answer.
         """
-        w = self.weights[idx]
-        if self.seq is None:
-            return w
-        return _toeplitz_rows(w, self.seq)
+        chosen = np.arange(self.n_risks)[idx]
+        flat = chosen.reshape(-1)
+        w = np.empty((len(flat), self.weights.shape[1]))
+        for rows, block in _blocks(self.weights, sorted(set((flat // ROW_BLOCK).tolist()))):
+            inside = (flat >= rows.start) & (flat < rows.stop)
+            w[inside] = block[flat[inside] - rows.start]
+        out = w if self.seq is None else _toeplitz_rows(w, self.seq)
+        if self.dense_rows is not None:
+            at, dense = self.dense_rows
+            pos = np.minimum(np.searchsorted(at, flat), len(at) - 1)
+            hit = at[pos] == flat
+            out[hit] += dense[pos[hit]]
+        return out.reshape(*chosen.shape, out.shape[-1])
 
-    def band(self, i1: int, w: np.ndarray) -> np.ndarray:
-        """sum_k mu_i(i1 + k) w(k) for every risk i, over the lattice points i1, i1 + 1, ...
+    def bands(self, requests) -> list[np.ndarray]:
+        """For each ``(i1, w)`` of ``requests``, sum_k mu_i(i1 + k) w(k) for every risk i, in one pass over W.
 
         A factored table sums T's columns first, W (T[:, i1 : i1 + len(w)] w),
-        at a cost of O(J len(w) + n J).  Each row's J terms are summed
-        pairwise, which keeps that sum within about eps of its value.  The
-        products are formed ROW_BLOCK rows at a time, so the query holds W,
-        ``seq`` and one row block of W, never a second n x J array.  The sum over
-        k is taken in pieces of at most _DOT_CHUNK entries of ``w``, added in
-        order, as ``_toeplitz_rows`` does, so a wide band gives the same sums
-        at any BLAS thread count.
+        at a cost of O(J len(w) + n J) per request.  Each row's J terms are
+        summed pairwise, which keeps that sum within about eps of its value.
+        Every request is answered from each block of W as it is read, so the
+        query holds one row block, never an n x J array, and each answer is
+        the one a request alone gets.  The sum over k is taken in pieces
+        (``_band_columns``), so a wide band gives the same sums at any BLAS
+        thread count.
         """
-        w = np.asarray(w, dtype=float)
+        requests = [(i1, np.asarray(w, dtype=float)) for i1, w in requests]
         if self.seq is None:
-            return self.weights[:, i1 : i1 + len(w)] @ w
-        width = self.weights.shape[1]
-        # (T w)(j) = sum_k seq(i1 + k - j) w(k), seq zero below 0
-        fs = np.pad(self.seq, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
-        tw = np.correlate(fs[: width - 1 + _DOT_CHUNK], w[:_DOT_CHUNK])
-        for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
-            tw += np.correlate(fs[c : c + width - 1 + _DOT_CHUNK], w[c : c + _DOT_CHUNK])
-        tw = tw[::-1]
-        out = np.empty(self.n_risks)
-        for lo in range(0, self.n_risks, ROW_BLOCK):
-            out[lo : lo + ROW_BLOCK] = (self.weights[lo : lo + ROW_BLOCK] * tw).sum(axis=1)
-        return out
+            reads = [(slice(i1, i1 + len(w)), w) for i1, w in requests]
+        else:
+            reads = [(slice(None), _band_columns(self.seq, self.weights.shape[1], i1, w)) for i1, w in requests]
+        outs = [np.empty(self.n_risks) for _ in requests]
+        if requests:
+            for rows, block in _blocks(self.weights):
+                for out, (cols, v) in zip(outs, reads):
+                    out[rows] = block[:, cols] @ v if self.seq is None else (block * v).sum(axis=1)
+        if self.dense_rows is not None:
+            at, dense = self.dense_rows
+            for out, (i1, w) in zip(outs, requests):
+                out[at] += dense[:, i1 : i1 + len(w)] @ w
+        return outs
+
+    def band(self, i1: int, w: np.ndarray) -> np.ndarray:
+        """sum_k mu_i(i1 + k) w(k) for every risk i, over the lattice points i1, i1 + 1, ... (``bands``)."""
+        return self.bands([(i1, w)])[0]
 
     def conditional_mean_at(self, k: int) -> np.ndarray:
         """E[X_i | S = k h] for every risk i: column ``k`` of the rows over f_S(k)."""
@@ -202,6 +224,61 @@ class AllocationTable:
         target = self.fs.step_h * np.arange(self.kmax, dtype=float) * self.fs.masses
         rel = np.abs(self.column_sum - target) / (1.0 + np.abs(target))
         return float(rel[self.valid_mask].max())
+
+
+class PoolWeights:
+    """A Poisson pool's weights w_i(j) = h lam_i j f_Bi(j), j < ``width``, formed a slice of rows at a time.
+
+    ``read`` is ``models.poisson_pool``'s claim reader and ``lam`` its rates
+    (0 for an other margin, whose row is zero).  It serves the reads of the
+    n x ``width`` array W it stands for: ``shape``, ``self[rows]`` for a
+    slice of rows (a fresh array) and ``*= h``, which scales every later
+    read.  A read forms exactly the rows the array's slice would hold, and
+    only the rates and the risks themselves stay in memory.
+    """
+
+    def __init__(self, read, lam: np.ndarray, width: int):
+        self.read, self.lam, self.width, self.step_h = read, lam, width, 1.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.lam), self.width
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        rows = slice(*rows.indices(len(self.lam)))
+        masses, _ = self.read(rows, self.width)
+        cols = min(masses.shape[1], self.width)
+        w = np.zeros((len(masses), self.width))
+        np.multiply(masses[:, :cols], self.lam[rows, None] * np.arange(cols, dtype=float), out=w[:, :cols])
+        if self.step_h != 1.0:
+            w *= self.step_h
+        return w
+
+    def __imul__(self, factor: float) -> "PoolWeights":
+        self.step_h *= factor
+        return self
+
+
+def _block_rows(n: int, which=None) -> list[slice]:
+    """The row slices of the blocks of ROW_BLOCK rows of n, in order, or of the blocks numbered ``which``."""
+    which = range(-(-n // ROW_BLOCK)) if which is None else which
+    return [slice(b * ROW_BLOCK, min((b + 1) * ROW_BLOCK, n)) for b in which]
+
+
+def _blocks(weights, which=None):
+    """``(rows, weights[rows])`` for each block of ``_block_rows`` of W, an array or a ``PoolWeights``."""
+    for rows in _block_rows(weights.shape[0], which):
+        yield rows, weights[rows]
+
+
+def _band_columns(seq: np.ndarray, width: int, i1: int, w: np.ndarray) -> np.ndarray:
+    """T[:, i1 : i1 + len(w)] w for the Toeplitz matrix T of ``seq`` over ``width`` rows, summed in _DOT_CHUNK pieces."""
+    # (T w)(j) = sum_k seq(i1 + k - j) w(k), seq zero below 0
+    fs = np.pad(seq, (width - 1, 0))[i1 : i1 + width - 1 + len(w)]
+    tw = np.correlate(fs[: width - 1 + _DOT_CHUNK], w[:_DOT_CHUNK])
+    for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
+        tw += np.correlate(fs[c : c + width - 1 + _DOT_CHUNK], w[c : c + _DOT_CHUNK])
+    return tw[::-1]
 
 
 def _toeplitz_rows(w: np.ndarray, fs: np.ndarray) -> np.ndarray:
@@ -233,27 +310,32 @@ def per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 def assemble_table(
     fs: np.ndarray,
-    mu: np.ndarray,
+    mu: np.ndarray | PoolWeights,
     risk_means: np.ndarray,
     *,
     step_h: float = 1.0,
     truncation: TruncationReport | None = None,
     support_bound: int | None = None,
     seq: np.ndarray | None = None,
+    dense_rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AllocationTable:
     """Build the table from a mass vector and per-risk allocation rows.
 
     ``fs`` and ``mu`` are on the index lattice; payment units are restored
     here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with a
-    sequence ``seq``, a pool's weights W whose product with the Toeplitz
-    matrix of ``seq`` gives the rows; the column sum is then the one
-    convolution (1^T W) * seq.  The table takes ``mu`` over without a copy,
-    scaled to payment units in place.  ``fs`` keeps its negative round-off;
-    a mass below -1e-9 is not round-off and raises :class:`InvalidPMF`.  When
-    the sum of a dense table has a provable support bound below the buffer
-    (all margins bounded, no wrap), entries beyond it are exact zeros and the
-    inverse-transform noise there is dropped rather than reported.  The
-    validity mask is ``mask_validity``'s at its defaults.
+    sequence ``seq``, a pool's weights W (an array or its ``PoolWeights``)
+    whose product with the Toeplitz matrix of ``seq`` gives the rows.  The
+    table takes ``mu`` over without a copy, scaled to payment units in place.
+    ``dense_rows``, in payment units, are added to the rows of the risks
+    they name.  The column sum is formed in one pass over ``mu``'s row
+    blocks that adds rows in order, as numpy's sum over rows does; with a
+    sequence it is the convolution (1^T W) * seq.  ``fs`` keeps
+    its negative round-off; a mass below -1e-9 is not round-off and raises
+    :class:`InvalidPMF`.  When the sum of a dense table has a provable
+    support bound below the buffer (all margins bounded, no wrap), entries
+    beyond it are exact zeros and the inverse-transform noise there is
+    dropped rather than reported.  The validity mask is ``mask_validity``'s
+    at its defaults.
     """
     fs = np.asarray(fs, dtype=float)
     kmax = len(fs)
@@ -261,23 +343,31 @@ def assemble_table(
         raise EmptyDistribution("total-loss pmf carries no positive mass")
     if fs.min() < -1e-9:
         raise InvalidPMF(f"f_S has entry {fs.min():.3e}; not round-off noise")
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
+    if not isinstance(mu, PoolWeights):
+        mu = np.atleast_2d(np.asarray(mu, dtype=float))
     if step_h != 1.0:
         mu *= step_h
     if support_bound is not None and support_bound + 1 < kmax:
         fs = fs.copy()
         fs[support_bound + 1 :] = 0.0
         mu[:, support_bound + 1 :] = 0.0
+    total = None
+    for _, block in _blocks(mu):
+        total = block.sum(axis=0) if total is None else np.concatenate([total[None], block]).sum(axis=0)
+    column_sum = total if seq is None else _toeplitz_rows(total, seq)
+    if dense_rows is not None:
+        column_sum += dense_rows[1].sum(axis=0)
     table = AllocationTable(
         fs=DiscretePMF(fs, step_h),
         weights=mu,
-        column_sum=mu.sum(axis=0) if seq is None else _toeplitz_rows(mu.sum(axis=0), seq),
+        column_sum=column_sum,
         valid_mask=None,  # mask_validity sets the mask and the two settings
         tolerance_used=None,
         underflow_floor=None,
         risk_means=np.asarray(risk_means, dtype=float),
         truncation=truncation or TruncationReport(kmax=kmax),
         seq=seq,
+        dense_rows=dense_rows,
     )
     return mask_validity(table)
 
@@ -312,11 +402,19 @@ def regroup(
     so f_S and the truncation report carry over; the allocation rows are
     ``loading @`` the inner ones, and the validation curve and the default
     validity mask are derived afresh from them.  A factored table stays
-    factored over the same ``seq``, since loading @ (W T) = (loading @ W) T.
+    factored over the same ``seq``, since loading @ (W T) = (loading @ W) T:
+    the loading is applied to W a row block at a time, and the product, one
+    row per risk, is kept as an array; dense rows are regrouped alike.
     """
     step_h = table.fs.step_h
-    mu = loading @ table.weights
+    mu = None
+    for rows, block in _blocks(table.weights):
+        part = loading[:, rows] @ block
+        mu = part if mu is None else np.add(mu, part, out=mu)
     mu /= step_h
+    dense = table.dense_rows
+    if dense is not None:
+        dense = np.arange(len(loading)), loading[:, dense[0]] @ dense[1]
     return assemble_table(
         table.fs.masses,
         mu,
@@ -324,6 +422,7 @@ def regroup(
         step_h=step_h,
         truncation=table.truncation,
         seq=table.seq,
+        dense_rows=dense,
     )
 
 
@@ -357,9 +456,9 @@ def host_memory_bytes() -> int:
 def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
     """ConfigError when n risks on kmax points, at ``bytes_per_point`` each, exceed the host's memory.
 
-    The engines call it before they allocate anything of size n x kmax, or
-    a pool's weights, so a portfolio too large for the host stops with a
-    clean error instead of being killed for want of memory.
+    The dense engine calls it before it allocates anything of size n x kmax,
+    so a portfolio too large for the host stops with a clean error instead
+    of being killed for want of memory.
     """
     need, host = n * kmax * bytes_per_point, host_memory_bytes()
     if need > host:
@@ -453,85 +552,78 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     3. a band width J, certified from the weights and f_S (``_band_width``),
        so that the terms j >= J left out of mu_i(k) sum to at most machine
        epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
-    4. the factored table over seq = f_pool: W's rows are w_i * f_rest on
-       min(kmax, J + L - 1) points, since mu_i = (w_i * f_rest) * f_pool, and
-       each other margin's own row nu_r, since mu_r = nu_r * f_pool; W T is
-       never formed, and every output is a query on the factors.
+    4. the factored table over seq = f_S: W is the pool's ``PoolWeights``
+       over J columns, read from the claims whenever a query asks, and each
+       other margin keeps its dense row mu_r = nu_r * f_pool (``dense_rows``).
 
-    With no other margin, f_rest = 1 and seq = f_S; with no Poisson claims,
+    With no other margin, f_rest = 1 and f_S = f_pool; with no Poisson claims,
     the table is ``allocate_independent``'s.  The others' means and
     truncation report join the pool's.  ``models.poisson_pool`` reads the
-    claims twice, ROW_BLOCK rows at a time and never whole: pass 1
-    (``_pool_pass1``, whose buffers are freed before W is allocated) collects
-    the merged severity, each row's total, length and first moment, and the
-    weights' head and tail sums for ``_band_width``; pass 2 reads only the
-    first J columns, into W.  A sampled severity with no mass raises KatzDomain.
+    claims ROW_BLOCK rows at a time and never whole: pass 1 (``_pool_pass1``)
+    collects the merged severity, each row's total, length and first moment,
+    and the weights' head and tail sums for ``_band_width``; assembly reads
+    the first J columns once more for the column sum 1^T W, and every query
+    reads them again.  Nothing n x J is stored.  A sampled severity with no
+    mass raises KatzDomain.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
-    risk, as is a buffer that ends within 10 standard deviations of the mean.
+    risk, as is a buffer that ends within 10 standard deviations of the
+    mean, the other margins' spread included.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
     pool = poisson_pool(risks, kmax)
     if pool is None:
         return allocate_independent(risks, kmax)
-    lam, step_h, blocks, others = pool
-    n, idx = len(lam), list(others)
+    lam, step_h, read, others = pool
+    idx = list(others)
     # the candidate band widths below kmax; those below the longest severity are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
 
-    # pass 1, in its own scope: its block buffers are gone before W is allocated
-    merged, totals, moments, lengths, ratios = _pool_pass1(blocks(), lam, kmax, powers)
+    merged, totals, moments, lengths, ratios = _pool_pass1(read, lam, kmax, powers)
 
     length = int(min(kmax, lengths.max()))
     cuts = [c for c in powers if c < length] + [length]
     merged, j = merged[:length], np.arange(length, dtype=float)
     count = KatzParams.poisson(float(lam.sum()))
     mix = merged / (count.b or 1.0)
-    fs = seq = compound_pmf_panjer(count, mix, kmax)
+    fs = f_pool = compound_pmf_panjer(count, mix, kmax)
     fs_hat = gf.compound_pgf_on_roots(count, gf.dft(np.pad(mix, (0, kmax - length)), half=True))
-    check = float(np.abs(gf.idft(fs_hat, half=True) - seq).max() / seq.max())
-    means, rest, beside = lam * (step_h * moments), np.ones(1), ""
+    check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
+    # var of a Poisson random sum is lam * E[B^2]
+    means, var, beside, dense = lam * (step_h * moments), float(j**2 @ merged), "", None
     if others:
-        dense = allocate_independent(list(others.values()), kmax)
-        rest = np.trim_zeros(dense.fs.masses, "b")
-        fs = _chunked_convolve(rest, seq, kmax)
+        table = allocate_independent(list(others.values()), kmax)
+        rest = np.trim_zeros(table.fs.masses, "b")
+        fs = _chunked_convolve(rest, f_pool, kmax)
+        k = np.arange(len(rest), dtype=float)
+        var += float((k - k @ rest) ** 2 @ rest)
         beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
-        means[idx], totals[idx] = dense.risk_means, 1.0  # the others' lost mass is in their own report
+        means[idx], totals[idx] = table.risk_means, 1.0  # the others' lost mass is in their own report
+        dense = np.array(idx), _toeplitz_rows(table.weights[:, : len(rest)], f_pool)
     band = _band_width(fs, cuts, ratios[: len(cuts) - 1])
-    width = min(kmax, band + len(rest) - 1)
-    require_memory(n, width, 8)
 
-    # pass 2: the first J columns, as the weights; beside other margins, w_i * f_rest
-    weights = np.zeros((n, width))
-    for rows, masses, _ in blocks(band):
-        cols = min(masses.shape[1], band)
-        weights[rows, :cols] = masses[:, :cols] * (lam[rows, None] * j[:cols])
-        if others:
-            weights[rows] = _toeplitz_rows(weights[rows, :band], np.pad(rest, (0, width - len(rest))))
-
-    # var of a Poisson random sum is lam * E[B^2]; a 10-sigma headroom check
-    mean_s, sd_s = float(means.sum()), step_h * np.sqrt(float(j**2 @ merged))
+    # a 10-sigma headroom check
+    mean_s, sd_s = float(means.sum()), step_h * np.sqrt(max(var, 0.0))  # round-off can take a zero below 0
     reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S{beside}"
     trunc = _aliasing_report(kmax, totals, np.minimum(lengths, kmax), "severity", reasons, [band_note])
     if others:
-        weights[idx, : len(rest)] += dense.weights[:, : len(rest)] / step_h
-        own = dense.truncation
+        own = table.truncation
         trunc = TruncationReport(kmax, trunc.lost_mass + own.lost_mass, aliasing_risk=trunc.aliasing_risk
                                  or own.aliasing_risk, notes=trunc.notes + own.notes)
-    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, seq=seq)
+    weights = PoolWeights(read, lam, band)
+    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, seq=fs, dense_rows=dense)
 
 
-def _pool_pass1(blocks, lam: np.ndarray, kmax: int, powers: Sequence[int]):
-    """Pass 1 of ``allocate_compound_poisson_pool``, over the severity ``blocks`` in full.
+def _pool_pass1(read, lam: np.ndarray, kmax: int, powers: Sequence[int]):
+    """Pass 1 of ``allocate_compound_poisson_pool``: the claims, ``read`` a row block at a time over all columns.
 
     Returns the merged severity sum_i lam_i f_Bi on kmax points, each row's
     total, first moment and length, and, for each power of two J in
-    ``powers``, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``).  The
-    block buffers are released on return, before the caller allocates W.
+    ``powers``, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``).
     """
     n = len(lam)
     j = np.arange(kmax, dtype=float)
@@ -539,7 +631,8 @@ def _pool_pass1(blocks, lam: np.ndarray, kmax: int, powers: Sequence[int]):
     totals, moments = np.empty(n), np.empty(n)
     lengths = np.empty(n, dtype=int)
     ratios = np.zeros(len(powers))
-    for rows, masses, tops in blocks:
+    for rows in _block_rows(n):
+        masses, tops = read(rows)
         lengths[rows] = tops
         moments[rows] = masses @ np.arange(masses.shape[1], dtype=float)
         f = masses[:, :kmax]

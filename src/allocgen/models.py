@@ -98,29 +98,30 @@ class KatzParams:
             f0 = np.exp(-self.b)
         else:
             f0 = (1.0 - self.a) ** (self.b / self.a + 1.0)
-        k = np.arange(1, kmax, dtype=float)
-        f = np.empty(kmax)
+        # a binomial's product stops at its support top: beyond it the zero factor's
+        # sign noise times |a|^k > 1 would overflow
+        top = self.support_top()
+        size = kmax if top is None else min(kmax, top + 1)
+        k = np.arange(1, size, dtype=float)
+        f = np.zeros(kmax)
         f[0] = f0
         if f0 < _TINY:
             log_f0 = -self.b if self.a == 0.0 else (self.b / self.a + 1.0) * math.log(1.0 - self.a)
             x = math.floor(log_f0 / math.log(2.0))
             f[0] = math.exp(log_f0 - x * math.log(2.0))
-            f[1:] = self.a + self.b / k
-            mant, expo = np.frexp(f)
+            f[1:size] = self.a + self.b / k
+            mant, expo = np.frexp(f[:size])
             expo[0] += x
             carry = 1.0
-            for lo in range(0, kmax, _NEGBIN_CHUNK):
+            for lo in range(0, size, _NEGBIN_CHUNK):
                 chunk = mant[lo : lo + _NEGBIN_CHUNK]
                 chunk[0] *= carry
                 np.cumprod(chunk, out=chunk)
                 carry, shift = np.frexp(chunk[-1])
                 expo[lo + _NEGBIN_CHUNK : lo + _NEGBIN_CHUNK + 1] += shift
-            f = np.ldexp(mant, np.cumsum(expo))
-        elif kmax > 1:
-            f[1:] = f0 * np.cumprod(self.a + self.b / k)
-        top = self.support_top()
-        if top is not None and top + 1 < kmax:
-            f[top + 1 :] = 0.0  # kill sign noise from the zero factor
+            f[:size] = np.ldexp(mant, np.cumsum(expo))
+        elif size > 1:
+            f[1:size] = f0 * np.cumprod(self.a + self.b / k)
         return f
 
     def pgf(self, s) -> np.ndarray:
@@ -141,8 +142,11 @@ class KatzParams:
 
 # The Poisson pool engine reads severities, and negbin_rows runs its recursion,
 # in blocks of this many rows; negbin_rows cumulates masses this many columns at
-# a time, and so does KatzParams.pmf's scaled run.
+# a time, and so does KatzParams.pmf's scaled run.  Iterating a sampled pool
+# builds its risks from groups of _ITER_ROWS rows, whose full-width buffer is
+# an eighth of a block's.
 ROW_BLOCK = 128
+_ITER_ROWS = 16
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny
 # compound_pmf_panjer rescales its carried masses by 2^-_PANJER_SHIFT once
@@ -445,7 +449,7 @@ class PoissonNegbinPool(Sequence):
     ``severity_length`` NB(r_i, q_i) masses, cut after the last positive one
     and wrapped by ``pmf.truncated_pmf``.  No severity is stored: ``pool[i]``
     builds its risk from its own row of the recursion (``severity_rows``),
-    and iteration builds them ROW_BLOCK rows at a time, so both are
+    and iteration builds them _ITER_ROWS rows at a time, so both are
     bit-identical to building each risk alone, and iterating costs one run
     of the recursion; it lets go of each risk once it has handed it out.  A
     slice is a pool of the same kind.  The Poisson pool engine reads the
@@ -472,8 +476,8 @@ class PoissonNegbinPool(Sequence):
         return self._risks(slice(i, i + 1))[0]
 
     def __iter__(self) -> Iterator[CompoundKatzRisk]:
-        for lo in range(0, len(self), ROW_BLOCK):
-            block = self._risks(slice(lo, lo + ROW_BLOCK))[::-1]
+        for lo in range(0, len(self), _ITER_ROWS):
+            block = self._risks(slice(lo, lo + _ITER_ROWS))[::-1]
             while block:
                 yield block.pop()
 
@@ -542,24 +546,25 @@ def poisson_claims(risk, kmax: int) -> Optional[tuple[float, np.ndarray]]:
 
 
 def poisson_pool(risks: Iterable, kmax: int):
-    """The rates, lattice step, claim blocks and other margins of ``risks``; None if none is Poisson claims.
+    """The rates, lattice step, claim reader and other margins of ``risks``; None if none is Poisson claims.
 
     This is how the Poisson pool engine reads a portfolio, whatever holds
     it: a list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both,
     and the one code that walks a chain's parts.  A margin ``poisson_claims``
     does not take is an other margin: rate 0 and a zero row (of length 0) in
-    every block, so rows keep their order; ``others`` maps its index to it.
-    The set-up forms no claim masses.  ``blocks(columns=None)`` walks
-    the blocks of ROW_BLOCK rows that the same risks in one list give, and
-    yields each as ``(rows, masses, lengths)`` over the first ``columns``
-    claim sizes (default: all of the longest), as ``negbin_rows`` gives
-    rows.  Each part that overlaps a block reads exactly its rows there: a
-    sampled pool by its row recursion, with no risk built, and listed risks
-    by ``poisson_claims`` on ``kmax`` points (the transform length), a fresh
-    copy zero-padded to the part's longest.  A block that spans parts joins
-    their rows, zero-padded to the widest.  A stored part's lattice step is
-    ``common_step``'s (a sampled pool's is 1); different steps raise
-    AllocationError.
+    every read, so rows keep their order; ``others`` maps its index to it.
+    The set-up forms no claim masses.  ``read(rows, columns=None)`` gives the
+    claims of any slice of rows as ``(masses, lengths)`` over the first
+    ``columns`` claim sizes (default: all of the longest), as ``negbin_rows``
+    gives rows, a fresh array on every call; the engine reads blocks of
+    ROW_BLOCK rows.  Each part that overlaps the slice reads exactly its rows
+    there: a sampled pool by its row recursion, with no risk built, and
+    listed risks by ``poisson_claims`` on ``kmax`` points (the transform
+    length), a fresh copy zero-padded to the part's longest.  A slice that
+    spans parts joins their rows, zero-padded to the widest.  Every row
+    depends on its own risk only, so it reads the same in any slice.  A
+    stored part's lattice step is ``common_step``'s (a sampled pool's is 1);
+    different steps raise AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
     lam, reads, steps, others = [], [], set(), {}
@@ -585,19 +590,18 @@ def poisson_pool(risks: Iterable, kmax: int):
     if len(others) == starts[-1]:
         return None
 
-    def blocks(columns: Optional[int] = None):
-        for lo in range(0, starts[-1], ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, starts[-1])
-            # the pieces live only in this call, so no part's buffer outlives its block
-            yield slice(lo, hi), *_stacked([
-                read(slice(max(lo, start) - start, min(hi, stop) - start), columns)
-                for read, start, stop in zip(reads, starts, starts[1:])
-                if start < hi and lo < stop
-            ])
+    def read(rows: slice, columns: Optional[int] = None):
+        lo, hi, _ = rows.indices(starts[-1])
+        # the pieces live only in this call, so no part's buffer outlives its read
+        return _stacked([
+            part_read(slice(max(lo, start) - start, min(hi, stop) - start), columns)
+            for part_read, start, stop in zip(reads, starts, starts[1:])
+            if start < hi and lo < stop
+        ])
 
     if len(steps) > 1:
         raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
-    return np.concatenate(lam), steps.pop(), blocks, others
+    return np.concatenate(lam), steps.pop(), read, others
 
 
 def common_step(risks: Iterable) -> float:

@@ -9,10 +9,11 @@ interpolating between atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationTable
+from .allocation import AllocationTable, per_mass
 from .errors import BoundaryUnderflow, TruncatedQuantile
 from .pmf import DiscretePMF
 
@@ -93,7 +94,7 @@ def rvar(fs: DiscretePMF, levels: RVaRLevels) -> float:
     return float(fs.step_h * np.sum(k * m)) / (a2 - a1)  # not np.dot, as in DiscretePMF.mean
 
 
-def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.ndarray:
+def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels | Sequence[RVaRLevels]):
     """Per-risk contributions that sum to the two-level measure of the total.
 
     Risk i gets sum_k mu_i(k) w(k) / (alpha2 - alpha1) over the band of
@@ -101,19 +102,32 @@ def euler_rvar_contributions(table: AllocationTable, levels: RVaRLevels) -> np.n
     its mass the band takes, and exactly 1 at every atom in between, which
     thus contributes its whole mu_i(k).  At equal levels, or levels inside one
     atom, the split degenerates to the conditional mean at the quantile atom.
-    """
-    a1, a2 = levels.alpha1, levels.alpha2
-    i1, i2, m = _band(table.fs, levels)
-    _require_valid_atom(table, i1, "lower")
-    if a1 == a2 or i1 == i2:
-        return table.conditional_mean_at(i1)
 
-    weights = np.ones(len(m))
-    weights[0] = m[0] / table.fs.masses[i1]
-    if i2 is not None:
-        _require_valid_atom(table, i2, "upper")
-        weights[-1] = m[-1] / table.fs.masses[i2]
-    return table.band(i1, weights) / (a2 - a1)
+    Given a sequence of levels, returns one split per level, every one from
+    one pass over the table's rows (``AllocationTable.bands``) and equal to
+    the split of its levels alone.
+    """
+    if isinstance(levels, RVaRLevels):
+        return euler_rvar_contributions(table, [levels])[0]
+    fs = table.fs.masses
+    requests, finish = [], []
+    for level in levels:
+        a1, a2 = level.alpha1, level.alpha2
+        i1, i2, m = _band(table.fs, level)
+        _require_valid_atom(table, i1, "lower")
+        if a1 == a2 or i1 == i2:
+            # the conditional mean at the atom, as AllocationTable.conditional_mean_at
+            requests.append((i1, np.ones(1)))
+            finish.append(lambda band, i1=i1: per_mass(band, fs[i1]))
+            continue
+        weights = np.ones(len(m))
+        weights[0] = m[0] / fs[i1]
+        if i2 is not None:
+            _require_valid_atom(table, i2, "upper")
+            weights[-1] = m[-1] / fs[i2]
+        requests.append((i1, weights))
+        finish.append(lambda band, width=a2 - a1: band / width)
+    return [done(band) for done, band in zip(finish, table.bands(requests))]
 
 
 def _require_valid_atom(table: AllocationTable, idx: int, which: str) -> None:

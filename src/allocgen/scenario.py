@@ -683,10 +683,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> ScenarioResult:
     # every output request, the RVaR figures and the conditional-mean distributions, which can
     # fail, are settled before any file is written
     outputs = config.outputs
-    rvars = [
-        (levels, risk_measures.rvar(table.fs, levels), risk_measures.euler_rvar_contributions(table, levels))
-        for levels in outputs.get("rvar_levels", [])
-    ]
+    levels = outputs.get("rvar_levels", [])
+    values = [risk_measures.rvar(table.fs, level) for level in levels]
+    # every level's split from one pass over the table's rows
+    rvars = list(zip(levels, values, risk_measures.euler_rvar_contributions(table, levels)))
     columns, cond_means, layers = _resolve_outputs(outputs, table.n_risks, table.kmax)
     dists = [(i, conditional_mean_distribution(table, i)) for i in cond_means]
     out = Path(out_dir)

@@ -247,3 +247,19 @@ def banded_product_blocked(weights, fs):
     for cols in row_blocks(kmax, max(n, band)):
         np.matmul(weights, windows[cols, ::-1].T, out=mu[:, cols])
     return mu
+
+
+def materialised_weights(table):
+    """A table's W as one array: its weights read a row block at a time, as the queries read them."""
+    from allocgen.models import ROW_BLOCK
+
+    return np.concatenate([table.weights[lo : lo + ROW_BLOCK] for lo in range(0, table.n_risks, ROW_BLOCK)])
+
+
+def factored_product(table):
+    """Every row of a factored table, W T in long double plus its dense rows: the dense form it stands for."""
+    mu = banded_product_blocked(materialised_weights(table).astype(np.longdouble), table.seq.astype(np.longdouble))
+    if table.dense_rows is not None:
+        at, dense = table.dense_rows
+        mu[at] += dense
+    return mu

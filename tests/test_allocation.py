@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ from allocgen.pmf import arithmetize, pmf_from_values
 from allocgen.risk_measures import RVaRLevels, euler_rvar_contributions, rvar
 from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, parse_scenario, run_scenario, sample_risks
 from allocgen.tails import pareto_cdf, pareto_lev
-from reference import banded_product_blocked
+from reference import factored_product, materialised_weights
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
 EPS = np.finfo(float).eps
@@ -481,7 +483,7 @@ class TestAlgorithmOne:
         a = allocate_compound_poisson_pool(pool, 2**12)
         b = allocate_compound_poisson_pool(list(pool), 2**12)
         assert band_width(a) == band_width(b) < 1438
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(materialised_weights(a), materialised_weights(b))
         above = b.fs.masses > b.underflow_floor
         for got, want in ((a.fs.masses, b.fs.masses), (a.column_sum, b.column_sum)):
             assert np.all(np.abs(got[above] - want[above]) <= 1e-14 * want[above])
@@ -745,7 +747,7 @@ class TestFactoredTable:
     def test_queries_match_the_dense_product(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
         assert t.seq is not None and t.weights.shape[1] < t.kmax
-        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.seq.astype(np.longdouble))
+        mu = factored_product(t)
         scale = np.abs(mu).max(axis=1)
         n = t.n_risks
 
@@ -777,7 +779,7 @@ class TestFactoredTable:
     @pytest.mark.parametrize("name", ("small_pool", "pool300"))
     def test_regroup_keeps_the_table_factored(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
-        mu = banded_product_blocked(t.weights.astype(np.longdouble), t.seq.astype(np.longdouble))
+        mu = factored_product(t)
         dense = assemble_table(t.fs.masses, mu.astype(float), t.risk_means)
         assert dense.seq is None
         # two risks: the first half of the pool and the rest, with one piece shared
@@ -822,25 +824,68 @@ class TestFactoredTable:
             for size in (1, 5, 40):
                 w = rng.uniform(0.0, 1.0, size=min(size, t.kmax - i1))
                 tw = np.correlate(padded[i1 : i1 + width - 1 + len(w)], w)[::-1]
-                assert np.array_equal(t.band(i1, w), (t.weights * tw).sum(axis=1))
+                assert np.array_equal(t.band(i1, w), (materialised_weights(t) * tw).sum(axis=1))
+
+    @staticmethod
+    def doubled_pools():
+        """A sampled pool of 2000 risks at kmax 2^11 after its first 1000 (both with band J = 256)."""
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 2000}, 20260810, 2**11)
+        return [pool[:1000], pool]
 
     def test_euler_split_holds_no_copy_of_the_weights(self):
-        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 2000}, 20260810, 2**11)
-        t = allocate_compound_poisson_pool(pool, 2**11)
+        # a query streams W a row block at a time: doubling the pool adds as much again to W,
+        # and next to nothing to the query's peak
         levels = RVaRLevels(0.9, 0.99)
-        split, peak = traced_peak(lambda: euler_rvar_contributions(t, levels))
-        assert peak < t.weights.nbytes / 4
-        assert split.sum() == pytest.approx(rvar(t.fs, levels), rel=1e-12)
+        peaks, sizes = [], []
+        for pool in self.doubled_pools():
+            t = allocate_compound_poisson_pool(pool, 2**11)
+            split, peak = traced_peak(lambda: euler_rvar_contributions(t, levels))
+            assert split.sum() == pytest.approx(rvar(t.fs, levels), rel=1e-12)
+            peaks.append(peak)
+            sizes.append(t.n_risks * t.weights.shape[1] * 8)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
-    def test_pool_run_holds_the_weights_and_one_block_buffer(self):
-        # at 4000 risks W outweighs pass 1's block buffers, which are freed before W is allocated
-        kmax = 2**11
-        sampled = {"kind": "compound_poisson_negbin", "count": 4000, "lam_exp_mean": 0.05}
-        pool = sample_risks(sampled, 20260810, kmax)
-        t, peak = traced_peak(lambda: allocate_compound_poisson_pool(pool, kmax))
-        block = ROW_BLOCK * pool.severity_length * 8  # one NB mass buffer
-        assert t.weights.nbytes > 3 * block
-        assert peak <= t.weights.nbytes + block
+    def test_pool_table_keeps_no_copy_of_the_weights(self):
+        # the table holds the pool's reader and the rates, not W
+        pool = self.doubled_pools()[1]
+        tracemalloc.start()
+        try:
+            t = allocate_compound_poisson_pool(pool, 2**11)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < t.n_risks * t.weights.shape[1] * 8 / 4
+
+    def test_pool_run_peak_does_not_grow_with_the_weights(self):
+        # pass 1 holds one block of claims at a time and nothing forms W, so doubling the pool
+        # leaves the run's peak about where it was
+        peaks, sizes = [], []
+        for pool in self.doubled_pools():
+            t, peak = traced_peak(lambda: allocate_compound_poisson_pool(pool, 2**11))
+            peaks.append(peak)
+            sizes.append(t.n_risks * t.weights.shape[1] * 8)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
+
+    @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300", "pool300_mixed"))
+    def test_queries_match_a_materialised_table_bit_for_bit(self, name, scenario_dir):
+        # the same table with W read whole into an array answers every query with the same bits
+        t = factored_table(name, scenario_dir)
+        w = materialised_weights(t)
+        held = dataclasses.replace(t, weights=w)
+        n = t.n_risks
+        some = [0, n // 2, n - 1]
+        assert np.array_equal(t.rows(some), held.rows(some))
+        assert np.array_equal(t.expected_allocation, held.expected_allocation)
+        valid = np.flatnonzero(t.valid_mask)
+        rng = np.random.default_rng(3)
+        requests = [(k, rng.uniform(0.0, 1.0, size=min(size, t.kmax - k)))
+                    for k, size in ((valid[0], 1), (valid[len(valid) // 2], 40), (valid[-1], 7))]
+        for got, want, (i1, v) in zip(t.bands(requests), held.bands(requests), requests, strict=True):
+            assert np.array_equal(got, want) and np.array_equal(got, t.band(i1, v))
+        for k in (valid[0], valid[-1]):
+            assert np.array_equal(t.conditional_mean_at(k), held.conditional_mean_at(k), equal_nan=True)
+        again = assemble_table(t.fs.masses, w, t.risk_means, seq=t.seq, dense_rows=t.dense_rows)
+        assert np.array_equal(t.column_sum, again.column_sum)
 
 
 class TestPoolBesideOtherMargins:
@@ -925,6 +970,32 @@ class TestPoolBesideOtherMargins:
         assert t.seq is not None and valid.sum() > 100
         assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-10
 
+    def test_long_other_margin_beside_a_sampled_pool_matches_the_oracle(self):
+        # an NB random sum is an other margin over every lattice point: its row is dense over
+        # f_pool, while the pool's rows stay J wide over f_S
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 40}, 5, 512)
+        nb_sum = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
+        risks = RiskChain([nb_sum], pool)
+        t = allocate_compound_poisson_pool(risks, 512)
+        assert t.dense_rows[0].tolist() == [0] and t.weights.shape[1] < 512
+        valid = t.valid_mask
+        assert valid.sum() > 100
+        want = oracle_size_biased_rows(list(risks), 512)
+        assert np.max(np.abs(t.expected_allocation - want)[:, valid]) <= 1e-10
+        assert np.max(np.abs(t.rows([0, 40]) - want[[0, 40]])[:, valid]) <= 1e-10
+
+    def test_headroom_check_counts_the_other_margins_spread(self):
+        # beside a Poisson(0.5) count, a margin of mean 0.62 whose sd of 6.2 puts mean + 10 sd
+        # past the buffer top, though its mean alone is far from it
+        wide = explicit_risk(np.concatenate([[0.99], np.zeros(61), [0.01]]))
+        pool = [poisson_risk(0.5)]
+        with pytest.warns(AliasingRisk, match="10 sd 62.1 reaches the buffer top 64"):
+            t = allocate_compound_poisson_pool(pool + [wide], 64)
+        assert t.truncation.aliasing_risk
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not allocate_compound_poisson_pool(pool, 64).truncation.aliasing_risk
+
     def test_others_truncation_reaches_the_report(self):
         # a Pareto margin's lost mass and aliasing flag join the pool's report, its note once
         kmax = 2**13
@@ -938,10 +1009,3 @@ class TestPoolBesideOtherMargins:
         assert t.truncation.lost_mass == own.lost_mass == pytest.approx(2.914e-05, rel=1e-3)
         assert t.truncation.notes[1:] == own.notes
         assert t.risk_means[-1] == pareto.mean()
-
-    def test_oversized_weights_stop_with_a_config_error(self, monkeypatch):
-        # the others' dense table fits, the n x (J + L - 1) weights do not
-        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 64)
-        monkeypatch.setattr(allocation, "host_memory_bytes", lambda: 4000)
-        with pytest.raises(ConfigError, match="301 risks at kmax"):
-            allocate_compound_poisson_pool(RiskChain([BernoulliRisk(3, 0.2)], pool), 64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -34,7 +35,7 @@ from allocgen.models import (
 )
 from allocgen.pmf import pmf_from_values
 from allocgen.scenario import allocate_portfolio
-from reference import compound_pmf_panjer_loop, negbin_pmf_per_risk, poisson_pmf_direct
+from reference import compound_pmf_panjer_loop, materialised_weights, negbin_pmf_per_risk, poisson_pmf_direct
 
 
 class TestKatzFamilies:
@@ -54,6 +55,24 @@ class TestKatzFamilies:
         f = KatzParams.binomial(5, 0.3).pmf(16)
         assert np.allclose(f[:6], stats.binom.pmf(np.arange(6), 5, 0.3), atol=1e-14)
         assert np.all(f[6:] == 0.0)
+
+    @pytest.mark.parametrize("m, q, n", [(4, 0.6, 2048), (20, 0.9, 4096), (2000, 0.7, 4096)],
+                             ids=["q_0.6", "q_0.9", "scaled_q_0.7"])
+    def test_binomial_with_q_above_half_stops_at_its_support_top(self, m, q, n):
+        # for q > 1/2, |a| > 1: a product run past the top would carry the zero factor's
+        # sign noise times |a|^k into an overflow; the kept masses are the product's own
+        # (0.3^2000 underflows, so the last case takes the scaled run)
+        params = KatzParams.binomial(m, q)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = params.pmf(n)
+        assert np.all(f[m + 1 :] == 0.0)
+        want = stats.binom.pmf(np.arange(m + 1), m, q)
+        big = want > 1e-300
+        np.testing.assert_allclose(f[: m + 1][big], want[big], rtol=1e-9, atol=0.0)
+        if m < 100:
+            k = np.arange(1, m + 1, dtype=float)
+            f0 = (1.0 - params.a) ** (params.b / params.a + 1.0)
+            assert np.array_equal(f[: m + 1], np.concatenate([[f0], f0 * np.cumprod(params.a + params.b / k)]))
 
     def test_means(self):
         assert KatzParams.poisson(0.7).mean == pytest.approx(0.7)
@@ -406,6 +425,13 @@ def mixed_pool():
     return explicit, pool
 
 
+def pool_blocks(read, n, columns=None):
+    """``(rows, masses, lengths)`` for each block of ROW_BLOCK rows, as the engine reads a pool through ``read``."""
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, n))
+        yield rows, *read(rows, columns)
+
+
 def chain_of_shape(shape):
     """Poisson random sums chained in the order of ``shape``.
 
@@ -446,18 +472,23 @@ class TestPoolReader:
         # within them and a stored severity its own, as a lone pool and list do)
         explicit, pool = mixed_pool()
         chain = RiskChain(explicit, pool)
-        lam, step_h, blocks, _ = poisson_pool(chain, 4096)
-        lam_list, step_list, blocks_list, _ = poisson_pool(list(chain), 4096)
+        lam, step_h, read, _ = poisson_pool(chain, 4096)
+        lam_list, step_list, read_list, _ = poisson_pool(list(chain), 4096)
         assert np.array_equal(lam, lam_list) and step_h == step_list == 1.0
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
-                blocks(columns), blocks_list(columns), strict=True
+                pool_blocks(read, len(lam), columns), pool_blocks(read_list, len(lam), columns), strict=True
             ):
                 assert rows == rows_list and rows.stop - rows.start == min(ROW_BLOCK, 302 - rows.start)
                 assert columns or np.array_equal(lengths, lengths_list)
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
+        # a slice across a part boundary and a block boundary reads the rows the blocks hold
+        blocks = [m for _, m, _ in pool_blocks(read, len(lam), 64)]
+        whole = np.concatenate([np.pad(m, ((0, 0), (0, 64 - m.shape[1]))) for m in blocks])
+        masses, _ = read(slice(1, 140), 64)
+        assert np.array_equal(np.pad(masses, ((0, 0), (0, 64 - masses.shape[1]))), whole[1:140])
 
     @pytest.mark.parametrize(
         "shape",
@@ -469,11 +500,11 @@ class TestPoolReader:
         # each block asks every part it overlaps for exactly its rows there, so the
         # blocks are the list's whatever the parts' lengths, and so are the weights
         chain = chain_of_shape(shape)
-        _, _, blocks, _ = poisson_pool(chain, 4096)
-        _, _, blocks_list, _ = poisson_pool(list(chain), 4096)
+        lam, _, read, _ = poisson_pool(chain, 4096)
+        _, _, read_list, _ = poisson_pool(list(chain), 4096)
         for columns in (None, 64):
             for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
-                blocks(columns), blocks_list(columns), strict=True
+                pool_blocks(read, len(lam), columns), pool_blocks(read_list, len(lam), columns), strict=True
             ):
                 assert rows == rows_list and len(masses) == len(lengths) == rows.stop - rows.start
                 assert columns or np.array_equal(lengths, lengths_list)
@@ -481,7 +512,7 @@ class TestPoolReader:
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
         a, b = allocate_compound_poisson_pool(chain, 2**11), allocate_compound_poisson_pool(list(chain), 2**11)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(materialised_weights(a), materialised_weights(b))
         assert np.array_equal(a.valid_mask, b.valid_mask)
 
     def test_every_read_is_a_fresh_array(self):
@@ -489,9 +520,23 @@ class TestPoolReader:
         first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         assert not np.shares_memory(first, second)
-        _, _, blocks, _ = poisson_pool(chain_of_shape(("p",)), 4096)
-        (_, block1, _), (_, block2, _) = blocks()
+        lam, _, read, _ = poisson_pool(chain_of_shape(("p",)), 4096)
+        (_, block1, _), (_, block2, _) = pool_blocks(read, len(lam))
         assert not np.shares_memory(block1, block2)
+
+    def test_iteration_builds_risks_from_small_row_groups(self):
+        # the first risk of a sampled pool costs a buffer of a few rows, not of a row block
+        pool = PoissonNegbinPool(np.full(300, 0.1), np.full(300, 2), np.full(300, 0.02), 4096)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            it = iter(pool)
+            first = next(it)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < ROW_BLOCK * pool.severity_length * 8 / 2  # one block's masses alone would be twice that
+        assert np.array_equal(first.severity.masses, pool[0].severity.masses)
 
     def test_iteration_frees_each_risk_once_taken(self):
         it = iter(PoissonNegbinPool([0.1, 0.2, 0.3], [2, 3, 4], [0.4, 0.45, 0.5], 64))
@@ -506,11 +551,11 @@ class TestPoolReader:
         # in every block; a portfolio with none that is, as None
         explicit, pool = mixed_pool()
         bernoulli = BernoulliRisk(3, 0.2)
-        lam, _, blocks, others = poisson_pool(RiskChain(explicit, [bernoulli], pool), 4096)
+        lam, _, read, others = poisson_pool(RiskChain(explicit, [bernoulli], pool), 4096)
         at = len(explicit)
         assert others == {at: bernoulli} and len(lam) == 303 and lam[at] == 0.0
         for columns in (None, 64):
-            _, masses, lengths = next(blocks(columns))
+            _, masses, lengths = next(pool_blocks(read, len(lam), columns))
             assert lengths[at] == 0 and not masses[at].any() and masses[at - 1].any()
         assert poisson_pool([bernoulli, explicit_risk([0.5, 0.5]), binomial_risk(4, 0.3)], 64) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))

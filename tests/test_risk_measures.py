@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocgen.allocation import (
+    PoolWeights,
     allocate_compound_poisson_pool,
     allocate_independent,
     assemble_table,
@@ -182,6 +183,21 @@ class TestEulerContributions:
         assert np.array_equal(contribs, table.conditional_mean_at(v))
         assert rvar(table.fs, levels) == v
         assert contribs.sum() == pytest.approx(v, abs=1e-9)
+
+    def test_every_level_from_one_pass_is_its_own_split(self, small_pool, monkeypatch):
+        # a sequence of levels reads the pool's weights once, and each split is the one its
+        # level gets alone, the conditional mean at an atom included
+        table = allocate_compound_poisson_pool(small_pool, 64)
+        levels = [*self.LEVELS, RVaRLevels(0.95, np.nextafter(0.95, 1.0))]
+        alone = [euler_rvar_contributions(table, level) for level in levels]
+        read, reads = PoolWeights.__getitem__, []
+        monkeypatch.setattr(PoolWeights, "__getitem__", lambda weights, rows: reads.append(rows) or read(weights, rows))
+        together = euler_rvar_contributions(table, levels)
+        assert len(reads) == 1 and table.n_risks <= 128
+        for got, want in zip(together, alone, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(together[-1], table.conditional_mean_at(var_level(table.fs, 0.95)))
+        assert euler_rvar_contributions(table, []) == []
 
     def test_levels_straddling_an_atom_boundary(self):
         # F(0) = 0.1 exactly: the band (0.1, 0.1 + 1 ulp] lies wholly on atom 1
