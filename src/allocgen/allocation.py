@@ -101,14 +101,15 @@ class AllocationTable:
     seq(k - j) is the Toeplitz matrix of ``seq`` = f_S.  A Poisson pool's
     weights are its ``PoolWeights``, which forms any row block of W when
     asked and stores none; a regrouped pool keeps its few rows as an array.
-    Both serve ``shape`` and row slices, and the queries read W ROW_BLOCK
-    rows at a time.  Margins beside a pool that are not Poisson claims have
-    zero weights; their own dense rows are ``dense_rows`` (their indices, in
-    order, and the rows), added to the product's.  Every output reads the
-    rows through a small interface:
+    Both serve ``shape`` and row slices; ``bands`` reads W ROW_BLOCK rows
+    at a time, and ``rows`` reads only the rows it is asked for.  Margins
+    beside a pool that are not Poisson claims have zero weights; their own
+    dense rows are ``dense_rows`` (their indices, in order, and the rows),
+    added to the product's.  Every output reads the rows through a small
+    interface:
 
-    - ``rows(idx)``: the allocation rows of the given risks, read from the
-      blocks that hold them;
+    - ``rows(idx)``: the allocation rows of the given risks, each read
+      alone;
     - ``bands(requests)``: for each (i1, w), the n-vector sum_k mu_i(i1 + k) w(k),
       all from one pass over the blocks (``band`` for one);
     - ``column_sum``: sum_i mu_i(k), formed once at assembly;
@@ -159,16 +160,17 @@ class AllocationTable:
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
 
-        Only the row blocks that hold the chosen rows are read.  A factored
-        table convolves each chosen row of W with ``seq``, which costs
-        O(J kmax) per row and builds nothing larger than the answer.
+        Each chosen row i of W is read alone, as ``weights[i : i + 1]``, so a
+        pool's reader forms exactly the rows asked for; a row reads the same
+        in any slice.  A factored table convolves each chosen row of W with
+        ``seq``, which costs O(J kmax) per row and builds nothing larger than
+        the answer.
         """
         chosen = np.arange(self.n_risks)[idx]
         flat = chosen.reshape(-1)
         w = np.empty((len(flat), self.weights.shape[1]))
-        for rows, block in _blocks(self.weights, sorted(set((flat // ROW_BLOCK).tolist()))):
-            inside = (flat >= rows.start) & (flat < rows.stop)
-            w[inside] = block[flat[inside] - rows.start]
+        for row, i in zip(w, flat.tolist()):
+            row[:] = self.weights[i : i + 1][0]
         out = w if self.seq is None else _toeplitz_rows(w, self.seq)
         if self.dense_rows is not None:
             at, dense = self.dense_rows
@@ -259,15 +261,14 @@ class PoolWeights:
         return self
 
 
-def _block_rows(n: int, which=None) -> list[slice]:
-    """The row slices of the blocks of ROW_BLOCK rows of n, in order, or of the blocks numbered ``which``."""
-    which = range(-(-n // ROW_BLOCK)) if which is None else which
-    return [slice(b * ROW_BLOCK, min((b + 1) * ROW_BLOCK, n)) for b in which]
+def _block_rows(n: int) -> list[slice]:
+    """The row slices of the blocks of ROW_BLOCK rows of n, in order."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
 
 
-def _blocks(weights, which=None):
+def _blocks(weights):
     """``(rows, weights[rows])`` for each block of ``_block_rows`` of W, an array or a ``PoolWeights``."""
-    for rows in _block_rows(weights.shape[0], which):
+    for rows in _block_rows(weights.shape[0]):
         yield rows, weights[rows]
 
 

@@ -36,7 +36,7 @@ from .errors import (
     InvalidMixture,
     UnknownNode,
 )
-from .models import KatzParams, bernoulli_margins, compound_poisson_risk, negative_binomial_risk
+from .models import bernoulli_margins, compound_poisson_risk, negative_binomial_risk
 from .pmf import TruncationReport
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def gamma_mixture_fs_direct(spec: GammaMixtureSpec, kmax: int) -> np.ndarray:
     out[0] = 1.0
     for rho, q in spec.nb_components():
         if rho > 0.0:
-            out = np.convolve(out, KatzParams.negative_binomial(rho, q).pmf(kmax))[:kmax]
+            out = np.convolve(out, negative_binomial_risk(rho, q).pmf_vector(kmax))[:kmax]
     return out
 
 

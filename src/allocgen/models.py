@@ -5,13 +5,14 @@ which contains Poisson (a = 0), negative binomial (a = 1 - q) and binomial
 (a = -q/(1-q), any q in (0, 1)).  Every risk model exposes the same small
 surface: a truncated mass vector, a pgf evaluated on a complex buffer, its
 mean, and a support bound when one exists.  A claim count is the random sum
-of unit claims (``UNIT_CLAIM``).  Other random sums take their mass vector
-from the counting recursion, except over binomial counts, whose recursion
-is unstable for q > 1/2 and which are expanded by repeated squaring
-instead.  A sampled pool of Poisson random sums with negative-binomial
-severities is held as its draws (``PoissonNegbinPool``) and builds its
-risks only when asked; ``poisson_pool`` reads the Poisson claims
-(``poisson_claims``) of any portfolio, stored or sampled, block by block.
+of unit claims (``UNIT_CLAIM``), and every random sum, a count included,
+takes its mass vector from the compound counting recursion, except over
+binomial counts, whose recursion is unstable for q > 1/2 and which are
+expanded by repeated squaring instead.  A sampled pool of Poisson random
+sums with negative-binomial severities is held as its draws
+(``PoissonNegbinPool``) and builds its risks only when asked;
+``poisson_pool`` reads the Poisson claims (``poisson_claims``) of any
+portfolio, stored or sampled, block by block.
 """
 
 from __future__ import annotations
@@ -87,43 +88,6 @@ class KatzParams:
             return int(round(-self.b / self.a)) - 1
         return None
 
-    def pmf(self, kmax: int) -> np.ndarray:
-        """First ``kmax`` masses via the defining recursion f(k) = f(0) prod_{j<=k} (a + b/j).
-
-        When f(0) underflows (a large mean), f(0) = m 2^x is taken from its log
-        and the product runs on mantissas, _NEGBIN_CHUNK at a time with the
-        carry brought back to [1/2, 1), while the powers of two add up exactly.
-        """
-        if self.a == 0.0:
-            f0 = np.exp(-self.b)
-        else:
-            f0 = (1.0 - self.a) ** (self.b / self.a + 1.0)
-        # a binomial's product stops at its support top: beyond it the zero factor's
-        # sign noise times |a|^k > 1 would overflow
-        top = self.support_top()
-        size = kmax if top is None else min(kmax, top + 1)
-        k = np.arange(1, size, dtype=float)
-        f = np.zeros(kmax)
-        f[0] = f0
-        if f0 < _TINY:
-            log_f0 = -self.b if self.a == 0.0 else (self.b / self.a + 1.0) * math.log(1.0 - self.a)
-            x = math.floor(log_f0 / math.log(2.0))
-            f[0] = math.exp(log_f0 - x * math.log(2.0))
-            f[1:size] = self.a + self.b / k
-            mant, expo = np.frexp(f[:size])
-            expo[0] += x
-            carry = 1.0
-            for lo in range(0, size, _NEGBIN_CHUNK):
-                chunk = mant[lo : lo + _NEGBIN_CHUNK]
-                chunk[0] *= carry
-                np.cumprod(chunk, out=chunk)
-                carry, shift = np.frexp(chunk[-1])
-                expo[lo + _NEGBIN_CHUNK : lo + _NEGBIN_CHUNK + 1] += shift
-            f[:size] = np.ldexp(mant, np.cumsum(expo))
-        elif size > 1:
-            f[1:size] = f0 * np.cumprod(self.a + self.b / k)
-        return f
-
     def pgf(self, s) -> np.ndarray:
         """pgf evaluated at complex arguments with |s| <= 1.
 
@@ -142,9 +106,8 @@ class KatzParams:
 
 # The Poisson pool engine reads severities, and negbin_rows runs its recursion,
 # in blocks of this many rows; negbin_rows cumulates masses this many columns at
-# a time, and so does KatzParams.pmf's scaled run.  Iterating a sampled pool
-# builds its risks from groups of _ITER_ROWS rows, whose full-width buffer is
-# an eighth of a block's.
+# a time.  Iterating a sampled pool builds its risks from groups of _ITER_ROWS
+# rows, whose full-width buffer is an eighth of a block's.
 ROW_BLOCK = 128
 _ITER_ROWS = 16
 _NEGBIN_CHUNK = 512
@@ -369,16 +332,16 @@ UNIT_CLAIM = DiscretePMF(np.array([0.0, 1.0]))
 class CompoundKatzRisk:
     """Random sum of iid lattice severities over an (a, b) family count.
 
-    A claim count is a sum of ``UNIT_CLAIM``s; over that severity itself (by identity, not by value)
-    the pmf and pgf are the count's own closed forms.
+    A claim count is a sum of ``UNIT_CLAIM``s.  Its masses are the random
+    sum's, as for any severity: by repeated squaring over a binomial count
+    and by the counting recursion otherwise.  Over that severity itself (by
+    identity, not by value) the pgf is the count's own closed form.
     """
 
     frequency: KatzParams
     severity: DiscretePMF
 
     def pmf_vector(self, kmax: int) -> np.ndarray:
-        if self.severity is UNIT_CLAIM:
-            return self.frequency.pmf(kmax)
         if self.frequency.a < 0.0:
             return compound_pmf_binomial(self.frequency, self.severity.masses, kmax)
         return compound_pmf_panjer(self.frequency, self.severity.masses, kmax)

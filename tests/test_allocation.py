@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allocgen import allocation, gf
@@ -305,6 +305,7 @@ class TestKatzClosedForm:
             assert np.max(np.abs(alloc - table.rows(i))) <= 1e-10
 
     @given(st.integers(0, 2**32 - 1))
+    @example(11565011)  # total mean 0.36: f_S is above the floor, and valid, at k = 0..19 only
     @settings(max_examples=20, deadline=None)
     @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
     def test_negative_binomial_counts_take_the_pool_engine(self, seed):
@@ -318,7 +319,7 @@ class TestKatzClosedForm:
         table = allocate_portfolio(portfolio, kmax)
         assert table.seq is not None
         valid = table.valid_mask
-        assert valid.sum() > 20
+        assert np.array_equal(valid, table.fs.masses > table.underflow_floor)
         for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
             assert np.max(np.abs(table.expected_allocation - want)[:, valid]) <= 1e-10
 
@@ -359,7 +360,7 @@ class TestKatzClosedForm:
 class TestNegbinSeries:
     def test_single_risk_reduces_to_weighted_pmf(self):
         r, q = 2.5, 0.4
-        f = KatzParams.negative_binomial(r, q).pmf(32)
+        f = negative_binomial_risk(r, q).pmf_vector(32)
         for k in (1, 2, 5, 9):
             got = allocate_negbin_convolution([(r, q)], k)
             assert got == pytest.approx(k * f[k], rel=1e-12)
@@ -386,7 +387,7 @@ class TestNegbinSeries:
 
     def test_accepts_katz_risks(self):
         got = allocate_negbin_convolution([negative_binomial_risk(2.0, 0.5).frequency], 3)
-        f = KatzParams.negative_binomial(2.0, 0.5).pmf(8)
+        f = negative_binomial_risk(2.0, 0.5).pmf_vector(8)
         assert got == pytest.approx(3 * f[3], rel=1e-12)
 
     def test_budget(self):
@@ -606,7 +607,7 @@ class TestAlgorithmOne:
         risk = CompoundKatzRisk(
             KatzParams.poisson(0.161152),
             pmf_from_values(
-                KatzParams.negative_binomial(2, 0.489756).pmf(512)
+                negative_binomial_risk(2, 0.489756).pmf_vector(512)
             ),
         )
         t = allocate_compound_poisson_pool([risk], 2048)
@@ -641,7 +642,7 @@ class TestLayers:
     def test_excess_vanishes_when_top_layer_covers_the_grid(self):
         # a truncated margin keeps its deficit in the truncation report, so the
         # in-table mean is fully swept up once l2 reaches the grid top
-        full = KatzParams.poisson(3.0).pmf(256)
+        full = poisson_risk(3.0).pmf_vector(256)
         trunc = pmf_from_values(full[:12])
         with pytest.warns(AliasingRisk):
             t = allocate_independent([ExplicitRisk(trunc), explicit_risk(PARTNER)], 32)
@@ -662,7 +663,7 @@ class TestOracles:
         assert o.expected_allocation[0][1] == pytest.approx(0.25)
 
     def test_two_poisson_proportionality(self):
-        f = KatzParams.poisson(1.0).pmf(21)
+        f = poisson_risk(1.0).pmf_vector(21)
         risks = [
             ExplicitRisk(pmf_from_values(f)),
             ExplicitRisk(pmf_from_values(f)),
@@ -687,7 +688,7 @@ class TestOracles:
 
     def test_size_biased_poisson_row(self):
         lam = 0.7
-        fX = KatzParams.poisson(lam).pmf(64)
+        fX = poisson_risk(lam).pmf_vector(64)
         partner = np.pad(PARTNER, (0, 59))
         sb = oracle_size_biased(
             ExplicitRisk(pmf_from_values(fX)),

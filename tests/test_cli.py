@@ -84,12 +84,12 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
     def test_no_valid_point_writes_nothing(self, tmp_path, capsys):
-        # a portfolio with no Poisson claims runs the dense engine, and at tolerance 1e-300 no
-        # lattice point of it is valid, so the conditional-mean distribution fails; it is
-        # formed before the first file is written
+        # a portfolio with no Poisson claims runs the dense engine, and with an underflow floor
+        # of 1, which no mass exceeds, no lattice point of it is valid, so the conditional-mean
+        # distribution fails; it is formed before the first file is written
         scenario = tmp_path / "strict.yaml"
         scenario.write_text(
-            "kmax: 16\ntolerance: 1.0e-300\nmodel:\n  risks:\n"
+            "kmax: 16\nunderflow_floor: 1.0\nmodel:\n  risks:\n"
             "    - {type: binomial, m: 4, q: 0.3}\n    - {type: bernoulli, b: 3, q: 0.2}\n"
             "outputs:\n  pmf_of_conditional_means: [1]\n"
         )

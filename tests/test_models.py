@@ -15,6 +15,7 @@ from allocgen.errors import AllocationError, InvalidMarginal, KatzDomain
 from allocgen.models import (
     _DOT_CHUNK,
     ROW_BLOCK,
+    UNIT_CLAIM,
     BernoulliRisk,
     CompoundKatzRisk,
     KatzParams,
@@ -40,39 +41,34 @@ from reference import compound_pmf_panjer_loop, materialised_weights, negbin_pmf
 
 class TestKatzFamilies:
     def test_poisson_pmf_matches_scipy(self):
-        f = KatzParams.poisson(0.7).pmf(32)
+        f = poisson_risk(0.7).pmf_vector(32)
         assert np.allclose(f, stats.poisson.pmf(np.arange(32), 0.7), atol=1e-14)
 
     def test_poisson_pmf_matches_series(self):
-        f = KatzParams.poisson(1.3).pmf(24)
+        f = poisson_risk(1.3).pmf_vector(24)
         assert np.allclose(f, poisson_pmf_direct(1.3, 24), atol=1e-14)
 
     def test_negative_binomial_matches_scipy(self):
-        f = KatzParams.negative_binomial(3.0, 0.6).pmf(48)
+        f = negative_binomial_risk(3.0, 0.6).pmf_vector(48)
         assert np.allclose(f, stats.nbinom.pmf(np.arange(48), 3.0, 0.6), atol=1e-14)
 
     def test_binomial_matches_scipy_and_truncates(self):
-        f = KatzParams.binomial(5, 0.3).pmf(16)
+        f = binomial_risk(5, 0.3).pmf_vector(16)
         assert np.allclose(f[:6], stats.binom.pmf(np.arange(6), 5, 0.3), atol=1e-14)
         assert np.all(f[6:] == 0.0)
 
     @pytest.mark.parametrize("m, q, n", [(4, 0.6, 2048), (20, 0.9, 4096), (2000, 0.7, 4096)],
                              ids=["q_0.6", "q_0.9", "scaled_q_0.7"])
     def test_binomial_with_q_above_half_stops_at_its_support_top(self, m, q, n):
-        # for q > 1/2, |a| > 1: a product run past the top would carry the zero factor's
-        # sign noise times |a|^k into an overflow; the kept masses are the product's own
-        # (0.3^2000 underflows, so the last case takes the scaled run)
-        params = KatzParams.binomial(m, q)
+        # for q > 1/2, |a| > 1 amplifies the counting recursion's round-off; repeated squaring
+        # sums products of non-negative masses, so nothing overflows past the top
+        # (0.3^2000 underflows, so the last case's low masses are exact zeros)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            f = params.pmf(n)
+            f = binomial_risk(m, q).pmf_vector(n)
         assert np.all(f[m + 1 :] == 0.0)
         want = stats.binom.pmf(np.arange(m + 1), m, q)
         big = want > 1e-300
         np.testing.assert_allclose(f[: m + 1][big], want[big], rtol=1e-9, atol=0.0)
-        if m < 100:
-            k = np.arange(1, m + 1, dtype=float)
-            f0 = (1.0 - params.a) ** (params.b / params.a + 1.0)
-            assert np.array_equal(f[: m + 1], np.concatenate([[f0], f0 * np.cumprod(params.a + params.b / k)]))
 
     def test_means(self):
         assert KatzParams.poisson(0.7).mean == pytest.approx(0.7)
@@ -95,7 +91,7 @@ class TestKatzFamilies:
     @settings(max_examples=50)
     def test_recursion_property(self, params):
         a, b = params.a, params.b
-        f = params.pmf(20)
+        f = CompoundKatzRisk(params, UNIT_CLAIM).pmf_vector(20)
         top = params.support_top()
         for k in range(1, 20):
             if top is not None and k > top:
@@ -129,12 +125,12 @@ class TestKatzFamilies:
     def test_pgf_consistent_with_pmf(self, params):
         z = gf.roots_of_unity(64)
         assert params.pgf(np.array([1.0 + 0j]))[0] == pytest.approx(1.0)
-        gap = np.max(np.abs(params.pgf(z) - gf.dft(params.pmf(64))))
+        gap = np.max(np.abs(params.pgf(z) - gf.dft(CompoundKatzRisk(params, UNIT_CLAIM).pmf_vector(64))))
         assert gap <= 1e-12
 
     def test_mean_matches_pmf_dot_product(self):
         params = KatzParams.negative_binomial(4.0, 0.5)
-        f = params.pmf(256)
+        f = CompoundKatzRisk(params, UNIT_CLAIM).pmf_vector(256)
         assert params.mean == pytest.approx(float(np.dot(np.arange(256.0), f)), abs=1e-9)
 
 
@@ -606,15 +602,20 @@ def test_risks_hash_and_compare():
 
 class TestConvenienceConstructors:
     @pytest.mark.parametrize(
-        "risk, kmax",
-        [(poisson_risk(0.7), 64), (poisson_risk(800), 2048),
-         (negative_binomial_risk(3.0, 0.6), 64), (binomial_risk(5, 0.3), 64)],
+        "risk, kmax, dist",
+        [(poisson_risk(0.7), 64, stats.poisson(0.7)), (poisson_risk(800), 2048, stats.poisson(800)),
+         (negative_binomial_risk(3.0, 0.6), 64, stats.nbinom(3.0, 0.6)),
+         (binomial_risk(5, 0.3), 64, stats.binom(5, 0.3))],
         ids=["poisson", "poisson_800", "negative_binomial", "binomial"],
     )
-    def test_a_count_is_its_own_closed_form(self, risk, kmax):
-        # a random sum of unit claims: bit for bit the count's own masses, pgf, mean and bound
+    def test_a_count_is_its_own_closed_form(self, risk, kmax, dist):
+        # a random sum of unit claims: bit for bit the count's own pgf, mean and bound; its
+        # masses are the random sum's (Poisson(800)'s f(0) underflows into the scaled recursion)
         params, z = risk.frequency, gf.roots_of_unity(kmax)
-        assert np.array_equal(risk.pmf_vector(kmax), params.pmf(kmax))
+        f, want = risk.pmf_vector(kmax), dist.pmf(np.arange(kmax))
+        big = want > 1e-300
+        np.testing.assert_allclose(f[big], want[big], rtol=1e-9, atol=0.0)
+        assert np.all(np.abs(f[~big]) <= 1e-300)
         assert np.array_equal(risk.pgf_on_roots(z), params.pgf(z))
         assert risk.mean() == params.mean
         assert risk.support_top() == params.support_top()
