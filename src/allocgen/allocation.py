@@ -5,12 +5,12 @@ allocation sequence for risk i is (t * d/dt of the risk's pgf) times the pgf of
 the others.  Evaluating both factors on the roots of unity and inverting the
 product recovers every allocation at once.  Closed forms for the (a, b) count
 family and random sums over Poisson counts avoid the per-risk transform of the
-others entirely, because their allocation generating function is an explicit
-multiple of the pgf of the full sum; for a Poisson pool that multiple is a
-short polynomial, so its table is kept as two factors, the polynomials' n x J
-coefficients and one sequence, and every output is a query on them; the
-coefficients are formed from the pool's claims whenever a query reads them,
-a block of rows at a time, and never stored.
+others entirely, because by the compound Katz rule their allocation
+generating function is c(t) P_S(t); for a Poisson pool each c is a short
+polynomial, so its table is kept as two factors, the n x J coefficients
+(``models.canonical_row``) and one sequence, and every output is a query on
+them; the coefficients are formed whenever a query reads them, a block of
+rows at a time, and never stored.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -59,7 +59,7 @@ from .models import (
     _chunked_convolve,
     bernoulli_margins,
     common_step,
-    compound_pmf_panjer,
+    counting_recursion,
     poisson_pool,
 )
 from .pmf import DiscretePMF, TruncationReport, pmf_from_values
@@ -82,8 +82,8 @@ class PortfolioModel:
     are any sized iterable of risks: a sampled Poisson-NB pool stays a
     ``models.PoissonNegbinPool``, alone or after explicit risks in a
     ``models.RiskChain``; the Poisson pool engine streams it, and the other
-    engines iterate it.  Each margin is routed on its own: Poisson numbers of claims
-    (``models.poisson_claims``) stay in the factored pool, other margins take dense rows.
+    engines iterate it.  Each margin is routed on its own: one with a c row
+    (``models.canonical_row``) stays in the factored pool, other margins take dense rows.
     """
 
     risks: list = field(default_factory=list)
@@ -103,7 +103,7 @@ class AllocationTable:
     asked and stores none; a regrouped pool keeps its few rows as an array.
     Both serve ``shape`` and row slices; ``bands`` reads W ROW_BLOCK rows
     at a time, and ``rows`` reads only the rows it is asked for.  Margins
-    beside a pool that are not Poisson claims have zero weights; their own
+    beside a pool that have no c row have zero weights; their own
     dense rows are ``dense_rows`` (their indices, in order, and the rows),
     added to the product's.  Every output reads the rows through a small
     interface:
@@ -229,29 +229,27 @@ class AllocationTable:
 
 
 class PoolWeights:
-    """A Poisson pool's weights w_i(j) = h lam_i j f_Bi(j), j < ``width``, formed a slice of rows at a time.
+    """A Poisson pool's weights w_i(j) = h c_i(j), j < ``width``, formed a slice of rows at a time.
 
-    ``read`` is ``models.poisson_pool``'s claim reader and ``lam`` its rates
-    (0 for an other margin, whose row is zero).  It serves the reads of the
-    n x ``width`` array W it stands for: ``shape``, ``self[rows]`` for a
-    slice of rows (a fresh array) and ``*= h``, which scales every later
-    read.  A read forms exactly the rows the array's slice would hold, and
-    only the rates and the risks themselves stay in memory.
+    ``read`` is ``models.poisson_pool``'s row reader over ``n`` rows (a dense
+    margin's is zero).  It serves the reads of the n x ``width`` array W it
+    stands for: ``shape``, ``self[rows]`` for a slice of rows (a fresh
+    array) and ``*= h``, which scales every later read.  A read forms
+    exactly the rows the array's slice would hold, and only the risks
+    themselves stay in memory.
     """
 
-    def __init__(self, read, lam: np.ndarray, width: int):
-        self.read, self.lam, self.width, self.step_h = read, lam, width, 1.0
+    def __init__(self, read, n: int, width: int):
+        self.read, self.n, self.width, self.step_h = read, n, width, 1.0
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.lam), self.width
+        return self.n, self.width
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        rows = slice(*rows.indices(len(self.lam)))
-        masses, _ = self.read(rows, self.width)
-        cols = min(masses.shape[1], self.width)
-        w = np.zeros((len(masses), self.width))
-        np.multiply(masses[:, :cols], self.lam[rows, None] * np.arange(cols, dtype=float), out=w[:, :cols])
+        w = self.read(slice(*rows.indices(self.n)), self.width)[0]
+        if w.shape[1] < self.width:
+            w = np.pad(w, ((0, 0), (0, self.width - w.shape[1])))
         if self.step_h != 1.0:
             w *= self.step_h
         return w
@@ -533,66 +531,58 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
 
 
 def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
-    """Allocation table for independent risks, their Poisson random sums and NB counts kept factored.
+    """Allocation table for independent risks, the margins with a ``models.canonical_row`` kept factored.
 
-    For risk i with rate lam_i and severity pmf f_Bi, the allocation
-    generating function is lam_i t P_Bi'(t) P_S(t), a multiple of the pgf of
-    the whole sum whatever the other margins are, so
+    Such a margin's allocation generating function is c_i(t) P_S(t) whatever
+    the other margins are, so mu_i(k) = sum_j c_i(j) f_S(k - j), a sum of
+    non-negative terms.  The table is built in four steps:
 
-        mu_i(k) = sum_j w_i(j) f_S(k - j),   w_i(j) = lam_i j f_Bi(j),
-
-    a sum of non-negative terms.  The table is built in four steps:
-
-    1. f_pool by the Panjer recursion of the merged pool, Poisson(Lambda)
-       over sum_i lam_i f_Bi / Lambda with Lambda = sum_i lam_i, checked by
-       one transform of the same merged severity (the largest gap, relative
-       to its peak, goes into the truncation notes);
-    2. the other margins (``models.poisson_pool``'s others) by
-       ``allocate_independent``, whose f_S cut after its last non-zero mass
-       is f_rest (L points), and f_S = f_rest * f_pool;
-    3. a band width J, certified from the weights and f_S (``_band_width``),
+    1. f_pool by the recursion k f(k) = sum_j C(j) f(k - j) on C = sum_i c_i
+       from log f(0) = sum_i log f_i(0), checked by one transform,
+       exp(log f(0) + dft(C / j)) (the largest gap, relative to its peak,
+       goes into the truncation notes);
+    2. the dense margins by ``allocate_independent``, whose f_S cut after
+       its last non-zero mass is f_rest (L points), and f_S = f_rest * f_pool;
+    3. a band width J, certified from the rows and f_S (``_band_width``),
        so that the terms j >= J left out of mu_i(k) sum to at most machine
        epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
     4. the factored table over seq = f_S: W is the pool's ``PoolWeights``
-       over J columns, read from the claims whenever a query asks, and each
-       other margin keeps its dense row mu_r = nu_r * f_pool (``dense_rows``).
+       over J columns, read whenever a query asks, and each dense margin
+       keeps its dense row mu_r = nu_r * f_pool (``dense_rows``).
 
-    With no other margin, f_rest = 1 and f_S = f_pool; with no Poisson claims,
-    the table is ``allocate_independent``'s.  The others' means and
+    With no dense margin, f_rest = 1 and f_S = f_pool; with no c row, the
+    table is ``allocate_independent``'s.  The dense margins' means and
     truncation report join the pool's.  ``models.poisson_pool`` reads the
-    claims ROW_BLOCK rows at a time and never whole: pass 1 (``_pool_pass1``)
-    collects the merged severity, each row's total, length and first moment,
-    and the weights' head and tail sums for ``_band_width``; assembly reads
-    the first J columns once more for the column sum 1^T W, and every query
-    reads them again.  Nothing n x J is stored.  A sampled severity with no
+    rows ROW_BLOCK at a time and never whole: pass 1 (``_pool_pass1``) over
+    all columns, assembly over the first J for the column sum 1^T W, and
+    every query again.  Nothing n x J is stored.  A sampled severity with no
     mass raises KatzDomain.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the
-    mean, the other margins' spread included.
+    mean, the dense margins' spread included.  A count's unit claims always
+    fit, and its c past kmax reaches no f_S(k), so it loses no mass.
     """
     if not risks:
         raise EmptyDistribution("empty portfolio")
     pool = poisson_pool(risks, kmax)
     if pool is None:
         return allocate_independent(risks, kmax)
-    lam, step_h, read, others = pool
+    log_f0, step_h, read, others = pool
     idx = list(others)
-    # the candidate band widths below kmax; those below the longest severity are used
+    # the candidate band widths below kmax; those below the longest row are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
 
-    merged, totals, moments, lengths, ratios = _pool_pass1(read, lam, kmax, powers)
+    C, means, kept, lengths, ratios = _pool_pass1(read, len(risks), kmax, powers)
 
     length = int(min(kmax, lengths.max()))
     cuts = [c for c in powers if c < length] + [length]
-    merged, j = merged[:length], np.arange(length, dtype=float)
-    count = KatzParams.poisson(float(lam.sum()))
-    mix = merged / (count.b or 1.0)
-    fs = f_pool = compound_pmf_panjer(count, mix, kmax)
-    fs_hat = gf.compound_pgf_on_roots(count, gf.dft(np.pad(mix, (0, kmax - length)), half=True))
+    C, j = C[:length], np.arange(length, dtype=float)
+    fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
+    fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - length)), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
-    # var of a Poisson random sum is lam * E[B^2]
-    means, var, beside, dense = lam * (step_h * moments), float(j**2 @ merged), "", None
+    # t (ln P_S)' has coefficients C, so var S = sum_j j C(j)
+    means, var, beside, dense = step_h * means, float(j @ C), "", None
     if others:
         table = allocate_independent(list(others.values()), kmax)
         rest = np.trim_zeros(table.fs.masses, "b")
@@ -600,7 +590,7 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         k = np.arange(len(rest), dtype=float)
         var += float((k - k @ rest) ** 2 @ rest)
         beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
-        means[idx], totals[idx] = table.risk_means, 1.0  # the others' lost mass is in their own report
+        means[idx] = table.risk_means  # the others' lost mass is in their own report
         dense = np.array(idx), _toeplitz_rows(table.weights[:, : len(rest)], f_pool)
     band = _band_width(fs, cuts, ratios[: len(cuts) - 1])
 
@@ -610,44 +600,36 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S{beside}"
-    trunc = _aliasing_report(kmax, totals, np.minimum(lengths, kmax), "severity", reasons, [band_note])
+    trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), "severity", reasons, [band_note])
     if others:
         own = table.truncation
         trunc = TruncationReport(kmax, trunc.lost_mass + own.lost_mass, aliasing_risk=trunc.aliasing_risk
                                  or own.aliasing_risk, notes=trunc.notes + own.notes)
-    weights = PoolWeights(read, lam, band)
-    return assemble_table(fs, weights, means, step_h=step_h, truncation=trunc, seq=fs, dense_rows=dense)
+    return assemble_table(fs, PoolWeights(read, len(risks), band), means, step_h=step_h, truncation=trunc,
+                          seq=fs, dense_rows=dense)
 
 
-def _pool_pass1(read, lam: np.ndarray, kmax: int, powers: Sequence[int]):
-    """Pass 1 of ``allocate_compound_poisson_pool``: the claims, ``read`` a row block at a time over all columns.
+def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int]):
+    """Pass 1 of ``allocate_compound_poisson_pool``: the c rows, ``read`` a row block at a time over all columns.
 
-    Returns the merged severity sum_i lam_i f_Bi on kmax points, each row's
-    total, first moment and length, and, for each power of two J in
-    ``powers``, c(J) = max_i tail_i(J) / head_i(J) (``_band_width``).
+    Returns C = sum_i c_i on kmax points, summed over the rows in order,
+    each row's mean sum_j c_i(j), kept severity mass and length, and, for
+    each power of two J in ``powers``, max_i tail_i(J) / head_i(J) (``_band_width``).
     """
-    n = len(lam)
-    j = np.arange(kmax, dtype=float)
-    merged = np.zeros(kmax)
-    totals, moments = np.empty(n), np.empty(n)
-    lengths = np.empty(n, dtype=int)
-    ratios = np.zeros(len(powers))
+    C, ratios = np.zeros(kmax), np.zeros(len(powers))
+    means, kept, lengths = np.empty(n), np.empty(n), np.empty(n, dtype=int)
     for rows in _block_rows(n):
-        masses, tops = read(rows)
-        lengths[rows] = tops
-        moments[rows] = masses @ np.arange(masses.shape[1], dtype=float)
-        f = masses[:, :kmax]
-        width = f.shape[1]
-        totals[rows] = f.sum(axis=1)
-        merged[:width] += lam[rows] @ f
-        w = f * (lam[rows, None] * j[:width])
-        cuts = [c for c in powers if c < width]
+        block, lengths[rows], kept[rows] = read(rows)
+        means[rows] = block.sum(axis=1)
+        w = block[:, :kmax]
+        C[: w.shape[1]] += w.sum(axis=0)
+        cuts = [c for c in powers if c < w.shape[1]]
         pieces = np.add.reduceat(w, [0, *cuts], axis=1)
         head = np.cumsum(pieces, axis=1)[:, :-1]
         tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
         ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
         np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
-    return merged, totals, moments, lengths, ratios
+    return C, means, kept, lengths, ratios
 
 
 def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:

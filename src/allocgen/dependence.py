@@ -1,9 +1,9 @@
 """Dependent portfolios: shock tree, gamma-mixed counts, frailty-coupled indicators.
 
 The shock tree and the gamma-mixed pair are sums of independent pieces (15
-Poisson shocks; three NB counts, which the pool reader splits into Poisson
-numbers of log-series claims).  Both form a Poisson pool, whose f_S is a
-Panjer recursion and whose rows are a certified banded product of
+Poisson shocks; three NB counts), each a c row of a Poisson pool
+(``models.canonical_row``), whose f_S is the log-derivative recursion on
+their sum C and whose rows are a certified banded product of
 non-negative terms; its table is regrouped onto the risks by a fixed
 loading matrix (``allocation.regroup``), so they inherit its accuracy, its
 factored storage and its truncation reports.  The frailty pool is a mixture
@@ -167,8 +167,8 @@ class GammaMixtureSpec:
 def gamma_mixture_allocation(spec: GammaMixtureSpec, kmax: int) -> AllocationTable:
     """Allocation table for the pair from the three independent NB pieces of S.
 
-    The pieces are NB counts, so they form a Poisson pool of log-series
-    claims (``allocate_compound_poisson_pool``), as the shock tree's do.
+    The pieces are NB counts, so they form a Poisson pool of c rows
+    (``allocate_compound_poisson_pool``), as the shock tree's do.
     Risk i's count is its own piece plus the share zeta_i / zeta12 of the
     shared piece; pieces of shape 0 are left out.
     """

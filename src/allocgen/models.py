@@ -11,8 +11,9 @@ binomial counts, whose recursion is unstable for q > 1/2 and which are
 expanded by repeated squaring instead.  A sampled pool of Poisson random
 sums with negative-binomial severities is held as its draws
 (``PoissonNegbinPool``) and builds its risks only when asked;
-``poisson_pool`` reads the Poisson claims (``poisson_claims``) of any
-portfolio, stored or sampled, block by block.
+``poisson_pool`` reads the rows c(j) of any portfolio, stored or sampled,
+block by block, where c(t) P_S(t) is a margin's allocation generating
+function (``canonical_row``).
 """
 
 from __future__ import annotations
@@ -103,6 +104,12 @@ class KatzParams:
             return ((1.0 - self.a * s) / (1.0 - self.a)) ** self.support_top()
         return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
+    def log_pgf(self, s: float) -> float:
+        """log of the pgf at a real s in [0, 1], kept finite where the pgf itself underflows."""
+        if self.a == 0.0:
+            return self.b * (s - 1.0)
+        return (self.b / self.a + 1.0) * math.log((1.0 - self.a) / (1.0 - self.a * s))
+
 
 # The Poisson pool engine reads severities, and negbin_rows runs its recursion,
 # in blocks of this many rows; negbin_rows cumulates masses this many columns at
@@ -112,12 +119,12 @@ ROW_BLOCK = 128
 _ITER_ROWS = 16
 _NEGBIN_CHUNK = 512
 _TINY = np.finfo(float).tiny
-# compound_pmf_panjer rescales its carried masses by 2^-_PANJER_SHIFT once
+# counting_recursion rescales its carried masses by 2^-_PANJER_SHIFT once
 # one passes 2^_PANJER_SHIFT.
 _PANJER_SHIFT = 600
 _PANJER_RESCALE_AT = 2.0**_PANJER_SHIFT
 # OpenBLAS splits a dot product over 10^4 entries across threads, which changes
-# its summation order; compound_pmf_panjer sums longer windows, and
+# its summation order; counting_recursion sums longer windows, and
 # _chunked_convolve convolves longer factors, in pieces this long
 _DOT_CHUNK = 4096
 
@@ -226,59 +233,56 @@ def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) 
     """pmf of the random sum by the counting recursion (no transforms).
 
     Severity mass at zero is allowed.  Used both as a production conversion and
-    as the transform-free cross-check of the pgf composition path.
-
-    When the first mass g(0) underflows, as it does for a large pool's total,
-    the recursion (which is linear in g) runs on masses carried as g 2^-e:
-    it starts from the mantissa of g(0), taken from log g(0), and whenever a
-    carried mass passes 2^_PANJER_SHIFT it multiplies the masses so far by
-    2^-_PANJER_SHIFT and adds _PANJER_SHIFT to e.  The masses are scaled back
-    once at the end.  Where g(0) is a normal float, e stays 0 and nothing is
-    rescaled.
+    as the transform-free cross-check of the pgf composition path.  The
+    recursion g(k) = sum_j (a + b j / k) fb(j) g(k - j) / (1 - a fb(0)) runs
+    in ``counting_recursion`` from log g(0) = log P_N(fb(0)).
     """
     a, b = frequency.a, frequency.b
     fb = np.zeros(kmax)
     m = min(kmax, len(severity))
     fb[:m] = severity[:m]
-    if a == 0.0:
-        g0 = np.exp(b * (fb[0] - 1.0))
-    else:
-        g0 = ((1.0 - a) / (1.0 - a * fb[0])) ** (b / a + 1.0)
-    e = 0
-    scaled = not g0 >= _TINY
-    if scaled:
-        # g(0) = m 2^e with m in [1, 2), from log g(0)
-        if a == 0.0:
-            log_g0 = b * (fb[0] - 1.0)
-        else:
-            log_g0 = (b / a + 1.0) * math.log((1.0 - a) / (1.0 - a * fb[0]))
-        e = math.floor(log_g0 / math.log(2.0))
-        g0 = math.exp(log_g0 - e * math.log(2.0))
-    denom = 1.0 - a * fb[0]
-    g = np.zeros(kmax)
-    g[0] = g0
     top = int(np.flatnonzero(fb)[-1]) if fb.any() else 0
-    # g(k) = sum_{j <= top} (a + b j / k) fb(j) g(k - j) / denom; the coefficients
-    # are stored reversed, so each sum is a dot with the contiguous g[k - mm : k]
-    j = np.arange(top, 0, -1, dtype=float)
-    arev = a * fb[top:0:-1] / denom
-    bjrev = b * j * fb[top:0:-1] / denom
-    for k in range(1, kmax):
+    tail, denom = fb[1 : top + 1], 1.0 - a * fb[0]
+    j = np.arange(1, top + 1, dtype=float)
+    g = counting_recursion(frequency.log_pgf(fb[0]), b * j * tail / denom, kmax, a * tail / denom if a else None)
+    ftop = frequency.support_top()
+    if ftop is not None and ftop * top + 1 < kmax:
+        g[ftop * top + 1 :] = 0.0  # terminating counts leave recursion noise past the bound
+    return g
+
+
+def counting_recursion(log_g0: float, over_k: np.ndarray, kmax: int, flat: Optional[np.ndarray] = None) -> np.ndarray:
+    """g on kmax points from g(0) = exp(log_g0) and g(k) = sum_{1 <= j <= top} (flat(j) + over_k(j) / k) g(k - j).
+
+    ``over_k`` and ``flat`` (zero when None) hold j = 1..top.  With C as
+    ``over_k`` this is the log-derivative recursion k g(k) = sum_j C(j) g(k - j).
+    When g(0) underflows, as a large pool's does, the recursion (linear in
+    g) carries g 2^-e: it starts from the mantissa of g(0), taken from
+    log g(0), and whenever a mass passes 2^_PANJER_SHIFT it multiplies the
+    masses so far by 2^-_PANJER_SHIFT and adds _PANJER_SHIFT to e; they are
+    scaled back once at the end.  Where g(0) is normal, e stays 0.
+    """
+    g, e = np.zeros(kmax), 0
+    g[0] = np.exp(log_g0)
+    scaled = not g[0] >= _TINY
+    if scaled:  # g(0) = m 2^e with m in [1, 2)
+        e = math.floor(log_g0 / math.log(2.0))
+        g[0] = math.exp(log_g0 - e * math.log(2.0))
+    top = len(over_k)
+    # the coefficients are stored reversed, so each sum is a dot with the contiguous g[k - mm : k]
+    over_k = over_k[::-1].copy()
+    flat = None if flat is None else flat[::-1].copy()
+    for k in range(1, kmax if top else 1):
         mm = min(k, top)
-        if mm == 0:
-            continue
         window = g[k - mm : k]
-        g[k] = _chunked_dot(bjrev[top - mm :], window) / k
-        if a != 0.0:
-            g[k] += _chunked_dot(arev[top - mm :], window)
+        g[k] = _chunked_dot(over_k[top - mm :], window) / k
+        if flat is not None:
+            g[k] += _chunked_dot(flat[top - mm :], window)
         if scaled and g[k] > _PANJER_RESCALE_AT:
             g[: k + 1] *= 2.0**-_PANJER_SHIFT
             e += _PANJER_SHIFT
     if scaled:
         g = np.ldexp(g, e)
-    ftop = frequency.support_top()
-    if ftop is not None and ftop * top + 1 < kmax:
-        g[ftop * top + 1 :] = 0.0  # terminating counts leave recursion noise past the bound
     return g
 
 
@@ -487,69 +491,69 @@ class RiskChain:
         return itertools.chain.from_iterable(self.parts)
 
 
-def poisson_claims(risk, kmax: int) -> Optional[tuple[float, np.ndarray]]:
-    """``risk`` as a Poisson number of iid claims, ``(rate, claim masses)``, or None when it is not one.
+def canonical_row(risk, n: int) -> Optional[np.ndarray]:
+    """c(j), j < n, of ``risk``'s allocation generating function c(t) P_S(t); None for a dense margin.
 
-    A Poisson random sum keeps its rate and severity.  An NB count (a > 0
-    over ``UNIT_CLAIM``) is Poisson(-(b/a + 1) ln(1 - a)) claims with masses
-    a^j / (-j ln(1 - a)), j >= 1, on ``kmax`` points; the powers stop at
-    j = 1076 / -log2(a), past which a^j < 2^-1076 rounds to exactly 0.
+    By the compound Katz rule an (a, b) random sum X has c = t (ln P_X)', so
+    E[X 1{S = k}] = sum_j c(j) f_S(k - j).  The rule takes the margins whose c
+    is closed-form and non-negative: b j f_B(j) for a Poisson random sum, on
+    its severity's first n points, and (a + b) a^(j-1), j >= 1, for an NB
+    count, on n points, the powers stopping where a^(j-1) rounds to 0.
     """
     if not isinstance(risk, CompoundKatzRisk):
         return None
     a, b = risk.frequency.a, risk.frequency.b
     if a == 0.0:
-        return b, risk.severity.masses
+        masses = risk.severity.masses[:n]
+        return masses * (b * np.arange(len(masses), dtype=float))
     if a < 0.0 or risk.severity is not UNIT_CLAIM:
         return None
-    log_q = math.log(1.0 - a)
-    top = min(kmax, int(1076 / -math.log2(a)) + 1)
-    j = np.arange(1, top, dtype=float)
-    return -(b / a + 1.0) * log_q, np.pad(a**j / (-j * log_q), (1, kmax - top))
+    top = min(n, int(1076 / -math.log2(a)) + 2)
+    row = np.zeros(n)
+    row[1:top] = (a + b) * a ** np.arange(top - 1, dtype=float)
+    return row
 
 
 def poisson_pool(risks: Iterable, kmax: int):
-    """The rates, lattice step, claim reader and other margins of ``risks``; None if none is Poisson claims.
+    """Sum of log f_i(0), lattice step, row reader and dense margins of ``risks``; None if none has a c row.
 
     This is how the Poisson pool engine reads a portfolio, whatever holds
     it: a list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both,
-    and the one code that walks a chain's parts.  A margin ``poisson_claims``
-    does not take is an other margin: rate 0 and a zero row (of length 0) in
-    every read, so rows keep their order; ``others`` maps its index to it.
-    The set-up forms no claim masses.  ``read(rows, columns=None)`` gives the
-    claims of any slice of rows as ``(masses, lengths)`` over the first
-    ``columns`` claim sizes (default: all of the longest), as ``negbin_rows``
-    gives rows, a fresh array on every call; the engine reads blocks of
-    ROW_BLOCK rows.  Each part that overlaps the slice reads exactly its rows
-    there: a sampled pool by its row recursion, with no risk built, and
-    listed risks by ``poisson_claims`` on ``kmax`` points (the transform
-    length), a fresh copy zero-padded to the part's longest.  A slice that
-    spans parts joins their rows, zero-padded to the widest.  Every row
-    depends on its own risk only, so it reads the same in any slice.  A
-    stored part's lattice step is ``common_step``'s (a sampled pool's is 1);
+    and the one code that walks a chain's parts.  A margin with no
+    ``canonical_row`` is a dense margin (``others`` maps its index to it):
+    it adds no log f(0) and reads as a zero row of length 0 and kept mass 1.
+    The set-up forms no rows.  ``read(rows, columns=None)`` gives fresh
+    ``(c rows, lengths, kept)`` for any slice of rows over their first
+    ``columns`` points (default: all of the longest), each row zero from
+    its length on and ``kept`` its severity's mass on ``kmax`` points.  Each
+    part reads exactly its rows in the slice: a sampled pool by its row
+    recursion times lam_i j, building no risk, and listed risks by
+    ``canonical_row``, zero-padded to the part's longest; parts are joined
+    zero-padded to the widest.  A row reads the same in any slice.  A stored
+    part's lattice step is ``common_step``'s (a sampled pool's is 1);
     different steps raise AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
-    lam, reads, steps, others = [], [], set(), {}
-    for part in parts:
+    starts = list(itertools.accumulate(map(len, parts), initial=0))
+    log_f0, reads, steps, others = [], [], set(), {}
+    for start, part in zip(starts, parts):
         if isinstance(part, PoissonNegbinPool):
-            lam.append(part.lam)
-            reads.append(part.severity_rows)
+            # lam_i (q_i^r_i - 1), with q^r by Python's float power as negbin_rows forms f_i(0)
+            f0 = np.array([qi**ri for qi, ri in zip(part.q.tolist(), part.r.tolist())])
+            log_f0.append(part.lam * (f0 - 1.0))
+            reads.append(partial(_sampled_rows, part, kmax))
             steps.add(1.0)
             continue
-        rates, longest = [], 1  # a block of other margins alone still has one column
-        for i, risk in enumerate(part, sum(map(len, lam))):
-            claims = poisson_claims(risk, 1)  # the rate; an NB count's claims run to kmax, unformed here
-            if claims is None:
+        longest, logs = 1, []  # a block of dense margins alone still has one column
+        for i, risk in enumerate(part, start):
+            if canonical_row(risk, 1) is None:
                 others[i] = risk
-                rates.append(0.0)
                 continue
-            rates.append(claims[0])
-            longest = max(longest, kmax if risk.frequency.a else len(claims[1]))
-        lam.append(np.array(rates, dtype=float))
-        reads.append(partial(_stored_severity_rows, part, kmax, longest))
+            logs.append(risk.frequency.log_pgf(risk.severity.masses[0]))
+            longest = max(longest, kmax if risk.frequency.a else len(risk.severity.masses))
+        log_f0.append(np.array(logs, dtype=float))
+        reads.append(partial(_stored_rows, part, kmax, longest))
         steps.add(common_step(part))
-    starts = list(itertools.accumulate(map(len, parts), initial=0))
     if len(others) == starts[-1]:
         return None
 
@@ -564,7 +568,8 @@ def poisson_pool(risks: Iterable, kmax: int):
 
     if len(steps) > 1:
         raise AllocationError(f"risks use different lattice steps: {sorted(steps)}")
-    return np.concatenate(lam), steps.pop(), read, others
+    # summed exactly, so a chain's sum is its list's
+    return math.fsum(np.concatenate(log_f0)), steps.pop(), read, others
 
 
 def common_step(risks: Iterable) -> float:
@@ -583,25 +588,36 @@ def common_step(risks: Iterable) -> float:
     return steps.pop()
 
 
-def _stacked(pieces: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Row pieces ``(masses, lengths)`` as one block: a lone piece as it came, more zero-padded to the widest."""
+def _stacked(pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row pieces ``(rows, lengths, kept)`` as one block: a lone piece as it came, more zero-padded to the widest."""
     if len(pieces) == 1:
         return pieces[0]
-    width = max(m.shape[1] for m, _ in pieces)
-    masses = np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m, _ in pieces])
-    return masses, np.concatenate([t for _, t in pieces])
+    rows, lengths, kept = zip(*pieces)
+    width = max(c.shape[1] for c in rows)
+    padded = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in rows])
+    return padded, np.concatenate(lengths), np.concatenate(kept)
 
 
-def _stored_severity_rows(risks: Sequence, kmax: int, longest: int, rows: slice, columns: Optional[int] = None):
-    """The claims (``poisson_claims``) of ``risks[rows]``, a fresh copy zero-padded to ``longest`` points (or ``columns``)."""
+def _sampled_rows(pool: PoissonNegbinPool, kmax: int, rows: slice, columns: Optional[int] = None):
+    """The c rows lam_i j f_Bi(j) of ``pool[rows]`` (``severity_rows``), their lengths and kept severity masses."""
+    masses, lengths = pool.severity_rows(rows, columns)
+    kept = masses[:, :kmax].sum(axis=1)
+    masses *= pool.lam[rows, None] * np.arange(masses.shape[1], dtype=float)
+    return masses, lengths, kept
+
+
+def _stored_rows(risks: Sequence, kmax: int, longest: int, rows: slice, columns: Optional[int] = None):
+    """The c rows (``canonical_row``) of ``risks[rows]`` on ``longest`` points (or ``columns``), lengths and kept masses."""
     chosen = risks[rows]
     width = longest if columns is None else columns
-    masses, lengths = np.zeros((len(chosen), width)), np.zeros(len(chosen), dtype=int)
+    out, lengths, kept = np.zeros((len(chosen), width)), np.zeros(len(chosen), dtype=int), np.ones(len(chosen))
     for i, risk in enumerate(chosen):
-        claims = poisson_claims(risk, min(kmax, width)) or (0.0, ())  # an other margin has none
-        masses[i, : len(claims[1])] = claims[1][:width]
-        lengths[i] = len(claims[1])
-    return masses, lengths
+        row = canonical_row(risk, width)
+        if row is not None:
+            out[i, : len(row)] = row
+            lengths[i] = len(row)
+            kept[i] = risk.severity.masses[:kmax].sum()
+    return out, lengths, kept
 
 
 def poisson_risk(lam: float) -> CompoundKatzRisk:

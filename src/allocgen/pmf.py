@@ -129,7 +129,7 @@ def truncated_pmf(masses: np.ndarray, step_h: float = 1.0) -> DiscretePMF:
     """
     total = masses.sum()
     if total > 1.0 + EXACT_MASS_TOL:
-        raise InvalidPMF(f"total mass {total!r} exceeds 1")
+        raise InvalidPMF(f"total mass {float(total)!r} exceeds 1")
     return DiscretePMF(masses, step_h)
 
 

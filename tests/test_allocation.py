@@ -45,6 +45,7 @@ from allocgen.models import (
     KatzParams,
     RiskChain,
     binomial_risk,
+    canonical_row,
     compound_pmf_panjer,
     compound_poisson_risk,
     explicit_risk,
@@ -623,6 +624,17 @@ class TestAlgorithmOne:
             t = allocate_compound_poisson_pool(risks, 32)
         assert t.truncation.aliasing_risk
         assert t.truncation.lost_mass == pytest.approx(0.2, abs=1e-15)
+
+    def test_a_count_cut_at_the_buffer_loses_no_mass(self):
+        # NB(2, 0.05) has c(j) = 2 (0.95)^j, far from 0 at j = 63; its unit claims all fit on the
+        # buffer, and its c past it reaches no f_S(k), so no mass is lost, while its spread still
+        # reaches the top and the headroom check flags it
+        risks = [negative_binomial_risk(2.0, 0.05), compound_poisson_risk(0.3, [0.0, 0.5, 0.5])]
+        assert canonical_row(risks[0], 64)[-1] > 0.05
+        with pytest.warns(AliasingRisk, match="reaches the buffer top"):
+            t = allocate_compound_poisson_pool(risks, 64)
+        assert t.truncation.aliasing_risk and t.truncation.lost_mass == 0.0
+        assert not any("truncated mass" in note for note in t.truncation.notes)
 
 
 class TestLayers:

@@ -30,7 +30,6 @@ from allocgen.models import (
     explicit_risk,
     negative_binomial_risk,
     negbin_rows,
-    poisson_claims,
     poisson_pool,
     poisson_risk,
 )
@@ -213,28 +212,66 @@ class TestNegbinRows:
         assert masses.base is None
 
 
-class TestPoissonClaims:
-    def test_poisson_random_sum_is_its_own_claims(self):
-        risk = compound_poisson_risk(0.7, [0.0, 0.4, 0.6])
-        rate, masses = poisson_claims(risk, 64)
-        assert rate == 0.7 and masses is risk.severity.masses
+def canonical_sequence(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical sequence g of a pmf f, by k f(k) = sum_{1<=j<=k} g(j) f(k - j), and a bound on its error.
+
+    g(k) = [k f(k) - sum_{1<=j<k} g(j) f(k - j)] / f(0).  The bound assumes
+    each mass of f carries a relative error of at most u = n (n + 5) eps, as
+    the counting recursion's non-negative sums give on n points (each step
+    adds at most its window's n roundings and a few more for its
+    coefficient).  Those errors enter step m's residual as at most
+    rho(m) = u (m f(m) + sum_{j<m} |g(j)| f(m - j)), and the recursion carries
+    residuals into g through the coefficients h of 1/P_f, so, to first order,
+    |error of g(k)| <= sum_m |h(k - m)| rho(m).
+    """
+    n = len(f)
+    u = n * (n + 5) * np.finfo(float).eps
+    g, h, rho = np.zeros(n), np.zeros(n), np.zeros(n)
+    h[0] = 1.0 / f[0]
+    for k in range(1, n):
+        g[k] = (k * f[k] - g[1:k] @ f[k - 1 : 0 : -1]) / f[0]
+        h[k] = -(h[:k] @ f[k:0:-1]) / f[0]
+        rho[k] = u * (k * f[k] + np.abs(g[1:k]) @ f[k - 1 : 0 : -1])
+    return g, np.convolve(np.abs(h), rho)[:n]
+
+
+class TestCanonicalRow:
+    @given(
+        st.one_of(
+            st.builds(compound_poisson_risk, st.floats(0.001, 4.0),
+                      st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.01)
+                      .map(lambda w: np.divide(w, math.fsum(w)))),
+            st.builds(poisson_risk, st.floats(0.001, 5.0)),
+            st.builds(negative_binomial_risk, st.floats(0.05, 5.0), st.floats(0.001, 0.999)),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_row_is_the_canonical_sequence_of_the_margins_pmf(self, risk):
+        # Poisson random sums (severity mass at 0 allowed), Poisson counts and NB counts: c is the
+        # canonical sequence of the margin's own pmf_vector, within that recursion's error bound,
+        # which stays below 3e-6 of the row's largest entry over these draws; the smallest normal
+        # float is added for subnormal masses, whose errors are absolute, not relative
+        n = 32
+        row = models.canonical_row(risk, n)
+        c = np.pad(row, (0, n - len(row)))
+        g, bound = canonical_sequence(risk.pmf_vector(n))
+        assert c[0] == 0.0 and bound.max() <= 1e-5 * c.max()
+        assert np.all(np.abs(c - g) <= bound + np.finfo(float).tiny)
 
     @pytest.mark.parametrize(
-        "r, q, kmax",
+        "r, q, n",
         [(2.0, 0.5, 4096), (1.0, 2.0 / 3.0, 1024), (0.3, 0.9, 64), (5.0, 0.02, 2**16), (3.0, 1e-5, 4096),
          (1.5, 0.999999, 64), (2.0, 0.5, 1)],
     )
-    def test_negative_binomial_count_is_poisson_log_series_claims(self, r, q, kmax):
-        # the powers stop where a^j is exactly 0, and the masses are the full-length series' bit for bit;
-        # the rate is -r ln q at the q = 1 - a that the count holds
+    def test_negative_binomial_count_row(self, r, q, n):
+        # (a + b) a^(j-1) = r a^j on n points: the powers stop where a^(j-1) is exactly 0, and the
+        # row is the full-length series' bit for bit; over enough points it sums to the count's mean
         count = negative_binomial_risk(r, q)
-        a = count.frequency.a
-        rate, masses = poisson_claims(count, kmax)
-        j = np.arange(1, kmax, dtype=float)
-        assert np.array_equal(masses, np.append(0.0, a**j / (-j * math.log(1.0 - a))))
-        assert rate == pytest.approx(-r * math.log(1.0 - a), rel=1e-14)
-        if kmax > 1000 and q >= 0.5:
-            assert rate * (j @ masses[1:]) == pytest.approx(count.mean(), rel=1e-12)
+        a, b = count.frequency.a, count.frequency.b
+        row = models.canonical_row(count, n)
+        assert np.array_equal(row, np.append(0.0, (a + b) * a ** np.arange(n - 1, dtype=float)))
+        if n > 1000 and q >= 0.5:
+            assert row.sum() == pytest.approx(count.mean(), rel=1e-12)
 
     @pytest.mark.parametrize(
         "risk",
@@ -242,21 +279,21 @@ class TestPoissonClaims:
          binomial_risk(4, 0.3), BernoulliRisk(3, 0.2), explicit_risk([0.5, 0.5])],
         ids=["negative_binomial_random_sum", "binomial_count", "bernoulli", "explicit"],
     )
-    def test_other_risks_are_not_poisson_claims(self, risk):
-        assert poisson_claims(risk, 64) is None
+    def test_other_risks_have_no_row(self, risk):
+        assert models.canonical_row(risk, 64) is None
 
     def test_negative_binomial_rows_are_formed_once_per_pass(self, monkeypatch):
-        # the reader's set-up takes rates and lengths only, and it runs once per allocation, so
-        # each NB count's log-series row is formed in pass 1 and again over the band in pass 2
-        formed, rule = [], models.poisson_claims
+        # the reader's set-up forms no row, and it runs once per allocation, so each NB count's
+        # row is formed in pass 1 and again over the band in pass 2
+        formed, rule = [], models.canonical_row
 
-        def counted(risk, kmax):
-            claims = rule(risk, kmax)
-            if claims is not None and risk.frequency.a > 0.0 and len(claims[1]) > 1:
+        def counted(risk, n):
+            row = rule(risk, n)
+            if row is not None and risk.frequency.a > 0.0 and n > 1:
                 formed.append(risk)
-            return claims
+            return row
 
-        monkeypatch.setattr(models, "poisson_claims", counted)
+        monkeypatch.setattr(models, "canonical_row", counted)
         counts = [negative_binomial_risk(2.0, 0.5), negative_binomial_risk(1.0, 0.6)]
         risks = [*counts, compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
         table = allocate_portfolio(PortfolioModel(risks=risks), 256)
@@ -422,7 +459,7 @@ def mixed_pool():
 
 
 def pool_blocks(read, n, columns=None):
-    """``(rows, masses, lengths)`` for each block of ROW_BLOCK rows, as the engine reads a pool through ``read``."""
+    """``(rows, c, lengths, kept)`` for each block of ROW_BLOCK rows, as the engine reads a pool through ``read``."""
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, min(lo + ROW_BLOCK, n))
         yield rows, *read(rows, columns)
@@ -468,22 +505,24 @@ class TestPoolReader:
         # within them and a stored severity its own, as a lone pool and list do)
         explicit, pool = mixed_pool()
         chain = RiskChain(explicit, pool)
-        lam, step_h, read, _ = poisson_pool(chain, 4096)
-        lam_list, step_list, read_list, _ = poisson_pool(list(chain), 4096)
-        assert np.array_equal(lam, lam_list) and step_h == step_list == 1.0
+        log_f0, step_h, read, _ = poisson_pool(chain, 4096)
+        log_list, step_list, read_list, _ = poisson_pool(list(chain), 4096)
+        assert log_f0 == log_list and step_h == step_list == 1.0
         for columns in (None, 64):
-            for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
-                pool_blocks(read, len(lam), columns), pool_blocks(read_list, len(lam), columns), strict=True
+            for (rows, masses, lengths, kept), (rows_list, masses_list, lengths_list, kept_list) in zip(
+                pool_blocks(read, len(chain), columns), pool_blocks(read_list, len(chain), columns), strict=True
             ):
                 assert rows == rows_list and rows.stop - rows.start == min(ROW_BLOCK, 302 - rows.start)
-                assert columns or np.array_equal(lengths, lengths_list)
+                # a sampled row and its listed risk sum the same masses in different orders
+                assert columns or np.array_equal(lengths, lengths_list) and np.all(
+                    np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
         # a slice across a part boundary and a block boundary reads the rows the blocks hold
-        blocks = [m for _, m, _ in pool_blocks(read, len(lam), 64)]
+        blocks = [m for _, m, _, _ in pool_blocks(read, len(chain), 64)]
         whole = np.concatenate([np.pad(m, ((0, 0), (0, 64 - m.shape[1]))) for m in blocks])
-        masses, _ = read(slice(1, 140), 64)
+        masses, _, _ = read(slice(1, 140), 64)
         assert np.array_equal(np.pad(masses, ((0, 0), (0, 64 - masses.shape[1]))), whole[1:140])
 
     @pytest.mark.parametrize(
@@ -496,14 +535,16 @@ class TestPoolReader:
         # each block asks every part it overlaps for exactly its rows there, so the
         # blocks are the list's whatever the parts' lengths, and so are the weights
         chain = chain_of_shape(shape)
-        lam, _, read, _ = poisson_pool(chain, 4096)
+        _, _, read, _ = poisson_pool(chain, 4096)
         _, _, read_list, _ = poisson_pool(list(chain), 4096)
         for columns in (None, 64):
-            for (rows, masses, lengths), (rows_list, masses_list, lengths_list) in zip(
-                pool_blocks(read, len(lam), columns), pool_blocks(read_list, len(lam), columns), strict=True
+            for (rows, masses, lengths, kept), (rows_list, masses_list, lengths_list, kept_list) in zip(
+                pool_blocks(read, len(chain), columns), pool_blocks(read_list, len(chain), columns), strict=True
             ):
-                assert rows == rows_list and len(masses) == len(lengths) == rows.stop - rows.start
-                assert columns or np.array_equal(lengths, lengths_list)
+                assert rows == rows_list and len(masses) == len(lengths) == len(kept) == rows.stop - rows.start
+                # a sampled row and its listed risk sum the same masses in different orders
+                assert columns or np.array_equal(lengths, lengths_list) and np.all(
+                    np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
@@ -516,8 +557,8 @@ class TestPoolReader:
         first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         assert not np.shares_memory(first, second)
-        lam, _, read, _ = poisson_pool(chain_of_shape(("p",)), 4096)
-        (_, block1, _), (_, block2, _) = pool_blocks(read, len(lam))
+        _, _, read, _ = poisson_pool(chain_of_shape(("p",)), 4096)
+        (_, block1, _, _), (_, block2, _, _) = pool_blocks(read, 200)
         assert not np.shares_memory(block1, block2)
 
     def test_iteration_builds_risks_from_small_row_groups(self):
@@ -543,23 +584,24 @@ class TestPoolReader:
         assert ref() is None
 
     def test_reader_refuses_what_is_not_a_poisson_pool(self):
-        # a margin that is not Poisson claims comes back by index, with rate 0 and a zero row
-        # in every block; a portfolio with none that is, as None
+        # a margin with no pool row comes back by index, with a zero row and kept mass 1 in every
+        # block and no log f(0) in the sum; a portfolio with none that has a row, as None
         explicit, pool = mixed_pool()
         bernoulli = BernoulliRisk(3, 0.2)
-        lam, _, read, others = poisson_pool(RiskChain(explicit, [bernoulli], pool), 4096)
+        chain = RiskChain(explicit, [bernoulli], pool)
+        log_f0, _, read, others = poisson_pool(chain, 4096)
         at = len(explicit)
-        assert others == {at: bernoulli} and len(lam) == 303 and lam[at] == 0.0
+        assert others == {at: bernoulli} and log_f0 == poisson_pool(RiskChain(explicit, pool), 4096)[0]
         for columns in (None, 64):
-            _, masses, lengths = next(pool_blocks(read, len(lam), columns))
-            assert lengths[at] == 0 and not masses[at].any() and masses[at - 1].any()
+            _, masses, lengths, kept = next(pool_blocks(read, len(chain), columns))
+            assert lengths[at] == 0 and kept[at] == 1.0 and not masses[at].any() and masses[at - 1].any()
         assert poisson_pool([bernoulli, explicit_risk([0.5, 0.5]), binomial_risk(4, 0.3)], 64) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
         with pytest.raises(AllocationError, match="different lattice steps"):
             poisson_pool(RiskChain([half], pool), 4096)
 
     def test_reader_refuses_negative_binomial_random_sums(self):
-        # an NB count is read as log-series claims; an NB count over another severity is not
+        # an NB count has a pool row; an NB count over another severity does not
         nb_sum = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
         assert poisson_pool([negative_binomial_risk(2.0, 0.5)], 64) is not None
         assert poisson_pool([negative_binomial_risk(2.0, 0.5), nb_sum], 64)[3] == {1: nb_sum}

@@ -47,6 +47,12 @@ class TestPmfFromValues:
         with pytest.raises(InvalidPMF):
             pmf_from_values([0.9, 0.8])
 
+    def test_over_unit_mass_message_prints_a_plain_float(self):
+        with pytest.raises(InvalidPMF) as info:
+            pmf_from_values([0.5, 0.500001])
+        # a plain float, not numpy's np.float64(...) repr
+        assert str(info.value) == "total mass 1.0000010000000001 exceeds 1"
+
     def test_truncated_mass_recorded_not_renormalized(self):
         p = pmf_from_values([0.5, 0.25])
         assert p.total_mass == pytest.approx(0.75)

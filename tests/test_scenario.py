@@ -101,6 +101,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"risks\[0\].type"):
             build_portfolio(parse_scenario(raw))
 
+    def test_over_unit_severity_is_a_config_error_with_a_plain_float(self):
+        raw = minimal_raw()
+        raw["model"]["risks"] = [{"type": "compound_poisson", "lam": 0.5, "severity": [0.5, 0.500001]}]
+        with pytest.raises(ConfigError) as info:
+            build_portfolio(parse_scenario(raw))
+        assert str(info.value) == "model.risks[0]: total mass 1.0000010000000001 exceeds 1"
+
     def test_gamma_requires_parameters(self):
         raw = minimal_raw()
         raw["model"] = {"dependence": "gamma_mixture", "gamma0": 1.0}
