@@ -34,6 +34,7 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from math import exp, lgamma, log
 from typing import Sequence
 
@@ -112,7 +113,8 @@ class AllocationTable:
       alone;
     - ``bands(requests)``: for each (i1, w), the n-vector sum_k mu_i(i1 + k) w(k),
       all from one pass over the blocks (``band`` for one);
-    - ``column_sum``: sum_i mu_i(k), formed once at assembly;
+    - ``column_sum``: sum_i mu_i(k), formed once at assembly (a pool hands
+      it 1^T W from its pass 1);
     - ``conditional_mean_at(k)``: E[X_i | S = k h], column k over f_S(k);
     - ``expected_allocation``: every row, for tests, reproductions and
       oracles; ``allocgen run`` never reads it.
@@ -232,24 +234,27 @@ class PoolWeights:
     """A Poisson pool's weights w_i(j) = h c_i(j), j < ``width``, formed a slice of rows at a time.
 
     ``read`` is ``models.poisson_pool``'s row reader over ``n`` rows (a dense
-    margin's is zero).  It serves the reads of the n x ``width`` array W it
-    stands for: ``shape``, ``self[rows]`` for a slice of rows (a fresh
-    array) and ``*= h``, which scales every later read.  A read forms
-    exactly the rows the array's slice would hold, and only the risks
-    themselves stay in memory.
+    margin's is zero), and row i is zero from ``lengths[i]`` on, where pass 1
+    cut it.  It serves the reads of the n x ``width`` array W it stands for:
+    ``shape``, ``self[rows]`` for a slice of rows (a fresh array) and
+    ``*= h``, which scales every later read.  A read forms exactly the rows
+    the array's slice would hold, and only the risks and their lengths stay
+    in memory.
     """
 
-    def __init__(self, read, n: int, width: int):
-        self.read, self.n, self.width, self.step_h = read, n, width, 1.0
+    def __init__(self, read, n: int, width: int, lengths: np.ndarray):
+        self.read, self.n, self.width, self.lengths, self.step_h = read, n, width, lengths, 1.0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.n, self.width
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        w = self.read(slice(*rows.indices(self.n)), self.width)[0]
+        rows = slice(*rows.indices(self.n))
+        w = self.read(rows, self.width)[0]
         if w.shape[1] < self.width:
             w = np.pad(w, ((0, 0), (0, self.width - w.shape[1])))
+        w[np.arange(self.width) >= self.lengths[rows, None]] = 0.0
         if self.step_h != 1.0:
             w *= self.step_h
         return w
@@ -317,6 +322,7 @@ def assemble_table(
     support_bound: int | None = None,
     seq: np.ndarray | None = None,
     dense_rows: tuple[np.ndarray, np.ndarray] | None = None,
+    total: np.ndarray | None = None,
 ) -> AllocationTable:
     """Build the table from a mass vector and per-risk allocation rows.
 
@@ -326,9 +332,11 @@ def assemble_table(
     whose product with the Toeplitz matrix of ``seq`` gives the rows.  The
     table takes ``mu`` over without a copy, scaled to payment units in place.
     ``dense_rows``, in payment units, are added to the rows of the risks
-    they name.  The column sum is formed in one pass over ``mu``'s row
-    blocks that adds rows in order, as numpy's sum over rows does; with a
-    sequence it is the convolution (1^T W) * seq.  ``fs`` keeps
+    they name.  The column sum is formed from 1^T mu, in payment units,
+    which is ``total`` when the caller has it (a pool's pass 1 sums it) and
+    is otherwise formed in one pass over ``mu``'s row blocks that adds rows
+    in order, as numpy's sum over rows does; with a sequence it is the
+    convolution (1^T W) * seq.  ``fs`` keeps
     its negative round-off; a mass below -1e-9 is not round-off and raises
     :class:`InvalidPMF`.  When the sum of a dense table has a provable
     support bound below the buffer (all margins bounded, no wrap), entries
@@ -350,9 +358,9 @@ def assemble_table(
         fs = fs.copy()
         fs[support_bound + 1 :] = 0.0
         mu[:, support_bound + 1 :] = 0.0
-    total = None
-    for _, block in _blocks(mu):
-        total = block.sum(axis=0) if total is None else np.concatenate([total[None], block]).sum(axis=0)
+    if total is None:
+        for _, block in _blocks(mu):
+            total = block.sum(axis=0) if total is None else np.concatenate([total[None], block]).sum(axis=0)
     column_sum = total if seq is None else _toeplitz_rows(total, seq)
     if dense_rows is not None:
         column_sum += dense_rows[1].sum(axis=0)
@@ -535,28 +543,42 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
 
     Such a margin's allocation generating function is c_i(t) P_S(t) whatever
     the other margins are, so mu_i(k) = sum_j c_i(j) f_S(k - j), a sum of
-    non-negative terms.  The table is built in four steps:
+    non-negative terms.  The table is built in these steps:
 
-    1. f_pool by the recursion k f(k) = sum_j C(j) f(k - j) on C = sum_i c_i
-       from log f(0) = sum_i log f_i(0), checked by one transform,
+    1. pass 1 (``_pool_pass1``) reads each row block once, through
+       ``models.poisson_pool``'s reader, which cuts each row where the rest
+       of it is certified below _CUT_TOL (eps^2) of its mass.  It sums
+       C = sum_i c_i, the column sum 1^T W, the means and what the band and
+       the cuts leave out of every row;
+    2. f_pool by the recursion k f(k) = sum_j C(j) f(k - j) from
+       log f(0) = sum_i log f_i(0), checked by one transform,
        exp(log f(0) + dft(C / j)) (the largest gap, relative to its peak,
        goes into the truncation notes);
-    2. the dense margins by ``allocate_independent``, whose f_S cut after
+    3. the dense margins by ``allocate_independent``, whose f_S cut after
        its last non-zero mass is f_rest (L points), and f_S = f_rest * f_pool;
-    3. a band width J, certified from the rows and f_S (``_band_width``),
-       so that the terms j >= J left out of mu_i(k) sum to at most machine
-       epsilon times mu_i(k) wherever f_S(k) is above the underflow floor;
-    4. the factored table over seq = f_S: W is the pool's ``PoolWeights``
-       over J columns, read whenever a query asks, and each dense margin
-       keeps its dense row mu_r = nu_r * f_pool (``dense_rows``).
+    4. the cuts checked against f_S: what they leave out of each mu_i(k)
+       (``_cut_share``) and of f_S itself (``_moved_by_cut_claims``) must be
+       within machine epsilon at every point above the underflow floor.
+       Where it is not, steps 1 to 3 run again with every row read whole,
+       and the band note says so;
+    5. a band width J, certified from the rows and f_S (``_band_width``),
+       so that the terms j >= J and the cuts leave out of mu_i(k) together
+       sum to at most machine epsilon times mu_i(k) wherever f_S(k) is
+       above the underflow floor;
+    6. the factored table over seq = f_S: W is the pool's ``PoolWeights``
+       over J columns, read whenever a query asks and cut at pass 1's
+       lengths; its column sum is pass 1's first J columns, so assembly
+       reads no row; each dense margin keeps its dense row
+       mu_r = nu_r * f_pool (``dense_rows``).
 
     With no dense margin, f_rest = 1 and f_S = f_pool; with no c row, the
     table is ``allocate_independent``'s.  The dense margins' means and
     truncation report join the pool's.  ``models.poisson_pool`` reads the
-    rows ROW_BLOCK at a time and never whole: pass 1 (``_pool_pass1``) over
-    all columns, assembly over the first J for the column sum 1^T W, and
-    every query again.  Nothing n x J is stored.  A sampled severity with no
-    mass raises KatzDomain.
+    rows ROW_BLOCK at a time and never whole: once in pass 1 and again in
+    every query.  Nothing n x J is stored.  A sampled severity with no mass
+    raises KatzDomain.  Each risk's mean is its c summed plus the tail its
+    row leaves out, which for an NB count is the geometric rest past the
+    buffer: its closed form, up to round-off.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the
@@ -572,85 +594,174 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     idx = list(others)
     # the candidate band widths below kmax; those below the longest row are used
     powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
+    if others:
+        table = allocate_independent(list(others.values()), kmax)
+        rest = np.trim_zeros(table.fs.masses, "b")
 
-    C, means, kept, lengths, ratios = _pool_pass1(read, len(risks), kmax, powers)
+    whole_note = ""
+    for whole in (False, True):
+        C, total, means, kept, lengths, ratios, taus, dropped = _pool_pass1(
+            partial(read, whole=whole), len(risks), kmax, powers, step_h)
+        length = int(min(kmax, lengths.max()))
+        C = C[:length]
+        fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
+        if others:
+            fs = _chunked_convolve(rest, f_pool, kmax)
+        share = _cut_share(fs, taus, powers)
+        moved = _moved_by_cut_claims(fs, *dropped)
+        uncertified = (fs > DEFAULT_UNDERFLOW_FLOOR) & ((share > np.finfo(float).eps) | moved)
+        if not uncertified.any():
+            break
+        whole_note = f" (rows read whole: their cuts left {int(uncertified.sum())} points uncertified)"
 
-    length = int(min(kmax, lengths.max()))
     cuts = [c for c in powers if c < length] + [length]
-    C, j = C[:length], np.arange(length, dtype=float)
-    fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
+    j = np.arange(length, dtype=float)
     fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - length)), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
     # t (ln P_S)' has coefficients C, so var S = sum_j j C(j)
     means, var, beside, dense = step_h * means, float(j @ C), "", None
     if others:
-        table = allocate_independent(list(others.values()), kmax)
-        rest = np.trim_zeros(table.fs.masses, "b")
-        fs = _chunked_convolve(rest, f_pool, kmax)
         k = np.arange(len(rest), dtype=float)
         var += float((k - k @ rest) ** 2 @ rest)
         beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
         means[idx] = table.risk_means  # the others' lost mass is in their own report
         dense = np.array(idx), _toeplitz_rows(table.weights[:, : len(rest)], f_pool)
-    band = _band_width(fs, cuts, ratios[: len(cuts) - 1])
+    band = _band_width(fs, cuts, ratios[: len(cuts) - 1], share)
 
     # a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(max(var, 0.0))  # round-off can take a zero below 0
     reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
-    band_note = f"severity band J={band} of {length}; transform f_S within {check:.1e} of max Panjer f_S{beside}"
+    band_note = (f"severity band J={band} of {length}{whole_note}; "
+                 f"transform f_S within {check:.1e} of max Panjer f_S{beside}")
     trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), "severity", reasons, [band_note])
     if others:
         own = table.truncation
         trunc = TruncationReport(kmax, trunc.lost_mass + own.lost_mass, aliasing_risk=trunc.aliasing_risk
                                  or own.aliasing_risk, notes=trunc.notes + own.notes)
-    return assemble_table(fs, PoolWeights(read, len(risks), band), means, step_h=step_h, truncation=trunc,
-                          seq=fs, dense_rows=dense)
+    return assemble_table(fs, PoolWeights(read, len(risks), band, lengths), means, step_h=step_h, truncation=trunc,
+                          seq=fs, dense_rows=dense, total=total[:band])
 
 
-def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int]):
-    """Pass 1 of ``allocate_compound_poisson_pool``: the c rows, ``read`` a row block at a time over all columns.
+def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
+    """Pass 1 of ``allocate_compound_poisson_pool``: the c rows, ``read`` a row block at a time, each until its cut.
 
-    Returns C = sum_i c_i on kmax points, summed over the rows in order,
-    each row's mean sum_j c_i(j), kept severity mass and length, and, for
-    each power of two J in ``powers``, max_i tail_i(J) / head_i(J) (``_band_width``).
+    Returns C = sum_i c_i on kmax points, summed over the rows in order;
+    the column sum 1^T W of the weights h c_i, summed as ``assemble_table``
+    would, the carried sum first and then the rows in order; each row's
+    mean, its c summed plus its tail; its kept severity mass and length; for
+    each power of two J in ``powers``, max_i tail_i(J) / head_i(J) over the
+    rows as cut (``_band_width``); and what the cuts leave out on the
+    buffer: taus[p, m], the largest tail_i / head_i(powers[m]) over the rows
+    cut at L in [2^p, 2^(p+1)), for ``_cut_share``, and the rate and least
+    size of the claims the cuts drop, for ``_moved_by_cut_claims``.
     """
-    C, ratios = np.zeros(kmax), np.zeros(len(powers))
+    C, total, ratios = np.zeros(kmax), np.zeros(0), np.zeros(len(powers))
+    taus = np.zeros((kmax.bit_length(), len(powers)))
     means, kept, lengths = np.empty(n), np.empty(n), np.empty(n, dtype=int)
+    rate, first = 0.0, kmax
     for rows in _block_rows(n):
-        block, lengths[rows], kept[rows] = read(rows)
-        means[rows] = block.sum(axis=1)
-        w = block[:, :kmax]
+        block, lengths[rows], kept[rows], tails = read(rows)
+        means[rows] = block.sum(axis=1) + tails
+        w = block[:, : min(kmax, lengths[rows].max(initial=1))]  # the columns past every length are zero
         C[: w.shape[1]] += w.sum(axis=0)
         cuts = [c for c in powers if c < w.shape[1]]
         pieces = np.add.reduceat(w, [0, *cuts], axis=1)
-        head = np.cumsum(pieces, axis=1)[:, :-1]
+        heads = np.cumsum(pieces, axis=1)  # sum_{j<J} c_i(j) at each of the cuts, then over the whole row
+        head = heads[:, :-1]
         tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
         ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
         np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
-    return C, means, kept, lengths, ratios
+        # a cut past the buffer reaches no f_S(k)
+        cut = np.flatnonzero((tails > 0.0) & (lengths[rows] < kmax))
+        at = lengths[rows][cut]
+        at_powers = heads[cut][:, np.minimum(np.arange(len(powers)), len(cuts))]
+        # the cut at L in [2^p, 2^(p+1)) joins row p of taus
+        np.maximum.at(taus, np.frexp(at)[1] - 1, np.divide(
+            tails[cut, None], at_powers, out=np.full(at_powers.shape, np.inf), where=at_powers > 0.0))
+        rate += float((tails[cut] / at).sum())
+        first = min(first, int(at.min(initial=kmax)))
+        # the column sum last, in place: the block is not read again
+        total = np.pad(total, (0, max(w.shape[1] - len(total), 0)))
+        part = w if step_h == 1.0 else w * step_h
+        part[0] += total[: part.shape[1]]
+        total[: part.shape[1]] = part.sum(axis=0)
+    return C, total, means, kept, lengths, ratios, taus, (rate, first)
 
 
-def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:
+def _cut_share(fs: np.ndarray, taus: np.ndarray, powers: Sequence[int]) -> np.ndarray:
+    """At each lattice point k, a bound on what the rows' cuts leave out of mu_i(k), relative to mu_i(k).
+
+    A row cut at L in [P, 2P), P = 2^p, leaves out terms j >= L of
+    mu_i(k) = sum_j c_i(j) f_S(k - j), which sum to at most its tail times
+    max_{m <= k-P} f_S(m), and only at k >= L.  There its kept terms sum to
+    at least head_i(J) min_{k-J < m <= k} f_S(m) for every window J, since
+    none of them is cut off by the start of the lattice.  With taus[p, m]
+    the largest tail over head_i(J) at J = powers[m], the share is at most
+    max_{m <= k-P} f_S(m) times the least over J <= 2P of taus[p, m] /
+    min_{k-J < m <= k} f_S(m): a narrow window serves where f_S climbs
+    steeply, the whole row where it falls.  The larger over p is returned
+    (0 where no row is cut, inf where no window has a positive minimum).
+    """
+    n, share = len(fs), np.zeros(len(fs))
+    peak = np.maximum.accumulate(fs)
+    for p in np.flatnonzero(taus.any(axis=1)).tolist():
+        cut = 1 << p
+        if cut >= n:
+            continue
+        best, ratio = np.full(n - cut, np.inf), np.empty(n - cut)
+        low, width = fs.copy(), 1  # min of f_S over (k - width, k], over [0, k] for k < width
+        for tau, window in zip(taus[p], powers):
+            if window > 2 * cut:
+                break
+            while width < window:
+                low[width:] = np.minimum(low[width:], low[:-width])
+                width *= 2
+            ratio.fill(np.inf if tau else 0.0)
+            np.minimum(best, np.divide(tau, low[cut:], out=ratio, where=low[cut:] > 0.0), out=best)
+        best[peak[: n - cut] == 0.0] = 0.0
+        best *= peak[: n - cut]
+        np.maximum(share[cut:], best, out=share[cut:])
+    return share
+
+
+def _moved_by_cut_claims(fs: np.ndarray, rate: float, first: int) -> np.ndarray:
+    """The lattice points where the claims the cuts leave out of C could move f_S by more than eps relative.
+
+    Those claims are at least ``first`` units each and come at a Poisson rate
+    of at most ``rate`` (a cut row's tail over its length), so f_S, formed
+    from C without them and from the whole pool's f_S(0), is short by at
+    most rate max_{m <= k-first} f_S(m) at k.
+    """
+    n = len(fs)
+    moved = np.zeros(n)
+    moved[first:] = rate * np.maximum.accumulate(fs)[: max(n - first, 0)]
+    return moved > np.finfo(float).eps * fs
+
+
+def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray, share: np.ndarray) -> int:
     """The narrowest band width in ``cuts`` that certifies every row of the pool.
 
     ``ratios[c]`` is c(J) = max_i tail_i(J) / head_i(J) at J = cuts[c], where
-    head_i sums the weights w_i(j) over j < J and tail_i over j >= J.  The
-    kept terms of mu_i(k) sum to at least head_i(J) min_{k-J < m <= k} f_S(m).
-    Of the terms left out, those with j < 2J sum to at most
-    tail_i(J) max_{k-2J < m <= k-J} f_S(m), and the rest to at most
-    tail_i(2J) max_{m <= k-2J} f_S(m), where tail_i(2J) <= c(2J) (1 + c(J))
-    head_i(J).  So at every lattice point k >= J where
+    head_i sums the weights w_i(j) over j < J and tail_i over j >= J, on the
+    rows as cut.  The kept terms of mu_i(k) sum to at least
+    head_i(J) min_{k-J < m <= k} f_S(m).  Of the terms left out, those with
+    j < 2J sum to at most tail_i(J) max_{k-2J < m <= k-J} f_S(m), and the
+    rest to at most tail_i(2J) max_{m <= k-2J} f_S(m), where tail_i(2J) <=
+    c(2J) (1 + c(J)) head_i(J).  So at every lattice point k >= J where
 
         c(J) max_{k-2J < m <= k-J} f_S(m) + c(2J) (1 + c(J)) max_{m <= k-2J} f_S(m)
-            <= eps min_{k-J < m <= k} f_S(m),
+            <= (eps - share(k)) min_{k-J < m <= k} f_S(m),
 
-    what is left out is at most eps times mu_i(k), for every row at once;
-    points k < J are exact.  The first J at which this holds for every k with
-    f_S(k) above DEFAULT_UNDERFLOW_FLOOR is returned.  The cuts are the powers
-    of two below the longest severity and then the longest severity itself,
-    which leaves nothing out, so some J always qualifies (c is 0 there).
+    what the band and the rows' cuts leave out together (``share``, from
+    ``_cut_share``) is at most eps times mu_i(k), for every row at once;
+    points k < J lose only what the cuts leave out.  The first J at which
+    this holds for every k with f_S(k) above DEFAULT_UNDERFLOW_FLOOR is
+    returned.  The cuts are the powers of two below the longest row and then
+    the longest row itself, past which the rows as cut are 0, so some J
+    always qualifies (c is 0 there) wherever the share is at most eps, as
+    the caller makes sure it is.
     """
     eps = np.finfo(float).eps
     n = len(fs)
@@ -667,7 +778,7 @@ def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray) -> int:
         with np.errstate(over="ignore", invalid="ignore"):  # inf is uncertified
             left_out = ratio * high[: n - cut]  # at k = cut, cut + 1, ...
             left_out[cut:] += after * (1.0 + ratio) * peak[: max(n - 2 * cut, 0)]
-            certified = left_out <= eps * low[cut:]
+            certified = left_out <= (eps - share[cut:]) * low[cut:]
         if certified[above[cut:]].all():
             return cut
     return cuts[-1]

@@ -112,13 +112,18 @@ class KatzParams:
 
 
 # The Poisson pool engine reads severities, and negbin_rows runs its recursion,
-# in blocks of this many rows; negbin_rows cumulates masses this many columns at
-# a time.  Iterating a sampled pool builds its risks from groups of _ITER_ROWS
-# rows, whose full-width buffer is an eighth of a block's.
+# in blocks of this many rows; negbin_rows cumulates masses _NEGBIN_CHUNK
+# columns at a time, and the pool reader _READ_CHUNK, so that it reads little
+# past a row's cut.  Iterating a sampled pool builds its risks from groups of
+# _ITER_ROWS rows, whose full-width buffer is an eighth of a block's.
 ROW_BLOCK = 128
 _ITER_ROWS = 16
 _NEGBIN_CHUNK = 512
+_READ_CHUNK = 64
 _TINY = np.finfo(float).tiny
+# A pool reader cuts a c row where a bound on the mass past the cut is at
+# most this fraction of the mass before it (``_TailCut``).
+_CUT_TOL = np.finfo(float).eps ** 2
 # counting_recursion rescales its carried masses by 2^-_PANJER_SHIFT once
 # one passes 2^_PANJER_SHIFT.
 _PANJER_SHIFT = 600
@@ -132,20 +137,30 @@ _DOT_CHUNK = 4096
 def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
     """First n masses of NB(r_i, q_i), one row per pair, as ``(masses, lengths)``.
 
-    ``masses`` is a fresh block, joined from its chunks once it stops; row i
-    is zero from ``lengths[i]`` on, just after its last positive mass (0 if
-    it has none).  Its callers pass at most ROW_BLOCK pairs at a time.
+    ``masses`` is a fresh block, the chunks of ``negbin_chunks`` joined; row
+    i is zero from ``lengths[i]`` on, just after its last positive mass (0
+    if it has none).  Its callers pass at most ROW_BLOCK pairs at a time.
+    """
+    f = np.concatenate(list(negbin_chunks(r, q, n)), axis=1)
+    positive = f > 0.0
+    lengths = np.where(positive.any(axis=1), f.shape[1] - np.argmax(positive[:, ::-1], axis=1), 0)
+    return f, lengths
 
-    Row i is the recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the
-    running product, taken in order, of the ratios f(j)/f(j-1) =
-    (1-q)(r+j-1)/j.  Masses below the smallest normal float are exact zeros.
-    The ratios are monotone in k with limit 1 - q < 1, so once one ratio is
-    below 1 the masses only fall: a row stops after the first chunk of
-    _NEGBIN_CHUNK columns that ends below that float with a ratio below 1, and
-    the block stops when all of its rows have; its width is where it stopped.
-    Each row depends on its own (r, q) only, and each mass on those before
-    it, so a row is the same in any block and its first m masses are the
-    same for every n >= m.
+
+def negbin_chunks(r, q, n: int, width: int = _NEGBIN_CHUNK) -> Iterator[np.ndarray]:
+    """The first n masses of NB(r_i, q_i), one row per pair, as fresh blocks of columns in order.
+
+    Each block holds ``width`` columns, the last one fewer.  Row i is the
+    recursion f(0) = q^r, f(k) = f(0) P_k, where P_k is the running product,
+    taken in order, of the ratios f(j)/f(j-1) = (1-q)(r+j-1)/j.  Masses
+    below the smallest normal float are exact zeros.  The ratios are
+    monotone in k with limit 1 - q < 1, so once one ratio is below 1 the
+    masses only fall: a row stops after the first block that ends below
+    that float with a ratio below 1, and the blocks stop when all of their
+    rows have.  A caller may stop asking sooner.  Each row depends on its
+    own (r, q) only, and each mass on those before it, so a row is the same
+    in any block and its first m masses are the same for every n >= m, in
+    blocks of any width.
 
     Scaled recursion.  With q^r = m 2^x (m in [1/2, 1)), the running product
     is carried as 2^e P_k with e = x + 1021, and each mass is the product of
@@ -179,35 +194,39 @@ def negbin_rows(r, q, n: int) -> tuple[np.ndarray, np.ndarray]:
     if expo.min(initial=0) < -2043:
         i = int(np.argmin(expo))
         raise KatzDomain(f"NB(r={r[i]}, q={q[i]}): q^r is below 2^-2044, out of the scaled range")
-    head = np.ldexp(1.0, expo + 1021)  # 2^e
-    f0_scaled = np.ldexp(mant, -1021)  # q^r 2^-e
-    pieces = [(f0_scaled * head)[:, None]]
-    ratios = np.empty((len(r), min(_NEGBIN_CHUNK, n)))
-    carry = head
+    return _negbin_chunks(r, q, n, width, np.ldexp(mant, -1021), np.ldexp(1.0, expo + 1021))
+
+
+def _negbin_chunks(r, q, n, width, f0_scaled, head):
+    """``negbin_chunks`` once its arguments are checked: q^r 2^-e is ``f0_scaled`` and 2^e ``head``."""
+    ratios = np.empty((len(r), width))
+    carry, finished = head, np.zeros(len(r), dtype=bool)
     p = 1.0 - q
     r_col, p_col = r[:, None], p[:, None]
-    for start in range(1, n, _NEGBIN_CHUNK):
-        end = min(start + _NEGBIN_CHUNK, n)
-        k = np.arange(start, end, dtype=float)
-        # (1 - q) (r + k - 1) / k, one rounding per operation as written
-        chunk = ratios[:, : end - start]
-        np.add(r_col, k, out=chunk)
-        chunk -= 1.0
-        chunk *= p_col
-        chunk /= k
-        chunk[:, 0] *= carry
-        np.cumprod(chunk, axis=1, out=chunk)
-        pieces.append(f0_scaled[:, None] * chunk)
-        # a finished row carries zero, so it costs no subnormal products
-        finished = (pieces[-1][:, -1] < _TINY) & (p * (r + k[-1] - 1.0) < k[-1])
-        carry = np.where(finished, 0.0, chunk[:, -1])
+    for start in range(0, n, width):
+        end = min(start + width, n)
+        piece = np.empty((len(r), end - start))
+        if start == 0:
+            piece[:, 0] = f0_scaled * head
+        lo = max(start, 1)
+        if lo < end:
+            k = np.arange(lo, end, dtype=float)
+            # (1 - q) (r + k - 1) / k, one rounding per operation as written
+            chunk = ratios[:, : end - lo]
+            np.add(r_col, k, out=chunk)
+            chunk -= 1.0
+            chunk *= p_col
+            chunk /= k
+            chunk[:, 0] *= carry
+            np.cumprod(chunk, axis=1, out=chunk)
+            np.multiply(f0_scaled[:, None], chunk, out=piece[:, lo - start :])
+            # a finished row carries zero, so it costs no subnormal products
+            finished = (piece[:, -1] < _TINY) & (p * (r + k[-1] - 1.0) < k[-1])
+            carry = np.where(finished, 0.0, chunk[:, -1])
+        piece[piece < _TINY] = 0.0
+        yield piece
         if finished.all():
-            break
-    f = np.concatenate(pieces, axis=1)
-    f[f < _TINY] = 0.0
-    positive = f > 0.0
-    lengths = np.where(positive.any(axis=1), f.shape[1] - np.argmax(positive[:, ::-1], axis=1), 0)
-    return f, lengths
+            return
 
 
 def _chunked_dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -455,21 +474,22 @@ class PoissonNegbinPool(Sequence):
             for lam, row, top in zip(self.lam[rows].tolist(), *self.severity_rows(rows))
         ]
 
-    def severity_rows(self, rows: slice, columns: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        """``negbin_rows`` of the risks ``rows`` over their first ``columns`` severity points (default: all).
+    def severity_rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """``negbin_rows`` of the risks ``rows`` over all ``severity_length`` points.
 
-        Over all ``severity_length`` points, a severity with no positive
-        mass raises KatzDomain.
+        A severity with no positive mass raises KatzDomain.
         """
         r, q = self.r[rows], self.q[rows]
-        n = self.severity_length if columns is None else min(columns, self.severity_length)
-        masses, lengths = negbin_rows(r, q, n)
-        if columns is None and not lengths.all():
-            i = int(np.argmin(lengths))
-            raise KatzDomain(
-                f"NB(r={r[i]}, q={q[i]}) has no mass above the smallest normal float in its first {n} points"
-            )
+        masses, lengths = negbin_rows(r, q, self.severity_length)
+        _require_mass(r, q, lengths, self.severity_length)
         return masses, lengths
+
+
+def _require_mass(r: np.ndarray, q: np.ndarray, lengths: np.ndarray, n: int) -> None:
+    """KatzDomain unless every NB(r_i, q_i) row of ``negbin_rows`` over n points has a positive mass."""
+    if not lengths.all():
+        i = int(np.argmin(lengths))
+        raise KatzDomain(f"NB(r={r[i]}, q={q[i]}) has no mass above the smallest normal float in its first {n} points")
 
 
 class RiskChain:
@@ -522,16 +542,22 @@ def poisson_pool(risks: Iterable, kmax: int):
     and the one code that walks a chain's parts.  A margin with no
     ``canonical_row`` is a dense margin (``others`` maps its index to it):
     it adds no log f(0) and reads as a zero row of length 0 and kept mass 1.
-    The set-up forms no rows.  ``read(rows, columns=None)`` gives fresh
-    ``(c rows, lengths, kept)`` for any slice of rows over their first
-    ``columns`` points (default: all of the longest), each row zero from
-    its length on and ``kept`` its severity's mass on ``kmax`` points.  Each
-    part reads exactly its rows in the slice: a sampled pool by its row
+    The set-up forms no rows.  ``read(rows, columns=None, whole=False)``
+    gives fresh ``(c rows, lengths, kept, tails)`` for any slice of rows,
+    each row zero from its length on and ``kept`` its severity's mass on
+    ``kmax`` points.  A full read cuts each row where ``_TailCut`` certifies
+    that the rest of it is negligible (only where it ends if ``whole``), and
+    ``tails`` bounds what each row leaves out past its length: the cut's
+    bound, or for an NB count the geometric rest of its c past the last
+    column.  A read over the first ``columns`` points cuts no row, and its
+    tails are 0; the caller cuts the rows where a full read did.  Each part
+    reads exactly its rows in the slice: a sampled pool by its row
     recursion times lam_i j, building no risk, and listed risks by
-    ``canonical_row``, zero-padded to the part's longest; parts are joined
-    zero-padded to the widest.  A row reads the same in any slice.  A stored
-    part's lattice step is ``common_step``'s (a sampled pool's is 1);
-    different steps raise AllocationError.
+    ``canonical_row``, zero-padded to the part's longest.  Parts are joined
+    zero-padded to the widest.  A row reads the same in any slice, and a
+    sampled row as its listed risk does.  A stored part's lattice step is
+    ``common_step``'s (a sampled pool's is 1); different steps raise
+    AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
     starts = list(itertools.accumulate(map(len, parts), initial=0))
@@ -557,11 +583,11 @@ def poisson_pool(risks: Iterable, kmax: int):
     if len(others) == starts[-1]:
         return None
 
-    def read(rows: slice, columns: Optional[int] = None):
+    def read(rows: slice, columns: Optional[int] = None, whole: bool = False):
         lo, hi, _ = rows.indices(starts[-1])
         # the pieces live only in this call, so no part's buffer outlives its read
         return _stacked([
-            part_read(slice(max(lo, start) - start, min(hi, stop) - start), columns)
+            part_read(slice(max(lo, start) - start, min(hi, stop) - start), columns, whole)
             for part_read, start, stop in zip(reads, starts, starts[1:])
             if start < hi and lo < stop
         ])
@@ -588,36 +614,122 @@ def common_step(risks: Iterable) -> float:
     return steps.pop()
 
 
-def _stacked(pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row pieces ``(rows, lengths, kept)`` as one block: a lone piece as it came, more zero-padded to the widest."""
+def _stacked(pieces: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Row pieces ``(rows, lengths, kept, tails)`` as one block: a lone piece as it came, more padded to the widest."""
     if len(pieces) == 1:
         return pieces[0]
-    rows, lengths, kept = zip(*pieces)
+    rows, *per_row = zip(*pieces)
     width = max(c.shape[1] for c in rows)
     padded = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in rows])
-    return padded, np.concatenate(lengths), np.concatenate(kept)
+    return padded, *map(np.concatenate, per_row)
 
 
-def _sampled_rows(pool: PoissonNegbinPool, kmax: int, rows: slice, columns: Optional[int] = None):
-    """The c rows lam_i j f_Bi(j) of ``pool[rows]`` (``severity_rows``), their lengths and kept severity masses."""
-    masses, lengths = pool.severity_rows(rows, columns)
-    kept = masses[:, :kmax].sum(axis=1)
-    masses *= pool.lam[rows, None] * np.arange(masses.shape[1], dtype=float)
-    return masses, lengths, kept
+class _TailCut:
+    """Where to cut each row of a block of c rows, fed the block's columns in order, a chunk at a time.
+
+    Row i is cut at the first column L with c(L-1) > 0 and rho = c(L) /
+    c(L-1) < 1 at which the bound c(L) / (1 - rho) is at most ``tol``
+    (_CUT_TOL) times sum_{j<L} c(j).  A Poisson random sum of NB(r, q)
+    claims has c(j+1) / c(j) = (1 - q)(r + j) / j, falling with j, so
+    sum_{j>=L} c(j) is at most that bound, up to the round-off of rho,
+    which is formed from rounded values.  A row that ends (c(L) = 0) is cut
+    there with bound 0.  For any other row the bound proves nothing, so
+    ``_stored_rows`` cuts a stored row only where its stored rest is below
+    the bound by a relative 2^-40, far more than that round-off: an NB
+    count's c is geometric, its bound is its rest, and it is not cut.  Every
+    test is made on the row's values alone, entry by entry, with its sums
+    taken in order of columns, so a row is cut at the same column with the
+    same bound however its columns are chunked: a sampled row as its listed
+    risk.
+    """
+
+    def __init__(self, n: int, tol: float = _CUT_TOL):
+        self.tol = tol
+        self.at, self.bound = np.full(n, -1), np.zeros(n)  # at -1 while the row runs on
+        self.last, self.head, self.start = np.zeros(n), np.zeros(n), 0  # c(start - 1), sum_{j<start} c(j)
+
+    def feed(self, c: np.ndarray) -> bool:
+        """Take the rows' next columns; True once every row is cut."""
+        heads = np.cumsum(np.concatenate([self.head[:, None], c], axis=1), axis=1)
+        before = np.concatenate([self.last[:, None], c[:, :-1]], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = c / before
+            bound = c / (1.0 - rho)
+        fits = (before > 0.0) & (rho < 1.0) & (bound <= self.tol * heads[:, :-1])
+        new = np.flatnonzero((self.at < 0) & fits.any(axis=1))
+        first = np.argmax(fits[new], axis=1)
+        self.at[new], self.bound[new] = self.start + first, bound[new, first]
+        self.last, self.head, self.start = c[:, -1], heads[:, -1], self.start + c.shape[1]
+        return bool((self.at >= 0).all())
 
 
-def _stored_rows(risks: Sequence, kmax: int, longest: int, rows: slice, columns: Optional[int] = None):
-    """The c rows (``canonical_row``) of ``risks[rows]`` on ``longest`` points (or ``columns``), lengths and kept masses."""
+def _sampled_rows(
+    pool: PoissonNegbinPool, kmax: int, rows: slice, columns: Optional[int] = None, whole: bool = False
+):
+    """The c rows lam_i j f_Bi(j) of ``pool[rows]``, their lengths, kept severity masses and tails.
+
+    A full read runs the NB recursion (``negbin_chunks``) _READ_CHUNK columns
+    at a time until every row is cut (``_TailCut``) or ends; a read over
+    ``columns`` points runs it over those points (``negbin_rows``) and cuts
+    no row.
+    """
+    lam, r, q = pool.lam[rows], pool.r[rows], pool.q[rows]
+    if columns is not None:
+        masses, lengths = negbin_rows(r, q, min(columns, pool.severity_length))
+        kept = masses[:, :kmax].sum(axis=1)
+        masses *= lam[:, None] * np.arange(masses.shape[1], dtype=float)
+        return masses, lengths, kept, np.zeros(len(lam))
+    cut, pieces = _TailCut(len(lam), 0.0 if whole else _CUT_TOL), []
+    kept, lengths, start = np.zeros(len(lam)), np.zeros(len(lam), dtype=int), 0
+    for c in negbin_chunks(r, q, pool.severity_length, _READ_CHUNK):
+        positive = c > 0.0
+        ends = start + c.shape[1] - np.argmax(positive[:, ::-1], axis=1)
+        lengths = np.where(positive.any(axis=1), ends, lengths)
+        kept += c[:, : max(kmax - start, 0)].sum(axis=1)
+        c *= lam[:, None] * np.arange(start, start + c.shape[1], dtype=float)
+        pieces.append(c)
+        start += c.shape[1]
+        if cut.feed(c):
+            break
+    _require_mass(r, q, lengths, pool.severity_length)
+    lengths = np.where(cut.at >= 0, cut.at, lengths)
+    c = np.concatenate(pieces, axis=1)[:, : lengths.max(initial=1)]
+    c[np.arange(c.shape[1]) >= lengths[:, None]] = 0.0
+    return c, lengths, kept, cut.bound
+
+
+def _stored_rows(
+    risks: Sequence, kmax: int, longest: int, rows: slice, columns: Optional[int] = None, whole: bool = False
+):
+    """The c rows (``canonical_row``) of ``risks[rows]`` on ``longest`` (or ``columns``) points, and their data.
+
+    Returns the rows, lengths, kept masses and tails.  A full read cuts each
+    row where ``_TailCut`` says and its stored rest is provably within the
+    bound; a read over ``columns`` points cuts no row.
+    """
     chosen = risks[rows]
     width = longest if columns is None else columns
-    out, lengths, kept = np.zeros((len(chosen), width)), np.zeros(len(chosen), dtype=int), np.ones(len(chosen))
+    out, lengths = np.zeros((len(chosen), width)), np.zeros(len(chosen), dtype=int)
+    kept, tails = np.ones(len(chosen)), np.zeros(len(chosen))
     for i, risk in enumerate(chosen):
         row = canonical_row(risk, width)
         if row is not None:
             out[i, : len(row)] = row
             lengths[i] = len(row)
             kept[i] = risk.severity.masses[:kmax].sum()
-    return out, lengths, kept
+            if columns is None:  # an NB count's c runs on geometrically past its last column
+                tails[i] = row[-1] * risk.frequency.a / (1.0 - risk.frequency.a)
+    if columns is not None:
+        return out, lengths, kept, tails
+    cut = _TailCut(len(chosen), 0.0 if whole else _CUT_TOL)
+    for lo in range(0, longest, _READ_CHUNK):  # in chunks, which keeps the cut's work arrays small
+        if cut.feed(out[:, lo : lo + _READ_CHUNK]):
+            break
+    for i in np.flatnonzero(cut.at >= 0).tolist():
+        at = cut.at[i]
+        if out[i, at:].sum() + tails[i] <= cut.bound[i] * (1.0 - 2.0**-40):
+            out[i, at:], lengths[i], tails[i] = 0.0, at, cut.bound[i]
+    return out, lengths, kept, tails
 
 
 def poisson_risk(lam: float) -> CompoundKatzRisk:

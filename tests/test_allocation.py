@@ -43,11 +43,13 @@ from allocgen.models import (
     CompoundKatzRisk,
     ExplicitRisk,
     KatzParams,
+    PoissonNegbinPool,
     RiskChain,
     binomial_risk,
     canonical_row,
     compound_pmf_panjer,
     compound_poisson_risk,
+    counting_recursion,
     explicit_risk,
     negative_binomial_risk,
     negbin_rows,
@@ -55,7 +57,15 @@ from allocgen.models import (
 )
 from allocgen.pmf import arithmetize, pmf_from_values
 from allocgen.risk_measures import RVaRLevels, euler_rvar_contributions, rvar
-from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, parse_scenario, run_scenario, sample_risks
+from allocgen.scenario import (
+    allocate_portfolio,
+    build_portfolio,
+    compound_poisson_negbin_risk,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+    sample_risks,
+)
 from allocgen.tails import pareto_cdf, pareto_lev
 from reference import factored_product, materialised_weights
 
@@ -543,11 +553,12 @@ class TestAlgorithmOne:
             # f_S(0) = e^-40 sits far below eps times the peak of f_S
             ([compound_poisson_risk(40.0, [0.0, 1.0])], 128, 2),
             # a 300-risk pool drawn like the shipped large pool: the plain
-            # transform left the lattice points below 10 and above 335 masked
+            # transform left the lattice points below 10 and above 335 masked;
+            # no power of two below its longest row as cut certifies
             (
                 sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11),
                 2**11,
-                256,
+                179,
             ),
             # severities that decay as slowly as the right tail of f_S need a
             # wide band: its far end is the single-claim path j = k
@@ -558,7 +569,7 @@ class TestAlgorithmOne:
                     2**11,
                 ),
                 2**11,
-                1024,
+                565,
             ),
         ],
         ids=["unit", "pool300", "slow_decay"],
@@ -635,6 +646,102 @@ class TestAlgorithmOne:
             t = allocate_compound_poisson_pool(risks, 64)
         assert t.truncation.aliasing_risk and t.truncation.lost_mass == 0.0
         assert not any("truncated mass" in note for note in t.truncation.notes)
+        # each mean is its closed form: the count's is its c on the buffer plus its geometric rest,
+        # (a + b) a^63 / (1 - a), 38 in all, not the 36.5 its c alone sums to on 64 points
+        assert t.risk_means[0] == pytest.approx(38.0, rel=1e-14)
+        assert t.risk_means[1] == pytest.approx(0.45, rel=1e-14)
+        assert any("sum mean 38.4 " in note for note in t.truncation.notes)
+
+    def test_pool_reads_each_row_block_once_before_any_query(self, monkeypatch):
+        # pass 1 hands assembly its column sum, so building the table reads every row block exactly
+        # once, each row cut; the queries read the blocks again, over the band only
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, 2**11)
+        reads, reader = [], allocation.poisson_pool
+
+        def counting(risks, kmax):
+            log_f0, step_h, read, others = reader(risks, kmax)
+
+            def counted(rows, columns=None, whole=False):
+                reads.append((rows.start, rows.stop, columns))
+                return read(rows, columns, whole)
+
+            return log_f0, step_h, counted, others
+
+        monkeypatch.setattr(allocation, "poisson_pool", counting)
+        t = allocate_compound_poisson_pool(pool, 2**11)
+        assert reads == [(lo, min(lo + ROW_BLOCK, 300), None) for lo in range(0, 300, ROW_BLOCK)]
+        assert "read whole" not in t.truncation.notes[0]
+        reads.clear()
+        t.band(1500, np.ones(4))
+        assert reads == [(lo, min(lo + ROW_BLOCK, 300), band_width(t)) for lo in range(0, 300, ROW_BLOCK)]
+        # pass 1's column sum is the one the blocks of W give, summed in order of rows
+        assert np.array_equal(t.column_sum, allocation._toeplitz_rows(materialised_weights(t).sum(axis=0), t.seq))
+
+    def test_claims_a_cut_drops_move_f_s_by_at_most_their_rate(self):
+        # C without the claims of sizes 40..59, at a total rate of about 1e-10, gives f_S short by at
+        # most that rate times the largest f_S(m), m <= k - 40; the points where that bound is above
+        # eps times f_S(k) are the ones flagged, for a rate of 1e-20 only those deep in the tail
+        kept = np.zeros(40)
+        kept[1:] = 3.0 * np.arange(1, 40) * 0.8 ** np.arange(1, 40)
+        dropped = np.zeros(60)
+        dropped[40:] = np.arange(40, 60) * 5e-11
+        rate, log_f0 = float((dropped / np.maximum(np.arange(60), 1)).sum()), -(kept[1:] / np.arange(1, 40)).sum()
+        cut = counting_recursion(log_f0 - rate, kept[1:], 512)
+        whole = counting_recursion(log_f0 - rate, (np.pad(kept, (0, 20)) + dropped)[1:], 512)
+        peak = np.maximum.accumulate(cut)
+        bound = np.concatenate([np.zeros(40), rate * peak[:-40]])
+        assert np.all(np.abs(whole - cut) <= bound * (1.0 + 1e-6) + 1e-14 * cut)
+        assert (whole - cut)[40:].max() > 0.0
+        assert np.array_equal(allocation._moved_by_cut_claims(cut, rate, 40), bound > EPS * cut)
+        flagged = allocation._moved_by_cut_claims(cut, 1e-20, 40)
+        assert np.array_equal(flagged, bound * (1e-20 / rate) > EPS * cut)
+        assert not flagged[:40].any() and 0 < flagged.sum() < 512 - 40 and flagged[-1]
+
+    def test_sampled_pool_in_a_chain_is_its_listed_risks_exactly(self):
+        # a sampled row is cut where its listed risk's row is, with the same bound, so the chain and the
+        # list sum the same C and column sum in the same order: f_S, 1^T W and every row are equal
+        kmax = 2**11
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 300}, 20260810, kmax)
+        explicit = [compound_poisson_risk(0.5, [0.0, 1.0])]
+        listed = [compound_poisson_negbin_risk(lam, r, q, pool.severity_length)
+                  for lam, r, q in zip(pool.lam.tolist(), pool.r.tolist(), pool.q.tolist())]
+        a = allocate_compound_poisson_pool(RiskChain(explicit, pool), kmax)
+        b = allocate_compound_poisson_pool(explicit + listed, kmax)
+        assert a.truncation.notes == b.truncation.notes
+        assert np.array_equal(a.fs.masses, b.fs.masses)
+        assert np.array_equal(a.column_sum, b.column_sum)
+        assert np.array_equal(a.rows(slice(None)), b.rows(slice(None)))
+        assert np.array_equal(a.valid_mask, b.valid_mask)
+
+    def test_sampled_pool_matches_the_size_biased_oracle(self):
+        # the oracle convolves every severity whole; the table cuts each row where the rest is below
+        # eps^2 of it, and agrees within the pool tolerance on every valid point
+        kmax = 512
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 12, "lam_exp_mean": 0.3}, 20260810, kmax)
+        t = allocate_compound_poisson_pool(pool, kmax)
+        assert band_width(t) <= int(re.search(r"of (\d+)", t.truncation.notes[0])[1]) < 256
+        want = oracle_size_biased_rows(list(pool), kmax)
+        valid = t.valid_mask
+        assert valid.sum() > 150
+        got = t.expected_allocation
+        np.testing.assert_allclose(got[:, valid], want[:, valid], rtol=1e-11, atol=1e-15 * np.abs(want).max())
+
+    def test_a_cut_that_cannot_be_certified_reads_the_rows_whole(self):
+        # one risk of NB(1000, 0.5) claims, mean 1000 and sd 45: f_S is lumps at 0, 1000, 2000, ...
+        # with troughs far below their peaks, so the bound on the cut row's rest cannot be certified
+        # against f_S at the second lump; pass 1 runs again with the row whole, which gives the
+        # table of the uncut row
+        kmax = 4096
+        pool = PoissonNegbinPool([0.5], [1000.0], [0.5], kmax)
+        t = allocate_compound_poisson_pool(pool, kmax)
+        assert "(rows read whole: their cuts left " in t.truncation.notes[0]
+        risk = pool[0]
+        length = len(risk.severity.masses)
+        assert f"band J={length} of {length}" in t.truncation.notes[0]
+        c = canonical_row(risk, length)
+        fs = counting_recursion(risk.frequency.log_pgf(0.0), c[1:], kmax)
+        assert np.array_equal(t.fs.masses, fs)
+        assert np.array_equal(t.rows(0), np.convolve(c, fs)[:kmax])
 
 
 class TestLayers:

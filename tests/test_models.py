@@ -174,7 +174,7 @@ GRID_Q = (0.05, 0.45, 0.95)
 
 
 class TestNegbinRows:
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 511, 512, 513, 4096])
     def test_grid_in_one_block_matches_per_risk_recursion(self, n):
         # rows of very different lengths share a block: q = 0.95 rows stop in
         # the first chunk, r = 40, q = 0.05 rows run past 4096
@@ -283,8 +283,8 @@ class TestCanonicalRow:
         assert models.canonical_row(risk, 64) is None
 
     def test_negative_binomial_rows_are_formed_once_per_pass(self, monkeypatch):
-        # the reader's set-up forms no row, and it runs once per allocation, so each NB count's
-        # row is formed in pass 1 and again over the band in pass 2
+        # the reader's set-up forms no row, and pass 1 hands assembly its column sum, so each NB
+        # count's row is formed once, in pass 1, until a query reads it
         formed, rule = [], models.canonical_row
 
         def counted(risk, n):
@@ -298,7 +298,7 @@ class TestCanonicalRow:
         risks = [*counts, compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
         table = allocate_portfolio(PortfolioModel(risks=risks), 256)
         assert table.seq is not None and table.valid_mask.sum() > 40
-        assert formed == counts * 2
+        assert formed == counts
 
 
 class TestPanjerUnderflow:
@@ -459,7 +459,7 @@ def mixed_pool():
 
 
 def pool_blocks(read, n, columns=None):
-    """``(rows, c, lengths, kept)`` for each block of ROW_BLOCK rows, as the engine reads a pool through ``read``."""
+    """``(rows, c, lengths, kept, tails)`` for each block of ROW_BLOCK rows, as the engine reads a pool."""
     for lo in range(0, n, ROW_BLOCK):
         rows = slice(lo, min(lo + ROW_BLOCK, n))
         yield rows, *read(rows, columns)
@@ -509,20 +509,21 @@ class TestPoolReader:
         log_list, step_list, read_list, _ = poisson_pool(list(chain), 4096)
         assert log_f0 == log_list and step_h == step_list == 1.0
         for columns in (None, 64):
-            for (rows, masses, lengths, kept), (rows_list, masses_list, lengths_list, kept_list) in zip(
+            for (rows, masses, lengths, kept, tails), (rows_list, masses_list, lengths_list, kept_list,
+                                                       tails_list) in zip(
                 pool_blocks(read, len(chain), columns), pool_blocks(read_list, len(chain), columns), strict=True
             ):
                 assert rows == rows_list and rows.stop - rows.start == min(ROW_BLOCK, 302 - rows.start)
                 # a sampled row and its listed risk sum the same masses in different orders
-                assert columns or np.array_equal(lengths, lengths_list) and np.all(
-                    np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
+                assert columns or np.array_equal(lengths, lengths_list) and np.array_equal(
+                    tails, tails_list) and np.all(np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
         # a slice across a part boundary and a block boundary reads the rows the blocks hold
-        blocks = [m for _, m, _, _ in pool_blocks(read, len(chain), 64)]
+        blocks = [m for _, m, _, _, _ in pool_blocks(read, len(chain), 64)]
         whole = np.concatenate([np.pad(m, ((0, 0), (0, 64 - m.shape[1]))) for m in blocks])
-        masses, _, _ = read(slice(1, 140), 64)
+        masses, *_ = read(slice(1, 140), 64)
         assert np.array_equal(np.pad(masses, ((0, 0), (0, 64 - masses.shape[1]))), whole[1:140])
 
     @pytest.mark.parametrize(
@@ -538,13 +539,14 @@ class TestPoolReader:
         _, _, read, _ = poisson_pool(chain, 4096)
         _, _, read_list, _ = poisson_pool(list(chain), 4096)
         for columns in (None, 64):
-            for (rows, masses, lengths, kept), (rows_list, masses_list, lengths_list, kept_list) in zip(
+            for (rows, masses, lengths, kept, tails), (rows_list, masses_list, lengths_list, kept_list,
+                                                       tails_list) in zip(
                 pool_blocks(read, len(chain), columns), pool_blocks(read_list, len(chain), columns), strict=True
             ):
                 assert rows == rows_list and len(masses) == len(lengths) == len(kept) == rows.stop - rows.start
                 # a sampled row and its listed risk sum the same masses in different orders
-                assert columns or np.array_equal(lengths, lengths_list) and np.all(
-                    np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
+                assert columns or np.array_equal(lengths, lengths_list) and np.array_equal(
+                    tails, tails_list) and np.all(np.abs(kept - kept_list) <= lengths * np.finfo(float).eps)
                 width = max(masses.shape[1], masses_list.shape[1])
                 pad = [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in (masses, masses_list)]
                 assert np.array_equal(*pad)
@@ -552,13 +554,26 @@ class TestPoolReader:
         assert np.array_equal(materialised_weights(a), materialised_weights(b))
         assert np.array_equal(a.valid_mask, b.valid_mask)
 
+    @given(st.floats(0.01, 5.0), st.floats(0.05, 20.0), st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_a_cut_row_leaves_out_at_most_its_tail(self, lam, r, q):
+        # the reader stops a sampled row at its length L; the same recursion's whole row sums to at
+        # most the reported tail past L, and that tail is at most eps^2 of what the row keeps
+        pool = PoissonNegbinPool([lam], [r], [q], 4096)
+        c, lengths, _, tails = poisson_pool(pool, 4096)[2](slice(0, 1))
+        masses, _ = negbin_rows([r], [q], 4096)
+        full = masses[0] * (lam * np.arange(masses.shape[1], dtype=float))
+        at = int(lengths[0])
+        assert np.array_equal(c[0, :at], full[:at]) and not c[0, at:].any()
+        assert full[at:].sum() <= tails[0] <= np.finfo(float).eps ** 2 * c[0].sum() * (1.0 + 1e-12)
+
     def test_every_read_is_a_fresh_array(self):
         # no read hands out a buffer that a later read overwrites
         first, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         second, _ = negbin_rows([2.0, 3.0], [0.4, 0.5], 600)
         assert not np.shares_memory(first, second)
         _, _, read, _ = poisson_pool(chain_of_shape(("p",)), 4096)
-        (_, block1, _, _), (_, block2, _, _) = pool_blocks(read, 200)
+        (_, block1, *_), (_, block2, *_) = pool_blocks(read, 200)
         assert not np.shares_memory(block1, block2)
 
     def test_iteration_builds_risks_from_small_row_groups(self):
@@ -593,8 +608,8 @@ class TestPoolReader:
         at = len(explicit)
         assert others == {at: bernoulli} and log_f0 == poisson_pool(RiskChain(explicit, pool), 4096)[0]
         for columns in (None, 64):
-            _, masses, lengths, kept = next(pool_blocks(read, len(chain), columns))
-            assert lengths[at] == 0 and kept[at] == 1.0 and not masses[at].any() and masses[at - 1].any()
+            _, masses, lengths, kept, tails = next(pool_blocks(read, len(chain), columns))
+            assert lengths[at] == tails[at] == 0 and kept[at] == 1.0 and not masses[at].any() and masses[at - 1].any()
         assert poisson_pool([bernoulli, explicit_risk([0.5, 0.5]), binomial_risk(4, 0.3)], 64) is None
         half = compound_poisson_risk(0.5, pmf_from_values([0.0, 1.0], step_h=0.5))
         with pytest.raises(AllocationError, match="different lattice steps"):
