@@ -556,16 +556,14 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
        goes into the truncation notes);
     3. the dense margins by ``allocate_independent``, whose f_S cut after
        its last non-zero mass is f_rest (L points), and f_S = f_rest * f_pool;
-    4. the cuts checked against f_S: what they leave out of each mu_i(k)
-       (``_cut_share``) and of f_S itself (``_moved_by_cut_claims``) must be
-       within machine epsilon at every point above the underflow floor.
-       Where it is not, steps 1 to 3 run again with every row read whole,
-       and the band note says so;
-    5. a band width J, certified from the rows and f_S (``_band_width``),
+    4. a band width J, certified from the rows and f_S (``_band_width``),
        so that the terms j >= J and the cuts leave out of mu_i(k) together
        sum to at most machine epsilon times mu_i(k) wherever f_S(k) is
-       above the underflow floor;
-    6. the factored table over seq = f_S: W is the pool's ``PoolWeights``
+       above the underflow floor, and the claims the cuts drop move f_S by
+       at most machine epsilon there (``_moved_by_cut_claims``).  Where no
+       J certifies every such point, steps 1 to 3 run again with every row
+       read whole, and the band note says so;
+    5. the factored table over seq = f_S: W is the pool's ``PoolWeights``
        over J columns, read whenever a query asks and cut at pass 1's
        lengths; its column sum is pass 1's first J columns, so assembly
        reads no row; each dense margin keeps its dense row
@@ -600,21 +598,20 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
 
     whole_note = ""
     for whole in (False, True):
-        C, total, means, kept, lengths, ratios, taus, dropped = _pool_pass1(
+        C, total, means, kept, lengths, ratios, taus, (rate, first) = _pool_pass1(
             partial(read, whole=whole), len(risks), kmax, powers, step_h)
         length = int(min(kmax, lengths.max()))
         C = C[:length]
         fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
         if others:
             fs = _chunked_convolve(rest, f_pool, kmax)
-        share = _cut_share(fs, taus, powers)
-        moved = _moved_by_cut_claims(fs, *dropped)
-        uncertified = (fs > DEFAULT_UNDERFLOW_FLOOR) & ((share > np.finfo(float).eps) | moved)
+        cuts = [c for c in powers if c < length] + [length]
+        band, uncertified = _band_width(fs, cuts, ratios[: len(cuts)], taus[: len(cuts)], first)
+        uncertified |= (fs > DEFAULT_UNDERFLOW_FLOOR) & _moved_by_cut_claims(fs, rate, first)
         if not uncertified.any():
             break
         whole_note = f" (rows read whole: their cuts left {int(uncertified.sum())} points uncertified)"
 
-    cuts = [c for c in powers if c < length] + [length]
     j = np.arange(length, dtype=float)
     fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - length)), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
@@ -626,7 +623,6 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
         means[idx] = table.risk_means  # the others' lost mass is in their own report
         dense = np.array(idx), _toeplitz_rows(table.weights[:, : len(rest)], f_pool)
-    band = _band_width(fs, cuts, ratios[: len(cuts) - 1], share)
 
     # a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(max(var, 0.0))  # round-off can take a zero below 0
@@ -650,15 +646,18 @@ def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
     Returns C = sum_i c_i on kmax points, summed over the rows in order;
     the column sum 1^T W of the weights h c_i, summed as ``assemble_table``
     would, the carried sum first and then the rows in order; each row's
-    mean, its c summed plus its tail; its kept severity mass and length; for
-    each power of two J in ``powers``, max_i tail_i(J) / head_i(J) over the
-    rows as cut (``_band_width``); and what the cuts leave out on the
-    buffer: taus[p, m], the largest tail_i / head_i(powers[m]) over the rows
-    cut at L in [2^p, 2^(p+1)), for ``_cut_share``, and the rate and least
-    size of the claims the cuts drop, for ``_moved_by_cut_claims``.
+    mean, its c summed plus its tail; its kept severity mass and length;
+    two maxima over the rows as cut, at each J of ``powers`` and then at
+    the whole row (every J at or past a row's length is its whole row),
+    with head_i(J) the sum of c_i(j) over j < J: ratios(J), the largest
+    tail_i(J) / head_i(J), tail_i summing j >= J, and taus(J), the largest
+    bound_i / head_i(J) over the rows cut below the buffer, bound_i
+    bounding the rest the cut leaves out (``_band_width``); and the rate
+    and least size of the claims the cuts drop, for
+    ``_moved_by_cut_claims``.
     """
-    C, total, ratios = np.zeros(kmax), np.zeros(0), np.zeros(len(powers))
-    taus = np.zeros((kmax.bit_length(), len(powers)))
+    C, total = np.zeros(kmax), np.zeros(0)
+    ratios, taus = np.zeros(len(powers) + 1), np.zeros(len(powers) + 1)
     means, kept, lengths = np.empty(n), np.empty(n), np.empty(n, dtype=int)
     rate, first = 0.0, kmax
     for rows in _block_rows(n):
@@ -668,18 +667,17 @@ def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
         C[: w.shape[1]] += w.sum(axis=0)
         cuts = [c for c in powers if c < w.shape[1]]
         pieces = np.add.reduceat(w, [0, *cuts], axis=1)
-        heads = np.cumsum(pieces, axis=1)  # sum_{j<J} c_i(j) at each of the cuts, then over the whole row
-        head = heads[:, :-1]
-        tail = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
-        ratio = np.divide(tail, head, out=np.where(tail > 0.0, np.inf, 0.0), where=head > 0.0)
-        np.maximum(ratios[: len(cuts)], ratio.max(axis=0), out=ratios[: len(cuts)])
+        # head_i and tail_i at each J of powers and at the whole row
+        head = np.cumsum(pieces, axis=1)[:, np.minimum(np.arange(len(powers) + 1), len(cuts))]
+        tail = np.zeros(head.shape)
+        tail[:, : len(cuts)] = np.cumsum(pieces[:, ::-1], axis=1)[:, -2::-1]
         # a cut past the buffer reaches no f_S(k)
-        cut = np.flatnonzero((tails > 0.0) & (lengths[rows] < kmax))
+        cut = (tails > 0.0) & (lengths[rows] < kmax)
+        bound = np.broadcast_to(np.where(cut, tails, 0.0)[:, None], head.shape)
+        for out, top in ((ratios, tail), (taus, bound)):
+            part = np.divide(top, head, out=np.where(top > 0.0, np.inf, 0.0), where=head > 0.0)
+            np.maximum(out, part.max(axis=0), out=out)
         at = lengths[rows][cut]
-        at_powers = heads[cut][:, np.minimum(np.arange(len(powers)), len(cuts))]
-        # the cut at L in [2^p, 2^(p+1)) joins row p of taus
-        np.maximum.at(taus, np.frexp(at)[1] - 1, np.divide(
-            tails[cut, None], at_powers, out=np.full(at_powers.shape, np.inf), where=at_powers > 0.0))
         rate += float((tails[cut] / at).sum())
         first = min(first, int(at.min(initial=kmax)))
         # the column sum last, in place: the block is not read again
@@ -688,42 +686,6 @@ def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
         part[0] += total[: part.shape[1]]
         total[: part.shape[1]] = part.sum(axis=0)
     return C, total, means, kept, lengths, ratios, taus, (rate, first)
-
-
-def _cut_share(fs: np.ndarray, taus: np.ndarray, powers: Sequence[int]) -> np.ndarray:
-    """At each lattice point k, a bound on what the rows' cuts leave out of mu_i(k), relative to mu_i(k).
-
-    A row cut at L in [P, 2P), P = 2^p, leaves out terms j >= L of
-    mu_i(k) = sum_j c_i(j) f_S(k - j), which sum to at most its tail times
-    max_{m <= k-P} f_S(m), and only at k >= L.  There its kept terms sum to
-    at least head_i(J) min_{k-J < m <= k} f_S(m) for every window J, since
-    none of them is cut off by the start of the lattice.  With taus[p, m]
-    the largest tail over head_i(J) at J = powers[m], the share is at most
-    max_{m <= k-P} f_S(m) times the least over J <= 2P of taus[p, m] /
-    min_{k-J < m <= k} f_S(m): a narrow window serves where f_S climbs
-    steeply, the whole row where it falls.  The larger over p is returned
-    (0 where no row is cut, inf where no window has a positive minimum).
-    """
-    n, share = len(fs), np.zeros(len(fs))
-    peak = np.maximum.accumulate(fs)
-    for p in np.flatnonzero(taus.any(axis=1)).tolist():
-        cut = 1 << p
-        if cut >= n:
-            continue
-        best, ratio = np.full(n - cut, np.inf), np.empty(n - cut)
-        low, width = fs.copy(), 1  # min of f_S over (k - width, k], over [0, k] for k < width
-        for tau, window in zip(taus[p], powers):
-            if window > 2 * cut:
-                break
-            while width < window:
-                low[width:] = np.minimum(low[width:], low[:-width])
-                width *= 2
-            ratio.fill(np.inf if tau else 0.0)
-            np.minimum(best, np.divide(tau, low[cut:], out=ratio, where=low[cut:] > 0.0), out=best)
-        best[peak[: n - cut] == 0.0] = 0.0
-        best *= peak[: n - cut]
-        np.maximum(share[cut:], best, out=share[cut:])
-    return share
 
 
 def _moved_by_cut_claims(fs: np.ndarray, rate: float, first: int) -> np.ndarray:
@@ -740,48 +702,56 @@ def _moved_by_cut_claims(fs: np.ndarray, rate: float, first: int) -> np.ndarray:
     return moved > np.finfo(float).eps * fs
 
 
-def _band_width(fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray, share: np.ndarray) -> int:
-    """The narrowest band width in ``cuts`` that certifies every row of the pool.
+def _band_width(
+    fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray, taus: np.ndarray, first: int
+) -> tuple[int, np.ndarray]:
+    """The narrowest band width in ``cuts`` that certifies every row of the pool, and what it leaves uncertified.
 
-    ``ratios[c]`` is c(J) = max_i tail_i(J) / head_i(J) at J = cuts[c], where
-    head_i sums the weights w_i(j) over j < J and tail_i over j >= J, on the
-    rows as cut.  The kept terms of mu_i(k) sum to at least
-    head_i(J) min_{k-J < m <= k} f_S(m).  Of the terms left out, those with
-    j < 2J sum to at most tail_i(J) max_{k-2J < m <= k-J} f_S(m), and the
-    rest to at most tail_i(2J) max_{m <= k-2J} f_S(m), where tail_i(2J) <=
-    c(2J) (1 + c(J)) head_i(J).  So at every lattice point k >= J where
+    At J = cuts[c], ``ratios[c]`` is c(J) = max_i tail_i(J) / head_i(J) and
+    ``taus[c]`` is tau(J) = max_i bound_i / head_i(J) over the rows cut
+    below the buffer (``_pool_pass1``), on the rows as cut.  At k >= J the
+    kept terms of mu_i(k) sum to at least head_i(J) min_{k-J < m <= k} f_S(m);
+    at k < J a row contributes its cut terms only at k >= L_i, where all its
+    kept terms are inside the lattice, so they sum to at least head_i(J)
+    min_{m <= k} f_S(m).  Of the terms the band leaves out (k >= J only),
+    those with j < 2J sum to at most tail_i(J) max_{k-2J < m <= k-J} f_S(m),
+    and the rest to at most tail_i(2J) max_{m <= k-2J} f_S(m), where
+    tail_i(2J) <= c(2J) (1 + c(J)) head_i(J).  A row cut at L_i >= ``first``
+    leaves out terms j >= L_i, which sum to at most
+    bound_i max_{m <= k-first} f_S(m).  So at every lattice point k where
 
         c(J) max_{k-2J < m <= k-J} f_S(m) + c(2J) (1 + c(J)) max_{m <= k-2J} f_S(m)
-            <= (eps - share(k)) min_{k-J < m <= k} f_S(m),
+            + tau(J) max_{m <= k-first} f_S(m) <= eps min_{k-J < m <= k} f_S(m),
 
-    what the band and the rows' cuts leave out together (``share``, from
-    ``_cut_share``) is at most eps times mu_i(k), for every row at once;
-    points k < J lose only what the cuts leave out.  The first J at which
-    this holds for every k with f_S(k) above DEFAULT_UNDERFLOW_FLOOR is
-    returned.  The cuts are the powers of two below the longest row and then
-    the longest row itself, past which the rows as cut are 0, so some J
-    always qualifies (c is 0 there) wherever the share is at most eps, as
-    the caller makes sure it is.
+    the first two terms taken as 0 below J and 2J, the third below
+    ``first``, and the window cut at the start of the lattice, what the
+    band and the cuts leave out together is at most eps times mu_i(k), for
+    every row at once.  The first J at which this holds for every k with
+    f_S(k) above DEFAULT_UNDERFLOW_FLOOR is returned, with no point left;
+    the cuts are the powers of two below the longest row and then the
+    longest row itself, past which c is 0.  If no J qualifies, the widest
+    is returned with the points above the floor that it leaves uncertified.
     """
     eps = np.finfo(float).eps
     n = len(fs)
     above = fs > DEFAULT_UNDERFLOW_FLOOR
     peak = np.maximum.accumulate(fs)
-    low, high, width = fs.copy(), fs.copy(), 1  # min and max of f_S over (k - width, k]
-    for cut, ratio, after in zip(cuts, ratios, [*ratios[1:], 0.0]):
-        if ratio == 0.0:
-            return cut
+    reach = peak[: max(n - first, 0)]  # max_{m <= k-first} f_S(m) at k = first, first + 1, ...
+    low, high, width = fs.copy(), fs.copy(), 1  # min and max of f_S over (k - width, k], over [0, k] below width
+    for cut, ratio, after, tau in zip(cuts, ratios, [*ratios[1:], 0.0], taus):
         while width < cut:
             low[width:] = np.minimum(low[width:], low[:-width])
             high[width:] = np.maximum(high[width:], high[:-width])
             width *= 2
+        left_out = np.zeros(n)
+        np.multiply(tau, reach, out=left_out[first:], where=reach > 0.0)
         with np.errstate(over="ignore", invalid="ignore"):  # inf is uncertified
-            left_out = ratio * high[: n - cut]  # at k = cut, cut + 1, ...
-            left_out[cut:] += after * (1.0 + ratio) * peak[: max(n - 2 * cut, 0)]
-            certified = left_out <= (eps - share[cut:]) * low[cut:]
-        if certified[above[cut:]].all():
-            return cut
-    return cuts[-1]
+            left_out[cut:] += ratio * high[: n - cut]
+            left_out[2 * cut :] += after * (1.0 + ratio) * peak[: max(n - 2 * cut, 0)]
+            uncertified = above & ~(left_out <= eps * low)
+        if not uncertified.any():
+            break
+    return cut, uncertified
 
 
 def allocate_katz_closed_form(katz: KatzParams, fs: DiscretePMF) -> tuple[np.ndarray, np.ndarray]:

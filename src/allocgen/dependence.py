@@ -69,8 +69,8 @@ class HierarchicalShockSpec:
             if node not in SHOCK_NODES:
                 raise UnknownNode(f"unknown shock node {node!r}")
         for node, value in lam.items():
-            if value < 0.0:
-                raise UnknownNode(f"negative rate {value} at node {node!r}")
+            if not 0.0 <= value < math.inf:
+                raise UnknownNode(f"rate {value} at node {node!r} is not finite and >= 0")
         full = {node: float(lam.get(node, 0.0)) for node in SHOCK_NODES}
         object.__setattr__(self, "lambda_by_node", full)
 
@@ -132,11 +132,11 @@ class GammaMixtureSpec:
     lambda2: float
 
     def __post_init__(self):
-        if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise InvalidMixture(f"r1 and r2 must be positive, got {self.r1}, {self.r2}")
-        if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
+        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
+            raise InvalidMixture(f"r1 and r2 must be finite and positive, got {self.r1}, {self.r2}")
+        if not (0.0 < self.lambda1 < math.inf and 0.0 < self.lambda2 < math.inf):
             raise InvalidMixture(
-                f"lambda1 and lambda2 must be positive, got {self.lambda1}, {self.lambda2}"
+                f"lambda1 and lambda2 must be finite and positive, got {self.lambda1}, {self.lambda2}"
             )
         if not 0.0 <= self.gamma0 <= min(self.r1, self.r2):
             raise InvalidMixture(

@@ -44,6 +44,8 @@ class KatzParams:
     b: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise KatzDomain(f"a and b must be finite, got a={self.a}, b={self.b}")
         if not self.a < 1.0:
             raise KatzDomain(f"a must be < 1, got a={self.a}")
         if self.a + self.b < 0.0:
@@ -59,14 +61,14 @@ class KatzParams:
 
     @classmethod
     def poisson(cls, lam: float) -> "KatzParams":
-        if lam < 0.0:
-            raise KatzDomain(f"poisson rate must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise KatzDomain(f"poisson rate must be finite and >= 0, got {lam}")
         return cls(0.0, lam)
 
     @classmethod
     def negative_binomial(cls, r: float, q: float) -> "KatzParams":
-        if not (r > 0.0 and 0.0 < q < 1.0):
-            raise KatzDomain(f"need r > 0 and q in (0,1), got r={r}, q={q}")
+        if not (0.0 < r < math.inf and 0.0 < q < 1.0):
+            raise KatzDomain(f"need finite r > 0 and q in (0,1), got r={r}, q={q}")
         return cls(1.0 - q, (r - 1.0) * (1.0 - q))
 
     @classmethod

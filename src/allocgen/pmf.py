@@ -109,8 +109,8 @@ def pmf_from_values(values, step_h: float = 1.0) -> DiscretePMF:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidPMF("mass vector must be one-dimensional and non-empty")
-    if step_h <= 0.0:
-        raise InvalidPMF(f"step_h must be positive, got {step_h}")
+    if not 0.0 < step_h < np.inf:
+        raise InvalidPMF(f"step_h must be finite and positive, got {step_h}")
     if not np.all(np.isfinite(arr)):
         raise InvalidPMF("mass vector contains non-finite entries")
     low = arr.min()

@@ -216,10 +216,10 @@ def _rvar_levels(pairs) -> list:
 
 
 # (what a value needs, its test)
-_AT_LEAST_0 = (">= 0", lambda v: v >= 0.0)
+_AT_LEAST_0 = (">= 0", lambda v: 0.0 <= v < math.inf)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _AT_LEAST_2 = (">= 2", lambda v: v >= 2)
-_POSITIVE = ("> 0", lambda v: v > 0.0)
+_POSITIVE = ("> 0", lambda v: 0.0 < v < math.inf)
 _OPEN_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 # the field tables: key -> (conversion, default, range), as _read takes them

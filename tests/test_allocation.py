@@ -587,6 +587,35 @@ class TestAlgorithmOne:
             np.testing.assert_allclose(t.rows(i)[above], ref[above], rtol=1e-14, atol=0.0)
 
     @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_sampled_pools_match_the_uncut_convolution_above_the_floor(self, seed):
+        # small random NB pools, about half of them with rows that pass 1 cuts and some read whole:
+        # the band and the cuts together move no point above the floor by more than about eps
+        rng = np.random.default_rng(seed)
+        n, kmax = int(rng.integers(1, 40)), 2 ** int(rng.integers(6, 12))
+        pool = PoissonNegbinPool(rng.uniform(0.01, 3.0, n), rng.uniform(0.5, 8.0, n), rng.uniform(0.2, 0.9, n), kmax)
+        t = allocate_compound_poisson_pool(pool, kmax)
+        above = t.fs.masses > t.underflow_floor
+        for row, r in zip(t.rows(slice(None)), pool):
+            fb = r.severity.masses
+            ref = np.convolve(r.frequency.b * np.arange(len(fb)) * fb, t.fs.masses)[:kmax]
+            np.testing.assert_allclose(row[above], ref[above], rtol=1e-14, atol=0.0)
+
+    def test_band_width_returns_the_widest_band_and_the_points_no_band_certifies(self):
+        # f_S halves at each point, so what the cuts may leave out at k >= 8, tau(J) f_S(0), is
+        # above eps f_S(k) from k = 15 on at every J; the band terms fail every J below the widest.
+        # The widest J comes back with exactly the points 15..48 (f_S(48) = 2^-49 is the last
+        # above the floor); with no cut, it certifies every point
+        fs = 0.5 ** np.arange(1, 65)
+        cuts, ratios = [2, 4, 8, 16, 20], np.array([1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+        band, uncertified = allocation._band_width(fs, cuts, ratios, np.array([4e-20, 2e-20, 1e-20, 1e-20, 1e-20]), 8)
+        assert band == 20
+        assert np.array_equal(np.flatnonzero(uncertified), np.arange(15, 49))
+        band, uncertified = allocation._band_width(fs, cuts, ratios, np.zeros(5), 8)
+        assert band == 20 and not uncertified.any()
+
+    @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
     def test_certified_band_leaves_out_at_most_eps_of_every_row(self, seed):

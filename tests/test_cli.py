@@ -338,6 +338,42 @@ class TestRun:
         assert err.startswith("config error: ") and field in err
         assert not out.exists() or not any(out.iterdir())
 
+    GAMMA = "model:\n  dependence: gamma_mixture\n  gamma0: 0.5\n  r2: 2.0\n  lambda2: 1.0\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("model:\n  risks:\n    - {type: poisson, lam: .inf}\n",
+                         "model.risks[0]: poisson rate must be finite and >= 0, got inf", id="poisson_inf"),
+            pytest.param("model:\n  risks:\n    - {type: poisson, lam: .nan}\n",
+                         "model.risks[0]: poisson rate must be finite and >= 0, got nan", id="poisson_nan"),
+            pytest.param("model:\n  risks:\n    - {type: negative_binomial, r: .inf, q: 0.5}\n",
+                         "model.risks[0]: need finite r > 0 and q in (0,1), got r=inf", id="negbin_r_inf"),
+            pytest.param("model:\n  risks:\n    - {type: compound_poisson_negbin, lam: .inf, r: 2, q: 0.5}\n",
+                         "model.risks[0].lam: need >= 0, got inf", id="negbin_pool_rate_inf"),
+            pytest.param("seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, lam_exp_mean: .inf}\n",
+                         "model.sampled.lam_exp_mean: need >= 0, got inf", id="sampled_lam_mean_inf"),
+            pytest.param('model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"0": .inf}\n',
+                         "model.shock_lambdas: rate inf at node '0' is not finite", id="shock_rate_inf"),
+            pytest.param('model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"11": .nan}\n',
+                         "model.shock_lambdas: rate nan at node '11' is not finite", id="shock_rate_nan"),
+            pytest.param(GAMMA + "  r1: .inf\n  lambda1: 1.0\n",
+                         "model: r1 and r2 must be finite and positive, got inf", id="gamma_r1_inf"),
+            pytest.param(GAMMA + "  r1: 1.0\n  lambda1: .inf\n",
+                         "model: lambda1 and lambda2 must be finite and positive, got inf", id="gamma_lambda1_inf"),
+            pytest.param("model:\n  risks:\n    - {type: pmf, masses: [0.5, 0.5], step_h: .nan}\n",
+                         "model.risks[0]: step_h must be finite and positive, got nan", id="pmf_step_nan"),
+        ],
+    )
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys, text, message):
+        # each used to end in a traceback, a numerical failure or an all-NaN table
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text("kmax: 16\n" + text)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     # 32 bytes per risk and lattice point for one mixture level (independent margins), 48 for several (frailty)
     @pytest.mark.parametrize("name, need", [("bernoulli_pool", "12,288"), ("frailty", "18,432")])
     def test_portfolio_beyond_host_memory_is_config_error(self, scenario_dir, tmp_path, capsys, monkeypatch,
