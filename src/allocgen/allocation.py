@@ -334,8 +334,7 @@ def assemble_table(
     ``dense_rows``, in payment units, are added to the rows of the risks
     they name.  The column sum is formed from 1^T mu, in payment units,
     which is ``total`` when the caller has it (a pool's pass 1 sums it) and
-    is otherwise formed in one pass over ``mu``'s row blocks that adds rows
-    in order, as numpy's sum over rows does; with a sequence it is the
+    is otherwise ``mu``'s sum over rows; with a sequence it is the
     convolution (1^T W) * seq.  ``fs`` keeps
     its negative round-off; a mass below -1e-9 is not round-off and raises
     :class:`InvalidPMF`.  When the sum of a dense table has a provable
@@ -359,8 +358,7 @@ def assemble_table(
         fs[support_bound + 1 :] = 0.0
         mu[:, support_bound + 1 :] = 0.0
     if total is None:
-        for _, block in _blocks(mu):
-            total = block.sum(axis=0) if total is None else np.concatenate([total[None], block]).sum(axis=0)
+        total = mu.sum(axis=0)
     column_sum = total if seq is None else _toeplitz_rows(total, seq)
     if dense_rows is not None:
         column_sum += dense_rows[1].sum(axis=0)
@@ -548,19 +546,23 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     1. pass 1 (``_pool_pass1``) reads each row block once, through
        ``models.poisson_pool``'s reader, which cuts each row where the rest
        of it is certified below _CUT_TOL (eps^2) of its mass.  It sums
-       C = sum_i c_i, the column sum 1^T W, the means and what the band and
-       the cuts leave out of every row;
+       C = sum_i c_i, the column sum 1^T W, the means and the certificate:
+       what the band and the cuts leave out of every row, relative to its
+       head, and the rate of the claims the cuts drop from C;
     2. f_pool by the recursion k f(k) = sum_j C(j) f(k - j) from
        log f(0) = sum_i log f_i(0), checked by one transform,
        exp(log f(0) + dft(C / j)) (the largest gap, relative to its peak,
        goes into the truncation notes);
     3. the dense margins by ``allocate_independent``, whose f_S cut after
        its last non-zero mass is f_rest (L points), and f_S = f_rest * f_pool;
-    4. a band width J, certified from the rows and f_S (``_band_width``),
-       so that the terms j >= J and the cuts leave out of mu_i(k) together
-       sum to at most machine epsilon times mu_i(k) wherever f_S(k) is
-       above the underflow floor, and the claims the cuts drop move f_S by
-       at most machine epsilon there (``_moved_by_cut_claims``).  Where no
+    4. a band width J (``_band_width``), the narrowest at which, at every
+       k with f_S(k) above the underflow floor,
+
+           c(J) max_{(k-2J, k-J]} f_S + c(2J) (1 + c(J)) max_{m <= k-2J} f_S
+               + (tau(J) + rate) max_{m <= k-first} f_S <= eps min_{(k-J, k]} f_S,
+
+       so that what the band, the cuts and the claims they drop take from
+       mu_i(k) and from f_S(k) is at most machine epsilon of it.  Where no
        J certifies every such point, steps 1 to 3 run again with every row
        read whole, and the band note says so;
     5. the factored table over seq = f_S: W is the pool's ``PoolWeights``
@@ -590,30 +592,23 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         return allocate_independent(risks, kmax)
     log_f0, step_h, read, others = pool
     idx = list(others)
-    # the candidate band widths below kmax; those below the longest row are used
-    powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
     if others:
         table = allocate_independent(list(others.values()), kmax)
         rest = np.trim_zeros(table.fs.masses, "b")
 
     whole_note = ""
     for whole in (False, True):
-        C, total, means, kept, lengths, ratios, taus, (rate, first) = _pool_pass1(
-            partial(read, whole=whole), len(risks), kmax, powers, step_h)
-        length = int(min(kmax, lengths.max()))
-        C = C[:length]
+        C, total, means, kept, lengths, certificate = _pool_pass1(partial(read, whole=whole), len(risks), kmax, step_h)
         fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
         if others:
             fs = _chunked_convolve(rest, f_pool, kmax)
-        cuts = [c for c in powers if c < length] + [length]
-        band, uncertified = _band_width(fs, cuts, ratios[: len(cuts)], taus[: len(cuts)], first)
-        uncertified |= (fs > DEFAULT_UNDERFLOW_FLOOR) & _moved_by_cut_claims(fs, rate, first)
+        band, uncertified = _band_width(fs, *certificate)
         if not uncertified.any():
             break
         whole_note = f" (rows read whole: their cuts left {int(uncertified.sum())} points uncertified)"
 
-    j = np.arange(length, dtype=float)
-    fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - length)), half=True))
+    j = np.arange(len(C), dtype=float)
+    fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - len(C))), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
     # t (ln P_S)' has coefficients C, so var S = sum_j j C(j)
     means, var, beside, dense = step_h * means, float(j @ C), "", None
@@ -629,7 +624,7 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
-    band_note = (f"severity band J={band} of {length}{whole_note}; "
+    band_note = (f"severity band J={band} of {len(C)}{whole_note}; "
                  f"transform f_S within {check:.1e} of max Panjer f_S{beside}")
     trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), "severity", reasons, [band_note])
     if others:
@@ -640,22 +635,24 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
                           seq=fs, dense_rows=dense, total=total[:band])
 
 
-def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
+def _pool_pass1(read, n: int, kmax: int, step_h: float):
     """Pass 1 of ``allocate_compound_poisson_pool``: the c rows, ``read`` a row block at a time, each until its cut.
 
-    Returns C = sum_i c_i on kmax points, summed over the rows in order;
-    the column sum 1^T W of the weights h c_i, summed as ``assemble_table``
-    would, the carried sum first and then the rows in order; each row's
-    mean, its c summed plus its tail; its kept severity mass and length;
-    two maxima over the rows as cut, at each J of ``powers`` and then at
-    the whole row (every J at or past a row's length is its whole row),
-    with head_i(J) the sum of c_i(j) over j < J: ratios(J), the largest
-    tail_i(J) / head_i(J), tail_i summing j >= J, and taus(J), the largest
+    Returns C = sum_i c_i, summed over the rows in order, on the longest
+    row's L points (at most kmax); the column sum 1^T W of the weights
+    h c_i, summed as ``assemble_table`` would, the carried sum first and
+    then the rows in order; each row's mean, its c summed plus its tail;
+    its kept severity mass and length; and ``_band_width``'s certificate
+    (cuts, ratios, taus, first) on the rows as cut: at each J of cuts, the
+    powers of two below L and then L, with head_i(J) the sum of c_i(j)
+    over j < J, ratios(J) is the largest tail_i(J) / head_i(J), tail_i
+    summing j >= J, and taus(J) is tau(J) + rate, tau(J) the largest
     bound_i / head_i(J) over the rows cut below the buffer, bound_i
-    bounding the rest the cut leaves out (``_band_width``); and the rate
-    and least size of the claims the cuts drop, for
-    ``_moved_by_cut_claims``.
+    bounding the rest the cut leaves out, and rate the Poisson rate of the
+    claims the cuts drop from C, each cut row's bound over its length;
+    those claims are at least ``first`` units each.
     """
+    powers = [1 << p for p in range(1, kmax.bit_length()) if 1 << p < kmax]
     C, total = np.zeros(kmax), np.zeros(0)
     ratios, taus = np.zeros(len(powers) + 1), np.zeros(len(powers) + 1)
     means, kept, lengths = np.empty(n), np.empty(n), np.empty(n, dtype=int)
@@ -685,56 +682,49 @@ def _pool_pass1(read, n: int, kmax: int, powers: Sequence[int], step_h: float):
         part = w if step_h == 1.0 else w * step_h
         part[0] += total[: part.shape[1]]
         total[: part.shape[1]] = part.sum(axis=0)
-    return C, total, means, kept, lengths, ratios, taus, (rate, first)
-
-
-def _moved_by_cut_claims(fs: np.ndarray, rate: float, first: int) -> np.ndarray:
-    """The lattice points where the claims the cuts leave out of C could move f_S by more than eps relative.
-
-    Those claims are at least ``first`` units each and come at a Poisson rate
-    of at most ``rate`` (a cut row's tail over its length), so f_S, formed
-    from C without them and from the whole pool's f_S(0), is short by at
-    most rate max_{m <= k-first} f_S(m) at k.
-    """
-    n = len(fs)
-    moved = np.zeros(n)
-    moved[first:] = rate * np.maximum.accumulate(fs)[: max(n - first, 0)]
-    return moved > np.finfo(float).eps * fs
+    length = int(min(kmax, lengths.max()))
+    cuts = [c for c in powers if c < length] + [length]
+    return C[:length], total, means, kept, lengths, (cuts, ratios[: len(cuts)], taus[: len(cuts)] + rate, first)
 
 
 def _band_width(
     fs: np.ndarray, cuts: Sequence[int], ratios: np.ndarray, taus: np.ndarray, first: int
 ) -> tuple[int, np.ndarray]:
-    """The narrowest band width in ``cuts`` that certifies every row of the pool, and what it leaves uncertified.
+    """The narrowest band width in ``cuts`` that certifies the pool's rows and f_S, and what it leaves uncertified.
 
     At J = cuts[c], ``ratios[c]`` is c(J) = max_i tail_i(J) / head_i(J) and
-    ``taus[c]`` is tau(J) = max_i bound_i / head_i(J) over the rows cut
-    below the buffer (``_pool_pass1``), on the rows as cut.  At k >= J the
-    kept terms of mu_i(k) sum to at least head_i(J) min_{k-J < m <= k} f_S(m);
-    at k < J a row contributes its cut terms only at k >= L_i, where all its
-    kept terms are inside the lattice, so they sum to at least head_i(J)
-    min_{m <= k} f_S(m).  Of the terms the band leaves out (k >= J only),
-    those with j < 2J sum to at most tail_i(J) max_{k-2J < m <= k-J} f_S(m),
-    and the rest to at most tail_i(2J) max_{m <= k-2J} f_S(m), where
+    ``taus[c]`` is tau(J) + rate (``_pool_pass1``), on the rows as cut.  At
+    k >= J the kept terms of mu_i(k) sum to at least head_i(J)
+    min_{k-J < m <= k} f_S(m); at k < J a row contributes its cut terms only
+    at k >= L_i, where all its kept terms are inside the lattice, so they
+    sum to at least head_i(J) min_{m <= k} f_S(m).  Of the terms the band
+    leaves out (k >= J only), those with j < 2J sum to at most
+    tail_i(J) max_{k-2J < m <= k-J} f_S(m), and the rest to at most
+    tail_i(2J) max_{m <= k-2J} f_S(m), where
     tail_i(2J) <= c(2J) (1 + c(J)) head_i(J).  A row cut at L_i >= ``first``
     leaves out terms j >= L_i, which sum to at most
-    bound_i max_{m <= k-first} f_S(m).  So at every lattice point k where
+    bound_i max_{m <= k-first} f_S(m).  The claims the cuts drop from C, at
+    least ``first`` units each at a Poisson rate of at most rate, leave f_S
+    short by at most rate max_{m <= k-first} f_S(m) at k, and so a band row
+    by at most head_i(J) times that.  So at every lattice point k where
 
         c(J) max_{k-2J < m <= k-J} f_S(m) + c(2J) (1 + c(J)) max_{m <= k-2J} f_S(m)
-            + tau(J) max_{m <= k-first} f_S(m) <= eps min_{k-J < m <= k} f_S(m),
+            + (tau(J) + rate) max_{m <= k-first} f_S(m) <= eps min_{k-J < m <= k} f_S(m),
 
     the first two terms taken as 0 below J and 2J, the third below
-    ``first``, and the window cut at the start of the lattice, what the
-    band and the cuts leave out together is at most eps times mu_i(k), for
-    every row at once.  The first J at which this holds for every k with
-    f_S(k) above DEFAULT_UNDERFLOW_FLOOR is returned, with no point left;
-    the cuts are the powers of two below the longest row and then the
-    longest row itself, past which c is 0.  If no J qualifies, the widest
-    is returned with the points above the floor that it leaves uncertified.
+    ``first``, and the window cut at the start of the lattice, what is left
+    out of mu_i(k), for every row at once, and of f_S(k) is at most eps
+    times it.  Negative round-off in f_S counts as no mass, so a window that
+    holds some certifies its point only where nothing is left out.  The
+    first J at which this holds for every k with f_S(k) above
+    DEFAULT_UNDERFLOW_FLOOR is returned, with no point left; past the last
+    of ``cuts``, the longest row, c is 0.  If no J qualifies, the widest is
+    returned with the points above the floor that it leaves uncertified.
     """
     eps = np.finfo(float).eps
     n = len(fs)
     above = fs > DEFAULT_UNDERFLOW_FLOOR
+    fs = np.maximum(fs, 0.0)
     peak = np.maximum.accumulate(fs)
     reach = peak[: max(n - first, 0)]  # max_{m <= k-first} f_S(m) at k = first, first + 1, ...
     low, high, width = fs.copy(), fs.copy(), 1  # min and max of f_S over (k - width, k], over [0, k] below width

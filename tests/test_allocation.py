@@ -614,6 +614,23 @@ class TestAlgorithmOne:
         assert np.array_equal(np.flatnonzero(uncertified), np.arange(15, 49))
         band, uncertified = allocation._band_width(fs, cuts, ratios, np.zeros(5), 8)
         assert band == 20 and not uncertified.any()
+        # the claims the cuts drop, at rate 1e-20, join each tau: with no band tail and bounds that
+        # certify alone, the rate term fails the same points 15..48 at every J
+        band, uncertified = allocation._band_width(fs, cuts, np.zeros(5), np.full(5, 1e-40), 8)
+        assert band == 2 and not uncertified.any()
+        band, uncertified = allocation._band_width(fs, cuts, np.zeros(5), np.full(5, 1e-40) + 1e-20, 8)
+        assert band == 20
+        assert np.array_equal(np.flatnonzero(uncertified), np.arange(15, 49))
+
+    def test_band_width_reads_negative_round_off_in_f_s_as_no_mass(self):
+        # an inverse transform leaves -3e-17 at an exact zero of f_S: where nothing is left out, the
+        # windows that hold it still certify their points; where something is, they certify none
+        fs = 0.5 ** np.arange(1, 65)
+        fs[10] = -3e-17
+        band, uncertified = allocation._band_width(fs, [2, 4, 8], np.zeros(3), np.zeros(3), 64)
+        assert band == 2 and not uncertified.any()
+        band, uncertified = allocation._band_width(fs, [2, 4, 8], np.zeros(3), np.full(3, 1e-40), 1)
+        assert band == 8 and np.array_equal(np.flatnonzero(uncertified), np.arange(11, 18))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -721,10 +738,32 @@ class TestAlgorithmOne:
         bound = np.concatenate([np.zeros(40), rate * peak[:-40]])
         assert np.all(np.abs(whole - cut) <= bound * (1.0 + 1e-6) + 1e-14 * cut)
         assert (whole - cut)[40:].max() > 0.0
-        assert np.array_equal(allocation._moved_by_cut_claims(cut, rate, 40), bound > EPS * cut)
-        flagged = allocation._moved_by_cut_claims(cut, 1e-20, 40)
-        assert np.array_equal(flagged, bound * (1e-20 / rate) > EPS * cut)
-        assert not flagged[:40].any() and 0 < flagged.sum() < 512 - 40 and flagged[-1]
+        # a band of width 1 with no tail and no bound leaves the rate term alone, against f_S(k) itself
+        above = cut > allocation.DEFAULT_UNDERFLOW_FLOOR
+        _, flagged = allocation._band_width(cut, [1], np.zeros(1), np.array([rate]), 40)
+        assert np.array_equal(flagged, above & (bound > EPS * cut))
+        _, flagged = allocation._band_width(cut, [1], np.zeros(1), np.array([1e-20]), 40)
+        assert np.array_equal(flagged, above & (bound * (1e-20 / rate) > EPS * cut))
+        assert not flagged[:40].any() and 0 < flagged.sum() < 512 - 40 and flagged[above][-1]
+
+    def test_negative_round_off_in_f_s_does_not_read_the_rows_whole(self, monkeypatch):
+        # the Bernoulli margin's f_rest comes from an inverse transform, with round-off below 0 at
+        # the exact zeros of f_S (k = 1, 4, 7, ...); no row is cut, so pass 1 runs once, and its
+        # table is the one read whole
+        risks = [compound_poisson_risk(1.0, [0.5, 0.0, 0.0, 0.5]), BernoulliRisk(2, 0.5)]
+        t = allocate_compound_poisson_pool(risks, 64)
+        assert "rows read whole" not in t.truncation.notes[0]
+        reader = allocation.poisson_pool
+
+        def whole_only(risks, kmax):
+            log_f0, step_h, read, others = reader(risks, kmax)
+            return log_f0, step_h, lambda rows, columns=None, whole=False: read(rows, columns, True), others
+
+        monkeypatch.setattr(allocation, "poisson_pool", whole_only)
+        whole = allocate_compound_poisson_pool(risks, 64)
+        assert np.array_equal(t.fs.masses, whole.fs.masses)
+        assert np.array_equal(t.rows(slice(None)), whole.rows(slice(None)))
+        assert np.array_equal(t.valid_mask, whole.valid_mask)
 
     def test_sampled_pool_in_a_chain_is_its_listed_risks_exactly(self):
         # a sampled row is cut where its listed risk's row is, with the same bound, so the chain and the

@@ -194,9 +194,18 @@ class TestRun:
                 POISSON + "outputs:\n  risk_columns: [1, 1]\n",
                 "outputs.risk_columns: need distinct indices, got [1, 1]",
             ),
-            ("model:\n  risks:\n    - {type: pareto, alpha: 0.0, lam: 3.0}\n", "model.risks[0].alpha: need > 0"),
-            ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 0}\n", "model.risks[0].lam: need > 0"),
-            ("model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: -2}\n", "model.risks[0].lam: need > 0"),
+            (
+                "model:\n  risks:\n    - {type: pareto, alpha: 0.0, lam: 3.0}\n",
+                "model.risks[0].alpha: need a finite value > 0",
+            ),
+            (
+                "model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 0}\n",
+                "model.risks[0].lam: need a finite value > 0",
+            ),
+            (
+                "model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: -2}\n",
+                "model.risks[0].lam: need a finite value > 0",
+            ),
             (
                 "model:\n  risks:\n    - {type: pareto, alpha: 1.3, lam: 3.0, xmax: 1}\n",
                 "model.risks[0].xmax: need >= 2",
@@ -219,7 +228,7 @@ class TestRun:
             ),
             (
                 "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, lam_range: [-1, -0.5]}\n",
-                "model.sampled.lam_range: need > 0, got -1.0",
+                "model.sampled.lam_range: need a finite value > 0, got -1.0",
             ),
             (
                 "seed: 1\nmodel:\n  sampled: {kind: pareto_extras, count: 3, xmax: 1}\n",
@@ -350,9 +359,9 @@ class TestRun:
             pytest.param("model:\n  risks:\n    - {type: negative_binomial, r: .inf, q: 0.5}\n",
                          "model.risks[0]: need finite r > 0 and q in (0,1), got r=inf", id="negbin_r_inf"),
             pytest.param("model:\n  risks:\n    - {type: compound_poisson_negbin, lam: .inf, r: 2, q: 0.5}\n",
-                         "model.risks[0].lam: need >= 0, got inf", id="negbin_pool_rate_inf"),
+                         "model.risks[0].lam: need a finite value >= 0, got inf", id="negbin_pool_rate_inf"),
             pytest.param("seed: 1\nmodel:\n  sampled: {kind: compound_poisson_negbin, count: 3, lam_exp_mean: .inf}\n",
-                         "model.sampled.lam_exp_mean: need >= 0, got inf", id="sampled_lam_mean_inf"),
+                         "model.sampled.lam_exp_mean: need a finite value >= 0, got inf", id="sampled_lam_mean_inf"),
             pytest.param('model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"0": .inf}\n',
                          "model.shock_lambdas: rate inf at node '0' is not finite", id="shock_rate_inf"),
             pytest.param('model:\n  dependence: hierarchical_shock\n  shock_lambdas: {"11": .nan}\n',
