@@ -125,11 +125,11 @@ class AllocationTable:
     Each side of the full-allocation identity sum_i mu_i(k) = k h f_S(k) is
     kept once: ``column_sum`` and ``fs``, the engine's own f_S.  That is never
     clamped: from an inverse transform it can carry negative round-off in the
-    deep tail, which is what the validity mask is for; a Poisson pool's comes
-    from the Panjer recursion and is non-negative.  For a factored table the
-    column sum is (1^T W) * seq plus the dense rows' sum.  The
-    ``validation_curve``, ``per_mass(column_sum, fs.masses)``, equals k h
-    wherever results are trustworthy, and the validity mask is derived from it.
+    deep tail, which is what the validity mask is for; a Poisson pool's, the
+    Panjer recursion's convolved with any other margins' pmfs, is not.  For
+    a factored table the column sum is (1^T W) * seq plus the dense rows'
+    sum.  The ``validation_curve``, ``per_mass(column_sum, fs.masses)``,
+    equals k h wherever results are trustworthy, and the mask derives from it.
     """
 
     fs: DiscretePMF
@@ -553,8 +553,10 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
        log f(0) = sum_i log f_i(0), checked by one transform,
        exp(log f(0) + dft(C / j)) (the largest gap, relative to its peak,
        goes into the truncation notes);
-    3. the dense margins by ``allocate_independent``, whose f_S cut after
-       its last non-zero mass is f_rest (L points), and f_S = f_rest * f_pool;
+    3. by direct convolution of the other margins' pmfs, each cut after its
+       last non-zero mass: their product f_rest (L points), their rows
+       nu_r = (k f_r) * prod_{s != r} f_s by prefix and suffix products, and
+       f_S = f_rest * f_pool, every term non-negative;
     4. a band width J (``_band_width``), the narrowest at which, at every
        k with f_S(k) above the underflow floor,
 
@@ -563,26 +565,26 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
 
        so that what the band, the cuts and the claims they drop take from
        mu_i(k) and from f_S(k) is at most machine epsilon of it.  Where no
-       J certifies every such point, steps 1 to 3 run again with every row
-       read whole, and the band note says so;
+       J certifies every such point, steps 1 and 2 and f_S run again with
+       every row read whole, and the band note says so;
     5. the factored table over seq = f_S: W is the pool's ``PoolWeights``
        over J columns, read whenever a query asks and cut at pass 1's
        lengths; its column sum is pass 1's first J columns, so assembly
-       reads no row; each dense margin keeps its dense row
+       reads no row; each other margin keeps its dense row
        mu_r = nu_r * f_pool (``dense_rows``).
 
-    With no dense margin, f_rest = 1 and f_S = f_pool; with no c row, the
-    table is ``allocate_independent``'s.  The dense margins' means and
-    truncation report join the pool's.  ``models.poisson_pool`` reads the
-    rows ROW_BLOCK at a time and never whole: once in pass 1 and again in
-    every query.  Nothing n x J is stored.  A sampled severity with no mass
-    raises KatzDomain.  Each risk's mean is its c summed plus the tail its
-    row leaves out, which for an NB count is the geometric rest past the
-    buffer: its closed form, up to round-off.
+    With no other margin, f_S = f_pool; with no c row, the table is
+    ``allocate_independent``'s.  The other margins' means and kept masses
+    join the pool's.  ``models.poisson_pool`` reads the rows ROW_BLOCK at a
+    time and never whole: once in pass 1 and again in every query.  Nothing
+    n x J is stored.  A sampled severity with no mass raises KatzDomain.
+    Each risk's mean is its c summed plus the tail its row leaves out, which
+    for an NB count is the geometric rest past the buffer: its closed form,
+    up to round-off.
 
     Severity masses at or beyond kmax are left out and reported as aliasing
     risk, as is a buffer that ends within 10 standard deviations of the
-    mean, the dense margins' spread included.  A count's unit claims always
+    mean, the other margins' spread included.  A count's unit claims always
     fit, and its c past kmax reaches no f_S(k), so it loses no mass.
     """
     if not risks:
@@ -592,45 +594,41 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         return allocate_independent(risks, kmax)
     log_f0, step_h, read, others = pool
     idx = list(others)
-    if others:
-        table = allocate_independent(list(others.values()), kmax)
-        rest = np.trim_zeros(table.fs.masses, "b")
+    f = [x[: np.flatnonzero(x).max(initial=0) + 1] for x in (r.pmf_vector(kmax) for r in others.values())]
+    prefix = list(itertools.accumulate(f, partial(_chunked_convolve, n=kmax), initial=np.ones(1)))
+    rest, suffix, nu = prefix[-1], np.ones(1), np.zeros((len(f), len(prefix[-1])))
+    for r in reversed(range(len(f))):  # nu_r = (k f_r) * prefix_{r-1} * suffix_{r+1}
+        row = _chunked_convolve(np.arange(len(f[r])) * f[r], _chunked_convolve(prefix[r], suffix, kmax), kmax)
+        nu[r, : len(row)], suffix = row, _chunked_convolve(f[r], suffix, kmax)
 
     whole_note = ""
     for whole in (False, True):
         C, total, means, kept, lengths, certificate = _pool_pass1(partial(read, whole=whole), len(risks), kmax, step_h)
-        fs = f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
-        if others:
-            fs = _chunked_convolve(rest, f_pool, kmax)
+        f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
+        fs = _chunked_convolve(rest, f_pool, kmax)
         band, uncertified = _band_width(fs, *certificate)
         if not uncertified.any():
             break
         whole_note = f" (rows read whole: their cuts left {int(uncertified.sum())} points uncertified)"
 
-    j = np.arange(len(C), dtype=float)
+    j, k = np.arange(len(C), dtype=float), np.arange(len(rest), dtype=float)
     fs_hat = np.exp(log_f0 + gf.dft(np.pad(C[1:] / j[1:], (1, kmax - len(C))), half=True))
     check = float(np.abs(gf.idft(fs_hat, half=True) - f_pool).max() / f_pool.max())
-    # t (ln P_S)' has coefficients C, so var S = sum_j j C(j)
-    means, var, beside, dense = step_h * means, float(j @ C), "", None
-    if others:
-        k = np.arange(len(rest), dtype=float)
-        var += float((k - k @ rest) ** 2 @ rest)
-        beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points"
-        means[idx] = table.risk_means  # the others' lost mass is in their own report
-        dense = np.array(idx), _toeplitz_rows(table.weights[:, : len(rest)], f_pool)
+    # t (ln P_S)' has coefficients C, so var S = sum_j j C(j), plus the other margins' variance
+    var, means = float(j @ C) + float((k - k @ rest) ** 2 @ rest), step_h * means
+    means[idx] = [r.mean() for r in others.values()]
+    kept[idx], lengths[idx] = [x.sum() for x in f], [len(x) for x in f]
+    beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points" if idx else ""
+    dense = (np.array(idx), _toeplitz_rows(step_h * nu, f_pool)) if idx else None
 
     # a 10-sigma headroom check
-    mean_s, sd_s = float(means.sum()), step_h * np.sqrt(max(var, 0.0))  # round-off can take a zero below 0
+    mean_s, sd_s = float(means.sum()), step_h * np.sqrt(var)
     reasons = []
     if mean_s + 10.0 * sd_s >= (kmax - 1) * step_h:
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = (f"severity band J={band} of {len(C)}{whole_note}; "
                  f"transform f_S within {check:.1e} of max Panjer f_S{beside}")
     trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), "severity", reasons, [band_note])
-    if others:
-        own = table.truncation
-        trunc = TruncationReport(kmax, trunc.lost_mass + own.lost_mass, aliasing_risk=trunc.aliasing_risk
-                                 or own.aliasing_risk, notes=trunc.notes + own.notes)
     return assemble_table(fs, PoolWeights(read, len(risks), band, lengths), means, step_h=step_h, truncation=trunc,
                           seq=fs, dense_rows=dense, total=total[:band])
 
@@ -714,9 +712,7 @@ def _band_width(
     the first two terms taken as 0 below J and 2J, the third below
     ``first``, and the window cut at the start of the lattice, what is left
     out of mu_i(k), for every row at once, and of f_S(k) is at most eps
-    times it.  Negative round-off in f_S counts as no mass, so a window that
-    holds some certifies its point only where nothing is left out.  The
-    first J at which this holds for every k with f_S(k) above
+    times it.  The first J at which this holds for every k with f_S(k) above
     DEFAULT_UNDERFLOW_FLOOR is returned, with no point left; past the last
     of ``cuts``, the longest row, c is 0.  If no J qualifies, the widest is
     returned with the points above the floor that it leaves uncertified.
@@ -724,7 +720,6 @@ def _band_width(
     eps = np.finfo(float).eps
     n = len(fs)
     above = fs > DEFAULT_UNDERFLOW_FLOOR
-    fs = np.maximum(fs, 0.0)
     peak = np.maximum.accumulate(fs)
     reach = peak[: max(n - first, 0)]  # max_{m <= k-first} f_S(m) at k = first, first + 1, ...
     low, high, width = fs.copy(), fs.copy(), 1  # min and max of f_S over (k - width, k], over [0, k] below width

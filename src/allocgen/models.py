@@ -537,29 +537,29 @@ def canonical_row(risk, n: int) -> Optional[np.ndarray]:
 
 
 def poisson_pool(risks: Iterable, kmax: int):
-    """Sum of log f_i(0), lattice step, row reader and dense margins of ``risks``; None if none has a c row.
+    """Sum of log f_i(0), lattice step, row reader and other margins of ``risks``; None if none has a c row.
 
     This is how the Poisson pool engine reads a portfolio, whatever holds
     it: a list of risks, a ``PoissonNegbinPool`` or a ``RiskChain`` of both,
     and the one code that walks a chain's parts.  A margin with no
-    ``canonical_row`` is a dense margin (``others`` maps its index to it):
-    it adds no log f(0) and reads as a zero row of length 0 and kept mass 1.
-    The set-up forms no rows.  ``read(rows, columns=None, whole=False)``
-    gives fresh ``(c rows, lengths, kept, tails)`` for any slice of rows,
-    each row zero from its length on and ``kept`` its severity's mass on
-    ``kmax`` points.  A full read cuts each row where ``_TailCut`` certifies
-    that the rest of it is negligible (only where it ends if ``whole``), and
-    ``tails`` bounds what each row leaves out past its length: the cut's
-    bound, or for an NB count the geometric rest of its c past the last
-    column.  A read over the first ``columns`` points cuts no row, and its
-    tails are 0; the caller cuts the rows where a full read did.  Each part
-    reads exactly its rows in the slice: a sampled pool by its row
-    recursion times lam_i j, building no risk, and listed risks by
-    ``canonical_row``, zero-padded to the part's longest.  Parts are joined
-    zero-padded to the widest.  A row reads the same in any slice, and a
-    sampled row as its listed risk does.  A stored part's lattice step is
-    ``common_step``'s (a sampled pool's is 1); different steps raise
-    AllocationError.
+    ``canonical_row`` is an other margin (``others`` maps its index to it),
+    which the engine convolves directly: it adds no log f(0) and reads as a
+    zero row of length 0 and kept mass 1.  The set-up forms no rows.
+    ``read(rows, columns=None, whole=False)`` gives fresh ``(c rows,
+    lengths, kept, tails)`` for any slice of rows, each row zero from its
+    length on and ``kept`` its severity's mass on ``kmax`` points.  A full
+    read cuts each row where ``_TailCut`` certifies that the rest of it is
+    negligible (only where it ends if ``whole``), and ``tails`` bounds what
+    each row leaves out past its length: the cut's bound, or for an NB count
+    the geometric rest of its c past the last column.  A read over the first
+    ``columns`` points cuts no row, and its tails are 0; the caller cuts the
+    rows where a full read did.  Each part reads exactly its rows in the
+    slice: a sampled pool by its row recursion times lam_i j, building no
+    risk, and listed risks by ``canonical_row``, zero-padded to the part's
+    longest.  Parts are joined zero-padded to the widest.  A row reads the
+    same in any slice, and a sampled row as its listed risk does.  A stored
+    part's lattice step is ``common_step``'s (a sampled pool's is 1);
+    different steps raise AllocationError.
     """
     parts = risks.parts if isinstance(risks, RiskChain) else (risks,)
     starts = list(itertools.accumulate(map(len, parts), initial=0))

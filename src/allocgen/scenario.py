@@ -94,6 +94,7 @@ from .models import (
     PoissonNegbinPool,
     RiskChain,
     bernoulli_margins,
+    common_step,
 )
 from .pmf import arithmetize, next_pow2, pmf_from_values
 from .tails import pareto_cdf, pareto_lev
@@ -438,7 +439,7 @@ class BuiltScenario:
 
 
 def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
-    """Build the portfolio from a config; ConfigError when it has no risk.
+    """Build the portfolio from a config; ConfigError when it has no risk or its risks' lattice steps differ.
 
     The explicit risks come first and the sampled extras after them, chained
     in a ``models.RiskChain`` when there are both, so a sampled pool stays
@@ -467,6 +468,10 @@ def build_portfolio(config: ScenarioConfig) -> BuiltScenario:
             risks.append(risk)
         else:
             risks.append(built)
+    # every sampled kind is on the unit lattice, so a sampled pool is checked without reading it
+    steps = {common_step([r]) for r in risks} | ({1.0} if model["sampled"] is not None else set())
+    if len(steps) > 1:
+        raise ConfigError(f"model.risks: risks use different lattice steps: {sorted(steps)}")
     if model["sampled"] is not None:
         sampled = sample_risks(model["sampled"], config.seed, kmax)
         # the sampled risks stay as they came, alone or after the explicit ones

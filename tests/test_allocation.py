@@ -622,16 +622,6 @@ class TestAlgorithmOne:
         assert band == 20
         assert np.array_equal(np.flatnonzero(uncertified), np.arange(15, 49))
 
-    def test_band_width_reads_negative_round_off_in_f_s_as_no_mass(self):
-        # an inverse transform leaves -3e-17 at an exact zero of f_S: where nothing is left out, the
-        # windows that hold it still certify their points; where something is, they certify none
-        fs = 0.5 ** np.arange(1, 65)
-        fs[10] = -3e-17
-        band, uncertified = allocation._band_width(fs, [2, 4, 8], np.zeros(3), np.zeros(3), 64)
-        assert band == 2 and not uncertified.any()
-        band, uncertified = allocation._band_width(fs, [2, 4, 8], np.zeros(3), np.full(3, 1e-40), 1)
-        assert band == 8 and np.array_equal(np.flatnonzero(uncertified), np.arange(11, 18))
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
@@ -1172,6 +1162,53 @@ class TestPoolBesideOtherMargins:
         assert np.max(np.abs(t.expected_allocation - want)[:, valid]) <= 1e-10
         assert np.max(np.abs(t.rows([0, 40]) - want[[0, 40]])[:, valid]) <= 1e-10
 
+    @pytest.mark.parametrize("margin", ["nb_sum", "pareto"])
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_every_point_above_the_floor_is_valid_beside_a_small_pool(self, margin):
+        # the other margin's pmf and row are convolved directly, so f_S has no negative entry and
+        # no point above the floor misses the identity
+        kmax = 2**13
+        pool = sample_risks({"kind": "compound_poisson_negbin", "count": 1000}, 20260810, kmax)
+        other = (CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
+                 if margin == "nb_sum"
+                 else ExplicitRisk(arithmetize(pareto_cdf(1.6, 6.0), pareto_lev(1.6, 6.0), 4096)[0]))
+        t = allocate_compound_poisson_pool(RiskChain([other], pool), kmax)
+        assert t.fs.masses.min() >= 0.0
+        assert np.array_equal(t.valid_mask, t.fs.masses > t.underflow_floor)
+        assert t.valid_mask.sum() > 900
+
+    def test_three_other_margins_match_both_oracles(self):
+        # a Bernoulli risk, a binomial count and an NB random sum beside a compound Poisson risk:
+        # f_rest and each row nu_r come from prefix and suffix products of the three pmfs
+        risks = [BernoulliRisk(2, 0.4), binomial_risk(3, 0.3),
+                 CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5])),
+                 compound_poisson_risk(1.0, [0.0, 0.5, 0.5])]
+        portfolio, kmax = PortfolioModel(risks=risks), 256
+        t = allocate_compound_poisson_pool(risks, kmax)
+        assert t.dense_rows[0].tolist() == [0, 1, 2]
+        assert np.array_equal(t.valid_mask, t.fs.masses > t.underflow_floor)
+        for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
+            assert np.max(np.abs(t.expected_allocation - want)) <= 1e-12
+
+    def test_other_margins_on_a_half_unit_lattice(self):
+        # payments in units of h = 0.5: the other margins' dense rows are in payment units, as the
+        # pool's rows and the independent engine's are
+        half = [pmf_from_values(m, step_h=0.5) for m in ([0.0, 0.5, 0.5], [0.3, 0.3, 0.4], [0.0, 1.0])]
+        risks = [compound_poisson_risk(0.8, half[0]), ExplicitRisk(half[1]),
+                 CompoundKatzRisk(KatzParams.binomial(2, 0.3), half[2])]
+        t, dense = allocate_compound_poisson_pool(risks, 64), allocate_independent(risks, 64)
+        assert t.dense_rows[0].tolist() == [1, 2]
+        valid = t.valid_mask & dense.valid_mask
+        assert valid.sum() >= 20
+        assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-12
+        assert t.risk_means == pytest.approx(dense.risk_means, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_an_other_margin_with_no_mass_on_the_buffer_stops_cleanly(self):
+        # its pmf is zero on all 16 points, so f_S is too: a clean EmptyDistribution, no convolution error
+        with pytest.raises(EmptyDistribution, match="no positive mass"):
+            allocate_compound_poisson_pool([poisson_risk(0.5), explicit_risk([0.0] * 20 + [1.0])], 16)
+
     def test_headroom_check_counts_the_other_margins_spread(self):
         # beside a Poisson(0.5) count, a margin of mean 0.62 whose sd of 6.2 puts mean + 10 sd
         # past the buffer top, though its mean alone is far from it
@@ -1185,7 +1222,7 @@ class TestPoolBesideOtherMargins:
             assert not allocate_compound_poisson_pool(pool, 64).truncation.aliasing_risk
 
     def test_others_truncation_reaches_the_report(self):
-        # a Pareto margin's lost mass and aliasing flag join the pool's report, its note once
+        # a Pareto margin's lost mass and aliasing flag join the pool's report, in the pool's one note
         kmax = 2**13
         pareto = ExplicitRisk(arithmetize(pareto_cdf(1.6, 6.0), pareto_lev(1.6, 6.0), 4096)[0])
         with pytest.warns(AliasingRisk):
@@ -1195,5 +1232,5 @@ class TestPoolBesideOtherMargins:
             t = allocate_compound_poisson_pool(RiskChain(pool, [pareto]), kmax)
         assert own.aliasing_risk and t.truncation.aliasing_risk
         assert t.truncation.lost_mass == own.lost_mass == pytest.approx(2.914e-05, rel=1e-3)
-        assert t.truncation.notes[1:] == own.notes
+        assert t.truncation.notes[1:] == ("severity truncated mass totals 2.914e-05",)
         assert t.risk_means[-1] == pareto.mean()

@@ -383,6 +383,25 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param("  risks:\n    - {type: pmf, masses: [0.5, 0.5], step_h: 0.5}\n"
+                         "    - {type: compound_poisson, lam: 0.5, severity: [0.0, 1.0]}\n", id="explicit"),
+            pytest.param("  risks:\n    - {type: pmf, masses: [0.5, 0.5], step_h: 0.5}\n"
+                         "  sampled: {kind: compound_poisson_negbin, count: 3}\n", id="beside_sampled"),
+        ],
+    )
+    def test_mixed_lattice_steps_are_config_error(self, tmp_path, capsys, model):
+        # a sampled pool is on the unit lattice, so a half-unit risk ahead of it mixes steps too;
+        # either way the scenario is refused before any engine runs
+        scenario = tmp_path / "steps.yaml"
+        scenario.write_text("kmax: 16\nseed: 1\nmodel:\n" + model)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: model.risks: risks use different lattice steps: [0.5, 1.0]\n"
+        assert not out.exists()
+
     # 32 bytes per risk and lattice point for one mixture level (independent margins), 48 for several (frailty)
     @pytest.mark.parametrize("name, need", [("bernoulli_pool", "12,288"), ("frailty", "18,432")])
     def test_portfolio_beyond_host_memory_is_config_error(self, scenario_dir, tmp_path, capsys, monkeypatch,
