@@ -2,8 +2,9 @@
 
 Computes E[X_i 1{S=k}] and derived quantities (conditional-mean risk-sharing
 contributions, cumulative/layer allocations, Euler splits of quantile-based
-capital) by evaluating generating functions on the roots of unity, with closed
-forms for the (a, b) count family and transform-free oracles for verification.
+capital) from the generating functions of the margins' mass vectors on the
+roots of unity, with closed forms for the (a, b) count family and
+transform-free oracles for verification.
 """
 
 from .allocation import (
@@ -27,12 +28,7 @@ from .dependence import (
     gamma_mixture_allocation,
     shock_allocation_table,
 )
-from .gf import (
-    compound_pgf_on_roots,
-    dft,
-    idft,
-    roots_of_unity,
-)
+from .gf import dft, idft
 from .models import (
     UNIT_CLAIM,
     BernoulliRisk,

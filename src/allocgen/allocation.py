@@ -432,25 +432,28 @@ def regroup(
 
 
 def _aliasing_report(
-    kmax: int, totals: np.ndarray, lengths, label: str, reasons: Sequence[str] = (), notes: Sequence[str] = ()
+    kmax: int, totals: np.ndarray, lengths, labels: Sequence[tuple[str, object]],
+    reasons: Sequence[str] = (), notes: Sequence[str] = (),
 ) -> TruncationReport:
     """An engine's truncation report from the mass ``totals`` it kept of each row.
 
     A row's deficit 1 - total is lost mass where it exceeds the round-off of
-    summing the row's ``lengths`` masses, length times eps.  Lost mass above
-    ALIAS_DEFICIT_TOL joins the engine's own ``reasons`` as "``label``
-    truncated mass totals"; any reason flags the report and issues one
-    AliasingRisk, attributed to the engine's caller.  ``notes`` lead the
-    report's notes.
+    summing the row's ``lengths`` masses, length times eps.  ``labels`` pairs
+    each label with the rows it names (an index of ``totals``).  Where the
+    lost mass exceeds ALIAS_DEFICIT_TOL, each label's share of it, if any,
+    joins the engine's own ``reasons`` as "``label`` truncated mass totals";
+    any reason flags the report and issues one AliasingRisk, attributed to
+    the engine's caller.  ``notes`` lead the report's notes.
     """
     deficit = 1.0 - totals
-    lost = float(np.where(deficit > np.multiply(lengths, np.finfo(float).eps), deficit, 0.0).sum())
-    alias = list(reasons)
-    if lost > ALIAS_DEFICIT_TOL:
-        alias.append(f"{label} truncated mass totals {lost:.3e}")
+    lost = np.where(deficit > np.multiply(lengths, np.finfo(float).eps), deficit, 0.0)
+    total, alias = float(lost.sum()), list(reasons)
+    if total > ALIAS_DEFICIT_TOL:
+        shares = [(label, float(lost[rows].sum())) for label, rows in labels]
+        alias += [f"{label} truncated mass totals {share:.3e}" for label, share in shares if share > 0.0]
     if alias:
         warnings.warn("; ".join(alias), AliasingRisk, stacklevel=3)
-    return TruncationReport(kmax, lost, aliasing_risk=bool(alias), notes=(*notes, *alias))
+    return TruncationReport(kmax, total, aliasing_risk=bool(alias), notes=(*notes, *alias))
 
 
 def host_memory_bytes() -> int:
@@ -477,7 +480,8 @@ def mixture_rows(weights: Sequence[float], pgfs, spectra, n: int, kmax: int) -> 
     """f_S and the n allocation rows of a mixture of independent portfolios, inverted once.
 
     Level l has weight ``weights[l]``, the n pgfs on the roots ``pgfs(l)`` and, for a
-    slice ``rows``, their weighted allocation spectra z P_i'(z) ``spectra(l, rows)``.
+    slice ``rows``, their weighted allocation spectra z P_i'(z) ``spectra(l, rows)``,
+    each the transform of a mass vector (f_i and k f_i).
     Each level's spectra are asked for once per row block, in order of rows, after
     its pgfs, so a caller may read its margins from one iterator.
     The allocation generating function t P_i'(t) prod_{j != i} P_j(t) is linear in
@@ -502,19 +506,26 @@ def mixture_rows(weights: Sequence[float], pgfs, spectra, n: int, kmax: int) -> 
 
 
 def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
-    """Allocation table for independent risks: one level of ``mixture_rows``, with spectra dft(k f_i)."""
+    """Allocation table for independent risks: one level of ``mixture_rows``, with pgfs dft(f_i) and spectra dft(k f_i).
+
+    Both are transforms of the same ``pmf_vector(kmax)``, read twice: once
+    for all the pgfs, then block by block for the spectra.
+    """
     if not risks:
         raise EmptyDistribution("empty portfolio")
     n = len(risks)
-    z, k = gf.roots_of_unity(kmax), np.arange(kmax, dtype=float)
+    k = np.arange(kmax, dtype=float)
     step_h = common_step(risks)
     totals = np.empty(n)
     margins = iter(risks)  # read block by block, in the order mixture_rows asks for them
 
     def pgfs(level):
-        out = np.empty((n, kmax), dtype=complex)
+        # each pmf in the real part of a zeroed buffer, transformed in place a block at a time
+        out = np.zeros((n, kmax), dtype=complex)
         for i, r in enumerate(risks):
-            out[i] = r.pgf_on_roots(z)
+            out.real[i] = r.pmf_vector(kmax)
+        for rows in row_blocks(n, kmax):
+            gf.dft(out[rows], out=out[rows])
         return out
 
     def spectra(level, rows):
@@ -531,7 +542,7 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
     if bound is not None and bound >= kmax:
         reasons.append(f"exact support bound {bound} exceeds buffer {kmax}")
         bound = None  # wrapped: nothing beyond the buffer is provably zero
-    truncation = _aliasing_report(kmax, totals, kmax, "per-risk", reasons)
+    truncation = _aliasing_report(kmax, totals, kmax, [("per-risk", slice(None))], reasons)
     means = np.array([r.mean() for r in risks])
     return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
@@ -575,8 +586,10 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
 
     With no other margin, f_S = f_pool; with no c row, the table is
     ``allocate_independent``'s.  The other margins' means and kept masses
-    join the pool's.  ``models.poisson_pool`` reads the rows ROW_BLOCK at a
-    time and never whole: once in pass 1 and again in every query.  Nothing
+    join the pool's, and their lost mass is reported as "per-risk", as
+    alone, and the pool severities' as "severity".  ``models.poisson_pool``
+    reads the rows ROW_BLOCK at a time and never whole: once in pass 1 and
+    again in every query.  Nothing
     n x J is stored.  A sampled severity with no mass raises KatzDomain.
     Each risk's mean is its c summed plus the tail its row leaves out, which
     for an NB count is the geometric rest past the buffer: its closed form,
@@ -628,7 +641,8 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = (f"severity band J={band} of {len(C)}{whole_note}; "
                  f"transform f_S within {check:.1e} of max Panjer f_S{beside}")
-    trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), "severity", reasons, [band_note])
+    labels = [("severity", np.setdiff1d(np.arange(len(risks)), idx)), ("per-risk", idx)]
+    trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), labels, reasons, [band_note])
     return assemble_table(fs, PoolWeights(read, len(risks), band, lengths), means, step_h=step_h, truncation=trunc,
                           seq=fs, dense_rows=dense, total=total[:band])
 

@@ -271,15 +271,18 @@ def frailty_allocation(spec: FrailtyBernoulliSpec, risks: Iterable, kmax: int) -
     """Allocation table for Bernoulli ``risks`` coupled by ``spec``: theta* levels of ``mixture_rows``.
 
     At level theta, of weight w, risk i claims with probability r = r_i**theta:
-    its pgf is 1 - r + r z^b_i and its weighted allocation spectrum w b_i r z^b_i.
+    its pgf is 1 - r + r z^b_i and its weighted allocation spectrum w b_i r z^b_i,
+    where z^b, the transform of a unit mass at b, is formed once for each
+    distinct payment.
     """
     b, q = bernoulli_margins(risks)
     top = int(b.sum())
     if kmax < 1 + top:
         raise InvalidMarginal(f"kmax={kmax} below the exact-support requirement {1 + top}")
-    z = gf.roots_of_unity(kmax)
     payments, at = np.unique(b, return_inverse=True)
-    zpow = np.array([z ** int(p) for p in payments])  # one row of z^b per distinct payment
+    zpow = np.zeros((len(payments), kmax), dtype=complex)  # one row of z^b per distinct payment
+    zpow[np.arange(len(payments)), payments] = 1.0
+    gf.dft(zpow, out=zpow)
     weights, r_pows = spec.theta_pmf(), spec.conditional_claim_probs(q)
 
     def pgfs(level):

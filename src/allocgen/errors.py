@@ -13,10 +13,6 @@ class InvalidSize(AllocationError):
     """Buffer length is not a power of two."""
 
 
-class DivergentPGF(AllocationError):
-    """Closed-form count pgf diverges on the evaluation set."""
-
-
 class KatzDomain(AllocationError):
     """Count-family parameters outside the |a| < 1 domain."""
 

@@ -1,4 +1,7 @@
-"""Generating-function evaluation on roots of unity and transform primitives.
+"""Generating functions of mass vectors on the roots of unity, and back.
+
+A pgf on the roots is the forward transform of its truncated mass vector, and
+t P'(t) that of the weighted masses k f(k) (``weighted_index_coeffs``).
 
 Convention (normative, pinned by tests): the forward transform of a coefficient
 vector uses the positive exponent,
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergentPGF, InvalidSize
+from .errors import InvalidSize
 from .pmf import is_pow2
 
 ComplexBuffer = np.ndarray
@@ -43,26 +46,21 @@ def _require_pow2(n: int) -> None:
         raise InvalidSize(f"buffer length {n} is not a power of two")
 
 
-def roots_of_unity(kmax: int) -> ComplexBuffer:
-    """The evaluation set: entry j is exp(2i*pi*j/kmax)."""
-    _require_pow2(kmax)
-    return np.exp(2j * np.pi * np.arange(kmax) / kmax)
-
-
-def dft(coeffs, *, half: bool = False) -> ComplexBuffer:
+def dft(coeffs, *, half: bool = False, out: np.ndarray | None = None) -> ComplexBuffer:
     """Forward transform (positive exponent) along the last axis.
 
     Entry k is the generating function of ``coeffs`` evaluated at the k-th
     root of unity.  With ``half=True`` the coefficients must be real and only
-    entries 0..kmax/2 are returned.
+    entries 0..kmax/2 are returned.  The result is written into ``out`` when
+    given, which may be ``coeffs`` itself.
     """
     arr = np.asarray(coeffs)
     n = arr.shape[-1]
     _require_pow2(n)
     if half:
-        out = np.fft.rfft(arr, axis=-1)
+        out = np.fft.rfft(arr, axis=-1, out=out)
         return np.conjugate(out, out=out)
-    out = np.fft.ifft(arr, axis=-1)
+    out = np.fft.ifft(arr, axis=-1, out=out)
     out *= n
     return out
 
@@ -108,17 +106,3 @@ def weighted_index_coeffs(masses: np.ndarray) -> np.ndarray:
     """The vector {k * f(k)}: coefficients of t * d/dt applied to the pgf."""
     return np.arange(len(masses), dtype=float) * masses
 
-
-def compound_pgf_on_roots(frequency, severity_dft: ComplexBuffer) -> ComplexBuffer:
-    """pgf of a random sum, evaluated on the roots: P_M(P_B(z)).
-
-    ``frequency`` is a :class:`~allocgen.models.KatzParams`, whose own pgf is
-    evaluated at the severity pgf values once a * P_B(z) is known to stay away
-    from 1.  Only a > 0 (negative binomial) can diverge: the Poisson pgf is
-    entire and the binomial one (a < 0) a polynomial.
-    """
-    a = frequency.a
-    s = np.asarray(severity_dft, dtype=complex)
-    if a > 0.0 and np.min(np.abs(1.0 - a * s)) <= 1e-12:
-        raise DivergentPGF("a * P_B(z) reaches 1 on the evaluation set")
-    return frequency.pgf(s)

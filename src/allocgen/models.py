@@ -3,8 +3,9 @@
 The count family is the (a, b) recursion class ``f(k) = (a + b/k) f(k-1)``,
 which contains Poisson (a = 0), negative binomial (a = 1 - q) and binomial
 (a = -q/(1-q), any q in (0, 1)).  Every risk model exposes the same small
-surface: a truncated mass vector, a pgf evaluated on a complex buffer, its
-mean, and a support bound when one exists.  A claim count is the random sum
+surface: a truncated mass vector, its mean, and a support bound when one
+exists; a dense engine takes the pgf on the roots of unity as the mass
+vector's transform.  A claim count is the random sum
 of unit claims (``UNIT_CLAIM``), and every random sum, a count included,
 takes its mass vector from the compound counting recursion, except over
 binomial counts, whose recursion is unstable for q > 1/2 and which are
@@ -27,7 +28,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import gf
 from .errors import AllocationError, InvalidMarginal, KatzDomain
 from .pmf import DiscretePMF, pmf_from_values, truncated_pmf
 
@@ -90,21 +90,6 @@ class KatzParams:
         if self.a < 0.0:
             return int(round(-self.b / self.a)) - 1
         return None
-
-    def pgf(self, s) -> np.ndarray:
-        """pgf evaluated at complex arguments with |s| <= 1.
-
-        For 0 < a < 1 the base (1-a)/(1-a s) stays in the right half-plane, so
-        the principal power is branch-safe.  For a < 0 (binomial, exponent -m)
-        it is the polynomial ((1 - a s)/(1 - a))^m = (1 - q + q s)^m, which has
-        no pole where 1 - a s vanishes (q = 1/2 at s = -1).
-        """
-        s = np.asarray(s, dtype=complex)
-        if self.a == 0.0:
-            return np.exp(self.b * (s - 1.0))
-        if self.a < 0.0:
-            return ((1.0 - self.a * s) / (1.0 - self.a)) ** self.support_top()
-        return ((1.0 - self.a) / (1.0 - self.a * s)) ** (self.b / self.a + 1.0)
 
     def log_pgf(self, s: float) -> float:
         """log of the pgf at a real s in [0, 1], kept finite where the pgf itself underflows."""
@@ -253,8 +238,8 @@ def _chunked_convolve(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def compound_pmf_panjer(frequency: KatzParams, severity: np.ndarray, kmax: int) -> np.ndarray:
     """pmf of the random sum by the counting recursion (no transforms).
 
-    Severity mass at zero is allowed.  Used both as a production conversion and
-    as the transform-free cross-check of the pgf composition path.  The
+    Severity mass at zero is allowed.  It is how every random sum over a
+    non-binomial count, a Poisson or NB count included, gets its masses.  The
     recursion g(k) = sum_j (a + b j / k) fb(j) g(k - j) / (1 - a fb(0)) runs
     in ``counting_recursion`` from log g(0) = log P_N(fb(0)).
     """
@@ -340,9 +325,6 @@ class ExplicitRisk:
     def pmf_vector(self, kmax: int) -> np.ndarray:
         return self.pmf.padded(kmax)
 
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        return gf.dft(self.pmf.padded(len(z)))
-
     def mean(self) -> float:
         return self.pmf.mean()
 
@@ -359,8 +341,7 @@ class CompoundKatzRisk:
 
     A claim count is a sum of ``UNIT_CLAIM``s.  Its masses are the random
     sum's, as for any severity: by repeated squaring over a binomial count
-    and by the counting recursion otherwise.  Over that severity itself (by
-    identity, not by value) the pgf is the count's own closed form.
+    and by the counting recursion otherwise.
     """
 
     frequency: KatzParams
@@ -370,11 +351,6 @@ class CompoundKatzRisk:
         if self.frequency.a < 0.0:
             return compound_pmf_binomial(self.frequency, self.severity.masses, kmax)
         return compound_pmf_panjer(self.frequency, self.severity.masses, kmax)
-
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        if self.severity is UNIT_CLAIM:
-            return self.frequency.pgf(z)
-        return gf.compound_pgf_on_roots(self.frequency, gf.dft(self.severity.padded(len(z))))
 
     def mean(self) -> float:
         return self.frequency.mean * self.severity.mean()
@@ -405,9 +381,6 @@ class BernoulliRisk:
         if self.b < kmax:
             out[self.b] = self.q
         return out
-
-    def pgf_on_roots(self, z: np.ndarray) -> np.ndarray:
-        return 1.0 - self.q + self.q * np.asarray(z, dtype=complex) ** self.b
 
     def mean(self) -> float:
         return self.q * self.b

@@ -131,6 +131,20 @@ class TestAllocateIndependent:
         want = oracle_size_biased(risk, pmf_from_values(others))
         assert np.max(np.abs(t.expected_allocation - want)) <= 1e-10
 
+    def test_bernoulli_pgfs_are_their_mass_transforms(self):
+        # 100 Bernoulli risks at 2^10: the pgfs are the transforms of the pmfs the spectra read,
+        # which holds the identity to 2e-15 and keeps at least 225 points valid
+        rng = np.random.default_rng(3)
+        kmax, b, q = 1024, rng.integers(1, 12, size=100), rng.uniform(0.01, 0.3, size=100)
+        risks = [BernoulliRisk(int(bi), float(qi)) for bi, qi in zip(b, q)]
+        t = allocate_independent(risks, kmax)
+        assert t.identity_deviation() <= 2e-15
+        valid = t.valid_mask
+        assert valid.sum() >= 225
+        want, got = oracle_size_biased_rows(risks, kmax)[:, valid], t.expected_allocation[:, valid]
+        scale = np.where(want > 0.0, want, t.fs.masses[valid])  # a zero entry against its column's f_S
+        assert np.all(np.abs(got - want) <= 1e-8 * scale)
+
     def test_compound_risk_keeps_its_severity_step(self):
         risk = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5),
                                 pmf_from_values([0.0, 0.5, 0.5], step_h=0.5))
@@ -1222,7 +1236,7 @@ class TestPoolBesideOtherMargins:
             assert not allocate_compound_poisson_pool(pool, 64).truncation.aliasing_risk
 
     def test_others_truncation_reaches_the_report(self):
-        # a Pareto margin's lost mass and aliasing flag join the pool's report, in the pool's one note
+        # a Pareto margin's lost mass and aliasing flag join the pool's report, under the label it has alone
         kmax = 2**13
         pareto = ExplicitRisk(arithmetize(pareto_cdf(1.6, 6.0), pareto_lev(1.6, 6.0), 4096)[0])
         with pytest.warns(AliasingRisk):
@@ -1232,5 +1246,15 @@ class TestPoolBesideOtherMargins:
             t = allocate_compound_poisson_pool(RiskChain(pool, [pareto]), kmax)
         assert own.aliasing_risk and t.truncation.aliasing_risk
         assert t.truncation.lost_mass == own.lost_mass == pytest.approx(2.914e-05, rel=1e-3)
-        assert t.truncation.notes[1:] == ("severity truncated mass totals 2.914e-05",)
+        assert t.truncation.notes[1:] == own.notes == ("per-risk truncated mass totals 2.914e-05",)
         assert t.risk_means[-1] == pareto.mean()
+
+    def test_a_severity_and_an_other_margin_both_losing_mass_are_reported_apart(self):
+        # a 40-point severity and a 40-point explicit pmf on a 32-point lattice each lose 0.2: one
+        # entry per label, and the total lost mass is their sum
+        risks = [compound_poisson_risk(0.5, np.full(40, 0.025)), explicit_risk(np.full(40, 0.025))]
+        with pytest.warns(AliasingRisk):
+            t = allocate_compound_poisson_pool(risks, 32).truncation
+        assert t.aliasing_risk and t.lost_mass == pytest.approx(0.4, abs=1e-15)
+        notes = [note for note in t.notes if "truncated mass totals" in note]
+        assert notes == ["severity truncated mass totals 2.000e-01", "per-risk truncated mass totals 2.000e-01"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocgen import allocation, gf
+from allocgen import allocation
 from allocgen.allocation import PortfolioModel, allocate_independent, oracle_enumerate
 from allocgen.dependence import (
     SHOCK_LEAVES,
@@ -36,6 +36,7 @@ from allocgen.models import (
 from allocgen.pmf import next_pow2
 from allocgen.reproduce import BERNOULLI_POOL_B, BERNOULLI_POOL_Q, SHOCK_CASE_LAMBDAS, bernoulli_pool_risks
 from allocgen.scenario import allocate_portfolio, build_portfolio, load_scenario, parse_scenario
+from reference import direct_convolution
 from test_allocation import traced_peak
 
 
@@ -223,11 +224,10 @@ class TestFrailty:
 
     def test_degenerate_mixing_matches_independent_product(self):
         table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.0), self.RISKS, 64)
-        z = gf.roots_of_unity(64)
-        want = np.ones(64, dtype=complex)
+        want = np.ones(1)
         for r in self.RISKS:
-            want *= r.pgf_on_roots(z)
-        assert np.max(np.abs(table.fs.masses - gf.idft(want))) <= 1e-12
+            want = direct_convolution(want, r.pmf_vector(64))[:64]
+        assert np.max(np.abs(table.fs.masses - want)) <= 1e-12
         indep = allocate_independent(self.RISKS, 64)
         assert np.max(np.abs(table.expected_allocation - indep.expected_allocation)) <= 1e-11
 
@@ -281,6 +281,15 @@ class TestFrailty:
     def test_full_allocation_identity(self):
         table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), self.RISKS, 64)
         assert table.identity_deviation() <= 1e-9
+
+    def test_pool_of_100_risks_holds_the_identity(self):
+        # z^b is the transform of a unit mass at b, so each level's pgfs and spectra are mass transforms
+        rng = np.random.default_rng(20260810)
+        b, q = rng.integers(1, 12, size=100), rng.uniform(0.01, 0.3, size=100)
+        risks = [BernoulliRisk(int(bi), float(qi)) for bi, qi in zip(b, q)]
+        table = frailty_allocation(FrailtyBernoulliSpec(alpha=0.5), risks, 1024)
+        assert table.identity_deviation() <= 2e-15
+        assert table.valid_mask.sum() >= 320
 
     def test_residual_mass_reported(self):
         spec = FrailtyBernoulliSpec(alpha=0.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from allocgen import gf
 from allocgen.errors import InvalidSize
@@ -11,22 +12,6 @@ from reference import direct_convolution, naive_dft, naive_idft, radix2_transfor
 real_vectors = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False), min_size=16, max_size=16
 ).map(np.asarray)
-
-
-class TestRootsOfUnity:
-    def test_singleton(self):
-        assert np.allclose(gf.roots_of_unity(1), [1.0])
-
-    def test_quarters(self):
-        assert np.allclose(gf.roots_of_unity(4), [1, 1j, -1, -1j], atol=1e-15)
-
-    def test_eighth(self):
-        z = gf.roots_of_unity(8)
-        assert z[1] == pytest.approx((1 + 1j) * np.sqrt(2) / 2, abs=1e-15)
-
-    def test_non_power_of_two(self):
-        with pytest.raises(InvalidSize):
-            gf.roots_of_unity(12)
 
 
 class TestTransformConvention:
@@ -90,7 +75,8 @@ class TestTransformConvention:
         x = rng.uniform(size=16)
         x[-1] = 0.0
         shifted = np.roll(x, 1)
-        assert np.allclose(gf.dft(shifted), gf.roots_of_unity(16) * gf.dft(x), atol=1e-12)
+        z = np.exp(2j * np.pi * np.arange(16) / 16)
+        assert np.allclose(gf.dft(shifted), z * gf.dft(x), atol=1e-12)
 
 
 class TestHalfAndBlockForms:
@@ -190,29 +176,23 @@ class TestLeaveOneOut:
         assert np.array_equal(total, rows[0]) and np.array_equal(others, np.ones((1, 8)))
 
 
+def random_sum_series(dist, severity, n):
+    """The first n masses of sum_m P(N = m) f_B^{*m}, the powers by direct convolution."""
+    out, power = np.zeros(n), np.eye(1)[0]
+    for m in range(n):  # f_B^{*m} starts at m or later: a severity here has no mass at 0
+        out[: min(len(power), n)] += dist.pmf(m) * power[:n]
+        power = direct_convolution(power, severity)[:n]
+    return out
+
+
 class TestCompoundPgf:
-    def test_zero_rate_degenerates(self):
-        sev = gf.dft(np.pad([0.0, 1.0], (0, 6)))
-        out = gf.compound_pgf_on_roots(KatzParams.poisson(0.0), sev)
-        assert np.allclose(out, np.ones(8))
-
-    def test_entry_zero_is_one(self):
-        sev = gf.dft(np.pad([0, 0.1, 0.2, 0.4, 0.3], (0, 59)))
-        out = gf.compound_pgf_on_roots(KatzParams.poisson(0.08), sev)
-        assert out[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_inversion_matches_count_recursion(self):
-        # transform route vs the counting recursion, two different algorithms
-        sev = np.pad([0.0, 0.1, 0.2, 0.4, 0.3], (0, 59))
-        freq = KatzParams.poisson(0.08)
-        via_fft = gf.idft(gf.compound_pgf_on_roots(freq, gf.dft(sev)))
-        via_recursion = compound_pmf_panjer(freq, sev, 64)
-        assert np.max(np.abs(via_fft - via_recursion)) <= 1e-12
+        # the counting recursion against the series of convolution powers, two different algorithms
+        sev = np.array([0.0, 0.1, 0.2, 0.4, 0.3])
+        via_recursion = compound_pmf_panjer(KatzParams.poisson(0.08), sev, 64)
+        assert np.max(np.abs(random_sum_series(stats.poisson(0.08), sev, 64) - via_recursion)) <= 1e-12
 
     def test_negative_binomial_count_matches_recursion(self):
-        # buffer wide enough that the wrapped tail is far below the tolerance
-        sev = np.pad([0.0, 0.55, 0.3, 0.15], (0, 508))
-        freq = KatzParams.negative_binomial(2.0, 0.45)
-        via_fft = gf.idft(gf.compound_pgf_on_roots(freq, gf.dft(sev)))
-        via_recursion = compound_pmf_panjer(freq, sev, 512)
-        assert np.max(np.abs(via_fft - via_recursion)) <= 1e-12
+        sev = np.array([0.0, 0.55, 0.3, 0.15])
+        via_recursion = compound_pmf_panjer(KatzParams.negative_binomial(2.0, 0.45), sev, 512)
+        assert np.max(np.abs(random_sum_series(stats.nbinom(2.0, 0.45), sev, 512) - via_recursion)) <= 1e-12
