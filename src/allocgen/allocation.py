@@ -464,9 +464,10 @@ def host_memory_bytes() -> int:
 def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
     """ConfigError when n risks on kmax points, at ``bytes_per_point`` each, exceed the host's memory.
 
-    The dense engine calls it before it allocates anything of size n x kmax,
-    so a portfolio too large for the host stops with a clean error instead
-    of being killed for want of memory.
+    The dense engine, and the pool engine for the margins beside a pool,
+    call it before they allocate anything of size n x kmax, so a portfolio
+    too large for the host stops with a clean error instead of being killed
+    for want of memory.
     """
     need, host = n * kmax * bytes_per_point, host_memory_bytes()
     if need > host:
@@ -567,7 +568,8 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     3. by direct convolution of the other margins' pmfs, each cut after its
        last non-zero mass: their product f_rest (L points), their rows
        nu_r = (k f_r) * prod_{s != r} f_s by prefix and suffix products, and
-       f_S = f_rest * f_pool, every term non-negative;
+       f_S = f_rest * f_pool, every term non-negative; ``require_memory``
+       holds their rows, at most kmax points each, to the host first;
     4. a band width J (``_band_width``), the narrowest at which, at every
        k with f_S(k) above the underflow floor,
 
@@ -607,6 +609,9 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         return allocate_independent(risks, kmax)
     log_f0, step_h, read, others = pool
     idx = list(others)
+    # per other margin, rows of up to kmax points: its pmf vector, prefix product, nu row, scaled nu row and
+    # dense row, 40 bytes a point, and 8 more for the pool's own work and the arrays' headers
+    require_memory(len(idx), kmax, 6 * 8)
     f = [x[: np.flatnonzero(x).max(initial=0) + 1] for x in (r.pmf_vector(kmax) for r in others.values())]
     prefix = list(itertools.accumulate(f, partial(_chunked_convolve, n=kmax), initial=np.ones(1)))
     rest, suffix, nu = prefix[-1], np.ones(1), np.zeros((len(f), len(prefix[-1])))
@@ -641,7 +646,9 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         reasons.append(f"sum mean {mean_s:.1f} + 10 sd {10.0 * sd_s:.1f} reaches the buffer top {kmax}")
     band_note = (f"severity band J={band} of {len(C)}{whole_note}; "
                  f"transform f_S within {check:.1e} of max Panjer f_S{beside}")
-    labels = [("severity", np.setdiff1d(np.arange(len(risks)), idx)), ("per-risk", idx)]
+    severity = np.ones(len(risks), dtype=bool)
+    severity[idx] = False
+    labels = [("severity", np.flatnonzero(severity)), ("per-risk", idx)]
     trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), labels, reasons, [band_note])
     return assemble_table(fs, PoolWeights(read, len(risks), band, lengths), means, step_h=step_h, truncation=trunc,
                           seq=fs, dense_rows=dense, total=total[:band])

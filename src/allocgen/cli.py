@@ -17,7 +17,6 @@ import numpy as np
 
 from .allocation import oracle_enumerate, oracle_size_biased_rows
 from .errors import AllocationError, ConfigError, UnknownCase
-from .reproduce import CASES, reproduce
 from .scenario import allocate_portfolio, build_portfolio, check_settings, load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -52,6 +51,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import reproduce
+
     report = reproduce(args.case)
     for line in report.lines():
         print(line)
@@ -78,6 +79,18 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _case(name: str) -> str:
+    """``name`` if it is one of the study cases, else a parser error that lists them.
+
+    The cases live in ``reproduce``, which only the ``reproduce`` command loads.
+    """
+    from .reproduce import CASES
+
+    if name not in CASES:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(CASES)})")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="allocgen",
@@ -95,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_rep = sub.add_parser("reproduce", help="run a canonical study case and check it")
-    p_rep.add_argument("case", choices=CASES)
+    p_rep.add_argument("case", type=_case, help="a study case; an unknown one exits 2 and lists them")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_or = sub.add_parser(

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import allocgen
 from allocgen import allocation
 from allocgen.cli import main
 
@@ -417,6 +423,25 @@ class TestRun:
         )
         assert not out.exists()
 
+    def test_margins_beside_pool_beyond_host_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the two Bernoulli margins beside the Poisson pool are convolved directly, at 48 bytes per margin
+        # and lattice point, and the pool engine stops before it builds their rows
+        monkeypatch.setattr(allocation, "host_memory_bytes", lambda: 1024)
+        scenario = tmp_path / "beside.yaml"
+        scenario.write_text(
+            "kmax: 64\nmodel:\n  risks:\n"
+            "    - {type: compound_poisson, lam: 0.5, severity: [0.0, 0.5, 0.5]}\n"
+            "    - {type: bernoulli, b: 2, q: 0.3}\n"
+            "    - {type: bernoulli, b: 3, q: 0.2}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 2 risks at kmax 64 need about 6,144 bytes at once, "
+            "more than the 1,024 bytes of memory on this host\n"
+        )
+        assert not out.exists()
+
     def test_pareto_at_alpha_one_runs(self, tmp_path, capsys):
         # the limited mean at alpha = 1 is its limit lam ln(1 + d / lam)
         scenario = tmp_path / "pareto.yaml"
@@ -452,6 +477,26 @@ class TestRun:
         assert err == (
             "numerical failure: level 0.9 above reachable mass 0.8697740204280986 on the stored grid\n"
         )
+
+
+def test_commands_load_only_what_they_run(scenario_dir, tmp_path):
+    # in a fresh interpreter, as this one may have loaded either module already: a run or an oracle check
+    # loads neither the study cases nor numpy.ma, which numpy's set routines import
+    script = (
+        "import contextlib, io, sys\n"
+        "from allocgen.cli import main\n"
+        f"scenarios, out = {str(scenario_dir)!r}, {str(tmp_path)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name in ('small_pool', 'shock', 'gamma_mixture', 'bernoulli_pool'):\n"
+        "        assert main(['run', f'{scenarios}/{name}.yaml', '--out', f'{out}/{name}']) == 0, name\n"
+        "    assert main(['oracle', f'{scenarios}/bernoulli_pool.yaml']) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'allocgen.reproduce') if m in sys.modules))\n"
+    )
+    src = str(Path(allocgen.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestReproduce:
