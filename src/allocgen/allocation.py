@@ -7,10 +7,12 @@ product recovers every allocation at once.  Closed forms for the (a, b) count
 family and random sums over Poisson counts avoid the per-risk transform of the
 others entirely, because by the compound Katz rule their allocation
 generating function is c(t) P_S(t); for a Poisson pool each c is a short
-polynomial, so its table is kept as two factors, the n x J coefficients
-(``models.canonical_row``) and one sequence, and every output is a query on
-them; the coefficients are formed whenever a query reads them, a block of
-rows at a time, and never stored.
+polynomial, so its table is kept as terms, each a block of coefficient rows
+and the one sequence they are convolved with: the n x J coefficients
+(``models.canonical_row``) over f_S, and the rows of the margins beside the
+pool over the pool's own pmf.  Every output is a query on the terms; the
+pool's coefficients are formed whenever a query reads them, a block of rows
+at a time, and never stored.
 
 Risks that are fixed linear combinations of independent pieces (the shock
 tree and the gamma-mixed pair of :mod:`allocgen.dependence`) reuse these
@@ -96,18 +98,27 @@ class AllocationTable:
     """Per-risk allocation vectors over the lattice, with a validity mask.
 
     The allocation rows, mu_i(k) = E[X_i 1{S = k h}] in payment units, are
-    stored as a product W T.  A dense table (``mixture_rows``: independent
-    margins, frailty levels) keeps the n x kmax rows as ``weights`` (T = I,
-    ``seq`` None).  A factored table has n x J weights, and T[j, k] =
-    seq(k - j) is the Toeplitz matrix of ``seq`` = f_S.  A Poisson pool's
-    weights are its ``PoolWeights``, which forms any row block of W when
-    asked and stores none; a regrouped pool keeps its few rows as an array.
-    Both serve ``shape`` and row slices; ``bands`` reads W ROW_BLOCK rows
-    at a time, and ``rows`` reads only the rows it is asked for.  Margins
-    beside a pool that have no c row have zero weights; their own
-    dense rows are ``dense_rows`` (their indices, in order, and the rows),
-    added to the product's.  Every output reads the rows through a small
-    interface:
+    kept as a short list of ``terms``, each ``(rows, W, seq)``: the risks it
+    covers (an index array, in order), one row of weights W per risk it
+    covers, and the sequence its rows are convolved with.  Row i of the
+    table sums, over the terms that cover i, row i of W T, T[j, k] =
+    seq(k - j) the Toeplitz matrix of ``seq``.  So each term is the paper's
+    coefficient series times a generating function:
+
+    - a dense term has ``seq`` None (T = I), and its rows are W, n x kmax:
+      the one term of a dense table (``mixture_rows``: independent margins,
+      frailty levels);
+    - a Poisson pool's c rows, W = h c over J columns, over seq = f_S; W is
+      the pool's ``PoolWeights``, which forms any row block of W when asked
+      and stores none;
+    - the margins beside a pool, W = h nu_r over seq = f_pool
+      (``allocate_compound_poisson_pool``);
+    - a regrouped table keeps each term over its ``seq``, with the loading
+      applied to W (``regroup``).
+
+    Every W serves ``shape`` and row slices; ``bands`` reads each W
+    ROW_BLOCK rows at a time, and ``rows`` reads only the rows it is asked
+    for.  Every output reads the rows through a small interface:
 
     - ``rows(idx)``: the allocation rows of the given risks, each read
       alone;
@@ -126,26 +137,24 @@ class AllocationTable:
     kept once: ``column_sum`` and ``fs``, the engine's own f_S.  That is never
     clamped: from an inverse transform it can carry negative round-off in the
     deep tail, which is what the validity mask is for; a Poisson pool's, the
-    Panjer recursion's convolved with any other margins' pmfs, is not.  For
-    a factored table the column sum is (1^T W) * seq plus the dense rows'
-    sum.  The ``validation_curve``, ``per_mass(column_sum, fs.masses)``,
-    equals k h wherever results are trustworthy, and the mask derives from it.
+    Panjer recursion's convolved with any other margins' pmfs, is not.  The
+    column sum adds up the terms' (1^T W) * seq.  The ``validation_curve``,
+    ``per_mass(column_sum, fs.masses)``, equals k h wherever results are
+    trustworthy, and the mask derives from it.
     """
 
     fs: DiscretePMF
-    weights: np.ndarray | PoolWeights
+    terms: tuple
     column_sum: np.ndarray
     valid_mask: np.ndarray
     tolerance_used: float
     underflow_floor: float
     risk_means: np.ndarray
     truncation: TruncationReport
-    seq: np.ndarray | None = None
-    dense_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_risks(self) -> int:
-        return self.weights.shape[0]
+        return len(self.risk_means)
 
     @property
     def kmax(self) -> int:
@@ -162,51 +171,47 @@ class AllocationTable:
     def rows(self, idx) -> np.ndarray:
         """Rows ``idx`` (an index, slice or index array) of ``expected_allocation``.
 
-        Each chosen row i of W is read alone, as ``weights[i : i + 1]``, so a
-        pool's reader forms exactly the rows asked for; a row reads the same
-        in any slice.  A factored table convolves each chosen row of W with
-        ``seq``, which costs O(J kmax) per row and builds nothing larger than
-        the answer.
+        Each chosen row p of a term's W is read alone, as ``W[p : p + 1]``, so
+        a pool's reader forms exactly the rows asked for; a row reads the
+        same in any slice.  A dense term's row is added as read; a factored
+        term's is first convolved with its ``seq``, which costs O(width kmax)
+        and builds nothing larger than the answer.
         """
         chosen = np.arange(self.n_risks)[idx]
         flat = chosen.reshape(-1)
-        w = np.empty((len(flat), self.weights.shape[1]))
-        for row, i in zip(w, flat.tolist()):
-            row[:] = self.weights[i : i + 1][0]
-        out = w if self.seq is None else _toeplitz_rows(w, self.seq)
-        if self.dense_rows is not None:
-            at, dense = self.dense_rows
+        out = np.zeros((len(flat), self.kmax))
+        for at, w, seq in self.terms:
             pos = np.minimum(np.searchsorted(at, flat), len(at) - 1)
-            hit = at[pos] == flat
-            out[hit] += dense[pos[hit]]
-        return out.reshape(*chosen.shape, out.shape[-1])
+            for o in np.flatnonzero(at[pos] == flat).tolist():
+                row = w[pos[o] : pos[o] + 1][0]
+                out[o] += row if seq is None else _chunked_convolve(row, seq, self.kmax)
+        return out.reshape(*chosen.shape, self.kmax)
 
     def bands(self, requests) -> list[np.ndarray]:
-        """For each ``(i1, w)`` of ``requests``, sum_k mu_i(i1 + k) w(k) for every risk i, in one pass over W.
+        """For each ``(i1, w)`` of ``requests``, sum_k mu_i(i1 + k) w(k) for every risk i, in one pass over each W.
 
-        A factored table sums T's columns first, W (T[:, i1 : i1 + len(w)] w),
-        at a cost of O(J len(w) + n J) per request.  Each row's J terms are
-        summed pairwise, which keeps that sum within about eps of its value.
-        Every request is answered from each block of W as it is read, so the
-        query holds one row block, never an n x J array, and each answer is
-        the one a request alone gets.  The sum over k is taken in pieces
+        A dense term reads the columns it needs, a matrix-vector product.  A
+        factored term sums T's columns first, W (T[:, i1 : i1 + len(w)] w),
+        at a cost of O(width len(w) + n width) per request; each row's terms
+        are summed pairwise, which keeps that sum within about eps of its
+        value.  Every request is answered from each block of W as it is read,
+        so the query holds one row block, never a whole W, and each answer
+        is the one a request alone gets.  The sum over k is taken in pieces
         (``_band_columns``), so a wide band gives the same sums at any BLAS
         thread count.
         """
         requests = [(i1, np.asarray(w, dtype=float)) for i1, w in requests]
-        if self.seq is None:
-            reads = [(slice(i1, i1 + len(w)), w) for i1, w in requests]
-        else:
-            reads = [(slice(None), _band_columns(self.seq, self.weights.shape[1], i1, w)) for i1, w in requests]
-        outs = [np.empty(self.n_risks) for _ in requests]
-        if requests:
-            for rows, block in _blocks(self.weights):
+        if not requests:
+            return []
+        outs = [np.zeros(self.n_risks) for _ in requests]
+        for at, w, seq in self.terms:
+            if seq is None:
+                reads = [(slice(i1, i1 + len(v)), v) for i1, v in requests]
+            else:
+                reads = [(slice(None), _band_columns(seq, w.shape[1], i1, v)) for i1, v in requests]
+            for rows, block in _blocks(w):
                 for out, (cols, v) in zip(outs, reads):
-                    out[rows] = block[:, cols] @ v if self.seq is None else (block * v).sum(axis=1)
-        if self.dense_rows is not None:
-            at, dense = self.dense_rows
-            for out, (i1, w) in zip(outs, requests):
-                out[at] += dense[:, i1 : i1 + len(w)] @ w
+                    out[at[rows]] += block[:, cols] @ v if seq is None else (block * v).sum(axis=1)
         return outs
 
     def band(self, i1: int, w: np.ndarray) -> np.ndarray:
@@ -233,17 +238,18 @@ class AllocationTable:
 class PoolWeights:
     """A Poisson pool's weights w_i(j) = h c_i(j), j < ``width``, formed a slice of rows at a time.
 
-    ``read`` is ``models.poisson_pool``'s row reader over ``n`` rows (a dense
-    margin's is zero), and row i is zero from ``lengths[i]`` on, where pass 1
-    cut it.  It serves the reads of the n x ``width`` array W it stands for:
-    ``shape``, ``self[rows]`` for a slice of rows (a fresh array) and
-    ``*= h``, which scales every later read.  A read forms exactly the rows
+    ``read`` is ``models.poisson_pool``'s row reader over ``n`` rows (an
+    other margin's is zero), and row i is zero from ``lengths[i]`` on, where
+    pass 1 cut it; ``total`` is pass 1's column sum 1^T W.  It serves the
+    reads of the n x ``width`` array W it stands for: ``shape``,
+    ``self[rows]`` for a slice of rows (a fresh array) and ``*= h``, which
+    scales ``total`` and every later read.  A read forms exactly the rows
     the array's slice would hold, and only the risks and their lengths stay
     in memory.
     """
 
-    def __init__(self, read, n: int, width: int, lengths: np.ndarray):
-        self.read, self.n, self.width, self.lengths, self.step_h = read, n, width, lengths, 1.0
+    def __init__(self, read, n: int, width: int, lengths: np.ndarray, total: np.ndarray):
+        self.read, self.n, self.width, self.lengths, self.total, self.step_h = read, n, width, lengths, total, 1.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -261,6 +267,7 @@ class PoolWeights:
 
     def __imul__(self, factor: float) -> "PoolWeights":
         self.step_h *= factor
+        self.total = self.total * factor
         return self
 
 
@@ -285,15 +292,6 @@ def _band_columns(seq: np.ndarray, width: int, i1: int, w: np.ndarray) -> np.nda
     return tw[::-1]
 
 
-def _toeplitz_rows(w: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Each row of ``w`` (one row or a stack) convolved with ``fs`` in column pieces, cut to len(fs) points."""
-    kmax = len(fs)
-    out = np.empty((*w.shape[:-1], kmax))
-    for row, dst in zip(np.reshape(w, (-1, w.shape[-1])), np.reshape(out, (-1, kmax))):
-        dst[:] = _chunked_convolve(row, fs, kmax)
-    return out
-
-
 def row_blocks(n: int, width: int) -> list[slice]:
     """Consecutive row slices of an n x ``width`` array, sized to BLOCK_BYTES.
 
@@ -314,34 +312,28 @@ def per_mass(mu: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 def assemble_table(
     fs: np.ndarray,
-    mu: np.ndarray | PoolWeights,
+    terms: Sequence[tuple],
     risk_means: np.ndarray,
     *,
     step_h: float = 1.0,
     truncation: TruncationReport | None = None,
     support_bound: int | None = None,
-    seq: np.ndarray | None = None,
-    dense_rows: tuple[np.ndarray, np.ndarray] | None = None,
-    total: np.ndarray | None = None,
 ) -> AllocationTable:
-    """Build the table from a mass vector and per-risk allocation rows.
+    """Build the table of the n = len(``risk_means``) risks from a mass vector and its ``terms``.
 
-    ``fs`` and ``mu`` are on the index lattice; payment units are restored
-    here via ``step_h``.  ``mu`` holds the n x kmax rows, or, with a
-    sequence ``seq``, a pool's weights W (an array or its ``PoolWeights``)
-    whose product with the Toeplitz matrix of ``seq`` gives the rows.  The
-    table takes ``mu`` over without a copy, scaled to payment units in place.
-    ``dense_rows``, in payment units, are added to the rows of the risks
-    they name.  The column sum is formed from 1^T mu, in payment units,
-    which is ``total`` when the caller has it (a pool's pass 1 sums it) and
-    is otherwise ``mu``'s sum over rows; with a sequence it is the
-    convolution (1^T W) * seq.  ``fs`` keeps
-    its negative round-off; a mass below -1e-9 is not round-off and raises
+    Each term is ``(rows, W, seq)`` (``AllocationTable``), its rows any index
+    of the n risks, kept as an index array.  ``fs`` and every W are on the
+    index lattice; payment units are restored here via ``step_h``: the table
+    takes each W over without a copy and scales it in place, once.  The
+    column sum adds up each term's 1^T W, convolved with its ``seq`` if it
+    has one; 1^T W is a ``PoolWeights``' ``total`` (a pool's pass 1 sums
+    it) and otherwise W's sum over rows.  ``fs`` keeps its negative
+    round-off; a mass below -1e-9 is not round-off and raises
     :class:`InvalidPMF`.  When the sum of a dense table has a provable
     support bound below the buffer (all margins bounded, no wrap), entries
-    beyond it are exact zeros and the inverse-transform noise there is
-    dropped rather than reported.  The validity mask is ``mask_validity``'s
-    at its defaults.
+    of f_S and of the dense rows beyond it are exact zeros and the
+    inverse-transform noise there is dropped rather than reported.  The
+    validity mask is ``mask_validity``'s at its defaults.
     """
     fs = np.asarray(fs, dtype=float)
     kmax = len(fs)
@@ -349,30 +341,30 @@ def assemble_table(
         raise EmptyDistribution("total-loss pmf carries no positive mass")
     if fs.min() < -1e-9:
         raise InvalidPMF(f"f_S has entry {fs.min():.3e}; not round-off noise")
-    if not isinstance(mu, PoolWeights):
-        mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    if step_h != 1.0:
-        mu *= step_h
-    if support_bound is not None and support_bound + 1 < kmax:
+    bounded = support_bound is not None and support_bound + 1 < kmax
+    if bounded:
         fs = fs.copy()
         fs[support_bound + 1 :] = 0.0
-        mu[:, support_bound + 1 :] = 0.0
-    if total is None:
-        total = mu.sum(axis=0)
-    column_sum = total if seq is None else _toeplitz_rows(total, seq)
-    if dense_rows is not None:
-        column_sum += dense_rows[1].sum(axis=0)
+    column_sum = None
+    for _, w, seq in terms:
+        if step_h != 1.0:
+            w *= step_h
+        if bounded and seq is None:
+            w[:, support_bound + 1 :] = 0.0
+        total = w.total if isinstance(w, PoolWeights) else w.sum(axis=0)
+        part = total if seq is None else _chunked_convolve(total, seq, kmax)
+        column_sum = part if column_sum is None else column_sum + part
+    risk_means = np.asarray(risk_means, dtype=float)
+    every = np.arange(len(risk_means))
     table = AllocationTable(
         fs=DiscretePMF(fs, step_h),
-        weights=mu,
+        terms=tuple((every[rows], w, seq) for rows, w, seq in terms),
         column_sum=column_sum,
         valid_mask=None,  # mask_validity sets the mask and the two settings
         tolerance_used=None,
         underflow_floor=None,
-        risk_means=np.asarray(risk_means, dtype=float),
+        risk_means=risk_means,
         truncation=truncation or TruncationReport(kmax=kmax),
-        seq=seq,
-        dense_rows=dense_rows,
     )
     return mask_validity(table)
 
@@ -386,7 +378,7 @@ def mask_validity(
 
     A point is valid where f_S(k) > ``underflow_floor`` and the validation
     curve is within ``tolerance`` of k h.  Only the mask and the two recorded
-    settings change; every array, the stored ``weights`` included, is shared
+    settings change; every array, the terms' weights included, is shared
     with ``table``.
     """
     values = table.fs.step_h * np.arange(table.kmax, dtype=float)
@@ -406,29 +398,20 @@ def regroup(
     The total is the same sum whenever every column of ``loading`` sums to 1,
     so f_S and the truncation report carry over; the allocation rows are
     ``loading @`` the inner ones, and the validation curve and the default
-    validity mask are derived afresh from them.  A factored table stays
-    factored over the same ``seq``, since loading @ (W T) = (loading @ W) T:
-    the loading is applied to W a row block at a time, and the product, one
-    row per risk, is kept as an array; dense rows are regrouped alike.
+    validity mask are derived afresh from them.  Each term stays over its
+    ``seq``, since loading @ (W T) = (loading @ W) T: the loading's columns
+    of the term's rows are applied to W a row block at a time, and the
+    product, one row per risk, is kept as an array.
     """
-    step_h = table.fs.step_h
-    mu = None
-    for rows, block in _blocks(table.weights):
-        part = loading[:, rows] @ block
-        mu = part if mu is None else np.add(mu, part, out=mu)
-    mu /= step_h
-    dense = table.dense_rows
-    if dense is not None:
-        dense = np.arange(len(loading)), loading[:, dense[0]] @ dense[1]
-    return assemble_table(
-        table.fs.masses,
-        mu,
-        risk_means,
-        step_h=step_h,
-        truncation=table.truncation,
-        seq=table.seq,
-        dense_rows=dense,
-    )
+    step_h, terms = table.fs.step_h, []
+    for at, w, seq in table.terms:
+        mu = None
+        for rows, block in _blocks(w):
+            part = loading[:, at[rows]] @ block
+            mu = part if mu is None else np.add(mu, part, out=mu)
+        mu /= step_h
+        terms.append((slice(None), mu, seq))
+    return assemble_table(table.fs.masses, terms, risk_means, step_h=step_h, truncation=table.truncation)
 
 
 def _aliasing_report(
@@ -465,7 +448,7 @@ def require_memory(n: int, kmax: int, bytes_per_point: int) -> None:
     """ConfigError when n risks on kmax points, at ``bytes_per_point`` each, exceed the host's memory.
 
     The dense engine, and the pool engine for the margins beside a pool,
-    call it before they allocate anything of size n x kmax, so a portfolio
+    call it before they allocate n rows of up to kmax points, so a portfolio
     too large for the host stops with a clean error instead of being killed
     for want of memory.
     """
@@ -545,7 +528,8 @@ def allocate_independent(risks: Sequence[RiskModel], kmax: int) -> AllocationTab
         bound = None  # wrapped: nothing beyond the buffer is provably zero
     truncation = _aliasing_report(kmax, totals, kmax, [("per-risk", slice(None))], reasons)
     means = np.array([r.mean() for r in risks])
-    return assemble_table(fs, mu, means, step_h=step_h, truncation=truncation, support_bound=bound)
+    terms = [(slice(None), mu, None)]
+    return assemble_table(fs, terms, means, step_h=step_h, truncation=truncation, support_bound=bound)
 
 
 def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> AllocationTable:
@@ -569,7 +553,8 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
        last non-zero mass: their product f_rest (L points), their rows
        nu_r = (k f_r) * prod_{s != r} f_s by prefix and suffix products, and
        f_S = f_rest * f_pool, every term non-negative; ``require_memory``
-       holds their rows, at most kmax points each, to the host first;
+       holds their prefix products and rows, at most kmax points each, to
+       the host first;
     4. a band width J (``_band_width``), the narrowest at which, at every
        k with f_S(k) above the underflow floor,
 
@@ -580,19 +565,20 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
        mu_i(k) and from f_S(k) is at most machine epsilon of it.  Where no
        J certifies every such point, steps 1 and 2 and f_S run again with
        every row read whole, and the band note says so;
-    5. the factored table over seq = f_S: W is the pool's ``PoolWeights``
-       over J columns, read whenever a query asks and cut at pass 1's
-       lengths; its column sum is pass 1's first J columns, so assembly
-       reads no row; each other margin keeps its dense row
-       mu_r = nu_r * f_pool (``dense_rows``).
+    5. the table's two terms: the pool's c rows over seq = f_S, W its
+       ``PoolWeights`` over J columns, read whenever a query asks and cut
+       at pass 1's lengths, whose column sum is pass 1's first J columns,
+       so assembly reads no row; and the other margins' rows nu over
+       seq = f_pool, L points each, so mu_r = nu_r * f_pool is formed only
+       when a query reads it.
 
     With no other margin, f_S = f_pool; with no c row, the table is
     ``allocate_independent``'s.  The other margins' means and kept masses
     join the pool's, and their lost mass is reported as "per-risk", as
     alone, and the pool severities' as "severity".  ``models.poisson_pool``
     reads the rows ROW_BLOCK at a time and never whole: once in pass 1 and
-    again in every query.  Nothing
-    n x J is stored.  A sampled severity with no mass raises KatzDomain.
+    again in every query.  Nothing n x J or n x kmax is stored.  A sampled
+    severity with no mass raises KatzDomain.
     Each risk's mean is its c summed plus the tail its row leaves out, which
     for an NB count is the geometric rest past the buffer: its closed form,
     up to round-off.
@@ -609,10 +595,10 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
         return allocate_independent(risks, kmax)
     log_f0, step_h, read, others = pool
     idx = list(others)
-    # per other margin, rows of up to kmax points: its pmf vector, prefix product, nu row, scaled nu row and
-    # dense row, 40 bytes a point, and 8 more for the pool's own work and the arrays' headers
-    require_memory(len(idx), kmax, 6 * 8)
-    f = [x[: np.flatnonzero(x).max(initial=0) + 1] for x in (r.pmf_vector(kmax) for r in others.values())]
+    # per other margin, rows of up to kmax points: its prefix product and nu row, 16 bytes a point, and 8 more
+    # for its pmf vector while it is trimmed, the pool's own work and the arrays' headers
+    require_memory(len(idx), kmax, 3 * 8)
+    f = [x[: np.flatnonzero(x).max(initial=0) + 1].copy() for x in (r.pmf_vector(kmax) for r in others.values())]
     prefix = list(itertools.accumulate(f, partial(_chunked_convolve, n=kmax), initial=np.ones(1)))
     rest, suffix, nu = prefix[-1], np.ones(1), np.zeros((len(f), len(prefix[-1])))
     for r in reversed(range(len(f))):  # nu_r = (k f_r) * prefix_{r-1} * suffix_{r+1}
@@ -621,7 +607,7 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
 
     whole_note = ""
     for whole in (False, True):
-        C, total, means, kept, lengths, certificate = _pool_pass1(partial(read, whole=whole), len(risks), kmax, step_h)
+        C, total, means, kept, lengths, certificate = _pool_pass1(partial(read, whole=whole), len(risks), kmax)
         f_pool = counting_recursion(log_f0, np.trim_zeros(C[1:], "b"), kmax)
         fs = _chunked_convolve(rest, f_pool, kmax)
         band, uncertified = _band_width(fs, *certificate)
@@ -637,7 +623,6 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     means[idx] = [r.mean() for r in others.values()]
     kept[idx], lengths[idx] = [x.sum() for x in f], [len(x) for x in f]
     beside = f"; beside {len(idx)} other margin{'s' * (len(idx) > 1)} over {len(rest)} points" if idx else ""
-    dense = (np.array(idx), _toeplitz_rows(step_h * nu, f_pool)) if idx else None
 
     # a 10-sigma headroom check
     mean_s, sd_s = float(means.sum()), step_h * np.sqrt(var)
@@ -650,17 +635,18 @@ def allocate_compound_poisson_pool(risks: Sequence[RiskModel], kmax: int) -> All
     severity[idx] = False
     labels = [("severity", np.flatnonzero(severity)), ("per-risk", idx)]
     trunc = _aliasing_report(kmax, kept, np.minimum(lengths, kmax), labels, reasons, [band_note])
-    return assemble_table(fs, PoolWeights(read, len(risks), band, lengths), means, step_h=step_h, truncation=trunc,
-                          seq=fs, dense_rows=dense, total=total[:band])
+    terms = [(slice(None), PoolWeights(read, len(risks), band, lengths, total[:band]), fs)]
+    terms += [(idx, nu, f_pool)] if idx else []
+    return assemble_table(fs, terms, means, step_h=step_h, truncation=trunc)
 
 
-def _pool_pass1(read, n: int, kmax: int, step_h: float):
+def _pool_pass1(read, n: int, kmax: int):
     """Pass 1 of ``allocate_compound_poisson_pool``: the c rows, ``read`` a row block at a time, each until its cut.
 
     Returns C = sum_i c_i, summed over the rows in order, on the longest
-    row's L points (at most kmax); the column sum 1^T W of the weights
-    h c_i, summed as ``assemble_table`` would, the carried sum first and
-    then the rows in order; each row's mean, its c summed plus its tail;
+    row's L points (at most kmax); the column sum of the rows as cut,
+    summed as W's sum over rows would be, the carried sum first and then
+    the rows in order; each row's mean, its c summed plus its tail;
     its kept severity mass and length; and ``_band_width``'s certificate
     (cuts, ratios, taus, first) on the rows as cut: at each J of cuts, the
     powers of two below L and then L, with head_i(J) the sum of c_i(j)
@@ -698,9 +684,8 @@ def _pool_pass1(read, n: int, kmax: int, step_h: float):
         first = min(first, int(at.min(initial=kmax)))
         # the column sum last, in place: the block is not read again
         total = np.pad(total, (0, max(w.shape[1] - len(total), 0)))
-        part = w if step_h == 1.0 else w * step_h
-        part[0] += total[: part.shape[1]]
-        total[: part.shape[1]] = part.sum(axis=0)
+        w[0] += total[: w.shape[1]]
+        total[: w.shape[1]] = w.sum(axis=0)
     length = int(min(kmax, lengths.max()))
     cuts = [c for c in powers if c < length] + [length]
     return C[:length], total, means, kept, lengths, (cuts, ratios[: len(cuts)], taus[: len(cuts)] + rate, first)
@@ -950,7 +935,7 @@ def _enumerate_independent(risks, kmax, budget) -> AllocationTable:
         for i, (x, _) in enumerate(combo):
             mu[i, s] += x * p
     means = np.array([r.mean() for r in risks])
-    return assemble_table(fs, mu, means, step_h=step_h)
+    return assemble_table(fs, [(slice(None), mu, None)], means, step_h=step_h)
 
 
 def _enumerate_frailty(spec, risks, kmax, budget) -> AllocationTable:
@@ -972,4 +957,4 @@ def _enumerate_frailty(spec, risks, kmax, budget) -> AllocationTable:
         for i, c in enumerate(combo):
             if c:
                 mu[i, s] += b[i] * p
-    return assemble_table(fs, mu, b * q)
+    return assemble_table(fs, [(slice(None), mu, None)], b * q)

@@ -301,4 +301,4 @@ def frailty_allocation(spec: FrailtyBernoulliSpec, risks: Iterable, kmax: int) -
     fs, mu = mixture_rows(weights, pgfs, spectra, len(b), kmax)
     note = f"mixing levels truncated at {spec.theta_star}; residual mass {spec.residual_mass:.3e}"
     truncation = TruncationReport(kmax=kmax, lost_mass=spec.residual_mass, notes=(note,))
-    return assemble_table(fs, mu, b * q, truncation=truncation, support_bound=top)
+    return assemble_table(fs, [(slice(None), mu, None)], b * q, truncation=truncation, support_bound=top)

@@ -250,16 +250,29 @@ def banded_product_blocked(weights, fs):
 
 
 def materialised_weights(table):
-    """A table's W as one array: its weights read a row block at a time, as the queries read them."""
+    """A table's terms with each W as one array: read a row block at a time, as the queries read it."""
     from allocgen.models import ROW_BLOCK
 
-    return np.concatenate([table.weights[lo : lo + ROW_BLOCK] for lo in range(0, table.n_risks, ROW_BLOCK)])
+    return tuple(
+        (rows, np.concatenate([w[lo : lo + ROW_BLOCK] for lo in range(0, w.shape[0], ROW_BLOCK)]), seq)
+        for rows, w, seq in table.terms
+    )
+
+
+def same_weights(a, b):
+    """Whether tables ``a`` and ``b`` have terms over the same rows with the same W, bit for bit.
+
+    Their sequences may differ: a sampled pool and its list sum the same masses in different orders.
+    """
+    return all(
+        np.array_equal(rows_a, rows_b) and np.array_equal(w_a, w_b)
+        for (rows_a, w_a, _), (rows_b, w_b, _) in zip(materialised_weights(a), materialised_weights(b), strict=True)
+    )
 
 
 def factored_product(table):
-    """Every row of a factored table, W T in long double plus its dense rows: the dense form it stands for."""
-    mu = banded_product_blocked(materialised_weights(table).astype(np.longdouble), table.seq.astype(np.longdouble))
-    if table.dense_rows is not None:
-        at, dense = table.dense_rows
-        mu[at] += dense
+    """Every row of a table, the sum of its terms' W T in long double: the dense form it stands for."""
+    mu = np.zeros((table.n_risks, table.kmax), dtype=np.longdouble)
+    for rows, w, seq in materialised_weights(table):
+        mu[rows] += w if seq is None else banded_product_blocked(w.astype(np.longdouble), seq.astype(np.longdouble))
     return mu

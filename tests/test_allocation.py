@@ -67,7 +67,7 @@ from allocgen.scenario import (
     sample_risks,
 )
 from allocgen.tails import pareto_cdf, pareto_lev
-from reference import factored_product, materialised_weights
+from reference import factored_product, materialised_weights, same_weights
 
 PARTNER = (0.1, 0.3, 0.2, 0.25, 0.15)
 EPS = np.finfo(float).eps
@@ -249,16 +249,16 @@ class TestTableInvariants:
         assert floored.underflow_floor == 1e-13 and floored.tolerance_used == t.tolerance_used
         assert np.array_equal(floored.valid_mask, t.valid_mask & (t.fs.masses > 1e-13))
         assert floored.valid_mask.sum() < t.valid_mask.sum()
-        assert floored.weights is t.weights and floored.column_sum is t.column_sum
+        assert floored.terms is t.terms and floored.column_sum is t.column_sum
         # the defaults give back the engine's own mask
         assert np.array_equal(mask_validity(floored).valid_mask, t.valid_mask)
 
     def test_mass_below_roundoff_raises(self):
         mu = np.zeros((1, 4))
         with pytest.raises(InvalidPMF, match="not round-off"):
-            assemble_table(np.array([0.5, 0.5, 2e-9, -2e-9]), mu, [0.0])
+            assemble_table(np.array([0.5, 0.5, 2e-9, -2e-9]), [(slice(None), mu, None)], [0.0])
         # round-off within 1e-9 is kept as it is
-        t = assemble_table(np.array([0.5, 0.5, 1e-10, -1e-10]), mu, [0.0])
+        t = assemble_table(np.array([0.5, 0.5, 1e-10, -1e-10]), [(slice(None), mu, None)], [0.0])
         assert t.fs.masses[3] == -1e-10 and not t.valid_mask[3]
 
     def test_identity_deviation_reads_the_stored_column_sum(self, small_pool):
@@ -319,7 +319,7 @@ class TestKatzClosedForm:
         lams = (0.7, 1.3)
         risks = [poisson_risk(lam) for lam in lams] + [compound_poisson_risk(0.4, [0.0, 0.5, 0.5])]
         table = allocate_portfolio(PortfolioModel(risks=risks), 32)
-        assert table.seq is not None
+        assert table.terms[0][2] is not None
         oracle = oracle_enumerate(PortfolioModel(risks=risks), 32)
         valid = table.valid_mask
         assert valid.sum() > 10
@@ -342,7 +342,7 @@ class TestKatzClosedForm:
         risks += [compound_poisson_risk(float(rng.uniform(0.1, 1.0)), [0.0, *rng.dirichlet(np.ones(3))])]
         portfolio, kmax = PortfolioModel(risks=risks), 64
         table = allocate_portfolio(portfolio, kmax)
-        assert table.seq is not None
+        assert table.terms[0][2] is not None
         valid = table.valid_mask
         assert np.array_equal(valid, table.fs.masses > table.underflow_floor)
         for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
@@ -360,7 +360,7 @@ class TestKatzClosedForm:
         # the other margin takes its own dense row, and the table stays one product over f_pool
         risks = [negative_binomial_risk(2.0, 0.5), partner]
         table = allocate_portfolio(PortfolioModel(risks=risks), 64)
-        assert table.seq is not None
+        assert table.terms[0][2] is not None
         valid = table.valid_mask
         assert valid.sum() > 20
         assert np.max(np.abs(table.expected_allocation - oracle_size_biased_rows(risks, 64))[:, valid]) <= 1e-10
@@ -509,7 +509,7 @@ class TestAlgorithmOne:
         a = allocate_compound_poisson_pool(pool, 2**12)
         b = allocate_compound_poisson_pool(list(pool), 2**12)
         assert band_width(a) == band_width(b) < 1438
-        assert np.array_equal(materialised_weights(a), materialised_weights(b))
+        assert same_weights(a, b)
         above = b.fs.masses > b.underflow_floor
         for got, want in ((a.fs.masses, b.fs.masses), (a.column_sum, b.column_sum)):
             assert np.all(np.abs(got[above] - want[above]) <= 1e-14 * want[above])
@@ -662,7 +662,7 @@ class TestAlgorithmOne:
         # with no Poisson number of claims in the portfolio, the table is the independent engine's
         bad = CompoundKatzRisk(KatzParams.negative_binomial(2, 0.5), pmf_from_values([0, 1.0]))
         t, want = allocate_compound_poisson_pool([bad], 16), allocate_independent([bad], 16)
-        assert t.seq is None and np.array_equal(t.weights, want.weights)
+        assert len(t.terms) == 1 and t.terms[0][2] is None and np.array_equal(t.terms[0][1], want.terms[0][1])
         assert np.array_equal(t.fs.masses, want.fs.masses)
 
     def test_total_allocation_recovers_mean(self):
@@ -725,7 +725,8 @@ class TestAlgorithmOne:
         t.band(1500, np.ones(4))
         assert reads == [(lo, min(lo + ROW_BLOCK, 300), band_width(t)) for lo in range(0, 300, ROW_BLOCK)]
         # pass 1's column sum is the one the blocks of W give, summed in order of rows
-        assert np.array_equal(t.column_sum, allocation._toeplitz_rows(materialised_weights(t).sum(axis=0), t.seq))
+        (_, weights, seq), = materialised_weights(t)
+        assert np.array_equal(t.column_sum, allocation._chunked_convolve(weights.sum(axis=0), seq, t.kmax))
 
     def test_claims_a_cut_drops_move_f_s_by_at_most_their_rate(self):
         # C without the claims of sizes 40..59, at a total rate of about 1e-10, gives f_S short by at
@@ -938,7 +939,7 @@ class TestFactoredTable:
     @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300", "pool300_mixed"))
     def test_queries_match_the_dense_product(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
-        assert t.seq is not None and t.weights.shape[1] < t.kmax
+        assert t.terms[0][2] is not None and t.terms[0][1].shape[1] < t.kmax
         mu = factored_product(t)
         scale = np.abs(mu).max(axis=1)
         n = t.n_risks
@@ -972,8 +973,8 @@ class TestFactoredTable:
     def test_regroup_keeps_the_table_factored(self, name, scenario_dir):
         t = factored_table(name, scenario_dir)
         mu = factored_product(t)
-        dense = assemble_table(t.fs.masses, mu.astype(float), t.risk_means)
-        assert dense.seq is None
+        dense = assemble_table(t.fs.masses, [(slice(None), mu.astype(float), None)], t.risk_means)
+        assert dense.terms[0][2] is None
         # two risks: the first half of the pool and the rest, with one piece shared
         n = t.n_risks
         loading = np.zeros((2, n))
@@ -982,7 +983,7 @@ class TestFactoredTable:
         loading[:, 0] = 0.5
         means = loading @ t.risk_means
         a, b = regroup(t, loading, means), regroup(dense, loading, means)
-        assert a.seq is not None and a.weights.shape == (2, t.weights.shape[1])
+        assert a.terms[0][2] is not None and a.terms[0][1].shape == (2, t.terms[0][1].shape[1])
         # both within 4 eps of each row's scale of the regrouped product in extended precision
         want = loading @ mu
         scale = want.max(axis=1, keepdims=True)
@@ -998,7 +999,7 @@ class TestFactoredTable:
             compound_poisson_risk(0.4, pmf_from_values([0.0, 0.3, 0.7], step_h=0.5)),
         ]
         t, dense = allocate_compound_poisson_pool(pool, 64), allocate_independent(pool, 64)
-        assert t.seq is not None and t.fs.step_h == 0.5
+        assert t.terms[0][2] is not None and t.fs.step_h == 0.5
         assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)) <= 1e-15
         assert t.rows(1).sum() == pytest.approx(pool[1].mean(), rel=1e-14)
         assert t.identity_deviation() <= 1e-15
@@ -1009,14 +1010,15 @@ class TestFactoredTable:
         # 300 rows: two full row blocks and a short one
         t = factored_table("pool300", scenario_dir)
         assert t.n_risks % ROW_BLOCK != 0
-        width = t.weights.shape[1]
+        (_, weights, _), = materialised_weights(t)
+        width = weights.shape[1]
         padded = np.pad(t.fs.masses, (width - 1, 0))
         rng = np.random.default_rng(7)
         for i1 in (0, t.kmax // 2, t.kmax - 5):
             for size in (1, 5, 40):
                 w = rng.uniform(0.0, 1.0, size=min(size, t.kmax - i1))
                 tw = np.correlate(padded[i1 : i1 + width - 1 + len(w)], w)[::-1]
-                assert np.array_equal(t.band(i1, w), (materialised_weights(t) * tw).sum(axis=1))
+                assert np.array_equal(t.band(i1, w), (weights * tw).sum(axis=1))
 
     @staticmethod
     def doubled_pools():
@@ -1034,7 +1036,7 @@ class TestFactoredTable:
             split, peak = traced_peak(lambda: euler_rvar_contributions(t, levels))
             assert split.sum() == pytest.approx(rvar(t.fs, levels), rel=1e-12)
             peaks.append(peak)
-            sizes.append(t.n_risks * t.weights.shape[1] * 8)
+            sizes.append(t.n_risks * t.terms[0][1].shape[1] * 8)
         assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
     def test_pool_table_keeps_no_copy_of_the_weights(self):
@@ -1046,7 +1048,7 @@ class TestFactoredTable:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained < t.n_risks * t.weights.shape[1] * 8 / 4
+        assert retained < t.n_risks * t.terms[0][1].shape[1] * 8 / 4
 
     def test_pool_run_peak_does_not_grow_with_the_weights(self):
         # pass 1 holds one block of claims at a time and nothing forms W, so doubling the pool
@@ -1055,7 +1057,7 @@ class TestFactoredTable:
         for pool in self.doubled_pools():
             t, peak = traced_peak(lambda: allocate_compound_poisson_pool(pool, 2**11))
             peaks.append(peak)
-            sizes.append(t.n_risks * t.weights.shape[1] * 8)
+            sizes.append(t.n_risks * t.terms[0][1].shape[1] * 8)
         assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
     @pytest.mark.parametrize("name", ("small_pool", "shock", "gamma_mixture", "pool300", "pool300_mixed"))
@@ -1063,7 +1065,7 @@ class TestFactoredTable:
         # the same table with W read whole into an array answers every query with the same bits
         t = factored_table(name, scenario_dir)
         w = materialised_weights(t)
-        held = dataclasses.replace(t, weights=w)
+        held = dataclasses.replace(t, terms=w)
         n = t.n_risks
         some = [0, n // 2, n - 1]
         assert np.array_equal(t.rows(some), held.rows(some))
@@ -1076,7 +1078,7 @@ class TestFactoredTable:
             assert np.array_equal(got, want) and np.array_equal(got, t.band(i1, v))
         for k in (valid[0], valid[-1]):
             assert np.array_equal(t.conditional_mean_at(k), held.conditional_mean_at(k), equal_nan=True)
-        again = assemble_table(t.fs.masses, w, t.risk_means, seq=t.seq, dense_rows=t.dense_rows)
+        again = assemble_table(t.fs.masses, w, t.risk_means)
         assert np.array_equal(t.column_sum, again.column_sum)
 
 
@@ -1110,7 +1112,7 @@ class TestPoolBesideOtherMargins:
         risks = [margins[i] for i in rng.permutation(len(margins))]
         portfolio, kmax = PortfolioModel(risks=risks), 64
         table = allocate_portfolio(portfolio, kmax)
-        assert table.seq is not None
+        assert table.terms[0][2] is not None
         valid = table.valid_mask
         assert valid.sum() > 10
         for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
@@ -1132,6 +1134,50 @@ class TestPoolBesideOtherMargins:
         assert np.max(np.abs(row - mu)[valid & (mu > 0)] / mu[valid & (mu > 0)]) <= 1e-14
         assert t.truncation.notes[0].endswith("; beside 1 other margin over 4 points")
 
+    def test_bernoulli_margins_stay_one_factored_term_over_f_pool(self):
+        # five Bernoulli margins beside two compound Poisson risks: their product has 16 of 256
+        # points, so they are one term of 5 x 16 rows nu over f_pool, the pool's f_S, and the
+        # table holds nothing 5 x 256 for them
+        pool = [compound_poisson_risk(0.8, [0.0, 0.5, 0.5]), compound_poisson_risk(0.3, [0.0, 0.2, 0.3, 0.5])]
+        risks = [pool[0], *(BernoulliRisk(b, 0.1 * b) for b in range(1, 6)), pool[1]]
+        kmax = 256
+        t = allocate_compound_poisson_pool(risks, kmax)
+        (_, pool_weights, fs), (rows, nu, f_pool) = t.terms
+        assert fs is t.fs.masses and pool_weights.shape[1] < kmax
+        assert rows.tolist() == [1, 2, 3, 4, 5] and isinstance(nu, np.ndarray) and nu.shape == (5, 16)
+        assert np.array_equal(f_pool, allocate_compound_poisson_pool(pool, kmax).fs.masses)
+        # every query within 4 eps of its row's scale of the terms' product in long double
+        mu = factored_product(t)
+        scale = np.abs(mu).max(axis=1)
+        assert np.all(np.abs(t.expected_allocation - mu) <= 4 * EPS * scale[:, None])
+        assert np.all(np.abs(t.rows([5, 0, 2]) - mu[[5, 0, 2]]) <= 4 * EPS * scale[[5, 0, 2], None])
+        assert np.all(np.abs(t.column_sum - mu.sum(axis=0)) <= 4 * EPS * mu.sum(axis=0).max())
+        valid = np.flatnonzero(t.valid_mask)
+        w = np.random.default_rng(5).uniform(0.0, 1.0, 40)
+        requests = [(valid[0], w[:1]), (valid[len(valid) // 2], w), (valid[-1] - 7, w[:7])]
+        for got, (i1, v) in zip(t.bands(requests), requests, strict=True):
+            assert np.all(np.abs(got - mu[:, i1 : i1 + len(v)] @ v) <= 4 * EPS * scale * v.sum())
+        # every point above the floor is valid, and the rows are the size-biased oracle's, which
+        # convolves every margin directly
+        assert np.array_equal(t.valid_mask, t.fs.masses > t.underflow_floor) and len(valid) > 40
+        want = oracle_size_biased_rows(risks, kmax)
+        assert np.max(np.abs(t.expected_allocation - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kmax", [512, 4096])
+    @pytest.mark.filterwarnings("ignore::allocgen.errors.AliasingRisk")
+    def test_traced_peak_within_the_memory_estimate(self, kmax):
+        # 1000 Bernoulli margins beside a compound Poisson risk (their sum's mean, 834, passes the
+        # top of the 512-point buffer): their prefix products and rows nu fill the buffer, and stay
+        # within require_memory's 24 bytes per margin and point (about 17 and 13 traced; about 41
+        # and 37 with their pmf vectors and n_o x kmax dense rows held)
+        rng = np.random.default_rng(3)
+        n = 1000
+        b, q = rng.integers(1, 11, n), rng.uniform(0.01, 0.3, n)
+        risks = [compound_poisson_risk(0.5, [0.0, 0.5, 0.5]), *(BernoulliRisk(int(x), float(y)) for x, y in zip(b, q))]
+        t, peak = traced_peak(lambda: allocate_compound_poisson_pool(risks, kmax))
+        assert peak < 24 * n * kmax
+        assert t.terms[1][1].shape == (n, kmax)
+
     def test_mixed_chain_writes_the_csvs_of_its_list(self, tmp_path):
         # a Bernoulli risk, a compound Poisson risk and a binomial count ahead of a sampled pool,
         # against the same risks as explicit entries
@@ -1147,7 +1193,7 @@ class TestPoolBesideOtherMargins:
         for name, model in (("chain", {"risks": explicit, "sampled": sampled}), ("listed", {"risks": listed})):
             raw = {"kmax": 2**11, "seed": 11, "model": model, "outputs": outputs}
             result = run_scenario(parse_scenario(raw, name=name), tmp_path / name)
-            assert result.table.seq is not None
+            assert result.table.terms[0][2] is not None
             outs.append(tmp_path / name)
         for path in sorted(p.name for p in outs[0].glob("*.csv")):
             a, b = ([line for line in (d / path).read_text().splitlines() if not line.startswith("#")] for d in outs)
@@ -1159,7 +1205,7 @@ class TestPoolBesideOtherMargins:
         risks = RiskChain([BernoulliRisk(1 + i % 3, 0.01) for i in range(130)], pool)
         t, dense = allocate_compound_poisson_pool(risks, 512), allocate_independent(list(risks), 512)
         valid = t.valid_mask & dense.valid_mask
-        assert t.seq is not None and valid.sum() > 100
+        assert t.terms[0][2] is not None and valid.sum() > 100
         assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-10
 
     def test_long_other_margin_beside_a_sampled_pool_matches_the_oracle(self):
@@ -1169,7 +1215,7 @@ class TestPoolBesideOtherMargins:
         nb_sum = CompoundKatzRisk(KatzParams.negative_binomial(2.0, 0.5), pmf_from_values([0.0, 0.5, 0.5]))
         risks = RiskChain([nb_sum], pool)
         t = allocate_compound_poisson_pool(risks, 512)
-        assert t.dense_rows[0].tolist() == [0] and t.weights.shape[1] < 512
+        assert t.terms[1][0].tolist() == [0] and t.terms[0][1].shape[1] < 512
         valid = t.valid_mask
         assert valid.sum() > 100
         want = oracle_size_biased_rows(list(risks), 512)
@@ -1199,7 +1245,7 @@ class TestPoolBesideOtherMargins:
                  compound_poisson_risk(1.0, [0.0, 0.5, 0.5])]
         portfolio, kmax = PortfolioModel(risks=risks), 256
         t = allocate_compound_poisson_pool(risks, kmax)
-        assert t.dense_rows[0].tolist() == [0, 1, 2]
+        assert t.terms[1][0].tolist() == [0, 1, 2]
         assert np.array_equal(t.valid_mask, t.fs.masses > t.underflow_floor)
         for want in (oracle_enumerate(portfolio, kmax).expected_allocation, oracle_size_biased_rows(risks, kmax)):
             assert np.max(np.abs(t.expected_allocation - want)) <= 1e-12
@@ -1211,7 +1257,7 @@ class TestPoolBesideOtherMargins:
         risks = [compound_poisson_risk(0.8, half[0]), ExplicitRisk(half[1]),
                  CompoundKatzRisk(KatzParams.binomial(2, 0.3), half[2])]
         t, dense = allocate_compound_poisson_pool(risks, 64), allocate_independent(risks, 64)
-        assert t.dense_rows[0].tolist() == [1, 2]
+        assert t.terms[1][0].tolist() == [1, 2]
         valid = t.valid_mask & dense.valid_mask
         assert valid.sum() >= 20
         assert np.max(np.abs(t.expected_allocation - dense.expected_allocation)[:, valid]) <= 1e-12

@@ -424,7 +424,7 @@ class TestRun:
         assert not out.exists()
 
     def test_margins_beside_pool_beyond_host_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # the two Bernoulli margins beside the Poisson pool are convolved directly, at 48 bytes per margin
+        # the two Bernoulli margins beside the Poisson pool are convolved directly, at 24 bytes per margin
         # and lattice point, and the pool engine stops before it builds their rows
         monkeypatch.setattr(allocation, "host_memory_bytes", lambda: 1024)
         scenario = tmp_path / "beside.yaml"
@@ -437,7 +437,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(scenario), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "config error: 2 risks at kmax 64 need about 6,144 bytes at once, "
+            "config error: 2 risks at kmax 64 need about 3,072 bytes at once, "
             "more than the 1,024 bytes of memory on this host\n"
         )
         assert not out.exists()

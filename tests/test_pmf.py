@@ -146,7 +146,7 @@ class TestMoments:
             "risks = [compound_poisson_negbin_risk(0.5, 2, 0.002, 16384),\n"
             "         compound_poisson_risk(0.3, [0.0, 0.5, 0.5])]\n"
             "table = allocate_compound_poisson_pool(risks, 32768)\n"
-            "assert table.seq is not None and table.weights.shape[1] == 16384\n"
+            "assert table.terms[0][2] is not None and table.terms[0][1].shape[1] == 16384\n"
             "band = table.band(0, np.linspace(1.0, 2.0, table.kmax))\n"
             "for a in (table.rows(slice(None)), table.column_sum, table.fs.masses, band):\n"
             "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"

@@ -251,7 +251,7 @@ class TestNegativeRoundoffInFS:
 
     def table(self):
         k = np.arange(len(self.FS), dtype=float)
-        return assemble_table(self.FS, np.outer([0.25, 0.75], k * self.FS), [0.25, 0.75])
+        return assemble_table(self.FS, [(slice(None), np.outer([0.25, 0.75], k * self.FS), None)], [0.25, 0.75])
 
     def test_split_adds_up_to_the_total_through_the_dip(self):
         table = self.table()

@@ -36,7 +36,7 @@ from allocgen.scenario import (
     sample_risks,
     write_allocations_csv,
 )
-from reference import materialised_weights, negbin_pmf_per_risk
+from reference import negbin_pmf_per_risk, same_weights
 
 
 def minimal_raw(**overrides):
@@ -409,7 +409,7 @@ class TestRunScenario:
     def test_allocations_csv_reads_each_row_once(self, scenario_dir, tmp_path, name, factored):
         built = build_portfolio(load_scenario(scenario_dir / f"{name}.yaml"))
         table = allocate_portfolio(built.portfolio, built.kmax)
-        assert (table.seq is not None) == factored
+        assert (table.terms[0][2] is not None) == factored
         columns = [table.n_risks - 1, 0, 2]
         rows, reads = table.rows, []
 
@@ -459,7 +459,7 @@ class TestRunScenario:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.table.seq is not None and result.table.valid_mask.sum() > 500
+        assert result.table.terms[0][2] is not None and result.table.valid_mask.sum() > 500
         assert peak < dense_bytes / 10
         assert "allocations.csv" in {p.name for p in result.paths}
 
@@ -507,7 +507,7 @@ class TestRunScenario:
             }
             result = run_scenario(parse_scenario(raw, name="pool300"), tmp_path / f"run{i}")
             assert result.table.n_risks == 300 + len(explicit)
-            assert result.table.seq is not None and result.table.valid_mask.sum() > 200
+            assert result.table.terms[0][2] is not None and result.table.valid_mask.sum() > 200
 
     def test_counts_ahead_of_a_sampled_pool_take_the_pool_engine(self):
         # an NB or a Poisson count is a Poisson number of claims, so the chain stays factored
@@ -521,8 +521,8 @@ class TestRunScenario:
         assert isinstance(built.portfolio.risks, RiskChain)
         table = allocate_portfolio(built.portfolio, built.kmax)
         want = allocate_compound_poisson_pool(list(built.portfolio.risks), built.kmax)
-        assert table.seq is not None and table.valid_mask.sum() > 200
-        assert np.array_equal(materialised_weights(table), materialised_weights(want))
+        assert table.terms[0][2] is not None and table.valid_mask.sum() > 200
+        assert same_weights(table, want)
 
     def test_mix_that_is_not_all_poisson_stays_factored(self):
         # the Bernoulli risk is the one other margin: the chain reads as its list, and the
@@ -538,7 +538,7 @@ class TestRunScenario:
         assert isinstance(risks, RiskChain) and len(risks) == 6
         table = allocate_portfolio(built.portfolio, built.kmax)
         want = allocate_compound_poisson_pool(list(risks), built.kmax)
-        assert table.seq is not None and np.array_equal(materialised_weights(table), materialised_weights(want))
+        assert table.terms[0][2] is not None and same_weights(table, want)
         dense = allocate_independent(list(risks), built.kmax)
         valid = table.valid_mask & dense.valid_mask
         assert valid.sum() > 50
@@ -559,7 +559,7 @@ class TestRunScenario:
         monkeypatch.setattr(allocation, "BLOCK_BYTES", 2 * 16 * 256)
         assert len(allocation.row_blocks(len(built.portfolio.risks), built.kmax)) == 3
         table = allocate_portfolio(built.portfolio, built.kmax)
-        assert table.seq is None and np.array_equal(table.weights, want.weights)
+        assert table.terms[0][2] is None and np.array_equal(table.terms[0][1], want.terms[0][1])
         assert np.array_equal(table.fs.masses, want.fs.masses)
 
     def test_bad_risk_column_selection(self, scenario_dir, tmp_path):
